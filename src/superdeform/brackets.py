@@ -1,23 +1,39 @@
 """The three bracket structures: Poisson superbracket, antibracket, and the
 Moyal-type superbracket given by the odd part of the exponential series of
-the symplectic bidifferential operator.
+the symplectic bidifferential operator P.
 
-The iterated bidifferential is organized by channel multisets: derivatives
-along different metric channels commute, so the p-th power is a sum over
-multisets M of channels weighted by p!/prod(m_ch!).  The enumeration walks
-the channels in a fixed order, sharing derivative chains along the way, and
-keeps the seed Scalar coefficients factored out so the inner loop is plain
-rational arithmetic on monomial dictionaries.  Because the symplectic metric
-only couples variables of equal parity, the iteration picks up no Koszul
-signs between steps; the exterior-algebra signs of the seed scalars are
-restored when the two sides are multiplied back together.
+The Moyal kernel is block factored.  P is a sum of commuting channels, and
+each channel couples one block of variables: an x-pair (y1, y2) =
+(x_{2m-1}, x_{2m}) through d1 (x) d2 - d2 (x) d1, or a single xi_a through
+lambda_a d_a (x) d_a.  A seed term s * x^e exp(-c|x|^2/2) * xi^I factors
+over the same blocks, so for a pair of seed terms P^p/p! is the t^p
+coefficient of a product of one series per block (the scalars and all
+signs aside):
+
+* an x-pair block gives sum_m t^m T[m], with T[m] = sum_{i+j=m} (-1)^j/(i! j!)
+  (d1^i d2^j f_B)(d2^i d1^j g_B), built from one-variable derivative tables
+  of u^a exp(-c u^2/2);
+* an xi channel acts at most once (its square is zero) and only where xi_a
+  stands on both sides: otherwise the derivative kills a side, or xi_a is
+  left on both and the product vanishes.  So the odd channels give the one
+  term t^|S| times the product of lambda_a over S = xi(f) & xi(g).
+
+The signs come from the derivatives alone, since the metric couples only
+variables of equal parity: the right derivative on f costs (-1)^(len + pos
++ 1) and the left derivative on g costs (-1)^pos, at the current length
+and position of xi_a, taking S in increasing order; merging the two
+remaining xi monomials costs the inversions between them; the theta part
+of g's scalar moves left past the whole xi monomial of f.  For integral
+Gaussian weights the tables hold integers: they are scaled by m!, blocks
+combine with binomials, and each output term is divided by q! once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
-from .scalars import Scalar
+from .scalars import RadicalNumber, Scalar
 from .superfunc import SuperFunction, sf_mul
 
 
@@ -51,177 +67,162 @@ def antibracket(f, g):
     return out
 
 
-# -- factored multiset enumeration -----------------------------------------
+# -- block-factored kernel ---------------------------------------------------
 #
-# A "poly" is a dict mapping (x_exponents, gauss_weight, xi_indices) to a
-# rational coefficient; the Scalar of the seed term is carried separately.
+# Polynomials are dicts from exponents to coefficients, with the Gaussian
+# factor left implicit.  ``memo`` lives for one bracket call; it holds the
+# one-variable derivative tables under (e, c) and the block tables under
+# (a1, a2, b1, b2, c_f, c_g).
 
 
-def _poly_deriv(poly, a, ctx, right, g_parity=0):
-    """Derivative of a poly side.
-
-    The f-side uses right derivatives, whose odd-variable sign
-    (-1)^(xi_degree + position + 1) does not depend on the seed scalar.
-    The g-side uses left derivatives, where passing the seed scalar's theta
-    part contributes (-1)^g_parity per odd derivative.  Coefficients and
-    Gaussian weights stay plain ints whenever they are integral.
-    """
-    out = {}
-    if a < ctx.n_plus:
-        for (xexp, c, xi), coeff in poly.items():
-            e = xexp[a]
-            if e > 0:
-                key = (xexp[:a] + (e - 1,) + xexp[a + 1:], c, xi)
-                q = coeff * e
-                if key in out:
-                    q += out[key]
-                if q:
-                    out[key] = q
-                elif key in out:
-                    del out[key]
+def _derivs(memo, e, c, n):
+    """The derivatives 0..n of u^e exp(-c u^2/2), as polynomials in u."""
+    table = memo.setdefault((e, c), [{e: 1}])
+    c = c.numerator if c.denominator == 1 else c  # integral weights as int
+    while len(table) <= n:
+        out = {}
+        for k, q in table[-1].items():
+            if k:
+                out[k - 1] = out.get(k - 1, 0) + k * q
             if c:
-                key = (xexp[:a] + (e + 1,) + xexp[a + 1:], c, xi)
-                q = -coeff * c
-                if key in out:
-                    q += out[key]
-                if q:
-                    out[key] = q
-                elif key in out:
-                    del out[key]
-    else:
-        gen = a - ctx.n_plus + 1
-        for (xexp, c, xi), coeff in poly.items():
-            if gen not in xi:
-                continue
-            pos = xi.index(gen)
-            rest = xi[:pos] + xi[pos + 1:]
-            if right:
-                odd = (len(xi) + pos + 1) & 1
-            else:
-                odd = (g_parity + pos) & 1
-            out[(xexp, c, rest)] = -coeff if odd else coeff
+                out[k + 1] = out.get(k + 1, 0) - c * q
+        table.append({k: q for k, q in out.items() if q})
+    return table
+
+
+def _mul1(u, v):
+    """Product of two one-variable polynomials."""
+    out = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            out[i + j] = out.get(i + j, 0) + a * b
     return out
 
 
-def _contract_into(acc, fpoly, gpoly, coeff, p):
-    """Accumulate the product of the two sides into ``acc``, keyed by the
-    combined monomial, the f-side xi parity, and the power p."""
-    for (xe1, c1, xi1), q1 in fpoly.items():
-        par = len(xi1) & 1
-        cq1 = coeff * q1
-        s1 = set(xi1)
-        for (xe2, c2, xi2), q2 in gpoly.items():
-            if xi2:
-                if s1 & set(xi2):
-                    continue
-                inv = sum(1 for i in xi1 for j in xi2 if i > j)
-                q = cq1 * q2 if inv % 2 == 0 else -cq1 * q2
-                xi = tuple(sorted(xi1 + xi2))
-            else:
-                q = cq1 * q2
-                xi = xi1
-            key = (tuple(map(sum, zip(xe1, xe2))), c1 + c2, xi, par, p)
-            if key in acc:
-                q += acc[key]
-                if q:
-                    acc[key] = q
-                else:
-                    del acc[key]
-            else:
-                acc[key] = q
+def _block_table(memo, fb, gb, cf, cg, m_max):
+    """m! T[m] for m = 0..m_max on one x-pair block (variables y1, y2):
+
+        T[m] = sum_{i+j=m} (-1)^j/(i! j!) (d1^i d2^j f_B)(d2^i d1^j g_B),
+
+    with f_B = y1^a1 y2^a2 exp(-c_f |y|^2/2) and g_B likewise."""
+    table = memo.setdefault(fb + gb + (cf, cg), [])
+    if len(table) > m_max:
+        return table
+    f1, f2 = _derivs(memo, fb[0], cf, m_max), _derivs(memo, fb[1], cf, m_max)
+    g1, g2 = _derivs(memo, gb[0], cg, m_max), _derivs(memo, gb[1], cg, m_max)
+    while len(table) <= m_max:
+        m = len(table)
+        out = {}
+        binom = 1
+        for i in range(m + 1):
+            j = m - i
+            w = -binom if j & 1 else binom
+            binom = binom * j // (i + 1)
+            u = _mul1(f1[i], g1[j])
+            v = _mul1(f2[j], g2[i])
+            for e1, a in u.items():
+                for e2, b in v.items():
+                    out[e1, e2] = out.get((e1, e2), 0) + w * a * b
+        table.append({k: q for k, q in out.items() if q})
+    return table
 
 
-def _expand(ctx, channels, ci, fpoly, gpoly, coeff, p, p_max, emit, acc,
-            g_parity):
-    """Extend the current multiset by channels of index >= ci.
+def _x_tables(memo, fx, gx, cf, cg, q_max):
+    """q! X[q] for q = 0..q_max, the t^q coefficient of the product over
+    the x-pair blocks of sum_m t^m T_B[m]; block tables combine with
+    binomials because they are scaled by m!."""
+    xs = [{(): 1}] + [{}] * q_max
+    for b in range(0, len(fx), 2):
+        table = _block_table(memo, fx[b:b + 2], gx[b:b + 2], cf, cg, q_max)
+        new = []
+        for q in range(q_max + 1):
+            out = {}
+            binom = 1
+            for r in range(q + 1):
+                for k1, a in xs[q - r].items():
+                    for k2, c in table[r].items():
+                        key = k1 + k2
+                        out[key] = out.get(key, 0) + binom * a * c
+                binom = binom * (q - r) // (r + 1)
+            new.append({k: v for k, v in out.items() if v})
+        xs = new
+    return xs
 
-    ``coeff`` already carries the metric weights and the 1/prod(m_ch!)
-    multiplicity factor of the multiset built so far.
+
+def _odd_factor(ctx, xf, xg):
+    """Sign, lambda weight and merged xi monomial of the odd channels.
+
+    Only the channels of S = xi(f) & xi(g) survive: any other leaves a
+    repeated xi.  They act once each, in increasing order, as right
+    derivatives on f (sign (-1)^(len + pos + 1) at the current length and
+    position) and left derivatives on g (sign (-1)^pos; passing g's theta
+    part is left to the caller).  Then the two remainders are merged.
     """
-    for j in range(ci, len(channels)):
-        a, b, w = channels[j]
-        cf, cg = fpoly, gpoly
-        c = coeff
-        m = 0
-        while p + m < p_max:
-            cf = _poly_deriv(cf, a, ctx, True)
-            if not cf:
-                break
-            cg = _poly_deriv(cg, b, ctx, False, g_parity)
-            if not cg:
-                break
-            m += 1
-            c = c * w
-            if m > 1:
-                c = Fraction(c, m) if isinstance(c, int) else c / m
-            if emit(p + m):
-                _contract_into(acc, cf, cg, c, p + m)
-            _expand(ctx, channels, j + 1, cf, cg, c, p + m, p_max, emit,
-                    acc, g_parity)
-
-
-def _seed_pairs(f, g):
-    """Split (f, g) into seed term pairs with theta-homogeneous g scalars."""
-    fseeds = list(f.terms.items())
-    gseeds = []
-    for key, s in g.terms.items():
-        even, odd = s.split_theta_parity()
-        if not even.is_zero():
-            gseeds.append((key, even, 0))
-        if not odd.is_zero():
-            gseeds.append((key, odd, 1))
-    return fseeds, gseeds
+    shared = set(xf) & set(xg)
+    n = len(shared)
+    # the k-th derivative (from 0) meets length len - k and position pos - k
+    odd = n * len(xf) + n + n * (n - 1) // 2
+    odd += sum(pos for pos, i in enumerate(xf) if i in shared)
+    odd += sum(pos for pos, i in enumerate(xg) if i in shared)
+    rf = [i for i in xf if i not in shared]
+    rg = [i for i in xg if i not in shared]
+    odd += sum(1 for i in rf for j in rg if i > j)
+    weight = -1 if odd & 1 else 1
+    for i in shared:
+        weight *= ctx.lambdas[i - 1]
+    return n, weight, tuple(sorted(rf + rg))
 
 
 def _iterate_pairs(f, g, emit, p_cap, weights):
-    """Accumulate over all seed pairs and channel multisets.
+    """Sum over the seed term pairs of sum_p weights(p) times the t^p
+    coefficient of the factored exponential series.
 
-    ``emit(p)`` says whether power p contributes, ``p_cap(min_h)`` bounds
-    the multiset size for seeds of minimal h-degree min_h, and
-    ``weights(p)`` gives the Scalar weight of power p (on top of the
-    multiplicity factor already in the rational coefficients).
+    ``emit(p)`` says whether power p contributes and ``p_cap(min_h)``
+    bounds p for seeds of minimal h-degree min_h.  The coefficients are
+    collected per output term as (h-power, theta, radical) -> rational
+    and turned into Scalars once at the end.
     """
     ctx = f.ctx
-    channels = ctx.omega_channels()
-    out = SuperFunction.zero(ctx)
-    fseeds, gseeds = _seed_pairs(f, g)
-    for fkey, fs in fseeds:
+    memo = {}
+    acc = {}
+    gterms = [(key, gs, gs.hbar_min_degree()) for key, gs in g.terms.items()]
+    for (fx, cf, xf), fs in f.terms.items():
         f_min = fs.hbar_min_degree()
-        if f_min is None:
-            continue
-        for gkey, gs, gw in gseeds:
-            g_min = gs.hbar_min_degree()
-            if g_min is None:
-                continue
+        for (gx, cg, xg), gs, g_min in gterms:
             p_max = p_cap(f_min + g_min)
-            if p_max < 1:
+            n, weight, xi = _odd_factor(ctx, xf, xg)
+            powers = [p for p in range(max(n, 1), p_max + 1) if emit(p)]
+            if not powers:
                 continue
-            fc = fkey[1]
-            if fc.denominator == 1:
-                fkey = (fkey[0], fc.numerator, fkey[2])
-            gc = gkey[1]
-            if gc.denominator == 1:
-                gkey = (gkey[0], gc.numerator, gkey[2])
-            acc = {}
-            _expand(ctx, channels, 0, {fkey: 1}, {gkey: 1}, 1, 0,
-                    p_max + 1, emit, acc, gw)
-            if not acc:
-                continue
-            prod = (fs * gs, fs * gs.theta_twist(1))
-            piece = {}
-            for (xexp, c, xi, par, p), q in acc.items():
-                scalar = weights(p) * (prod[par] * q)
-                if scalar.is_zero():
+            # the theta part of g's scalar moves left past f's xi monomial
+            prod = fs * gs.theta_twist(len(xf))
+            xs = _x_tables(memo, fx, gx, cf, cg, p_max - n)
+            c = cf + cg
+            for p in powers:
+                q = p - n
+                if not xs[q]:
                     continue
-                key = (xexp, Fraction(c), xi)
-                if key in piece:
-                    piece[key] = piece[key] + scalar
-                else:
-                    piece[key] = scalar
-            piece = {k: s for k, s in piece.items() if not s.is_zero()}
-            if piece:
-                out = out + SuperFunction(ctx, piece)
-    return out
+                scale = Fraction(weight, factorial(q))
+                scalar = weights(p) * prod
+                coeffs = [((m, alpha, rk), v * scale)
+                          for (m, alpha), rad in scalar.terms.items()
+                          for rk, v in rad.terms.items()]
+                for xexp, v in xs[q].items():
+                    key = (xexp, c, xi)
+                    slot = acc.get(key)
+                    if slot is None:
+                        slot = acc[key] = {}
+                    for k, w in coeffs:
+                        slot[k] = slot.get(k, 0) + w * v
+    sctx = ctx.scalar_ctx
+    out = {}
+    for key, slot in acc.items():
+        rads = {}
+        for (m, alpha, rk), v in slot.items():
+            rads.setdefault((m, alpha), {})[rk] = v
+        out[key] = Scalar(sctx, {ma: RadicalNumber(r)
+                                 for ma, r in rads.items()})
+    return SuperFunction(ctx, out)
 
 
 def bidiff_power(f, g, p):
@@ -229,10 +230,7 @@ def bidiff_power(f, g, p):
     if p < 1:
         raise ValueError("the bidifferential power must be at least 1")
     f._check(g)
-    sctx = f.ctx.scalar_ctx
-    weight = Scalar.rational(sctx, 1)
-    for m in range(1, p + 1):
-        weight = weight * m
+    weight = Scalar.rational(f.ctx.scalar_ctx, factorial(p))
     return _iterate_pairs(f, g,
                           emit=lambda q: q == p,
                           p_cap=lambda min_h: p,

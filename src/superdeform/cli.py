@@ -424,6 +424,9 @@ def _default_seed():
 
 
 def _sample_spec(args):
+    for flag, value in (("--samples", args.samples), ("--terms", args.terms)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     seed = args.seed if args.seed is not None else _default_seed()
     return SampleSpec(seed=seed, count=args.samples,
                       parity=args.parity, terms=args.terms)
@@ -576,6 +579,7 @@ def run(argv=None):
                 print(text)
             return 0 if report.passed else 1
         # theorem
+        spec = _sample_spec(args)
         zeta = parse_expression(args.zeta, ctx)
         eta = parse_expression(args.eta, ctx)
         h1 = parse_scalar(args.h1, ctx)
@@ -588,7 +592,7 @@ def run(argv=None):
             "pass": report.passed}
         if report.passed:
             defo = build_general_odd(zeta, eta, h1, h2)
-            jreport = check_jacobi(defo, _sample_spec(args))
+            jreport = check_jacobi(defo, spec)
             data["jacobi"] = jreport.core_dict()
             data["pass"] = report.passed and jreport.passed
         text = json.dumps(data, indent=2, sort_keys=True)

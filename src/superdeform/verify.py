@@ -146,7 +146,8 @@ class VerificationReport:
 
 def _context_dict(ctx):
     return {"n_plus": ctx.n_plus, "n_minus": ctx.n_minus,
-            "k": ctx.scalar_ctx.k, "h_max": ctx.h_max}
+            "lambdas": list(ctx.lambdas), "k": ctx.scalar_ctx.k,
+            "h_max": ctx.h_max}
 
 
 def _run(check, ctx, pieces, evaluate, details=None):

@@ -82,12 +82,26 @@ def test_epsilon_antisymmetry(ctx22):
         assert antibracket(f, g) == -antibracket(g, f) * sign
 
 
-def test_bidiff_matches_naive_oracle(ctx42):
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("n_plus, lambdas, p_max, gauss_pool", [
+    (4, (1, 1), 3, (0, 1, 2)),
+    (4, (1, -1), 3, (0, HALF, 1)),
+    (0, (1, 1, -1), 3, (0,)),
+    (6, (1,), 3, (0, HALF, 1)),
+    (2, (1,), 5, (0, HALF, 2)),
+], ids=["ctx42", "lambda_mixed", "no_x_blocks", "three_x_blocks",
+        "high_power"])
+def test_bidiff_matches_naive_oracle(n_plus, lambdas, p_max, gauss_pool):
+    ctx = SymplecticContext(n_plus, len(lambdas), lambdas, 1, 6)
     rng = seeded(7)
     for _ in range(6):
-        f = random_superfunction(rng, ctx42, terms=2, theta=True)
-        g = random_superfunction(rng, ctx42, terms=2, theta=True)
-        for p in (1, 2, 3):
+        f = random_superfunction(rng, ctx, terms=2, theta=True,
+                                 gauss_pool=gauss_pool)
+        g = random_superfunction(rng, ctx, terms=2, theta=True,
+                                 gauss_pool=gauss_pool)
+        for p in range(1, p_max + 1):
             assert bidiff_power(f, g, p) == naive_bidiff(f, g, p)
 
 
@@ -125,46 +139,50 @@ def test_moyal_reduces_to_poisson_at_order_zero():
         assert moyal_bracket(f, g) == poisson_bracket(f, g)
 
 
+def _series_oracle(f, g, kappa=1):
+    """Truncated sum over odd p of (hbar kappa)^(p-1)/p! bidiff^p, via the
+    naive word-by-word path (callers keep p small by a low h_max)."""
+    sctx = f.ctx.scalar_ctx
+    hk = Scalar.hbar(sctx) * kappa
+    total = SuperFunction.zero(f.ctx)
+    fact, power = 1, Scalar.one(sctx)
+    p = 1
+    while not power.is_zero():
+        fact *= p
+        if p % 2 == 1:
+            total = total + naive_bidiff(f, g, p).scale_left(power / fact)
+        power = power * hk
+        p += 1
+    return total
+
+
 def test_moyal_matches_series_oracle():
-    # truncated sum over odd p of hbar^(p-1)/p! bidiff^p, via the naive
-    # word-by-word path (kept to p <= 3 by a low truncation order)
-    ctx = SymplecticContext(4, 2, (1, 1), 1, 2)
-    sctx = ctx.scalar_ctx
-    rng = seeded(33)
-    for _ in range(3):
-        f = random_superfunction(rng, ctx, max_x_degree=2, terms=1,
-                                 gauss_pool=(1, 2))
-        g = random_superfunction(rng, ctx, max_x_degree=2, terms=1,
-                                 gauss_pool=(1, 2))
-        total = SuperFunction.zero(ctx)
-        fact = 1
-        for p in range(1, ctx.h_max + 2):
-            fact *= p
-            if p % 2 == 1:
-                weight = Scalar.hbar(sctx, p - 1, Fraction(1, fact))
-                total = total + naive_bidiff(f, g, p).scale_left(weight)
-        assert moyal_bracket(f, g) == total
+    # the plain metric, then lambda = (1, -1) with Gaussian weight 1/2
+    for lambdas, gauss_pool in (((1, 1), (1, 2)), ((1, -1), (HALF, 1))):
+        ctx = SymplecticContext(4, 2, lambdas, 1, 2)
+        rng = seeded(33)
+        for _ in range(3):
+            f = random_superfunction(rng, ctx, max_x_degree=2, terms=1,
+                                     gauss_pool=gauss_pool)
+            g = random_superfunction(rng, ctx, max_x_degree=2, terms=1,
+                                     gauss_pool=gauss_pool)
+            assert moyal_bracket(f, g) == _series_oracle(f, g)
 
 
 def test_moyal_kappa_scaling():
-    # coefficient of bidiff^p is (hbar*kappa)^(p-1)/p!
-    ctx = SymplecticContext(4, 2, (1, 1), 1, 4)
-    sctx = ctx.scalar_ctx
+    # coefficient of bidiff^p is (hbar*kappa)^(p-1)/p!, for kappa = 2 hbar
+    # and for fractional kappa, at lambda = (1, 1) and (1, -1)
     rng = seeded(35)
-    kappa = Scalar.hbar(sctx, 1, 2)
-    f = random_superfunction(rng, ctx, gauss_pool=(1,))
-    g = random_superfunction(rng, ctx, gauss_pool=(1,))
-    value = moyal_bracket(f, g, kappa)
-    oracle = SuperFunction.zero(ctx)
-    hk = Scalar.hbar(sctx) * kappa
-    fact, power = 1, Scalar.one(sctx)
-    for p in range(1, 4):
-        fact *= p
-        if p % 2 == 1:
-            oracle = oracle + naive_bidiff(f, g, p).scale_left(
-                power / fact)
-        power = power * hk
-    assert value == oracle
+    for lambdas, h_max, kappa, pool, theta in (
+            ((1, 1), 4, None, (1,), False),
+            ((1, -1), 2, Fraction(-3, 2), (HALF, 1), True),
+            ((1, 1), 2, Fraction(2, 3), (0, HALF), True)):
+        ctx = SymplecticContext(4, 2, lambdas, 1, h_max)
+        if kappa is None:
+            kappa = Scalar.hbar(ctx.scalar_ctx, 1, 2)
+        f = random_superfunction(rng, ctx, gauss_pool=pool, theta=theta)
+        g = random_superfunction(rng, ctx, gauss_pool=pool, theta=theta)
+        assert moyal_bracket(f, g, kappa) == _series_oracle(f, g, kappa)
 
 
 def test_moyal_rejects_theta_kappa(ctx42):

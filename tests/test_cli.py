@@ -210,3 +210,14 @@ def test_cli_moyal_kappa(capsys):
                 "x1^3", "x2^3"]) == 0
     text = capsys.readouterr().out.strip()
     assert "hbar^2" in text and "x1^2*x2^2" in text
+
+
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-3"],
+                                   ["--terms", "0"]])
+def test_cli_rejects_counts_below_one(flags, capsys):
+    code = run(["jacobi", "--deformation", "antiodd()", "--n", "2", *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "at least 1" in captured.err
+    assert captured.err.count("\n") == 1

@@ -75,6 +75,16 @@ def test_report_core_is_reproducible(ctx42):
     assert "elapsed" not in json.loads(r1.to_json(with_elapsed=False))
 
 
+def test_report_context_records_lambdas():
+    spec = SampleSpec(seed=31, count=2)
+    contexts = [check_jacobi(build_anti_odd(SymplecticContext(
+        2, 2, lambdas, 1, 6)), spec).context
+        for lambdas in ((1, 1), (1, -1))]
+    assert contexts[0] != contexts[1]
+    assert contexts[1]["lambdas"] == [1, -1]
+    json.dumps(contexts)
+
+
 def test_check_jacobi_detects_failure(ctx42):
     # the supercommutative product is not a Lie bracket
     broken = Deformation(ctx42, "mul",
