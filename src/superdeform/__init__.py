@@ -14,7 +14,7 @@ from .deformations import (ConstraintReport, Deformation, EquivalenceReport,
                            build_C1, build_C1c, build_C3, build_anti_even,
                            build_anti_odd, build_general_odd,
                            check_constraints, check_equivalence, solve_eta,
-                           t1_bar_multiplier, t1_diff_operator, t1_euler)
+                           t1_bar_multiplier, t1_euler)
 from .errors import (ArityError, ContextMismatchError, DeformationError,
                      NotIntegrableError, ParseError)
 from .scalars import RadicalNumber, Scalar, ScalarContext
@@ -42,5 +42,5 @@ __all__ = [
     "m3_form", "moyal_bracket", "moyal_form", "mu_form", "mzeta_form",
     "parse_cochain", "parse_deformation", "parse_expression", "parse_t1",
     "poisson_bracket", "sample_superfunctions", "sample_tuples", "sf_mul",
-    "solve_eta", "t1_bar_multiplier", "t1_diff_operator", "t1_euler",
+    "solve_eta", "t1_bar_multiplier", "t1_euler",
 ]

@@ -36,7 +36,7 @@ from .deformations import (build_C1, build_C1c, build_C3, build_anti_even,
 from .errors import DeformationError, ParseError
 from .scalars import Scalar
 from .superfunc import SuperFunction, SymplecticContext
-from .verify import SampleSpec, check_cocycle, check_jacobi
+from .verify import SampleSpec, check_cocycle, check_jacobi, sample_tuples
 
 DEFAULT_SEED = 20240801
 
@@ -432,15 +432,62 @@ def _sample_spec(args):
                       parity=args.parity, terms=args.terms)
 
 
-def _emit(report, args):
-    text = report.to_json()
+def _emit(data, summary, args):
+    """Write a JSON report to stdout or ``--output`` and its one-line
+    summary to stderr; the exit status is 0 when ``data["pass"]``, else 1."""
+    text = json.dumps(data, indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    print(report.summary(), file=sys.stderr)
-    return 0 if report.passed else 1
+    print(summary, file=sys.stderr)
+    return 0 if data["pass"] else 1
+
+
+def _run_equiv(args, ctx):
+    defo1 = parse_deformation(args.c1, ctx)
+    defo2 = parse_deformation(args.c2, ctx)
+    t1 = parse_t1(args.t1, ctx)
+    pairs = sample_tuples(_sample_spec(args), ctx, 2)
+    report = check_equivalence(defo1, defo2, t1, pairs, order=args.order)
+    data = {"check": "equivalence", "pass": report.passed,
+            "sample_count": len(pairs),
+            "t1_active_pairs": report.t1_active_pairs}
+    fail = report.first_failure()
+    if fail is not None:
+        (f, g), residual = fail
+        data["first_failure"] = {"f": f.render(), "g": g.render(),
+                                 "residual": residual.render()}
+    failures = sum(not r.is_zero() for _pair, r in report.residuals)
+    state = "PASS" if report.passed else "FAIL"
+    return _emit(data, f"[{state}] equivalence: {len(pairs)} samples, "
+                 f"{failures} failures, t1_active_pairs "
+                 f"{report.t1_active_pairs}", args)
+
+
+def _run_theorem(args, ctx):
+    spec = _sample_spec(args)
+    zeta = parse_expression(args.zeta, ctx)
+    eta = parse_expression(args.eta, ctx)
+    h1 = parse_scalar(args.h1, ctx)
+    h2 = parse_scalar(args.h2, ctx)
+    report = check_constraints(zeta, eta, h1, h2)
+    data = {"check": "theorem[multi]", "constraints": {
+        name: ("0" if r.is_zero() else r.render())
+        for name, r in report.residuals.items()},
+        "eta_d_class": report.eta_d_class,
+        "pass": report.passed}
+    if report.passed:
+        jreport = check_jacobi(build_general_odd(zeta, eta, h1, h2), spec)
+        data["jacobi"] = jreport.core_dict()
+        data["pass"] = jreport.passed
+        detail = (f"constraints hold, jacobi {jreport.sample_count} samples, "
+                  f"{len(jreport.failures)} failures")
+    else:
+        detail = "constraints fail: " + ", ".join(report.failed_relations())
+    state = "PASS" if data["pass"] else "FAIL"
+    return _emit(data, f"[{state}] theorem[multi]: {detail}", args)
 
 
 _COMMON_OPTIONS = (
@@ -548,61 +595,23 @@ def run(argv=None):
                                   parse_expression(args.g, ctx))
             print(value.render())
             return 0
+        if args.command == "equiv":
+            return _run_equiv(args, ctx)
+        if args.command == "theorem":
+            return _run_theorem(args, ctx)
         if args.command == "jacobi":
             defo = parse_deformation(args.deformation, ctx)
-            return _emit(check_jacobi(defo, _sample_spec(args)), args)
-        if args.command == "cocycle":
+            report = check_jacobi(defo, _sample_spec(args))
+        else:
             form = parse_cochain(args.form, ctx)
             bracket = anti_form(ctx) if args.bracket == "anti" else None
-            return _emit(check_cocycle(form, _sample_spec(args),
-                                       bracket=bracket), args)
-        if args.command == "equiv":
-            defo1 = parse_deformation(args.c1, ctx)
-            defo2 = parse_deformation(args.c2, ctx)
-            t1 = parse_t1(args.t1, ctx)
-            from .verify import sample_tuples
-            pairs = sample_tuples(_sample_spec(args), ctx, 2)
-            report = check_equivalence(defo1, defo2, t1, pairs,
-                                       order=args.order)
-            data = {"check": "equivalence", "pass": report.passed,
-                    "sample_count": len(pairs)}
-            fail = report.first_failure()
-            if fail is not None:
-                (f, g), residual = fail
-                data["first_failure"] = {"f": f.render(), "g": g.render(),
-                                         "residual": residual.render()}
-            text = json.dumps(data, indent=2, sort_keys=True)
-            if args.output:
-                with open(args.output, "w") as fh:
-                    fh.write(text + "\n")
-            else:
-                print(text)
-            return 0 if report.passed else 1
-        # theorem
-        spec = _sample_spec(args)
-        zeta = parse_expression(args.zeta, ctx)
-        eta = parse_expression(args.eta, ctx)
-        h1 = parse_scalar(args.h1, ctx)
-        h2 = parse_scalar(args.h2, ctx)
-        report = check_constraints(zeta, eta, h1, h2)
-        data = {"check": "theorem[multi]", "constraints": {
-            name: ("0" if r.is_zero() else r.render())
-            for name, r in report.residuals.items()},
-            "eta_d_class": report.eta_d_class,
-            "pass": report.passed}
-        if report.passed:
-            defo = build_general_odd(zeta, eta, h1, h2)
-            jreport = check_jacobi(defo, spec)
-            data["jacobi"] = jreport.core_dict()
-            data["pass"] = report.passed and jreport.passed
-        text = json.dumps(data, indent=2, sort_keys=True)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-        return 0 if data["pass"] else 1
-    except (ParseError, DeformationError, ValueError) as exc:
+            report = check_cocycle(form, _sample_spec(args), bracket=bracket)
+        return _emit({**report.core_dict(), "elapsed": report.elapsed},
+                     report.summary(), args)
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 2
+    except (ParseError, DeformationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

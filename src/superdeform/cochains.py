@@ -161,10 +161,6 @@ class FunctionScaledCochain(Cochain):
         return out
 
 
-def eval_form(form, args):
-    return form.evaluate(*args)
-
-
 # -- named leaves ----------------------------------------------------------
 
 def m0_form(ctx):

@@ -54,6 +54,26 @@ def merge_odd_indices(a, b):
     return (-1) ** inversions, tuple(sorted(a + b))
 
 
+def accumulate(out, key, value):
+    """Add ``value`` into ``out[key]``; an entry whose sum is zero is
+    dropped, and a zero ``value`` changes nothing."""
+    if not value:
+        return
+    if key in out:
+        value = out[key] + value
+        if not value:
+            del out[key]
+            return
+    out[key] = value
+
+
+def _with_terms(obj, terms):
+    """Give an empty RadicalNumber, Scalar or SuperFunction a dict of terms
+    that is already normalised (no zero values, canonical keys)."""
+    obj.terms = terms
+    return obj
+
+
 class RadicalNumber:
     """Element of Q extended by sqrt(r) for square-free r and by sqrt(pi).
 
@@ -64,15 +84,8 @@ class RadicalNumber:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[key] = clean.get(key, Fraction(0)) + coeff
-                    if not clean[key]:
-                        del clean[key]
-        self.terms = clean
+        self.terms = {key: Fraction(coeff)
+                      for key, coeff in (terms or {}).items() if coeff}
 
     @classmethod
     def from_rational(cls, q):
@@ -94,6 +107,9 @@ class RadicalNumber:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def is_rational(self):
         return all(k == (0, 0, 1) for k in self.terms)
 
@@ -107,15 +123,16 @@ class RadicalNumber:
     def __add__(self, other):
         if not isinstance(other, RadicalNumber):
             other = RadicalNumber.from_rational(other)
-        merged = dict(self.terms)
+        out = dict(self.terms)
         for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        return RadicalNumber(merged)
+            accumulate(out, key, coeff)
+        return _with_terms(RadicalNumber(), out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RadicalNumber({k: -c for k, c in self.terms.items()})
+        return _with_terms(RadicalNumber(),
+                           {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, RadicalNumber)
@@ -126,22 +143,23 @@ class RadicalNumber:
             q = Fraction(other)
             if not q:
                 return RadicalNumber()
-            return RadicalNumber({k: c * q for k, c in self.terms.items()})
+            return _with_terms(RadicalNumber(),
+                               {k: c * q for k, c in self.terms.items()})
         out = {}
         for (p1, s1, r1), c1 in self.terms.items():
             for (p2, s2, r2), c2 in other.terms.items():
                 s = s1 + s2
-                p = p1 + p2 + s // 2
                 outer, core = squarefree_decompose(r1 * r2)
-                key = (p, s % 2, core)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2 * outer
-        return RadicalNumber(out)
+                accumulate(out, (p1 + p2 + s // 2, s % 2, core),
+                           c1 * c2 * outer)
+        return _with_terms(RadicalNumber(), out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, q):
         q = Fraction(q)
-        return RadicalNumber({k: c / q for k, c in self.terms.items()})
+        return _with_terms(RadicalNumber(),
+                           {k: c / q for k, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, RadicalNumber):
@@ -174,10 +192,6 @@ class RadicalNumber:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-RAD_ZERO = RadicalNumber()
-RAD_ONE = RadicalNumber.from_rational(1)
 
 
 class ScalarContext:
@@ -213,25 +227,12 @@ class Scalar:
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
-        clean = {}
-        if terms:
-            for (m, alpha), rad in terms.items():
-                if m > ctx.h_max:
-                    continue
-                if not isinstance(rad, RadicalNumber):
-                    rad = RadicalNumber.from_rational(rad)
-                if rad.is_zero():
-                    continue
-                key = (m, tuple(alpha))
-                if key in clean:
-                    total = clean[key] + rad
-                    if total.is_zero():
-                        del clean[key]
-                    else:
-                        clean[key] = total
-                else:
-                    clean[key] = rad
-        self.terms = clean
+        self.terms = {}
+        for (m, alpha), rad in (terms or {}).items():
+            if not isinstance(rad, RadicalNumber):
+                rad = RadicalNumber.from_rational(rad)
+            if m <= ctx.h_max and rad:
+                self.terms[m, tuple(alpha)] = rad
 
     # -- constructors ------------------------------------------------------
 
@@ -283,6 +284,9 @@ class Scalar:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def is_theta_free(self):
         return all(not alpha for _, alpha in self.terms)
 
@@ -309,7 +313,8 @@ class Scalar:
         even, odd = {}, {}
         for key, rad in self.terms.items():
             (even if len(key[1]) % 2 == 0 else odd)[key] = rad
-        return Scalar(self.ctx, even), Scalar(self.ctx, odd)
+        return _with_terms(Scalar(self.ctx), even), \
+            _with_terms(Scalar(self.ctx), odd)
 
     def theta_twist(self, q):
         """Multiply each term by (-1)**(q * theta_weight).
@@ -318,21 +323,15 @@ class Scalar:
         """
         if q % 2 == 0:
             return self
-        return Scalar(self.ctx, {
+        return _with_terms(Scalar(self.ctx), {
             key: (-rad if len(key[1]) % 2 else rad)
             for key, rad in self.terms.items()})
 
     def hbar_min_degree(self):
         return min((m for m, _ in self.terms), default=None)
 
-    def hbar_coefficient(self, m):
-        """The coefficient of h^m, as a scalar of h-degree 0."""
-        return Scalar(self.ctx, {
-            (0, alpha): rad for (mm, alpha), rad in self.terms.items()
-            if mm == m})
-
     def truncate(self, order):
-        return Scalar(self.ctx, {
+        return _with_terms(Scalar(self.ctx), {
             key: rad for key, rad in self.terms.items() if key[0] <= order})
 
     def is_even_series(self, min_degree=0):
@@ -345,26 +344,16 @@ class Scalar:
         if not isinstance(other, Scalar):
             other = Scalar.rational(self.ctx, other)
         self._check(other)
-        merged = dict(self.terms)
+        out = dict(self.terms)
         for key, rad in other.terms.items():
-            if key in merged:
-                total = merged[key] + rad
-                if total.is_zero():
-                    del merged[key]
-                else:
-                    merged[key] = total
-            else:
-                merged[key] = rad
-        out = Scalar(self.ctx)
-        out.terms = merged
-        return out
+            accumulate(out, key, rad)
+        return _with_terms(Scalar(self.ctx), out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Scalar(self.ctx)
-        out.terms = {k: -r for k, r in self.terms.items()}
-        return out
+        return _with_terms(Scalar(self.ctx),
+                           {k: -r for k, r in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -380,10 +369,10 @@ class Scalar:
                 other = Scalar.from_radical(self.ctx, other)
             else:
                 q = Fraction(other)
-                out = Scalar(self.ctx)
-                if q:
-                    out.terms = {k: r * q for k, r in self.terms.items()}
-                return out
+                if not q:
+                    return Scalar(self.ctx)
+                return _with_terms(Scalar(self.ctx),
+                                   {k: r * q for k, r in self.terms.items()})
         self._check(other)
         h_max = self.ctx.h_max
         out = {}
@@ -393,15 +382,10 @@ class Scalar:
                 if m > h_max:
                     continue
                 sign, alpha = merge_odd_indices(a1, a2)
-                if sign == 0:
-                    continue
-                rad = r1 * r2 * sign
-                key = (m, alpha)
-                if key in out:
-                    out[key] = out[key] + rad
-                else:
-                    out[key] = rad
-        return Scalar(self.ctx, out)
+                if sign:
+                    rad = r1 * r2
+                    accumulate(out, (m, alpha), rad if sign > 0 else -rad)
+        return _with_terms(Scalar(self.ctx), out)
 
     __rmul__ = __mul__
 
@@ -409,9 +393,8 @@ class Scalar:
         if isinstance(q, Scalar):
             q = q.rational_value()
         q = Fraction(q)
-        out = Scalar(self.ctx)
-        out.terms = {k: r / q for k, r in self.terms.items()}
-        return out
+        return _with_terms(Scalar(self.ctx),
+                           {k: r / q for k, r in self.terms.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -471,18 +454,6 @@ class Scalar:
         return self.render()
 
     __repr__ = __str__
-
-
-def scalar_add(a, b):
-    return a + b
-
-
-def scalar_mul(a, b):
-    return a * b
-
-
-def scalar_parity(a):
-    return a.parity()
 
 
 def theta_divisibility(a, j):

@@ -10,6 +10,17 @@ order with all signs absorbed into s.  Theta factors stand to the left of
 the xi monomial; Koszul signs for moving odd objects past each other are
 applied explicitly by every operation.
 
+The derivative d_a by an odd variable xi_a acts on a term s * x^e * xi^I
+(xi_a at 0-based position pos of the len factors of I) by deleting xi_a,
+with the sign of moving xi_a next to the operator:
+
+* from the left, past the theta part of s and the pos factors before it:
+  the theta twist of s by one, times (-1)^pos;
+* from the right, past the len - pos - 1 factors after it:
+  (-1)^(len - pos - 1), independent of theta.
+
+On x-variables both derivatives are the ordinary one.
+
 Compactly supported functions are modeled by the terms with c > 0, smooth
 functions by arbitrary terms, and the centralizer of the compactly
 supported class consists of the constants.
@@ -20,7 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ContextMismatchError, NotIntegrableError
-from .scalars import RadicalNumber, Scalar, ScalarContext, squarefree_decompose
+from .scalars import (RadicalNumber, Scalar, ScalarContext, _with_terms,
+                      accumulate, merge_odd_indices, squarefree_decompose)
 
 
 class SymplecticContext:
@@ -121,20 +133,7 @@ class SuperFunction:
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
-        clean = {}
-        if terms:
-            for key, scalar in terms.items():
-                if scalar.is_zero():
-                    continue
-                if key in clean:
-                    total = clean[key] + scalar
-                    if total.is_zero():
-                        del clean[key]
-                    else:
-                        clean[key] = total
-                else:
-                    clean[key] = scalar
-        self.terms = clean
+        self.terms = {key: s for key, s in (terms or {}).items() if s}
 
     # -- constructors ------------------------------------------------------
 
@@ -205,26 +204,16 @@ class SuperFunction:
         if not isinstance(other, SuperFunction):
             other = SuperFunction.constant(self.ctx, other)
         self._check(other)
-        merged = dict(self.terms)
+        out = dict(self.terms)
         for key, scalar in other.terms.items():
-            if key in merged:
-                total = merged[key] + scalar
-                if total.is_zero():
-                    del merged[key]
-                else:
-                    merged[key] = total
-            else:
-                merged[key] = scalar
-        out = SuperFunction(self.ctx)
-        out.terms = merged
-        return out
+            accumulate(out, key, scalar)
+        return _with_terms(SuperFunction(self.ctx), out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = SuperFunction(self.ctx)
-        out.terms = {k: -s for k, s in self.terms.items()}
-        return out
+        return _with_terms(SuperFunction(self.ctx),
+                           {k: -s for k, s in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SuperFunction):
@@ -300,13 +289,8 @@ class SuperFunction:
             for w, piece in ((0, even), (1, odd)):
                 if not piece.is_zero():
                     parts[(len(xi) + w) % 2][(xexp, c, xi)] = piece
-        out = []
-        for p in (0, 1):
-            if parts[p]:
-                f = SuperFunction(self.ctx)
-                f.terms = parts[p]
-                out.append(f)
-        return out
+        return [_with_terms(SuperFunction(self.ctx), parts[p])
+                for p in (0, 1) if parts[p]]
 
     # -- class flags -------------------------------------------------------
 
@@ -345,10 +329,6 @@ class SuperFunction:
         degrees = [d for d in degrees if d is not None]
         return min(degrees, default=None)
 
-    def hbar_coefficient(self, m):
-        return SuperFunction(self.ctx, {
-            key: s.hbar_coefficient(m) for key, s in self.terms.items()})
-
     def truncate_hbar(self, order):
         return SuperFunction(self.ctx, {
             key: s.truncate(order) for key, s in self.terms.items()})
@@ -357,77 +337,50 @@ class SuperFunction:
         """Terms whose scalar theta-monomials have the given weight."""
         out = {}
         for key, s in self.terms.items():
-            filtered = Scalar(s.ctx, {
-                (m, alpha): rad for (m, alpha), rad in s.terms.items()
-                if len(alpha) == weight})
-            if not filtered.is_zero():
-                out[key] = filtered
-        return SuperFunction(self.ctx, out)
-
-    def max_theta_weight(self):
-        return max((len(alpha) for s in self.terms.values()
-                    for _, alpha in s.terms), default=0)
+            filtered = {ma: rad for ma, rad in s.terms.items()
+                        if len(ma[1]) == weight}
+            if filtered:
+                out[key] = _with_terms(Scalar(s.ctx), filtered)
+        return _with_terms(SuperFunction(self.ctx), out)
 
     # -- differentiation ---------------------------------------------------
 
     def left_deriv(self, a):
         """Left derivative with respect to the collective variable z_a."""
+        return self._deriv(a, right=False)
+
+    def right_deriv(self, a):
+        """Right derivative with respect to the collective variable z_a."""
+        return self._deriv(a, right=True)
+
+    def _deriv(self, a, right):
+        """Derivative by z_a from one side; signs as in the module doc."""
         ctx = self.ctx
         if not 0 <= a < ctx.n_z:
             raise ValueError(f"variable index {a} outside 0..{ctx.n_z - 1}")
         out = {}
-
-        def put(key, scalar):
-            if scalar.is_zero():
-                return
-            if key in out:
-                total = out[key] + scalar
-                if total.is_zero():
-                    del out[key]
-                else:
-                    out[key] = total
-            else:
-                out[key] = scalar
-
         if a < ctx.n_plus:
             for (xexp, c, xi), s in self.terms.items():
                 e = xexp[a]
                 if e > 0:
                     lowered = xexp[:a] + (e - 1,) + xexp[a + 1:]
-                    put((lowered, c, xi), s * e)
+                    accumulate(out, (lowered, c, xi), s * e)
                 if c > 0:
                     raised = xexp[:a] + (e + 1,) + xexp[a + 1:]
-                    put((raised, c, xi), s * (-c))
-        else:
-            gen = a - ctx.n_plus + 1
-            for (xexp, c, xi), s in self.terms.items():
-                if gen not in xi:
-                    continue
-                pos = xi.index(gen)
-                rest = xi[:pos] + xi[pos + 1:]
-                # the derivative first moves past the theta part of s,
-                # then past the pos factors preceding xi_gen
-                signed = s.theta_twist(1) * ((-1) ** pos)
-                put((xexp, c, rest), signed)
-        return SuperFunction(ctx, out)
-
-    def right_deriv(self, a):
-        """Right derivative; differs from the left one on odd variables by
-        (-1)^(eps(term) + 1) on parity-homogeneous pieces."""
-        ctx = self.ctx
-        if a < ctx.n_plus:
-            return self.left_deriv(a)
-        out = SuperFunction.zero(ctx)
+                    accumulate(out, (raised, c, xi), s * (-c))
+            return _with_terms(SuperFunction(ctx), out)
+        gen = a - ctx.n_plus + 1
         for (xexp, c, xi), s in self.terms.items():
-            even, odd = s.split_theta_parity()
-            for w, piece in ((0, even), (1, odd)):
-                if piece.is_zero():
-                    continue
-                single = SuperFunction(ctx, {(xexp, c, xi): piece})
-                sign = (-1) ** ((len(xi) + w + 1) % 2)
-                ld = single.left_deriv(a)
-                out = out + (ld if sign == 1 else -ld)
-        return out
+            if gen not in xi:
+                continue
+            pos = xi.index(gen)
+            if right:
+                flips = len(xi) - pos - 1
+            else:
+                s, flips = s.theta_twist(1), pos
+            # distinct xi monomials stay distinct without xi_gen
+            out[xexp, c, xi[:pos] + xi[pos + 1:]] = -s if flips % 2 else s
+        return _with_terms(SuperFunction(ctx), out)
 
     # -- integration -------------------------------------------------------
 
@@ -530,59 +483,15 @@ class SuperFunction:
 def sf_mul(f, g):
     """Supercommutative product with all Koszul signs."""
     f._check(g)
-    ctx = f.ctx
     out = {}
     for (xe1, c1, xi1), s1 in f.terms.items():
         deg1 = len(xi1)
         for (xe2, c2, xi2), s2 in g.terms.items():
-            if set(xi1) & set(xi2):
+            sign, xi = merge_odd_indices(xi1, xi2)
+            if not sign:
                 continue
-            inversions = sum(1 for i in xi1 for j in xi2 if i > j)
-            sign = (-1) ** inversions
             # the theta part of s2 moves left past xi1
-            scalar = s1 * s2.theta_twist(deg1) * sign
-            if scalar.is_zero():
-                continue
-            key = (tuple(e1 + e2 for e1, e2 in zip(xe1, xe2)),
-                   c1 + c2, tuple(sorted(xi1 + xi2)))
-            if key in out:
-                total = out[key] + scalar
-                if total.is_zero():
-                    del out[key]
-                else:
-                    out[key] = total
-            else:
-                out[key] = scalar
-    return SuperFunction(ctx, out)
-
-
-def left_deriv(f, a):
-    return f.left_deriv(a)
-
-
-def right_deriv(f, a):
-    return f.right_deriv(a)
-
-
-def integral_bar(f, mod_centralizer=False):
-    return f.integral_bar(mod_centralizer=mod_centralizer)
-
-
-def euler_E(f):
-    return f.euler_E()
-
-
-def number_z(f):
-    return f.number_z()
-
-
-def number_xi(f):
-    return f.number_xi()
-
-
-def delta_op(f):
-    return f.delta_op()
-
-
-def normalize_mod_Z(f):
-    return f.normalize_mod_Z()
+            scalar = s1 * s2.theta_twist(deg1)
+            key = (tuple(e1 + e2 for e1, e2 in zip(xe1, xe2)), c1 + c2, xi)
+            accumulate(out, key, scalar if sign > 0 else -scalar)
+    return _with_terms(SuperFunction(f.ctx), out)

@@ -221,3 +221,62 @@ def test_cli_rejects_counts_below_one(flags, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "at least 1" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["cocycle", "--form", "m3", "--samples", "2",
+     "--output", "{tmp}/missing/r.json"],
+    ["eval", "(" * 700 + "x1" + ")" * 700],
+], ids=["output_dir_missing", "deep_nesting"])
+def test_cli_errors_exit_two_without_traceback(argv, tmp_path, capsys):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+_EQUIV_WRONG_T1 = ["equiv",
+                   "--c1", "c3(zeta=hbar^2*x1*gauss(1) + hbar^2*gauss(1))",
+                   "--c2", "c3(zeta=hbar^2*x1*gauss(1))",
+                   "--t1", "bar(gauss(1),1)", "--order", "2",
+                   "--samples", "5"]
+
+
+def test_cli_equiv_reports_t1_active_pairs(capsys):
+    # at seed 3 no sampled pair has a nonzero bar, so no pair can tell the
+    # wrong sign of T1 from the right one, and the report says so
+    assert run(_EQUIV_WRONG_T1 + ["--seed", "3"]) == 0
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert data["pass"] is True and data["t1_active_pairs"] == 0
+    assert captured.err.count("\n") == 1
+    assert "t1_active_pairs 0" in captured.err
+    assert run(_EQUIV_WRONG_T1 + ["--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert data["t1_active_pairs"] >= 1
+    assert data["pass"] is False and data["sample_count"] == 5
+    assert set(data["first_failure"]) == {"f", "g", "residual"}
+    assert captured.err.startswith("[FAIL] equivalence: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_theorem_report_keys_and_summary(capsys):
+    theorem = ["theorem", "--nplus", "4", "--k", "2", "--zeta", "xi1",
+               "--h1", "th2", "--h2", "1", "--samples", "1"]
+    assert run(theorem + ["--nminus", "5"]) == 0
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert {"pass", "constraints", "eta_d_class", "jacobi"} <= set(data)
+    assert data["jacobi"]["sample_count"] == 1
+    assert captured.err.startswith("[PASS] theorem[multi]: ")
+    assert captured.err.count("\n") == 1
+    assert run(theorem + ["--nminus", "3"]) == 1
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert "jacobi" not in data and data["pass"] is False
+    assert {"pass", "constraints", "eta_d_class"} <= set(data)
+    assert captured.err.startswith("[FAIL] theorem[multi]: ")
+    assert captured.err.count("\n") == 1

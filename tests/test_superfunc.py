@@ -77,6 +77,17 @@ def test_right_vs_left_derivative_sign(ctx42):
         for a in (4, 5):
             sign = (-1) ** (f.eps() + 1)
             assert f.right_deriv(a) == f.left_deriv(a) * sign
+    # theta coefficients count in eps; a function of mixed parity obeys the
+    # rule on each homogeneous component, and x-derivatives agree
+    for _ in range(20):
+        f = random_superfunction(rng, ctx42, terms=rng.randint(1, 4),
+                                 theta=True)
+        for a in range(6):
+            expect = SuperFunction.zero(ctx42)
+            for part in f.homogeneous_components():
+                sign = (-1) ** (ctx42.eps_var(a) * (part.eps() + 1))
+                expect = expect + part.left_deriv(a) * sign
+            assert f.right_deriv(a) == expect
 
 
 def test_derivative_leibniz(ctx42):
