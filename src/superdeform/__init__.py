@@ -3,7 +3,12 @@
 Everything is computed symbolically over exact coefficient rings (rationals
 extended by pi, square roots, a formal hbar and odd theta parameters), so
 every identity check here is an exact zero test, never a numerical one.
+
+The command-line module ``cli`` and its ``parse_*`` functions load on first
+use, so that ``python -m superdeform.cli`` runs the module only once.
 """
+
+import importlib
 
 from .brackets import antibracket, bidiff_power, moyal_bracket, poisson_bracket
 from .cochains import (Cochain, FunctionScaledCochain, ScaledCochain,
@@ -23,9 +28,19 @@ from .verify import (LCG, SampleSpec, VerificationReport,
                      check_bar_vanishing, check_cocycle, check_d_squared,
                      check_grading, check_jacobi, check_signs,
                      sample_superfunctions, sample_tuples)
-from .cli import parse_cochain, parse_deformation, parse_expression, parse_t1
 
 __version__ = "0.1.0"
+
+_CLI_NAMES = ("parse_cochain", "parse_deformation", "parse_expression",
+              "parse_t1")
+
+
+def __getattr__(name):
+    if name == "cli" or name in _CLI_NAMES:
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ArityError", "Cochain", "ConstraintReport", "ContextMismatchError",

@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .scalars import RadicalNumber, Scalar
+from .scalars import Scalar, _with_coeffs, _with_terms, int_if_integral
 from .superfunc import SuperFunction, sf_mul
 
 
@@ -179,8 +179,8 @@ def _iterate_pairs(f, g, emit, p_cap, weights):
 
     ``emit(p)`` says whether power p contributes and ``p_cap(min_h)``
     bounds p for seeds of minimal h-degree min_h.  The coefficients are
-    collected per output term as (h-power, theta, radical) -> rational
-    and turned into Scalars once at the end.
+    collected per output term in the flat ``Scalar.coeffs`` layout and
+    turned into Scalars once at the end.
     """
     ctx = f.ctx
     memo = {}
@@ -197,16 +197,14 @@ def _iterate_pairs(f, g, emit, p_cap, weights):
             # the theta part of g's scalar moves left past f's xi monomial
             prod = fs * gs.theta_twist(len(xf))
             xs = _x_tables(memo, fx, gx, cf, cg, p_max - n)
-            c = cf + cg
+            c = int_if_integral(cf + cg)
             for p in powers:
                 q = p - n
                 if not xs[q]:
                     continue
-                scale = Fraction(weight, factorial(q))
-                scalar = weights(p) * prod
-                coeffs = [((m, alpha, rk), v * scale)
-                          for (m, alpha), rad in scalar.terms.items()
-                          for rk, v in rad.terms.items()]
+                scale = Fraction(weight, factorial(q)) if q > 1 else weight
+                coeffs = [(k, v * scale)
+                          for k, v in (weights(p) * prod).coeffs.items()]
                 for xexp, v in xs[q].items():
                     key = (xexp, c, xi)
                     slot = acc.get(key)
@@ -217,12 +215,10 @@ def _iterate_pairs(f, g, emit, p_cap, weights):
     sctx = ctx.scalar_ctx
     out = {}
     for key, slot in acc.items():
-        rads = {}
-        for (m, alpha, rk), v in slot.items():
-            rads.setdefault((m, alpha), {})[rk] = v
-        out[key] = Scalar(sctx, {ma: RadicalNumber(r)
-                                 for ma, r in rads.items()})
-    return SuperFunction(ctx, out)
+        coeffs = {k: int_if_integral(v) for k, v in slot.items() if v}
+        if coeffs:
+            out[key] = _with_coeffs(sctx, coeffs)
+    return _with_terms(SuperFunction(ctx), out)
 
 
 def bidiff_power(f, g, p):

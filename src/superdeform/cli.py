@@ -39,6 +39,8 @@ from .superfunc import SuperFunction, SymplecticContext
 from .verify import SampleSpec, check_cocycle, check_jacobi, sample_tuples
 
 DEFAULT_SEED = 20240801
+# the largest exponent the grammar accepts after '^'
+MAX_EXPONENT = 32
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^(),=]))")
 
@@ -137,6 +139,9 @@ class _Parser:
             kind, exponent, pos = self.take()
             if kind != "int":
                 raise ParseError("exponent must be an integer", pos)
+            if exponent > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {exponent} is above {MAX_EXPONENT}", pos)
             from .superfunc import sf_mul
             out = SuperFunction.constant(self.ctx,
                                          Scalar.one(self.ctx.scalar_ctx))
@@ -212,12 +217,7 @@ class _Parser:
     def _rational(self, f, pos):
         scalar = self._scalar(f, pos)
         try:
-            if not scalar.terms:
-                return Fraction(0)
-            ((m, alpha), rad), = scalar.terms.items()
-            if m or alpha:
-                raise ValueError
-            return rad.rational_value()
+            return scalar.rational_value()
         except ValueError:
             raise ParseError("a rational constant is required here", pos)
 

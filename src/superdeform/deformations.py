@@ -18,7 +18,7 @@ from .cochains import (Cochain, EVEN, FunctionScaledCochain, LeafForm, ODD,
                        ScaledCochain, anti_form, jzeta_form, m0_form,
                        m1_form, m23_form, m3_form, mu_form, mzeta_form)
 from .errors import DeformationError, NotIntegrableError
-from .scalars import Scalar, _with_terms
+from .scalars import Scalar, _with_coeffs
 from .superfunc import SuperFunction, sf_mul
 
 C1, C1C, C3 = "C1", "C1c", "C3"
@@ -59,8 +59,8 @@ def _require_even_series(s, name):
 
 
 def _theta_free_part(s):
-    return _with_terms(Scalar(s.ctx),
-                       {key: r for key, r in s.terms.items() if not key[1]})
+    return _with_coeffs(s.ctx,
+                        {key: q for key, q in s.coeffs.items() if not key[1]})
 
 
 def _require_param(s, name):
@@ -121,7 +121,7 @@ def build_C1(zeta, kappa=1, flavor=C1, c=None):
     _require_parity(zeta, 0, "zeta")
     if not kappa.is_theta_free():
         raise DeformationError("kappa must be theta-free", relation="kappa")
-    degrees = {m % 2 for (m, _alpha) in kappa.terms}
+    degrees = {key[0] % 2 for key in kappa.coeffs}
     if len(degrees) > 1:
         raise DeformationError(
             "kappa must be an even or odd series in hbar so that "

@@ -8,6 +8,14 @@ where q is rational, r is a square-free positive integer, h is the even
 series variable truncated at a global order ``h_max``, and th_1..th_k are
 anticommuting generators (th_j^2 = 0).  All arithmetic is exact; terms with
 h-exponent above ``h_max`` are discarded by every operation.
+
+A Scalar keeps them in one flat dict, ``coeffs``, keyed (m, theta_mask, p,
+s, r), where bit j - 1 of the mask stands for th_j (in increasing order),
+with int values when integral and Fraction values otherwise.  The sign of
+a theta product is the parity of its crossings (``theta_sign``).
+``Scalar.terms`` is a nested view {(m, theta index tuple): RadicalNumber}
+built on each access for readers outside the package.  Rendering orders
+terms by (m, theta index tuple, p, s, r).
 """
 
 from __future__ import annotations
@@ -38,25 +46,51 @@ def squarefree_decompose(n):
     return outer, core
 
 
+@lru_cache(maxsize=None)
+def theta_sign(a, b):
+    """Sign of th^a * th^b = sign * th^(a | b) for theta bitmasks a and b:
+    0 when they share a generator, else -1 to the number of crossings (a
+    generator of a above one of b)."""
+    if a & b:
+        return 0
+    crossings = 0
+    while b:
+        low = b & -b
+        crossings += (a & -(low << 1)).bit_count()  # bits of a above low
+        b ^= low
+    return -1 if crossings & 1 else 1
+
+
+@lru_cache(maxsize=None)
 def merge_odd_indices(a, b):
     """Merge two sorted tuples of distinct generator indices.
 
     Returns (sign, merged) with the Koszul sign of sorting the concatenation,
     or (0, None) when an index repeats (the square of a generator is 0).
     """
-    if set(a) & set(b):
-        return 0, None
-    inversions = 0
-    for i in a:
-        for j in b:
-            if i > j:
-                inversions += 1
-    return (-1) ** inversions, tuple(sorted(a + b))
+    sign = theta_sign(theta_mask(a), theta_mask(b))
+    return (sign, tuple(sorted(a + b))) if sign else (0, None)
+
+
+def theta_mask(alpha):
+    """Bitmask of a tuple of theta indices."""
+    return sum(1 << (j - 1) for j in alpha)
+
+
+def theta_indices(mask):
+    """Sorted tuple of the theta indices in a bitmask."""
+    return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def int_if_integral(q):
+    """q, as an int when it is an integral Fraction."""
+    return q.numerator if q.__class__ is Fraction and q.denominator == 1 else q
 
 
 def accumulate(out, key, value):
     """Add ``value`` into ``out[key]``; an entry whose sum is zero is
-    dropped, and a zero ``value`` changes nothing."""
+    dropped, a zero ``value`` changes nothing, and an integral Fraction is
+    stored as an int."""
     if not value:
         return
     if key in out:
@@ -64,6 +98,8 @@ def accumulate(out, key, value):
         if not value:
             del out[key]
             return
+    if value.__class__ is Fraction and value.denominator == 1:
+        value = value.numerator  # int_if_integral, inlined in the hot path
     out[key] = value
 
 
@@ -118,7 +154,7 @@ class RadicalNumber:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.terms[(0, 0, 1)]
+        return Fraction(self.terms[(0, 0, 1)])
 
     def __add__(self, other):
         if not isinstance(other, RadicalNumber):
@@ -219,20 +255,33 @@ class ScalarContext:
 class Scalar:
     """Element of the full coefficient ring over a ScalarContext.
 
-    ``terms`` maps (h_exponent, theta_multi_index) to a RadicalNumber;
-    theta multi-indices are sorted tuples of generator indices 1..k.
+    ``coeffs`` is the flat dict of the module doc; the constructor takes
+    the nested form of ``terms``, with RadicalNumber or rational values.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
-        self.terms = {}
+        self.coeffs = {}
         for (m, alpha), rad in (terms or {}).items():
             if not isinstance(rad, RadicalNumber):
                 rad = RadicalNumber.from_rational(rad)
-            if m <= ctx.h_max and rad:
-                self.terms[m, tuple(alpha)] = rad
+            mask = theta_mask(alpha)
+            if theta_indices(mask) != tuple(alpha) or mask >> ctx.k:
+                raise ValueError(f"theta monomial {tuple(alpha)} is not "
+                                 f"increasing in 1..{ctx.k}")
+            for (p, s, r), q in rad.terms.items():
+                if m <= ctx.h_max:
+                    self.coeffs[m, mask, p, s, r] = int_if_integral(q)
+
+    @property
+    def terms(self):
+        """The nested view {(h_exponent, theta index tuple): RadicalNumber}."""
+        nested = {}
+        for (m, mask, p, s, r), q in self.coeffs.items():
+            nested.setdefault((m, theta_indices(mask)), {})[p, s, r] = q
+        return {key: RadicalNumber(rad) for key, rad in nested.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -242,7 +291,8 @@ class Scalar:
 
     @classmethod
     def rational(cls, ctx, q):
-        return cls(ctx, {(0, ()): Fraction(q)})
+        q = int_if_integral(Fraction(q))
+        return _with_coeffs(ctx, {(0, 0, 0, 0, 1): q} if q else {})
 
     @classmethod
     def one(cls, ctx):
@@ -277,44 +327,42 @@ class Scalar:
     # -- helpers -----------------------------------------------------------
 
     def _check(self, other):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError(
                 f"scalar contexts differ: {self.ctx} vs {other.ctx}")
 
     def is_zero(self):
-        return not self.terms
+        return not self.coeffs
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     def is_theta_free(self):
-        return all(not alpha for _, alpha in self.terms)
+        return not any(key[1] for key in self.coeffs)
 
     def is_rational(self):
-        return all(m == 0 and not alpha for m, alpha in self.terms) and \
-            all(rad.is_rational() for rad in self.terms.values())
+        return all(key == (0, 0, 0, 0, 1) for key in self.coeffs)
 
     def rational_value(self):
-        if not self.terms:
+        if not self.coeffs:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.terms[(0, ())].rational_value()
+        return Fraction(self.coeffs[0, 0, 0, 0, 1])
 
     def parity(self):
         """Theta-weight mod 2 if homogeneous, else None."""
-        if not self.terms:
+        if not self.coeffs:
             return 0
-        weights = {len(alpha) % 2 for _, alpha in self.terms}
+        weights = {key[1].bit_count() & 1 for key in self.coeffs}
         return weights.pop() if len(weights) == 1 else None
 
     def split_theta_parity(self):
         """Return (even_part, odd_part) by theta-weight."""
         even, odd = {}, {}
-        for key, rad in self.terms.items():
-            (even if len(key[1]) % 2 == 0 else odd)[key] = rad
-        return _with_terms(Scalar(self.ctx), even), \
-            _with_terms(Scalar(self.ctx), odd)
+        for key, q in self.coeffs.items():
+            (odd if key[1].bit_count() & 1 else even)[key] = q
+        return _with_coeffs(self.ctx, even), _with_coeffs(self.ctx, odd)
 
     def theta_twist(self, q):
         """Multiply each term by (-1)**(q * theta_weight).
@@ -323,20 +371,21 @@ class Scalar:
         """
         if q % 2 == 0:
             return self
-        return _with_terms(Scalar(self.ctx), {
-            key: (-rad if len(key[1]) % 2 else rad)
-            for key, rad in self.terms.items()})
+        return _with_coeffs(self.ctx, {
+            key: (-v if key[1].bit_count() & 1 else v)
+            for key, v in self.coeffs.items()})
 
     def hbar_min_degree(self):
-        return min((m for m, _ in self.terms), default=None)
+        return min((key[0] for key in self.coeffs), default=None)
 
     def truncate(self, order):
-        return _with_terms(Scalar(self.ctx), {
-            key: rad for key, rad in self.terms.items() if key[0] <= order})
+        return _with_coeffs(self.ctx, {
+            key: q for key, q in self.coeffs.items() if key[0] <= order})
 
     def is_even_series(self, min_degree=0):
         """True when only even h-exponents >= min_degree are present."""
-        return all(m % 2 == 0 and m >= min_degree for m, _ in self.terms)
+        return all(key[0] % 2 == 0 and key[0] >= min_degree
+                   for key in self.coeffs)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -344,16 +393,16 @@ class Scalar:
         if not isinstance(other, Scalar):
             other = Scalar.rational(self.ctx, other)
         self._check(other)
-        out = dict(self.terms)
-        for key, rad in other.terms.items():
-            accumulate(out, key, rad)
-        return _with_terms(Scalar(self.ctx), out)
+        out = dict(self.coeffs)
+        for key, q in other.coeffs.items():
+            accumulate(out, key, q)
+        return _with_coeffs(self.ctx, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _with_terms(Scalar(self.ctx),
-                           {k: -r for k, r in self.terms.items()})
+        return _with_coeffs(self.ctx,
+                            {k: -q for k, q in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -368,24 +417,34 @@ class Scalar:
             if isinstance(other, RadicalNumber):
                 other = Scalar.from_radical(self.ctx, other)
             else:
-                q = Fraction(other)
-                if not q:
+                if other.__class__ is not int:
+                    other = Fraction(other)
+                if not other:
                     return Scalar(self.ctx)
-                return _with_terms(Scalar(self.ctx),
-                                   {k: r * q for k, r in self.terms.items()})
+                return _with_coeffs(self.ctx, {
+                    k: int_if_integral(q * other)
+                    for k, q in self.coeffs.items()})
         self._check(other)
         h_max = self.ctx.h_max
         out = {}
-        for (m1, a1), r1 in self.terms.items():
-            for (m2, a2), r2 in other.terms.items():
+        for (m1, t1, p1, s1, r1), q1 in self.coeffs.items():
+            for (m2, t2, p2, s2, r2), q2 in other.coeffs.items():
                 m = m1 + m2
                 if m > h_max:
                     continue
-                sign, alpha = merge_odd_indices(a1, a2)
-                if sign:
-                    rad = r1 * r2
-                    accumulate(out, (m, alpha), rad if sign > 0 else -rad)
-        return _with_terms(Scalar(self.ctx), out)
+                sign = theta_sign(t1, t2) if t1 and t2 else 1
+                if not sign:
+                    continue
+                q = q1 * q2 if sign > 0 else -q1 * q2
+                if r1 == 1 or r2 == 1:
+                    r = r1 * r2
+                else:
+                    outer, r = squarefree_decompose(r1 * r2)
+                    q *= outer
+                s = s1 + s2
+                accumulate(out, (m, t1 | t2, p1 + p2 + (s >> 1), s & 1, r),
+                           q)
+        return _with_coeffs(self.ctx, out)
 
     __rmul__ = __mul__
 
@@ -393,8 +452,8 @@ class Scalar:
         if isinstance(q, Scalar):
             q = q.rational_value()
         q = Fraction(q)
-        return _with_terms(Scalar(self.ctx),
-                           {k: r / q for k, r in self.terms.items()})
+        return _with_coeffs(self.ctx, {
+            k: int_if_integral(v / q) for k, v in self.coeffs.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -407,41 +466,41 @@ class Scalar:
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             other = Scalar.rational(self.ctx, other)
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.ctx, self.freeze()))
 
     def freeze(self):
-        return tuple(sorted(
-            (key, rad.freeze()) for key, rad in self.terms.items()))
+        return tuple(sorted(self.coeffs.items()))
 
     # -- rendering ---------------------------------------------------------
 
     def render(self):
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         pieces = []
-        for (m, alpha), rad in sorted(self.terms.items()):
-            for (p, s, r), coeff in sorted(rad.terms.items()):
-                factors = []
-                if p == 1:
-                    factors.append("pi")
-                elif p > 1:
-                    factors.append(f"pi^{p}")
-                if s:
-                    factors.append("sqrt(pi)")
-                if r != 1:
-                    factors.append(f"sqrt({r})")
-                if m == 1:
-                    factors.append("hbar")
-                elif m > 1:
-                    factors.append(f"hbar^{m}")
-                factors.extend(f"th{j}" for j in alpha)
-                mag = abs(coeff)
-                if mag != 1 or not factors:
-                    factors.insert(0, str(mag))
-                pieces.append((coeff < 0, "*".join(factors)))
+        for (m, alpha, p, s, r), coeff in sorted(
+                ((k[0], theta_indices(k[1])) + k[2:], q)
+                for k, q in self.coeffs.items()):
+            factors = []
+            if p == 1:
+                factors.append("pi")
+            elif p > 1:
+                factors.append(f"pi^{p}")
+            if s:
+                factors.append("sqrt(pi)")
+            if r != 1:
+                factors.append(f"sqrt({r})")
+            if m == 1:
+                factors.append("hbar")
+            elif m > 1:
+                factors.append(f"hbar^{m}")
+            factors.extend(f"th{j}" for j in alpha)
+            mag = abs(coeff)
+            if mag != 1 or not factors:
+                factors.insert(0, str(mag))
+            pieces.append((coeff < 0, "*".join(factors)))
         text = ""
         for negative, body in pieces:
             if not text:
@@ -456,6 +515,15 @@ class Scalar:
     __repr__ = __str__
 
 
+def _with_coeffs(ctx, coeffs):
+    """A Scalar on a flat dict that is already clean: no zero value, no
+    integral Fraction, no h-exponent above h_max."""
+    obj = Scalar.__new__(Scalar)
+    obj.ctx = ctx
+    obj.coeffs = coeffs
+    return obj
+
+
 def theta_divisibility(a, j):
     """Witness z with a = th_j * z, when th_j * a == 0.
 
@@ -466,10 +534,9 @@ def theta_divisibility(a, j):
     theta = Scalar.theta(a.ctx, j)
     if not (theta * a).is_zero():
         return None
-    out = {}
-    for (m, alpha), rad in a.terms.items():
-        # th_j * a == 0 forces every monomial to contain th_j
-        pos = alpha.index(j)
-        rest = alpha[:pos] + alpha[pos + 1:]
-        out[(m, rest)] = rad * ((-1) ** pos)
-    return Scalar(a.ctx, out)
+    bit = 1 << (j - 1)
+    # th_j * a == 0 forces every monomial to contain th_j; it passes the
+    # generators below it
+    return _with_coeffs(a.ctx, {
+        (m, mask ^ bit, p, s, r): -q if (mask & (bit - 1)).bit_count() & 1
+        else q for (m, mask, p, s, r), q in a.coeffs.items()})

@@ -31,8 +31,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ContextMismatchError, NotIntegrableError
-from .scalars import (RadicalNumber, Scalar, ScalarContext, _with_terms,
-                      accumulate, merge_odd_indices, squarefree_decompose)
+from .scalars import (RadicalNumber, Scalar, ScalarContext, _with_coeffs,
+                      _with_terms, accumulate, int_if_integral,
+                      merge_odd_indices, squarefree_decompose)
 
 
 class SymplecticContext:
@@ -148,7 +149,7 @@ class SuperFunction:
         xexp = tuple(xexp)
         if len(xexp) != ctx.n_plus or any(e < 0 for e in xexp):
             raise ValueError("bad x-exponent vector")
-        c = Fraction(c)
+        c = int_if_integral(Fraction(c))
         if c < 0:
             raise ValueError("Gaussian weight must be nonnegative")
         xi = tuple(xi)
@@ -193,7 +194,7 @@ class SuperFunction:
     # -- basics ------------------------------------------------------------
 
     def _check(self, other):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError(
                 f"contexts differ: {self.ctx} vs {other.ctx}")
 
@@ -267,8 +268,8 @@ class SuperFunction:
         """Total Grassmann parity (xi-degree + theta-weight), or None."""
         parities = set()
         for (_, _, xi), s in self.terms.items():
-            for _, alpha in s.terms:
-                parities.add((len(xi) + len(alpha)) % 2)
+            for key in s.coeffs:
+                parities.add((len(xi) + key[1].bit_count()) % 2)
         if not parities:
             return 0
         return parities.pop() if len(parities) == 1 else None
@@ -337,10 +338,10 @@ class SuperFunction:
         """Terms whose scalar theta-monomials have the given weight."""
         out = {}
         for key, s in self.terms.items():
-            filtered = {ma: rad for ma, rad in s.terms.items()
-                        if len(ma[1]) == weight}
+            filtered = {k: q for k, q in s.coeffs.items()
+                        if k[1].bit_count() == weight}
             if filtered:
-                out[key] = _with_terms(Scalar(s.ctx), filtered)
+                out[key] = _with_coeffs(s.ctx, filtered)
         return _with_terms(SuperFunction(self.ctx), out)
 
     # -- differentiation ---------------------------------------------------
@@ -402,17 +403,11 @@ class SuperFunction:
                 raise NotIntegrableError(
                     "term without Gaussian suppression is not integrable: "
                     f"{self._render_term((xexp, c, xi), s)}")
-            if xi != top:
+            if xi != top or any(e % 2 for e in xexp):
                 continue
             moment = RadicalNumber.from_rational(1)
-            skip = False
             for e in xexp:
-                if e % 2:
-                    skip = True
-                    break
                 moment = moment * gaussian_moment(e, c)
-            if skip:
-                continue
             total = total + s * Scalar.from_radical(ctx.scalar_ctx, moment)
         return total
 
@@ -492,6 +487,7 @@ def sf_mul(f, g):
                 continue
             # the theta part of s2 moves left past xi1
             scalar = s1 * s2.theta_twist(deg1)
-            key = (tuple(e1 + e2 for e1, e2 in zip(xe1, xe2)), c1 + c2, xi)
+            key = (tuple(e1 + e2 for e1, e2 in zip(xe1, xe2)),
+                   int_if_integral(c1 + c2), xi)
             accumulate(out, key, scalar if sign > 0 else -scalar)
     return _with_terms(SuperFunction(f.ctx), out)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .brackets import poisson_bracket
 from .cochains import EVEN, ODD, d_ad, grading_parity, jacobiator, m0_form
-from .scalars import Scalar
+from .scalars import Scalar, int_if_integral
 from .superfunc import SuperFunction
 
 LCG_MULT = 6364136223846793005
@@ -84,9 +84,10 @@ def sample_superfunctions(spec, ctx):
             xexp = tuple(rng.randint(0, spec.max_x_degree)
                          for _ in range(ctx.n_plus))
             if spec.klass == "D" and ctx.n_plus > 0:
-                c = Fraction(rng.choice(spec.gauss_weights))
+                c = rng.choice(spec.gauss_weights)
             else:
-                c = Fraction(rng.choice((0,) + tuple(spec.gauss_weights)))
+                c = rng.choice((0,) + tuple(spec.gauss_weights))
+            c = int_if_integral(Fraction(c))
             xi = []
             while len(xi) < deg:
                 a = rng.randint(1, ctx.n_minus)

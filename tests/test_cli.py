@@ -1,13 +1,17 @@
 """Tests for the expression grammar, spec parsers, and the CLI front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import superdeform
 from superdeform import (ParseError, Scalar, SuperFunction, SymplecticContext,
                          parse_cochain, parse_deformation, parse_expression,
                          parse_t1, sf_mul)
-from superdeform.cli import parse_scalar, run
+from superdeform.cli import MAX_EXPONENT, parse_scalar, run
 
 from conftest import random_superfunction, seeded
 
@@ -280,3 +284,42 @@ def test_cli_theorem_report_keys_and_summary(capsys):
     assert {"pass", "constraints", "eta_d_class"} <= set(data)
     assert captured.err.startswith("[FAIL] theorem[multi]: ")
     assert captured.err.count("\n") == 1
+
+
+def test_cli_rejects_exponent_above_bound(capsys):
+    assert run(["eval", "x1^99999999999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: exponent 99999999999")
+    assert captured.err.count("\n") == 1
+    assert run(["eval", f"x1^{MAX_EXPONENT + 1}"]) == 2
+    capsys.readouterr()
+    assert run(["eval", f"x1^{MAX_EXPONENT}"]) == 0
+    assert capsys.readouterr().out.strip() == f"x1^{MAX_EXPONENT}"
+
+
+def test_python_m_cli_prints_one_error_line():
+    src = os.path.dirname(os.path.dirname(superdeform.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "superdeform.cli", "jacobi", "--deformation",
+         "antiodd()", "--n", "2", "--samples", "0"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_package_loads_cli_on_first_use():
+    code = ("import sys, superdeform; "
+            "assert 'superdeform.cli' not in sys.modules; "
+            "from superdeform import parse_expression; "
+            "assert superdeform.cli.parse_expression is parse_expression; "
+            "assert superdeform.cli.run(['eval', '1']) == 0")
+    src = os.path.dirname(os.path.dirname(superdeform.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"

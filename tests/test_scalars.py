@@ -1,14 +1,18 @@
 """Unit tests for the exact coefficient ring."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superdeform import RadicalNumber, Scalar, ScalarContext
+from superdeform import (RadicalNumber, SampleSpec, Scalar, ScalarContext,
+                         SuperFunction, SymplecticContext,
+                         sample_superfunctions, sf_mul)
 from superdeform.scalars import (merge_odd_indices, squarefree_decompose,
-                                 theta_divisibility)
+                                 theta_divisibility, theta_mask, theta_sign)
 
 from conftest import radical_float, scalar_float
 
@@ -139,3 +143,172 @@ def test_render_basics():
         "hbar^2*th1"
     s = Scalar.rational(ctx, 2) - Scalar.pi(ctx)
     assert s.render() == "2 - pi"
+
+
+# -- the flat ring: theta bitmasks, the nested view, int values -------------
+
+def _naive_theta_product(a, b):
+    """Sign and merged indices of th^a * th^b, by counting the inversions
+    of the concatenated index tuple."""
+    word = a + b
+    if len(set(word)) < len(word):
+        return 0, None
+    inversions = sum(1 for i in range(len(word))
+                     for j in range(i + 1, len(word)) if word[i] > word[j])
+    return (-1) ** inversions, tuple(sorted(word))
+
+
+def _theta_monomials(k):
+    return [alpha for w in range(k + 1)
+            for alpha in itertools.combinations(range(1, k + 1), w)]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_theta_products_match_inversion_count(k):
+    ctx = ScalarContext(k=k, h_max=2)
+    coeff = Scalar.sqrt(ctx, 2) * Scalar.hbar(ctx) + Fraction(1, 3)
+    for a in _theta_monomials(k):
+        for b in _theta_monomials(k):
+            sign, merged = _naive_theta_product(a, b)
+            assert theta_sign(theta_mask(a), theta_mask(b)) == sign
+            assert merge_odd_indices(a, b) == (sign, merged)
+            product = Scalar(ctx, {(0, a): 1}) * (
+                coeff * Scalar(ctx, {(0, b): 1}))
+            expect = Scalar.zero(ctx) if not sign else \
+                coeff * Scalar(ctx, {(0, merged): sign})
+            assert product == expect
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_theta_words_in_any_order(k):
+    """A product of generators in any order is the sorted monomial times
+    the sign of the sorting permutation."""
+    ctx = ScalarContext(k=k, h_max=0)
+    for word in itertools.chain(itertools.permutations(range(1, k + 1)),
+                                itertools.permutations(range(1, k + 1), 3)):
+        value = Scalar.one(ctx)
+        for j in word:
+            value = value * Scalar.theta(ctx, j)
+        sign, merged = _naive_theta_product(word, ())
+        assert value == Scalar(ctx, {(0, merged): sign})
+        assert value.render() == ("-" if sign < 0 else "") + \
+            "*".join(f"th{j}" for j in merged)
+
+
+def _random_scalar(rng, ctx, terms=4):
+    out = Scalar.zero(ctx)
+    for _ in range(terms):
+        t = Scalar.rational(ctx, rng.choice((1, -2, Fraction(3, 2))))
+        for j in range(1, ctx.k + 1):
+            if rng.random() < 0.4:
+                t = t * Scalar.theta(ctx, j)
+        t = t * rng.choice((Scalar.one(ctx), Scalar.sqrt(ctx, 2),
+                            Scalar.sqrt(ctx, 6), Scalar.sqrt_pi(ctx),
+                            Scalar.pi(ctx)))
+        out = out + t * Scalar.hbar(ctx, rng.randint(0, 2))
+    return out
+
+
+def test_nested_view_round_trip():
+    rng = random.Random(11)
+    ctx = ScalarContext(k=3, h_max=3)
+    for _ in range(40):
+        s = _random_scalar(rng, ctx)
+        view = s.terms
+        assert Scalar(ctx, view) == s
+        assert all(isinstance(rad, RadicalNumber) for rad in view.values())
+        assert all(alpha == tuple(sorted(alpha)) for _, alpha in view)
+
+
+def _all_int(s):
+    return all(type(q) is int for q in s.coeffs.values())
+
+
+def test_integral_values_are_stored_as_int():
+    ctx = ScalarContext(k=2, h_max=4)
+    half = Scalar.rational(ctx, Fraction(1, 2))
+    assert _all_int(Scalar.rational(ctx, Fraction(4, 2)))
+    assert _all_int(half * 2) and _all_int(half + half)
+    assert _all_int(half * Scalar.rational(ctx, 4))
+    assert _all_int(Scalar.sqrt(ctx, 2) * Scalar.sqrt(ctx, 8))
+    assert _all_int(Scalar.sqrt_pi(ctx) * Scalar.sqrt_pi(ctx))
+    assert _all_int(Scalar.theta(ctx, 1) / Fraction(1, 3))
+    assert _all_int((half + Scalar.theta(ctx, 2) * Fraction(3, 2)) * 2)
+    assert not _all_int(half)
+
+
+def test_integral_gaussian_weights_are_int():
+    sctx = SymplecticContext(2, 1, (1,), 1, 4)
+    g = SuperFunction.gauss(sctx, Fraction(1, 2))
+    assert [type(c) for _, c, _ in SuperFunction.gauss(sctx, Fraction(
+        2)).terms] == [int]
+    assert [type(c) for _, c, _ in sf_mul(g, g).terms] == [int]
+    for f in sample_superfunctions(SampleSpec(seed=3, count=5,
+                                              gauss_weights=(1, 2)), sctx):
+        assert all(type(c) is int for _, c, _ in f.terms)
+
+
+def test_render_orders_theta_by_index_tuple():
+    ctx = ScalarContext(k=2, h_max=6)
+    t1, t2 = Scalar.theta(ctx, 1), Scalar.theta(ctx, 2)
+    assert (t2 + t1 * t2 + t1).render() == "th1 + th1*th2 + th2"
+    s = t2 + t1 * t2 * 3 + t1 - Scalar.hbar(ctx) + Scalar.pi(ctx) * t1
+    assert s.render() == "th1 + pi*th1 + 3*th1*th2 + th2 - hbar"
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_theta_twist_is_weight_parity(k):
+    ctx = ScalarContext(k=k, h_max=2)
+    for alpha in _theta_monomials(k):
+        mono = Scalar(ctx, {(1, alpha): Fraction(2, 3)})
+        sign = (-1) ** len(alpha)
+        assert mono.theta_twist(1) == mono * sign
+        assert mono.theta_twist(3) == mono * sign
+        assert mono.theta_twist(2) == mono
+        even, odd = mono.split_theta_parity()
+        assert (odd if len(alpha) % 2 else even) == mono
+        assert mono.parity() == len(alpha) % 2
+
+
+def test_sf_mul_supercommutes_with_theta_coefficients():
+    """f g = (-1)^(eps f * eps g) g f, with theta monomials of every weight
+    at k = 3 in the coefficients."""
+    ctx = SymplecticContext(2, 3, (1, -1, 1), 3, 2)
+    sctx = ctx.scalar_ctx
+    rng = random.Random(5)
+    monomials = _theta_monomials(3)
+    for _ in range(60):
+        funcs = []
+        for _ in range(2):
+            xi = tuple(sorted(rng.sample(range(1, 4), rng.randint(0, 2))))
+            alpha = rng.choice(monomials)
+            funcs.append(SuperFunction.term(
+                ctx, (rng.randint(0, 1), 0), rng.choice((0, 1)), xi,
+                Scalar(sctx, {(0, alpha): rng.choice((1, -2))})))
+        f, g = funcs
+        sign = -1 if f.eps() * g.eps() else 1
+        assert sf_mul(f, g) == sf_mul(g, f) * sign
+
+
+def test_sqrt_pi_products_are_canonical():
+    ctx = ScalarContext(k=1, h_max=3)
+    root_pi = Scalar.sqrt_pi(ctx)
+    assert root_pi * root_pi == Scalar.pi(ctx)
+    assert (root_pi ** 3).render() == "pi*sqrt(pi)"
+    assert (root_pi ** 4).render() == "pi^2"
+    two = Scalar.sqrt(ctx, 2) * root_pi
+    assert (two * two).render() == "2*pi"
+    assert (two * Scalar.sqrt(ctx, 3) * root_pi).render() == "pi*sqrt(6)"
+    rng = random.Random(7)
+    for _ in range(30):
+        # h-degrees up to 2 each, so nothing is truncated at h_max = 4
+        a = _random_scalar(rng, ScalarContext(k=0, h_max=4))
+        b = _random_scalar(rng, ScalarContext(k=0, h_max=4))
+        assert scalar_float(a * b) == pytest.approx(
+            scalar_float(a) * scalar_float(b))
+
+
+@pytest.mark.parametrize("alpha", [(2, 1), (1, 1), (3,), (0,)])
+def test_nested_constructor_rejects_malformed_theta(alpha):
+    with pytest.raises(ValueError):
+        Scalar(ScalarContext(k=2, h_max=6), {(0, alpha): 1})
