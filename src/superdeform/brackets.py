@@ -2,6 +2,16 @@
 Moyal-type superbracket given by the odd part of the exponential series of
 the symplectic bidifferential operator P.
 
+The first-order brackets share one kernel over the term pairs of f and g.
+Per pair, the channels give a rational map (x exponents, xi monomial) ->
+coefficient from the derivative rules of superfunc (right xi-derivatives
+on f, left ones on g), the inversions of merging the xi that remain, and
+lambda_a on a xi channel of P.  In every channel of one bracket the theta
+part of g's scalar moves left past len(xi(f)) + b odd factors: b = 0 for
+P, whose xi channels take one xi from each side and twist g once more,
+and b = 1 for the antibracket, whose channels take one xi from one side.
+So a pair takes one Scalar product, fs * gs.theta_twist(len(xi(f)) + b).
+
 The Moyal kernel is block factored.  P is a sum of commuting channels, and
 each channel couples one block of variables: an x-pair (y1, y2) =
 (x_{2m-1}, x_{2m}) through d1 (x) d2 - d2 (x) d1, or a single xi_a through
@@ -18,12 +28,9 @@ signs aside):
   left on both and the product vanishes.  So the odd channels give the one
   term t^|S| times the product of lambda_a over S = xi(f) & xi(g).
 
-The signs come from the derivatives alone, since the metric couples only
-variables of equal parity: the right derivative on f costs (-1)^(len + pos
-+ 1) and the left derivative on g costs (-1)^pos, at the current length
-and position of xi_a, taking S in increasing order; merging the two
-remaining xi monomials costs the inversions between them; the theta part
-of g's scalar moves left past the whole xi monomial of f.  For integral
+The signs follow the first-order rules above with b = 0, taking S in
+increasing order at the current length and position of each xi_a.  The
+odd channels of P itself are this factor at p = 1.  For integral
 Gaussian weights the tables hold integers: they are scaled by m!, blocks
 combine with binomials, and each output term is divided by q! once.
 """
@@ -32,39 +39,103 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import add
 
-from .scalars import Scalar, _with_coeffs, _with_terms, int_if_integral
-from .superfunc import SuperFunction, sf_mul
+from .scalars import (Scalar, _with_coeffs, _with_terms, accumulate,
+                      int_if_integral, merge_odd_indices)
+from .superfunc import SuperFunction, bump, x_steps
 
 
 def poisson_bracket(f, g):
     """Sum over the metric channels of (f <-d_a) omega^{ab} (d_b g)."""
-    f._check(g)
-    out = SuperFunction.zero(f.ctx)
-    for a, b, w in f.ctx.omega_channels():
-        fa = f.right_deriv(a)
-        if fa.is_zero():
-            continue
-        gb = g.left_deriv(b)
-        if gb.is_zero():
-            continue
-        prod = sf_mul(fa, gb)
-        out = out + (prod if w == 1 else -prod)
-    return out
+    return _first_order(f, g, 0, _poisson_channels)
 
 
 def antibracket(f, g):
     """The odd bracket pairing x_i with xi_i; needs n_plus == n_minus."""
+    if f.ctx.n_plus != f.ctx.n_minus:
+        raise ValueError("antibracket requires n_plus == n_minus")
+    return _first_order(f, g, 1, _anti_channels)
+
+
+# -- first-order kernel ------------------------------------------------------
+
+
+def _first_order(f, g, b, channels):
+    """Sum over the term pairs of ``channels(ctx, f key, g key)``, {xi:
+    {xexp: coefficient}} with all but the theta sign, times fs * gs."""
     f._check(g)
     ctx = f.ctx
-    if ctx.n_plus != ctx.n_minus:
-        raise ValueError("antibracket requires n_plus == n_minus")
-    out = SuperFunction.zero(ctx)
-    for i in range(ctx.n_plus):
-        xi_i = ctx.n_plus + i
-        out = out + sf_mul(f.right_deriv(i), g.left_deriv(xi_i))
-        out = out - sf_mul(f.right_deriv(xi_i), g.left_deriv(i))
+    acc = {}
+    gterms = [(key, (gs, gs.theta_twist(1))) for key, gs in g.terms.items()]
+    for fkey, fs in f.terms.items():
+        odd = (len(fkey[2]) + b) & 1
+        for gkey, twists in gterms:
+            polys = channels(ctx, fkey, gkey)
+            if polys:
+                coeffs = list((fs * twists[odd]).coeffs.items())
+                c = int_if_integral(fkey[1] + gkey[1])
+                for xi, poly in polys.items():
+                    _collect(acc, c, xi, poly, coeffs)
+    return _gather(ctx, acc)
+
+
+def _poisson_channels(ctx, fkey, gkey):
+    """The odd channels as in the Moyal kernel at p = 1; the x-pair
+    channels d_{2m-1} (x) d_{2m} - d_{2m} (x) d_{2m-1} need S empty."""
+    (fx, cf, xf), (gx, cg, xg) = fkey, gkey
+    n, weight, xi = _odd_factor(ctx, xf, xg)
+    ex = tuple(map(add, fx, gx))
+    if n:
+        return {xi: {ex: weight}} if n == 1 else None
+    poly = {}
+    for a in range(0, len(ex), 2):
+        for a1, a2, w in ((a, a + 1, weight), (a + 1, a, -weight)):
+            for s1, u in x_steps(fx[a1], cf):
+                for s2, v in x_steps(gx[a2], cg):
+                    accumulate(poly, bump(bump(ex, a1, s1), a2, s2),
+                               w * u * v)
+    return {xi: poly} if poly else None
+
+
+def _anti_channels(ctx, fkey, gkey):
+    """(f <-d_{x_i})(d_{xi_i} g) - (f <-d_{xi_i})(d_{x_i} g) over i."""
+    (fx, cf, xf), (gx, cg, xg) = fkey, gkey
+    ex = tuple(map(add, fx, gx))
+    out = {}
+    for pos, gen in enumerate(xg):
+        sign, xi = merge_odd_indices(xf, xg[:pos] + xg[pos + 1:])
+        w = -sign if pos & 1 else sign
+        for step, u in x_steps(fx[gen - 1], cf) if sign else ():
+            accumulate(out.setdefault(xi, {}), bump(ex, gen - 1, step), w * u)
+    for pos, gen in enumerate(xf):
+        sign, xi = merge_odd_indices(xf[:pos] + xf[pos + 1:], xg)
+        w = sign if (len(xf) - pos) & 1 else -sign  # (-1)^(len-pos-1) sign
+        for step, v in x_steps(gx[gen - 1], cg) if sign else ():
+            accumulate(out.setdefault(xi, {}), bump(ex, gen - 1, step), -w * v)
     return out
+
+
+def _collect(acc, c, xi, poly, coeffs):
+    """Add poly[xexp] times ``coeffs`` into the slot of term (xexp, c, xi)."""
+    for xexp, v in poly.items():
+        key = (xexp, c, xi)
+        slot = acc.get(key)
+        if slot is None:
+            slot = acc[key] = {}
+        for k, w in coeffs:
+            slot[k] = slot.get(k, 0) + w * v
+
+
+def _gather(ctx, acc):
+    """The SuperFunction of the collected slots, zero coefficients dropped."""
+    sctx = ctx.scalar_ctx
+    out = {}
+    for key, slot in acc.items():
+        coeffs = {k: int_if_integral(v) for k, v in slot.items() if v}
+        if coeffs:
+            out[key] = _with_coeffs(sctx, coeffs)
+    return _with_terms(SuperFunction(ctx), out)
 
 
 # -- block-factored kernel ---------------------------------------------------
@@ -82,10 +153,8 @@ def _derivs(memo, e, c, n):
     while len(table) <= n:
         out = {}
         for k, q in table[-1].items():
-            if k:
-                out[k - 1] = out.get(k - 1, 0) + k * q
-            if c:
-                out[k + 1] = out.get(k + 1, 0) - c * q
+            for step, u in x_steps(k, c):
+                out[k + step] = out.get(k + step, 0) + u * q
         table.append({k: q for k, q in out.items() if q})
     return table
 
@@ -205,20 +274,8 @@ def _iterate_pairs(f, g, emit, p_cap, weights):
                 scale = Fraction(weight, factorial(q)) if q > 1 else weight
                 coeffs = [(k, v * scale)
                           for k, v in (weights(p) * prod).coeffs.items()]
-                for xexp, v in xs[q].items():
-                    key = (xexp, c, xi)
-                    slot = acc.get(key)
-                    if slot is None:
-                        slot = acc[key] = {}
-                    for k, w in coeffs:
-                        slot[k] = slot.get(k, 0) + w * v
-    sctx = ctx.scalar_ctx
-    out = {}
-    for key, slot in acc.items():
-        coeffs = {k: int_if_integral(v) for k, v in slot.items() if v}
-        if coeffs:
-            out[key] = _with_coeffs(sctx, coeffs)
-    return _with_terms(SuperFunction(ctx), out)
+                _collect(acc, c, xi, xs[q], coeffs)
+    return _gather(ctx, acc)
 
 
 def bidiff_power(f, g, p):

@@ -35,12 +35,14 @@ from .deformations import (build_C1, build_C1c, build_C3, build_anti_even,
                            t1_bar_multiplier, t1_euler)
 from .errors import DeformationError, ParseError
 from .scalars import Scalar
-from .superfunc import SuperFunction, SymplecticContext
+from .superfunc import SuperFunction, SymplecticContext, sf_mul
 from .verify import SampleSpec, check_cocycle, check_jacobi, sample_tuples
 
 DEFAULT_SEED = 20240801
 # the largest exponent the grammar accepts after '^'
 MAX_EXPONENT = 32
+# the largest term-count product |a| * |b| the grammar multiplies out
+MAX_PRODUCT_TERMS = 10_000
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^(),=]))")
 
@@ -117,8 +119,7 @@ class _Parser:
             _kind, op, pos = self.take()
             rhs = self.unary()
             if op == "*":
-                from .superfunc import sf_mul
-                value = sf_mul(value, rhs)
+                value = self._product(value, rhs, pos)
             else:
                 q = self._rational(rhs, pos)
                 if not q:
@@ -142,13 +143,21 @@ class _Parser:
             if exponent > MAX_EXPONENT:
                 raise ParseError(
                     f"exponent {exponent} is above {MAX_EXPONENT}", pos)
-            from .superfunc import sf_mul
             out = SuperFunction.constant(self.ctx,
                                          Scalar.one(self.ctx.scalar_ctx))
             for _ in range(exponent):
-                out = sf_mul(out, value)
+                out = self._product(out, value, pos)
             value = out
         return value
+
+    def _product(self, a, b, pos):
+        """a * b, refused when it could hold more than MAX_PRODUCT_TERMS
+        terms."""
+        if len(a.terms) * len(b.terms) > MAX_PRODUCT_TERMS:
+            raise ParseError(f"a product of {len(a.terms)} by "
+                             f"{len(b.terms)} terms is above "
+                             f"{MAX_PRODUCT_TERMS} terms", pos)
+        return sf_mul(a, b)
 
     def atom(self):
         kind, value, pos = self.take()
@@ -451,6 +460,11 @@ def _run_equiv(args, ctx):
     t1 = parse_t1(args.t1, ctx)
     pairs = sample_tuples(_sample_spec(args), ctx, 2)
     report = check_equivalence(defo1, defo2, t1, pairs, order=args.order)
+    if report.passed and not report.t1_active_pairs:
+        # T1 changes nothing on these samples, so they cannot tell it apart
+        raise ValueError(f"no sampled pair is T1-active (t1_active_pairs 0 "
+                         f"of {len(pairs)}), so the pass would be vacuous; "
+                         f"draw more samples")
     data = {"check": "equivalence", "pass": report.passed,
             "sample_count": len(pairs),
             "t1_active_pairs": report.t1_active_pairs}

@@ -19,7 +19,16 @@ with the sign of moving xi_a next to the operator:
 * from the right, past the len - pos - 1 factors after it:
   (-1)^(len - pos - 1), independent of theta.
 
-On x-variables both derivatives are the ordinary one.
+On x-variables both derivatives are the ordinary one:
+d_a (x^e G) = e_a x^(e - 1_a) G - c x^(e + 1_a) G, with G = exp(-c|x|^2/2).
+
+Closed forms on a term s * x^e * G * xi^I, where putting xi_a back in front
+undoes the twist and the sign of its left derivative: N_z = sum_a z_a d^L_a
+gives (|e| + |I|) times the term minus c sum_a x_a^2 times it; N_xi gives
+|I| times it; E = 1 - N_z/2; Delta = sum_i d_{x_i} d^L_{xi_i} is the left
+xi_i-derivative, then d/dx_i.  For even e, the integral over the n = n_plus
+x-coordinates is prod_a (e_a - 1)!! c^(-|e|/2) (2 pi/c)^(n/2), a rational
+times pi^(n/2) as n is even.
 
 Compactly supported functions are modeled by the terms with c > 0, smooth
 functions by arbitrary terms, and the centralizer of the compactly
@@ -66,21 +75,6 @@ class SymplecticContext:
         """Grassmann parity of the collective variable z_a (0-based)."""
         return 0 if a < self.n_plus else 1
 
-    def omega_channels(self):
-        """Nonzero entries (a, b, weight) of the symplectic metric.
-
-        x-block: canonical symplectic pairs (x1,x2), (x3,x4), ...;
-        xi-block: lambda_alpha on the diagonal.
-        """
-        channels = []
-        for m in range(self.n_plus // 2):
-            channels.append((2 * m, 2 * m + 1, 1))
-            channels.append((2 * m + 1, 2 * m, -1))
-        for alpha in range(self.n_minus):
-            a = self.n_plus + alpha
-            channels.append((a, a, self.lambdas[alpha]))
-        return channels
-
     def __eq__(self, other):
         return (isinstance(other, SymplecticContext)
                 and self.n_plus == other.n_plus
@@ -122,6 +116,18 @@ def gaussian_moment(e, c):
     # sqrt(2/c) = sqrt(2 * num * den) / num for c = num/den
     outer, core = squarefree_decompose(2 * c.numerator * c.denominator)
     return RadicalNumber({(0, 1, core): rational * outer / c.numerator})
+
+
+def x_steps(e, c):
+    """d/du of u^e exp(-c u^2/2): e at step -1, -c at +1, zeros left out."""
+    if e:
+        return ((-1, e), (1, -c)) if c else ((-1, e),)
+    return ((1, -c),) if c else ()
+
+
+def bump(xexp, a, step):
+    """The exponent vector xexp with entry a moved by step."""
+    return xexp[:a] + (xexp[a] + step,) + xexp[a + 1:]
 
 
 class SuperFunction:
@@ -362,13 +368,8 @@ class SuperFunction:
         out = {}
         if a < ctx.n_plus:
             for (xexp, c, xi), s in self.terms.items():
-                e = xexp[a]
-                if e > 0:
-                    lowered = xexp[:a] + (e - 1,) + xexp[a + 1:]
-                    accumulate(out, (lowered, c, xi), s * e)
-                if c > 0:
-                    raised = xexp[:a] + (e + 1,) + xexp[a + 1:]
-                    accumulate(out, (raised, c, xi), s * (-c))
+                for step, q in x_steps(xexp[a], c):
+                    accumulate(out, (bump(xexp, a, step), c, xi), s * q)
             return _with_terms(SuperFunction(ctx), out)
         gen = a - ctx.n_plus + 1
         for (xexp, c, xi), s in self.terms.items():
@@ -395,7 +396,8 @@ class SuperFunction:
         ctx = self.ctx
         top = tuple(range(1, ctx.n_minus + 1))
         zero_x = (0,) * ctx.n_plus
-        total = Scalar.zero(ctx.scalar_ctx)
+        half = ctx.n_plus // 2
+        total = {}
         for (xexp, c, xi), s in self.terms.items():
             if ctx.n_plus > 0 and c == 0:
                 if mod_centralizer and xexp == zero_x and xi == ():
@@ -405,29 +407,30 @@ class SuperFunction:
                     f"{self._render_term((xexp, c, xi), s)}")
             if xi != top or any(e % 2 for e in xexp):
                 continue
-            moment = RadicalNumber.from_rational(1)
+            moment = Fraction(2) ** half / Fraction(c) ** (
+                sum(xexp) // 2 + half)
             for e in xexp:
-                moment = moment * gaussian_moment(e, c)
-            total = total + s * Scalar.from_radical(ctx.scalar_ctx, moment)
-        return total
+                moment *= _double_factorial_odd(e // 2)
+            for (m, t, p, sp, r), q in s.coeffs.items():
+                accumulate(total, (m, t, p + half, sp, r), q * moment)
+        return _with_coeffs(ctx.scalar_ctx, total)
 
-    # -- first-order operators --------------------------------------------
+    # -- first-order operators (closed forms of the module doc) -----------
 
     def number_z(self):
         """Sum over all variables of z_a times the left derivative."""
-        out = SuperFunction.zero(self.ctx)
-        for a in range(self.ctx.n_z):
-            out = out + sf_mul(SuperFunction.z_var(self.ctx, a),
-                               self.left_deriv(a))
-        return out
+        out = {}
+        for (xexp, c, xi), s in self.terms.items():
+            accumulate(out, (xexp, c, xi), s * (sum(xexp) + len(xi)))
+            minus_c = s * -c
+            for a in range(len(xexp) if c else 0):
+                accumulate(out, (bump(xexp, a, 2), c, xi), minus_c)
+        return _with_terms(SuperFunction(self.ctx), out)
 
     def number_xi(self):
-        out = SuperFunction.zero(self.ctx)
-        for alpha in range(self.ctx.n_minus):
-            a = self.ctx.n_plus + alpha
-            out = out + sf_mul(SuperFunction.z_var(self.ctx, a),
-                               self.left_deriv(a))
-        return out
+        """Sum over the xi_a of xi_a times the left derivative."""
+        return _with_terms(SuperFunction(self.ctx), {
+            key: s * len(key[2]) for key, s in self.terms.items() if key[2]})
 
     def euler_E(self):
         """1 - (1/2) z d/dz, the operator whose kernel is degree two."""
@@ -438,10 +441,15 @@ class SuperFunction:
         ctx = self.ctx
         if ctx.n_plus != ctx.n_minus:
             raise ValueError("delta operator requires n_plus == n_minus")
-        out = SuperFunction.zero(ctx)
-        for i in range(ctx.n_plus):
-            out = out + self.left_deriv(ctx.n_plus + i).left_deriv(i)
-        return out
+        out = {}
+        for (xexp, c, xi), s in self.terms.items():
+            twisted = s.theta_twist(1)
+            for pos, gen in enumerate(xi):
+                rest = xi[:pos] + xi[pos + 1:]
+                for step, q in x_steps(xexp[gen - 1], c):
+                    accumulate(out, (bump(xexp, gen - 1, step), c, rest),
+                               twisted * (-q if pos & 1 else q))
+        return _with_terms(SuperFunction(ctx), out)
 
     # -- rendering ---------------------------------------------------------
 

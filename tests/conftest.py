@@ -61,6 +61,20 @@ def random_superfunction(rng, ctx, max_x_degree=2, xi_degree=None,
     return out
 
 
+def omega_channels(ctx):
+    """Nonzero entries (a, b, weight) of the symplectic metric, 0-based over
+    the collective variables: the x-block pairs (x1,x2), (x3,x4), ...
+    canonically, the xi-block lambda_alpha on the diagonal."""
+    channels = []
+    for m in range(ctx.n_plus // 2):
+        channels.append((2 * m, 2 * m + 1, 1))
+        channels.append((2 * m + 1, 2 * m, -1))
+    for alpha in range(ctx.n_minus):
+        a = ctx.n_plus + alpha
+        channels.append((a, a, ctx.lambdas[alpha]))
+    return channels
+
+
 def naive_bidiff(f, g, p):
     """Word-by-word oracle for the p-th bidifferential power.
 
@@ -69,7 +83,7 @@ def naive_bidiff(f, g, p):
     """
     ctx = f.ctx
     out = SuperFunction.zero(ctx)
-    for word in itertools.product(ctx.omega_channels(), repeat=p):
+    for word in itertools.product(omega_channels(ctx), repeat=p):
         F, G = f, g
         weight = 1
         alive = True

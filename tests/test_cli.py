@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -11,7 +12,8 @@ import superdeform
 from superdeform import (ParseError, Scalar, SuperFunction, SymplecticContext,
                          parse_cochain, parse_deformation, parse_expression,
                          parse_t1, sf_mul)
-from superdeform.cli import MAX_EXPONENT, parse_scalar, run
+from superdeform.cli import (MAX_EXPONENT, MAX_PRODUCT_TERMS, parse_scalar,
+                             run)
 
 from conftest import random_superfunction, seeded
 
@@ -250,11 +252,10 @@ _EQUIV_WRONG_T1 = ["equiv",
 
 def test_cli_equiv_reports_t1_active_pairs(capsys):
     # at seed 3 no sampled pair has a nonzero bar, so no pair can tell the
-    # wrong sign of T1 from the right one, and the report says so
-    assert run(_EQUIV_WRONG_T1 + ["--seed", "3"]) == 0
+    # wrong sign of T1 from the right one: not a pass, but a usage error
+    assert run(_EQUIV_WRONG_T1 + ["--seed", "3"]) == 2
     captured = capsys.readouterr()
-    data = json.loads(captured.out)
-    assert data["pass"] is True and data["t1_active_pairs"] == 0
+    assert captured.out == "" and captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "t1_active_pairs 0" in captured.err
     assert run(_EQUIV_WRONG_T1 + ["--seed", "1"]) == 1
@@ -296,6 +297,26 @@ def test_cli_rejects_exponent_above_bound(capsys):
     capsys.readouterr()
     assert run(["eval", f"x1^{MAX_EXPONENT}"]) == 0
     assert capsys.readouterr().out.strip() == f"x1^{MAX_EXPONENT}"
+
+
+def test_cli_rejects_product_above_bound(capsys):
+    # (x1+...+x8)^12 has 50388 terms; the bound stops it early and fast
+    total = "(" + "+".join(f"x{i}" for i in range(1, 9)) + ")"
+    start = time.perf_counter()
+    assert run(["--nplus", "8", "eval", total + "^12"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a product of ")
+    assert f"above {MAX_PRODUCT_TERMS} terms" in captured.err
+    assert captured.err.count("\n") == 1
+    assert run(["--nplus", "8", "eval", total + "^4"]) == 0
+    assert capsys.readouterr().out.count("+") == 329  # C(11, 7) terms
+    # a product of two sums is bounded by the product of their sizes too
+    big = "(" + "+".join(f"x1^{a}*x2^{b}" for a in range(11)
+                         for b in range(10)) + ")"
+    assert run(["--nplus", "2", "eval", f"{big}*{big}"]) == 2
+    assert capsys.readouterr().err.startswith("error: a product of 110 by")
 
 
 def test_python_m_cli_prints_one_error_line():

@@ -1,0 +1,165 @@
+"""The first-order kernels against their compositional definitions.
+
+``poisson_bracket``, ``antibracket``, ``number_z``, ``number_xi``,
+``euler_E``, ``delta_op`` and ``integral_bar`` act term by term in closed
+form.  The oracles here build the same operators the long way, one
+intermediate SuperFunction at a time from per-variable derivatives and
+``sf_mul`` (and the integral from products of one-dimensional
+``gaussian_moment``s), over the contexts of the context matrix and a few
+more: metric signs -1, n_plus = 0, k in {0, 2}, Gaussian weights 0, 1/2, 1
+and 2, and theta and hbar coefficients.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from superdeform import (Scalar, SuperFunction, SymplecticContext,
+                         antibracket, poisson_bracket, sf_mul)
+from superdeform.superfunc import gaussian_moment
+
+from conftest import omega_channels, seeded
+from test_context_matrix import (ANTI_MIXED, K0, K2, MIXED_5, NEGATIVE_3,
+                                 NO_X)
+
+WEIGHTS = (0, Fraction(1, 2), 1, 2)
+# (n_plus, n_minus, lambdas, k, h_max)
+CONTEXTS = [MIXED_5, NEGATIVE_3, NO_X, K0, K2, ANTI_MIXED,
+            (2, 2, (-1, -1), 2, 6), (4, 4, (1, -1, 1, -1), 0, 6),
+            (6, 1, (-1,), 0, 6)]
+SQUARE = [c for c in CONTEXTS if c[0] == c[1]]
+
+
+def _ids(contexts):
+    return [f"{n_plus}_{n_minus}{''.join('+-'[s < 0] for s in lambdas)}"
+            f"-k{k}-h{h_max}"
+            for n_plus, n_minus, lambdas, k, h_max in contexts]
+
+
+def sample(rng, ctx, top=False):
+    """One to three terms with theta and hbar coefficients; ``top`` puts
+    most terms on the top xi monomial with even exponents and c > 0, where
+    the integral is nonzero."""
+    sctx = ctx.scalar_ctx
+    out = SuperFunction.zero(ctx)
+    for _ in range(rng.randint(1, 3)):
+        if top and rng.random() < 0.7:
+            xexp = tuple(2 * rng.randint(0, 1) for _ in range(ctx.n_plus))
+            c, xi = rng.choice(WEIGHTS[1:]), tuple(range(1, ctx.n_minus + 1))
+        else:
+            xexp = tuple(rng.randint(0, 2) for _ in range(ctx.n_plus))
+            c = rng.choice(WEIGHTS[1:] if top else WEIGHTS)
+            xi = tuple(sorted(rng.sample(range(1, ctx.n_minus + 1),
+                                         rng.randint(0, ctx.n_minus))))
+        s = Scalar.rational(sctx, Fraction(rng.choice([-3, -1, 1, 2]),
+                                           rng.choice([1, 2])))
+        if rng.random() < 0.4:
+            s = s * Scalar.hbar(sctx, rng.randint(1, 2))
+        for j in range(1, ctx.k + 1):
+            if rng.random() < 0.4:
+                s = s * Scalar.theta(sctx, j)
+        if rng.random() < 0.3:
+            s = s + Scalar.rational(sctx, 1)
+        out = out + SuperFunction.term(ctx, xexp, c, xi, s)
+    return out
+
+
+# -- the compositional definitions ------------------------------------------
+
+
+def number_z_oracle(f):
+    """Sum over all variables of z_a times the left derivative."""
+    out = SuperFunction.zero(f.ctx)
+    for a in range(f.ctx.n_z):
+        out = out + sf_mul(SuperFunction.z_var(f.ctx, a), f.left_deriv(a))
+    return out
+
+
+def number_xi_oracle(f):
+    out = SuperFunction.zero(f.ctx)
+    for a in range(f.ctx.n_plus, f.ctx.n_z):
+        out = out + sf_mul(SuperFunction.z_var(f.ctx, a), f.left_deriv(a))
+    return out
+
+
+def delta_oracle(f):
+    """Sum over i of d/dx_i d/dxi_i."""
+    n = f.ctx.n_plus
+    out = SuperFunction.zero(f.ctx)
+    for i in range(n):
+        out = out + f.left_deriv(n + i).left_deriv(i)
+    return out
+
+
+def poisson_oracle(f, g):
+    """Sum over the metric channels of (f <-d_a) omega^{ab} (d_b g)."""
+    out = SuperFunction.zero(f.ctx)
+    for a, b, w in omega_channels(f.ctx):
+        out = out + sf_mul(f.right_deriv(a), g.left_deriv(b)) * w
+    return out
+
+
+def anti_oracle(f, g):
+    """(f <-d_{x_i})(d_{xi_i} g) - (f <-d_{xi_i})(d_{x_i} g) over i."""
+    n = f.ctx.n_plus
+    out = SuperFunction.zero(f.ctx)
+    for i in range(n):
+        out = out + sf_mul(f.right_deriv(i), g.left_deriv(n + i))
+        out = out - sf_mul(f.right_deriv(n + i), g.left_deriv(i))
+    return out
+
+
+def integral_oracle(f):
+    """Per term, the product of one-dimensional Gaussian moments."""
+    ctx = f.ctx
+    top = tuple(range(1, ctx.n_minus + 1))
+    total = Scalar.zero(ctx.scalar_ctx)
+    for (xexp, c, xi), s in f.terms.items():
+        if xi == top:
+            moment = Scalar.one(ctx.scalar_ctx)
+            for e in xexp:
+                moment = moment * gaussian_moment(e, c)
+            total = total + s * moment
+    return total
+
+
+# -- the comparisons ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("context", CONTEXTS, ids=_ids(CONTEXTS))
+def test_number_operators_match_oracles(context):
+    ctx = SymplecticContext(*context)
+    rng = seeded(61)
+    for _ in range(12):
+        f = sample(rng, ctx)
+        assert f.number_z() == number_z_oracle(f)
+        assert f.number_xi() == number_xi_oracle(f)
+        assert f.euler_E() == f - number_z_oracle(f) * Fraction(1, 2)
+
+
+@pytest.mark.parametrize("context", CONTEXTS, ids=_ids(CONTEXTS))
+def test_poisson_matches_channel_oracle(context):
+    ctx = SymplecticContext(*context)
+    rng = seeded(62)
+    for _ in range(12):
+        f, g = sample(rng, ctx), sample(rng, ctx)
+        assert poisson_bracket(f, g) == poisson_oracle(f, g)
+
+
+@pytest.mark.parametrize("context", SQUARE, ids=_ids(SQUARE))
+def test_antibracket_and_delta_match_oracles(context):
+    ctx = SymplecticContext(*context)
+    rng = seeded(63)
+    for _ in range(16):
+        f, g = sample(rng, ctx), sample(rng, ctx)
+        assert antibracket(f, g) == anti_oracle(f, g)
+        assert f.delta_op() == delta_oracle(f)
+
+
+@pytest.mark.parametrize("context", CONTEXTS, ids=_ids(CONTEXTS))
+def test_integral_bar_matches_moment_oracle(context):
+    ctx = SymplecticContext(*context)
+    rng = seeded(64)
+    for _ in range(12):
+        f = sample(rng, ctx, top=True)
+        assert f.integral_bar() == integral_oracle(f)

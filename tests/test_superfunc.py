@@ -9,7 +9,8 @@ from superdeform import (NotIntegrableError, Scalar, SuperFunction,
                          SymplecticContext, sf_mul)
 from superdeform.superfunc import gaussian_moment
 
-from conftest import radical_float, random_superfunction, seeded
+from conftest import (omega_channels, radical_float, random_superfunction,
+                      seeded)
 
 
 def test_context_validation():
@@ -22,7 +23,7 @@ def test_context_validation():
 
 
 def test_omega_channels_canonical(ctx42):
-    assert ctx42.omega_channels() == [
+    assert omega_channels(ctx42) == [
         (0, 1, 1), (1, 0, -1), (2, 3, 1), (3, 2, -1), (4, 4, 1), (5, 5, 1)]
 
 
