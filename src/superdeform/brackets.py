@@ -31,8 +31,12 @@ signs aside):
 The signs follow the first-order rules above with b = 0, taking S in
 increasing order at the current length and position of each xi_a.  The
 odd channels of P itself are this factor at p = 1.  For integral
-Gaussian weights the tables hold integers: they are scaled by m!, blocks
-combine with binomials, and each output term is divided by q! once.
+Gaussian weights the tables hold integers: they are scaled by m! and blocks
+combine with binomials.  One bracket call works over one common
+denominator den = q_max!, the largest q! any of its seed pairs can need: a
+pair's table q! X[q] is scaled by the integer weight * den/q!, and each
+output coefficient is divided by den once.  So Fractions enter only where
+the inputs hold them (a weight 1/2, a rational kappa or coefficient).
 """
 
 from __future__ import annotations
@@ -127,12 +131,14 @@ def _collect(acc, c, xi, poly, coeffs):
             slot[k] = slot.get(k, 0) + w * v
 
 
-def _gather(ctx, acc):
-    """The SuperFunction of the collected slots, zero coefficients dropped."""
+def _gather(ctx, acc, den=1):
+    """The SuperFunction of the collected slots over the common denominator
+    ``den``, zero coefficients dropped."""
     sctx = ctx.scalar_ctx
     out = {}
     for key, slot in acc.items():
-        coeffs = {k: int_if_integral(v) for k, v in slot.items() if v}
+        coeffs = {k: int_if_integral(v if den == 1 else Fraction(v, den))
+                  for k, v in slot.items() if v}
         if coeffs:
             out[key] = _with_coeffs(sctx, coeffs)
     return _with_terms(SuperFunction(ctx), out)
@@ -141,9 +147,15 @@ def _gather(ctx, acc):
 # -- block-factored kernel ---------------------------------------------------
 #
 # Polynomials are dicts from exponents to coefficients, with the Gaussian
-# factor left implicit.  ``memo`` lives for one bracket call; it holds the
-# one-variable derivative tables under (e, c) and the block tables under
-# (a1, a2, b1, b2, c_f, c_g).
+# factor left implicit.  ``memo`` lives for one bracket call by default;
+# ``build_C1`` and ``moyal_form`` pass one dict to every bracket of the
+# form they build, so it lives as long as that form (and its Cochain
+# cache).  The tables depend only on exponents and Gaussian weights, never
+# on kappa, the scalars, the lambdas or the context order, so any calls
+# may share them.  It holds the one-variable derivative tables under
+# (e, c), the block tables under (a1, a2, b1, b2, c_f, c_g) and the x
+# tables under (x exponents of f, x exponents of g, c_f, c_g); a list is
+# only ever replaced by a longer one.
 
 
 def _derivs(memo, e, c, n):
@@ -197,9 +209,14 @@ def _block_table(memo, fb, gb, cf, cg, m_max):
 
 
 def _x_tables(memo, fx, gx, cf, cg, q_max):
-    """q! X[q] for q = 0..q_max, the t^q coefficient of the product over
-    the x-pair blocks of sum_m t^m T_B[m]; block tables combine with
-    binomials because they are scaled by m!."""
+    """q! X[q] for q = 0..q_max (or more, when a longer list is memoised),
+    the t^q coefficient of the product over the x-pair blocks of
+    sum_m t^m T_B[m]; block tables combine with binomials because they are
+    scaled by m!."""
+    memo_key = (fx, gx, cf, cg)
+    xs = memo.get(memo_key)
+    if xs is not None and len(xs) > q_max:
+        return xs
     xs = [{(): 1}] + [{}] * q_max
     for b in range(0, len(fx), 2):
         table = _block_table(memo, fx[b:b + 2], gx[b:b + 2], cf, cg, q_max)
@@ -210,11 +227,12 @@ def _x_tables(memo, fx, gx, cf, cg, q_max):
             for r in range(q + 1):
                 for k1, a in xs[q - r].items():
                     for k2, c in table[r].items():
-                        key = k1 + k2
-                        out[key] = out.get(key, 0) + binom * a * c
+                        xexp = k1 + k2
+                        out[xexp] = out.get(xexp, 0) + binom * a * c
                 binom = binom * (q - r) // (r + 1)
             new.append({k: v for k, v in out.items() if v})
         xs = new
+    memo[memo_key] = xs
     return xs
 
 
@@ -242,17 +260,20 @@ def _odd_factor(ctx, xf, xg):
     return n, weight, tuple(sorted(rf + rg))
 
 
-def _iterate_pairs(f, g, emit, p_cap, weights):
+def _iterate_pairs(f, g, emit, p_cap, weights, memo=None):
     """Sum over the seed term pairs of sum_p weights(p) times the t^p
     coefficient of the factored exponential series.
 
     ``emit(p)`` says whether power p contributes and ``p_cap(min_h)``
-    bounds p for seeds of minimal h-degree min_h.  The coefficients are
-    collected per output term in the flat ``Scalar.coeffs`` layout and
-    turned into Scalars once at the end.
+    bounds p for seeds of minimal h-degree min_h, so p_cap(0) bounds every
+    p of the call and den = p_cap(0)! is a common denominator of all its
+    1/q!.  The coefficients are collected, times den, per output term in
+    the flat ``Scalar.coeffs`` layout and turned into Scalars once at the
+    end.  ``memo`` holds the derivative, block and x tables (see above).
     """
     ctx = f.ctx
-    memo = {}
+    memo = {} if memo is None else memo
+    den = factorial(p_cap(0))
     acc = {}
     gterms = [(key, gs, gs.hbar_min_degree()) for key, gs in g.terms.items()]
     for (fx, cf, xf), fs in f.terms.items():
@@ -271,15 +292,16 @@ def _iterate_pairs(f, g, emit, p_cap, weights):
                 q = p - n
                 if not xs[q]:
                     continue
-                scale = Fraction(weight, factorial(q)) if q > 1 else weight
+                scale = weight * (den // factorial(q))
                 coeffs = [(k, v * scale)
                           for k, v in (weights(p) * prod).coeffs.items()]
                 _collect(acc, c, xi, xs[q], coeffs)
-    return _gather(ctx, acc)
+    return _gather(ctx, acc, den)
 
 
-def bidiff_power(f, g, p):
-    """The p-th power of the symplectic bidifferential applied to (f, g)."""
+def bidiff_power(f, g, p, memo=None):
+    """The p-th power of the symplectic bidifferential applied to (f, g);
+    ``memo`` may carry the kernel's tables across calls."""
     if p < 1:
         raise ValueError("the bidifferential power must be at least 1")
     f._check(g)
@@ -287,15 +309,17 @@ def bidiff_power(f, g, p):
     return _iterate_pairs(f, g,
                           emit=lambda q: q == p,
                           p_cap=lambda min_h: p,
-                          weights=lambda q: weight)
+                          weights=lambda q: weight, memo=memo)
 
 
-def moyal_bracket(f, g, kappa=1):
+def moyal_bracket(f, g, kappa=1, memo=None):
     """Deformed bracket: sum over odd p of (h kappa)^(p-1)/p! times the p-th
     bidifferential power, truncated at the context order.
 
     kappa must be a theta-free series; at truncation order 0 the bracket
-    reduces to the Poisson bracket.
+    reduces to the Poisson bracket.  A caller that brackets many pairs of
+    one context may pass one ``memo`` dict to all of them: it keeps the
+    kernel's tables, which do not depend on kappa.
     """
     f._check(g)
     ctx = f.ctx
@@ -325,4 +349,4 @@ def moyal_bracket(f, g, kappa=1):
     return _iterate_pairs(f, g,
                           emit=lambda q: q % 2 == 1,
                           p_cap=p_cap,
-                          weights=weights)
+                          weights=weights, memo=memo)

@@ -127,10 +127,12 @@ def build_C1(zeta, kappa=1, flavor=C1, c=None):
             "kappa must be an even or odd series in hbar so that "
             "c1 = (1/6) hbar^2 kappa^2 is an even series", relation="kappa")
     params = {"zeta": zeta, "kappa": kappa}
+    # the Moyal kernel's tables, shared by every bracket of this deformation
+    memo = {}
     if flavor == C1C:
         c = _as_scalar(ctx, 0 if c is None else c)
         _require_param(c, "c")
-        probe = moyal_bracket(zeta, zeta, kappa) + \
+        probe = moyal_bracket(zeta, zeta, kappa, memo) + \
             SuperFunction.constant(ctx, c)
         if not probe.is_z_class():
             raise DeformationError(
@@ -149,7 +151,7 @@ def build_C1(zeta, kappa=1, flavor=C1, c=None):
         else:
             F = f + zeta.scale_right(_bar(f))
             G = g + zeta.scale_right(_bar(g))
-        out = moyal_bracket(F, G, kappa)
+        out = moyal_bracket(F, G, kappa, memo)
         if flavor == C1C:
             out = out + SuperFunction.constant(ctx, c * (_bar(f) * _bar(g)))
         return out

@@ -1,5 +1,6 @@
 """Unit tests for the Poisson superbracket, antibracket, and Moyal bracket."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -200,3 +201,144 @@ def test_moyal_graded_antisymmetry(ctx42):
                                  gauss_pool=(0, 1))
         sign = (-1) ** (f.eps() * g.eps())
         assert moyal_bracket(f, g) == -moyal_bracket(g, f) * sign
+
+
+# -- tables shared across calls ---------------------------------------------
+
+
+def _reweighted(f, c):
+    """f with the Gaussian weight of every term set to c."""
+    out = SuperFunction.zero(f.ctx)
+    for (xexp, _c, xi), s in f.terms.items():
+        out = out + SuperFunction.term(f.ctx, xexp, c, xi, s)
+    return out
+
+
+def _table_lengths(memo):
+    return {key: len(table) for key, table in memo.items()}
+
+
+@pytest.mark.parametrize("n_plus, lambdas", [
+    (0, (1, -1, 1)),
+    (2, (-1, 1)),
+    (4, (1, -1)),
+], ids=["no_x_blocks", "one_x_block", "two_x_blocks"])
+def test_shared_memo_matches_fresh(n_plus, lambdas):
+    # One memo dict threads through brackets and powers of the same
+    # exponents at several pairs of Gaussian weights (a key that dropped
+    # c_f or c_g would mix them up).  Each pair is first bracketed with an
+    # hbar^4 factor, which lowers p_cap and so builds short tables, then
+    # without it, which needs longer ones, then with it again, which must
+    # hit the longer tables and keep them.
+    ctx = SymplecticContext(n_plus, len(lambdas), lambdas, 1, 6)
+    sctx = ctx.scalar_ctx
+    kappas = itertools.cycle((1, Fraction(-3, 2),
+                              Scalar.hbar(sctx, 1, Fraction(2, 3)) - HALF))
+    heavy = Scalar.hbar(sctx, 4)
+    rng = seeded(43)
+    f0 = random_superfunction(rng, ctx, terms=2, theta=True, gauss_pool=(0,))
+    g0 = random_superfunction(rng, ctx, terms=2, theta=True, gauss_pool=(0,))
+    memo = {}
+    grew = False
+    for cf, cg in ((1, 1), (HALF, 1), (1, 2), (0, HALF), (2, 0)):
+        f, g = _reweighted(f0, cf), _reweighted(g0, cg)
+        calls = [(moyal_bracket, (f.scale_left(heavy), g, next(kappas))),
+                 (moyal_bracket, (f, g, next(kappas))),
+                 (moyal_bracket, (f.scale_left(heavy), g, next(kappas))),
+                 (bidiff_power, (f, g, 3)),
+                 (bidiff_power, (g, f, 1))]
+        for fn, args in calls:
+            before = _table_lengths(memo)
+            assert fn(*args, memo=memo) == fn(*args)
+            after = _table_lengths(memo)
+            assert all(after[key] >= n for key, n in before.items())
+            grew |= any(after[key] > n for key, n in before.items())
+    assert grew
+
+
+# -- an independent sympy expansion of the even sector ----------------------
+
+
+def _sympy_moyal(sp, f, g, kappas):
+    """Sum over odd p <= 7 of (hbar kappa)^(p-1)/p! P^p(f, g) for hbar-free
+    f and g at (n_plus, n_minus) = (2, 0), with P = d1 (x) d2 - d2 (x) d1,
+    for each kappa.  A term q x1^a x2^b exp(-c|x|^2/2) is q u(x1) v(x2)
+    with u = x1^a exp(-c x1^2/2), so d1^i d2^j of it is q u^(i) v^(j);
+    sympy differentiates u and v and divides their Gaussians out again.
+    Returns one {Gaussian weight: Poly in x1, x2, hbar} per kappa."""
+    x1, x2, hbar = sp.symbols("x1 x2 hbar")
+    known = {}
+
+    def derivatives(var, a, c):
+        """u^(n) / exp(-c var^2/2) for n = 0..7, u = var^a exp(-c var^2/2)."""
+        if (var, a, c) not in known:
+            gauss = sp.exp(-c * var ** 2 / 2)
+            out = [var ** a]
+            while len(out) < 8:
+                out.append(sp.expand(sp.diff(out[-1] * gauss, var) / gauss))
+            known[var, a, c] = [sp.Poly(d, x1, x2, hbar) for d in out]
+        return known[var, a, c]
+
+    def tables(fn):
+        out = []
+        for (xexp, c, _xi), s in fn.terms.items():
+            c = _rational(sp, c)
+            out.append((_rational(sp, s.rational_value()),
+                        derivatives(x1, xexp[0], c),
+                        derivatives(x2, xexp[1], c), c))
+        return out
+
+    powers = {}  # (weight, p) -> P^p summed over the term pairs of f and g
+    for (qf, uf, vf, cf), (qg, ug, vg, cg) in itertools.product(tables(f),
+                                                                tables(g)):
+        for p in (1, 3, 5, 7):
+            term = sum((uf[p - j] * vf[j] * ug[j] * vg[p - j]
+                        * (sp.binomial(p, j) * (-1) ** j * qf * qg)
+                        for j in range(1, p + 1)),
+                       uf[p] * vf[0] * ug[0] * vg[p] * (qf * qg))
+            key = (cf + cg, p)
+            powers[key] = powers[key] + term if key in powers else term
+    out = []
+    for kappa in kappas:
+        total = {}
+        for (c, p), power in powers.items():
+            term = power * ((hbar * kappa) ** (p - 1) / sp.factorial(p))
+            total[c] = total[c] + term if c in total else term
+        out.append(total)
+    return out
+
+
+def _rational(sp, q):
+    q = Fraction(q)
+    return sp.Rational(q.numerator, q.denominator)
+
+
+def _as_sympy(sp, value):
+    """The same {Gaussian weight: Poly} view of a bracket value."""
+    x1, x2, hbar = sp.symbols("x1 x2 hbar")
+    coeffs = {}
+    for (xexp, c, _xi), s in value.terms.items():
+        poly = coeffs.setdefault(_rational(sp, c), {})
+        for (m, mask, *radical), q in s.coeffs.items():
+            assert mask == 0 and radical == [0, 0, 1]
+            poly[xexp[0], xexp[1], m] = _rational(sp, q)
+    return {c: sp.Poly.from_dict(poly, x1, x2, hbar)
+            for c, poly in coeffs.items()}
+
+
+def test_moyal_matches_sympy_expansion():
+    sp = pytest.importorskip("sympy")
+    ctx = SymplecticContext(2, 0, (), 0, 6)
+    kappas = (1, Fraction(2, 3))
+    rng = seeded(47)
+    for _ in range(2):
+        f = random_superfunction(rng, ctx, terms=2, gauss_pool=(HALF, 1, 2))
+        g = random_superfunction(rng, ctx, terms=2, gauss_pool=(HALF, 1, 2))
+        refs = _sympy_moyal(sp, f, g, [_rational(sp, k) for k in kappas])
+        for kappa, ref in zip(kappas, refs):
+            got = _as_sympy(sp, moyal_bracket(f, g, kappa))
+            assert any(not v.is_zero for v in ref.values())
+            assert set(got) <= set(ref)
+            for weight, poly in ref.items():
+                assert (poly - got[weight]).is_zero if weight in got \
+                    else poly.is_zero

@@ -1,5 +1,7 @@
 """Tests for the expression grammar, spec parsers, and the CLI front end."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import superdeform
 from superdeform import (ParseError, Scalar, SuperFunction, SymplecticContext,
@@ -317,6 +320,44 @@ def test_cli_rejects_product_above_bound(capsys):
                          for b in range(10)) + ")"
     assert run(["--nplus", "2", "eval", f"{big}*{big}"]) == 2
     assert capsys.readouterr().err.startswith("error: a product of 110 by")
+
+
+# the grammar's tokens, names it refuses, exponents above its bound, and
+# characters it does not know; joined with no separator they also make
+# longer numbers and names
+_GRAMMAR_TOKENS = ("0", "1", "2", "3", "12", "33", "99999999999",
+                   "x1", "x2", "x4", "x5", "xi1", "xi2", "xi3", "th1", "th2",
+                   "hbar", "pi", "sqrt", "gauss", "foo",
+                   "+", "-", "*", "/", "^", "(", ")", ",", "=", " ", "@")
+_LEAVES = ("0", "3", "x1", "x2", "xi1", "xi2", "th1", "hbar", "pi",
+           "sqrt(pi)", "sqrt(2)", "gauss(1)", "gauss(1/2)", "gauss(0)")
+# token soup, and well-formed expressions that reach the brackets
+_EXPRESSIONS = st.one_of(
+    st.lists(st.sampled_from(_GRAMMAR_TOKENS), max_size=12).map("".join),
+    st.recursive(
+        st.sampled_from(_LEAVES),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(
+                lambda t: f"({t[0]}{t[1]}{t[2]})"),
+            st.tuples(inner, st.integers(0, 3)).map(
+                lambda t: f"{t[0]}^{t[1]}"),
+            inner.map(lambda e: f"-{e}/2")),
+        max_leaves=6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_EXPRESSIONS, _EXPRESSIONS)
+def test_cli_grammar_fuzz(f, g):
+    for argv in (["eval", f], ["bracket", "--type", "moyal", f, g]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exc:  # argparse refuses e.g. "-x1"
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().count("error:") <= 1
 
 
 def test_python_m_cli_prints_one_error_line():

@@ -57,6 +57,32 @@ def test_c1_jacobi(ctx42):
                           rand_d(rng, ctx42)).is_zero()
 
 
+@pytest.mark.parametrize("flavor", ["C1", "C1c"])
+def test_c1_brackets_match_fresh_moyal(ctx42, flavor):
+    # a C1/C1c deformation shares one table memo across all its brackets
+    # (the C1c probe M(zeta, zeta) included); each value must still equal a
+    # fresh Moyal bracket of the bar-extended arguments
+    from superdeform import moyal_bracket
+    c = h2(ctx42)
+    zeta = SuperFunction.term(ctx42, (1, 1, 0, 0), 1, scalar=c) + \
+        SuperFunction.term(ctx42, (0, 0, 2, 0), 2, scalar=c * 3)
+    kappa = Fraction(2, 3)
+    d = build_C1(zeta, kappa) if flavor == "C1" else build_C1c(zeta, kappa, c)
+    rng = seeded(77)
+    barred = 0
+    for _ in range(6):
+        f, g = rand_d(rng, ctx42, terms=2), rand_d(rng, ctx42, terms=2)
+        fb = f.integral_bar(mod_centralizer=True)
+        gb = g.integral_bar(mod_centralizer=True)
+        barred += not (fb.is_zero() and gb.is_zero())
+        expect = moyal_bracket(f + zeta.scale_right(fb),
+                               g + zeta.scale_right(gb), kappa)
+        if flavor == "C1c":
+            expect = expect + SuperFunction.constant(ctx42, c * (fb * gb))
+        assert d.evaluate(f, g) == expect
+    assert barred
+
+
 def test_c1c_jacobi_at_4_5(ctx45):
     d = build_C1c(SuperFunction.zero(ctx45), 1, h2(ctx45))
     J = jacobiator(d.bracket)
