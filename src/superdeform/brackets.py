@@ -299,9 +299,8 @@ def _iterate_pairs(f, g, emit, p_cap, weights, memo=None):
     return _gather(ctx, acc, den)
 
 
-def bidiff_power(f, g, p, memo=None):
-    """The p-th power of the symplectic bidifferential applied to (f, g);
-    ``memo`` may carry the kernel's tables across calls."""
+def bidiff_power(f, g, p):
+    """The p-th power of the symplectic bidifferential applied to (f, g)."""
     if p < 1:
         raise ValueError("the bidifferential power must be at least 1")
     f._check(g)
@@ -309,7 +308,7 @@ def bidiff_power(f, g, p, memo=None):
     return _iterate_pairs(f, g,
                           emit=lambda q: q == p,
                           p_cap=lambda min_h: p,
-                          weights=lambda q: weight, memo=memo)
+                          weights=lambda q: weight)
 
 
 def moyal_bracket(f, g, kappa=1, memo=None):

@@ -2,12 +2,14 @@
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from superdeform import (Scalar, SuperFunction, SymplecticContext,
                          antibracket, bidiff_power, moyal_bracket,
                          poisson_bracket, sf_mul)
+from superdeform.brackets import _iterate_pairs
 
 from conftest import naive_bidiff, random_superfunction, seeded
 
@@ -218,6 +220,14 @@ def _table_lengths(memo):
     return {key: len(table) for key, table in memo.items()}
 
 
+def _power_with_memo(f, g, p, memo):
+    """bidiff_power(f, g, p) through the kernel with a caller's memo."""
+    weight = Scalar.rational(f.ctx.scalar_ctx, factorial(p))
+    return _iterate_pairs(f, g, emit=lambda q: q == p,
+                          p_cap=lambda min_h: p, weights=lambda q: weight,
+                          memo=memo)
+
+
 @pytest.mark.parametrize("n_plus, lambdas", [
     (0, (1, -1, 1)),
     (2, (-1, 1)),
@@ -242,14 +252,16 @@ def test_shared_memo_matches_fresh(n_plus, lambdas):
     grew = False
     for cf, cg in ((1, 1), (HALF, 1), (1, 2), (0, HALF), (2, 0)):
         f, g = _reweighted(f0, cf), _reweighted(g0, cg)
-        calls = [(moyal_bracket, (f.scale_left(heavy), g, next(kappas))),
-                 (moyal_bracket, (f, g, next(kappas))),
-                 (moyal_bracket, (f.scale_left(heavy), g, next(kappas))),
-                 (bidiff_power, (f, g, 3)),
-                 (bidiff_power, (g, f, 1))]
-        for fn, args in calls:
+        calls = [(moyal_bracket, moyal_bracket,
+                  (f.scale_left(heavy), g, next(kappas))),
+                 (moyal_bracket, moyal_bracket, (f, g, next(kappas))),
+                 (moyal_bracket, moyal_bracket,
+                  (f.scale_left(heavy), g, next(kappas))),
+                 (_power_with_memo, bidiff_power, (f, g, 3)),
+                 (_power_with_memo, bidiff_power, (g, f, 1))]
+        for shared, fresh, args in calls:
             before = _table_lengths(memo)
-            assert fn(*args, memo=memo) == fn(*args)
+            assert shared(*args, memo=memo) == fresh(*args)
             after = _table_lengths(memo)
             assert all(after[key] >= n for key, n in before.items())
             grew |= any(after[key] > n for key, n in before.items())
