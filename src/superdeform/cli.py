@@ -43,6 +43,9 @@ DEFAULT_SEED = 20240801
 MAX_EXPONENT = 32
 # the largest term-count product |a| * |b| the grammar multiplies out
 MAX_PRODUCT_TERMS = 10_000
+# the largest integer the grammar takes under 'sqrt' (it is factored by
+# trial division)
+MAX_RADICAND = 10 ** 12
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^(),=]))")
 
@@ -208,6 +211,9 @@ class _Parser:
             r = self._rational(arg, pos2)
             if r.denominator != 1 or r <= 0:
                 raise ParseError("sqrt takes a positive integer or pi", pos2)
+            if r > MAX_RADICAND:
+                raise ParseError(
+                    f"radicand {r} is above {MAX_RADICAND}", pos2)
             return SuperFunction.constant(self.ctx,
                                           Scalar.sqrt(sctx, int(r)))
         if value == "gauss":
@@ -256,8 +262,12 @@ def parse_scalar(text, ctx):
     return parser._scalar(value, 0)
 
 
-_FORM_NAMES = {"m0", "anti", "moyal", "m1", "m3", "mzeta", "m23", "jzeta",
-               "mu"}
+# the named forms: name -> (builder, kind of its one argument or None)
+_FORMS = {"m0": (m0_form, None), "anti": (anti_form, None),
+          "m1": (m1_form, None), "m3": (m3_form, None),
+          "m23": (m23_form, None), "mu": (mu_form, None),
+          "moyal": (moyal_form, "scalar"), "mzeta": (mzeta_form, "function"),
+          "jzeta": (jzeta_form, "function")}
 
 
 def parse_cochain(text, ctx):
@@ -280,7 +290,7 @@ def _cochain_term(parser, ctx, negate):
     form = None
     while True:
         kind, value, pos = parser.peek()
-        if kind == "name" and value in _FORM_NAMES:
+        if kind == "name" and value in _FORMS:
             if form is not None:
                 raise ParseError("a term may contain only one form", pos)
             parser.take()
@@ -301,31 +311,15 @@ def _cochain_term(parser, ctx, negate):
 
 
 def _form_atom(parser, ctx, name):
-    if name == "m0":
-        return m0_form(ctx)
-    if name == "anti":
-        return anti_form(ctx)
-    if name == "m1":
-        return m1_form(ctx)
-    if name == "m3":
-        return m3_form(ctx)
-    if name == "m23":
-        return m23_form(ctx)
-    if name == "mu":
-        return mu_form(ctx)
-    if name == "moyal":
-        parser.expect_sym("(")
-        kind, _v, pos = parser.peek()
-        arg = parser.expr()
-        parser.expect_sym(")")
-        return moyal_form(ctx, parser._scalar(arg, pos))
-    # mzeta / jzeta take a function argument
+    build, argument = _FORMS[name]
+    if argument is None:
+        return build(ctx)
     parser.expect_sym("(")
+    _kind, _v, pos = parser.peek()
     arg = parser.expr()
     parser.expect_sym(")")
-    if name == "mzeta":
-        return mzeta_form(ctx, arg)
-    return jzeta_form(ctx, arg)
+    return build(ctx, parser._scalar(arg, pos) if argument == "scalar"
+                 else arg)
 
 
 _DEFO_NAMES = {"c1", "c1c", "c3", "antieven", "antiodd", "general"}
@@ -531,8 +525,16 @@ def _add_common(parser, suppress):
         parser.add_argument(*flags, **kwargs)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error raises ValueError, so ``run`` prints it as one
+    ``error:`` line and returns 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def make_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="superdeform",
         description="Exact checks for deformations of Poisson superalgebras")
     _add_common(ap, suppress=False)
@@ -585,9 +587,8 @@ def make_parser():
 
 
 def run(argv=None):
-    ap = make_parser()
-    args = ap.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         ctx = _build_context(args)
         if args.command == "eval":
             print(parse_expression(args.expr, ctx).render())

@@ -39,8 +39,6 @@ class Cochain:
         self._cache = {}
 
     def evaluate(self, *args):
-        if len(args) == 1 and isinstance(args[0], (list, tuple)):
-            args = tuple(args[0])
         if len(args) != self.arity:
             raise ArityError(
                 f"{self.name} expects {self.arity} arguments, got {len(args)}")
@@ -178,44 +176,51 @@ def moyal_form(ctx, kappa=1):
                     EVEN, name="moyal")
 
 
-def m1_form(ctx):
+def m1(f, g):
     """First deformation correction: one sixth of the cubic bidifferential."""
-    return LeafForm(ctx, 2, 0,
-                    lambda f, g: bidiff_power(f, g, 3) * Fraction(1, 6),
-                    EVEN, name="m1")
+    return bidiff_power(f, g, 3) * Fraction(1, 6)
+
+
+def m1_form(ctx):
+    return LeafForm(ctx, 2, 0, m1, EVEN, name="m1")
+
+
+def zeta_form_parity(ctx, zeta):
+    """eps(zeta) + n_minus, the parity of m_zeta and j_zeta (None when zeta
+    is not homogeneous)."""
+    zp = zeta.eps()
+    return None if zp is None else (zp + ctx.n_minus) % 2
+
+
+def _bar_pairing(ctx, op, parity, name):
+    """The form op(f) gbar (-1)^{n_minus eps_f}
+    - op(g) fbar (-1)^{eps_f eps_g + n_minus eps_g}, shared by m3
+    (op = E), m_zeta (op = {zeta, .}) and j_zeta (op = m1(zeta, .))."""
+    n_minus = ctx.n_minus
+
+    def fn(f, g):
+        ef, eg = f.eps(), g.eps()
+        fbar = f.integral_bar(mod_centralizer=True)
+        gbar = g.integral_bar(mod_centralizer=True)
+        left = op(f).scale_right(gbar) * ((-1) ** (n_minus * ef))
+        right = op(g).scale_right(fbar) * ((-1) ** (ef * eg + n_minus * eg))
+        return left - right
+
+    return LeafForm(ctx, 2, parity, fn, EVEN, name=name)
 
 
 def m3_form(ctx):
-    n_minus = ctx.n_minus
-
-    def fn(f, g):
-        ef, eg = f.eps(), g.eps()
-        fbar = f.integral_bar(mod_centralizer=True)
-        gbar = g.integral_bar(mod_centralizer=True)
-        left = f.euler_E().scale_right(gbar) * ((-1) ** (n_minus * ef))
-        right = g.euler_E().scale_right(fbar) * (
-            (-1) ** (ef * eg + n_minus * eg))
-        return left - right
-
-    return LeafForm(ctx, 2, n_minus % 2, fn, EVEN, name="m3")
+    return _bar_pairing(ctx, SuperFunction.euler_E, ctx.n_minus % 2, "m3")
 
 
 def mzeta_form(ctx, zeta):
-    n_minus = ctx.n_minus
-    zp = zeta.eps()
-    parity = None if zp is None else (zp + n_minus) % 2
+    return _bar_pairing(ctx, lambda f: poisson_bracket(zeta, f),
+                        zeta_form_parity(ctx, zeta), "mzeta")
 
-    def fn(f, g):
-        ef, eg = f.eps(), g.eps()
-        fbar = f.integral_bar(mod_centralizer=True)
-        gbar = g.integral_bar(mod_centralizer=True)
-        left = poisson_bracket(zeta, f).scale_right(gbar) * (
-            (-1) ** (n_minus * ef))
-        right = poisson_bracket(zeta, g).scale_right(fbar) * (
-            (-1) ** (ef * eg + n_minus * eg))
-        return left - right
 
-    return LeafForm(ctx, 2, parity, fn, EVEN, name="mzeta")
+def jzeta_form(ctx, zeta):
+    return _bar_pairing(ctx, lambda f: m1(zeta, f),
+                        zeta_form_parity(ctx, zeta), "jzeta")
 
 
 def m23_form(ctx):
@@ -231,26 +236,6 @@ def m23_form(ctx):
         return sf_mul(one_minus_nxi(f), one_minus_nxi(g)) * sign
 
     return LeafForm(ctx, 2, 1, fn, ODD, name="m23")
-
-
-def jzeta_form(ctx, zeta):
-    n_minus = ctx.n_minus
-    zp = zeta.eps()
-    parity = None if zp is None else (zp + n_minus) % 2
-
-    def m1(a, b):
-        return bidiff_power(a, b, 3) * Fraction(1, 6)
-
-    def fn(f, g):
-        ef, eg = f.eps(), g.eps()
-        fbar = f.integral_bar(mod_centralizer=True)
-        gbar = g.integral_bar(mod_centralizer=True)
-        left = m1(zeta, f).scale_right(gbar) * ((-1) ** (n_minus * ef))
-        right = m1(zeta, g).scale_right(fbar) * (
-            (-1) ** (ef * eg + n_minus * eg))
-        return left - right
-
-    return LeafForm(ctx, 2, parity, fn, EVEN, name="jzeta")
 
 
 def mu_form(ctx):

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .brackets import antibracket, bidiff_power, moyal_bracket, poisson_bracket
+from .brackets import antibracket, moyal_bracket, poisson_bracket
 from .cochains import (Cochain, EVEN, FunctionScaledCochain, LeafForm, ODD,
-                       ScaledCochain, anti_form, jzeta_form, m0_form,
-                       m1_form, m23_form, m3_form, mu_form, mzeta_form)
+                       ScaledCochain, anti_form, jzeta_form, m0_form, m1,
+                       m1_form, m23_form, m3_form, mu_form, mzeta_form,
+                       zeta_form_parity)
 from .errors import DeformationError, NotIntegrableError
 from .scalars import Scalar, _with_coeffs
 from .superfunc import SuperFunction, sf_mul
@@ -170,14 +171,12 @@ def build_C3(zeta, c3=0):
     c3 = _as_scalar(ctx, c3)
     _require_even_fn(zeta, "zeta")
     _require_param(c3, "c3")
-    n_minus = ctx.n_minus
-    zp = zeta.eps()
-    if not zeta.is_zero() and zp is not None and (zp + n_minus) % 2 != 0:
+    if not zeta.is_zero() and zeta_form_parity(ctx, zeta) == 1:
         raise DeformationError(
             "zeta must make m_zeta even: eps(zeta) + n_minus must be even",
             relation="zeta")
     cp = c3.parity()
-    if not c3.is_zero() and cp is not None and (cp + n_minus) % 2 != 0:
+    if not c3.is_zero() and cp is not None and (cp + ctx.n_minus) % 2 != 0:
         raise DeformationError(
             "c3 must make c3*m3 even: parity(c3) + n_minus must be even",
             relation="c3")
@@ -282,8 +281,7 @@ def _relation_one(zeta, eta, h1, h2, etabar):
     sctx = ctx.scalar_ctx
     theta = Scalar.theta(sctx, 1)
     out = eta
-    m1zz = bidiff_power(zeta, zeta, 3) * Fraction(1, 6) \
-        if not zeta.is_zero() else SuperFunction.zero(ctx)
+    m1zz = m1(zeta, zeta) if not zeta.is_zero() else SuperFunction.zero(ctx)
     out = out + m1zz.scale_left(theta * h1)
     euler = zeta.euler_E() * 2 - zeta * (2 + ctx.n_plus - ctx.n_minus)
     out = out + euler.scale_left(theta)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import ContextMismatchError
 
@@ -185,9 +186,10 @@ class RadicalNumber:
         for (p1, s1, r1), c1 in self.terms.items():
             for (p2, s2, r2), c2 in other.terms.items():
                 s = s1 + s2
-                outer, core = squarefree_decompose(r1 * r2)
-                accumulate(out, (p1 + p2 + s // 2, s % 2, core),
-                           c1 * c2 * outer)
+                # square-free roots: sqrt(r1 r2) = g sqrt(r1 r2 / g^2)
+                g = gcd(r1, r2)
+                accumulate(out, (p1 + p2 + s // 2, s % 2,
+                                 (r1 // g) * (r2 // g)), c1 * c2 * g)
         return _with_terms(RadicalNumber(), out)
 
     __rmul__ = __mul__
@@ -439,8 +441,10 @@ class Scalar:
                 if r1 == 1 or r2 == 1:
                     r = r1 * r2
                 else:
-                    outer, r = squarefree_decompose(r1 * r2)
-                    q *= outer
+                    # square-free roots: sqrt(r1 r2) = g sqrt(r1 r2 / g^2)
+                    g = gcd(r1, r2)
+                    r = (r1 // g) * (r2 // g)
+                    q *= g
                 s = s1 + s2
                 accumulate(out, (m, t1 | t2, p1 + p2 + (s >> 1), s & 1, r),
                            q)

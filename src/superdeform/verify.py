@@ -151,18 +151,29 @@ def _context_dict(ctx):
             "h_max": ctx.h_max}
 
 
-def _run(check, ctx, pieces, evaluate, details=None):
+def _run(check, ctx, pieces, rule, details=None):
+    """Apply ``rule`` to every sample tuple and report the failures.
+    ``rule(*args)`` yields one (labels, text) pair per rule the sample
+    breaks; its failure record is (index, labels + the rendered arguments,
+    text)."""
     t0 = time.monotonic()
     failures = []
     for index, args in enumerate(pieces):
-        residual = evaluate(*args)
-        if not residual.is_zero():
-            failures.append((index,
-                             [a.render() for a in args],
-                             residual.render()))
+        for labels, text in rule(*args):
+            failures.append((index, [*labels, *(a.render() for a in args)],
+                             text))
     return VerificationReport(check, _context_dict(ctx), len(pieces),
                               failures, details or {},
                               time.monotonic() - t0)
+
+
+def _vanishes(evaluate):
+    """The rule that ``evaluate(*args)`` is the zero function."""
+    def rule(*args):
+        residual = evaluate(*args)
+        if not residual.is_zero():
+            yield (), residual.render()
+    return rule
 
 
 # -- the named checks ------------------------------------------------------
@@ -173,26 +184,20 @@ def check_jacobi(defo, spec):
     reported separately."""
     ctx = defo.ctx
     J = jacobiator(defo.bracket, grading=defo.grading)
-    triples = sample_tuples(spec, ctx, 3)
-    t0 = time.monotonic()
-    failures = []
     grade_fail = {}
-    k = ctx.scalar_ctx.k
-    for index, (f, g, h) in enumerate(triples):
+
+    def rule(f, g, h):
         residual = J.evaluate(f, g, h)
         if residual.is_zero():
-            continue
-        failures.append((index, [f.render(), g.render(), h.render()],
-                         residual.render()))
-        for w in range(k + 1):
-            part = residual.theta_grade_part(w)
-            if not part.is_zero():
+            return
+        for w in range(ctx.scalar_ctx.k + 1):
+            if not residual.theta_grade_part(w).is_zero():
                 grade_fail[str(w)] = grade_fail.get(str(w), 0) + 1
-    details = {"theta_grade_failures": grade_fail,
-               "flavor": defo.flavor}
-    return VerificationReport(f"jacobi[{defo.flavor}]", _context_dict(ctx),
-                              len(triples), failures, details,
-                              time.monotonic() - t0)
+        yield (), residual.render()
+
+    return _run(f"jacobi[{defo.flavor}]", ctx, sample_tuples(spec, ctx, 3),
+                rule, {"theta_grade_failures": grade_fail,
+                       "flavor": defo.flavor})
 
 
 def check_cocycle(form, spec, bracket=None):
@@ -200,7 +205,7 @@ def check_cocycle(form, spec, bracket=None):
     ctx = form.ctx
     d = d_ad(form, bracket=bracket)
     triples = sample_tuples(spec, ctx, 3)
-    return _run(f"cocycle[{form.name}]", ctx, triples, d.evaluate)
+    return _run(f"cocycle[{form.name}]", ctx, triples, _vanishes(d.evaluate))
 
 
 def check_d_squared(form, spec, bracket=None):
@@ -208,7 +213,7 @@ def check_d_squared(form, spec, bracket=None):
     ctx = form.ctx
     dd = d_ad(d_ad(form, bracket=bracket), bracket=bracket)
     quads = sample_tuples(spec, ctx, 4)
-    return _run(f"d_squared[{form.name}]", ctx, quads, dd.evaluate)
+    return _run(f"d_squared[{form.name}]", ctx, quads, _vanishes(dd.evaluate))
 
 
 def check_signs(form, spec):
@@ -230,57 +235,40 @@ def check_signs(form, spec):
     theta = Scalar.theta(ctx.scalar_ctx, 1)
     sign = (-1) ** form.parity
     mid_sign = -1 if form.grading == ODD else 1
-    pairs = sample_tuples(spec, ctx, 2)
+    M = form.evaluate
 
-    def rule1(f, g):
-        return form.evaluate(f.scale_left(theta), g) - \
-            form.evaluate(f, g).scale_left(theta) * sign
-
-    def rule2(f, g):
-        return form.evaluate(f, g.scale_left(theta)) - \
-            form.evaluate(f.scale_right(theta), g) * mid_sign
-
-    def rule3(f, g):
-        return form.evaluate(f, g.scale_right(theta)) - \
-            form.evaluate(f, g).scale_right(theta)
-
-    t0 = time.monotonic()
-    failures = []
-    for index, (f, g) in enumerate(pairs):
-        for name, rule in (("left", rule1), ("middle", rule2),
-                           ("right", rule3)):
-            residual = rule(f, g)
+    def rule(f, g):
+        for name, residual in (
+                ("left", M(f.scale_left(theta), g)
+                 - M(f, g).scale_left(theta) * sign),
+                ("middle", M(f, g.scale_left(theta))
+                 - M(f.scale_right(theta), g) * mid_sign),
+                ("right", M(f, g.scale_right(theta))
+                 - M(f, g).scale_right(theta))):
             if not residual.is_zero():
-                failures.append((index, [name, f.render(), g.render()],
-                                 residual.render()))
-    return VerificationReport(f"signs[{form.name}]", _context_dict(ctx),
-                              len(pairs), failures, {},
-                              time.monotonic() - t0)
+                yield (name,), residual.render()
+
+    return _run(f"signs[{form.name}]", ctx, sample_tuples(spec, ctx, 2),
+                rule)
 
 
 def check_grading(defo, spec):
     """The bracket adds parities: in the grading of the deformation,
-    parity(C(f,g)) = parity(f) + parity(g) on homogeneous samples."""
-    ctx = defo.ctx
-    pairs = sample_tuples(spec, ctx, 2)
-    t0 = time.monotonic()
-    failures = []
-    for index, (f, g) in enumerate(pairs):
+    parity(C(f,g)) = parity(f) + parity(g) on homogeneous samples.  A
+    nonzero value of mixed parity fails."""
+    grading = defo.grading
+
+    def rule(f, g):
         value = defo.evaluate(f, g)
-        if value.is_zero():
-            continue
-        expect = None
-        ef = grading_parity(f, defo.grading)
-        eg = grading_parity(g, defo.grading)
-        if ef is not None and eg is not None:
-            expect = (ef + eg) % 2
-        got = grading_parity(value, defo.grading)
-        if expect is not None and got is not None and got != expect:
-            failures.append((index, [f.render(), g.render()],
-                             f"eps {got} != {expect}"))
-    return VerificationReport(f"grading[{defo.flavor}]", _context_dict(ctx),
-                              len(pairs), failures, {},
-                              time.monotonic() - t0)
+        ef, eg = grading_parity(f, grading), grading_parity(g, grading)
+        if value.is_zero() or ef is None or eg is None:
+            return
+        got, expect = grading_parity(value, grading), (ef + eg) % 2
+        if got != expect:
+            yield (), f"eps {'mixed' if got is None else got} != {expect}"
+
+    return _run(f"grading[{defo.flavor}]", defo.ctx,
+                sample_tuples(spec, defo.ctx, 2), rule)
 
 
 def check_bar_vanishing(spec, ctx):
@@ -290,10 +278,9 @@ def check_bar_vanishing(spec, ctx):
     from the odd Laplacian of a product by single-Laplacian terms whose
     integrals survive, so no analogous statement is checked for it.
     """
-    pairs = sample_tuples(spec, ctx, 2)
-
     def residual(f, g):
         value = poisson_bracket(f, g).integral_bar(mod_centralizer=True)
         return SuperFunction.constant(ctx, value)
 
-    return _run("bar_vanishing", ctx, pairs, residual)
+    return _run("bar_vanishing", ctx, sample_tuples(spec, ctx, 2),
+                _vanishes(residual))

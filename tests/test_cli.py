@@ -15,8 +15,8 @@ import superdeform
 from superdeform import (ParseError, Scalar, SuperFunction, SymplecticContext,
                          parse_cochain, parse_deformation, parse_expression,
                          parse_t1, sf_mul)
-from superdeform.cli import (MAX_EXPONENT, MAX_PRODUCT_TERMS, parse_scalar,
-                             run)
+from superdeform.cli import (MAX_EXPONENT, MAX_PRODUCT_TERMS, MAX_RADICAND,
+                             parse_scalar, run)
 
 from conftest import random_superfunction, seeded
 
@@ -236,7 +236,13 @@ def test_cli_rejects_counts_below_one(flags, capsys):
     ["cocycle", "--form", "m3", "--samples", "2",
      "--output", "{tmp}/missing/r.json"],
     ["eval", "(" * 700 + "x1" + ")" * 700],
-], ids=["output_dir_missing", "deep_nesting"])
+    ["jacobi"],
+    ["--nplus", "x", "eval", "x1"],
+    ["eval", "-x1/2"],
+    ["eval", "sqrt(2305843009213693951)"],
+], ids=["output_dir_missing", "deep_nesting", "missing_option",
+        "bad_int_option", "leading_minus_without_dashes",
+        "radicand_above_bound"])
 def test_cli_errors_exit_two_without_traceback(argv, tmp_path, capsys):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert run(argv) == 2
@@ -300,6 +306,18 @@ def test_cli_rejects_exponent_above_bound(capsys):
     capsys.readouterr()
     assert run(["eval", f"x1^{MAX_EXPONENT}"]) == 0
     assert capsys.readouterr().out.strip() == f"x1^{MAX_EXPONENT}"
+    assert run(["eval", f"sqrt({MAX_RADICAND + 1})"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: radicand {MAX_RADICAND + 1} is above {MAX_RADICAND}")
+    assert run(["eval", f"sqrt({MAX_RADICAND})"]) == 0
+    assert capsys.readouterr().out.strip() == "1000000"
+    # two square-free roots multiply through their gcd, not a factoring
+    start = time.perf_counter()
+    assert run(["--k", "0", "eval",
+                "sqrt(999999999989)*sqrt(999999999959)"]) == 0
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out.strip() == \
+        "sqrt(999999999948000000000451)"
 
 
 def test_cli_rejects_product_above_bound(capsys):
@@ -384,3 +402,10 @@ def test_package_loads_cli_on_first_use():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\n"
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["jacobi", "--help"])
+    assert exc.value.code == 0
+    assert "--deformation" in capsys.readouterr().out

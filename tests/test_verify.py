@@ -1,15 +1,20 @@
 """Unit tests for the seeded sampler and the exact verification harness."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
-from superdeform import (LCG, SampleSpec, SuperFunction, SymplecticContext,
+from superdeform import (LCG, SampleSpec, Scalar, SuperFunction,
+                         SymplecticContext,
                          build_anti_odd, check_bar_vanishing, check_cocycle,
                          check_d_squared, check_grading, check_jacobi,
                          check_signs, m1_form, m23_form, m3_form,
                          sample_superfunctions, sample_tuples, sf_mul)
-from superdeform.cochains import EVEN, LeafForm, anti_form, m0_form
+from superdeform import verify
+from superdeform.brackets import poisson_bracket
+from superdeform.cochains import EVEN, ODD, LeafForm, anti_form, m0_form
 from superdeform.deformations import Deformation
 from superdeform.verify import LCG_INC, LCG_MASK, LCG_MULT
 
@@ -142,3 +147,84 @@ def test_summary_line(ctx42):
     d0 = Deformation(ctx42, "m0", m0_form(ctx42), {}, EVEN)
     report = check_jacobi(d0, SampleSpec(seed=29, count=3))
     assert report.summary() == "[PASS] jacobi[m0]: 3 samples, 0 failures"
+
+
+def _failing_checks(ctx, monkeypatch):
+    """One failing report per check, keyed by case name."""
+    mul = LeafForm(ctx, 2, 0, sf_mul, EVEN, name="mul")
+    xi1 = SuperFunction.xi(ctx, 1)
+
+    def defo(name, fn):
+        return Deformation(ctx, name, LeafForm(ctx, 2, 0, fn, EVEN, name),
+                           {}, EVEN)
+
+    def bar_of_products():
+        # unlike a Poisson bracket, a product can have a nonzero bar
+        monkeypatch.setattr(verify, "poisson_bracket", sf_mul)
+        return check_bar_vanishing(
+            SampleSpec(seed=28, count=4, max_x_degree=0), ctx)
+
+    theta = Scalar.theta(ctx.scalar_ctx, 1)
+    return {
+        "jacobi_mul": lambda: check_jacobi(
+            defo("mul", sf_mul), SampleSpec(seed=77, count=6)),
+        "jacobi_theta_mul": lambda: check_jacobi(
+            Deformation(ctx, "m0+th*mul", m0_form(ctx) + mul.scaled(theta),
+                        {}, EVEN), SampleSpec(seed=78, count=6)),
+        "cocycle_mul": lambda: check_cocycle(
+            mul, SampleSpec(seed=13, count=4)),
+        "d_squared_mul_bracket": lambda: check_d_squared(
+            m0_form(ctx), SampleSpec(seed=15, count=2), bracket=mul),
+        "signs_wrong_parity": lambda: check_signs(
+            LeafForm(ctx, 2, 1, poisson_bracket, ODD, name="bad"),
+            SampleSpec(seed=19, count=4)),
+        "grading_odd_value": lambda: check_grading(
+            defo("xi1*mul", lambda f, g: sf_mul(xi1, sf_mul(f, g))),
+            SampleSpec(seed=23, count=6)),
+        "grading_mixed_value": lambda: check_grading(
+            defo("mixed", lambda f, g: poisson_bracket(f, g)
+                 + sf_mul(xi1, sf_mul(f, g))),
+            SampleSpec(seed=23, count=6)),
+        "bar_vanishing_products": bar_of_products,
+    }
+
+
+# failure count and sha256 of the sorted-key JSON core of each report
+GOLDEN_FAILURE_CORES = {
+    "jacobi_mul": (
+        1, "f0600553c1db38496c527b8bc6b4d88a5e2a26ee1b67a8809795113f27aec4b5"),
+    "jacobi_theta_mul": (
+        3, "1fd48887db6b52444890df7c6c42c7e3b75161f1f12fcd972fcd49ae5913b8bc"),
+    "cocycle_mul": (
+        2, "afdf350400a2a0dab58e1d376f8bafed277b9686875162cadd839984daa2ad55"),
+    "d_squared_mul_bracket": (
+        2, "ab7054c79f22a2b84ae2473551131f7ac613cf9bf057bc159b107ae438e76cb3"),
+    "signs_wrong_parity": (
+        8, "8e824f99f4593f1bf954e4f389eff22ed20d20c148991d7d7d869f4d22972171"),
+    "grading_odd_value": (
+        2, "7b6fb1ef148401516e29393b2c7ec0d5dca74fddaa9fa91510b2571221566265"),
+    # a value of mixed parity on homogeneous arguments is a failure
+    "grading_mixed_value": (
+        2, "0cb1c8263a9c1359337339eb513df42451a3b5e1b832f508c2cd52b42a549263"),
+    "bar_vanishing_products": (
+        2, "0e6250e5b78f4bcbafdbe43338e0eb629ab8fd1ad4d9dc781faab20d3159e542"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_FAILURE_CORES))
+def test_failure_cores_are_pinned(ctx42, monkeypatch, case):
+    report = _failing_checks(ctx42, monkeypatch)[case]()
+    core = report.core_dict()
+    count, digest = GOLDEN_FAILURE_CORES[case]
+    assert not report.passed and len(report.failures) == count
+    for index, rendered, text in core["failures"]:
+        assert 0 <= index < report.sample_count and text != "0"
+        if case.startswith("signs"):
+            assert rendered[0] in ("left", "middle", "right")
+        if case.startswith("grading"):
+            assert re.fullmatch(r"eps (0|1|mixed) != (0|1)", text)
+    if case.startswith("jacobi"):
+        tally = core["details"]["theta_grade_failures"]
+        assert tally and sum(tally.values()) >= count
+    text = json.dumps(core, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text[:400]
