@@ -34,7 +34,7 @@ from .deformations import (build_C1, build_C1c, build_C3, build_anti_even,
                            check_constraints, check_equivalence,
                            t1_bar_multiplier, t1_euler)
 from .errors import DeformationError, ParseError
-from .scalars import Scalar
+from .scalars import MAX_RADICAND, Scalar
 from .superfunc import SuperFunction, SymplecticContext, sf_mul
 from .verify import SampleSpec, check_cocycle, check_jacobi, sample_tuples
 
@@ -43,9 +43,6 @@ DEFAULT_SEED = 20240801
 MAX_EXPONENT = 32
 # the largest term-count product |a| * |b| the grammar multiplies out
 MAX_PRODUCT_TERMS = 10_000
-# the largest integer the grammar takes under 'sqrt' (it is factored by
-# trial division)
-MAX_RADICAND = 10 ** 12
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^(),=]))")
 

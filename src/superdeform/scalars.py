@@ -13,9 +13,12 @@ A Scalar keeps them in one flat dict, ``coeffs``, keyed (m, theta_mask, p,
 s, r), where bit j - 1 of the mask stands for th_j (in increasing order),
 with int values when integral and Fraction values otherwise.  The sign of
 a theta product is the parity of its crossings (``theta_sign``).
-``Scalar.terms`` is a nested view {(m, theta index tuple): RadicalNumber}
-built on each access for readers outside the package.  Rendering orders
-terms by (m, theta index tuple, p, s, r).
+Rendering orders terms by (m, theta index tuple, p, s, r).
+
+Scalar holds the one implementation of the arithmetic.  A RadicalNumber,
+an element of Q[sqrt(r), pi, sqrt(pi)], is a typed view of one theta-free,
+h-free Scalar and hands every operation to it.  ``Scalar.terms`` is the
+nested view {(m, theta index tuple): RadicalNumber}, built on each access.
 """
 
 from __future__ import annotations
@@ -27,11 +30,17 @@ from math import gcd
 from .errors import ContextMismatchError
 
 
+MAX_RADICAND = 10 ** 12  # largest integer the ring factors under a root
+
+
 @lru_cache(maxsize=None)
 def squarefree_decompose(n):
-    """Return (outer, core) with n = outer**2 * core and core square-free."""
+    """Return (outer, core) with n = outer**2 * core and core square-free;
+    n above MAX_RADICAND is refused, as factoring is by trial division."""
     if n <= 0:
         raise ValueError("expected a positive integer under the root")
+    if n > MAX_RADICAND:
+        raise ValueError(f"radicand {n} is above {MAX_RADICAND}")
     outer, core = 1, 1
     d = 2
     while d * d <= n:
@@ -105,131 +114,20 @@ def accumulate(out, key, value):
 
 
 def _with_terms(obj, terms):
-    """Give an empty RadicalNumber, Scalar or SuperFunction a dict of terms
-    that is already normalised (no zero values, canonical keys)."""
+    """Give an empty SuperFunction a dict of terms that is already
+    normalised (no zero values, canonical keys)."""
     obj.terms = terms
     return obj
 
 
-class RadicalNumber:
-    """Element of Q extended by sqrt(r) for square-free r and by sqrt(pi).
-
-    ``terms`` maps (pi_power, sqrt_pi_exponent in {0,1}, square-free root)
-    to a rational coefficient.  The key (0, 0, 1) is the rational part.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {key: Fraction(coeff)
-                      for key, coeff in (terms or {}).items() if coeff}
-
-    @classmethod
-    def from_rational(cls, q):
-        return cls({(0, 0, 1): Fraction(q)})
-
-    @classmethod
-    def sqrt_int(cls, r, coeff=1):
-        outer, core = squarefree_decompose(int(r))
-        return cls({(0, 0, core): Fraction(coeff) * outer})
-
-    @classmethod
-    def sqrt_pi(cls, coeff=1):
-        return cls({(0, 1, 1): Fraction(coeff)})
-
-    @classmethod
-    def pi_power(cls, p, coeff=1):
-        return cls({(p, 0, 1): Fraction(coeff)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_rational(self):
-        return all(k == (0, 0, 1) for k in self.terms)
-
-    def rational_value(self):
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.terms[(0, 0, 1)])
-
-    def __add__(self, other):
-        if not isinstance(other, RadicalNumber):
-            other = RadicalNumber.from_rational(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            accumulate(out, key, coeff)
-        return _with_terms(RadicalNumber(), out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _with_terms(RadicalNumber(),
-                           {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, RadicalNumber)
-                       else -Fraction(other))
-
-    def __mul__(self, other):
-        if not isinstance(other, RadicalNumber):
-            q = Fraction(other)
-            if not q:
-                return RadicalNumber()
-            return _with_terms(RadicalNumber(),
-                               {k: c * q for k, c in self.terms.items()})
-        out = {}
-        for (p1, s1, r1), c1 in self.terms.items():
-            for (p2, s2, r2), c2 in other.terms.items():
-                s = s1 + s2
-                # square-free roots: sqrt(r1 r2) = g sqrt(r1 r2 / g^2)
-                g = gcd(r1, r2)
-                accumulate(out, (p1 + p2 + s // 2, s % 2,
-                                 (r1 // g) * (r2 // g)), c1 * c2 * g)
-        return _with_terms(RadicalNumber(), out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, q):
-        q = Fraction(q)
-        return _with_terms(RadicalNumber(),
-                           {k: c / q for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, RadicalNumber):
-            other = RadicalNumber.from_rational(other)
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def freeze(self):
-        return tuple(sorted(self.terms.items()))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (p, s, r), coeff in sorted(self.terms.items()):
-            factors = []
-            if coeff != 1 or (p == 0 and s == 0 and r == 1):
-                factors.append(str(coeff))
-            if p == 1:
-                factors.append("pi")
-            elif p > 1:
-                factors.append(f"pi^{p}")
-            if s:
-                factors.append("sqrt(pi)")
-            if r != 1:
-                factors.append(f"sqrt({r})")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
-    __repr__ = __str__
+def _check_monomial(m=0, p=0, s=0, r=1):
+    """Raise ValueError unless h^m * pi^p * sqrt(pi)^s * sqrt(r) is a
+    canonical key: ints m, p >= 0, s in {0, 1}, r square-free in
+    1..MAX_RADICAND."""
+    if (any(type(v) is not int for v in (m, p, s, r)) or min(m, p, r - 1) < 0
+            or s not in (0, 1) or squarefree_decompose(r)[0] != 1):
+        raise ValueError(f"hbar^{m}*pi^{p}*sqrt(pi)^{s}*sqrt({r}) is not "
+                         f"a canonical monomial")
 
 
 class ScalarContext:
@@ -258,7 +156,8 @@ class Scalar:
     """Element of the full coefficient ring over a ScalarContext.
 
     ``coeffs`` is the flat dict of the module doc; the constructor takes
-    the nested form of ``terms``, with RadicalNumber or rational values.
+    the nested form of ``terms``, with RadicalNumber or rational values,
+    and refuses a key that is not canonical.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -267,23 +166,25 @@ class Scalar:
         self.ctx = ctx
         self.coeffs = {}
         for (m, alpha), rad in (terms or {}).items():
-            if not isinstance(rad, RadicalNumber):
-                rad = RadicalNumber.from_rational(rad)
             mask = theta_mask(alpha)
             if theta_indices(mask) != tuple(alpha) or mask >> ctx.k:
                 raise ValueError(f"theta monomial {tuple(alpha)} is not "
                                  f"increasing in 1..{ctx.k}")
-            for (p, s, r), q in rad.terms.items():
-                if m <= ctx.h_max:
-                    self.coeffs[m, mask, p, s, r] = int_if_integral(q)
+            _check_monomial(m=m)
+            if not isinstance(rad, RadicalNumber):
+                rad = RadicalNumber({(0, 0, 1): rad})
+            if m <= ctx.h_max:
+                self.coeffs.update(((m, mask) + key[2:], q)
+                                   for key, q in rad.scalar.coeffs.items())
 
     @property
     def terms(self):
         """The nested view {(h_exponent, theta index tuple): RadicalNumber}."""
         nested = {}
         for (m, mask, p, s, r), q in self.coeffs.items():
-            nested.setdefault((m, theta_indices(mask)), {})[p, s, r] = q
-        return {key: RadicalNumber(rad) for key, rad in nested.items()}
+            nested.setdefault((m, theta_indices(mask)), {})[0, 0, p, s, r] = q
+        return {key: RadicalNumber._of(_with_coeffs(_RADICALS, flat))
+                for key, flat in nested.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -302,29 +203,34 @@ class Scalar:
 
     @classmethod
     def from_radical(cls, ctx, rad):
-        return cls(ctx, {(0, ()): rad})
+        return _with_coeffs(ctx, rad.scalar.coeffs)
 
     @classmethod
     def hbar(cls, ctx, power=1, coeff=1):
-        return cls(ctx, {(power, ()): Fraction(coeff)})
+        _check_monomial(m=power)
+        q = int_if_integral(Fraction(coeff))
+        return _with_coeffs(ctx, {(power, 0, 0, 0, 1): q}
+                            if q and power <= ctx.h_max else {})
 
     @classmethod
     def theta(cls, ctx, j):
         if not 1 <= j <= ctx.k:
             raise ValueError(f"theta index {j} outside 1..{ctx.k}")
-        return cls(ctx, {(0, (j,)): Fraction(1)})
+        return _with_coeffs(ctx, {(0, 1 << (j - 1), 0, 0, 1): 1})
 
     @classmethod
     def sqrt(cls, ctx, r):
-        return cls.from_radical(ctx, RadicalNumber.sqrt_int(r))
+        outer, core = squarefree_decompose(int(r))
+        return _with_coeffs(ctx, {(0, 0, 0, 0, core): outer})
 
     @classmethod
     def sqrt_pi(cls, ctx):
-        return cls.from_radical(ctx, RadicalNumber.sqrt_pi())
+        return _with_coeffs(ctx, {(0, 0, 0, 1, 1): 1})
 
     @classmethod
     def pi(cls, ctx, power=1):
-        return cls.from_radical(ctx, RadicalNumber.pi_power(power))
+        _check_monomial(p=power)
+        return _with_coeffs(ctx, {(0, 0, power, 0, 1): 1})
 
     # -- helpers -----------------------------------------------------------
 
@@ -342,15 +248,10 @@ class Scalar:
     def is_theta_free(self):
         return not any(key[1] for key in self.coeffs)
 
-    def is_rational(self):
-        return all(key == (0, 0, 0, 0, 1) for key in self.coeffs)
-
     def rational_value(self):
-        if not self.coeffs:
-            return Fraction(0)
-        if not self.is_rational():
+        if any(key != (0, 0, 0, 0, 1) for key in self.coeffs):
             raise ValueError(f"{self} is not rational")
-        return Fraction(self.coeffs[0, 0, 0, 0, 1])
+        return Fraction(self.coeffs.get((0, 0, 0, 0, 1), 0))
 
     def parity(self):
         """Theta-weight mod 2 if homogeneous, else None."""
@@ -407,9 +308,8 @@ class Scalar:
                             {k: -q for k, q in self.coeffs.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Scalar):
-            other = Scalar.rational(self.ctx, other)
-        return self + (-other)
+        return self + -(other if isinstance(other, Scalar)
+                        else Scalar.rational(self.ctx, other))
 
     def __rsub__(self, other):
         return Scalar.rational(self.ctx, other) - self
@@ -417,15 +317,12 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             if isinstance(other, RadicalNumber):
-                other = Scalar.from_radical(self.ctx, other)
-            else:
-                if other.__class__ is not int:
-                    other = Fraction(other)
-                if not other:
-                    return Scalar(self.ctx)
-                return _with_coeffs(self.ctx, {
-                    k: int_if_integral(q * other)
-                    for k, q in self.coeffs.items()})
+                return self * Scalar.from_radical(self.ctx, other)
+            if other.__class__ is not int:
+                other = Fraction(other)
+            return _with_coeffs(self.ctx, {
+                k: int_if_integral(q * other)
+                for k, q in self.coeffs.items()} if other else {})
         self._check(other)
         h_max = self.ctx.h_max
         out = {}
@@ -453,9 +350,7 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, q):
-        if isinstance(q, Scalar):
-            q = q.rational_value()
-        q = Fraction(q)
+        q = Fraction(q.rational_value() if isinstance(q, Scalar) else q)
         return _with_coeffs(self.ctx, {
             k: int_if_integral(v / q) for k, v in self.coeffs.items()})
 
@@ -504,14 +399,9 @@ class Scalar:
             mag = abs(coeff)
             if mag != 1 or not factors:
                 factors.insert(0, str(mag))
-            pieces.append((coeff < 0, "*".join(factors)))
-        text = ""
-        for negative, body in pieces:
-            if not text:
-                text = ("-" if negative else "") + body
-            else:
-                text += (" - " if negative else " + ") + body
-        return text
+            pieces.append((" - " if coeff < 0 else " + ") + "*".join(factors))
+        text = "".join(pieces)
+        return ("-" if text[1] == "-" else "") + text[3:]
 
     def __str__(self):
         return self.render()
@@ -526,6 +416,88 @@ def _with_coeffs(ctx, coeffs):
     obj.ctx = ctx
     obj.coeffs = coeffs
     return obj
+
+
+_RADICALS = ScalarContext(k=0, h_max=0)
+
+
+def _lift(x):
+    """The Scalar behind a RadicalNumber; any other value as it is."""
+    return x.scalar if isinstance(x, RadicalNumber) else x
+
+
+class RadicalNumber:
+    """Element of Q[sqrt(r), pi, sqrt(pi)]: a view of one Scalar over
+    ``_RADICALS``, which does the arithmetic.  ``terms`` maps (pi_power,
+    sqrt_pi_exponent in {0,1}, square-free root) to a rational coefficient;
+    the key (0, 0, 1) is the rational part."""
+
+    __slots__ = ("scalar",)
+
+    def __init__(self, terms=None):
+        coeffs = {}
+        for (p, s, r), q in (terms or {}).items():
+            _check_monomial(p=p, s=s, r=r)
+            accumulate(coeffs, (0, 0, p, s, r), Fraction(q))
+        self.scalar = _with_coeffs(_RADICALS, coeffs)
+
+    @classmethod
+    def _of(cls, scalar):
+        obj = cls.__new__(cls)
+        obj.scalar = scalar
+        return obj
+
+    @classmethod
+    def sqrt_int(cls, r, coeff=1):
+        return cls._of(Scalar.sqrt(_RADICALS, r) * coeff)
+
+    @classmethod
+    def sqrt_pi(cls, coeff=1):
+        return cls._of(Scalar.sqrt_pi(_RADICALS) * coeff)
+
+    @classmethod
+    def pi_power(cls, p, coeff=1):
+        return cls._of(Scalar.pi(_RADICALS, p) * coeff)
+
+    @property
+    def terms(self):
+        return {key[2:]: q for key, q in self.scalar.coeffs.items()}
+
+    def is_zero(self):
+        return self.scalar.is_zero()
+
+    def __bool__(self):
+        return bool(self.scalar)
+
+    def rational_value(self):
+        return self.scalar.rational_value()
+
+    def __add__(self, other):
+        return RadicalNumber._of(self.scalar + _lift(other))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RadicalNumber._of(-self.scalar)
+
+    def __sub__(self, other):
+        return RadicalNumber._of(self.scalar - _lift(other))
+
+    def __mul__(self, other):
+        return RadicalNumber._of(self.scalar * _lift(other))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return self.scalar == _lift(other)
+
+    def __hash__(self):
+        return hash(self.scalar)
+
+    def __str__(self):
+        return self.scalar.render()
+
+    __repr__ = __str__
 
 
 def theta_divisibility(a, j):

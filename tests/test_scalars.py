@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from superdeform import (RadicalNumber, SampleSpec, Scalar, ScalarContext,
                          SuperFunction, SymplecticContext,
                          sample_superfunctions, sf_mul)
-from superdeform.scalars import (merge_odd_indices, squarefree_decompose,
-                                 theta_divisibility, theta_mask, theta_sign)
+from superdeform.scalars import (MAX_RADICAND, merge_odd_indices,
+                                 squarefree_decompose, theta_divisibility,
+                                 theta_mask, theta_sign)
 
 from conftest import radical_float, scalar_float
 
@@ -56,6 +58,45 @@ def test_radical_arithmetic_matches_floats(r1, r2, q1, q2):
         radical_float(a) + radical_float(b))
     assert radical_float(a - b) == pytest.approx(
         radical_float(a) - radical_float(b))
+
+
+def test_radical_is_a_view_of_scalar():
+    assert str(RadicalNumber.sqrt_int(1) + RadicalNumber.pi_power(1, -2)) \
+        == "1 - 2*pi"
+    assert RadicalNumber({(0, 0, 2): 2}) == RadicalNumber.sqrt_int(8)
+    assert RadicalNumber({(1, 0, 1): 1}) == RadicalNumber.pi_power(1)
+    assert RadicalNumber.sqrt_int(8).terms == {(0, 0, 2): 2}
+    assert (RadicalNumber.sqrt_pi(Fraction(1, 2)) * 4).terms == {
+        (0, 1, 1): 2}
+    assert RadicalNumber.sqrt_int(9) - 3 == 0 == RadicalNumber()
+    assert not RadicalNumber.pi_power(2, 0)
+
+
+def test_radicand_bound_is_in_the_ring():
+    prime = 2 ** 61 - 1
+    for build in (lambda: Scalar.sqrt(ScalarContext(1, 6), prime),
+                  lambda: RadicalNumber.sqrt_int(prime)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            build()
+        assert time.perf_counter() - start < 1
+    assert squarefree_decompose(MAX_RADICAND) == (10 ** 6, 1)
+    assert Scalar.sqrt(ScalarContext(1, 6), MAX_RADICAND) == 10 ** 6
+
+
+def test_benchmark_hooks_into_the_ring():
+    """perfbench/layertrace.py wraps each operator pair below as one
+    function, and perfbench/workloads.py reads rational_value() from the
+    values of Scalar.terms."""
+    for cls, attrs in ((Scalar, ("__mul__", "__rmul__")),
+                       (Scalar, ("__add__", "__radd__")),
+                       (RadicalNumber, ("__mul__", "__rmul__"))):
+        assert cls.__dict__[attrs[0]] is cls.__dict__[attrs[1]]
+    ctx = ScalarContext(k=1, h_max=2)
+    s = (Scalar.rational(ctx, 3) + Scalar.hbar(ctx, 2, Fraction(1, 2))
+         + Scalar.theta(ctx, 1))
+    assert {key: rad.rational_value() for key, rad in s.terms.items()} == {
+        (0, ()): 3, (2, ()): Fraction(1, 2), (0, (1,)): 1}
 
 
 def test_merge_odd_indices_signs():
@@ -312,3 +353,24 @@ def test_sqrt_pi_products_are_canonical():
 def test_nested_constructor_rejects_malformed_theta(alpha):
     with pytest.raises(ValueError):
         Scalar(ScalarContext(k=2, h_max=6), {(0, alpha): 1})
+
+
+_CTX06 = ScalarContext(k=0, h_max=6)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RadicalNumber({(0, 2, 1): 1}),
+    lambda: RadicalNumber({(0, 0, 8): 1}),
+    lambda: RadicalNumber({(0, 0, 0): 1}),
+    lambda: RadicalNumber({(-1, 0, 1): 1}),
+    lambda: RadicalNumber.pi_power(-2),
+    lambda: Scalar.hbar(_CTX06, -1),
+    lambda: Scalar.pi(_CTX06, -1),
+    lambda: Scalar(_CTX06, {(-1, ()): 1}),
+    lambda: Scalar(_CTX06, {(0, ()): RadicalNumber({(0, 0, 12): 1})}),
+], ids=["sqrt_pi_exponent_2", "root_not_squarefree", "root_0",
+        "negative_pi_power", "pi_power_negative", "hbar_negative",
+        "pi_negative", "nested_negative_hbar", "nested_root_not_squarefree"])
+def test_constructors_reject_non_canonical_keys(build):
+    with pytest.raises(ValueError):
+        build()
