@@ -195,16 +195,29 @@ def zeta_form_parity(ctx, zeta):
 def _bar_pairing(ctx, op, parity, name):
     """The form op(f) gbar (-1)^{n_minus eps_f}
     - op(g) fbar (-1)^{eps_f eps_g + n_minus eps_g}, shared by m3
-    (op = E), m_zeta (op = {zeta, .}) and j_zeta (op = m1(zeta, .))."""
+    (op = E), m_zeta (op = {zeta, .}) and j_zeta (op = m1(zeta, .)).
+
+    A bar is nonzero only on the top-xi, even-x Gaussian slice, so on most
+    arguments one or both bars vanish.  ``op`` meets only a nonzero bar:
+    op(f) is evaluated only when gbar != 0 and op(g) only when fbar != 0.
+    Both bars are always integrated, so a term the Gaussian class cannot
+    integrate still raises NotIntegrableError, and the two arguments'
+    contexts are checked first, so a mismatch raises even when both bars
+    are zero."""
     n_minus = ctx.n_minus
 
     def fn(f, g):
+        f._check(g)
         ef, eg = f.eps(), g.eps()
         fbar = f.integral_bar(mod_centralizer=True)
         gbar = g.integral_bar(mod_centralizer=True)
-        left = op(f).scale_right(gbar) * ((-1) ** (n_minus * ef))
-        right = op(g).scale_right(fbar) * ((-1) ** (ef * eg + n_minus * eg))
-        return left - right
+        out = SuperFunction.zero(f.ctx)
+        if gbar:
+            out = op(f).scale_right(gbar) * ((-1) ** (n_minus * ef))
+        if fbar:
+            out = out - op(g).scale_right(fbar) * (
+                (-1) ** (ef * eg + n_minus * eg))
+        return out
 
     return LeafForm(ctx, 2, parity, fn, EVEN, name=name)
 

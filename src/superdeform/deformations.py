@@ -147,14 +147,14 @@ def build_C1(zeta, kappa=1, flavor=C1, c=None):
     trivial = zeta.is_zero()
 
     def fn(f, g):
-        if trivial:
-            F, G = f, g
-        else:
-            F = f + zeta.scale_right(_bar(f))
-            G = g + zeta.scale_right(_bar(g))
+        if trivial and flavor == C1:
+            return moyal_bracket(f, g, kappa, memo)
+        fbar, gbar = _bar(f), _bar(g)
+        F = f + zeta.scale_right(fbar) if fbar else f
+        G = g + zeta.scale_right(gbar) if gbar else g
         out = moyal_bracket(F, G, kappa, memo)
         if flavor == C1C:
-            out = out + SuperFunction.constant(ctx, c * (_bar(f) * _bar(g)))
+            out = out + SuperFunction.constant(ctx, c * (fbar * gbar))
         return out
 
     form = LeafForm(ctx, 2, 0, fn, EVEN, name=flavor)

@@ -368,6 +368,9 @@ class Scalar:
         return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a rational Scalar equals its value, so it hashes as that number
+        if self.coeffs.keys() <= {(0, 0, 0, 0, 1)}:
+            return hash(self.coeffs.get((0, 0, 0, 0, 1), 0))
         return hash((self.ctx, self.freeze()))
 
     def freeze(self):
@@ -482,6 +485,9 @@ class RadicalNumber:
 
     def __sub__(self, other):
         return RadicalNumber._of(self.scalar - _lift(other))
+
+    def __rsub__(self, other):
+        return RadicalNumber._of(_lift(other) - self.scalar)
 
     def __mul__(self, other):
         return RadicalNumber._of(self.scalar * _lift(other))

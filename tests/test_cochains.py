@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from superdeform import (ArityError, Scalar, SuperFunction, anti_form, d_ad,
+from superdeform import (ArityError, ContextMismatchError, Scalar,
+                         SuperFunction, SymplecticContext, anti_form, d_ad,
                          jacobiator, jzeta_form, m0_form, m1_form, m23_form,
                          m3_form, moyal_form, mu_form, mzeta_form,
                          poisson_bracket)
 from superdeform.cochains import (EVEN, ODD, FunctionScaledCochain,
-                                  ScaledCochain, SumCochain, grading_parity)
+                                  ScaledCochain, SumCochain, _bar_pairing, m1,
+                                  grading_parity)
 
 from conftest import random_superfunction, seeded
 
@@ -185,3 +187,85 @@ def test_evaluation_linearity(ctx42):
     f, g, h = (rand_d(rng, ctx42) for _ in range(3))
     lhs = m3.evaluate(f + g * Fraction(2), h)
     assert lhs == m3.evaluate(f, h) + m3.evaluate(g, h) * 2
+
+
+# -- bar pairings: op meets only a nonzero bar ------------------------------
+
+def _bar(f):
+    return f.integral_bar(mod_centralizer=True)
+
+
+def _bar_pairing_oracle(op, n_minus, f, g):
+    """op(f) gbar (-1)^{n_minus eps_f} - op(g) fbar (-1)^{eps_f eps_g +
+    n_minus eps_g}, with both operator values always computed."""
+    ef, eg = f.eps(), g.eps()
+    return (op(f).scale_right(_bar(g)) * (-1) ** (n_minus * ef)
+            - op(g).scale_right(_bar(f)) * (-1) ** (ef * eg + n_minus * eg))
+
+
+def _bar_arguments(ctx):
+    """Homogeneous arguments with zero, rational and theta-odd bars."""
+    top = tuple(range(1, ctx.n_minus + 1))
+    theta = Scalar.theta(ctx.scalar_ctx, 1)
+    term = SuperFunction.term
+    return [
+        term(ctx, (1, 0), 1, (), 2) + term(ctx, (0, 2), 2, (), -1),
+        term(ctx, (2, 0), 1, top[:1], 3),
+        term(ctx, (1, 1), 2, top, 5),
+        term(ctx, (2, 0), 1, top, 3) + term(ctx, (1, 0), 2, top, -2),
+        term(ctx, (0, 2), 2, top, Fraction(1, 2)),
+        term(ctx, (0, 0), 1, top, theta) + term(ctx, (1, 0), 1, top, theta),
+    ]
+
+
+@pytest.mark.parametrize("n_minus, lambdas", [(1, (-1,)), (2, (1, -1))])
+def test_bar_pairings_match_unconditional_formula(n_minus, lambdas):
+    ctx = SymplecticContext(2, n_minus, lambdas, 1, 6)
+    zeta = (SuperFunction.term(ctx, (3, 1), 0, (), 2)
+            + SuperFunction.term(ctx, (1, 1), 1, (), -1))
+    forms = [(m3_form(ctx), SuperFunction.euler_E),
+             (mzeta_form(ctx, zeta), lambda f: poisson_bracket(zeta, f)),
+             (jzeta_form(ctx, zeta), lambda f: m1(zeta, f))]
+    args = _bar_arguments(ctx)
+    cases, nonzero = set(), 0
+    for f in args:
+        for g in args:
+            cases.add((bool(_bar(f)), bool(_bar(g))))
+            for form, op in forms:
+                expected = _bar_pairing_oracle(op, n_minus, f, g)
+                assert form.evaluate(f, g) == expected
+                nonzero += not expected.is_zero()
+    assert cases == {(False, False), (False, True), (True, False),
+                     (True, True)}
+    assert any(_bar(f).parity() == 1 for f in args)
+    assert nonzero
+
+
+def test_bar_pairing_calls_op_only_for_a_nonzero_bar(ctx22):
+    zero_bar, bar = _bar_arguments(ctx22)[2:4]
+    calls = []
+
+    def counting_op(f):
+        calls.append(f)
+        return f
+
+    for f, g, expected in ((zero_bar, zero_bar, 0), (bar, zero_bar, 1),
+                           (zero_bar, bar, 1), (bar, bar, 2)):
+        calls.clear()
+        _bar_pairing(ctx22, counting_op, 0, "count").evaluate(f, g)
+        assert len(calls) == expected
+
+
+@pytest.mark.parametrize("build", [
+    m3_form,
+    lambda ctx: mzeta_form(ctx, SuperFunction.term(ctx, (1, 1, 0, 0),
+                                                   scalar=2))])
+def test_bar_pairing_rejects_mixed_contexts_with_zero_bars(ctx42, ctx22,
+                                                           build):
+    form = build(ctx42)
+    f42 = SuperFunction.term(ctx42, (1, 0, 0, 0), 1, (1,))
+    g22 = SuperFunction.term(ctx22, (1, 0), 1, (1,))
+    assert not _bar(f42) and not _bar(g22)
+    for f, g in ((f42, g22), (g22, f42)):
+        with pytest.raises(ContextMismatchError):
+            form.evaluate(f, g)

@@ -72,6 +72,27 @@ def test_radical_is_a_view_of_scalar():
     assert not RadicalNumber.pi_power(2, 0)
 
 
+def test_radical_reflected_subtraction():
+    assert 3 - RadicalNumber.sqrt_int(9) == 0
+    assert Fraction(1, 2) - RadicalNumber.sqrt_int(2) == \
+        RadicalNumber({(0, 0, 1): Fraction(1, 2), (0, 0, 2): -1})
+
+
+def test_rational_scalars_hash_as_their_value():
+    ctx = ScalarContext(0, 6)
+    for value in (3, Fraction(1, 2), 0, -7):
+        for equal in (Scalar.rational(ctx, value),
+                      Scalar.rational(ScalarContext(2, 3), value),
+                      RadicalNumber({(0, 0, 1): value})):
+            assert equal == value
+            assert hash(equal) == hash(value)
+            assert len({equal, value}) == 1
+    assert hash(Scalar.zero(ctx)) == hash(0)
+    assert hash(RadicalNumber.sqrt_int(9)) == hash(3)
+    assert len({RadicalNumber.sqrt_int(9), 3}) == 1
+    assert hash(Scalar.sqrt(ctx, 2)) == hash(Scalar.sqrt(ctx, 8) / 2)
+
+
 def test_radicand_bound_is_in_the_ring():
     prime = 2 ** 61 - 1
     for build in (lambda: Scalar.sqrt(ScalarContext(1, 6), prime),
