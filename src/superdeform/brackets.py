@@ -260,41 +260,42 @@ def _odd_factor(ctx, xf, xg):
     return n, weight, tuple(sorted(rf + rg))
 
 
-def _iterate_pairs(f, g, emit, p_cap, weights, memo=None):
-    """Sum over the seed term pairs of sum_p weights(p) times the t^p
+def _iterate_pairs(f, g, weights, memo=None):
+    """Sum over the seed term pairs of sum_p weights[p] times the t^p
     coefficient of the factored exponential series.
 
-    ``emit(p)`` says whether power p contributes and ``p_cap(min_h)``
-    bounds p for seeds of minimal h-degree min_h, so p_cap(0) bounds every
-    p of the call and den = p_cap(0)! is a common denominator of all its
-    1/q!.  The coefficients are collected, times den, per output term in
-    the flat ``Scalar.coeffs`` layout and turned into Scalars once at the
-    end.  ``memo`` holds the derivative, block and x tables (see above).
+    A seed pair takes each power p whose weight's h-degree fits within
+    h_max - (its minimal h-degree); den = (max p)! is a common denominator
+    of all the 1/q! of the call.  The coefficients are collected, times
+    den, per output term in the flat ``Scalar.coeffs`` layout and turned
+    into Scalars once at the end.  ``memo`` holds the derivative, block and
+    x tables (see above).
     """
     ctx = f.ctx
     memo = {} if memo is None else memo
-    den = factorial(p_cap(0))
+    den = factorial(max(weights))
+    powers = [(p, w, w.hbar_min_degree()) for p, w in sorted(weights.items())]
     acc = {}
     gterms = [(key, gs, gs.hbar_min_degree()) for key, gs in g.terms.items()]
     for (fx, cf, xf), fs in f.terms.items():
         f_min = fs.hbar_min_degree()
         for (gx, cg, xg), gs, g_min in gterms:
-            p_max = p_cap(f_min + g_min)
+            room = ctx.h_max - f_min - g_min
             n, weight, xi = _odd_factor(ctx, xf, xg)
-            powers = [p for p in range(max(n, 1), p_max + 1) if emit(p)]
-            if not powers:
+            kept = [(p, w) for p, w, degree in powers
+                    if p >= max(n, 1) and degree <= room]
+            if not kept:
                 continue
             # the theta part of g's scalar moves left past f's xi monomial
             prod = fs * gs.theta_twist(len(xf))
-            xs = _x_tables(memo, fx, gx, cf, cg, p_max - n)
+            xs = _x_tables(memo, fx, gx, cf, cg, kept[-1][0] - n)
             c = int_if_integral(cf + cg)
-            for p in powers:
+            for p, w in kept:
                 q = p - n
                 if not xs[q]:
                     continue
                 scale = weight * (den // factorial(q))
-                coeffs = [(k, v * scale)
-                          for k, v in (weights(p) * prod).coeffs.items()]
+                coeffs = [(k, v * scale) for k, v in (w * prod).coeffs.items()]
                 _collect(acc, c, xi, xs[q], coeffs)
     return _gather(ctx, acc, den)
 
@@ -304,11 +305,8 @@ def bidiff_power(f, g, p):
     if p < 1:
         raise ValueError("the bidifferential power must be at least 1")
     f._check(g)
-    weight = Scalar.rational(f.ctx.scalar_ctx, factorial(p))
-    return _iterate_pairs(f, g,
-                          emit=lambda q: q == p,
-                          p_cap=lambda min_h: p,
-                          weights=lambda q: weight)
+    return _iterate_pairs(
+        f, g, {p: Scalar.rational(f.ctx.scalar_ctx, factorial(p))})
 
 
 def moyal_bracket(f, g, kappa=1, memo=None):
@@ -321,31 +319,16 @@ def moyal_bracket(f, g, kappa=1, memo=None):
     kernel's tables, which do not depend on kappa.
     """
     f._check(g)
-    ctx = f.ctx
-    sctx = ctx.scalar_ctx
+    sctx = f.ctx.scalar_ctx
     if not isinstance(kappa, Scalar):
         kappa = Scalar.rational(sctx, kappa)
     if not kappa.is_theta_free():
         raise ValueError("kappa must be theta-free")
     hk = Scalar.hbar(sctx) * kappa
-    hk_degree = hk.hbar_min_degree()
-    hk_powers = {0: Scalar.one(sctx)}
-
-    def weights(p):
-        e = p - 1
-        if e not in hk_powers:
-            hk_powers[e] = weights(p - 2) * hk * hk
-        return hk_powers[e]
-
-    def p_cap(min_h):
-        if hk_degree is None:
-            return 1
-        p = 1
-        while (p + 1) * hk_degree + min_h <= ctx.h_max:
-            p += 2
-        return p
-
-    return _iterate_pairs(f, g,
-                          emit=lambda q: q % 2 == 1,
-                          p_cap=p_cap,
-                          weights=weights, memo=memo)
+    hk2 = hk * hk
+    # (h kappa)^(p-1) for odd p, up to the first one the truncation kills
+    weights, w, p = {}, Scalar.one(sctx), 1
+    while not w.is_zero():
+        weights[p] = w
+        w, p = w * hk2, p + 2
+    return _iterate_pairs(f, g, weights, memo=memo)

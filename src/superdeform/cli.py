@@ -9,11 +9,19 @@ The expression grammar (shared by every command):
     atom   := INTEGER | 'x<i>' | 'xi<a>' | 'th<j>' | 'hbar' | 'pi'
             | 'sqrt' '(' expr ')' | 'gauss' '(' expr ')' | '(' expr ')'
 
-Cochain specifications are linear combinations of the named forms
-(m0, anti, moyal(kappa), m1, m3, mzeta(EXPR), m23, jzeta(EXPR), mu) with
-scalar (possibly theta) prefixes.  Deformation specifications are
-c1(zeta=,kappa=), c1c(zeta=,kappa=,c=), c3(zeta=,c3=), antieven(c=),
-antiodd(), general(zeta=,eta=,h1=,h2=).
+Forms, deformations and T1 maps are named in one call grammar:
+
+    call   := NAME [ '(' [ arg (',' arg)* ] ')' ]
+    arg    := [ PARAM '=' ] expr
+
+Arguments bind to parameters as in a Python call (positional ones first),
+and a parameter with a default may be left out.  The names and their
+parameters are the tables ``_FORMS`` (m0, anti, moyal(kappa), m1, m3,
+mzeta(zeta), m23, jzeta(zeta), mu), ``_DEFORMATIONS`` (c1(zeta, kappa),
+c1c(zeta, kappa, c), c3(zeta, c3), antieven(c), antiodd,
+general(zeta, eta, h1, h2)) and ``_T1`` (zero, bar(z0, scale),
+euler(scale)).  A cochain specification is a linear combination of forms
+with scalar (possibly theta) prefixes.
 """
 
 from __future__ import annotations
@@ -121,7 +129,7 @@ class _Parser:
             if op == "*":
                 value = self._product(value, rhs, pos)
             else:
-                q = self._rational(rhs, pos)
+                q = _rational(rhs, pos)
                 if not q:
                     raise ParseError("division by zero", pos)
                 value = value * (1 / q)
@@ -205,7 +213,7 @@ class _Parser:
                                               Scalar.sqrt_pi(sctx))
             arg = self.expr()
             self.expect_sym(")")
-            r = self._rational(arg, pos2)
+            r = _rational(arg, pos2)
             if r.denominator != 1 or r <= 0:
                 raise ParseError("sqrt takes a positive integer or pi", pos2)
             if r > MAX_RADICAND:
@@ -218,191 +226,173 @@ class _Parser:
             kind2, _v, pos2 = self.peek()
             arg = self.expr()
             self.expect_sym(")")
-            c = self._rational(arg, pos2)
+            c = _rational(arg, pos2)
             if c < 0:
                 raise ParseError("gauss weight must be nonnegative", pos2)
             return SuperFunction.gauss(self.ctx, c)
         raise ParseError(f"unknown name {value!r}", pos)
 
-    # -- helpers -----------------------------------------------------------
 
-    def _rational(self, f, pos):
-        scalar = self._scalar(f, pos)
-        try:
-            return scalar.rational_value()
-        except ValueError:
-            raise ParseError("a rational constant is required here", pos)
-
-    def _scalar(self, f, pos):
-        zero_x = (0,) * self.ctx.n_plus
-        out = Scalar.zero(self.ctx.scalar_ctx)
-        for (xexp, c, xi), s in f.terms.items():
-            if (xexp, c, xi) != (zero_x, Fraction(0), ()):
-                raise ParseError("a scalar constant is required here", pos)
-            out = out + s
-        return out
+def _rational(f, pos):
+    scalar = _scalar(f, pos)
+    try:
+        return scalar.rational_value()
+    except ValueError:
+        raise ParseError("a rational constant is required here", pos)
 
 
-def parse_expression(text, ctx):
-    """Parse the expression grammar into a canonical SuperFunction."""
+def _scalar(f, pos):
+    zero_x = (0,) * f.ctx.n_plus
+    out = Scalar.zero(f.ctx.scalar_ctx)
+    for (xexp, c, xi), s in f.terms.items():
+        if (xexp, c, xi) != (zero_x, Fraction(0), ()):
+            raise ParseError("a scalar constant is required here", pos)
+        out = out + s
+    return out
+
+
+def _parse(text, ctx, rule):
+    """``rule(parser)`` applied to the whole of ``text``."""
     parser = _Parser(text, ctx)
-    value = parser.expr()
+    value = rule(parser)
     parser.done()
     return value
 
 
+def parse_expression(text, ctx):
+    """Parse the expression grammar into a canonical SuperFunction."""
+    return _parse(text, ctx, _Parser.expr)
+
+
 def parse_scalar(text, ctx):
     """Parse an expression that must be a scalar constant."""
-    parser = _Parser(text, ctx)
-    value = parser.expr()
-    parser.done()
-    return parser._scalar(value, 0)
+    return _scalar(_parse(text, ctx, _Parser.expr), 0)
 
 
-# the named forms: name -> (builder, kind of its one argument or None)
-_FORMS = {"m0": (m0_form, None), "anti": (anti_form, None),
-          "m1": (m1_form, None), "m3": (m3_form, None),
-          "m23": (m23_form, None), "mu": (mu_form, None),
-          "moyal": (moyal_form, "scalar"), "mzeta": (mzeta_form, "function"),
-          "jzeta": (jzeta_form, "function")}
+def _call(parser, table, what):
+    """Build the call ``NAME`` or ``NAME(arg, ...)`` named in ``table``.
+
+    An argument is an expression, optionally preceded by ``param=``, and
+    binds to a parameter as in a Python call.  ``table`` maps a name to
+    (builder, ((param, kind, default), ...)): kind "s" takes a scalar
+    constant and "f" a function, and a default of None makes the argument
+    required.  The builder is called as ``builder(ctx, *values)``.
+    """
+    kind, name, pos = parser.take()
+    if kind != "name" or name not in table:
+        raise ParseError(f"expected a {what} name "
+                         f"({', '.join(sorted(table))})", pos)
+    build, params = table[name]
+    names = [param for param, _kind, _default in params]
+    bound = {}
+    if parser.at_sym("("):
+        parser.take()
+        keyword = False
+        while not parser.at_sym(")"):
+            if bound:
+                parser.expect_sym(",")
+            kind, key, apos = parser.peek()
+            if kind == "name" and \
+                    parser.tokens[parser.i + 1][:2] == ("sym", "="):
+                parser.i += 2
+                keyword = True
+                if key not in names:
+                    raise ParseError(f"{name} has no parameter {key!r}", apos)
+            elif keyword:
+                raise ParseError("a positional argument follows a keyword "
+                                 "argument", apos)
+            elif len(bound) == len(names):
+                raise ParseError(f"{name} takes at most {len(names)} "
+                                 "arguments", apos)
+            else:
+                key = names[len(bound)]
+            if key in bound:
+                raise ParseError(f"{name} got {key!r} twice", apos)
+            vpos = parser.peek()[2]
+            bound[key] = (parser.expr(), vpos)
+        parser.take()
+    values = []
+    for param, kind, default in params:
+        if param in bound:
+            value, vpos = bound[param]
+        elif default is None:
+            raise ParseError(f"{name} needs the argument {param!r}", pos)
+        else:
+            value, vpos = SuperFunction.constant(parser.ctx, default), pos
+        values.append(_scalar(value, vpos) if kind == "s" else value)
+    return build(parser.ctx, *values)
+
+
+# The call tables: name -> (builder, ((param, "s" | "f", default), ...)).
+# The deformation builders are looked up by name at each call, so that a
+# wrapper bound over a module-level name sees the call.
+_ZETA = ("zeta", "f", None)
+_FORMS = {"m0": (m0_form, ()), "anti": (anti_form, ()),
+          "m1": (m1_form, ()), "m3": (m3_form, ()),
+          "m23": (m23_form, ()), "mu": (mu_form, ()),
+          "moyal": (moyal_form, (("kappa", "s", None),)),
+          "mzeta": (mzeta_form, (_ZETA,)), "jzeta": (jzeta_form, (_ZETA,))}
+
+_DEFORMATIONS = {
+    "c1": (lambda ctx, *a: build_C1(*a),
+           (("zeta", "f", 0), ("kappa", "s", 1))),
+    "c1c": (lambda ctx, *a: build_C1c(*a),
+            (("zeta", "f", 0), ("kappa", "s", 1), ("c", "s", 0))),
+    "c3": (lambda ctx, *a: build_C3(*a), (("zeta", "f", 0), ("c3", "s", 0))),
+    "antieven": (lambda *a: build_anti_even(*a), (("c", "s", 0),)),
+    "antiodd": (lambda *a: build_anti_odd(*a), ()),
+    "general": (lambda ctx, *a: build_general_odd(*a),
+                (("zeta", "f", 0), ("eta", "f", 0), ("h1", "s", 0),
+                 ("h2", "s", 0)))}
+
+_T1 = {"zero": (lambda ctx: t1_bar_multiplier(SuperFunction.zero(ctx)), ()),
+       "bar": (lambda ctx, *a: t1_bar_multiplier(*a),
+               (("z0", "f", None), ("scale", "s", 1))),
+       "euler": (t1_euler, (("scale", "s", 1),))}
 
 
 def parse_cochain(text, ctx):
     """Parse the cochain mini-language into an evaluable 2-cochain."""
-    parser = _Parser(text, ctx)
-    total = None
-    negate = False
-    while True:
-        part = _cochain_term(parser, ctx, negate)
-        total = part if total is None else total + part
-        if parser.at_sym("+", "-"):
-            negate = parser.take()[1] == "-"
-            continue
-        parser.done()
-        return total
+    return _parse(text, ctx, _cochain)
 
 
-def _cochain_term(parser, ctx, negate):
-    scalar = Scalar.rational(ctx.scalar_ctx, -1 if negate else 1)
+def _cochain(parser):
+    total = _cochain_term(parser, 1)
+    while parser.at_sym("+", "-"):
+        sign = -1 if parser.take()[1] == "-" else 1
+        total = total + _cochain_term(parser, sign)
+    return total
+
+
+def _cochain_term(parser, sign):
+    """One term: scalar factors and exactly one form, joined by '*'."""
+    sctx = parser.ctx.scalar_ctx
+    scalar = Scalar.rational(sctx, sign)
     form = None
     while True:
         kind, value, pos = parser.peek()
         if kind == "name" and value in _FORMS:
             if form is not None:
                 raise ParseError("a term may contain only one form", pos)
-            parser.take()
-            form = _form_atom(parser, ctx, value)
+            form = _call(parser, _FORMS, "form")
         else:
-            piece = parser.power()
-            scalar = scalar * parser._scalar(piece, pos)
-        if parser.at_sym("*"):
-            parser.take()
-            continue
-        break
+            scalar = scalar * _scalar(parser.power(), pos)
+        if not parser.at_sym("*"):
+            break
+        parser.take()
     if form is None:
-        kind, _v, pos = parser.peek()
-        raise ParseError("expected a form name", pos)
-    if scalar == Scalar.one(ctx.scalar_ctx):
-        return form
-    return ScaledCochain(scalar, form)
-
-
-def _form_atom(parser, ctx, name):
-    build, argument = _FORMS[name]
-    if argument is None:
-        return build(ctx)
-    parser.expect_sym("(")
-    _kind, _v, pos = parser.peek()
-    arg = parser.expr()
-    parser.expect_sym(")")
-    return build(ctx, parser._scalar(arg, pos) if argument == "scalar"
-                 else arg)
-
-
-_DEFO_NAMES = {"c1", "c1c", "c3", "antieven", "antiodd", "general"}
+        raise ParseError("expected a form name", parser.peek()[2])
+    return form if scalar == Scalar.one(sctx) else ScaledCochain(scalar, form)
 
 
 def parse_deformation(text, ctx):
     """Parse a deformation specification string and build it."""
-    parser = _Parser(text, ctx)
-    kind, name, pos = parser.take()
-    if kind != "name" or name not in _DEFO_NAMES:
-        raise ParseError("expected a deformation name "
-                         f"({', '.join(sorted(_DEFO_NAMES))})", pos)
-    kwargs = {}
-    parser.expect_sym("(")
-    if not parser.at_sym(")"):
-        while True:
-            kkind, key, kpos = parser.take()
-            if kkind != "name":
-                raise ParseError("expected a parameter name", kpos)
-            parser.expect_sym("=")
-            _vk, _vv, vpos = parser.peek()
-            value = parser.expr()
-            kwargs[key] = (value, vpos)
-            if parser.at_sym(","):
-                parser.take()
-                continue
-            break
-    parser.expect_sym(")")
-    parser.done()
-
-    def fn_arg(key, default=None):
-        if key in kwargs:
-            return kwargs.pop(key)[0]
-        return default if default is not None else SuperFunction.zero(ctx)
-
-    def sc_arg(key, default=0):
-        if key in kwargs:
-            value, vpos = kwargs.pop(key)
-            return parser._scalar(value, vpos)
-        return Scalar.rational(ctx.scalar_ctx, default)
-
-    if name == "c1":
-        defo = build_C1(fn_arg("zeta"), sc_arg("kappa", 1))
-    elif name == "c1c":
-        defo = build_C1c(fn_arg("zeta"), sc_arg("kappa", 1), sc_arg("c"))
-    elif name == "c3":
-        defo = build_C3(fn_arg("zeta"), sc_arg("c3"))
-    elif name == "antieven":
-        defo = build_anti_even(ctx, sc_arg("c"))
-    elif name == "antiodd":
-        defo = build_anti_odd(ctx)
-    else:
-        defo = build_general_odd(fn_arg("zeta"), fn_arg("eta"),
-                                 sc_arg("h1"), sc_arg("h2"))
-    if kwargs:
-        raise ParseError(f"unknown parameters: {sorted(kwargs)}", 0)
-    return defo
+    return _parse(text, ctx, lambda p: _call(p, _DEFORMATIONS, "deformation"))
 
 
 def parse_t1(text, ctx):
-    """T1 family specifications: zero | bar(EXPR[,SCALE]) | euler([SCALE])."""
-    parser = _Parser(text, ctx)
-    kind, name, pos = parser.take()
-    if kind != "name" or name not in {"zero", "bar", "euler"}:
-        raise ParseError("expected zero, bar(...), or euler(...)", pos)
-    if name == "zero":
-        parser.done()
-        return t1_bar_multiplier(SuperFunction.zero(ctx))
-    parser.expect_sym("(")
-    if name == "euler":
-        scale = Scalar.one(ctx.scalar_ctx)
-        if not parser.at_sym(")"):
-            _k, _v, spos = parser.peek()
-            scale = parser._scalar(parser.expr(), spos)
-        parser.expect_sym(")")
-        parser.done()
-        return t1_euler(ctx, scale)
-    z0 = parser.expr()
-    scale = Scalar.one(ctx.scalar_ctx)
-    if parser.at_sym(","):
-        parser.take()
-        _k, _v, spos = parser.peek()
-        scale = parser._scalar(parser.expr(), spos)
-    parser.expect_sym(")")
-    parser.done()
-    return t1_bar_multiplier(z0, scale)
+    """Parse a T1 specification: zero, bar(z0[, scale]) or euler([scale])."""
+    return _parse(text, ctx, lambda p: _call(p, _T1, "T1"))
 
 
 # -- command-line interface ------------------------------------------------
@@ -432,15 +422,19 @@ def _sample_spec(args):
                       parity=args.parity, terms=args.terms)
 
 
-def _emit(data, summary, args):
-    """Write a JSON report to stdout or ``--output`` and its one-line
-    summary to stderr; the exit status is 0 when ``data["pass"]``, else 1."""
-    text = json.dumps(data, indent=2, sort_keys=True)
+def _write(text, args):
+    """Write ``text`` and a newline to ``--output``, or else to stdout."""
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(data, summary, args):
+    """Write a JSON report with ``_write`` and its one-line summary to
+    stderr; the exit status is 0 when ``data["pass"]``, else 1."""
+    _write(json.dumps(data, indent=2, sort_keys=True), args)
     print(summary, file=sys.stderr)
     return 0 if data["pass"] else 1
 
@@ -495,6 +489,20 @@ def _run_theorem(args, ctx):
     return _emit(data, f"[{state}] theorem[multi]: {detail}", args)
 
 
+def _value(args, ctx):
+    """The function that ``eval``, ``bracket`` or ``cochain`` writes."""
+    if args.command == "eval":
+        return parse_expression(args.expr, ctx)
+    if args.command == "cochain":
+        form = parse_cochain(args.spec, ctx)
+        return form.evaluate(parse_expression(args.f, ctx),
+                             parse_expression(args.g, ctx))
+    f, g = parse_expression(args.f, ctx), parse_expression(args.g, ctx)
+    if args.type == "moyal":
+        return moyal_bracket(f, g, parse_scalar(args.kappa, ctx))
+    return (antibracket if args.type == "anti" else poisson_bracket)(f, g)
+
+
 _COMMON_OPTIONS = (
     (("--nplus",), dict(type=int, default=4)),
     (("--nminus",), dict(type=int, default=2)),
@@ -511,7 +519,7 @@ _COMMON_OPTIONS = (
     (("--terms",), dict(type=int, default=1,
                         help="terms per sampled function")),
     (("--output",), dict(default="",
-                         help="write the JSON report to this path")),
+                         help="write the output to this path")),
 )
 
 
@@ -537,11 +545,10 @@ def make_parser():
     _add_common(ap, suppress=False)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help):
+    def sub_add(name, help):
         p = sub.add_parser(name, help=help)
         _add_common(p, suppress=True)
         return p
-    sub_add = add_command
 
     p = sub_add("eval", help="parse and canonicalize an expression")
     p.add_argument("expr")
@@ -558,8 +565,7 @@ def make_parser():
     p.add_argument("f")
     p.add_argument("g")
 
-    p = sub_add("jacobi",
-                       help="J(C,C) = 0 for a deformation, on samples")
+    p = sub_add("jacobi", help="J(C,C) = 0 for a deformation, on samples")
     p.add_argument("--deformation", required=True)
 
     p = sub_add("cocycle", help="d2_ad F = 0 for a cochain")
@@ -574,7 +580,7 @@ def make_parser():
     p.add_argument("--order", type=int, default=None)
 
     p = sub_add("theorem",
-                       help="constraint system + Jacobi for a theorem case")
+                help="constraint system + Jacobi for a theorem case")
     p.add_argument("--case", choices=["multi"], default="multi")
     p.add_argument("--zeta", default="0")
     p.add_argument("--eta", default="0")
@@ -587,26 +593,6 @@ def run(argv=None):
     try:
         args = make_parser().parse_args(argv)
         ctx = _build_context(args)
-        if args.command == "eval":
-            print(parse_expression(args.expr, ctx).render())
-            return 0
-        if args.command == "bracket":
-            f = parse_expression(args.f, ctx)
-            g = parse_expression(args.g, ctx)
-            if args.type == "poisson":
-                value = poisson_bracket(f, g)
-            elif args.type == "anti":
-                value = antibracket(f, g)
-            else:
-                value = moyal_bracket(f, g, parse_scalar(args.kappa, ctx))
-            print(value.render())
-            return 0
-        if args.command == "cochain":
-            form = parse_cochain(args.spec, ctx)
-            value = form.evaluate(parse_expression(args.f, ctx),
-                                  parse_expression(args.g, ctx))
-            print(value.render())
-            return 0
         if args.command == "equiv":
             return _run_equiv(args, ctx)
         if args.command == "theorem":
@@ -614,10 +600,13 @@ def run(argv=None):
         if args.command == "jacobi":
             defo = parse_deformation(args.deformation, ctx)
             report = check_jacobi(defo, _sample_spec(args))
-        else:
+        elif args.command == "cocycle":
             form = parse_cochain(args.form, ctx)
             bracket = anti_form(ctx) if args.bracket == "anti" else None
             report = check_cocycle(form, _sample_spec(args), bracket=bracket)
+        else:
+            _write(_value(args, ctx).render(), args)
+            return 0
         return _emit({**report.core_dict(), "elapsed": report.elapsed},
                      report.summary(), args)
     except RecursionError:

@@ -71,10 +71,6 @@ class Cochain:
     def __neg__(self):
         return ScaledCochain(-1, self)
 
-    def scaled(self, scalar):
-        """Left scalar multiple; with an odd scalar this is theta-prefixing."""
-        return ScaledCochain(scalar, self)
-
     def __repr__(self):
         return f"<{self.name}: arity {self.arity}, parity {self.parity}>"
 
@@ -263,16 +259,15 @@ def mu_form(ctx):
 
 # -- Jacobiator and the adjoint differential -------------------------------
 
-def jacobiator(p, q=None, grading=None):
+def jacobiator(p, q=None):
     """The trilinear obstruction built from one or two 2-cochains.
 
     With one argument it is the single-sum form; with two it symmetrizes
-    over both orders of nesting.  Signs use the grading of ``p`` unless
-    overridden.
+    over both orders of nesting.  Signs use the grading of ``p``.
     """
     if p.arity != 2 or (q is not None and q.arity != 2):
         raise ArityError("Jacobiators take 2-cochains")
-    grading = grading or p.grading
+    grading = p.grading
     ctx = p.ctx
 
     def fn(f, g, h):
@@ -292,19 +287,19 @@ def jacobiator(p, q=None, grading=None):
     return LeafForm(ctx, 3, None, fn, grading, name=name)
 
 
-def d_ad(m, bracket=None, grading=None):
+def d_ad(m, bracket=None):
     """The cochain differential with coefficients in the adjoint action.
 
-    ``bracket`` defaults to the Poisson bracket; pass the antibracket (with
-    grading 'odd') for the reversed-parity theory.  ``m`` must have a
-    defined parity.
+    ``bracket`` defaults to the Poisson bracket; pass the antibracket for
+    the reversed-parity theory.  Signs use the grading of ``m``, which must
+    have a defined parity.
     """
     if m.parity is None:
         raise ValueError(f"{m.name} has undefined parity")
     ctx = m.ctx
     if bracket is None:
         bracket = m0_form(ctx)
-    grading = grading or m.grading
+    grading = m.grading
     p = m.arity
     m_parity = m.parity
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from numbers import Rational
 
 from .errors import ContextMismatchError
 
@@ -363,8 +364,10 @@ class Scalar:
         return result
 
     def __eq__(self, other):
-        if not isinstance(other, Scalar):
+        if isinstance(other, Rational):
             other = Scalar.rational(self.ctx, other)
+        elif not isinstance(other, Scalar):
+            return NotImplemented
         return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):

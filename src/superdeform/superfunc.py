@@ -38,6 +38,7 @@ supported class consists of the constants.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import ContextMismatchError, NotIntegrableError
 from .scalars import (RadicalNumber, Scalar, ScalarContext, _with_coeffs,
@@ -257,8 +258,10 @@ class SuperFunction:
         return SuperFunction(self.ctx, out)
 
     def __eq__(self, other):
-        if not isinstance(other, SuperFunction):
+        if isinstance(other, (Rational, Scalar)):
             other = SuperFunction.constant(self.ctx, other)
+        elif not isinstance(other, SuperFunction):
+            return NotImplemented
         return self.ctx == other.ctx and self.terms == other.terms
 
     def __hash__(self):

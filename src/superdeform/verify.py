@@ -11,7 +11,6 @@ function; there is no tolerance anywhere.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,6 +23,9 @@ from .superfunc import SuperFunction
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
 LCG_MASK = (1 << 64) - 1
+# every sample has one xi-degree up to this, and coefficients from the pool
+MAX_XI_DEGREE = 2
+COEFF_POOL = (-3, -2, -1, 1, 2, 3)
 
 
 class LCG:
@@ -52,11 +54,8 @@ class SampleSpec:
     seed: int = 20240801
     count: int = 50
     max_x_degree: int = 2
-    max_xi_degree: int = 2
     gauss_weights: tuple = (1, 2)
-    coeff_pool: tuple = (-3, -2, -1, 1, 2, 3)
     parity: str = "any"      # "even" | "odd" | "any"
-    klass: str = "D"         # "D" | "E"
     terms: int = 1
 
 
@@ -66,7 +65,7 @@ def sample_superfunctions(spec, ctx):
     Each sample is parity-homogeneous whenever a parity filter is set (and
     in fact always, since every sample uses a single xi-degree).
     """
-    max_xi = min(spec.max_xi_degree, ctx.n_minus)
+    max_xi = min(MAX_XI_DEGREE, ctx.n_minus)
     if spec.parity == "odd" and max_xi < 1:
         raise ValueError("odd samples need at least one xi variable")
     rng = LCG(spec.seed)
@@ -83,17 +82,16 @@ def sample_superfunctions(spec, ctx):
         for _t in range(spec.terms):
             xexp = tuple(rng.randint(0, spec.max_x_degree)
                          for _ in range(ctx.n_plus))
-            if spec.klass == "D" and ctx.n_plus > 0:
-                c = rng.choice(spec.gauss_weights)
-            else:
-                c = rng.choice((0,) + tuple(spec.gauss_weights))
+            # with x variables every term has a Gaussian weight (class D)
+            c = rng.choice(tuple(spec.gauss_weights) if ctx.n_plus
+                           else (0,) + tuple(spec.gauss_weights))
             c = int_if_integral(Fraction(c))
             xi = []
             while len(xi) < deg:
                 a = rng.randint(1, ctx.n_minus)
                 if a not in xi:
                     xi.append(a)
-            coeff = Scalar.rational(ctx.scalar_ctx, rng.choice(spec.coeff_pool))
+            coeff = Scalar.rational(ctx.scalar_ctx, rng.choice(COEFF_POOL))
             f = f + SuperFunction(ctx, {(xexp, c, tuple(sorted(xi))): coeff})
         out.append(f)
     return out
@@ -132,12 +130,6 @@ class VerificationReport:
             "failures": [list(f) for f in self.failures],
             "details": self.details,
         }
-
-    def to_json(self, with_elapsed=True):
-        data = self.core_dict()
-        if with_elapsed:
-            data["elapsed"] = self.elapsed
-        return json.dumps(data, indent=2, sort_keys=True)
 
     def summary(self):
         state = "PASS" if self.passed else "FAIL"
@@ -183,7 +175,7 @@ def check_jacobi(defo, spec):
     theta-grade so the J(C0,C0) and J(C0, theta C1) components are
     reported separately."""
     ctx = defo.ctx
-    J = jacobiator(defo.bracket, grading=defo.grading)
+    J = jacobiator(defo.bracket)
     grade_fail = {}
 
     def rule(f, g, h):

@@ -223,9 +223,7 @@ def _table_lengths(memo):
 def _power_with_memo(f, g, p, memo):
     """bidiff_power(f, g, p) through the kernel with a caller's memo."""
     weight = Scalar.rational(f.ctx.scalar_ctx, factorial(p))
-    return _iterate_pairs(f, g, emit=lambda q: q == p,
-                          p_cap=lambda min_h: p, weights=lambda q: weight,
-                          memo=memo)
+    return _iterate_pairs(f, g, {p: weight}, memo=memo)
 
 
 @pytest.mark.parametrize("n_plus, lambdas", [
@@ -237,7 +235,7 @@ def test_shared_memo_matches_fresh(n_plus, lambdas):
     # One memo dict threads through brackets and powers of the same
     # exponents at several pairs of Gaussian weights (a key that dropped
     # c_f or c_g would mix them up).  Each pair is first bracketed with an
-    # hbar^4 factor, which lowers p_cap and so builds short tables, then
+    # hbar^4 factor, which keeps fewer powers and so builds short tables, then
     # without it, which needs longer ones, then with it again, which must
     # hit the longer tables and keep them.
     ctx = SymplecticContext(n_plus, len(lambdas), lambdas, 1, 6)

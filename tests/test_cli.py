@@ -138,6 +138,50 @@ def test_parse_t1(ctx):
     assert parse_t1("euler(2)", ctx).evaluate(x1) == x1
 
 
+@pytest.mark.parametrize("parse, positional, keyword", [
+    (parse_deformation, "c3(hbar^2*x1, hbar^2)",
+     "c3(zeta=hbar^2*x1, c3=hbar^2)"),
+    (parse_deformation, "c1c(hbar^2*x1, c=hbar^2)",
+     "c1c(zeta=hbar^2*x1, kappa=1, c=hbar^2)"),
+    (parse_deformation, "general(0, 0, th1)", "general(h1=th1, eta=0)"),
+    (parse_t1, "bar(gauss(1), -1)", "bar(scale=-1, z0=gauss(1))"),
+    (parse_t1, "euler", "euler(scale=1)"),
+    (parse_cochain, "moyal(2) + m0", "moyal(kappa=2) + m0()"),
+    (parse_cochain, "th1*mzeta(x1*x2)", "th1*mzeta(zeta=x1*x2)"),
+], ids=["c3", "c1c", "general", "bar", "euler", "moyal", "mzeta"])
+def test_call_positional_and_keyword_agree(ctx, parse, positional, keyword):
+    a, b = parse(positional, ctx), parse(keyword, ctx)
+    f = SuperFunction.term(ctx, (1, 1, 0, 0), 1, xi=(1,))
+    g = SuperFunction.term(ctx, (0, 2, 1, 0), 1, xi=(1, 2))
+    if parse is parse_t1:
+        assert a.evaluate(f) == b.evaluate(f)
+    else:
+        assert a.evaluate(f, g) == b.evaluate(f, g)
+    if parse is parse_deformation:
+        assert a.flavor == b.flavor and a.params == b.params
+
+
+_JACOBI = ["jacobi", "--samples", "1", "--deformation"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_JACOBI + ["c3(zeta=hbar^2*x1, zeta=hbar^2)"], "c3 got 'zeta' twice"),
+    (_JACOBI + ["c3(hbar^2*x1, zeta=hbar^2)"], "c3 got 'zeta' twice"),
+    (_JACOBI + ["c3(kappa=1)"], "c3 has no parameter 'kappa'"),
+    (_JACOBI + ["c3(hbar^2*x1, hbar^2, 1)"], "c3 takes at most 2 arguments"),
+    (_JACOBI + ["c3(c3=hbar^2, hbar^2*x1)"], "a positional argument follows"),
+    (["equiv", "--c1", "c3", "--c2", "c3", "--t1", "bar"],
+     "bar needs the argument 'z0'"),
+], ids=["repeated", "repeated_by_position", "unknown", "too_many",
+        "positional_after_keyword", "missing"])
+def test_call_grammar_errors_exit_two(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
 # -- end-to-end command runs ------------------------------------------------
 
 def test_cli_bracket_prints_one(capsys):
@@ -205,6 +249,18 @@ def test_cli_seed_env_override(monkeypatch, capsys):
     code = run(["jacobi", "--deformation", "c3(zeta=hbar^2*x1)",
                 "--samples", "4"])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["eval", "xi2*xi1"], "-1*xi1*xi2"),
+    (["bracket", "x1", "x2"], "1"),
+    (["cochain", "m0", "x1", "x2"], "1"),
+], ids=["eval", "bracket", "cochain"])
+def test_cli_output_file_for_every_command(argv, expect, tmp_path, capsys):
+    out = tmp_path / "value.txt"
+    assert run([*argv, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == expect + "\n"
 
 
 def test_cli_flags_before_or_after_subcommand(capsys):
@@ -402,6 +458,31 @@ def test_package_loads_cli_on_first_use():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\n"
+
+
+def test_layer_tracer_counts_the_cli_path():
+    # the per-layer benchmark rebinds the parsers, builders and cli.run by
+    # name; a renamed or captured function would drop out of its counts
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import contextlib, io, json\n"
+            "from layertrace import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "from superdeform import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.run(['jacobi', '--deformation', 'antiodd()',\n"
+            "                    '--n', '2', '--samples', '1'])\n"
+            "print(json.dumps({'code': code, 'calls': tracer.calls}))\n")
+    path = os.pathsep.join(os.path.join(root, d) for d in ("src", "perfbench"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["code"] == 0
+    calls = data["calls"]
+    assert calls["cli.run"] == 1 and calls["deformations.build"] == 1
+    assert calls["cli.parse"] >= 1 and calls["cochains.evaluate"] >= 1
 
 
 def test_cli_help_exits_zero(capsys):

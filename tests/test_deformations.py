@@ -169,7 +169,8 @@ def test_anti_even_resolvent_inverts(ctx22):
 
 def test_anti_even_jacobi(ctx22):
     d = build_anti_even(ctx22, h2(ctx22))
-    J = jacobiator(d.bracket, grading=ODD)
+    assert d.bracket.grading == ODD
+    J = jacobiator(d.bracket)
     rng = seeded(81)
     for _ in range(5):
         args = [random_superfunction(rng, ctx22,
@@ -196,7 +197,9 @@ def test_anti_odd_examples(ctx22):
 
 
 def test_anti_odd_jacobi(ctx22):
-    J = jacobiator(build_anti_odd(ctx22).bracket, grading=ODD)
+    bracket = build_anti_odd(ctx22).bracket
+    assert bracket.grading == ODD
+    J = jacobiator(bracket)
     rng = seeded(83)
     for _ in range(6):
         args = [random_superfunction(rng, ctx22,

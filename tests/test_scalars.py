@@ -93,6 +93,21 @@ def test_rational_scalars_hash_as_their_value():
     assert hash(Scalar.sqrt(ctx, 2)) == hash(Scalar.sqrt(ctx, 8) / 2)
 
 
+_SCALAR3 = Scalar.rational(ScalarContext(0, 6), 3)
+_X1 = SuperFunction.x(SymplecticContext(2, 1, (1,), 0, 6), 1)
+
+
+@pytest.mark.parametrize("value, other", [
+    (_SCALAR3, None), (_SCALAR3, "x"), (_SCALAR3, RadicalNumber.sqrt_int(9)),
+    (_X1, None), (_X1, "x"), (_X1, RadicalNumber.sqrt_int(9)),
+], ids=["scalar_none", "scalar_str", "scalar_radical_other_ctx",
+        "function_none", "function_str", "function_radical"])
+def test_equality_with_a_foreign_value_is_false(value, other):
+    # __eq__ leaves a value it cannot convert to the other operand
+    assert (value == other) is False and (other == value) is False
+    assert value != other
+
+
 def test_radicand_bound_is_in_the_ring():
     prime = 2 ** 61 - 1
     for build in (lambda: Scalar.sqrt(ScalarContext(1, 6), prime),

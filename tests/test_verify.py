@@ -14,7 +14,8 @@ from superdeform import (LCG, SampleSpec, Scalar, SuperFunction,
                          sample_superfunctions, sample_tuples, sf_mul)
 from superdeform import verify
 from superdeform.brackets import poisson_bracket
-from superdeform.cochains import EVEN, ODD, LeafForm, anti_form, m0_form
+from superdeform.cochains import (EVEN, ODD, LeafForm, ScaledCochain,
+                                  anti_form, m0_form)
 from superdeform.deformations import Deformation
 from superdeform.verify import LCG_INC, LCG_MASK, LCG_MULT
 
@@ -49,7 +50,7 @@ def test_samples_respect_parity_and_class(ctx42):
     assert all(f.eps() == 0 for f in even)
     odd = sample_superfunctions(SampleSpec(seed=5, parity="odd"), ctx42)
     assert all(f.eps() == 1 for f in odd)
-    d = sample_superfunctions(SampleSpec(seed=5, klass="D"), ctx42)
+    d = sample_superfunctions(SampleSpec(seed=5), ctx42)
     assert all(f.is_d_class() for f in d)
 
 
@@ -75,9 +76,6 @@ def test_report_core_is_reproducible(ctx42):
     r2 = check_jacobi(Deformation(ctx42, "m0", m0_form(ctx42), {}, EVEN),
                       spec)
     assert r1.core_dict() == r2.core_dict()
-    data = json.loads(r1.to_json())
-    assert data["pass"] is True and "elapsed" in data
-    assert "elapsed" not in json.loads(r1.to_json(with_elapsed=False))
 
 
 def test_report_context_records_lambdas():
@@ -169,7 +167,7 @@ def _failing_checks(ctx, monkeypatch):
         "jacobi_mul": lambda: check_jacobi(
             defo("mul", sf_mul), SampleSpec(seed=77, count=6)),
         "jacobi_theta_mul": lambda: check_jacobi(
-            Deformation(ctx, "m0+th*mul", m0_form(ctx) + mul.scaled(theta),
+            Deformation(ctx, "m0+th*mul", m0_form(ctx) + ScaledCochain(theta, mul),
                         {}, EVEN), SampleSpec(seed=78, count=6)),
         "cocycle_mul": lambda: check_cocycle(
             mul, SampleSpec(seed=13, count=4)),
