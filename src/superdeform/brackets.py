@@ -10,7 +10,10 @@ lambda_a on a xi channel of P.  In every channel of one bracket the theta
 part of g's scalar moves left past len(xi(f)) + b odd factors: b = 0 for
 P, whose xi channels take one xi from each side and twist g once more,
 and b = 1 for the antibracket, whose channels take one xi from one side.
-So a pair takes one Scalar product, fs * gs.theta_twist(len(xi(f)) + b).
+So a pair takes one product of its two scalars, ``mul_into`` with twist
+len(xi(f)) + b.  The kernels read a function's terms through
+``superfunc._grouped`` and build their result with ``superfunc._make``,
+so only superfunc knows the layout of ``SuperFunction.coeffs``.
 
 The Moyal kernel is block factored.  P is a sum of commuting channels, and
 each channel couples one block of variables: an x-pair (y1, y2) =
@@ -41,13 +44,12 @@ the inputs hold them (a weight 1/2, a rational kappa or coefficient).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from operator import add
 
-from .scalars import (Scalar, _with_coeffs, _with_terms, accumulate,
-                      int_if_integral, merge_odd_indices)
-from .superfunc import SuperFunction, bump, x_steps
+from .scalars import (Scalar, accumulate, int_if_integral, merge_odd_indices,
+                      mul_into)
+from .superfunc import _grouped, _make, bump, x_steps
 
 
 def poisson_bracket(f, g):
@@ -67,21 +69,23 @@ def antibracket(f, g):
 
 def _first_order(f, g, b, channels):
     """Sum over the term pairs of ``channels(ctx, f key, g key)``, {xi:
-    {xexp: coefficient}} with all but the theta sign, times fs * gs."""
+    {xexp: coefficient}} with all but the theta sign, times the product of
+    the two scalars with g's theta part moved past len(xi(f)) + b."""
     f._check(g)
     ctx = f.ctx
     acc = {}
-    gterms = [(key, (gs, gs.theta_twist(1))) for key, gs in g.terms.items()]
-    for fkey, fs in f.terms.items():
-        odd = (len(fkey[2]) + b) & 1
-        for gkey, twists in gterms:
+    gterms = list(_grouped(g).items())
+    for fkey, fitems in _grouped(f).items():
+        twist = len(fkey[2]) + b
+        for gkey, gitems in gterms:
             polys = channels(ctx, fkey, gkey)
             if polys:
-                coeffs = list((fs * twists[odd]).coeffs.items())
+                prod = mul_into({}, (), fitems, gitems, ctx.h_max, 1,
+                                twist).items()
                 c = int_if_integral(fkey[1] + gkey[1])
                 for xi, poly in polys.items():
-                    _collect(acc, c, xi, poly, coeffs)
-    return _gather(ctx, acc)
+                    _collect(acc, c, xi, poly, prod)
+    return _make(ctx, acc)
 
 
 def _poisson_channels(ctx, fkey, gkey):
@@ -121,7 +125,9 @@ def _anti_channels(ctx, fkey, gkey):
 
 
 def _collect(acc, c, xi, poly, coeffs):
-    """Add poly[xexp] times ``coeffs`` into the slot of term (xexp, c, xi)."""
+    """Add poly[xexp] times the scalar ``coeffs`` (items of a flat
+    ``Scalar.coeffs``) into the slot of term (xexp, c, xi); ``_make`` turns
+    the slots into a SuperFunction."""
     for xexp, v in poly.items():
         key = (xexp, c, xi)
         slot = acc.get(key)
@@ -129,19 +135,6 @@ def _collect(acc, c, xi, poly, coeffs):
             slot = acc[key] = {}
         for k, w in coeffs:
             slot[k] = slot.get(k, 0) + w * v
-
-
-def _gather(ctx, acc, den=1):
-    """The SuperFunction of the collected slots over the common denominator
-    ``den``, zero coefficients dropped."""
-    sctx = ctx.scalar_ctx
-    out = {}
-    for key, slot in acc.items():
-        coeffs = {k: int_if_integral(v if den == 1 else Fraction(v, den))
-                  for k, v in slot.items() if v}
-        if coeffs:
-            out[key] = _with_coeffs(sctx, coeffs)
-    return _with_terms(SuperFunction(ctx), out)
 
 
 # -- block-factored kernel ---------------------------------------------------
@@ -266,38 +259,41 @@ def _iterate_pairs(f, g, weights, memo=None):
 
     A seed pair takes each power p whose weight's h-degree fits within
     h_max - (its minimal h-degree); den = (max p)! is a common denominator
-    of all the 1/q! of the call.  The coefficients are collected, times
-    den, per output term in the flat ``Scalar.coeffs`` layout and turned
-    into Scalars once at the end.  ``memo`` holds the derivative, block and
-    x tables (see above).
+    of all the 1/q! of the call.  Per pair and power, one ``mul_into``
+    forms weight * scalar product * den/q!; ``_collect`` adds it into the
+    slots of the output terms, and ``_make`` divides by den once at the
+    end.  ``memo`` holds the derivative, block and x tables (see above).
     """
     ctx = f.ctx
+    h_max = ctx.h_max
     memo = {} if memo is None else memo
     den = factorial(max(weights))
-    powers = [(p, w, w.hbar_min_degree()) for p, w in sorted(weights.items())]
+    powers = [(p, w.coeffs.items(), w.hbar_min_degree())
+              for p, w in sorted(weights.items())]
     acc = {}
-    gterms = [(key, gs, gs.hbar_min_degree()) for key, gs in g.terms.items()]
-    for (fx, cf, xf), fs in f.terms.items():
-        f_min = fs.hbar_min_degree()
-        for (gx, cg, xg), gs, g_min in gterms:
-            room = ctx.h_max - f_min - g_min
+    gterms = [(key, items, min(k[0] for k, _ in items))
+              for key, items in _grouped(g).items()]
+    for (fx, cf, xf), fitems in _grouped(f).items():
+        f_min = min(k[0] for k, _ in fitems)
+        for (gx, cg, xg), gitems, g_min in gterms:
+            room = h_max - f_min - g_min
             n, weight, xi = _odd_factor(ctx, xf, xg)
             kept = [(p, w) for p, w, degree in powers
                     if p >= max(n, 1) and degree <= room]
             if not kept:
                 continue
             # the theta part of g's scalar moves left past f's xi monomial
-            prod = fs * gs.theta_twist(len(xf))
+            prod = mul_into({}, (), fitems, gitems, h_max, 1,
+                            len(xf)).items()
             xs = _x_tables(memo, fx, gx, cf, cg, kept[-1][0] - n)
             c = int_if_integral(cf + cg)
             for p, w in kept:
                 q = p - n
-                if not xs[q]:
-                    continue
-                scale = weight * (den // factorial(q))
-                coeffs = [(k, v * scale) for k, v in (w * prod).coeffs.items()]
-                _collect(acc, c, xi, xs[q], coeffs)
-    return _gather(ctx, acc, den)
+                if xs[q]:
+                    scale = weight * (den // factorial(q))
+                    _collect(acc, c, xi, xs[q],
+                             mul_into({}, (), w, prod, h_max, scale).items())
+    return _make(ctx, acc, den)
 
 
 def bidiff_power(f, g, p):

@@ -31,7 +31,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .brackets import antibracket, moyal_bracket, poisson_bracket
 from .cochains import (ScaledCochain, anti_form, jzeta_form, m0_form,
@@ -161,9 +160,9 @@ class _Parser:
     def _product(self, a, b, pos):
         """a * b, refused when it could hold more than MAX_PRODUCT_TERMS
         terms."""
-        if len(a.terms) * len(b.terms) > MAX_PRODUCT_TERMS:
-            raise ParseError(f"a product of {len(a.terms)} by "
-                             f"{len(b.terms)} terms is above "
+        if len(a.coeffs) * len(b.coeffs) > MAX_PRODUCT_TERMS:
+            raise ParseError(f"a product of {len(a.coeffs)} by "
+                             f"{len(b.coeffs)} terms is above "
                              f"{MAX_PRODUCT_TERMS} terms", pos)
         return sf_mul(a, b)
 
@@ -242,13 +241,10 @@ def _rational(f, pos):
 
 
 def _scalar(f, pos):
-    zero_x = (0,) * f.ctx.n_plus
-    out = Scalar.zero(f.ctx.scalar_ctx)
-    for (xexp, c, xi), s in f.terms.items():
-        if (xexp, c, xi) != (zero_x, Fraction(0), ()):
-            raise ParseError("a scalar constant is required here", pos)
-        out = out + s
-    return out
+    s = f.constant_scalar()
+    if s is None:
+        raise ParseError("a scalar constant is required here", pos)
+    return s
 
 
 def _parse(text, ctx, rule):

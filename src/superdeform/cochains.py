@@ -141,18 +141,13 @@ class FunctionScaledCochain(Cochain):
         self.inner = inner
 
     def _eval_homogeneous(self, args):
-        value = self.inner._eval_homogeneous(args)
-        out = SuperFunction.zero(self.ctx)
-        for part in value.homogeneous_components():
-            # the value must pass to the right of the prefactor; for the
-            # named forms it is a constant, so only scalars are supported
-            zero_x = (0,) * self.ctx.n_plus
-            for (xexp, c, xi), s in part.terms.items():
-                if (xexp, c, xi) != (zero_x, Fraction(0), ()):
-                    raise ValueError(
-                        "function-scaled cochain needs a scalar-valued form")
-                out = out + self.prefactor.scale_right(s)
-        return out
+        # the value must pass to the right of the prefactor; for the
+        # named forms it is a constant, so only scalars are supported
+        s = self.inner._eval_homogeneous(args).constant_scalar()
+        if s is None:
+            raise ValueError(
+                "function-scaled cochain needs a scalar-valued form")
+        return self.prefactor.scale_right(s)
 
 
 # -- named leaves ----------------------------------------------------------

@@ -20,7 +20,7 @@ from .cochains import (Cochain, EVEN, FunctionScaledCochain, LeafForm, ODD,
                        zeta_form_parity)
 from .errors import DeformationError, NotIntegrableError
 from .scalars import Scalar, _with_coeffs
-from .superfunc import SuperFunction, sf_mul
+from .superfunc import SuperFunction, _from_coeffs, sf_mul
 
 C1, C1C, C3 = "C1", "C1c", "C3"
 ANTI_EVEN, ANTI_ODD, GENERAL_ODD = "ANTI_EVEN", "ANTI_ODD", "GENERAL_ODD"
@@ -77,10 +77,9 @@ def _require_param(s, name):
 def _require_even_fn(zeta, name):
     """zeta in hbar^2 E[[hbar^2]]: every coefficient an even series
     starting at order hbar^2."""
-    for s in zeta.terms.values():
-        if not s.is_even_series(2):
-            raise DeformationError(
-                f"{name} must lie in hbar^2 E[[hbar^2]]", relation=name)
+    if not zeta.is_even_series(2):
+        raise DeformationError(
+            f"{name} must lie in hbar^2 E[[hbar^2]]", relation=name)
 
 
 def _require_parity(value, parity, name):
@@ -106,8 +105,8 @@ def _d_class_part(f):
     """The Gaussian-suppressed terms of f (all of f when n_plus == 0)."""
     if f.ctx.n_plus == 0:
         return f
-    return SuperFunction(f.ctx, {key: s for key, s in f.terms.items()
-                                 if key[1] > 0})
+    return _from_coeffs(f.ctx, {key: q for key, q in f.coeffs.items()
+                                if key[1] > 0})
 
 
 # -- Poisson-side deformations ---------------------------------------------

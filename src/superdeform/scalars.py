@@ -15,7 +15,9 @@ with int values when integral and Fraction values otherwise.  The sign of
 a theta product is the parity of its crossings (``theta_sign``).
 Rendering orders terms by (m, theta index tuple, p, s, r).
 
-Scalar holds the one implementation of the arithmetic.  A RadicalNumber,
+Scalar holds the one implementation of the arithmetic; its product,
+``mul_into``, also multiplies the coefficients of superfunction terms,
+which are kept in the same flat layout (see superfunc).  A RadicalNumber,
 an element of Q[sqrt(r), pi, sqrt(pi)], is a typed view of one theta-free,
 h-free Scalar and hands every operation to it.  ``Scalar.terms`` is the
 nested view {(m, theta index tuple): RadicalNumber}, built on each access.
@@ -114,11 +116,41 @@ def accumulate(out, key, value):
     out[key] = value
 
 
-def _with_terms(obj, terms):
-    """Give an empty SuperFunction a dict of terms that is already
-    normalised (no zero values, canonical keys)."""
-    obj.terms = terms
-    return obj
+def mul_into(out, prefix, a_items, b_items, h_max, factor=1, twist=0):
+    """Add factor * a * b into ``out`` under the keys prefix + (m, mask, p,
+    s, r) and return ``out``; a and b are the items of two flat coefficient
+    dicts.  The theta part of b first moves left past ``twist`` odd
+    factors, so with odd ``twist`` each term of odd theta-weight in b
+    changes sign.  Terms above ``h_max`` are dropped."""
+    twist &= 1
+    for (m1, t1, p1, s1, r1), q1 in a_items:
+        if factor != 1:
+            q1 = q1 * factor
+        for (m2, t2, p2, s2, r2), q2 in b_items:
+            m = m1 + m2
+            if m > h_max:
+                continue
+            q = q1 * q2
+            if t2:
+                if t1:
+                    sign = theta_sign(t1, t2)
+                    if not sign:
+                        continue
+                    if sign < 0:
+                        q = -q
+                if twist and t2.bit_count() & 1:
+                    q = -q
+            if r1 == 1 or r2 == 1:
+                r = r1 * r2
+            else:
+                # square-free roots: sqrt(r1 r2) = g sqrt(r1 r2 / g^2)
+                g = gcd(r1, r2)
+                r = (r1 // g) * (r2 // g)
+                q *= g
+            s = s1 + s2
+            accumulate(out, prefix + (m, t1 | t2, p1 + p2 + (s >> 1), s & 1,
+                                      r), q)
+    return out
 
 
 def _check_monomial(m=0, p=0, s=0, r=1):
@@ -261,24 +293,6 @@ class Scalar:
         weights = {key[1].bit_count() & 1 for key in self.coeffs}
         return weights.pop() if len(weights) == 1 else None
 
-    def split_theta_parity(self):
-        """Return (even_part, odd_part) by theta-weight."""
-        even, odd = {}, {}
-        for key, q in self.coeffs.items():
-            (odd if key[1].bit_count() & 1 else even)[key] = q
-        return _with_coeffs(self.ctx, even), _with_coeffs(self.ctx, odd)
-
-    def theta_twist(self, q):
-        """Multiply each term by (-1)**(q * theta_weight).
-
-        This is the Koszul sign of moving q odd factors past the scalar.
-        """
-        if q % 2 == 0:
-            return self
-        return _with_coeffs(self.ctx, {
-            key: (-v if key[1].bit_count() & 1 else v)
-            for key, v in self.coeffs.items()})
-
     def hbar_min_degree(self):
         return min((key[0] for key in self.coeffs), default=None)
 
@@ -325,28 +339,9 @@ class Scalar:
                 k: int_if_integral(q * other)
                 for k, q in self.coeffs.items()} if other else {})
         self._check(other)
-        h_max = self.ctx.h_max
-        out = {}
-        for (m1, t1, p1, s1, r1), q1 in self.coeffs.items():
-            for (m2, t2, p2, s2, r2), q2 in other.coeffs.items():
-                m = m1 + m2
-                if m > h_max:
-                    continue
-                sign = theta_sign(t1, t2) if t1 and t2 else 1
-                if not sign:
-                    continue
-                q = q1 * q2 if sign > 0 else -q1 * q2
-                if r1 == 1 or r2 == 1:
-                    r = r1 * r2
-                else:
-                    # square-free roots: sqrt(r1 r2) = g sqrt(r1 r2 / g^2)
-                    g = gcd(r1, r2)
-                    r = (r1 // g) * (r2 // g)
-                    q *= g
-                s = s1 + s2
-                accumulate(out, (m, t1 | t2, p1 + p2 + (s >> 1), s & 1, r),
-                           q)
-        return _with_coeffs(self.ctx, out)
+        return _with_coeffs(self.ctx, mul_into(
+            {}, (), self.coeffs.items(), other.coeffs.items(),
+            self.ctx.h_max))
 
     __rmul__ = __mul__
 

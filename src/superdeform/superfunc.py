@@ -33,17 +33,31 @@ times pi^(n/2) as n is even.
 Compactly supported functions are modeled by the terms with c > 0, smooth
 functions by arbitrary terms, and the centralizer of the compactly
 supported class consists of the constants.
+
+A SuperFunction keeps its terms in one flat dict, ``coeffs``, keyed
+
+    (x_exponents, gauss_weight, xi_indices, m, theta_mask, p, s, r):
+
+the term key followed by the key of ``Scalar.coeffs``, with int values
+when integral and Fraction values otherwise.  So an entry is one rational
+times a monomial, and every operation works on rationals: products of
+coefficient lists go through ``scalars.mul_into``, and no per-term Scalar
+is built.  ``terms`` is the view {term key: Scalar}, built on each access
+for rendering and for readers of whole coefficients.  Only this module
+knows the layout; the bracket kernels read terms through ``_grouped`` and
+build results through ``_make``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
+from operator import add
 
 from .errors import ContextMismatchError, NotIntegrableError
 from .scalars import (RadicalNumber, Scalar, ScalarContext, _with_coeffs,
-                      _with_terms, accumulate, int_if_integral,
-                      merge_odd_indices, squarefree_decompose)
+                      accumulate, int_if_integral, merge_odd_indices,
+                      mul_into, squarefree_decompose)
 
 
 class SymplecticContext:
@@ -134,14 +148,27 @@ def bump(xexp, a, step):
 class SuperFunction:
     """Exact superfunction over a SymplecticContext.
 
-    ``terms`` maps (x_exponents, gauss_weight, xi_indices) to a Scalar.
+    ``coeffs`` is the flat dict of the module doc.  The constructor takes
+    the form of ``terms``, {(x_exponents, gauss_weight, xi_indices):
+    Scalar}, where a rational value stands for its Scalar; ``terms`` is
+    that view, built on each access.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
-        self.terms = {key: s for key, s in (terms or {}).items() if s}
+        self.coeffs = {}
+        for key, s in (terms or {}).items():
+            s = _own_scalar(ctx, s)
+            self.coeffs.update((key + k, q) for k, q in s.coeffs.items())
+
+    @property
+    def terms(self):
+        """The view {(x_exponents, gauss_weight, xi_indices): Scalar}."""
+        sctx = self.ctx.scalar_ctx
+        return {term: _with_coeffs(sctx, dict(items))
+                for term, items in _grouped(self).items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -150,7 +177,7 @@ class SuperFunction:
         return cls(ctx)
 
     @classmethod
-    def term(cls, ctx, xexp=None, c=0, xi=(), scalar=None):
+    def term(cls, ctx, xexp=None, c=0, xi=(), scalar=1):
         if xexp is None:
             xexp = (0,) * ctx.n_plus
         xexp = tuple(xexp)
@@ -163,16 +190,11 @@ class SuperFunction:
         if xi != tuple(sorted(set(xi))) or any(
                 not 1 <= a <= ctx.n_minus for a in xi):
             raise ValueError("xi monomial must be sorted distinct indices")
-        if scalar is None:
-            scalar = Scalar.one(ctx.scalar_ctx)
-        elif not isinstance(scalar, Scalar):
-            scalar = Scalar.rational(ctx.scalar_ctx, scalar)
         return cls(ctx, {(xexp, c, xi): scalar})
 
     @classmethod
     def constant(cls, ctx, value):
-        return cls.term(ctx, scalar=value if isinstance(value, Scalar)
-                        else Scalar.rational(ctx.scalar_ctx, value))
+        return cls.term(ctx, scalar=value)
 
     @classmethod
     def x(cls, ctx, i):
@@ -206,22 +228,35 @@ class SuperFunction:
                 f"contexts differ: {self.ctx} vs {other.ctx}")
 
     def is_zero(self):
-        return not self.terms
+        return not self.coeffs
+
+    def constant_scalar(self):
+        """The Scalar s when the function is the constant s, else None."""
+        const = ((0,) * self.ctx.n_plus, 0, ())
+        if any(key[:3] != const for key in self.coeffs):
+            return None
+        return _with_coeffs(self.ctx.scalar_ctx,
+                            {key[3:]: q for key, q in self.coeffs.items()})
 
     def __add__(self, other):
         if not isinstance(other, SuperFunction):
             other = SuperFunction.constant(self.ctx, other)
         self._check(other)
-        out = dict(self.terms)
-        for key, scalar in other.terms.items():
-            accumulate(out, key, scalar)
-        return _with_terms(SuperFunction(self.ctx), out)
+        # a SuperFunction is never changed in place, so a sum with zero
+        # may be the other summand itself
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        out = dict(self.coeffs)
+        for key, q in other.coeffs.items():
+            accumulate(out, key, q)
+        return _from_coeffs(self.ctx, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _with_terms(SuperFunction(self.ctx),
-                           {k: -s for k, s in self.terms.items()})
+        return _from_coeffs(self.ctx, {k: -q for k, q in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SuperFunction):
@@ -238,10 +273,11 @@ class SuperFunction:
 
     def scale_left(self, scalar):
         """Multiply by a scalar standing to the left of every term."""
-        if not isinstance(scalar, Scalar):
-            scalar = Scalar.rational(self.ctx.scalar_ctx, scalar)
-        return SuperFunction(self.ctx, {
-            key: scalar * s for key, s in self.terms.items()})
+        items = _own_scalar(self.ctx, scalar).coeffs.items()
+        out = {}
+        for term, own in _grouped(self).items():
+            mul_into(out, term, items, own, self.ctx.h_max)
+        return _from_coeffs(self.ctx, out)
 
     def scale_right(self, scalar):
         """Multiply by a scalar standing to the right of every term.
@@ -249,36 +285,32 @@ class SuperFunction:
         Moving the scalar's odd theta part past the xi monomial costs the
         Koszul sign.
         """
-        if not isinstance(scalar, Scalar):
-            scalar = Scalar.rational(self.ctx.scalar_ctx, scalar)
+        items = _own_scalar(self.ctx, scalar).coeffs.items()
         out = {}
-        for (xexp, c, xi), s in self.terms.items():
-            twisted = scalar.theta_twist(len(xi))
-            out[(xexp, c, xi)] = s * twisted
-        return SuperFunction(self.ctx, out)
+        for term, own in _grouped(self).items():
+            mul_into(out, term, own, items, self.ctx.h_max, 1, len(term[2]))
+        return _from_coeffs(self.ctx, out)
 
     def __eq__(self, other):
+        if isinstance(other, Scalar) and other.ctx != self.ctx.scalar_ctx:
+            return False
         if isinstance(other, (Rational, Scalar)):
             other = SuperFunction.constant(self.ctx, other)
         elif not isinstance(other, SuperFunction):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.ctx, self.freeze()))
 
     def freeze(self):
-        return tuple(sorted(
-            (key, s.freeze()) for key, s in self.terms.items()))
+        return tuple(sorted(self.coeffs.items()))
 
     # -- grading -----------------------------------------------------------
 
     def eps(self):
         """Total Grassmann parity (xi-degree + theta-weight), or None."""
-        parities = set()
-        for (_, _, xi), s in self.terms.items():
-            for key in s.coeffs:
-                parities.add((len(xi) + key[1].bit_count()) % 2)
+        parities = {_parity(key) for key in self.coeffs}
         if not parities:
             return 0
         return parities.pop() if len(parities) == 1 else None
@@ -289,18 +321,17 @@ class SuperFunction:
         return None if e is None else (e + 1) % 2
 
     def homogeneous_components(self):
-        """Split into a list of nonzero parity-homogeneous functions.
+        """Split into a list of nonzero parity-homogeneous functions; a
+        homogeneous function is its own list.
 
         The split is by total parity, so it serves both gradings.
         """
-        parts = {0: {}, 1: {}}
-        for (xexp, c, xi), s in self.terms.items():
-            even, odd = s.split_theta_parity()
-            for w, piece in ((0, even), (1, odd)):
-                if not piece.is_zero():
-                    parts[(len(xi) + w) % 2][(xexp, c, xi)] = piece
-        return [_with_terms(SuperFunction(self.ctx), parts[p])
-                for p in (0, 1) if parts[p]]
+        if self.eps() is not None:
+            return [self] if self.coeffs else []
+        parts = ({}, {})
+        for key, q in self.coeffs.items():
+            parts[_parity(key)][key] = q
+        return [_from_coeffs(self.ctx, part) for part in parts]
 
     # -- class flags -------------------------------------------------------
 
@@ -308,50 +339,44 @@ class SuperFunction:
         """True when every term is Gaussian-suppressed (for n_plus > 0)."""
         if self.ctx.n_plus == 0:
             return True
-        return all(c > 0 for (_, c, _) in self.terms)
+        return all(key[1] > 0 for key in self.coeffs)
 
     def is_z_class(self):
         """True when the function is Gaussian-class plus a constant."""
         zero_x = (0,) * self.ctx.n_plus
         if self.ctx.n_plus == 0:
             return True
-        return all(c > 0 or (xexp == zero_x and xi == ())
-                   for (xexp, c, xi) in self.terms)
+        return all(key[1] > 0 or (key[0] == zero_x and key[2] == ())
+                   for key in self.coeffs)
 
     def normalize_mod_Z(self):
         """Canonical representative modulo Gaussian-class terms and constants."""
         zero_x = (0,) * self.ctx.n_plus
         if self.ctx.n_plus == 0:
             return SuperFunction.zero(self.ctx)
-        out = {}
-        for (xexp, c, xi), s in self.terms.items():
-            if c > 0:
-                continue
-            if xexp == zero_x and xi == ():
-                continue
-            out[(xexp, c, xi)] = s
-        return SuperFunction(self.ctx, out)
+        return _from_coeffs(self.ctx, {
+            key: q for key, q in self.coeffs.items()
+            if key[1] == 0 and (key[0] != zero_x or key[2] != ())})
 
     # -- hbar bookkeeping --------------------------------------------------
 
     def hbar_min_degree(self):
-        degrees = [s.hbar_min_degree() for s in self.terms.values()]
-        degrees = [d for d in degrees if d is not None]
-        return min(degrees, default=None)
+        return min((key[3] for key in self.coeffs), default=None)
+
+    def is_even_series(self, min_degree=0):
+        """True when only even h-exponents >= min_degree are present."""
+        return all(key[3] % 2 == 0 and key[3] >= min_degree
+                   for key in self.coeffs)
 
     def truncate_hbar(self, order):
-        return SuperFunction(self.ctx, {
-            key: s.truncate(order) for key, s in self.terms.items()})
+        return _from_coeffs(self.ctx, {
+            key: q for key, q in self.coeffs.items() if key[3] <= order})
 
     def theta_grade_part(self, weight):
         """Terms whose scalar theta-monomials have the given weight."""
-        out = {}
-        for key, s in self.terms.items():
-            filtered = {k: q for k, q in s.coeffs.items()
-                        if k[1].bit_count() == weight}
-            if filtered:
-                out[key] = _with_coeffs(s.ctx, filtered)
-        return _with_terms(SuperFunction(self.ctx), out)
+        return _from_coeffs(self.ctx, {
+            key: q for key, q in self.coeffs.items()
+            if key[4].bit_count() == weight})
 
     # -- differentiation ---------------------------------------------------
 
@@ -370,22 +395,25 @@ class SuperFunction:
             raise ValueError(f"variable index {a} outside 0..{ctx.n_z - 1}")
         out = {}
         if a < ctx.n_plus:
-            for (xexp, c, xi), s in self.terms.items():
-                for step, q in x_steps(xexp[a], c):
-                    accumulate(out, (bump(xexp, a, step), c, xi), s * q)
-            return _with_terms(SuperFunction(ctx), out)
+            for (xexp, c, xi), items in _grouped(self).items():
+                for step, u in x_steps(xexp[a], c):
+                    term = (bump(xexp, a, step), c, xi)
+                    for k, q in items:
+                        accumulate(out, term + k, q * u)
+            return _from_coeffs(ctx, out)
         gen = a - ctx.n_plus + 1
-        for (xexp, c, xi), s in self.terms.items():
+        for (xexp, c, xi), items in _grouped(self).items():
             if gen not in xi:
                 continue
             pos = xi.index(gen)
-            if right:
-                flips = len(xi) - pos - 1
-            else:
-                s, flips = s.theta_twist(1), pos
+            flips = len(xi) - pos - 1 if right else pos
             # distinct xi monomials stay distinct without xi_gen
-            out[xexp, c, xi[:pos] + xi[pos + 1:]] = -s if flips % 2 else s
-        return _with_terms(SuperFunction(ctx), out)
+            term = (xexp, c, xi[:pos] + xi[pos + 1:])
+            for k, q in items:
+                # from the left, xi_gen also passes the theta part
+                odd = flips if right else flips + k[1].bit_count()
+                out[term + k] = -q if odd & 1 else q
+        return _from_coeffs(ctx, out)
 
     # -- integration -------------------------------------------------------
 
@@ -401,20 +429,21 @@ class SuperFunction:
         zero_x = (0,) * ctx.n_plus
         half = ctx.n_plus // 2
         total = {}
-        for (xexp, c, xi), s in self.terms.items():
+        for (xexp, c, xi), items in _grouped(self).items():
             if ctx.n_plus > 0 and c == 0:
                 if mod_centralizer and xexp == zero_x and xi == ():
                     continue
                 raise NotIntegrableError(
                     "term without Gaussian suppression is not integrable: "
-                    f"{self._render_term((xexp, c, xi), s)}")
+                    + self._render_term((xexp, c, xi), _with_coeffs(
+                        ctx.scalar_ctx, dict(items))))
             if xi != top or any(e % 2 for e in xexp):
                 continue
             moment = Fraction(2) ** half / Fraction(c) ** (
                 sum(xexp) // 2 + half)
             for e in xexp:
                 moment *= _double_factorial_odd(e // 2)
-            for (m, t, p, sp, r), q in s.coeffs.items():
+            for (m, t, p, sp, r), q in items:
                 accumulate(total, (m, t, p + half, sp, r), q * moment)
         return _with_coeffs(ctx.scalar_ctx, total)
 
@@ -423,17 +452,22 @@ class SuperFunction:
     def number_z(self):
         """Sum over all variables of z_a times the left derivative."""
         out = {}
-        for (xexp, c, xi), s in self.terms.items():
-            accumulate(out, (xexp, c, xi), s * (sum(xexp) + len(xi)))
-            minus_c = s * -c
-            for a in range(len(xexp) if c else 0):
-                accumulate(out, (bump(xexp, a, 2), c, xi), minus_c)
-        return _with_terms(SuperFunction(self.ctx), out)
+        for (xexp, c, xi), items in _grouped(self).items():
+            degree = sum(xexp) + len(xi)
+            term = (xexp, c, xi)
+            bumped = [(bump(xexp, a, 2), c, xi)
+                      for a in range(len(xexp) if c else 0)]
+            for k, q in items:
+                accumulate(out, term + k, q * degree)
+                for b in bumped:
+                    accumulate(out, b + k, -c * q)
+        return _from_coeffs(self.ctx, out)
 
     def number_xi(self):
         """Sum over the xi_a of xi_a times the left derivative."""
-        return _with_terms(SuperFunction(self.ctx), {
-            key: s * len(key[2]) for key, s in self.terms.items() if key[2]})
+        return _from_coeffs(self.ctx, {
+            key: int_if_integral(q * len(key[2]))
+            for key, q in self.coeffs.items() if key[2]})
 
     def euler_E(self):
         """1 - (1/2) z d/dz, the operator whose kernel is degree two."""
@@ -445,14 +479,18 @@ class SuperFunction:
         if ctx.n_plus != ctx.n_minus:
             raise ValueError("delta operator requires n_plus == n_minus")
         out = {}
-        for (xexp, c, xi), s in self.terms.items():
-            twisted = s.theta_twist(1)
+        for (xexp, c, xi), items in _grouped(self).items():
+            # the left xi-derivative passes the theta part
+            twisted = [(k, -q if k[1].bit_count() & 1 else q)
+                       for k, q in items]
             for pos, gen in enumerate(xi):
                 rest = xi[:pos] + xi[pos + 1:]
-                for step, q in x_steps(xexp[gen - 1], c):
-                    accumulate(out, (bump(xexp, gen - 1, step), c, rest),
-                               twisted * (-q if pos & 1 else q))
-        return _with_terms(SuperFunction(ctx), out)
+                for step, u in x_steps(xexp[gen - 1], c):
+                    term = (bump(xexp, gen - 1, step), c, rest)
+                    w = -u if pos & 1 else u
+                    for k, q in twisted:
+                        accumulate(out, term + k, q * w)
+        return _from_coeffs(ctx, out)
 
     # -- rendering ---------------------------------------------------------
 
@@ -475,10 +513,11 @@ class SuperFunction:
         return "*".join(factors)
 
     def render(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        keys = sorted(self.terms, key=lambda k: (k[0], k[1], k[2]))
-        return " + ".join(self._render_term(k, self.terms[k]) for k in keys)
+        return " + ".join(self._render_term(k, terms[k])
+                          for k in sorted(terms))
 
     def __str__(self):
         return self.render()
@@ -486,19 +525,71 @@ class SuperFunction:
     __repr__ = __str__
 
 
+def _parity(key):
+    """Total parity of a flat key: xi-degree plus theta-weight, mod 2."""
+    return (len(key[2]) + key[4].bit_count()) & 1
+
+
+def _own_scalar(ctx, value):
+    """``value`` as a Scalar over ctx.scalar_ctx: a rational is converted,
+    a Scalar over another context refused."""
+    sctx = ctx.scalar_ctx
+    if not isinstance(value, Scalar):
+        return Scalar.rational(sctx, value)
+    if value.ctx is not sctx and value.ctx != sctx:
+        raise ContextMismatchError(
+            f"scalar context {value.ctx} is not {sctx}")
+    return value
+
+
+def _from_coeffs(ctx, coeffs):
+    """A SuperFunction on a flat dict that is already clean: no zero value,
+    no integral Fraction, no h-exponent above h_max."""
+    obj = SuperFunction.__new__(SuperFunction)
+    obj.ctx = ctx
+    obj.coeffs = coeffs
+    return obj
+
+
+def _grouped(f):
+    """The terms of f as {(x_exponents, gauss_weight, xi_indices): [(scalar
+    key, coefficient), ...]}, in the order of ``f.coeffs``."""
+    groups = {}
+    for key, q in f.coeffs.items():
+        term = key[:3]
+        items = groups.get(term)
+        if items is None:
+            groups[term] = [(key[3:], q)]
+        else:
+            items.append((key[3:], q))
+    return groups
+
+
+def _make(ctx, slots, den=1):
+    """The SuperFunction of {(x_exponents, gauss_weight, xi_indices):
+    {scalar key: coefficient}} over the common denominator ``den``, zero
+    coefficients dropped."""
+    coeffs = {}
+    for term, slot in slots.items():
+        for k, v in slot.items():
+            if v:
+                coeffs[term + k] = int_if_integral(
+                    v if den == 1 else Fraction(v, den))
+    return _from_coeffs(ctx, coeffs)
+
+
 def sf_mul(f, g):
     """Supercommutative product with all Koszul signs."""
     f._check(g)
+    h_max = f.ctx.h_max
     out = {}
-    for (xe1, c1, xi1), s1 in f.terms.items():
-        deg1 = len(xi1)
-        for (xe2, c2, xi2), s2 in g.terms.items():
+    gterms = list(_grouped(g).items())
+    for (xe1, c1, xi1), items1 in _grouped(f).items():
+        for (xe2, c2, xi2), items2 in gterms:
             sign, xi = merge_odd_indices(xi1, xi2)
-            if not sign:
-                continue
-            # the theta part of s2 moves left past xi1
-            scalar = s1 * s2.theta_twist(deg1)
-            key = (tuple(e1 + e2 for e1, e2 in zip(xe1, xe2)),
-                   int_if_integral(c1 + c2), xi)
-            accumulate(out, key, scalar if sign > 0 else -scalar)
-    return _with_terms(SuperFunction(f.ctx), out)
+            if sign:
+                # the theta part of g's scalar moves left past xi1
+                mul_into(out, (tuple(map(add, xe1, xe2)),
+                               int_if_integral(c1 + c2), xi),
+                         items1, items2, h_max, sign, len(xi1))
+    return _from_coeffs(f.ctx, out)

@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import os
 import random
 import time
 from fractions import Fraction
+
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +138,33 @@ def test_benchmark_hooks_into_the_ring():
         (0, ()): 3, (2, ()): Fraction(1, 2), (0, (1,)): 1}
 
 
+def test_benchmark_reads_flat_functions(monkeypatch):
+    """perfbench/workloads.py reads ``_even_terms`` and ``_xi_degree`` off
+    SuperFunction.terms, and perfbench/layertrace.py counts the terms in
+    and out of sf_mul and the brackets with len(f.terms): one per distinct
+    (xexp, c, xi), however many coefficients each holds."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import layertrace
+    import workloads
+    ctx = SymplecticContext(2, 0, (), 0, 4)
+    sctx = ctx.scalar_ctx
+    f = (SuperFunction.term(ctx, (1, 0), 1, (), Scalar.hbar(
+        sctx, 2, Fraction(1, 2)) + 3) + SuperFunction.term(ctx, (0, 2)) * 2)
+    g = SuperFunction.gauss(ctx, Fraction(1, 2)) * (Scalar.hbar(sctx) + 1)
+    assert sorted(workloads._even_terms(f)) == [
+        [[0, 2], "0", 0, "2"], [[1, 0], "1", 0, "3"], [[1, 0], "1", 2, "1/2"]]
+    value = sf_mul(f, g)
+    counts = defaultdict(int)
+    layertrace.TERMS.after(counts, "sf_mul", None, (f, g), value)
+    assert dict(counts) == {"sf_mul.terms_in": 2, "sf_mul.terms_out": 2}
+    assert len(value.coeffs) == 6
+    ctx22 = SymplecticContext(2, 2, (1, 1), 1, 4)
+    assert workloads._xi_degree(SuperFunction.zero(ctx22)) is None
+    assert workloads._xi_degree(SuperFunction.term(
+        ctx22, (1, 1), 1, (1, 2), Scalar.theta(ctx22.scalar_ctx, 1))) == 2
+
+
 def test_merge_odd_indices_signs():
     assert merge_odd_indices((1,), (2,)) == (1, (1, 2))
     assert merge_odd_indices((2,), (1,)) == (-1, (1, 2))
@@ -165,16 +195,25 @@ def test_parity_and_split():
     assert s.parity() == 0
     assert t.parity() == 1
     assert (s + t).parity() is None
-    even, odd = (s + t).split_theta_parity()
-    assert even == s and odd == t
+    # the split of a scalar by theta-weight is the parity split of a
+    # constant function
+    fctx = SymplecticContext(0, 1, (1,), 2, 6)
+    mixed = SuperFunction.constant(fctx, s + t)
+    assert mixed.homogeneous_components() == [
+        SuperFunction.constant(fctx, s), SuperFunction.constant(fctx, t)]
 
 
 def test_theta_twist_sign():
-    ctx = ScalarContext(k=1, h_max=6)
-    t = Scalar.theta(ctx, 1)
-    assert t.theta_twist(1) == -t
-    assert t.theta_twist(2) == t
-    assert Scalar.one(ctx).theta_twist(1) == Scalar.one(ctx)
+    """A scalar standing right of q odd factors moves left past them with
+    (-1)^(q * theta-weight): th1 xi1 = -xi1 th1, th1 xi1 xi2 = xi1 xi2 th1."""
+    ctx = SymplecticContext(0, 2, (1, 1), 1, 6)
+    t = Scalar.theta(ctx.scalar_ctx, 1)
+    xi1, xi2 = SuperFunction.xi(ctx, 1), SuperFunction.xi(ctx, 2)
+    assert xi1.scale_right(t) == xi1.scale_left(-t)
+    assert sf_mul(xi1, xi2).scale_right(t) == sf_mul(xi1, xi2).scale_left(t)
+    assert sf_mul(xi1, SuperFunction.constant(ctx, t)) == xi1.scale_left(-t)
+    one = Scalar.one(ctx.scalar_ctx)
+    assert xi1.scale_right(one) == xi1.scale_left(one) == xi1
 
 
 def test_is_even_series():
@@ -335,16 +374,26 @@ def test_render_orders_theta_by_index_tuple():
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_theta_twist_is_weight_parity(k):
-    ctx = ScalarContext(k=k, h_max=2)
+    """Moving a theta monomial past q odd factors costs (-1)^(q * weight):
+    through scale_right over one, two and three xi, and through the left
+    xi-derivative, which passes the theta part of the coefficient."""
+    fctx = SymplecticContext(0, 3, (1, 1, 1), k, 2)
+    ctx = fctx.scalar_ctx
+    xis = [SuperFunction.xi(fctx, a) for a in (1, 2, 3)]
     for alpha in _theta_monomials(k):
         mono = Scalar(ctx, {(1, alpha): Fraction(2, 3)})
         sign = (-1) ** len(alpha)
-        assert mono.theta_twist(1) == mono * sign
-        assert mono.theta_twist(3) == mono * sign
-        assert mono.theta_twist(2) == mono
-        even, odd = mono.split_theta_parity()
-        assert (odd if len(alpha) % 2 else even) == mono
-        assert mono.parity() == len(alpha) % 2
+        for q in (1, 2, 3):
+            xi_q = xis[0]
+            for xi in xis[1:q]:
+                xi_q = sf_mul(xi_q, xi)
+            assert xi_q.scale_right(mono) == xi_q.scale_left(
+                mono * sign ** q)
+        assert xis[0].scale_left(mono).left_deriv(0) == \
+            SuperFunction.constant(fctx, mono * sign)
+        const = SuperFunction.constant(fctx, mono)
+        assert const.homogeneous_components() == [const]
+        assert const.eps() == mono.parity() == len(alpha) % 2
 
 
 def test_sf_mul_supercommutes_with_theta_coefficients():

@@ -5,8 +5,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from superdeform import (NotIntegrableError, Scalar, SuperFunction,
-                         SymplecticContext, sf_mul)
+from superdeform import (ContextMismatchError, NotIntegrableError, Scalar,
+                         ScalarContext, SuperFunction, SymplecticContext,
+                         sf_mul)
 from superdeform.superfunc import gaussian_moment
 
 from conftest import (omega_channels, radical_float, random_superfunction,
@@ -20,6 +21,23 @@ def test_context_validation():
         SymplecticContext(4, 2, (1,))
     with pytest.raises(ValueError):
         SymplecticContext(4, 2, (1, 2))
+
+
+def test_constructor_checks_its_values():
+    """A Scalar over another ring is refused (it would otherwise lose its
+    context silently); a rational value stands for its Scalar."""
+    ctx = SymplecticContext(2, 1, k=1)
+    foreign = Scalar.theta(ScalarContext(k=2, h_max=3), 2)
+    with pytest.raises(ContextMismatchError):
+        SuperFunction(ctx, {((0, 0), 1, ()): foreign})
+    with pytest.raises(ContextMismatchError):
+        SuperFunction.gauss(ctx, 1).scale_left(foreign)
+    f = SuperFunction(ctx, {((0, 0), 1, ()): 3,
+                            ((1, 0), 0, (1,)): Fraction(1, 2),
+                            ((0, 1), 0, ()): 0})
+    assert f == SuperFunction.gauss(ctx, 1) * 3 + SuperFunction.term(
+        ctx, (1, 0), 0, (1,), Fraction(1, 2))
+    assert f.render() == "3*gauss(1) + 1/2*x1*xi1"
 
 
 def test_omega_channels_canonical(ctx42):
