@@ -13,7 +13,7 @@ and b = 1 for the antibracket, whose channels take one xi from one side.
 So a pair takes one product of its two scalars, ``mul_into`` with twist
 len(xi(f)) + b.  The kernels read a function's terms through
 ``superfunc._grouped`` and build their result with ``superfunc._make``,
-so only superfunc knows the layout of ``SuperFunction.coeffs``.
+so the key layout of ``coeffs`` stays inside superfunc and scalars.
 
 The Moyal kernel is block factored.  P is a sum of commuting channels, and
 each channel couples one block of variables: an x-pair (y1, y2) =
@@ -49,7 +49,7 @@ from operator import add
 
 from .scalars import (Scalar, accumulate, int_if_integral, merge_odd_indices,
                       mul_into)
-from .superfunc import _grouped, _make, bump, x_steps
+from .superfunc import _grouped, _make, _own_scalar, bump, x_steps
 
 
 def poisson_bracket(f, g):
@@ -316,8 +316,7 @@ def moyal_bracket(f, g, kappa=1, memo=None):
     """
     f._check(g)
     sctx = f.ctx.scalar_ctx
-    if not isinstance(kappa, Scalar):
-        kappa = Scalar.rational(sctx, kappa)
+    kappa = _own_scalar(f.ctx, kappa)
     if not kappa.is_theta_free():
         raise ValueError("kappa must be theta-free")
     hk = Scalar.hbar(sctx) * kappa

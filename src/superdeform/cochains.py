@@ -16,8 +16,7 @@ from itertools import product
 
 from .brackets import antibracket, bidiff_power, moyal_bracket, poisson_bracket
 from .errors import ArityError
-from .scalars import Scalar
-from .superfunc import SuperFunction, sf_mul
+from .superfunc import SuperFunction, _own_scalar, sf_mul
 
 EVEN, ODD = "even", "odd"
 
@@ -88,8 +87,7 @@ class LeafForm(Cochain):
 
 class ScaledCochain(Cochain):
     def __init__(self, scalar, inner):
-        if not isinstance(scalar, Scalar):
-            scalar = Scalar.rational(inner.ctx.scalar_ctx, scalar)
+        scalar = _own_scalar(inner.ctx, scalar)
         weight = scalar.parity()
         parity = None
         if inner.parity is not None and weight is not None:

@@ -19,8 +19,8 @@ from .cochains import (Cochain, EVEN, FunctionScaledCochain, LeafForm, ODD,
                        m1_form, m23_form, m3_form, mu_form, mzeta_form,
                        zeta_form_parity)
 from .errors import DeformationError, NotIntegrableError
-from .scalars import Scalar, _with_coeffs
-from .superfunc import SuperFunction, _from_coeffs, sf_mul
+from .scalars import Scalar
+from .superfunc import SuperFunction, _own_scalar, sf_mul
 
 C1, C1C, C3 = "C1", "C1c", "C3"
 ANTI_EVEN, ANTI_ODD, GENERAL_ODD = "ANTI_EVEN", "ANTI_ODD", "GENERAL_ODD"
@@ -59,16 +59,11 @@ def _require_even_series(s, name):
             f"{name} must be an even power series in hbar", relation=name)
 
 
-def _theta_free_part(s):
-    return _with_coeffs(s.ctx,
-                        {key: q for key, q in s.coeffs.items() if not key[1]})
-
-
 def _require_param(s, name):
     """A deformation parameter: even series in h, vanishing in the
     classical limit (no theta-free constant term)."""
     _require_even_series(s, name)
-    if not _theta_free_part(s).is_even_series(2):
+    if not s.theta_free_part().is_even_series(2):
         raise DeformationError(
             f"{name} must lie in hbar^2 K[[hbar^2]] modulo theta terms",
             relation=name)
@@ -91,22 +86,8 @@ def _require_parity(value, parity, name):
         raise DeformationError(f"{name} must be {word}", relation=name)
 
 
-def _as_scalar(ctx, value):
-    if isinstance(value, Scalar):
-        return value
-    return Scalar.rational(ctx.scalar_ctx, value)
-
-
 def _bar(f):
     return f.integral_bar(mod_centralizer=True)
-
-
-def _d_class_part(f):
-    """The Gaussian-suppressed terms of f (all of f when n_plus == 0)."""
-    if f.ctx.n_plus == 0:
-        return f
-    return _from_coeffs(f.ctx, {key: q for key, q in f.coeffs.items()
-                                if key[1] > 0})
 
 
 # -- Poisson-side deformations ---------------------------------------------
@@ -116,13 +97,12 @@ def build_C1(zeta, kappa=1, flavor=C1, c=None):
     bar-extended arguments; with the C1c flavor the term c*fbar*gbar is
     added and the combination M(zeta,zeta) + c must land in Z."""
     ctx = zeta.ctx
-    kappa = _as_scalar(ctx, kappa)
+    kappa = _own_scalar(ctx, kappa)
     _require_even_fn(zeta, "zeta")
     _require_parity(zeta, 0, "zeta")
     if not kappa.is_theta_free():
         raise DeformationError("kappa must be theta-free", relation="kappa")
-    degrees = {key[0] % 2 for key in kappa.coeffs}
-    if len(degrees) > 1:
+    if not kappa.is_even_or_odd_series():
         raise DeformationError(
             "kappa must be an even or odd series in hbar so that "
             "c1 = (1/6) hbar^2 kappa^2 is an even series", relation="kappa")
@@ -130,7 +110,7 @@ def build_C1(zeta, kappa=1, flavor=C1, c=None):
     # the Moyal kernel's tables, shared by every bracket of this deformation
     memo = {}
     if flavor == C1C:
-        c = _as_scalar(ctx, 0 if c is None else c)
+        c = _own_scalar(ctx, 0 if c is None else c)
         _require_param(c, "c")
         probe = moyal_bracket(zeta, zeta, kappa, memo) + \
             SuperFunction.constant(ctx, c)
@@ -167,7 +147,7 @@ def build_C1c(zeta, kappa=1, c=0):
 def build_C3(zeta, c3=0):
     """C = m0 + m_zeta + c3*m3."""
     ctx = zeta.ctx
-    c3 = _as_scalar(ctx, c3)
+    c3 = _own_scalar(ctx, c3)
     _require_even_fn(zeta, "zeta")
     _require_param(c3, "c3")
     if not zeta.is_zero() and zeta_form_parity(ctx, zeta) == 1:
@@ -200,7 +180,7 @@ def build_anti_even(ctx, c):
     if ctx.n_plus != ctx.n_minus:
         raise DeformationError("the antibracket needs n_plus == n_minus",
                                relation="context")
-    c = _as_scalar(ctx, c)
+    c = _own_scalar(ctx, c)
     _require_param(c, "c")
     if not c.is_theta_free():
         raise DeformationError("c must be theta-free", relation="c")
@@ -294,15 +274,15 @@ def check_constraints(zeta, eta, h1, h2):
     requirement on eta; all residuals are returned, nothing is raised."""
     ctx = zeta.ctx
     sctx = ctx.scalar_ctx
-    h1 = _as_scalar(ctx, h1)
-    h2 = _as_scalar(ctx, h2)
+    h1 = _own_scalar(ctx, h1)
+    h2 = _own_scalar(ctx, h2)
     _require_parity(zeta, 1, "zeta")
     _require_parity(eta, 0, "eta")
     _require_parity(h1, 1, "h1")
     _require_parity(h2, 0, "h2")
     theta = Scalar.theta(sctx, 1)
     # the bar of the non-D part need not exist; it is flagged separately
-    etabar = _bar(_d_class_part(eta))
+    etabar = _bar(eta.d_class_part())
     residuals = {
         "i": _relation_one(zeta, eta, h1, h2, etabar),
         "ii": SuperFunction.constant(ctx, theta * etabar),
@@ -326,8 +306,8 @@ def solve_eta(zeta, h1, h2, max_iter=64):
     """
     ctx = zeta.ctx
     sctx = ctx.scalar_ctx
-    h1 = _as_scalar(ctx, h1)
-    h2 = _as_scalar(ctx, h2)
+    h1 = _own_scalar(ctx, h1)
+    h2 = _own_scalar(ctx, h2)
     _require_parity(zeta, 1, "zeta")
     _require_parity(h1, 1, "h1")
     _require_parity(h2, 0, "h2")
@@ -351,7 +331,7 @@ def solve_eta(zeta, h1, h2, max_iter=64):
         raise DeformationError(
             f"bar obstruction while solving for eta: {exc}",
             relation="i") from exc
-    obstruction = eta - _d_class_part(eta)
+    obstruction = eta - eta.d_class_part()
     report = check_constraints(zeta, eta, h1, h2)
     report.residuals["obstruction"] = obstruction
     return eta, report
@@ -362,8 +342,8 @@ def build_general_odd(zeta, eta, h1, h2):
     valid whenever the constraint system is satisfied."""
     ctx = zeta.ctx
     sctx = ctx.scalar_ctx
-    h1 = _as_scalar(ctx, h1)
-    h2 = _as_scalar(ctx, h2)
+    h1 = _own_scalar(ctx, h1)
+    h2 = _own_scalar(ctx, h2)
     report = check_constraints(zeta, eta, h1, h2)
     if not report.passed:
         failed = ", ".join(report.failed_relations())
@@ -388,7 +368,7 @@ def build_general_odd(zeta, eta, h1, h2):
 def t1_bar_multiplier(z0, a=1):
     """The family T1: f -> a * z0 * fbar."""
     ctx = z0.ctx
-    scaled = z0.scale_left(_as_scalar(ctx, a))
+    scaled = z0.scale_left(_own_scalar(ctx, a))
     return LeafForm(ctx, 1, z0.eps() or 0,
                     lambda f: scaled.scale_right(_bar(f)),
                     EVEN, name="T1_bar")
@@ -396,7 +376,7 @@ def t1_bar_multiplier(z0, a=1):
 
 def t1_euler(ctx, a=1):
     """The family T1: f -> a * E_z f."""
-    a = _as_scalar(ctx, a)
+    a = _own_scalar(ctx, a)
     return LeafForm(ctx, 1, 0, lambda f: f.euler_E().scale_left(a),
                     EVEN, name="T1_euler")
 
@@ -440,6 +420,6 @@ def check_equivalence(defo1, defo2, t1, samples, order=None):
         active += not (dc.is_zero() and df.is_zero() and dg.is_zero())
         res = c1 + dc - defo2.evaluate(f + df, g + dg)
         if order is not None:
-            res = res.truncate_hbar(order)
+            res = res.truncate(order)
         residuals.append(((f, g), res))
     return EquivalenceReport(residuals, active)

@@ -10,14 +10,18 @@ anticommuting generators (th_j^2 = 0).  All arithmetic is exact; terms with
 h-exponent above ``h_max`` are discarded by every operation.
 
 A Scalar keeps them in one flat dict, ``coeffs``, keyed (m, theta_mask, p,
-s, r), where bit j - 1 of the mask stands for th_j (in increasing order),
-with int values when integral and Fraction values otherwise.  The sign of
-a theta product is the parity of its crossings (``theta_sign``).
-Rendering orders terms by (m, theta index tuple, p, s, r).
+s, r), where bit j - 1 of the mask stands for th_j (in increasing order).
+The sign of a theta product is the parity of its crossings
+(``theta_sign``).  Rendering orders terms by (m, theta index tuple, p, s,
+r).
 
-Scalar holds the one implementation of the arithmetic; its product,
-``mul_into``, also multiplies the coefficients of superfunction terms,
-which are kept in the same flat layout (see superfunc).  A RadicalNumber,
+Scalar and SuperFunction are both flat sums, a clean dict from monomial
+key to rational; ``FlatSum`` states the clean-dict rules once and holds
+everything the two do alike on that dict (sums, negation, the h filters,
+``freeze``).  This module and superfunc are the only ones that know the
+key layout.  Scalar holds the one implementation of the product;
+``mul_into`` also multiplies the coefficients of superfunction terms,
+whose keys end in a Scalar key (see superfunc).  A RadicalNumber,
 an element of Q[sqrt(r), pi, sqrt(pi)], is a typed view of one theta-free,
 h-free Scalar and hands every operation to it.  ``Scalar.terms`` is the
 nested view {(m, theta index tuple): RadicalNumber}, built on each access.
@@ -163,6 +167,94 @@ def _check_monomial(m=0, p=0, s=0, r=1):
                          f"a canonical monomial")
 
 
+class FlatSum:
+    """A finite sum of monomials with rational coefficients over a context
+    ``ctx``, kept in one flat dict ``coeffs`` {monomial key: coefficient}.
+
+    The dict is clean: no zero value, an int for an integral value (a
+    Fraction otherwise), and no h-exponent above ``ctx.h_max``.  Results
+    are built on a clean dict by ``_of`` and never changed in place, so a
+    sum with zero may be the other summand itself.  The one fact this class
+    knows about a key is that its h-exponent sits at index ``_HBAR``; a
+    subclass turns an operand of another type into its own by ``_lift``.
+    """
+
+    __slots__ = ("ctx", "coeffs")
+
+    _HBAR = 0
+
+    @classmethod
+    def _of(cls, ctx, coeffs):
+        """The sum on ``coeffs``, a dict that is already clean."""
+        obj = cls.__new__(cls)
+        obj.ctx = ctx
+        obj.coeffs = coeffs
+        return obj
+
+    def _check(self, other):
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
+            raise ContextMismatchError(
+                f"contexts differ: {self.ctx} vs {other.ctx}")
+
+    def _where(self, keep):
+        """The terms whose key satisfies ``keep``."""
+        return self._of(self.ctx, {key: q for key, q in self.coeffs.items()
+                                   if keep(key)})
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def hbar_min_degree(self):
+        i = self._HBAR
+        return min((key[i] for key in self.coeffs), default=None)
+
+    def is_even_series(self, min_degree=0):
+        """True when only even h-exponents >= min_degree are present."""
+        i = self._HBAR
+        return all(key[i] % 2 == 0 and key[i] >= min_degree
+                   for key in self.coeffs)
+
+    def truncate(self, order):
+        """The terms of h-exponent at most ``order``."""
+        i = self._HBAR
+        return self._where(lambda key: key[i] <= order)
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            other = self._lift(other)
+        if other.ctx is not self.ctx:
+            self._check(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        out = dict(self.coeffs)
+        for key, q in other.coeffs.items():
+            accumulate(out, key, q)
+        return self._of(self.ctx, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._of(self.ctx, {k: -q for k, q in self.coeffs.items()})
+
+    def __sub__(self, other):
+        if other.__class__ is not self.__class__:
+            other = self._lift(other)
+        return self + -other
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def freeze(self):
+        return tuple(sorted(self.coeffs.items()))
+
+    def __str__(self):
+        return self.render()
+
+    __repr__ = __str__
+
+
 class ScalarContext:
     """Parameters of the coefficient ring: k theta generators, truncation."""
 
@@ -185,7 +277,7 @@ class ScalarContext:
         return f"ScalarContext(k={self.k}, h_max={self.h_max})"
 
 
-class Scalar:
+class Scalar(FlatSum):
     """Element of the full coefficient ring over a ScalarContext.
 
     ``coeffs`` is the flat dict of the module doc; the constructor takes
@@ -193,7 +285,7 @@ class Scalar:
     and refuses a key that is not canonical.
     """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ()
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
@@ -216,19 +308,19 @@ class Scalar:
         nested = {}
         for (m, mask, p, s, r), q in self.coeffs.items():
             nested.setdefault((m, theta_indices(mask)), {})[0, 0, p, s, r] = q
-        return {key: RadicalNumber._of(_with_coeffs(_RADICALS, flat))
+        return {key: RadicalNumber._of(Scalar._of(_RADICALS, flat))
                 for key, flat in nested.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, ctx):
-        return cls(ctx)
+        return cls._of(ctx, {})
 
     @classmethod
     def rational(cls, ctx, q):
         q = int_if_integral(Fraction(q))
-        return _with_coeffs(ctx, {(0, 0, 0, 0, 1): q} if q else {})
+        return Scalar._of(ctx, {(0, 0, 0, 0, 1): q} if q else {})
 
     @classmethod
     def one(cls, ctx):
@@ -236,50 +328,48 @@ class Scalar:
 
     @classmethod
     def from_radical(cls, ctx, rad):
-        return _with_coeffs(ctx, rad.scalar.coeffs)
+        return Scalar._of(ctx, rad.scalar.coeffs)
 
     @classmethod
     def hbar(cls, ctx, power=1, coeff=1):
         _check_monomial(m=power)
         q = int_if_integral(Fraction(coeff))
-        return _with_coeffs(ctx, {(power, 0, 0, 0, 1): q}
+        return Scalar._of(ctx, {(power, 0, 0, 0, 1): q}
                             if q and power <= ctx.h_max else {})
 
     @classmethod
     def theta(cls, ctx, j):
         if not 1 <= j <= ctx.k:
             raise ValueError(f"theta index {j} outside 1..{ctx.k}")
-        return _with_coeffs(ctx, {(0, 1 << (j - 1), 0, 0, 1): 1})
+        return Scalar._of(ctx, {(0, 1 << (j - 1), 0, 0, 1): 1})
 
     @classmethod
     def sqrt(cls, ctx, r):
         outer, core = squarefree_decompose(int(r))
-        return _with_coeffs(ctx, {(0, 0, 0, 0, core): outer})
+        return Scalar._of(ctx, {(0, 0, 0, 0, core): outer})
 
     @classmethod
     def sqrt_pi(cls, ctx):
-        return _with_coeffs(ctx, {(0, 0, 0, 1, 1): 1})
+        return Scalar._of(ctx, {(0, 0, 0, 1, 1): 1})
 
     @classmethod
     def pi(cls, ctx, power=1):
         _check_monomial(p=power)
-        return _with_coeffs(ctx, {(0, 0, power, 0, 1): 1})
+        return Scalar._of(ctx, {(0, 0, power, 0, 1): 1})
 
     # -- helpers -----------------------------------------------------------
 
-    def _check(self, other):
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ContextMismatchError(
-                f"scalar contexts differ: {self.ctx} vs {other.ctx}")
-
-    def is_zero(self):
-        return not self.coeffs
+    def _lift(self, value):
+        return Scalar.rational(self.ctx, value)
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def is_theta_free(self):
         return not any(key[1] for key in self.coeffs)
+
+    def theta_free_part(self):
+        return self._where(lambda key: not key[1])
 
     def rational_value(self):
         if any(key != (0, 0, 0, 0, 1) for key in self.coeffs):
@@ -293,41 +383,15 @@ class Scalar:
         weights = {key[1].bit_count() & 1 for key in self.coeffs}
         return weights.pop() if len(weights) == 1 else None
 
-    def hbar_min_degree(self):
-        return min((key[0] for key in self.coeffs), default=None)
-
-    def truncate(self, order):
-        return _with_coeffs(self.ctx, {
-            key: q for key, q in self.coeffs.items() if key[0] <= order})
-
-    def is_even_series(self, min_degree=0):
-        """True when only even h-exponents >= min_degree are present."""
-        return all(key[0] % 2 == 0 and key[0] >= min_degree
-                   for key in self.coeffs)
+    def is_even_or_odd_series(self):
+        """True when the h-exponents are all even or all odd."""
+        return len({key[0] & 1 for key in self.coeffs}) < 2
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, Scalar):
-            other = Scalar.rational(self.ctx, other)
-        self._check(other)
-        out = dict(self.coeffs)
-        for key, q in other.coeffs.items():
-            accumulate(out, key, q)
-        return _with_coeffs(self.ctx, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _with_coeffs(self.ctx,
-                            {k: -q for k, q in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + -(other if isinstance(other, Scalar)
-                        else Scalar.rational(self.ctx, other))
-
-    def __rsub__(self, other):
-        return Scalar.rational(self.ctx, other) - self
+    # bound in this class as well, so that Scalar.__dict__ holds each pair
+    # of names for one function (the per-layer tracer wraps them there)
+    __add__ = __radd__ = FlatSum.__add__
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
@@ -335,11 +399,11 @@ class Scalar:
                 return self * Scalar.from_radical(self.ctx, other)
             if other.__class__ is not int:
                 other = Fraction(other)
-            return _with_coeffs(self.ctx, {
+            return Scalar._of(self.ctx, {
                 k: int_if_integral(q * other)
                 for k, q in self.coeffs.items()} if other else {})
         self._check(other)
-        return _with_coeffs(self.ctx, mul_into(
+        return Scalar._of(self.ctx, mul_into(
             {}, (), self.coeffs.items(), other.coeffs.items(),
             self.ctx.h_max))
 
@@ -347,7 +411,7 @@ class Scalar:
 
     def __truediv__(self, q):
         q = Fraction(q.rational_value() if isinstance(q, Scalar) else q)
-        return _with_coeffs(self.ctx, {
+        return Scalar._of(self.ctx, {
             k: int_if_integral(v / q) for k, v in self.coeffs.items()})
 
     def __pow__(self, n):
@@ -370,9 +434,6 @@ class Scalar:
         if self.coeffs.keys() <= {(0, 0, 0, 0, 1)}:
             return hash(self.coeffs.get((0, 0, 0, 0, 1), 0))
         return hash((self.ctx, self.freeze()))
-
-    def freeze(self):
-        return tuple(sorted(self.coeffs.items()))
 
     # -- rendering ---------------------------------------------------------
 
@@ -404,20 +465,6 @@ class Scalar:
         text = "".join(pieces)
         return ("-" if text[1] == "-" else "") + text[3:]
 
-    def __str__(self):
-        return self.render()
-
-    __repr__ = __str__
-
-
-def _with_coeffs(ctx, coeffs):
-    """A Scalar on a flat dict that is already clean: no zero value, no
-    integral Fraction, no h-exponent above h_max."""
-    obj = Scalar.__new__(Scalar)
-    obj.ctx = ctx
-    obj.coeffs = coeffs
-    return obj
-
 
 _RADICALS = ScalarContext(k=0, h_max=0)
 
@@ -440,7 +487,7 @@ class RadicalNumber:
         for (p, s, r), q in (terms or {}).items():
             _check_monomial(p=p, s=s, r=r)
             accumulate(coeffs, (0, 0, p, s, r), Fraction(q))
-        self.scalar = _with_coeffs(_RADICALS, coeffs)
+        self.scalar = Scalar._of(_RADICALS, coeffs)
 
     @classmethod
     def _of(cls, scalar):
@@ -517,6 +564,6 @@ def theta_divisibility(a, j):
     bit = 1 << (j - 1)
     # th_j * a == 0 forces every monomial to contain th_j; it passes the
     # generators below it
-    return _with_coeffs(a.ctx, {
+    return Scalar._of(a.ctx, {
         (m, mask ^ bit, p, s, r): -q if (mask & (bit - 1)).bit_count() & 1
         else q for (m, mask, p, s, r), q in a.coeffs.items()})

@@ -38,26 +38,26 @@ A SuperFunction keeps its terms in one flat dict, ``coeffs``, keyed
 
     (x_exponents, gauss_weight, xi_indices, m, theta_mask, p, s, r):
 
-the term key followed by the key of ``Scalar.coeffs``, with int values
-when integral and Fraction values otherwise.  So an entry is one rational
-times a monomial, and every operation works on rationals: products of
-coefficient lists go through ``scalars.mul_into``, and no per-term Scalar
-is built.  ``terms`` is the view {term key: Scalar}, built on each access
-for rendering and for readers of whole coefficients.  Only this module
-knows the layout; the bracket kernels read terms through ``_grouped`` and
-build results through ``_make``.
+the term key followed by the key of ``Scalar.coeffs``, kept clean as
+``scalars.FlatSum`` states, which also holds the sums, negation and h
+filters.  So an entry is one rational times a monomial, and every
+operation works on rationals: products of coefficient lists go through
+``scalars.mul_into``, and no per-term Scalar is built.  ``terms`` is the
+view {term key: Scalar}, built on each access for rendering and for
+readers of whole coefficients.  Only this module and scalars know the
+layout; the bracket kernels read terms through ``_grouped`` and build
+results through ``_make``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
-from operator import add
+from operator import add, lt
 
 from .errors import ContextMismatchError, NotIntegrableError
-from .scalars import (RadicalNumber, Scalar, ScalarContext, _with_coeffs,
-                      accumulate, int_if_integral, merge_odd_indices,
-                      mul_into, squarefree_decompose)
+from .scalars import (FlatSum, Scalar, ScalarContext, accumulate,
+                      int_if_integral, merge_odd_indices, mul_into)
 
 
 class SymplecticContext:
@@ -116,23 +116,6 @@ def _double_factorial_odd(p):
     return result
 
 
-def gaussian_moment(e, c):
-    """Exact value of the one-dimensional moment integral x^e exp(-c x^2 / 2).
-
-    Odd e gives 0; even e = 2p gives (2p-1)!! c^{-p} sqrt(2 pi / c).
-    """
-    if e % 2:
-        return RadicalNumber()
-    p = e // 2
-    c = Fraction(c)
-    if c <= 0:
-        raise NotIntegrableError("Gaussian weight must be positive")
-    rational = Fraction(_double_factorial_odd(p)) / c ** p
-    # sqrt(2/c) = sqrt(2 * num * den) / num for c = num/den
-    outer, core = squarefree_decompose(2 * c.numerator * c.denominator)
-    return RadicalNumber({(0, 1, core): rational * outer / c.numerator})
-
-
 def x_steps(e, c):
     """d/du of u^e exp(-c u^2/2): e at step -1, -c at +1, zeros left out."""
     if e:
@@ -145,52 +128,55 @@ def bump(xexp, a, step):
     return xexp[:a] + (xexp[a] + step,) + xexp[a + 1:]
 
 
-class SuperFunction:
+class SuperFunction(FlatSum):
     """Exact superfunction over a SymplecticContext.
 
     ``coeffs`` is the flat dict of the module doc.  The constructor takes
     the form of ``terms``, {(x_exponents, gauss_weight, xi_indices):
-    Scalar}, where a rational value stands for its Scalar; ``terms`` is
-    that view, built on each access.
+    Scalar}, where a rational value stands for its Scalar, and refuses a
+    term key that is not canonical; ``terms`` is that view, built on each
+    access.
     """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ()
+
+    _HBAR = 3
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
         self.coeffs = {}
-        for key, s in (terms or {}).items():
-            s = _own_scalar(ctx, s)
-            self.coeffs.update((key + k, q) for k, q in s.coeffs.items())
+        for (xexp, c, xi), s in (terms or {}).items():
+            if len(xexp) != ctx.n_plus or xexp and min(xexp) < 0:
+                raise ValueError("bad x-exponent vector")
+            if c.__class__ is not int:
+                c = int_if_integral(Fraction(c))
+            if c < 0:
+                raise ValueError("Gaussian weight must be nonnegative")
+            # strictly increasing from at least 1 to at most n_minus
+            if xi and not (1 <= xi[0] and xi[-1] <= ctx.n_minus
+                           and all(map(lt, xi, xi[1:]))):
+                raise ValueError("xi monomial must be sorted distinct indices")
+            term = (xexp, c, xi)
+            self.coeffs.update((term + k, q)
+                               for k, q in _own_scalar(ctx, s).coeffs.items())
 
     @property
     def terms(self):
         """The view {(x_exponents, gauss_weight, xi_indices): Scalar}."""
         sctx = self.ctx.scalar_ctx
-        return {term: _with_coeffs(sctx, dict(items))
+        return {term: Scalar._of(sctx, dict(items))
                 for term, items in _grouped(self).items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, ctx):
-        return cls(ctx)
+        return cls._of(ctx, {})
 
     @classmethod
     def term(cls, ctx, xexp=None, c=0, xi=(), scalar=1):
-        if xexp is None:
-            xexp = (0,) * ctx.n_plus
-        xexp = tuple(xexp)
-        if len(xexp) != ctx.n_plus or any(e < 0 for e in xexp):
-            raise ValueError("bad x-exponent vector")
-        c = int_if_integral(Fraction(c))
-        if c < 0:
-            raise ValueError("Gaussian weight must be nonnegative")
-        xi = tuple(xi)
-        if xi != tuple(sorted(set(xi))) or any(
-                not 1 <= a <= ctx.n_minus for a in xi):
-            raise ValueError("xi monomial must be sorted distinct indices")
-        return cls(ctx, {(xexp, c, xi): scalar})
+        return cls(ctx, {((0,) * ctx.n_plus if xexp is None else tuple(xexp),
+                          c, tuple(xi)): scalar})
 
     @classmethod
     def constant(cls, ctx, value):
@@ -222,46 +208,16 @@ class SuperFunction:
 
     # -- basics ------------------------------------------------------------
 
-    def _check(self, other):
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ContextMismatchError(
-                f"contexts differ: {self.ctx} vs {other.ctx}")
-
-    def is_zero(self):
-        return not self.coeffs
+    def _lift(self, value):
+        return SuperFunction.constant(self.ctx, value)
 
     def constant_scalar(self):
         """The Scalar s when the function is the constant s, else None."""
         const = ((0,) * self.ctx.n_plus, 0, ())
         if any(key[:3] != const for key in self.coeffs):
             return None
-        return _with_coeffs(self.ctx.scalar_ctx,
-                            {key[3:]: q for key, q in self.coeffs.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, SuperFunction):
-            other = SuperFunction.constant(self.ctx, other)
-        self._check(other)
-        # a SuperFunction is never changed in place, so a sum with zero
-        # may be the other summand itself
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return other
-        out = dict(self.coeffs)
-        for key, q in other.coeffs.items():
-            accumulate(out, key, q)
-        return _from_coeffs(self.ctx, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _from_coeffs(self.ctx, {k: -q for k, q in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, SuperFunction):
-            other = SuperFunction.constant(self.ctx, other)
-        return self + (-other)
+        return Scalar._of(self.ctx.scalar_ctx,
+                          {key[3:]: q for key, q in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, SuperFunction):
@@ -277,7 +233,7 @@ class SuperFunction:
         out = {}
         for term, own in _grouped(self).items():
             mul_into(out, term, items, own, self.ctx.h_max)
-        return _from_coeffs(self.ctx, out)
+        return SuperFunction._of(self.ctx, out)
 
     def scale_right(self, scalar):
         """Multiply by a scalar standing to the right of every term.
@@ -289,7 +245,7 @@ class SuperFunction:
         out = {}
         for term, own in _grouped(self).items():
             mul_into(out, term, own, items, self.ctx.h_max, 1, len(term[2]))
-        return _from_coeffs(self.ctx, out)
+        return SuperFunction._of(self.ctx, out)
 
     def __eq__(self, other):
         if isinstance(other, Scalar) and other.ctx != self.ctx.scalar_ctx:
@@ -301,10 +257,9 @@ class SuperFunction:
         return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.ctx, self.freeze()))
-
-    def freeze(self):
-        return tuple(sorted(self.coeffs.items()))
+        # a constant equals its Scalar, so it hashes as that Scalar
+        s = self.constant_scalar()
+        return hash((self.ctx, self.freeze())) if s is None else hash(s)
 
     # -- grading -----------------------------------------------------------
 
@@ -328,10 +283,8 @@ class SuperFunction:
         """
         if self.eps() is not None:
             return [self] if self.coeffs else []
-        parts = ({}, {})
-        for key, q in self.coeffs.items():
-            parts[_parity(key)][key] = q
-        return [_from_coeffs(self.ctx, part) for part in parts]
+        return [self._where(lambda key, e=e: _parity(key) == e)
+                for e in (0, 1)]
 
     # -- class flags -------------------------------------------------------
 
@@ -349,34 +302,15 @@ class SuperFunction:
         return all(key[1] > 0 or (key[0] == zero_x and key[2] == ())
                    for key in self.coeffs)
 
-    def normalize_mod_Z(self):
-        """Canonical representative modulo Gaussian-class terms and constants."""
-        zero_x = (0,) * self.ctx.n_plus
+    def d_class_part(self):
+        """The Gaussian-suppressed terms (all of them for n_plus == 0)."""
         if self.ctx.n_plus == 0:
-            return SuperFunction.zero(self.ctx)
-        return _from_coeffs(self.ctx, {
-            key: q for key, q in self.coeffs.items()
-            if key[1] == 0 and (key[0] != zero_x or key[2] != ())})
-
-    # -- hbar bookkeeping --------------------------------------------------
-
-    def hbar_min_degree(self):
-        return min((key[3] for key in self.coeffs), default=None)
-
-    def is_even_series(self, min_degree=0):
-        """True when only even h-exponents >= min_degree are present."""
-        return all(key[3] % 2 == 0 and key[3] >= min_degree
-                   for key in self.coeffs)
-
-    def truncate_hbar(self, order):
-        return _from_coeffs(self.ctx, {
-            key: q for key, q in self.coeffs.items() if key[3] <= order})
+            return self
+        return self._where(lambda key: key[1] > 0)
 
     def theta_grade_part(self, weight):
         """Terms whose scalar theta-monomials have the given weight."""
-        return _from_coeffs(self.ctx, {
-            key: q for key, q in self.coeffs.items()
-            if key[4].bit_count() == weight})
+        return self._where(lambda key: key[4].bit_count() == weight)
 
     # -- differentiation ---------------------------------------------------
 
@@ -400,7 +334,7 @@ class SuperFunction:
                     term = (bump(xexp, a, step), c, xi)
                     for k, q in items:
                         accumulate(out, term + k, q * u)
-            return _from_coeffs(ctx, out)
+            return SuperFunction._of(ctx, out)
         gen = a - ctx.n_plus + 1
         for (xexp, c, xi), items in _grouped(self).items():
             if gen not in xi:
@@ -413,7 +347,7 @@ class SuperFunction:
                 # from the left, xi_gen also passes the theta part
                 odd = flips if right else flips + k[1].bit_count()
                 out[term + k] = -q if odd & 1 else q
-        return _from_coeffs(ctx, out)
+        return SuperFunction._of(ctx, out)
 
     # -- integration -------------------------------------------------------
 
@@ -435,7 +369,7 @@ class SuperFunction:
                     continue
                 raise NotIntegrableError(
                     "term without Gaussian suppression is not integrable: "
-                    + self._render_term((xexp, c, xi), _with_coeffs(
+                    + self._render_term((xexp, c, xi), Scalar._of(
                         ctx.scalar_ctx, dict(items))))
             if xi != top or any(e % 2 for e in xexp):
                 continue
@@ -445,7 +379,7 @@ class SuperFunction:
                 moment *= _double_factorial_odd(e // 2)
             for (m, t, p, sp, r), q in items:
                 accumulate(total, (m, t, p + half, sp, r), q * moment)
-        return _with_coeffs(ctx.scalar_ctx, total)
+        return Scalar._of(ctx.scalar_ctx, total)
 
     # -- first-order operators (closed forms of the module doc) -----------
 
@@ -461,11 +395,11 @@ class SuperFunction:
                 accumulate(out, term + k, q * degree)
                 for b in bumped:
                     accumulate(out, b + k, -c * q)
-        return _from_coeffs(self.ctx, out)
+        return SuperFunction._of(self.ctx, out)
 
     def number_xi(self):
         """Sum over the xi_a of xi_a times the left derivative."""
-        return _from_coeffs(self.ctx, {
+        return SuperFunction._of(self.ctx, {
             key: int_if_integral(q * len(key[2]))
             for key, q in self.coeffs.items() if key[2]})
 
@@ -490,7 +424,7 @@ class SuperFunction:
                     w = -u if pos & 1 else u
                     for k, q in twisted:
                         accumulate(out, term + k, q * w)
-        return _from_coeffs(ctx, out)
+        return SuperFunction._of(ctx, out)
 
     # -- rendering ---------------------------------------------------------
 
@@ -519,11 +453,6 @@ class SuperFunction:
         return " + ".join(self._render_term(k, terms[k])
                           for k in sorted(terms))
 
-    def __str__(self):
-        return self.render()
-
-    __repr__ = __str__
-
 
 def _parity(key):
     """Total parity of a flat key: xi-degree plus theta-weight, mod 2."""
@@ -540,15 +469,6 @@ def _own_scalar(ctx, value):
         raise ContextMismatchError(
             f"scalar context {value.ctx} is not {sctx}")
     return value
-
-
-def _from_coeffs(ctx, coeffs):
-    """A SuperFunction on a flat dict that is already clean: no zero value,
-    no integral Fraction, no h-exponent above h_max."""
-    obj = SuperFunction.__new__(SuperFunction)
-    obj.ctx = ctx
-    obj.coeffs = coeffs
-    return obj
 
 
 def _grouped(f):
@@ -575,7 +495,7 @@ def _make(ctx, slots, den=1):
             if v:
                 coeffs[term + k] = int_if_integral(
                     v if den == 1 else Fraction(v, den))
-    return _from_coeffs(ctx, coeffs)
+    return SuperFunction._of(ctx, coeffs)
 
 
 def sf_mul(f, g):
@@ -592,4 +512,4 @@ def sf_mul(f, g):
                 mul_into(out, (tuple(map(add, xe1, xe2)),
                                int_if_integral(c1 + c2), xi),
                          items1, items2, h_max, sign, len(xi1))
-    return _from_coeffs(f.ctx, out)
+    return SuperFunction._of(f.ctx, out)

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from superdeform import (Scalar, SuperFunction, SymplecticContext, sf_mul)
+from superdeform import (NotIntegrableError, RadicalNumber, Scalar,
+                         SuperFunction, SymplecticContext, sf_mul)
+from superdeform.scalars import squarefree_decompose
 
 
 @pytest.fixture
@@ -40,6 +42,23 @@ def scalar_float(scalar, hbar=0.1):
     assert scalar.is_theta_free()
     return sum(radical_float(rad) * hbar ** m
                for (m, _), rad in scalar.terms.items())
+
+
+def gaussian_moment(e, c):
+    """Exact value of the one-dimensional moment integral x^e exp(-c x^2 / 2).
+
+    Odd e gives 0; even e = 2p gives (2p-1)!! c^{-p} sqrt(2 pi / c).
+    """
+    if e % 2:
+        return RadicalNumber()
+    p = e // 2
+    c = Fraction(c)
+    if c <= 0:
+        raise NotIntegrableError("Gaussian weight must be positive")
+    rational = Fraction(math.prod(range(1, 2 * p, 2))) / c ** p
+    # sqrt(2/c) = sqrt(2 * num * den) / num for c = num/den
+    outer, core = squarefree_decompose(2 * c.numerator * c.denominator)
+    return RadicalNumber({(0, 1, core): rational * outer / c.numerator})
 
 
 def random_superfunction(rng, ctx, max_x_degree=2, xi_degree=None,

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from superdeform import (DeformationError, Scalar, SuperFunction,
-                         SymplecticContext, build_C1, build_C1c, build_C3,
-                         build_anti_even, build_anti_odd, build_general_odd,
-                         check_constraints, check_equivalence, jacobiator,
-                         poisson_bracket, solve_eta, t1_bar_multiplier,
-                         t1_euler)
+from superdeform import (ContextMismatchError, DeformationError, Scalar,
+                         ScalarContext, SuperFunction, SymplecticContext,
+                         build_C1, build_C1c, build_C3, build_anti_even,
+                         build_anti_odd, build_general_odd, check_constraints,
+                         check_equivalence, jacobiator, poisson_bracket,
+                         solve_eta, t1_bar_multiplier, t1_euler)
 from superdeform.cochains import ODD
 
 from conftest import random_superfunction, seeded
@@ -102,6 +102,18 @@ def test_c1_preconditions(ctx42):
                  Scalar.theta(ctx42.scalar_ctx, 1))  # theta kappa
     with pytest.raises(DeformationError):
         build_C1(SuperFunction.zero(ctx42), c=h2(ctx42))  # c needs C1c
+
+
+def test_c1_kappa_is_an_even_or_odd_series_of_the_context(ctx42):
+    sctx = ctx42.scalar_ctx
+    zero = SuperFunction.zero(ctx42)
+    with pytest.raises(DeformationError) as err:
+        build_C1(zero, 1 + Scalar.hbar(sctx))
+    assert err.value.relation == "kappa"
+    for kappa in (Scalar.hbar(sctx), 1 + h2(ctx42), 0):
+        assert build_C1(zero, kappa).params["kappa"] == kappa
+    with pytest.raises(ContextMismatchError):
+        build_C1(zero, Scalar.hbar(ScalarContext(k=1, h_max=5)))
 
 
 def test_c1c_z_probe(ctx42):

@@ -16,9 +16,8 @@ import pytest
 
 from superdeform import (Scalar, SuperFunction, SymplecticContext,
                          antibracket, poisson_bracket, sf_mul)
-from superdeform.superfunc import gaussian_moment
 
-from conftest import omega_channels, seeded
+from conftest import gaussian_moment, omega_channels, seeded
 from test_context_matrix import (ANTI_MIXED, K0, K2, MIXED_5, NEGATIVE_3,
                                  NO_X)
 

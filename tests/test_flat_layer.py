@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from superdeform import (NotIntegrableError, Scalar, SuperFunction,
-                         SymplecticContext, sf_mul)
+from superdeform import (ContextMismatchError, NotIntegrableError, Scalar,
+                         SuperFunction, SymplecticContext, sf_mul)
 from superdeform.scalars import merge_odd_indices
 
 from conftest import seeded
@@ -258,3 +258,66 @@ def test_terms_view_contract(shape):
             s.coeffs.clear()
         view.clear()
         assert f.coeffs == before
+
+
+# -- the flat-sum core shared by Scalar and SuperFunction ---------------------
+
+CORE_CONTEXTS = [(n_plus, n_minus, (1,) * n_minus, k, h_max)
+                 for n_plus, n_minus in ((2, 1), (0, 2))
+                 for k in (0, 2) for h_max in (3, 6)]
+
+
+def core_scalar(rng, sctx):
+    """A seeded Scalar with theta, hbar, sqrt(r) and pi terms, whose
+    products may pass h_max; about half of them even series in hbar."""
+    even = rng.random() < 0.5
+    out = Scalar.zero(sctx)
+    for _ in range(rng.randint(1, 3)):
+        part = rich_scalar(rng, sctx)
+        if even:
+            part = part.truncate(0)
+        m = rng.randrange(0, sctx.h_max + 1, 2 if even else 1)
+        out = out + part * Scalar.hbar(sctx, m)
+    return out
+
+
+@pytest.mark.parametrize("shape", CORE_CONTEXTS, ids=_ids(CORE_CONTEXTS))
+def test_flat_sum_core_agrees_on_constants(shape):
+    """Sums, negation and the hbar filters are one implementation: on
+    constant functions they give the constants of the Scalar results."""
+    ctx = SymplecticContext(*shape)
+    sctx = ctx.scalar_ctx
+    one = Scalar.one(sctx)
+
+    def const(s):
+        return SuperFunction.constant(ctx, s)
+
+    rng = seeded(11 + shape[3] + shape[4])
+    evens = 0
+    for _ in range(24):
+        s, t = core_scalar(rng, sctx), core_scalar(rng, sctx)
+        assert const(s) + const(t) == const(s + t)
+        assert const(s) - const(t) == const(s - t)
+        assert -const(s) == const(-s)
+        assert const(s).hbar_min_degree() == s.hbar_min_degree()
+        for m in range(ctx.h_max + 1):
+            low = s.truncate(m)
+            assert all(power <= m for power, _ in low.terms)
+            assert (s - low).hbar_min_degree() in (None, *range(m + 1, 7))
+            assert const(s).truncate(m) == const(low)
+        for d in range(4):
+            assert const(s).is_even_series(d) == s.is_even_series(d)
+        evens += s.is_even_series(0)
+        for u, lift in ((s, lambda v: v), (const(s), const)):
+            assert 1 - u == lift(one + -s)
+            assert u - 1 == lift(s + -one)
+            assert u + 0 == u and 0 + u == u
+    assert 0 < evens < 24
+    other = SymplecticContext(*shape[:4], shape[4] + 1)
+    for a, b in ((one, Scalar.one(other.scalar_ctx)),
+                 (const(one), SuperFunction.constant(other, 1)),
+                 (const(one), Scalar.one(other.scalar_ctx))):
+        with pytest.raises(ContextMismatchError):
+            a + b
+        with pytest.raises(ContextMismatchError):
+            a - b
