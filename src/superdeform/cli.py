@@ -43,9 +43,9 @@ from .deformations import (build_C1, build_C1c, build_C3, build_anti_even,
 from .errors import DeformationError, ParseError
 from .scalars import MAX_RADICAND, Scalar
 from .superfunc import SuperFunction, SymplecticContext, sf_mul
-from .verify import SampleSpec, check_cocycle, check_jacobi, sample_tuples
+from .verify import (DEFAULT_SEED, SampleSpec, check_cocycle, check_jacobi,
+                     sample_tuples)
 
-DEFAULT_SEED = 20240801
 # the largest exponent the grammar accepts after '^'
 MAX_EXPONENT = 32
 # the largest term-count product |a| * |b| the grammar multiplies out
@@ -441,24 +441,18 @@ def _run_equiv(args, ctx):
     t1 = parse_t1(args.t1, ctx)
     pairs = sample_tuples(_sample_spec(args), ctx, 2)
     report = check_equivalence(defo1, defo2, t1, pairs, order=args.order)
-    if report.passed and not report.t1_active_pairs:
+    active = report.details["t1_active_pairs"]
+    if report.passed and not active:
         # T1 changes nothing on these samples, so they cannot tell it apart
         raise ValueError(f"no sampled pair is T1-active (t1_active_pairs 0 "
                          f"of {len(pairs)}), so the pass would be vacuous; "
                          f"draw more samples")
     data = {"check": "equivalence", "pass": report.passed,
-            "sample_count": len(pairs),
-            "t1_active_pairs": report.t1_active_pairs}
-    fail = report.first_failure()
-    if fail is not None:
-        (f, g), residual = fail
-        data["first_failure"] = {"f": f.render(), "g": g.render(),
-                                 "residual": residual.render()}
-    failures = sum(not r.is_zero() for _pair, r in report.residuals)
-    state = "PASS" if report.passed else "FAIL"
-    return _emit(data, f"[{state}] equivalence: {len(pairs)} samples, "
-                 f"{failures} failures, t1_active_pairs "
-                 f"{report.t1_active_pairs}", args)
+            "sample_count": report.sample_count, "t1_active_pairs": active}
+    if report.failures:
+        _index, (f, g), residual = report.failures[0]
+        data["first_failure"] = {"f": f, "g": g, "residual": residual}
+    return _emit(data, f"{report.summary()}, t1_active_pairs {active}", args)
 
 
 def _run_theorem(args, ctx):

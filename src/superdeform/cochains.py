@@ -198,8 +198,8 @@ def _bar_pairing(ctx, op, parity, name):
     def fn(f, g):
         f._check(g)
         ef, eg = f.eps(), g.eps()
-        fbar = f.integral_bar(mod_centralizer=True)
-        gbar = g.integral_bar(mod_centralizer=True)
+        fbar = f.integral_bar()
+        gbar = g.integral_bar()
         out = SuperFunction.zero(f.ctx)
         if gbar:
             out = op(f).scale_right(gbar) * ((-1) ** (n_minus * ef))
@@ -242,8 +242,8 @@ def m23_form(ctx):
 
 def mu_form(ctx):
     def fn(f, g):
-        fbar = f.integral_bar(mod_centralizer=True)
-        gbar = g.integral_bar(mod_centralizer=True)
+        fbar = f.integral_bar()
+        gbar = g.integral_bar()
         value = (fbar * gbar) * ((-1) ** f.eps())
         return SuperFunction.constant(ctx, value)
 

@@ -21,6 +21,7 @@ from .cochains import (Cochain, EVEN, FunctionScaledCochain, LeafForm, ODD,
 from .errors import DeformationError, NotIntegrableError
 from .scalars import Scalar
 from .superfunc import SuperFunction, _own_scalar, sf_mul
+from .verify import _run
 
 C1, C1C, C3 = "C1", "C1c", "C3"
 ANTI_EVEN, ANTI_ODD, GENERAL_ODD = "ANTI_EVEN", "ANTI_ODD", "GENERAL_ODD"
@@ -30,16 +31,15 @@ ANTI_EVEN, ANTI_ODD, GENERAL_ODD = "ANTI_EVEN", "ANTI_ODD", "GENERAL_ODD"
 class Deformation:
     """A deformed bracket with its parameter record.
 
-    ``bracket`` is an arity-2 cochain of total parity 0; ``params`` holds
-    the data it was built from; ``grading`` says which parity the Jacobi
-    identity of this bracket uses.
+    ``bracket`` is an arity-2 cochain of total parity 0; its ``ctx`` is the
+    deformation's context and its ``grading`` says which parity the Jacobi
+    identity of this bracket uses.  ``params`` holds the data it was built
+    from.
     """
 
-    ctx: object
     flavor: str
     bracket: Cochain
     params: dict = field(default_factory=dict)
-    grading: str = EVEN
 
     def evaluate(self, f, g):
         return self.bracket.evaluate(f, g)
@@ -47,22 +47,17 @@ class Deformation:
     __call__ = evaluate
 
     def __repr__(self):
-        return f"<Deformation {self.flavor} at {self.ctx}>"
+        return f"<Deformation {self.flavor} at {self.bracket.ctx}>"
 
 
 # -- membership predicates --------------------------------------------------
 
-def _require_even_series(s, name):
-    """s must involve only even powers of h."""
-    if not s.is_even_series(0):
-        raise DeformationError(
-            f"{name} must be an even power series in hbar", relation=name)
-
-
 def _require_param(s, name):
     """A deformation parameter: even series in h, vanishing in the
     classical limit (no theta-free constant term)."""
-    _require_even_series(s, name)
+    if not s.is_even_series(0):
+        raise DeformationError(
+            f"{name} must be an even power series in hbar", relation=name)
     if not s.theta_free_part().is_even_series(2):
         raise DeformationError(
             f"{name} must lie in hbar^2 K[[hbar^2]] modulo theta terms",
@@ -84,10 +79,6 @@ def _require_parity(value, parity, name):
     if p is not None and p != parity:
         word = "even" if parity == 0 else "odd"
         raise DeformationError(f"{name} must be {word}", relation=name)
-
-
-def _bar(f):
-    return f.integral_bar(mod_centralizer=True)
 
 
 # -- Poisson-side deformations ---------------------------------------------
@@ -128,7 +119,7 @@ def build_C1(zeta, kappa=1, flavor=C1, c=None):
     def fn(f, g):
         if trivial and flavor == C1:
             return moyal_bracket(f, g, kappa, memo)
-        fbar, gbar = _bar(f), _bar(g)
+        fbar, gbar = f.integral_bar(), g.integral_bar()
         F = f + zeta.scale_right(fbar) if fbar else f
         G = g + zeta.scale_right(gbar) if gbar else g
         out = moyal_bracket(F, G, kappa, memo)
@@ -137,7 +128,7 @@ def build_C1(zeta, kappa=1, flavor=C1, c=None):
         return out
 
     form = LeafForm(ctx, 2, 0, fn, EVEN, name=flavor)
-    return Deformation(ctx, flavor, form, params, EVEN)
+    return Deformation(flavor, form, params)
 
 
 def build_C1c(zeta, kappa=1, c=0):
@@ -166,7 +157,7 @@ def build_C3(zeta, c3=0):
         form = form + ScaledCochain(c3, m3_form(ctx))
     form.name = "C3"
     params = {"zeta": zeta, "c3": c3}
-    return Deformation(ctx, C3, form, params, EVEN)
+    return Deformation(C3, form, params)
 
 
 # -- antibracket deformations ----------------------------------------------
@@ -205,7 +196,7 @@ def build_anti_even(ctx, c):
         return out
 
     form = LeafForm(ctx, 2, 0, fn, ODD, name="anti_even")
-    return Deformation(ctx, ANTI_EVEN, form, {"c": c}, ODD)
+    return Deformation(ANTI_EVEN, form, {"c": c})
 
 
 def build_anti_odd(ctx):
@@ -219,7 +210,7 @@ def build_anti_odd(ctx):
     theta = Scalar.theta(ctx.scalar_ctx, 1)
     form = anti_form(ctx) + ScaledCochain(theta, m23_form(ctx))
     form.name = "anti_odd"
-    return Deformation(ctx, ANTI_ODD, form, {}, ODD)
+    return Deformation(ANTI_ODD, form)
 
 
 # -- the k-odd-parameter system --------------------------------------------
@@ -233,9 +224,7 @@ class ConstraintReport:
 
     @property
     def passed(self):
-        if not self.eta_d_class:
-            return False
-        return all(r.is_zero() for r in self.residuals.values())
+        return not self.failed_relations()
 
     def failed_relations(self):
         out = [name for name, r in self.residuals.items()
@@ -243,14 +232,6 @@ class ConstraintReport:
         if not self.eta_d_class:
             out.append("eta_class")
         return out
-
-    def render(self):
-        lines = []
-        for name, r in self.residuals.items():
-            state = "0" if r.is_zero() else r.render()
-            lines.append(f"relation ({name}): {state}")
-        lines.append(f"eta D-class: {self.eta_d_class}")
-        return "\n".join(lines)
 
 
 def _relation_one(zeta, eta, h1, h2, etabar):
@@ -282,7 +263,7 @@ def check_constraints(zeta, eta, h1, h2):
     _require_parity(h2, 0, "h2")
     theta = Scalar.theta(sctx, 1)
     # the bar of the non-D part need not exist; it is flagged separately
-    etabar = _bar(eta.d_class_part())
+    etabar = eta.d_class_part().integral_bar()
     residuals = {
         "i": _relation_one(zeta, eta, h1, h2, etabar),
         "ii": SuperFunction.constant(ctx, theta * etabar),
@@ -319,7 +300,7 @@ def solve_eta(zeta, h1, h2, max_iter=64):
     try:
         etabar = Scalar.zero(sctx)
         for _ in range(max_iter):
-            new = _bar(rhs(etabar))
+            new = rhs(etabar).integral_bar()
             if new == etabar:
                 break
             etabar = new
@@ -360,7 +341,7 @@ def build_general_odd(zeta, eta, h1, h2):
         form = form + FunctionScaledCochain(eta, mu_form(ctx))
     form.name = "general_odd"
     params = {"zeta": zeta, "eta": eta, "h1": h1, "h2": h2}
-    return Deformation(ctx, GENERAL_ODD, form, params, EVEN)
+    return Deformation(GENERAL_ODD, form, params)
 
 
 # -- equivalence -----------------------------------------------------------
@@ -370,7 +351,7 @@ def t1_bar_multiplier(z0, a=1):
     ctx = z0.ctx
     scaled = z0.scale_left(_own_scalar(ctx, a))
     return LeafForm(ctx, 1, z0.eps() or 0,
-                    lambda f: scaled.scale_right(_bar(f)),
+                    lambda f: scaled.scale_right(f.integral_bar()),
                     EVEN, name="T1_bar")
 
 
@@ -381,45 +362,29 @@ def t1_euler(ctx, a=1):
                     EVEN, name="T1_euler")
 
 
-@dataclass
-class EquivalenceReport:
-    """Per-sample residuals of T C1(f,g) - C2(Tf, Tg).
-
-    ``t1_active_pairs`` counts the pairs on which T1 changes f, g or
-    C1(f,g); only those pairs can tell a wrong T1 from the right one.
-    """
-
-    residuals: list
-    t1_active_pairs: int
-
-    @property
-    def passed(self):
-        return all(r.is_zero() for _pair, r in self.residuals)
-
-    def first_failure(self):
-        for pair, r in self.residuals:
-            if not r.is_zero():
-                return pair, r
-        return None
-
-
 def check_equivalence(defo1, defo2, t1, samples, order=None):
-    """T = id + hbar^2 T1; the residual T C1(f,g) - C2(Tf,Tg) is recorded
-    for every sample pair, optionally truncated at ``order``."""
-    ctx = defo1.ctx
+    """T = id + hbar^2 T1; the residual T C1(f,g) - C2(Tf,Tg), truncated
+    at ``order`` when given, must vanish on every sample pair.
+
+    ``details["t1_active_pairs"]`` counts the pairs on which T1 changes f,
+    g or C1(f,g); only those pairs can tell a wrong T1 from the right one.
+    """
+    ctx = defo1.bracket.ctx
     hbar2 = Scalar.hbar(ctx.scalar_ctx) ** 2
+    details = {"t1_active_pairs": 0}
 
     def shift(f):
         return t1.evaluate(f).scale_left(hbar2)
 
-    residuals = []
-    active = 0
-    for f, g in samples:
+    def rule(f, g):
         c1 = defo1.evaluate(f, g)
         dc, df, dg = (shift(u) for u in (c1, f, g))
-        active += not (dc.is_zero() and df.is_zero() and dg.is_zero())
-        res = c1 + dc - defo2.evaluate(f + df, g + dg)
+        details["t1_active_pairs"] += not (
+            dc.is_zero() and df.is_zero() and dg.is_zero())
+        residual = c1 + dc - defo2.evaluate(f + df, g + dg)
         if order is not None:
-            res = res.truncate(order)
-        residuals.append(((f, g), res))
-    return EquivalenceReport(residuals, active)
+            residual = residual.truncate(order)
+        if not residual.is_zero():
+            yield (), residual.render()
+
+    return _run("equivalence", ctx, samples, rule, details)

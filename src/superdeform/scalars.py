@@ -176,7 +176,8 @@ class FlatSum:
     are built on a clean dict by ``_of`` and never changed in place, so a
     sum with zero may be the other summand itself.  The one fact this class
     knows about a key is that its h-exponent sits at index ``_HBAR``; a
-    subclass turns an operand of another type into its own by ``_lift``.
+    subclass turns an operand of another type into its own by ``_lift``,
+    or answers NotImplemented, so that the operand's reflected method runs.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -222,6 +223,8 @@ class FlatSum:
     def __add__(self, other):
         if other.__class__ is not self.__class__:
             other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
         if other.ctx is not self.ctx:
             self._check(other)
         if not other.coeffs:
@@ -239,12 +242,10 @@ class FlatSum:
         return self._of(self.ctx, {k: -q for k, q in self.coeffs.items()})
 
     def __sub__(self, other):
-        if other.__class__ is not self.__class__:
-            other = self._lift(other)
         return self + -other
 
     def __rsub__(self, other):
-        return self._lift(other) - self
+        return -self + other
 
     def freeze(self):
         return tuple(sorted(self.coeffs.items()))
@@ -360,7 +361,9 @@ class Scalar(FlatSum):
     # -- helpers -----------------------------------------------------------
 
     def _lift(self, value):
-        return Scalar.rational(self.ctx, value)
+        if isinstance(value, Rational):
+            return Scalar.rational(self.ctx, value)
+        return NotImplemented
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -398,6 +401,8 @@ class Scalar(FlatSum):
             if isinstance(other, RadicalNumber):
                 return self * Scalar.from_radical(self.ctx, other)
             if other.__class__ is not int:
+                if not isinstance(other, Rational):
+                    return NotImplemented
                 other = Fraction(other)
             return Scalar._of(self.ctx, {
                 k: int_if_integral(q * other)

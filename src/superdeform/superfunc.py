@@ -351,12 +351,12 @@ class SuperFunction(FlatSum):
 
     # -- integration -------------------------------------------------------
 
-    def integral_bar(self, mod_centralizer=False):
+    def integral_bar(self):
         """Exact integral over x and xi (top xi-monomial normalization).
 
-        Raises NotIntegrableError for any term the Gaussian class cannot
-        integrate.  With ``mod_centralizer`` the pure constant term is
-        dropped instead (the natural extension to the centralizer).
+        The pure constant term is dropped (the natural extension to the
+        centralizer); any other term the Gaussian class cannot integrate
+        raises NotIntegrableError.
         """
         ctx = self.ctx
         top = tuple(range(1, ctx.n_minus + 1))
@@ -365,7 +365,7 @@ class SuperFunction(FlatSum):
         total = {}
         for (xexp, c, xi), items in _grouped(self).items():
             if ctx.n_plus > 0 and c == 0:
-                if mod_centralizer and xexp == zero_x and xi == ():
+                if xexp == zero_x and xi == ():
                     continue
                 raise NotIntegrableError(
                     "term without Gaussian suppression is not integrable: "

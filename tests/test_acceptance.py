@@ -18,7 +18,7 @@ from superdeform import (LCG, SampleSpec, Scalar, SuperFunction,
                          m3_form, moyal_bracket, moyal_form, mu_form,
                          mzeta_form, poisson_bracket, sample_superfunctions,
                          sample_tuples, t1_bar_multiplier)
-from superdeform.cochains import EVEN, ODD, ScaledCochain
+from superdeform.cochains import ScaledCochain
 from superdeform.deformations import Deformation
 
 
@@ -84,7 +84,7 @@ def _full_degree_pairs(ctx, count, seed):
 def test_criterion_1_classical_structures():
     """Jacobi, antisymmetry, and grading for both classical brackets."""
     ok = True
-    d0 = Deformation(CTX42, "m0", m0_form(CTX42), {}, EVEN)
+    d0 = Deformation("m0", m0_form(CTX42))
     ok &= check_jacobi(d0, SampleSpec(seed=1001, count=50)).passed
     for f, g in sample_tuples(SampleSpec(seed=1002, count=50), CTX42, 2):
         residual = poisson_bracket(f, g) + \
@@ -93,7 +93,7 @@ def test_criterion_1_classical_structures():
         value = poisson_bracket(f, g)
         if not value.is_zero():
             ok &= value.eps() == (f.eps() + g.eps()) % 2
-    da = Deformation(CTX22, "anti", anti_form(CTX22), {}, ODD)
+    da = Deformation("anti", anti_form(CTX22))
     ok &= check_jacobi(da, SampleSpec(seed=1003, count=50)).passed
     for f, g in sample_tuples(SampleSpec(seed=1004, count=50), CTX22, 2):
         ef, eg = (f.eps() + 1) % 2, (g.eps() + 1) % 2
@@ -248,7 +248,7 @@ def test_criterion_8_infrastructure():
     a = sample_superfunctions(rerun, CTX42)
     b = sample_superfunctions(rerun, CTX42)
     ok &= [f.freeze() for f in a] == [g.freeze() for g in b]
-    d0 = Deformation(CTX42, "m0", m0_form(CTX42), {}, EVEN)
+    d0 = Deformation("m0", m0_form(CTX42))
     r1 = check_jacobi(d0, SampleSpec(seed=8007, count=4))
     r2 = check_jacobi(d0, SampleSpec(seed=8007, count=4))
     ok &= r1.core_dict() == r2.core_dict()

@@ -1,6 +1,7 @@
 """Tests for the expression grammar, spec parsers, and the CLI front end."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -132,7 +133,7 @@ def test_parse_t1(ctx):
     f = SuperFunction.term(ctx, c=1, xi=(1, 2))
     value = t1.evaluate(f)
     assert value == SuperFunction.gauss(ctx, 1).scale_right(
-        f.integral_bar(mod_centralizer=True)) * -1
+        f.integral_bar()) * -1
     assert parse_t1("zero", ctx).evaluate(f).is_zero()
     x1 = SuperFunction.x(ctx, 1)
     assert parse_t1("euler(2)", ctx).evaluate(x1) == x1
@@ -331,6 +332,34 @@ def test_cli_equiv_reports_t1_active_pairs(capsys):
     assert set(data["first_failure"]) == {"f", "g", "residual"}
     assert captured.err.startswith("[FAIL] equivalence: ")
     assert captured.err.count("\n") == 1
+
+
+# sha256 of stdout, stderr and exit code of the golden equiv command, for
+# both signs of T1 and for the usage error of a sample with no active pair
+EQUIV_OUTPUT_SHA256 = {
+    ("bar(gauss(1),-1)", 5, 150):
+        "fc666b273ff3811a1579550fbc97c49aa22ead1557473d677a1311fdb08d22f7",
+    ("bar(gauss(1),-1)", 7, 150):
+        "c9743995e5a7cf18b7223b0c7435fd43fddff9e134af09cd15022db81ad72728",
+    ("bar(gauss(1),1)", 5, 150):
+        "2f569f2ef7cabcf014370d75d30eebafedf8f4aa75ee22363e313450c3eade1d",
+    ("bar(gauss(1),1)", 7, 150):
+        "af268fe7c4017a9b88578104b99bbc475487cc0cdf2a6fe24465f89f69b0dbc0",
+    ("bar(gauss(1),1)", 3, 5):
+        "e440ce2c96934eda7b93e0b61fdca4293f79bfff5f1c32dd8be4133ce0347617",
+}
+
+
+@pytest.mark.parametrize("t1, seed, samples", sorted(EQUIV_OUTPUT_SHA256))
+def test_cli_equiv_output_is_pinned(t1, seed, samples, capsys):
+    code = run(["equiv",
+                "--c1", "c3(zeta=hbar^2*x1*gauss(1) + hbar^2*gauss(1))",
+                "--c2", "c3(zeta=hbar^2*x1*gauss(1))", "--order", "2",
+                "--t1", t1, "--seed", str(seed), "--samples", str(samples)])
+    captured = capsys.readouterr()
+    blob = f"{captured.out}\0{captured.err}\0{code}".encode()
+    assert hashlib.sha256(blob).hexdigest() == \
+        EQUIV_OUTPUT_SHA256[t1, seed, samples], captured.err
 
 
 def test_cli_theorem_report_keys_and_summary(capsys):

@@ -192,7 +192,7 @@ def test_evaluation_linearity(ctx42):
 # -- bar pairings: op meets only a nonzero bar ------------------------------
 
 def _bar(f):
-    return f.integral_bar(mod_centralizer=True)
+    return f.integral_bar()
 
 
 def _bar_pairing_oracle(op, n_minus, f, g):

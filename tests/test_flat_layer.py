@@ -161,7 +161,7 @@ def delta_op_oracle(f):
     return _function(f.ctx, pieces)
 
 
-def integral_bar_oracle(f, mod_centralizer):
+def integral_bar_oracle(f):
     ctx = f.ctx
     sctx = ctx.scalar_ctx
     top = tuple(range(1, ctx.n_minus + 1))
@@ -169,7 +169,7 @@ def integral_bar_oracle(f, mod_centralizer):
     total = Scalar.zero(sctx)
     for (xexp, c, xi), s in f.terms.items():
         if ctx.n_plus and c == 0:
-            if mod_centralizer and not any(xexp) and xi == ():
+            if not any(xexp) and xi == ():
                 continue
             raise NotIntegrableError("not integrable")
         if xi != top or any(e % 2 for e in xexp):
@@ -197,14 +197,14 @@ def same(got, want):
     assert got.render() == want.render()
 
 
-def same_integral(f, mod_centralizer):
+def same_integral(f):
     try:
-        want = integral_bar_oracle(f, mod_centralizer)
+        want = integral_bar_oracle(f)
     except NotIntegrableError:
         with pytest.raises(NotIntegrableError):
-            f.integral_bar(mod_centralizer)
+            f.integral_bar()
         return 0
-    same(f.integral_bar(mod_centralizer), want)
+    same(f.integral_bar(), want)
     return not want.is_zero()
 
 
@@ -227,8 +227,7 @@ def test_flat_layer_matches_per_term_scalars(shape):
         if ctx.n_plus == ctx.n_minus:
             same(f.delta_op(), delta_op_oracle(f))
         for h in (f, g, f + g):
-            nonzero_integrals += same_integral(h, mod_centralizer=False)
-            nonzero_integrals += same_integral(h, mod_centralizer=True)
+            nonzero_integrals += same_integral(h)
             parts = homogeneous_oracle(h)
             got = h.homogeneous_components()
             assert len(got) == len(parts)

@@ -8,10 +8,11 @@ import pytest
 
 from superdeform import (LCG, SampleSpec, Scalar, SuperFunction,
                          SymplecticContext,
-                         build_anti_odd, check_bar_vanishing, check_cocycle,
-                         check_d_squared, check_grading, check_jacobi,
-                         check_signs, m1_form, m23_form, m3_form,
-                         sample_superfunctions, sample_tuples, sf_mul)
+                         build_C3, build_anti_odd, check_bar_vanishing,
+                         check_cocycle, check_d_squared, check_equivalence,
+                         check_grading, check_jacobi, check_signs, m1_form,
+                         m23_form, m3_form, sample_superfunctions,
+                         sample_tuples, sf_mul, t1_bar_multiplier)
 from superdeform import verify
 from superdeform.brackets import poisson_bracket
 from superdeform.cochains import (EVEN, ODD, LeafForm, ScaledCochain,
@@ -70,10 +71,10 @@ def test_sample_tuples_grouping(ctx42):
 
 
 def test_report_core_is_reproducible(ctx42):
-    d0 = Deformation(ctx42, "m0", m0_form(ctx42), {}, EVEN)
+    d0 = Deformation("m0", m0_form(ctx42))
     spec = SampleSpec(seed=31, count=6)
     r1 = check_jacobi(d0, spec)
-    r2 = check_jacobi(Deformation(ctx42, "m0", m0_form(ctx42), {}, EVEN),
+    r2 = check_jacobi(Deformation("m0", m0_form(ctx42)),
                       spec)
     assert r1.core_dict() == r2.core_dict()
 
@@ -90,9 +91,8 @@ def test_report_context_records_lambdas():
 
 def test_check_jacobi_detects_failure(ctx42):
     # the supercommutative product is not a Lie bracket
-    broken = Deformation(ctx42, "mul",
-                         LeafForm(ctx42, 2, 0, sf_mul, EVEN, name="mul"),
-                         {}, EVEN)
+    broken = Deformation("mul",
+                         LeafForm(ctx42, 2, 0, sf_mul, EVEN, name="mul"))
     report = check_jacobi(broken, SampleSpec(seed=77, count=6))
     assert not report.passed
     assert report.failures
@@ -130,7 +130,7 @@ def test_check_signs_needs_theta(ctx42):
 
 
 def test_check_grading(ctx42, ctx22):
-    d0 = Deformation(ctx42, "m0", m0_form(ctx42), {}, EVEN)
+    d0 = Deformation("m0", m0_form(ctx42))
     assert check_grading(d0, SampleSpec(seed=21, count=6)).passed
     assert check_grading(build_anti_odd(ctx22),
                          SampleSpec(seed=23, count=6)).passed
@@ -142,7 +142,7 @@ def test_check_bar_vanishing(ctx42, ctx22):
 
 
 def test_summary_line(ctx42):
-    d0 = Deformation(ctx42, "m0", m0_form(ctx42), {}, EVEN)
+    d0 = Deformation("m0", m0_form(ctx42))
     report = check_jacobi(d0, SampleSpec(seed=29, count=3))
     assert report.summary() == "[PASS] jacobi[m0]: 3 samples, 0 failures"
 
@@ -153,8 +153,7 @@ def _failing_checks(ctx, monkeypatch):
     xi1 = SuperFunction.xi(ctx, 1)
 
     def defo(name, fn):
-        return Deformation(ctx, name, LeafForm(ctx, 2, 0, fn, EVEN, name),
-                           {}, EVEN)
+        return Deformation(name, LeafForm(ctx, 2, 0, fn, EVEN, name))
 
     def bar_of_products():
         # unlike a Poisson bracket, a product can have a nonzero bar
@@ -163,12 +162,15 @@ def _failing_checks(ctx, monkeypatch):
             SampleSpec(seed=28, count=4, max_x_degree=0), ctx)
 
     theta = Scalar.theta(ctx.scalar_ctx, 1)
+    h2 = Scalar.hbar(ctx.scalar_ctx) ** 2
+    z0 = SuperFunction.gauss(ctx, 1)
+    zeta = SuperFunction.x(ctx, 1).scale_left(h2)
     return {
         "jacobi_mul": lambda: check_jacobi(
             defo("mul", sf_mul), SampleSpec(seed=77, count=6)),
         "jacobi_theta_mul": lambda: check_jacobi(
-            Deformation(ctx, "m0+th*mul", m0_form(ctx) + ScaledCochain(theta, mul),
-                        {}, EVEN), SampleSpec(seed=78, count=6)),
+            Deformation("m0+th*mul", m0_form(ctx) + ScaledCochain(theta, mul)),
+            SampleSpec(seed=78, count=6)),
         "cocycle_mul": lambda: check_cocycle(
             mul, SampleSpec(seed=13, count=4)),
         "d_squared_mul_bracket": lambda: check_d_squared(
@@ -184,6 +186,11 @@ def _failing_checks(ctx, monkeypatch):
                  + sf_mul(xi1, sf_mul(f, g))),
             SampleSpec(seed=23, count=6)),
         "bar_vanishing_products": bar_of_products,
+        # C3(zeta + hbar^2 z0) ~ C3(zeta) needs T1 f = -z0 fbar, not +z0 fbar
+        "equivalence_wrong_sign": lambda: check_equivalence(
+            build_C3(zeta + z0.scale_left(h2), h2), build_C3(zeta, h2),
+            t1_bar_multiplier(z0, 1),
+            sample_tuples(SampleSpec(seed=84, count=8), ctx, 2), order=2),
     }
 
 
@@ -206,6 +213,8 @@ GOLDEN_FAILURE_CORES = {
         2, "0cb1c8263a9c1359337339eb513df42451a3b5e1b832f508c2cd52b42a549263"),
     "bar_vanishing_products": (
         2, "0e6250e5b78f4bcbafdbe43338e0eb629ab8fd1ad4d9dc781faab20d3159e542"),
+    "equivalence_wrong_sign": (
+        3, "0fa5d8a0dfaacdacb197cb2930b4906d8c795a97ec30d990fd547fe34f78e789"),
 }
 
 
@@ -224,5 +233,7 @@ def test_failure_cores_are_pinned(ctx42, monkeypatch, case):
     if case.startswith("jacobi"):
         tally = core["details"]["theta_grade_failures"]
         assert tally and sum(tally.values()) >= count
+    if case.startswith("equivalence"):
+        assert core["details"]["t1_active_pairs"] >= count
     text = json.dumps(core, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text[:400]
