@@ -140,27 +140,29 @@ def _collect(acc, c, xi, poly, coeffs):
 # -- block-factored kernel ---------------------------------------------------
 #
 # Polynomials are dicts from exponents to coefficients, with the Gaussian
-# factor left implicit.  ``memo`` lives for one bracket call by default;
-# ``build_C1`` and ``moyal_form`` pass one dict to every bracket of the
-# form they build, so it lives as long as that form (and its Cochain
-# cache).  The tables depend only on exponents and Gaussian weights, never
-# on kappa, the scalars, the lambdas or the context order, so any calls
-# may share them.  It holds the one-variable derivative tables under
-# (e, c), the block tables under (a1, a2, b1, b2, c_f, c_g) and the x
-# tables under (x exponents of f, x exponents of g, c_f, c_g); a list is
-# only ever replaced by a longer one.
+# factor left implicit.  ``tables`` holds the one-variable derivative
+# tables under (e, c), the block tables under (a1, a2, b1, b2, c_f, c_g)
+# and the x tables under (x exponents of f, x exponents of g, c_f, c_g).
+# None depends on kappa, the scalars, the lambdas or the context order, so
+# all Moyal brackets share ``_TABLES``, cleared before a bracket past
+# ``_TABLE_BOUND`` keys; ``bidiff_power`` keeps tables per call, as its
+# calls seldom meet a key twice.  A list is replaced, never extended.
+
+_TABLES = {}
+_TABLE_BOUND = 1024
 
 
-def _derivs(memo, e, c, n):
+def _derivs(tables, e, c, n):
     """The derivatives 0..n of u^e exp(-c u^2/2), as polynomials in u."""
-    table = memo.setdefault((e, c), [{e: 1}])
-    c = c.numerator if c.denominator == 1 else c  # integral weights as int
+    table = tables.get((e, c)) or [{e: 1}]
+    cq = c.numerator if c.denominator == 1 else c  # integral weights as int
     while len(table) <= n:
         out = {}
         for k, q in table[-1].items():
-            for step, u in x_steps(k, c):
+            for step, u in x_steps(k, cq):
                 out[k + step] = out.get(k + step, 0) + u * q
-        table.append({k: q for k, q in out.items() if q})
+        table = table + [{k: q for k, q in out.items() if q}]
+    tables[e, c] = table
     return table
 
 
@@ -173,17 +175,18 @@ def _mul1(u, v):
     return out
 
 
-def _block_table(memo, fb, gb, cf, cg, m_max):
+def _block_table(tables, fb, gb, cf, cg, m_max):
     """m! T[m] for m = 0..m_max on one x-pair block (variables y1, y2):
 
         T[m] = sum_{i+j=m} (-1)^j/(i! j!) (d1^i d2^j f_B)(d2^i d1^j g_B),
 
     with f_B = y1^a1 y2^a2 exp(-c_f |y|^2/2) and g_B likewise."""
-    table = memo.setdefault(fb + gb + (cf, cg), [])
+    key = fb + gb + (cf, cg)
+    table = tables.get(key) or []
     if len(table) > m_max:
         return table
-    f1, f2 = _derivs(memo, fb[0], cf, m_max), _derivs(memo, fb[1], cf, m_max)
-    g1, g2 = _derivs(memo, gb[0], cg, m_max), _derivs(memo, gb[1], cg, m_max)
+    f1, f2 = (_derivs(tables, e, cf, m_max) for e in fb)
+    g1, g2 = (_derivs(tables, e, cg, m_max) for e in gb)
     while len(table) <= m_max:
         m = len(table)
         out = {}
@@ -197,22 +200,23 @@ def _block_table(memo, fb, gb, cf, cg, m_max):
             for e1, a in u.items():
                 for e2, b in v.items():
                     out[e1, e2] = out.get((e1, e2), 0) + w * a * b
-        table.append({k: q for k, q in out.items() if q})
+        table = table + [{k: q for k, q in out.items() if q}]
+    tables[key] = table
     return table
 
 
-def _x_tables(memo, fx, gx, cf, cg, q_max):
-    """q! X[q] for q = 0..q_max (or more, when a longer list is memoised),
+def _x_tables(tables, fx, gx, cf, cg, q_max):
+    """q! X[q] for q = 0..q_max (or more, when a longer list is stored),
     the t^q coefficient of the product over the x-pair blocks of
     sum_m t^m T_B[m]; block tables combine with binomials because they are
     scaled by m!."""
-    memo_key = (fx, gx, cf, cg)
-    xs = memo.get(memo_key)
+    key = (fx, gx, cf, cg)
+    xs = tables.get(key)
     if xs is not None and len(xs) > q_max:
         return xs
     xs = [{(): 1}] + [{}] * q_max
     for b in range(0, len(fx), 2):
-        table = _block_table(memo, fx[b:b + 2], gx[b:b + 2], cf, cg, q_max)
+        table = _block_table(tables, fx[b:b + 2], gx[b:b + 2], cf, cg, q_max)
         new = []
         for q in range(q_max + 1):
             out = {}
@@ -225,7 +229,7 @@ def _x_tables(memo, fx, gx, cf, cg, q_max):
                 binom = binom * (q - r) // (r + 1)
             new.append({k: v for k, v in out.items() if v})
         xs = new
-    memo[memo_key] = xs
+    tables[key] = xs
     return xs
 
 
@@ -253,7 +257,7 @@ def _odd_factor(ctx, xf, xg):
     return n, weight, tuple(sorted(rf + rg))
 
 
-def _iterate_pairs(f, g, weights, memo=None):
+def _iterate_pairs(f, g, weights, tables):
     """Sum over the seed term pairs of sum_p weights[p] times the t^p
     coefficient of the factored exponential series.
 
@@ -262,11 +266,10 @@ def _iterate_pairs(f, g, weights, memo=None):
     of all the 1/q! of the call.  Per pair and power, one ``mul_into``
     forms weight * scalar product * den/q!; ``_collect`` adds it into the
     slots of the output terms, and ``_make`` divides by den once at the
-    end.  ``memo`` holds the derivative, block and x tables (see above).
+    end.  ``tables`` holds the derivative, block and x tables (see above).
     """
     ctx = f.ctx
     h_max = ctx.h_max
-    memo = {} if memo is None else memo
     den = factorial(max(weights))
     powers = [(p, w.coeffs.items(), w.hbar_min_degree())
               for p, w in sorted(weights.items())]
@@ -285,7 +288,7 @@ def _iterate_pairs(f, g, weights, memo=None):
             # the theta part of g's scalar moves left past f's xi monomial
             prod = mul_into({}, (), fitems, gitems, h_max, 1,
                             len(xf)).items()
-            xs = _x_tables(memo, fx, gx, cf, cg, kept[-1][0] - n)
+            xs = _x_tables(tables, fx, gx, cf, cg, kept[-1][0] - n)
             c = int_if_integral(cf + cg)
             for p, w in kept:
                 q = p - n
@@ -302,17 +305,15 @@ def bidiff_power(f, g, p):
         raise ValueError("the bidifferential power must be at least 1")
     f._check(g)
     return _iterate_pairs(
-        f, g, {p: Scalar.rational(f.ctx.scalar_ctx, factorial(p))})
+        f, g, {p: Scalar.rational(f.ctx.scalar_ctx, factorial(p))}, {})
 
 
-def moyal_bracket(f, g, kappa=1, memo=None):
+def moyal_bracket(f, g, kappa=1):
     """Deformed bracket: sum over odd p of (h kappa)^(p-1)/p! times the p-th
     bidifferential power, truncated at the context order.
 
     kappa must be a theta-free series; at truncation order 0 the bracket
-    reduces to the Poisson bracket.  A caller that brackets many pairs of
-    one context may pass one ``memo`` dict to all of them: it keeps the
-    kernel's tables, which do not depend on kappa.
+    reduces to the Poisson bracket.
     """
     f._check(g)
     sctx = f.ctx.scalar_ctx
@@ -326,4 +327,6 @@ def moyal_bracket(f, g, kappa=1, memo=None):
     while not w.is_zero():
         weights[p] = w
         w, p = w * hk2, p + 2
-    return _iterate_pairs(f, g, weights, memo=memo)
+    if len(_TABLES) > _TABLE_BOUND:
+        _TABLES.clear()
+    return _iterate_pairs(f, g, weights, _TABLES)

@@ -159,9 +159,7 @@ def anti_form(ctx):
 
 
 def moyal_form(ctx, kappa=1):
-    memo = {}  # the Moyal kernel's tables, shared by the form's brackets
-    return LeafForm(ctx, 2, 0,
-                    lambda f, g: moyal_bracket(f, g, kappa, memo),
+    return LeafForm(ctx, 2, 0, lambda f, g: moyal_bracket(f, g, kappa),
                     EVEN, name="moyal")
 
 

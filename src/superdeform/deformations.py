@@ -98,13 +98,10 @@ def build_C1(zeta, kappa=1, flavor=C1, c=None):
             "kappa must be an even or odd series in hbar so that "
             "c1 = (1/6) hbar^2 kappa^2 is an even series", relation="kappa")
     params = {"zeta": zeta, "kappa": kappa}
-    # the Moyal kernel's tables, shared by every bracket of this deformation
-    memo = {}
     if flavor == C1C:
         c = _own_scalar(ctx, 0 if c is None else c)
         _require_param(c, "c")
-        probe = moyal_bracket(zeta, zeta, kappa, memo) + \
-            SuperFunction.constant(ctx, c)
+        probe = moyal_bracket(zeta, zeta, kappa) + c
         if not probe.is_z_class():
             raise DeformationError(
                 "M(zeta, zeta) + c must lie in Z (Gaussian class plus "
@@ -118,11 +115,11 @@ def build_C1(zeta, kappa=1, flavor=C1, c=None):
 
     def fn(f, g):
         if trivial and flavor == C1:
-            return moyal_bracket(f, g, kappa, memo)
+            return moyal_bracket(f, g, kappa)
         fbar, gbar = f.integral_bar(), g.integral_bar()
         F = f + zeta.scale_right(fbar) if fbar else f
         G = g + zeta.scale_right(gbar) if gbar else g
-        out = moyal_bracket(F, G, kappa, memo)
+        out = moyal_bracket(F, G, kappa)
         if flavor == C1C:
             out = out + SuperFunction.constant(ctx, c * (fbar * gbar))
         return out

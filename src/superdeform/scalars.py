@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from numbers import Rational
+from operator import add, mul, sub
 
 from .errors import ContextMismatchError
 
@@ -363,6 +364,8 @@ class Scalar(FlatSum):
     def _lift(self, value):
         if isinstance(value, Rational):
             return Scalar.rational(self.ctx, value)
+        if isinstance(value, RadicalNumber):
+            return Scalar.from_radical(self.ctx, value)
         return NotImplemented
 
     def __bool__(self):
@@ -398,11 +401,10 @@ class Scalar(FlatSum):
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
-            if isinstance(other, RadicalNumber):
-                return self * Scalar.from_radical(self.ctx, other)
             if other.__class__ is not int:
                 if not isinstance(other, Rational):
-                    return NotImplemented
+                    other = self._lift(other)  # a RadicalNumber, if any
+                    return other if other is NotImplemented else self * other
                 other = Fraction(other)
             return Scalar._of(self.ctx, {
                 k: int_if_integral(q * other)
@@ -443,32 +445,34 @@ class Scalar(FlatSum):
     # -- rendering ---------------------------------------------------------
 
     def render(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for (m, alpha, p, s, r), coeff in sorted(
-                ((k[0], theta_indices(k[1])) + k[2:], q)
-                for k, q in self.coeffs.items()):
-            factors = []
-            if p == 1:
-                factors.append("pi")
-            elif p > 1:
-                factors.append(f"pi^{p}")
-            if s:
-                factors.append("sqrt(pi)")
-            if r != 1:
-                factors.append(f"sqrt({r})")
-            if m == 1:
-                factors.append("hbar")
-            elif m > 1:
-                factors.append(f"hbar^{m}")
-            factors.extend(f"th{j}" for j in alpha)
-            mag = abs(coeff)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            pieces.append((" - " if coeff < 0 else " + ") + "*".join(factors))
-        text = "".join(pieces)
-        return ("-" if text[1] == "-" else "") + text[3:]
+        return render_sum(self.coeffs.items())
+
+
+def render_sum(items):
+    """The text of the Scalar whose flat ``coeffs`` has these items."""
+    pieces = []
+    for (m, alpha, p, s, r), coeff in sorted(
+            ((k[0], theta_indices(k[1])) + k[2:], q) for k, q in items):
+        factors = []
+        if p == 1:
+            factors.append("pi")
+        elif p > 1:
+            factors.append(f"pi^{p}")
+        if s:
+            factors.append("sqrt(pi)")
+        if r != 1:
+            factors.append(f"sqrt({r})")
+        if m == 1:
+            factors.append("hbar")
+        elif m > 1:
+            factors.append(f"hbar^{m}")
+        factors.extend(f"th{j}" for j in alpha)
+        mag = abs(coeff)
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        pieces.append((" - " if coeff < 0 else " + ") + "*".join(factors))
+    text = "".join(pieces)
+    return ("-" if text[1:2] == "-" else "") + text[3:] or "0"
 
 
 _RADICALS = ScalarContext(k=0, h_max=0)
@@ -477,6 +481,16 @@ _RADICALS = ScalarContext(k=0, h_max=0)
 def _lift(x):
     """The Scalar behind a RadicalNumber; any other value as it is."""
     return x.scalar if isinstance(x, RadicalNumber) else x
+
+
+def _on_scalars(op):
+    """A binary method of RadicalNumber: ``op`` on the Scalars behind the
+    operands; a Scalar operand goes to its own reflected method."""
+    def method(self, other):
+        if isinstance(other, Scalar):
+            return NotImplemented
+        return RadicalNumber._of(op(self.scalar, _lift(other)))
+    return method
 
 
 class RadicalNumber:
@@ -525,24 +539,13 @@ class RadicalNumber:
     def rational_value(self):
         return self.scalar.rational_value()
 
-    def __add__(self, other):
-        return RadicalNumber._of(self.scalar + _lift(other))
-
-    __radd__ = __add__
+    __add__ = __radd__ = _on_scalars(add)
+    __sub__ = _on_scalars(sub)
+    __rsub__ = _on_scalars(lambda a, b: b - a)
+    __mul__ = __rmul__ = _on_scalars(mul)
 
     def __neg__(self):
         return RadicalNumber._of(-self.scalar)
-
-    def __sub__(self, other):
-        return RadicalNumber._of(self.scalar - _lift(other))
-
-    def __rsub__(self, other):
-        return RadicalNumber._of(_lift(other) - self.scalar)
-
-    def __mul__(self, other):
-        return RadicalNumber._of(self.scalar * _lift(other))
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return self.scalar == _lift(other)

@@ -42,9 +42,9 @@ the term key followed by the key of ``Scalar.coeffs``, kept clean as
 ``scalars.FlatSum`` states, which also holds the sums, negation and h
 filters.  So an entry is one rational times a monomial, and every
 operation works on rationals: products of coefficient lists go through
-``scalars.mul_into``, and no per-term Scalar is built.  ``terms`` is the
-view {term key: Scalar}, built on each access for rendering and for
-readers of whole coefficients.  Only this module and scalars know the
+``scalars.mul_into``, and no per-term Scalar is built, not even to
+render.  ``terms`` is the view {term key: Scalar}, built on each access
+for readers of whole coefficients.  Only this module and scalars know the
 layout; the bracket kernels read terms through ``_grouped`` and build
 results through ``_make``.
 """
@@ -57,7 +57,8 @@ from operator import add, lt
 
 from .errors import ContextMismatchError, NotIntegrableError
 from .scalars import (FlatSum, Scalar, ScalarContext, accumulate,
-                      int_if_integral, merge_odd_indices, mul_into)
+                      int_if_integral, merge_odd_indices, mul_into,
+                      render_sum)
 
 
 class SymplecticContext:
@@ -369,8 +370,7 @@ class SuperFunction(FlatSum):
                     continue
                 raise NotIntegrableError(
                     "term without Gaussian suppression is not integrable: "
-                    + self._render_term((xexp, c, xi), Scalar._of(
-                        ctx.scalar_ctx, dict(items))))
+                    + self._render_term((xexp, c, xi), items))
             if xi != top or any(e % 2 for e in xexp):
                 continue
             moment = Fraction(2) ** half / Fraction(c) ** (
@@ -428,10 +428,10 @@ class SuperFunction(FlatSum):
 
     # -- rendering ---------------------------------------------------------
 
-    def _render_term(self, key, scalar):
+    def _render_term(self, key, items):
         xexp, c, xi = key
         factors = []
-        text = scalar.render()
+        text = render_sum(items)
         if text != "1" or (all(e == 0 for e in xexp) and c == 0 and not xi):
             if " " in text:
                 text = f"({text})"
@@ -447,11 +447,9 @@ class SuperFunction(FlatSum):
         return "*".join(factors)
 
     def render(self):
-        terms = self.terms
-        if not terms:
-            return "0"
-        return " + ".join(self._render_term(k, terms[k])
-                          for k in sorted(terms))
+        groups = _grouped(self)
+        return " + ".join(self._render_term(k, groups[k])
+                          for k in sorted(groups)) or "0"
 
 
 def _parity(key):

@@ -2,14 +2,12 @@
 
 import itertools
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
 from superdeform import (Scalar, SuperFunction, SymplecticContext,
-                         antibracket, bidiff_power, moyal_bracket,
+                         antibracket, bidiff_power, brackets, moyal_bracket,
                          poisson_bracket, sf_mul)
-from superdeform.brackets import _iterate_pairs
 
 from conftest import naive_bidiff, random_superfunction, seeded
 
@@ -144,13 +142,15 @@ def test_moyal_reduces_to_poisson_at_order_zero():
 
 def _series_oracle(f, g, kappa=1):
     """Truncated sum over odd p of (hbar kappa)^(p-1)/p! bidiff^p, via the
-    naive word-by-word path (callers keep p small by a low h_max)."""
+    naive word-by-word path (callers keep p small by a low h_max or by
+    hbar factors on f and g; p stops where they leave no room)."""
     sctx = f.ctx.scalar_ctx
     hk = Scalar.hbar(sctx) * kappa
+    floor = Scalar.hbar(sctx, f.hbar_min_degree() + g.hbar_min_degree())
     total = SuperFunction.zero(f.ctx)
     fact, power = 1, Scalar.one(sctx)
     p = 1
-    while not power.is_zero():
+    while not (power * floor).is_zero():
         fact *= p
         if p % 2 == 1:
             total = total + naive_bidiff(f, g, p).scale_left(power / fact)
@@ -216,14 +216,8 @@ def _reweighted(f, c):
     return out
 
 
-def _table_lengths(memo):
-    return {key: len(table) for key, table in memo.items()}
-
-
-def _power_with_memo(f, g, p, memo):
-    """bidiff_power(f, g, p) through the kernel with a caller's memo."""
-    weight = Scalar.rational(f.ctx.scalar_ctx, factorial(p))
-    return _iterate_pairs(f, g, {p: weight}, memo=memo)
+def _store_lengths():
+    return {key: len(table) for key, table in brackets._TABLES.items()}
 
 
 @pytest.mark.parametrize("n_plus, lambdas", [
@@ -232,38 +226,103 @@ def _power_with_memo(f, g, p, memo):
     (4, (1, -1)),
 ], ids=["no_x_blocks", "one_x_block", "two_x_blocks"])
 def test_shared_memo_matches_fresh(n_plus, lambdas):
-    # One memo dict threads through brackets and powers of the same
-    # exponents at several pairs of Gaussian weights (a key that dropped
-    # c_f or c_g would mix them up).  Each pair is first bracketed with an
-    # hbar^4 factor, which keeps fewer powers and so builds short tables, then
-    # without it, which needs longer ones, then with it again, which must
-    # hit the longer tables and keep them.
-    ctx = SymplecticContext(n_plus, len(lambdas), lambdas, 1, 6)
-    sctx = ctx.scalar_ctx
-    kappas = itertools.cycle((1, Fraction(-3, 2),
-                              Scalar.hbar(sctx, 1, Fraction(2, 3)) - HALF))
-    heavy = Scalar.hbar(sctx, 4)
-    rng = seeded(43)
-    f0 = random_superfunction(rng, ctx, terms=2, theta=True, gauss_pool=(0,))
-    g0 = random_superfunction(rng, ctx, terms=2, theta=True, gauss_pool=(0,))
-    memo = {}
+    # brackets' one table store serves Moyal brackets of the same exponents
+    # at several pairs of Gaussian weights (a key that dropped c_f or c_g
+    # would mix them up) in two contexts: the given metric at h_max 6 and
+    # every lambda = -1 at h_max 4, each call with its own kappa.  Each
+    # pair is first bracketed with an hbar^4 factor, which keeps fewer
+    # powers and so builds short tables, then without it, which needs
+    # longer ones, then with it again, which must hit the longer tables and
+    # keep them.  Every value must equal the one computed on a cleared
+    # store and, where the series is short enough for it, the naive series
+    # oracle; bidiff_power works on tables of its own and leaves the store
+    # as it is.
+    contexts = [SymplecticContext(n_plus, len(lambdas), lambdas, 1, 6),
+                SymplecticContext(n_plus, len(lambdas), (-1,) * len(lambdas),
+                                  1, 4)]
+    per_context = []
+    for shift, ctx in enumerate(contexts):
+        sctx = ctx.scalar_ctx
+        kappas = itertools.islice(itertools.cycle((
+            1, Fraction(-3, 2), Scalar.hbar(sctx, 1, Fraction(2, 3)) - HALF,
+            Fraction(5, 7))), shift, None)
+        heavy = Scalar.hbar(sctx, 4)
+        rng = seeded(43)
+        f0 = random_superfunction(rng, ctx, terms=2, theta=True,
+                                  gauss_pool=(0,))
+        g0 = random_superfunction(rng, ctx, terms=2, theta=True,
+                                  gauss_pool=(0,))
+        calls = []
+        for cf, cg in ((1, 1), (HALF, 1), (1, 2), (0, HALF), (2, 0)):
+            f, g = _reweighted(f0, cf), _reweighted(g0, cg)
+            # the naive oracle of the full series is slow: it checks the
+            # hbar^4 calls and, at h_max 4, the first long one
+            calls += [((f.scale_left(heavy), g, next(kappas)), True),
+                      ((f, g, next(kappas)), ctx.h_max < 6 and cf == cg),
+                      ((f.scale_left(heavy), g, next(kappas)), True)]
+        per_context.append(calls)
+    # interleave the two contexts, so that each reads the other's tables
+    # (each call of a pair with another kappa)
+    calls = [call for pair in zip(*per_context) for call in pair]
+    brackets._TABLES.clear()
+    values = []
     grew = False
-    for cf, cg in ((1, 1), (HALF, 1), (1, 2), (0, HALF), (2, 0)):
-        f, g = _reweighted(f0, cf), _reweighted(g0, cg)
-        calls = [(moyal_bracket, moyal_bracket,
-                  (f.scale_left(heavy), g, next(kappas))),
-                 (moyal_bracket, moyal_bracket, (f, g, next(kappas))),
-                 (moyal_bracket, moyal_bracket,
-                  (f.scale_left(heavy), g, next(kappas))),
-                 (_power_with_memo, bidiff_power, (f, g, 3)),
-                 (_power_with_memo, bidiff_power, (g, f, 1))]
-        for shared, fresh, args in calls:
-            before = _table_lengths(memo)
-            assert shared(*args, memo=memo) == fresh(*args)
-            after = _table_lengths(memo)
-            assert all(after[key] >= n for key, n in before.items())
-            grew |= any(after[key] > n for key, n in before.items())
+    for args, _ in calls:
+        before = _store_lengths()
+        values.append(moyal_bracket(*args))
+        after = _store_lengths()
+        assert all(after[key] >= n for key, n in before.items())
+        grew |= any(after[key] > n for key, n in before.items())
     assert grew
+    for (args, oracle), value in zip(calls, values):
+        brackets._TABLES.clear()
+        assert moyal_bracket(*args) == value
+        if oracle:
+            assert value == _series_oracle(*args)
+    brackets._TABLES.clear()
+    bidiff_power(*calls[1][0][:2], 3)
+    assert not brackets._TABLES
+
+
+def test_stored_tables_are_never_extended_in_place():
+    # a caller that holds a table keeps its length when a longer one is
+    # stored under the same key: the store replaces, it never appends
+    ctx = SymplecticContext(2, 1, (1,), 1, 6)
+    f = SuperFunction.term(ctx, (2, 1), 1, (1,), 3)
+    g = SuperFunction.term(ctx, (1, 2), 2, (1,), -2)
+    brackets._TABLES.clear()
+    moyal_bracket(f.scale_left(Scalar.hbar(ctx.scalar_ctx, 4)), g)
+    held = dict(brackets._TABLES)
+    lengths = _store_lengths()
+    moyal_bracket(f, g)
+    assert {key: len(table) for key, table in held.items()} == lengths
+    longer = [key for key, n in _store_lengths().items()
+              if key in held and n > lengths[key]]
+    # derivative, block and x tables all grew
+    assert {len(key) for key in longer} == {2, 4, 6}
+    assert all(brackets._TABLES[key] is not held[key] for key in longer)
+
+
+def test_table_store_is_cleared_past_its_bound(monkeypatch):
+    monkeypatch.setattr(brackets, "_TABLE_BOUND", 3)
+    ctx = SymplecticContext(2, 1, (1,), 1, 6)
+    f = SuperFunction.term(ctx, (2, 1), 1, (1,), 3)
+    g = SuperFunction.term(ctx, (1, 2), 2, (1,), -2)
+    h = SuperFunction.term(ctx, (0, 1), HALF, (), 5)
+
+    def keys_of(*args):
+        brackets._TABLES.clear()
+        value = moyal_bracket(*args)
+        return value, set(brackets._TABLES)
+
+    first, first_keys = keys_of(f, g)
+    second, second_keys = keys_of(g, h)
+    assert len(first_keys) > 3 and first_keys - second_keys
+    brackets._TABLES.clear()
+    assert moyal_bracket(f, g) == first
+    # past the bound, the store is cleared before the next bracket
+    assert moyal_bracket(g, h) == second
+    assert set(brackets._TABLES) == second_keys
 
 
 # -- an independent sympy expansion of the even sector ----------------------

@@ -59,10 +59,11 @@ def test_c1_jacobi(ctx42):
 
 @pytest.mark.parametrize("flavor", ["C1", "C1c"])
 def test_c1_brackets_match_fresh_moyal(ctx42, flavor):
-    # a C1/C1c deformation shares one table memo across all its brackets
-    # (the C1c probe M(zeta, zeta) included); each value must still equal a
-    # fresh Moyal bracket of the bar-extended arguments
-    from superdeform import moyal_bracket
+    # the brackets of a C1/C1c deformation (the C1c probe M(zeta, zeta)
+    # included) draw on the Moyal kernel's process-wide table store; each
+    # value must still equal a fresh Moyal bracket of the bar-extended
+    # arguments, computed on a cleared store
+    from superdeform import brackets, moyal_bracket
     c = h2(ctx42)
     zeta = SuperFunction.term(ctx42, (1, 1, 0, 0), 1, scalar=c) + \
         SuperFunction.term(ctx42, (0, 0, 2, 0), 2, scalar=c * 3)
@@ -75,11 +76,13 @@ def test_c1_brackets_match_fresh_moyal(ctx42, flavor):
         fb = f.integral_bar()
         gb = g.integral_bar()
         barred += not (fb.is_zero() and gb.is_zero())
+        got = d.evaluate(f, g)
+        brackets._TABLES.clear()
         expect = moyal_bracket(f + zeta.scale_right(fb),
                                g + zeta.scale_right(gb), kappa)
         if flavor == "C1c":
             expect = expect + SuperFunction.constant(ctx42, c * (fb * gb))
-        assert d.evaluate(f, g) == expect
+        assert got == expect
     assert barred
 
 

@@ -81,6 +81,20 @@ def test_radical_reflected_subtraction():
         RadicalNumber({(0, 0, 1): Fraction(1, 2), (0, 0, 2): -1})
 
 
+def test_scalar_and_radical_mix_in_the_scalars_context():
+    # a RadicalNumber operand is converted into the Scalar's context, on
+    # either side of +, - and *
+    sctx = ScalarContext(1, 3)
+    for s in (Scalar.rational(sctx, 2),
+              Scalar.theta(sctx, 1) * 3 + Scalar.hbar(sctx, 2, -1)):
+        for r in (RadicalNumber.sqrt_int(2), RadicalNumber.sqrt_pi(5) - 1):
+            lifted = Scalar.from_radical(sctx, r)
+            assert s + r == s + lifted and r + s == lifted + s
+            assert s - r == s - lifted and r - s == lifted - s
+            assert s * r == s * lifted and r * s == lifted * s
+            assert (s - r).ctx == sctx == (r - s).ctx
+
+
 def test_rational_scalars_hash_as_their_value():
     ctx = ScalarContext(0, 6)
     for value in (3, Fraction(1, 2), 0, -7):
