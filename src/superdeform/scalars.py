@@ -16,15 +16,16 @@ The sign of a theta product is the parity of its crossings
 r).
 
 Scalar and SuperFunction are both flat sums, a clean dict from monomial
-key to rational; ``FlatSum`` states the clean-dict rules once and holds
-everything the two do alike on that dict (sums, negation, the h filters,
-``freeze``).  This module and superfunc are the only ones that know the
-key layout.  Scalar holds the one implementation of the product;
-``mul_into`` also multiplies the coefficients of superfunction terms,
-whose keys end in a Scalar key (see superfunc).  A RadicalNumber,
-an element of Q[sqrt(r), pi, sqrt(pi)], is a typed view of one theta-free,
-h-free Scalar and hands every operation to it.  ``Scalar.terms`` is the
-nested view {(m, theta index tuple): RadicalNumber}, built on each access.
+key to rational, never changed once built; ``FlatSum`` states the
+clean-dict rules once and holds everything the two do alike on that dict
+(sums, negation, the h filters, ``freeze``).  This module and superfunc
+are the only ones that know the key layout.  Scalar holds the one
+implementation of the product; ``mul_into`` also multiplies the
+coefficients of superfunction terms, whose keys end in a Scalar key (see
+superfunc).  A RadicalNumber, an element of Q[sqrt(r), pi, sqrt(pi)], is a
+typed view of one theta-free, h-free Scalar and hands every operation to
+it.  ``Scalar.terms`` is the nested view {(m, theta index tuple):
+RadicalNumber}, built on each access.
 """
 
 from __future__ import annotations
@@ -174,11 +175,14 @@ class FlatSum:
 
     The dict is clean: no zero value, an int for an integral value (a
     Fraction otherwise), and no h-exponent above ``ctx.h_max``.  Results
-    are built on a clean dict by ``_of`` and never changed in place, so a
-    sum with zero may be the other summand itself.  The one fact this class
-    knows about a key is that its h-exponent sits at index ``_HBAR``; a
-    subclass turns an operand of another type into its own by ``_lift``,
-    or answers NotImplemented, so that the operand's reflected method runs.
+    are built on a clean dict by ``_of`` or a constructor and never changed
+    in place: only those write ``coeffs``.  Code relies on that: a sum with
+    zero may be the other summand itself, and a SuperFunction keeps values
+    computed from its dict (its parity, bar integral and frozen key) for
+    good.  The one fact this class knows about a key is that its
+    h-exponent sits at index ``_HBAR``; a subclass turns an operand of
+    another type into its own by ``_lift``, or answers NotImplemented, so
+    that the operand's reflected method runs.
     """
 
     __slots__ = ("ctx", "coeffs")

@@ -47,6 +47,10 @@ render.  ``terms`` is the view {term key: Scalar}, built on each access
 for readers of whole coefficients.  Only this module and scalars know the
 layout; the bracket kernels read terms through ``_grouped`` and build
 results through ``_make``.
+
+A function never changes after it is built (the ``FlatSum`` rule), so it
+keeps its parity, its bar integral and its frozen key once asked for them:
+a check asks for each of them many times on the same arguments.
 """
 
 from __future__ import annotations
@@ -136,10 +140,12 @@ class SuperFunction(FlatSum):
     the form of ``terms``, {(x_exponents, gauss_weight, xi_indices):
     Scalar}, where a rational value stands for its Scalar, and refuses a
     term key that is not canonical; ``terms`` is that view, built on each
-    access.
+    access.  The slots ``_eps``, ``_bar`` and ``_key`` hold the values of
+    ``eps``, ``integral_bar`` and ``freeze`` once computed; a raised
+    NotIntegrableError is not kept, so it is raised on every call.
     """
 
-    __slots__ = ()
+    __slots__ = ("_eps", "_bar", "_key")
 
     _HBAR = 3
 
@@ -158,8 +164,12 @@ class SuperFunction(FlatSum):
                            and all(map(lt, xi, xi[1:]))):
                 raise ValueError("xi monomial must be sorted distinct indices")
             term = (xexp, c, xi)
-            self.coeffs.update((term + k, q)
-                               for k, q in _own_scalar(ctx, s).coeffs.items())
+            if s.__class__ is not int:
+                self.coeffs.update(
+                    (term + k, q)
+                    for k, q in _own_scalar(ctx, s).coeffs.items())
+            elif s:
+                self.coeffs[term + _RATIONAL] = s
 
     @property
     def terms(self):
@@ -264,12 +274,23 @@ class SuperFunction(FlatSum):
 
     # -- grading -----------------------------------------------------------
 
+    def freeze(self):
+        try:
+            return self._key
+        except AttributeError:
+            self._key = FlatSum.freeze(self)
+            return self._key
+
     def eps(self):
         """Total Grassmann parity (xi-degree + theta-weight), or None."""
+        try:
+            return self._eps
+        except AttributeError:
+            pass
         parities = {_parity(key) for key in self.coeffs}
-        if not parities:
-            return 0
-        return parities.pop() if len(parities) == 1 else None
+        self._eps = (0 if not parities else
+                     parities.pop() if len(parities) == 1 else None)
+        return self._eps
 
     def epsilon(self):
         """The reversed parity used by the odd bracket."""
@@ -359,6 +380,10 @@ class SuperFunction(FlatSum):
         centralizer); any other term the Gaussian class cannot integrate
         raises NotIntegrableError.
         """
+        try:
+            return self._bar
+        except AttributeError:
+            pass
         ctx = self.ctx
         top = tuple(range(1, ctx.n_minus + 1))
         zero_x = (0,) * ctx.n_plus
@@ -379,7 +404,8 @@ class SuperFunction(FlatSum):
                 moment *= _double_factorial_odd(e // 2)
             for (m, t, p, sp, r), q in items:
                 accumulate(total, (m, t, p + half, sp, r), q * moment)
-        return Scalar._of(ctx.scalar_ctx, total)
+        self._bar = Scalar._of(ctx.scalar_ctx, total)
+        return self._bar
 
     # -- first-order operators (closed forms of the module doc) -----------
 
@@ -450,6 +476,10 @@ class SuperFunction(FlatSum):
         groups = _grouped(self)
         return " + ".join(self._render_term(k, groups[k])
                           for k in sorted(groups)) or "0"
+
+
+# the Scalar key of a rational, after the term key of a flat key
+_RATIONAL = (0, 0, 0, 0, 1)
 
 
 def _parity(key):

@@ -12,12 +12,11 @@ function; there is no tolerance anywhere.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 
 from .brackets import poisson_bracket
 from .cochains import EVEN, ODD, d_ad, grading_parity, jacobiator, m0_form
-from .scalars import Scalar, int_if_integral
+from .scalars import Scalar, accumulate
 from .superfunc import SuperFunction
 
 LCG_MULT = 6364136223846793005
@@ -50,7 +49,13 @@ class LCG:
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Deterministic description of a sample batch."""
+    """Deterministic description of a sample batch.
+
+    A spec that could draw no sample, or not the samples it names, is
+    refused with ValueError: ``count`` and ``terms`` below 1, a negative
+    ``max_x_degree``, no or a negative Gaussian weight, or a ``parity``
+    other than "even", "odd" and "any".
+    """
 
     seed: int = DEFAULT_SEED
     count: int = 50
@@ -58,6 +63,22 @@ class SampleSpec:
     gauss_weights: tuple = (1, 2)
     parity: str = "any"      # "even" | "odd" | "any"
     terms: int = 1
+
+    def __post_init__(self):
+        for name in ("count", "terms"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"SampleSpec.{name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
+        if self.max_x_degree < 0:
+            raise ValueError(f"SampleSpec.max_x_degree must be nonnegative, "
+                             f"got {self.max_x_degree}")
+        if not self.gauss_weights or min(self.gauss_weights) < 0:
+            raise ValueError(f"SampleSpec.gauss_weights must be nonnegative "
+                             f"weights, at least one, got "
+                             f"{self.gauss_weights!r}")
+        if self.parity not in ("even", "odd", "any"):
+            raise ValueError(f"SampleSpec.parity must be 'even', 'odd' or "
+                             f"'any', got {self.parity!r}")
 
 
 def sample_superfunctions(spec, ctx):
@@ -69,38 +90,36 @@ def sample_superfunctions(spec, ctx):
     max_xi = min(MAX_XI_DEGREE, ctx.n_minus)
     if spec.parity == "odd" and max_xi < 1:
         raise ValueError("odd samples need at least one xi variable")
+    # a sample has one xi-degree, odd exactly for an odd parity
+    degrees = [d for d in range(max_xi + 1)
+               if spec.parity == "any" or d % 2 == (spec.parity == "odd")]
+    # with x variables every term has a Gaussian weight (class D)
+    weights = tuple(spec.gauss_weights)
+    weights = weights if ctx.n_plus else (0,) + weights
     rng = LCG(spec.seed)
     out = []
     for _ in range(spec.count):
-        if spec.parity == "even":
-            degrees = [d for d in range(0, max_xi + 1) if d % 2 == 0]
-        elif spec.parity == "odd":
-            degrees = [d for d in range(0, max_xi + 1) if d % 2 == 1]
-        else:
-            degrees = list(range(0, max_xi + 1))
         deg = rng.choice(degrees)
-        f = SuperFunction.zero(ctx)
+        # the sum of the drawn terms, merged as the sum of functions would
+        terms = {}
         for _t in range(spec.terms):
             xexp = tuple(rng.randint(0, spec.max_x_degree)
                          for _ in range(ctx.n_plus))
-            # with x variables every term has a Gaussian weight (class D)
-            c = rng.choice(tuple(spec.gauss_weights) if ctx.n_plus
-                           else (0,) + tuple(spec.gauss_weights))
-            c = int_if_integral(Fraction(c))
+            c = rng.choice(weights)
             xi = []
             while len(xi) < deg:
                 a = rng.randint(1, ctx.n_minus)
                 if a not in xi:
                     xi.append(a)
-            coeff = Scalar.rational(ctx.scalar_ctx, rng.choice(COEFF_POOL))
-            f = f + SuperFunction(ctx, {(xexp, c, tuple(sorted(xi))): coeff})
-        out.append(f)
+            accumulate(terms, (xexp, c, tuple(sorted(xi))),
+                       rng.choice(COEFF_POOL))
+        out.append(SuperFunction(ctx, terms))
     return out
 
 
 def sample_tuples(spec, ctx, size):
     """Consecutive samples grouped into tuples of the given size."""
-    wide = SampleSpec(**{**spec.__dict__, "count": spec.count * size})
+    wide = replace(spec, count=spec.count * size)
     flat = sample_superfunctions(wide, ctx)
     return [tuple(flat[i * size + j] for j in range(size))
             for i in range(spec.count)]

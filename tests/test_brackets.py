@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from superdeform import (Scalar, SuperFunction, SymplecticContext,
-                         antibracket, bidiff_power, brackets, moyal_bracket,
-                         poisson_bracket, sf_mul)
+from superdeform import (ContextMismatchError, Scalar, SuperFunction,
+                         SymplecticContext, antibracket, bidiff_power,
+                         brackets, moyal_bracket, poisson_bracket, sf_mul)
 
 from conftest import naive_bidiff, random_superfunction, seeded
 
@@ -411,3 +411,53 @@ def test_moyal_matches_sympy_expansion():
             for weight, poly in ref.items():
                 assert (poly - got[weight]).is_zero if weight in got \
                     else poly.is_zero
+
+
+# -- the cached odd factor and Moyal weights ----------------------------------
+
+def _subsets(n):
+    return [combo for size in range(n + 1)
+            for combo in itertools.combinations(range(1, n + 1), size)]
+
+
+def test_cached_odd_factor_equals_uncached():
+    """Every pair of xi monomials at n_minus <= 4, under two metrics that
+    differ on the shared indices: a cache key without the lambdas would
+    hand the first metric's factor to the second."""
+    brackets._odd_factor.cache_clear()
+    uncached = brackets._odd_factor.__wrapped__
+    for n in range(5):
+        for lambdas in ((1, -1, 1, -1)[:n], (-1,) * n):
+            for xf in _subsets(n):
+                for xg in _subsets(n):
+                    assert brackets._odd_factor(lambdas, xf, xg) == \
+                        uncached(lambdas, xf, xg)
+    assert brackets._odd_factor.cache_info().maxsize == brackets._ODD_BOUND
+
+
+def test_cached_moyal_weights_are_keyed_by_context():
+    """The weights (h kappa)^(p-1) depend on the truncation order, which a
+    kappa Scalar carries in its context; equal values in two contexts get
+    their own weights."""
+    brackets._moyal_weights.cache_clear()
+    for h_max in (6, 2, 6, 0):
+        sctx = SymplecticContext(2, 1, (1,), 1, h_max).scalar_ctx
+        for kappa in (Scalar.one(sctx), Scalar.rational(sctx, 2),
+                      Scalar.rational(sctx, 2) + Scalar.hbar(sctx)):
+            got = brackets._moyal_weights(kappa)
+            assert got == brackets._moyal_weights.__wrapped__(kappa)
+            assert [p for p, _w in got] == list(range(1, h_max // 2 * 2 + 2,
+                                                       2))
+    assert brackets._moyal_weights.cache_info().maxsize == \
+        brackets._WEIGHTS_BOUND
+
+
+def test_moyal_of_zero_is_zero_after_the_checks(ctx42):
+    f = SuperFunction.x(ctx42, 1)
+    zero = SuperFunction.zero(ctx42)
+    assert moyal_bracket(zero, f).is_zero()
+    assert moyal_bracket(f, zero, 2).is_zero()
+    with pytest.raises(ValueError):
+        moyal_bracket(zero, f, Scalar.theta(ctx42.scalar_ctx, 1))
+    with pytest.raises(ContextMismatchError):
+        moyal_bracket(zero, SuperFunction.zero(SymplecticContext(2, 2)))

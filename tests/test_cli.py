@@ -18,6 +18,7 @@ from superdeform import (ParseError, Scalar, SuperFunction, SymplecticContext,
                          parse_t1, sf_mul)
 from superdeform.cli import (MAX_EXPONENT, MAX_PRODUCT_TERMS, MAX_RADICAND,
                              parse_scalar, run)
+from superdeform.verify import DEFAULT_SEED
 
 from conftest import random_superfunction, seeded
 
@@ -519,3 +520,31 @@ def test_cli_help_exits_zero(capsys):
         run(["jacobi", "--help"])
     assert exc.value.code == 0
     assert "--deformation" in capsys.readouterr().out
+
+
+def test_one_parser_per_process_keeps_no_state(tmp_path, monkeypatch,
+                                               capsys):
+    """make_parser builds the parser once; a run leaves nothing in it for
+    the next: not a parsed value, not --output, not --seed."""
+    from superdeform.cli import make_parser
+    assert make_parser() is make_parser()
+    first = make_parser().parse_args(
+        ["--seed", "5", "--output", "x", "--samples", "3", "eval", "1"])
+    assert (first.seed, first.output, first.samples) == (5, "x", 3)
+    again = make_parser().parse_args(["eval", "1"])
+    assert (again.seed, again.output, again.samples) == (None, "", 25)
+    out = tmp_path / "value.txt"
+    assert run(["eval", "x1", "--output", str(out)]) == 0
+    assert run(["eval", "x2"]) == 0
+    assert capsys.readouterr().out == "x2\n"
+    assert out.read_text() == "x1\n"
+    # the first failure shows sampled functions, so it shows the seed
+    monkeypatch.delenv("SUPERDEFORM_SEED", raising=False)
+    wrong = ["equiv", "--c1", "c3(zeta=hbar^2*x1*gauss(1) + hbar^2*gauss(1))",
+             "--c2", "c3(zeta=hbar^2*x1*gauss(1))", "--order", "2",
+             "--samples", "40", "--t1", "bar(gauss(1),1)"]
+    reports = []
+    for seed in (["--seed", "3"], [], ["--seed", str(DEFAULT_SEED)]):
+        assert run(wrong + seed) == 1
+        reports.append(capsys.readouterr().out)
+    assert reports[1] == reports[2] != reports[0]

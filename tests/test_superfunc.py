@@ -5,9 +5,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from superdeform import (ContextMismatchError, NotIntegrableError, Scalar,
-                         ScalarContext, SuperFunction, SymplecticContext,
-                         sf_mul)
+from superdeform import (ContextMismatchError, NotIntegrableError,
+                         SampleSpec, Scalar, ScalarContext, SuperFunction,
+                         SymplecticContext, moyal_bracket, poisson_bracket,
+                         sample_superfunctions, sf_mul)
 
 from conftest import (gaussian_moment, omega_channels, radical_float,
                       random_superfunction, seeded)
@@ -251,3 +252,64 @@ def test_theta_grade_part(ctx42):
     f = SuperFunction.x(ctx42, 1) + SuperFunction.x(ctx42, 2).scale_left(t)
     assert f.theta_grade_part(0) == SuperFunction.x(ctx42, 1)
     assert f.theta_grade_part(1) == SuperFunction.x(ctx42, 2).scale_left(t)
+
+
+# -- the kept parity, bar and frozen key --------------------------------------
+
+def _fresh(f):
+    """A new function on a copy of f's dict, with nothing kept yet."""
+    return SuperFunction._of(f.ctx, dict(f.coeffs))
+
+
+def test_kept_values_equal_fresh_ones(ctx42, ctx22):
+    """eps, integral_bar and freeze are computed once per function; asked
+    again, on samples, on bracket results and on the very object that a
+    sum with zero returns, they give what a new computation gives."""
+    for ctx in (ctx42, ctx22):
+        samples = sample_superfunctions(
+            SampleSpec(seed=41, count=12, terms=2), ctx)
+        values = list(samples)
+        values += [poisson_bracket(f, g) for f, g in zip(samples,
+                                                         samples[1:])]
+        values += [moyal_bracket(f, g) for f, g in zip(samples[:4],
+                                                       samples[4:8])]
+        values += [f + SuperFunction.zero(ctx) for f in samples[:3]]
+        assert all(a is b for a, b in zip(values[-3:], samples))
+        for f in values:
+            fresh = _fresh(f)
+            for _ in range(2):
+                assert f.eps() == fresh.eps()
+                assert f.freeze() == fresh.freeze()
+                assert f.integral_bar() == fresh.integral_bar()
+                assert hash(f) == hash(fresh)
+            assert f.integral_bar() is f.integral_bar()
+            assert f.freeze() is f.freeze()
+        # the zero function and a mixed-parity sum
+        mixed = (samples[0] + SuperFunction.term(ctx, c=1, xi=(1,))
+                 + SuperFunction.constant(ctx, 1))
+        for f in (SuperFunction.zero(ctx), mixed):
+            assert f.eps() == _fresh(f).eps() and f.eps() == f.eps()
+            assert f.integral_bar() == _fresh(f).integral_bar()
+
+
+def test_not_integrable_raises_on_every_call(ctx42):
+    """A failed integral is not kept: the error comes on every call, and a
+    later integrable function of the same terms is unaffected."""
+    poly = SuperFunction.x(ctx42, 1) + SuperFunction.gauss(ctx42, 1)
+    for _ in range(3):
+        with pytest.raises(NotIntegrableError):
+            poly.integral_bar()
+    assert poly.eps() == 0
+    assert (poly - SuperFunction.x(ctx42, 1)).integral_bar() == \
+        SuperFunction.gauss(ctx42, 1).integral_bar()
+
+
+def test_rational_values_take_the_integer_path(ctx42):
+    """An int value builds the same dict as its Scalar; a zero one adds
+    no term."""
+    sctx = ctx42.scalar_ctx
+    key = ((1, 0, 0, 0), 1, (1,))
+    for value in (3, -1, 0):
+        assert SuperFunction(ctx42, {key: value}).coeffs == SuperFunction(
+            ctx42, {key: Scalar.rational(sctx, value)}).coeffs
+    assert SuperFunction(ctx42, {key: 0}).is_zero()

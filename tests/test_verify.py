@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from superdeform.brackets import poisson_bracket
 from superdeform.cochains import (EVEN, ODD, LeafForm, ScaledCochain,
                                   anti_form, m0_form)
 from superdeform.deformations import Deformation
+from superdeform.scalars import int_if_integral
 from superdeform.verify import LCG_INC, LCG_MASK, LCG_MULT
 
 
@@ -237,3 +239,73 @@ def test_failure_cores_are_pinned(ctx42, monkeypatch, case):
         assert core["details"]["t1_active_pairs"] >= count
     text = json.dumps(core, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text[:400]
+
+
+# -- the sampler against the term-by-term sum it replaced ---------------------
+
+def _summed_samples(spec, ctx):
+    """The samples as the sum of one SuperFunction per term, each with its
+    own Scalar: the loop the sampler replaced, in the same draw order."""
+    max_xi = min(verify.MAX_XI_DEGREE, ctx.n_minus)
+    rng = LCG(spec.seed)
+    out = []
+    for _ in range(spec.count):
+        degrees = [d for d in range(max_xi + 1)
+                   if spec.parity == "any"
+                   or d % 2 == {"even": 0, "odd": 1}[spec.parity]]
+        deg = rng.choice(degrees)
+        f = SuperFunction.zero(ctx)
+        for _t in range(spec.terms):
+            xexp = tuple(rng.randint(0, spec.max_x_degree)
+                         for _ in range(ctx.n_plus))
+            c = rng.choice(tuple(spec.gauss_weights) if ctx.n_plus
+                           else (0,) + tuple(spec.gauss_weights))
+            c = int_if_integral(Fraction(c))
+            xi = []
+            while len(xi) < deg:
+                a = rng.randint(1, ctx.n_minus)
+                if a not in xi:
+                    xi.append(a)
+            coeff = Scalar.rational(ctx.scalar_ctx,
+                                    rng.choice(verify.COEFF_POOL))
+            f = f + SuperFunction(ctx, {(xexp, c, tuple(sorted(xi))): coeff})
+        out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(4, 2, (1, 1), 1, 6), (2, 2, (1, -1), 1, 3),
+                                   (0, 3, (1, 1, 1), 2, 6)],
+                         ids=["ctx42", "ctx22", "n_plus_0"])
+def test_samples_equal_the_summed_terms(shape):
+    """Bit for bit, insertion order of ``coeffs`` included, with repeated
+    terms merged or cancelled as the sum of functions does."""
+    ctx = SymplecticContext(*shape)
+    for terms in (1, 2, 3):
+        for parity in ("even", "odd", "any"):
+            for weights in ((1, 2), (Fraction(1, 2),)):
+                spec = SampleSpec(seed=97 + terms, count=40, terms=terms,
+                                  parity=parity, gauss_weights=weights,
+                                  max_x_degree=1)
+                got = sample_superfunctions(spec, ctx)
+                want = _summed_samples(spec, ctx)
+                assert [list(f.coeffs.items()) for f in got] == \
+                    [list(f.coeffs.items()) for f in want]
+
+
+@pytest.mark.parametrize("fields", [
+    {"count": 0}, {"count": -2}, {"terms": 0}, {"parity": "evn"},
+    {"gauss_weights": ()}, {"gauss_weights": (1, -1)},
+    {"max_x_degree": -1}],
+    ids=["count_0", "count_negative", "terms_0", "parity_typo",
+         "no_weights", "negative_weight", "negative_x_degree"])
+def test_sample_spec_refuses_invalid_fields(fields, ctx22):
+    """A spec that would draw nothing, or not what it names, is refused
+    before any check runs: none passes vacuously or divides by zero."""
+    (name,) = fields
+    with pytest.raises(ValueError, match=name):
+        SampleSpec(**fields)
+    with pytest.raises(ValueError, match=name):
+        check_jacobi(build_anti_odd(ctx22), SampleSpec(**fields))
+    # sample_tuples widens a spec through the same checks
+    with pytest.raises(ValueError, match="count"):
+        sample_tuples(SampleSpec(count=1), ctx22, 0)
