@@ -111,19 +111,44 @@ def _poisson_channels(ctx, fkey, gkey):
 def _anti_channels(ctx, fkey, gkey):
     """(f <-d_{x_i})(d_{xi_i} g) - (f <-d_{xi_i})(d_{x_i} g) over i."""
     (fx, cf, xf), (gx, cg, xg) = fkey, gkey
+    g_side, f_side = _anti_factor(xf, xg)
+    if not (g_side or f_side):
+        return None
     ex = tuple(map(add, fx, gx))
     out = {}
+    for a, w, xi in g_side:
+        for step, u in x_steps(fx[a], cf):
+            accumulate(out.setdefault(xi, {}), bump(ex, a, step), w * u)
+    for a, w, xi in f_side:
+        for step, v in x_steps(gx[a], cg):
+            accumulate(out.setdefault(xi, {}), bump(ex, a, step), w * v)
+    return out
+
+
+# entries of the cache of ``_anti_factor``
+_ANTI_BOUND = 4096
+
+
+@lru_cache(maxsize=_ANTI_BOUND)
+def _anti_factor(xf, xg):
+    """The xi part of ``_anti_channels`` for xi monomials xf and xg, which
+    no x exponent or weight changes: per side, the (x index, sign, merged
+    xi) of each channel i whose xi_i survives the merge.  The g side takes
+    d_{xi_i} from the left of g and d_{x_i} of f; the f side takes d_{xi_i}
+    from the right of f, with the minus of the second sum, and d_{x_i} of
+    g."""
+    g_side = []
     for pos, gen in enumerate(xg):
         sign, xi = merge_odd_indices(xf, xg[:pos] + xg[pos + 1:])
-        w = -sign if pos & 1 else sign
-        for step, u in x_steps(fx[gen - 1], cf) if sign else ():
-            accumulate(out.setdefault(xi, {}), bump(ex, gen - 1, step), w * u)
+        if sign:
+            g_side.append((gen - 1, -sign if pos & 1 else sign, xi))
+    f_side = []
     for pos, gen in enumerate(xf):
         sign, xi = merge_odd_indices(xf[:pos] + xf[pos + 1:], xg)
-        w = sign if (len(xf) - pos) & 1 else -sign  # (-1)^(len-pos-1) sign
-        for step, v in x_steps(gx[gen - 1], cg) if sign else ():
-            accumulate(out.setdefault(xi, {}), bump(ex, gen - 1, step), -w * v)
-    return out
+        if sign:  # -(-1)^(len - pos - 1) sign
+            f_side.append((gen - 1, -sign if (len(xf) - pos) & 1 else sign,
+                           xi))
+    return tuple(g_side), tuple(f_side)
 
 
 def _collect(acc, c, xi, poly, coeffs):

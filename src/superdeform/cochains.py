@@ -4,9 +4,11 @@ A cochain knows its arity, its declared parity, and which grading its signs
 use ('even' for the Poisson bracket parity, 'odd' for the reversed parity of
 the antibracket).  Leaves are concrete bilinear forms; nodes are scalar
 multiples (which is also how theta-prefixing is expressed), sums, and
-function multiples.  Evaluation always decomposes arguments into
-parity-homogeneous components first, since the sign factors are only
-defined there.
+function multiples.  The sign factors are only defined on
+parity-homogeneous arguments, so evaluation splits a mixed-parity argument
+into its homogeneous components and sums over their combinations.  Only a
+mixed-parity argument is split: homogeneous ones (every sample and almost
+every bracket value) reach the form as they are.
 """
 
 from __future__ import annotations
@@ -45,10 +47,15 @@ class Cochain:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        out = SuperFunction.zero(self.ctx)
-        pieces = [arg.homogeneous_components() for arg in args]
-        for combo in product(*pieces):
-            out = out + self._eval_homogeneous(combo)
+        if all(arg.eps() is not None for arg in args):
+            out = (SuperFunction.zero(self.ctx)
+                   if any(arg.is_zero() for arg in args)
+                   else self._eval_homogeneous(args))
+        else:
+            out = SuperFunction.zero(self.ctx)
+            pieces = [arg.homogeneous_components() for arg in args]
+            for combo in product(*pieces):
+                out = out + self._eval_homogeneous(combo)
         if len(self._cache) > 4096:
             self._cache.clear()
         self._cache[key] = out
@@ -202,8 +209,9 @@ def _bar_pairing(ctx, op, parity, name):
         if gbar:
             out = op(f).scale_right(gbar) * ((-1) ** (n_minus * ef))
         if fbar:
-            out = out - op(g).scale_right(fbar) * (
-                (-1) ** (ef * eg + n_minus * eg))
+            term = op(g).scale_right(fbar)
+            odd = (ef * eg + n_minus * eg) & 1
+            out = out + term if odd else out - term
         return out
 
     return LeafForm(ctx, 2, parity, fn, EVEN, name=name)
@@ -271,7 +279,7 @@ def jacobiator(p, q=None):
             else:
                 nested = p.evaluate(q.evaluate(a, b), c) + \
                     q.evaluate(p.evaluate(a, b), c)
-            out = out + (nested if sign == 1 else -nested)
+            out = out + nested if sign == 1 else out - nested
         return out
 
     name = f"J({p.name},{q.name})" if q is not None else f"J({p.name})"
@@ -307,14 +315,14 @@ def d_ad(m, bracket=None):
             sign = (-1) ** (j + parities[j - 1] * psum(1, j - 1)
                             + parities[j - 1] * m_parity)
             term = bracket.evaluate(fs[j - 1], m.evaluate(*rest))
-            out = out - (term if sign == 1 else -term)
+            out = out - term if sign == 1 else out + term
         for i in range(1, p + 1):
             for j in range(i + 1, p + 2):
                 sign = (-1) ** (j + parities[j - 1] * psum(i + 1, j - 1))
                 br = bracket.evaluate(fs[i - 1], fs[j - 1])
                 inner_args = (fs[:i - 1] + (br,) + fs[i:j - 1] + fs[j:])
                 term = m.evaluate(*inner_args)
-                out = out - (term if sign == 1 else -term)
+                out = out - term if sign == 1 else out + term
         return out
 
     return LeafForm(ctx, p + 1, m_parity, fn, grading, name=f"d({m.name})")

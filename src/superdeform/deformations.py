@@ -163,8 +163,15 @@ def build_anti_even(ctx, c):
     """Eq. (def): [f,g]* = [f,g]
     + (-1)^eps(f) {c/(1+c N_z/2) Delta f} E_z g
     + {E_z f} c/(1+c N_z/2) Delta g,
-    with the inverse expanded as a geometric series (finite after the
-    h-truncation since c is of order hbar^2)."""
+    with the inverse expanded as the geometric series
+    sum_j c (-c N_z/2)^j u, which is finite after the h-truncation since c
+    is of order hbar^2.
+
+    The series stops at the truncation: N_z keeps the h-degree and each
+    step multiplies by c, so a term t has a successor only while its
+    lowest h-degree is at most h_max - deg(c); any later term lies above
+    h_max and is zero.  At c = 0 the resolvent is zero and the bracket is
+    the plain antibracket."""
     if ctx.n_plus != ctx.n_minus:
         raise DeformationError("the antibracket needs n_plus == n_minus",
                                relation="context")
@@ -172,15 +179,19 @@ def build_anti_even(ctx, c):
     _require_param(c, "c")
     if not c.is_theta_free():
         raise DeformationError("c must be theta-free", relation="c")
+    if c.is_zero():
+        form = LeafForm(ctx, 2, 0, antibracket, ODD, name="anti_even")
+        return Deformation(ANTI_EVEN, form, {"c": c})
+    half = c * Fraction(-1, 2)
+    last = ctx.h_max - c.hbar_min_degree()
 
     def resolvent(u):
         # c/(1 + c N_z/2) applied to u, as a geometric series in c
-        total = SuperFunction.zero(ctx)
-        term = u
-        while not term.is_zero():
+        total = term = u.scale_left(c)
+        while not term.is_zero() and term.hbar_min_degree() <= last:
+            term = term.number_z().scale_left(half)
             total = total + term
-            term = term.number_z().scale_left(c * Fraction(-1, 2))
-        return total.scale_left(c)
+        return total
 
     def fn(f, g):
         out = antibracket(f, g)

@@ -5,10 +5,11 @@ A SuperFunction is a finite sum of terms
     s * x1^e1 ... xn^en * exp(-(c/2)|x|^2) * xi_{i1}*...*xi_{ip}
 
 with s an exact Scalar (which may carry theta generators), nonnegative
-rational Gaussian weight c, and the xi monomial stored in increasing index
-order with all signs absorbed into s.  Theta factors stand to the left of
-the xi monomial; Koszul signs for moving odd objects past each other are
-applied explicitly by every operation.
+rational Gaussian weight c (always 0 when n_plus = 0, where the factor is
+1), and the xi monomial stored in increasing index order with all signs
+absorbed into s.  Theta factors stand to the left of the xi monomial;
+Koszul signs for moving odd objects past each other are applied explicitly
+by every operation.
 
 The derivative d_a by an odd variable xi_a acts on a term s * x^e * xi^I
 (xi_a at 0-based position pos of the len factors of I) by deleting xi_a,
@@ -139,10 +140,12 @@ class SuperFunction(FlatSum):
     ``coeffs`` is the flat dict of the module doc.  The constructor takes
     the form of ``terms``, {(x_exponents, gauss_weight, xi_indices):
     Scalar}, where a rational value stands for its Scalar, and refuses a
-    term key that is not canonical; ``terms`` is that view, built on each
-    access.  The slots ``_eps``, ``_bar`` and ``_key`` hold the values of
-    ``eps``, ``integral_bar`` and ``freeze`` once computed; a raised
-    NotIntegrableError is not kept, so it is raised on every call.
+    term key that is not canonical; it sets the Gaussian weight to 0 when
+    n_plus = 0 and sums the terms that then coincide.  ``terms`` is that
+    view, built on each access.  The slots ``_eps``, ``_bar`` and ``_key``
+    hold the values of ``eps``, ``integral_bar`` and ``freeze`` once
+    computed; a raised NotIntegrableError is not kept, so it is raised on
+    every call.
     """
 
     __slots__ = ("_eps", "_bar", "_key")
@@ -159,17 +162,18 @@ class SuperFunction(FlatSum):
                 c = int_if_integral(Fraction(c))
             if c < 0:
                 raise ValueError("Gaussian weight must be nonnegative")
+            if not ctx.n_plus:
+                c = 0  # with no x variables exp(-c|x|^2/2) is 1
             # strictly increasing from at least 1 to at most n_minus
             if xi and not (1 <= xi[0] and xi[-1] <= ctx.n_minus
                            and all(map(lt, xi, xi[1:]))):
                 raise ValueError("xi monomial must be sorted distinct indices")
             term = (xexp, c, xi)
             if s.__class__ is not int:
-                self.coeffs.update(
-                    (term + k, q)
-                    for k, q in _own_scalar(ctx, s).coeffs.items())
-            elif s:
-                self.coeffs[term + _RATIONAL] = s
+                for k, q in _own_scalar(ctx, s).coeffs.items():
+                    accumulate(self.coeffs, term + k, q)
+            else:
+                accumulate(self.coeffs, term + _RATIONAL, s)
 
     @property
     def terms(self):
@@ -233,6 +237,9 @@ class SuperFunction(FlatSum):
     def __mul__(self, other):
         if isinstance(other, SuperFunction):
             return sf_mul(self, other)
+        if other.__class__ is int and other in (1, -1):
+            # a sign carries no theta: no copy for 1, one negation for -1
+            return self if other == 1 else -self
         return self.scale_right(other)
 
     def __rmul__(self, other):

@@ -461,3 +461,44 @@ def test_moyal_of_zero_is_zero_after_the_checks(ctx42):
         moyal_bracket(zero, f, Scalar.theta(ctx42.scalar_ctx, 1))
     with pytest.raises(ContextMismatchError):
         moyal_bracket(zero, SuperFunction.zero(SymplecticContext(2, 2)))
+
+
+def _series_anti_channels(fkey, gkey):
+    """The antibracket channels of a term pair with the xi merges done per
+    pair, as before they were cached; the oracle of ``_anti_channels``."""
+    from superdeform.scalars import accumulate, merge_odd_indices
+    from superdeform.superfunc import bump, x_steps
+    (fx, cf, xf), (gx, cg, xg) = fkey, gkey
+    ex = tuple(a + b for a, b in zip(fx, gx))
+    out = {}
+    for pos, gen in enumerate(xg):
+        sign, xi = merge_odd_indices(xf, xg[:pos] + xg[pos + 1:])
+        w = -sign if pos & 1 else sign
+        for step, u in x_steps(fx[gen - 1], cf) if sign else ():
+            accumulate(out.setdefault(xi, {}), bump(ex, gen - 1, step), w * u)
+    for pos, gen in enumerate(xf):
+        sign, xi = merge_odd_indices(xf[:pos] + xf[pos + 1:], xg)
+        w = sign if (len(xf) - pos) & 1 else -sign
+        for step, v in x_steps(gx[gen - 1], cg) if sign else ():
+            accumulate(out.setdefault(xi, {}), bump(ex, gen - 1, step), -w * v)
+    return out
+
+
+def test_cached_anti_factor_equals_uncached():
+    """Every pair of xi monomials at n_minus <= 4: the cached channel
+    lists equal fresh ones, and the channels built from them equal the
+    per-pair merges, on x parts with and without a Gaussian weight."""
+    brackets._anti_factor.cache_clear()
+    uncached = brackets._anti_factor.__wrapped__
+    for n in range(5):
+        fx, gx = (0, 1, 2, 1)[:n], (1, 0, 0, 3)[:n]
+        for xf in _subsets(n):
+            for xg in _subsets(n):
+                assert brackets._anti_factor(xf, xg) == uncached(xf, xg)
+                for cf, cg in ((0, 0), (1, 2), (Fraction(1, 2), 0)):
+                    fkey, gkey = (fx, cf, xf), (gx, cg, xg)
+                    got = brackets._anti_channels(None, fkey, gkey)
+                    assert (got or {}) == _series_anti_channels(fkey, gkey)
+    assert brackets._anti_factor.cache_info().hits > 0
+    assert brackets._anti_factor.cache_info().maxsize == \
+        brackets._ANTI_BOUND

@@ -10,8 +10,8 @@ from superdeform import (ArityError, ContextMismatchError, Scalar,
                          m3_form, moyal_form, mu_form, mzeta_form,
                          poisson_bracket)
 from superdeform.cochains import (EVEN, ODD, FunctionScaledCochain,
-                                  ScaledCochain, SumCochain, _bar_pairing, m1,
-                                  grading_parity)
+                                  LeafForm, ScaledCochain, SumCochain,
+                                  _bar_pairing, m1, grading_parity)
 
 from conftest import random_superfunction, seeded
 
@@ -269,3 +269,62 @@ def test_bar_pairing_rejects_mixed_contexts_with_zero_bars(ctx42, ctx22,
     for f, g in ((f42, g22), (g22, f42)):
         with pytest.raises(ContextMismatchError):
             form.evaluate(f, g)
+
+
+# -- the homogeneous pass-through of evaluate ------------------------------
+
+def _recording_leaf(ctx, seen):
+    """The Poisson bracket as a leaf that records its arguments and
+    asserts that each is parity-homogeneous."""
+
+    def fn(f, g):
+        assert f.eps() is not None and g.eps() is not None
+        seen.append((f, g))
+        return poisson_bracket(f, g)
+
+    return LeafForm(ctx, 2, 0, fn, EVEN, name="recording")
+
+
+def test_evaluate_with_a_zero_argument_calls_no_leaf(ctx42):
+    seen = []
+    form = _recording_leaf(ctx42, seen)
+    f = SuperFunction.x(ctx42, 1) + SuperFunction.xi(ctx42, 1)
+    zero = SuperFunction.zero(ctx42)
+    for args in ((zero, f), (f, zero), (zero, zero),
+                 (zero, SuperFunction.x(ctx42, 2))):
+        assert form.evaluate(*args).is_zero()
+    assert seen == []
+
+
+def test_evaluate_splits_only_a_mixed_argument(ctx42):
+    """A homogeneous pair reaches the leaf as it is; a mixed-parity
+    argument is split, and the leaf sees only homogeneous pieces."""
+    seen = []
+    form = _recording_leaf(ctx42, seen)
+    t = Scalar.theta(ctx42.scalar_ctx, 1)
+    even = SuperFunction.x(ctx42, 1) + SuperFunction.xi(ctx42, 1).scale_left(t)
+    odd = SuperFunction.xi(ctx42, 2) + SuperFunction.x(ctx42, 2).scale_left(t)
+    g = SuperFunction.x(ctx42, 2) * SuperFunction.xi(ctx42, 1)
+    assert form.evaluate(even, g) == poisson_bracket(even, g)
+    assert len(seen) == 1 and seen[0][0] is even and seen[0][1] is g
+    seen.clear()
+    mixed = even + odd
+    assert mixed.eps() is None
+    assert form.evaluate(mixed, g) == poisson_bracket(even, g) + \
+        poisson_bracket(odd, g)
+    assert len(seen) == 2
+    assert sorted(f.eps() for f, _ in seen) == [0, 1]
+
+
+def test_evaluate_stores_each_miss(ctx42):
+    """A miss adds one entry to ``_cache`` and a repeat finds it, which is
+    how per-layer tracing counts hits."""
+    form = m0_form(ctx42)
+    f, g = SuperFunction.x(ctx42, 1), SuperFunction.x(ctx42, 2)
+    zero = SuperFunction.zero(ctx42)
+    for args in ((f, g), (f + SuperFunction.xi(ctx42, 1), g), (zero, g)):
+        size = len(form._cache)
+        value = form.evaluate(*args)
+        assert len(form._cache) == size + 1
+        assert form.evaluate(*args) is value
+        assert len(form._cache) == size + 1

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from superdeform import (ContextMismatchError, DeformationError, Scalar,
-                         ScalarContext, SuperFunction, SymplecticContext,
-                         build_C1, build_C1c, build_C3, build_anti_even,
-                         build_anti_odd, build_general_odd, check_constraints,
+from superdeform import (ContextMismatchError, DeformationError, SampleSpec,
+                         Scalar, ScalarContext, SuperFunction,
+                         SymplecticContext, antibracket, build_C1, build_C1c,
+                         build_C3, build_anti_even, build_anti_odd,
+                         build_general_odd, check_constraints,
                          check_equivalence, jacobiator, poisson_bracket,
-                         solve_eta, t1_bar_multiplier, t1_euler)
-from superdeform.cochains import ODD
+                         sample_tuples, sf_mul, solve_eta, t1_bar_multiplier,
+                         t1_euler)
+from superdeform.cochains import ODD, LeafForm
 
 from conftest import random_superfunction, seeded
 
@@ -199,6 +201,53 @@ def test_anti_even_preconditions(ctx42, ctx22):
         build_anti_even(ctx42, h2(ctx42))      # n_plus != n_minus
     with pytest.raises(DeformationError):
         build_anti_even(ctx22, Scalar.one(ctx22.scalar_ctx))  # no hbar^2
+
+
+def _series_anti_even(ctx, c):
+    """The deformed antibracket with the resolvent summed until a term is
+    zero and scaled by c at the end, and its signs as scalar products: the
+    loop the stopping rule replaced, kept as the oracle."""
+
+    def resolvent(u):
+        total = SuperFunction.zero(ctx)
+        term = u
+        while not term.is_zero():
+            total = total + term
+            term = term.number_z().scale_left(c * Fraction(-1, 2))
+        return total.scale_left(c)
+
+    def fn(f, g):
+        df = sf_mul(resolvent(f.delta_op()), g.euler_E())
+        return (antibracket(f, g) + df.scale_right((-1) ** f.eps())
+                + sf_mul(f.euler_E(), resolvent(g.delta_op())))
+
+    return LeafForm(ctx, 2, 0, fn, ODD, name="anti_even_series")
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("h_max", [2, 4, 6, 8])
+def test_anti_even_stops_at_the_truncation(n, h_max):
+    """The resolvent that stops at the truncation gives the values and
+    the Jacobi residuals of the full geometric series, for c of lowest
+    degree 2 and 4, with a higher term, and c = 0."""
+    ctx = SymplecticContext(n, n, (1, -1, 1, -1)[:n], 1, h_max)
+    hb = Scalar.hbar(ctx.scalar_ctx)
+    # smaller samples at (4, 4), where a two-term triple takes seconds
+    spec = (SampleSpec(seed=97 + h_max, count=4, terms=2) if n == 2 else
+            SampleSpec(seed=97 + h_max, count=2, max_x_degree=1))
+    pairs = sample_tuples(spec, ctx, 2)
+    triples = sample_tuples(spec, ctx, 3)[:3 if n == 2 else 1]
+    for c in (hb ** 2, hb ** 2 + hb ** 4, hb ** 4 * Fraction(3, 2),
+              Scalar.zero(ctx.scalar_ctx)):
+        bracket = build_anti_even(ctx, c).bracket
+        oracle = _series_anti_even(ctx, c)
+        for f, g in pairs:
+            assert bracket.evaluate(f, g) == oracle.evaluate(f, g)
+            if c.is_zero():
+                assert bracket.evaluate(f, g) == antibracket(f, g)
+        J, J_oracle = jacobiator(bracket), jacobiator(oracle)
+        for args in triples:
+            assert J.evaluate(*args) == J_oracle.evaluate(*args)
 
 
 def test_anti_odd_examples(ctx22):

@@ -313,3 +313,42 @@ def test_rational_values_take_the_integer_path(ctx42):
         assert SuperFunction(ctx42, {key: value}).coeffs == SuperFunction(
             ctx42, {key: Scalar.rational(sctx, value)}).coeffs
     assert SuperFunction(ctx42, {key: 0}).is_zero()
+
+
+def test_a_sign_is_folded_without_a_product(ctx42):
+    """f * 1 is f itself and f * -1 is -f; both equal the product by the
+    scalar on the right, also for a theta-carrying f of odd xi-degree."""
+    t = Scalar.theta(ctx42.scalar_ctx, 1)
+    f = (SuperFunction.xi(ctx42, 1).scale_left(t)
+         + SuperFunction.term(ctx42, (1, 0, 0, 0), 1, (1, 2), t)
+         + SuperFunction.x(ctx42, 2))
+    assert f * 1 is f
+    for sign in (1, -1):
+        assert f * sign == f.scale_right(sign)
+        assert (f * sign).coeffs == f.scale_right(sign).coeffs
+    assert f * 2 == f.scale_right(2)
+
+
+def test_gaussian_weight_is_zero_without_x_variables():
+    """With n_plus = 0, exp(-c|x|^2/2) is 1: the weight is stored as 0,
+    terms that then coincide are summed, and the zero test is sound."""
+    ctx = SymplecticContext(0, 1, (1,), 2, 6)
+    xi1 = SuperFunction.xi(ctx, 1)
+    assert SuperFunction.gauss(ctx, 2) * xi1 == xi1
+    assert (SuperFunction.gauss(ctx, 2) * xi1 - xi1).render() == "0"
+    assert SuperFunction(ctx, {((), 0, (1,)): 1, ((), 2, (1,)): -1}).is_zero()
+    t = Scalar.theta(ctx.scalar_ctx, 1)
+    summed = SuperFunction(ctx, {((), Fraction(1, 2), (1,)): t,
+                                 ((), 1, (1,)): 3})
+    assert summed == xi1.scale_left(t + 3)
+    summed = SuperFunction(ctx, {((), 1, (1,)): 3,
+                                 ((), 2, (1,)): t + 2})
+    assert summed == xi1.scale_left(t + 5)
+    samples = sample_superfunctions(
+        SampleSpec(seed=5, count=20, terms=3, gauss_weights=(0, 1, 2)),
+        SymplecticContext(0, 2, (1, -1), 1, 6))
+    assert all(key[1] == 0 for f in samples for key in f.coeffs)
+    # with x variables the weight stays
+    ctx22 = SymplecticContext(2, 2, (1, 1), 1, 6)
+    assert SuperFunction.gauss(ctx22, 2) * SuperFunction.xi(ctx22, 1) != \
+        SuperFunction.xi(ctx22, 1)
