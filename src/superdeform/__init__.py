@@ -11,8 +11,7 @@ use, so that ``python -m superdeform.cli`` runs the module only once.
 import importlib
 
 from .brackets import antibracket, bidiff_power, moyal_bracket, poisson_bracket
-from .cochains import (Cochain, FunctionScaledCochain, ScaledCochain,
-                       SumCochain, anti_form, d_ad, jacobiator, jzeta_form,
+from .cochains import (Cochain, anti_form, d_ad, jacobiator, jzeta_form,
                        m0_form, m1_form, m23_form, m3_form, moyal_form,
                        mu_form, mzeta_form)
 from .deformations import (ConstraintReport, Deformation, build_C1,
@@ -44,10 +43,9 @@ def __getattr__(name):
 
 __all__ = [
     "ArityError", "Cochain", "ConstraintReport", "ContextMismatchError",
-    "Deformation", "DeformationError", "FunctionScaledCochain", "LCG",
-    "NotIntegrableError", "ParseError",
-    "RadicalNumber", "SampleSpec", "Scalar", "ScalarContext",
-    "ScaledCochain", "SumCochain", "SuperFunction", "SymplecticContext",
+    "Deformation", "DeformationError", "LCG", "NotIntegrableError",
+    "ParseError", "RadicalNumber", "SampleSpec", "Scalar", "ScalarContext",
+    "SuperFunction", "SymplecticContext",
     "VerificationReport", "anti_form", "antibracket", "bidiff_power",
     "build_C1", "build_C1c", "build_C3", "build_anti_even",
     "build_anti_odd", "build_general_odd", "check_bar_vanishing",

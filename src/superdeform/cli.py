@@ -34,9 +34,8 @@ import sys
 from functools import lru_cache
 
 from .brackets import antibracket, moyal_bracket, poisson_bracket
-from .cochains import (ScaledCochain, anti_form, jzeta_form, m0_form,
-                       m1_form, m23_form, m3_form, moyal_form, mu_form,
-                       mzeta_form)
+from .cochains import (anti_form, jzeta_form, m0_form, m1_form, m23_form,
+                       m3_form, moyal_form, mu_form, mzeta_form)
 from .deformations import (build_C1, build_C1c, build_C3, build_anti_even,
                            build_anti_odd, build_general_odd,
                            check_constraints, check_equivalence,
@@ -379,7 +378,7 @@ def _cochain_term(parser, sign):
         parser.take()
     if form is None:
         raise ParseError("expected a form name", parser.peek()[2])
-    return form if scalar == Scalar.one(sctx) else ScaledCochain(scalar, form)
+    return form if scalar == Scalar.one(sctx) else form.scaled(scalar)
 
 
 def parse_deformation(text, ctx):
@@ -563,10 +562,9 @@ def make_parser():
     p = sub_add("jacobi", help="J(C,C) = 0 for a deformation, on samples")
     p.add_argument("--deformation", required=True)
 
-    p = sub_add("cocycle", help="d2_ad F = 0 for a cochain")
+    p = sub_add("cocycle", help="d2_ad F = 0 for a cochain, with the "
+                "bracket of its grading")
     p.add_argument("--form", required=True)
-    p.add_argument("--bracket", choices=["poisson", "anti"],
-                   default="poisson")
 
     p = sub_add("equiv", help="match two deformations through T1")
     p.add_argument("--c1", required=True)
@@ -596,9 +594,8 @@ def run(argv=None):
             defo = parse_deformation(args.deformation, ctx)
             report = check_jacobi(defo, _sample_spec(args))
         elif args.command == "cocycle":
-            form = parse_cochain(args.form, ctx)
-            bracket = anti_form(ctx) if args.bracket == "anti" else None
-            report = check_cocycle(form, _sample_spec(args), bracket=bracket)
+            report = check_cocycle(parse_cochain(args.form, ctx),
+                                   _sample_spec(args))
         else:
             _write(_value(args, ctx).render(), args)
             return 0

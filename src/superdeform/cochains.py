@@ -1,14 +1,14 @@
-"""Graded multilinear skew forms as evaluable trees.
+"""Graded multilinear skew forms.
 
 A cochain knows its arity, its declared parity, and which grading its signs
 use ('even' for the Poisson bracket parity, 'odd' for the reversed parity of
-the antibracket).  Leaves are concrete bilinear forms; nodes are scalar
-multiples (which is also how theta-prefixing is expressed), sums, and
-function multiples.  The sign factors are only defined on
-parity-homogeneous arguments, so evaluation splits a mixed-parity argument
-into its homogeneous components and sums over their combinations.  Only a
-mixed-parity argument is split: homogeneous ones (every sample and almost
-every bracket value) reach the form as they are.
+the antibracket).  It is its function ``fn`` on parity-homogeneous
+arguments; a sum ``a + b``, a scalar multiple ``form.scaled(s)`` (which is
+also how theta-prefixing is expressed) and a function multiple
+``form.times(eta)`` are cochains whose ``fn`` calls the parts' ``fn``.
+The sign factors are only defined on parity-homogeneous arguments, so
+evaluation splits a mixed-parity argument (and only such an argument) into
+its homogeneous components and sums over their combinations.
 """
 
 from __future__ import annotations
@@ -28,13 +28,21 @@ def grading_parity(f, grading):
     return f.eps() if grading == EVEN else f.epsilon()
 
 
-class Cochain:
-    """Base class: a graded p-linear skew form."""
+def _shift(parity, weight):
+    """The parity of a form times a factor of parity ``weight``, or None."""
+    if parity is None or weight is None:
+        return None
+    return (parity + weight) % 2
 
-    def __init__(self, ctx, arity, parity, grading=EVEN, name=None):
+
+class Cochain:
+    """A graded p-linear skew form, ``fn`` on homogeneous arguments."""
+
+    def __init__(self, ctx, arity, parity, fn, grading=EVEN, name=None):
         self.ctx = ctx
         self.arity = arity
         self.parity = parity
+        self.fn = fn
         self.grading = grading
         self.name = name or type(self).__name__
         self._cache = {}
@@ -50,12 +58,12 @@ class Cochain:
         if all(arg.eps() is not None for arg in args):
             out = (SuperFunction.zero(self.ctx)
                    if any(arg.is_zero() for arg in args)
-                   else self._eval_homogeneous(args))
+                   else self.fn(*args))
         else:
             out = SuperFunction.zero(self.ctx)
             pieces = [arg.homogeneous_components() for arg in args]
             for combo in product(*pieces):
-                out = out + self._eval_homogeneous(combo)
+                out = out + self.fn(*combo)
         if len(self._cache) > 4096:
             self._cache.clear()
         self._cache[key] = out
@@ -63,110 +71,59 @@ class Cochain:
 
     __call__ = evaluate
 
-    def _eval_homogeneous(self, args):
-        raise NotImplementedError
-
-    # -- tree combinators --------------------------------------------------
+    # -- combinators -------------------------------------------------------
 
     def __add__(self, other):
-        return SumCochain(self, other)
+        if other.arity != self.arity:
+            raise ArityError("summands must share one arity")
+        a, b = self.fn, other.fn
+        parity = self.parity if self.parity == other.parity else None
+        return Cochain(self.ctx, self.arity, parity,
+                       lambda *args: a(*args) + b(*args), self.grading,
+                       name=f"{self.name}+{other.name}")
 
-    def __sub__(self, other):
-        return SumCochain(self, ScaledCochain(-1, other))
+    def scaled(self, scalar):
+        """``scalar`` times this form, the scalar on the left."""
+        scalar = _own_scalar(self.ctx, scalar)
+        fn = self.fn
+        return Cochain(self.ctx, self.arity,
+                       _shift(self.parity, scalar.parity()),
+                       lambda *args: fn(*args).scale_left(scalar),
+                       self.grading, name=f"scaled({self.name})")
 
-    def __neg__(self):
-        return ScaledCochain(-1, self)
+    def times(self, prefactor):
+        """A fixed function times this form, as eta(z) times mu."""
+        fn = self.fn
+
+        def times_fn(*args):
+            # the value must pass to the right of the prefactor; for the
+            # named forms it is a constant, so only scalars are supported
+            s = fn(*args).constant_scalar()
+            if s is None:
+                raise ValueError(
+                    "function-scaled cochain needs a scalar-valued form")
+            return prefactor.scale_right(s)
+
+        return Cochain(self.ctx, self.arity,
+                       _shift(self.parity, prefactor.eps()), times_fn,
+                       self.grading, name=f"({prefactor})*{self.name}")
 
     def __repr__(self):
         return f"<{self.name}: arity {self.arity}, parity {self.parity}>"
 
 
-class LeafForm(Cochain):
-    """Concrete form; ``fn`` receives parity-homogeneous arguments."""
-
-    def __init__(self, ctx, arity, parity, fn, grading=EVEN, name=None):
-        super().__init__(ctx, arity, parity, grading, name)
-        self.fn = fn
-
-    def _eval_homogeneous(self, args):
-        return self.fn(*args)
-
-
-class ScaledCochain(Cochain):
-    def __init__(self, scalar, inner):
-        scalar = _own_scalar(inner.ctx, scalar)
-        weight = scalar.parity()
-        parity = None
-        if inner.parity is not None and weight is not None:
-            parity = (inner.parity + weight) % 2
-        super().__init__(inner.ctx, inner.arity, parity, inner.grading,
-                         name=f"scaled({inner.name})")
-        self.scalar = scalar
-        self.inner = inner
-
-    def _eval_homogeneous(self, args):
-        return self.inner._eval_homogeneous(args).scale_left(self.scalar)
-
-
-class SumCochain(Cochain):
-    def __init__(self, *parts):
-        flat = []
-        for part in parts:
-            if isinstance(part, SumCochain):
-                flat.extend(part.parts)
-            else:
-                flat.append(part)
-        first = flat[0]
-        if any(p.arity != first.arity for p in flat):
-            raise ArityError("summands must share one arity")
-        parities = {p.parity for p in flat}
-        parity = parities.pop() if len(parities) == 1 else None
-        super().__init__(first.ctx, first.arity, parity, first.grading,
-                         name="+".join(p.name for p in flat))
-        self.parts = flat
-
-    def _eval_homogeneous(self, args):
-        out = SuperFunction.zero(self.ctx)
-        for part in self.parts:
-            out = out + part._eval_homogeneous(args)
-        return out
-
-
-class FunctionScaledCochain(Cochain):
-    """A fixed function times a form, as in eta(z) times the bar-pairing."""
-
-    def __init__(self, prefactor, inner):
-        parity = None
-        pf = prefactor.eps()
-        if inner.parity is not None and pf is not None:
-            parity = (inner.parity + pf) % 2
-        super().__init__(inner.ctx, inner.arity, parity, inner.grading,
-                         name=f"({prefactor})*{inner.name}")
-        self.prefactor = prefactor
-        self.inner = inner
-
-    def _eval_homogeneous(self, args):
-        # the value must pass to the right of the prefactor; for the
-        # named forms it is a constant, so only scalars are supported
-        s = self.inner._eval_homogeneous(args).constant_scalar()
-        if s is None:
-            raise ValueError(
-                "function-scaled cochain needs a scalar-valued form")
-        return self.prefactor.scale_right(s)
-
-
-# -- named leaves ----------------------------------------------------------
+# -- named forms -----------------------------------------------------------
 
 def m0_form(ctx):
-    return LeafForm(ctx, 2, 0, poisson_bracket, EVEN, name="m0")
+    return Cochain(ctx, 2, 0, poisson_bracket, EVEN, name="m0")
 
 
 def anti_form(ctx):
-    return LeafForm(ctx, 2, 0, antibracket, ODD, name="anti")
+    return Cochain(ctx, 2, 0, antibracket, ODD, name="anti")
 
 
 def moyal_form(ctx, kappa=1):
-    return LeafForm(ctx, 2, 0, lambda f, g: moyal_bracket(f, g, kappa),
+    return Cochain(ctx, 2, 0, lambda f, g: moyal_bracket(f, g, kappa),
                     EVEN, name="moyal")
 
 
@@ -176,7 +133,7 @@ def m1(f, g):
 
 
 def m1_form(ctx):
-    return LeafForm(ctx, 2, 0, m1, EVEN, name="m1")
+    return Cochain(ctx, 2, 0, m1, EVEN, name="m1")
 
 
 def zeta_form_parity(ctx, zeta):
@@ -214,7 +171,7 @@ def _bar_pairing(ctx, op, parity, name):
             out = out + term if odd else out - term
         return out
 
-    return LeafForm(ctx, 2, parity, fn, EVEN, name=name)
+    return Cochain(ctx, 2, parity, fn, EVEN, name=name)
 
 
 def m3_form(ctx):
@@ -243,7 +200,7 @@ def m23_form(ctx):
         sign = (-1) ** f.eps()
         return sf_mul(one_minus_nxi(f), one_minus_nxi(g)) * sign
 
-    return LeafForm(ctx, 2, 1, fn, ODD, name="m23")
+    return Cochain(ctx, 2, 1, fn, ODD, name="m23")
 
 
 def mu_form(ctx):
@@ -253,7 +210,7 @@ def mu_form(ctx):
         value = (fbar * gbar) * ((-1) ** f.eps())
         return SuperFunction.constant(ctx, value)
 
-    return LeafForm(ctx, 2, 0, fn, EVEN, name="mu")
+    return Cochain(ctx, 2, 0, fn, EVEN, name="mu")
 
 
 # -- Jacobiator and the adjoint differential -------------------------------
@@ -283,22 +240,26 @@ def jacobiator(p, q=None):
         return out
 
     name = f"J({p.name},{q.name})" if q is not None else f"J({p.name})"
-    return LeafForm(ctx, 3, None, fn, grading, name=name)
+    return Cochain(ctx, 3, None, fn, grading, name=name)
 
 
 def d_ad(m, bracket=None):
     """The cochain differential with coefficients in the adjoint action.
 
-    ``bracket`` defaults to the Poisson bracket; pass the antibracket for
-    the reversed-parity theory.  Signs use the grading of ``m``, which must
-    have a defined parity.
+    Signs use the grading of ``m``, which must have a defined parity, and
+    ``bracket`` defaults to the one of that grading: the Poisson bracket
+    for 'even', the antibracket for 'odd'.  A bracket of the other grading
+    gives the differential of neither complex and raises ValueError.
     """
     if m.parity is None:
         raise ValueError(f"{m.name} has undefined parity")
     ctx = m.ctx
-    if bracket is None:
-        bracket = m0_form(ctx)
     grading = m.grading
+    if bracket is None:
+        bracket = (m0_form if grading == EVEN else anti_form)(ctx)
+    elif bracket.grading != grading:
+        raise ValueError(f"{m.name} has the {grading} grading, but the "
+                         f"bracket {bracket.name} the {bracket.grading} one")
     p = m.arity
     m_parity = m.parity
 
@@ -325,4 +286,4 @@ def d_ad(m, bracket=None):
                 out = out - term if sign == 1 else out + term
         return out
 
-    return LeafForm(ctx, p + 1, m_parity, fn, grading, name=f"d({m.name})")
+    return Cochain(ctx, p + 1, m_parity, fn, grading, name=f"d({m.name})")

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .brackets import antibracket, moyal_bracket, poisson_bracket
-from .cochains import (Cochain, EVEN, FunctionScaledCochain, LeafForm, ODD,
-                       ScaledCochain, anti_form, jzeta_form, m0_form, m1,
-                       m1_form, m23_form, m3_form, mu_form, mzeta_form,
+from .cochains import (Cochain, EVEN, ODD, anti_form, jzeta_form, m0_form,
+                       m1, m1_form, m23_form, m3_form, mu_form, mzeta_form,
                        zeta_form_parity)
 from .errors import DeformationError, NotIntegrableError
 from .scalars import Scalar
@@ -25,6 +24,8 @@ from .verify import _run
 
 C1, C1C, C3 = "C1", "C1c", "C3"
 ANTI_EVEN, ANTI_ODD, GENERAL_ODD = "ANTI_EVEN", "ANTI_ODD", "GENERAL_ODD"
+
+ETABAR_MAX_STEPS = 64  # solve_eta's bound on the etabar fixed-point steps
 
 
 @dataclass
@@ -83,10 +84,20 @@ def _require_parity(value, parity, name):
 
 # -- Poisson-side deformations ---------------------------------------------
 
-def build_C1(zeta, kappa=1, flavor=C1, c=None):
+def build_C1(zeta, kappa=1):
     """C(f,g) = M(f + zeta*fbar, g + zeta*gbar), the Moyal bracket of the
-    bar-extended arguments; with the C1c flavor the term c*fbar*gbar is
-    added and the combination M(zeta,zeta) + c must land in Z."""
+    bar-extended arguments."""
+    return _moyal_deformation(C1, zeta, kappa, None)
+
+
+def build_C1c(zeta, kappa=1, c=0):
+    """C1 plus the term c*fbar*gbar; the combination M(zeta,zeta) + c must
+    land in Z."""
+    return _moyal_deformation(C1C, zeta, kappa, c)
+
+
+def _moyal_deformation(flavor, zeta, kappa, c):
+    """The C1 bracket, with the term c*fbar*gbar unless ``c`` is None."""
     ctx = zeta.ctx
     kappa = _own_scalar(ctx, kappa)
     _require_even_fn(zeta, "zeta")
@@ -98,8 +109,8 @@ def build_C1(zeta, kappa=1, flavor=C1, c=None):
             "kappa must be an even or odd series in hbar so that "
             "c1 = (1/6) hbar^2 kappa^2 is an even series", relation="kappa")
     params = {"zeta": zeta, "kappa": kappa}
-    if flavor == C1C:
-        c = _own_scalar(ctx, 0 if c is None else c)
+    if c is not None:
+        c = _own_scalar(ctx, c)
         _require_param(c, "c")
         probe = moyal_bracket(zeta, zeta, kappa) + c
         if not probe.is_z_class():
@@ -107,29 +118,22 @@ def build_C1(zeta, kappa=1, flavor=C1, c=None):
                 "M(zeta, zeta) + c must lie in Z (Gaussian class plus "
                 "constants)", relation="c")
         params["c"] = c
-    elif c is not None:
-        raise DeformationError("the plain C1 flavor takes no c term",
-                               relation="c")
 
-    trivial = zeta.is_zero()
+    trivial = zeta.is_zero() and c is None
 
     def fn(f, g):
-        if trivial and flavor == C1:
+        if trivial:
             return moyal_bracket(f, g, kappa)
         fbar, gbar = f.integral_bar(), g.integral_bar()
         F = f + zeta.scale_right(fbar) if fbar else f
         G = g + zeta.scale_right(gbar) if gbar else g
         out = moyal_bracket(F, G, kappa)
-        if flavor == C1C:
+        if c is not None:
             out = out + SuperFunction.constant(ctx, c * (fbar * gbar))
         return out
 
-    form = LeafForm(ctx, 2, 0, fn, EVEN, name=flavor)
+    form = Cochain(ctx, 2, 0, fn, EVEN, name=flavor)
     return Deformation(flavor, form, params)
-
-
-def build_C1c(zeta, kappa=1, c=0):
-    return build_C1(zeta, kappa, flavor=C1C, c=c)
 
 
 def build_C3(zeta, c3=0):
@@ -151,7 +155,7 @@ def build_C3(zeta, c3=0):
     if not zeta.is_zero():
         form = form + mzeta_form(ctx, zeta)
     if not c3.is_zero():
-        form = form + ScaledCochain(c3, m3_form(ctx))
+        form = form + m3_form(ctx).scaled(c3)
     form.name = "C3"
     params = {"zeta": zeta, "c3": c3}
     return Deformation(C3, form, params)
@@ -180,7 +184,7 @@ def build_anti_even(ctx, c):
     if not c.is_theta_free():
         raise DeformationError("c must be theta-free", relation="c")
     if c.is_zero():
-        form = LeafForm(ctx, 2, 0, antibracket, ODD, name="anti_even")
+        form = Cochain(ctx, 2, 0, antibracket, ODD, name="anti_even")
         return Deformation(ANTI_EVEN, form, {"c": c})
     half = c * Fraction(-1, 2)
     last = ctx.h_max - c.hbar_min_degree()
@@ -203,7 +207,7 @@ def build_anti_even(ctx, c):
             out = out + sf_mul(f.euler_E(), dg)
         return out
 
-    form = LeafForm(ctx, 2, 0, fn, ODD, name="anti_even")
+    form = Cochain(ctx, 2, 0, fn, ODD, name="anti_even")
     return Deformation(ANTI_EVEN, form, {"c": c})
 
 
@@ -216,7 +220,7 @@ def build_anti_odd(ctx):
         raise DeformationError("an odd parameter theta_1 is required (k >= 1)",
                                relation="context")
     theta = Scalar.theta(ctx.scalar_ctx, 1)
-    form = anti_form(ctx) + ScaledCochain(theta, m23_form(ctx))
+    form = anti_form(ctx) + m23_form(ctx).scaled(theta)
     form.name = "anti_odd"
     return Deformation(ANTI_ODD, form)
 
@@ -282,7 +286,7 @@ def check_constraints(zeta, eta, h1, h2):
     return ConstraintReport(residuals, eta.is_d_class())
 
 
-def solve_eta(zeta, h1, h2, max_iter=64):
+def solve_eta(zeta, h1, h2):
     """Solve relation (i) for eta:
 
         eta = -theta h1 m1(zeta,zeta) - theta[2E-(2+n+-n-)]zeta
@@ -307,7 +311,7 @@ def solve_eta(zeta, h1, h2, max_iter=64):
 
     try:
         etabar = Scalar.zero(sctx)
-        for _ in range(max_iter):
+        for _ in range(ETABAR_MAX_STEPS):
             new = rhs(etabar).integral_bar()
             if new == etabar:
                 break
@@ -340,13 +344,13 @@ def build_general_odd(zeta, eta, h1, h2):
             f"constraint system violated: {failed}", relation=failed)
     theta = Scalar.theta(sctx, 1)
     th1 = theta * h1
-    form = m0_form(ctx) + ScaledCochain(th1, m1_form(ctx)) + \
-        ScaledCochain(theta, m3_form(ctx))
+    form = m0_form(ctx) + m1_form(ctx).scaled(th1) + \
+        m3_form(ctx).scaled(theta)
     if not zeta.is_zero():
         form = form + mzeta_form(ctx, zeta) + \
-            ScaledCochain(th1, jzeta_form(ctx, zeta))
+            jzeta_form(ctx, zeta).scaled(th1)
     if not eta.is_zero():
-        form = form + FunctionScaledCochain(eta, mu_form(ctx))
+        form = form + mu_form(ctx).times(eta)
     form.name = "general_odd"
     params = {"zeta": zeta, "eta": eta, "h1": h1, "h2": h2}
     return Deformation(GENERAL_ODD, form, params)
@@ -358,7 +362,7 @@ def t1_bar_multiplier(z0, a=1):
     """The family T1: f -> a * z0 * fbar."""
     ctx = z0.ctx
     scaled = z0.scale_left(_own_scalar(ctx, a))
-    return LeafForm(ctx, 1, z0.eps() or 0,
+    return Cochain(ctx, 1, z0.eps() or 0,
                     lambda f: scaled.scale_right(f.integral_bar()),
                     EVEN, name="T1_bar")
 
@@ -366,7 +370,7 @@ def t1_bar_multiplier(z0, a=1):
 def t1_euler(ctx, a=1):
     """The family T1: f -> a * E_z f."""
     a = _own_scalar(ctx, a)
-    return LeafForm(ctx, 1, 0, lambda f: f.euler_E().scale_left(a),
+    return Cochain(ctx, 1, 0, lambda f: f.euler_E().scale_left(a),
                     EVEN, name="T1_euler")
 
 

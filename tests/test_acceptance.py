@@ -18,7 +18,6 @@ from superdeform import (LCG, SampleSpec, Scalar, SuperFunction,
                          m3_form, moyal_bracket, moyal_form, mu_form,
                          mzeta_form, poisson_bracket, sample_superfunctions,
                          sample_tuples, t1_bar_multiplier)
-from superdeform.cochains import ScaledCochain
 from superdeform.deformations import Deformation
 
 
@@ -136,7 +135,7 @@ def test_criterion_3_cocycle_suite():
     zeta2 = SuperFunction.term(CTX42, (0, 1, 0, 0), scalar=3)
     cochains = [m1_form(CTX42), m3_form(CTX42), mu_form(CTX42),
                 mzeta_form(CTX42, zeta2), jzeta_form(CTX42, zeta2),
-                ScaledCochain(_hbar2(CTX42), m3_form(CTX42))]
+                m3_form(CTX42).scaled(_hbar2(CTX42))]
     triples = sample_tuples(SampleSpec(seed=3003, count=20,
                                        max_x_degree=1), CTX42, 3)
     for p in cochains:

@@ -279,6 +279,36 @@ def test_cli_moyal_kappa(capsys):
     assert "hbar^2" in text and "x1^2*x2^2" in text
 
 
+def test_cli_cocycle_uses_the_bracket_of_the_form_grading(capsys):
+    assert run(["cocycle", "--form", "m23", "--n", "2"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["check"] == "cocycle[m23]" and data["pass"] is True
+    assert run(["cocycle", "--form", "m0", "--n", "2", "--bracket", "anti",
+                "--samples", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unrecognized arguments: --bracket anti\n"
+
+
+def test_cochain_spec_name_reaches_the_report_core(ctx, capsys):
+    form = parse_cochain("m0 + th1*m3", ctx)
+    assert (form.name, form.parity) == ("m0+scaled(m3)", None)
+    # at odd n_minus, m3 is odd and theta*m3 even, so the sum has parity 0
+    assert run(["--nminus", "1", "--samples", "3", "cocycle", "--form",
+                "m0 + th1*m3"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["check"] == "cocycle[m0+scaled(m3)]" and data["pass"] is True
+
+
+def test_every_exported_name_resolves():
+    """Every name in __all__, the lazily loaded parse_* ones included, is
+    an attribute of the package and arrives with a star import."""
+    namespace = {}
+    exec("from superdeform import *", namespace)
+    for name in superdeform.__all__:
+        assert namespace[name] is getattr(superdeform, name)
+
+
 @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-3"],
                                    ["--terms", "0"]])
 def test_cli_rejects_counts_below_one(flags, capsys):

@@ -9,9 +9,8 @@ from superdeform import (ArityError, ContextMismatchError, Scalar,
                          jacobiator, jzeta_form, m0_form, m1_form, m23_form,
                          m3_form, moyal_form, mu_form, mzeta_form,
                          poisson_bracket)
-from superdeform.cochains import (EVEN, ODD, FunctionScaledCochain,
-                                  LeafForm, ScaledCochain, SumCochain,
-                                  _bar_pairing, m1, grading_parity)
+from superdeform.cochains import (EVEN, ODD, Cochain, _bar_pairing, m1,
+                                  grading_parity)
 
 from conftest import random_superfunction, seeded
 
@@ -32,7 +31,7 @@ def test_leaf_metadata(ctx42):
 
 def test_scaled_cochain_parity(ctx42):
     theta = Scalar.theta(ctx42.scalar_ctx, 1)
-    scaled = ScaledCochain(theta, m3_form(ctx42))
+    scaled = m3_form(ctx42).scaled(theta)
     assert scaled.parity == (m3_form(ctx42).parity + 1) % 2
     f = SuperFunction.gauss(ctx42, 1)
     g = SuperFunction.term(ctx42, c=1, xi=(1, 2))
@@ -42,7 +41,7 @@ def test_scaled_cochain_parity(ctx42):
 
 def test_sum_cochain_arity_mismatch(ctx42):
     with pytest.raises(ArityError):
-        SumCochain(m0_form(ctx42), jacobiator(m0_form(ctx42)))
+        m0_form(ctx42) + jacobiator(m0_form(ctx42))
 
 
 def test_arity_checked_on_evaluate(ctx42):
@@ -53,7 +52,7 @@ def test_arity_checked_on_evaluate(ctx42):
 
 def test_function_scaled_cochain(ctx42):
     eta = SuperFunction.x(ctx42, 1)
-    form = FunctionScaledCochain(eta, mu_form(ctx42))
+    form = mu_form(ctx42).times(eta)
     f = SuperFunction.term(ctx42, c=1, xi=(1, 2))
     g = SuperFunction.term(ctx42, c=2, xi=(1, 2))
     value = mu_form(ctx42).evaluate(f, g)
@@ -122,14 +121,30 @@ def test_m23_is_an_antibracket_cocycle(ctx22):
         assert d.evaluate(*args).is_zero()
 
 
+def test_d_ad_takes_the_bracket_of_the_form_grading(ctx22):
+    """The default bracket is the one of the form's grading; a bracket of
+    the other grading is refused, since the signs follow the form."""
+    m23, anti, m0 = m23_form(ctx22), anti_form(ctx22), m0_form(ctx22)
+    for form, bracket in ((m23, m0), (m0, anti)):
+        with pytest.raises(ValueError, match="grading"):
+            d_ad(form, bracket=bracket)
+    rng = seeded(53)
+    default, explicit = d_ad(m23), d_ad(m23, bracket=anti)
+    for _ in range(6):
+        args = [random_superfunction(rng, ctx22,
+                                     xi_degree=rng.randint(0, 2))
+                for _ in range(3)]
+        assert default.evaluate(*args) == explicit.evaluate(*args)
+        assert default.evaluate(*args).is_zero()
+
+
 def test_cross_identity_many_cochains(ctx42):
     # -(-1)^{eps(f) eps(h)} J(p, m0) = d2_ad p, for assorted 2-cochains p
     m0 = m0_form(ctx42)
     zeta = SuperFunction.term(ctx42, (0, 1, 0, 0), scalar=3)
     cochains = [m1_form(ctx42), m3_form(ctx42), mu_form(ctx42),
                 mzeta_form(ctx42, zeta), jzeta_form(ctx42, zeta),
-                ScaledCochain(Scalar.hbar(ctx42.scalar_ctx, 2),
-                              m3_form(ctx42))]
+                m3_form(ctx42).scaled(Scalar.hbar(ctx42.scalar_ctx, 2))]
     rng = seeded(55)
     for p in cochains:
         J = jacobiator(p, m0)
@@ -282,7 +297,7 @@ def _recording_leaf(ctx, seen):
         seen.append((f, g))
         return poisson_bracket(f, g)
 
-    return LeafForm(ctx, 2, 0, fn, EVEN, name="recording")
+    return Cochain(ctx, 2, 0, fn, EVEN, name="recording")
 
 
 def test_evaluate_with_a_zero_argument_calls_no_leaf(ctx42):

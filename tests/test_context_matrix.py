@@ -10,7 +10,8 @@ import pytest
 from superdeform import (SampleSpec, Scalar, SuperFunction,
                          SymplecticContext, build_anti_even, build_anti_odd,
                          build_C1, build_C3, check_cocycle, check_jacobi,
-                         check_signs, m0_form, m3_form)
+                         check_signs, m0_form, m3_form, mu_form,
+                         poisson_bracket, sf_mul)
 
 # (n_plus, n_minus, lambdas, k, h_max)
 MIXED_5 = (4, 2, (1, -1), 1, 5)
@@ -67,10 +68,15 @@ CASES = [(check, context)
     (c1_jacobi, NO_X), (c1_jacobi, K0), (c1_jacobi, K2), (m0_signs, K2)]
 
 
-def _case_id(case):
-    check, (n_plus, n_minus, lambdas, k, h_max) = case
+def _context_id(context):
+    n_plus, n_minus, lambdas, k, h_max = context
     signs = "".join("+" if s > 0 else "-" for s in lambdas)
-    return f"{check.__name__}-{n_plus}_{n_minus}{signs}-k{k}-h{h_max}"
+    return f"{n_plus}_{n_minus}{signs}-k{k}-h{h_max}"
+
+
+def _case_id(case):
+    check, context = case
+    return f"{check.__name__}-{_context_id(context)}"
 
 
 @pytest.mark.parametrize("case", CASES, ids=[_case_id(c) for c in CASES])
@@ -82,3 +88,79 @@ def test_context_matrix(case):
     assert report.sample_count == SPEC.count
     assert report.context["lambdas"] == list(ctx.lambdas)
     assert report.context["h_max"] == ctx.h_max
+
+
+# -- the cochain combinators against hand sums of leaf values ---------------
+
+COMBINATOR_CONTEXTS = [(0, 2, (1, -1), 2, 4), (0, 1, (-1,), 0, 4),
+                       (2, 2, (-1, 1), 0, 4), (4, 2, (1, -1), 2, 4)]
+
+
+def _mixed_arguments(ctx):
+    """Two mixed-parity Gaussian functions whose bars are nonzero."""
+    top = SuperFunction.term(ctx, c=1, xi=tuple(range(1, ctx.n_minus + 1)))
+    gauss = SuperFunction.gauss(ctx, 1)
+    # a term of the other parity than the top-xi one
+    other = gauss if ctx.n_minus % 2 else SuperFunction.term(ctx, c=1,
+                                                             xi=(1,))
+    f = top * 2 + other
+    g = top - other * 3 + gauss * 5
+    if ctx.scalar_ctx.k:
+        # a theta in the bars, so that a scalar's side matters
+        g = g + top.scale_left(Scalar.theta(ctx.scalar_ctx, 1))
+    if ctx.n_plus:
+        f = f + SuperFunction.term(ctx, (1,) + (0,) * (ctx.n_plus - 1), 1)
+        g = g + SuperFunction.term(ctx, (0, 1) + (0,) * (ctx.n_plus - 2), 2,
+                                   xi=(1,))
+    assert f.eps() is None and g.eps() is None
+    return f, g
+
+
+def _hand(leaf, f, g):
+    """sum of leaf(a, b) over the homogeneous components a of f, b of g."""
+    out = SuperFunction.zero(f.ctx)
+    for a in f.homogeneous_components():
+        for b in g.homogeneous_components():
+            out = out + leaf(a, b)
+    return out
+
+
+def _left(scalar, value):
+    """scalar * value, as a product of functions."""
+    return sf_mul(SuperFunction.constant(value.ctx, scalar), value)
+
+
+@pytest.mark.parametrize("context", COMBINATOR_CONTEXTS,
+                         ids=[_context_id(c) for c in COMBINATOR_CONTEXTS])
+def test_combinators_match_hand_sums(context):
+    ctx = SymplecticContext(*context)
+    sctx = ctx.scalar_ctx
+    f, g = _mixed_arguments(ctx)
+    m3 = m3_form(ctx)
+    brackets, pairings = _hand(poisson_bracket, f, g), _hand(m3.fn, f, g)
+    assert not brackets.is_zero() and not pairings.is_zero()
+
+    total = m0_form(ctx) + m3
+    # m3 has parity n_minus, so the sum has one only for even n_minus
+    odd_m3 = ctx.n_minus % 2
+    assert (total.name, total.parity) == ("m0+m3", None if odd_m3 else 0)
+    assert total.evaluate(f, g) == brackets + pairings
+
+    h2 = Scalar.hbar(sctx) ** 2
+    scalars = [(h2, odd_m3)]
+    if sctx.k:
+        theta = Scalar.theta(sctx, sctx.k)
+        scalars += [(theta, 1 - odd_m3), (2 + theta, None)]
+    for scalar, parity in scalars:
+        scaled = m3.scaled(scalar)
+        assert (scaled.name, scaled.parity) == ("scaled(m3)", parity)
+        assert scaled.evaluate(f, g) == _left(scalar, pairings)
+
+    pairing = _hand(mu_form(ctx).fn, f, g)
+    assert not pairing.is_zero()
+    odd_part = SuperFunction.term(ctx, c=2, xi=(1,))
+    for eta, parity in ((SuperFunction.gauss(ctx, 2), 0), (odd_part, 1),
+                        (SuperFunction.gauss(ctx, 2) + odd_part, None)):
+        form = mu_form(ctx).times(eta)
+        assert form.parity == parity
+        assert form.evaluate(f, g) == sf_mul(eta, pairing)

@@ -12,7 +12,7 @@ from superdeform import (ContextMismatchError, DeformationError, SampleSpec,
                          check_equivalence, jacobiator, poisson_bracket,
                          sample_tuples, sf_mul, solve_eta, t1_bar_multiplier,
                          t1_euler)
-from superdeform.cochains import ODD, LeafForm
+from superdeform.cochains import ODD, Cochain
 
 from conftest import random_superfunction, seeded
 
@@ -105,7 +105,7 @@ def test_c1_preconditions(ctx42):
     with pytest.raises(DeformationError):
         build_C1(SuperFunction.zero(ctx42),
                  Scalar.theta(ctx42.scalar_ctx, 1))  # theta kappa
-    with pytest.raises(DeformationError):
+    with pytest.raises(TypeError):
         build_C1(SuperFunction.zero(ctx42), c=h2(ctx42))  # c needs C1c
 
 
@@ -221,7 +221,7 @@ def _series_anti_even(ctx, c):
         return (antibracket(f, g) + df.scale_right((-1) ** f.eps())
                 + sf_mul(f.euler_E(), resolvent(g.delta_op())))
 
-    return LeafForm(ctx, 2, 0, fn, ODD, name="anti_even_series")
+    return Cochain(ctx, 2, 0, fn, ODD, name="anti_even_series")
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -317,6 +317,22 @@ def test_perturbed_witness_residual():
     theta = Scalar.theta(sctx, 1)
     expect = SuperFunction.xi(ctx, 1).scale_left(theta * (-2))
     assert report.residuals["i"] == expect
+
+
+def test_composite_bracket_names_and_parities(ctx42, ctx22, ctx45):
+    """A sum's name joins its parts' and its parity is theirs when they
+    share one; the builders rename the sum, and the name reaches the
+    report core as jacobi[flavor]."""
+    zeta = SuperFunction.x(ctx42, 1).scale_left(h2(ctx42))
+    zero = SuperFunction.zero(ctx42)
+    brackets = [(build_C3(zeta, h2(ctx42)), "C3", 0),
+                (build_C3(zero), "C3", 0),
+                (build_anti_odd(ctx22), "anti_odd", 0),
+                # theta m3 is odd at even n_minus
+                (build_general_odd(zero, zero, 0, 0), "general_odd", None),
+                (build_general_odd(*witness_data(ctx45)), "general_odd", 0)]
+    for defo, name, parity in brackets:
+        assert (defo.bracket.name, defo.bracket.parity) == (name, parity)
 
 
 def test_build_rejects_violated_constraints():

@@ -16,8 +16,7 @@ from superdeform import (LCG, SampleSpec, Scalar, SuperFunction,
                          sample_tuples, sf_mul, t1_bar_multiplier)
 from superdeform import verify
 from superdeform.brackets import poisson_bracket
-from superdeform.cochains import (EVEN, ODD, LeafForm, ScaledCochain,
-                                  anti_form, m0_form)
+from superdeform.cochains import EVEN, ODD, Cochain, anti_form, m0_form
 from superdeform.deformations import Deformation
 from superdeform.scalars import int_if_integral
 from superdeform.verify import LCG_INC, LCG_MASK, LCG_MULT
@@ -94,7 +93,7 @@ def test_report_context_records_lambdas():
 def test_check_jacobi_detects_failure(ctx42):
     # the supercommutative product is not a Lie bracket
     broken = Deformation("mul",
-                         LeafForm(ctx42, 2, 0, sf_mul, EVEN, name="mul"))
+                         Cochain(ctx42, 2, 0, sf_mul, EVEN, name="mul"))
     report = check_jacobi(broken, SampleSpec(seed=77, count=6))
     assert not report.passed
     assert report.failures
@@ -151,11 +150,11 @@ def test_summary_line(ctx42):
 
 def _failing_checks(ctx, monkeypatch):
     """One failing report per check, keyed by case name."""
-    mul = LeafForm(ctx, 2, 0, sf_mul, EVEN, name="mul")
+    mul = Cochain(ctx, 2, 0, sf_mul, EVEN, name="mul")
     xi1 = SuperFunction.xi(ctx, 1)
 
     def defo(name, fn):
-        return Deformation(name, LeafForm(ctx, 2, 0, fn, EVEN, name))
+        return Deformation(name, Cochain(ctx, 2, 0, fn, EVEN, name))
 
     def bar_of_products():
         # unlike a Poisson bracket, a product can have a nonzero bar
@@ -171,14 +170,14 @@ def _failing_checks(ctx, monkeypatch):
         "jacobi_mul": lambda: check_jacobi(
             defo("mul", sf_mul), SampleSpec(seed=77, count=6)),
         "jacobi_theta_mul": lambda: check_jacobi(
-            Deformation("m0+th*mul", m0_form(ctx) + ScaledCochain(theta, mul)),
+            Deformation("m0+th*mul", m0_form(ctx) + mul.scaled(theta)),
             SampleSpec(seed=78, count=6)),
         "cocycle_mul": lambda: check_cocycle(
             mul, SampleSpec(seed=13, count=4)),
         "d_squared_mul_bracket": lambda: check_d_squared(
             m0_form(ctx), SampleSpec(seed=15, count=2), bracket=mul),
         "signs_wrong_parity": lambda: check_signs(
-            LeafForm(ctx, 2, 1, poisson_bracket, ODD, name="bad"),
+            Cochain(ctx, 2, 1, poisson_bracket, ODD, name="bad"),
             SampleSpec(seed=19, count=4)),
         "grading_odd_value": lambda: check_grading(
             defo("xi1*mul", lambda f, g: sf_mul(xi1, sf_mul(f, g))),
