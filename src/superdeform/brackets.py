@@ -335,11 +335,17 @@ def _iterate_pairs(f, g, weights, tables):
 
 def bidiff_power(f, g, p):
     """The p-th power of the symplectic bidifferential applied to (f, g)."""
+    return bidiff_term(f, g, p, factorial(p))
+
+
+def bidiff_term(f, g, p, weight):
+    """``weight`` times P^p/p!, the t^p coefficient of exp(tP) applied to
+    (f, g); ``weight`` is a rational number."""
     if p < 1:
         raise ValueError("the bidifferential power must be at least 1")
     f._check(g)
     return _iterate_pairs(
-        f, g, ((p, Scalar.rational(f.ctx.scalar_ctx, factorial(p))),), {})
+        f, g, ((p, Scalar.rational(f.ctx.scalar_ctx, weight)),), {})
 
 
 def moyal_bracket(f, g, kappa=1):

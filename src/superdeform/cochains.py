@@ -13,10 +13,9 @@ its homogeneous components and sums over their combinations.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
-from .brackets import antibracket, bidiff_power, moyal_bracket, poisson_bracket
+from .brackets import antibracket, bidiff_term, moyal_bracket, poisson_bracket
 from .errors import ArityError
 from .superfunc import SuperFunction, _own_scalar, sf_mul
 
@@ -76,6 +75,9 @@ class Cochain:
     def __add__(self, other):
         if other.arity != self.arity:
             raise ArityError("summands must share one arity")
+        if other.grading != self.grading:
+            raise ValueError(f"{self.name} has the {self.grading} grading, "
+                             f"but {other.name} the {other.grading} one")
         a, b = self.fn, other.fn
         parity = self.parity if self.parity == other.parity else None
         return Cochain(self.ctx, self.arity, parity,
@@ -128,8 +130,10 @@ def moyal_form(ctx, kappa=1):
 
 
 def m1(f, g):
-    """First deformation correction: one sixth of the cubic bidifferential."""
-    return bidiff_power(f, g, 3) * Fraction(1, 6)
+    """First deformation correction: one sixth of the cubic bidifferential,
+    P^3/3!, which the kernel forms in one pass as the t^3 coefficient of
+    exp(tP) taken with weight 1."""
+    return bidiff_term(f, g, 3, 1)
 
 
 def m1_form(ctx):

@@ -10,7 +10,6 @@ an evaluable 2-cochain plus the parameter record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .brackets import antibracket, moyal_bracket, poisson_bracket
@@ -28,7 +27,6 @@ ANTI_EVEN, ANTI_ODD, GENERAL_ODD = "ANTI_EVEN", "ANTI_ODD", "GENERAL_ODD"
 ETABAR_MAX_STEPS = 64  # solve_eta's bound on the etabar fixed-point steps
 
 
-@dataclass
 class Deformation:
     """A deformed bracket with its parameter record.
 
@@ -38,9 +36,10 @@ class Deformation:
     from.
     """
 
-    flavor: str
-    bracket: Cochain
-    params: dict = field(default_factory=dict)
+    def __init__(self, flavor, bracket, params=None):
+        self.flavor = flavor
+        self.bracket = bracket
+        self.params = {} if params is None else params
 
     def evaluate(self, f, g):
         return self.bracket.evaluate(f, g)
@@ -227,12 +226,12 @@ def build_anti_odd(ctx):
 
 # -- the k-odd-parameter system --------------------------------------------
 
-@dataclass
 class ConstraintReport:
     """Residuals of the three relations plus the D-class requirement."""
 
-    residuals: dict
-    eta_d_class: bool
+    def __init__(self, residuals, eta_d_class):
+        self.residuals = residuals
+        self.eta_d_class = eta_d_class
 
     @property
     def passed(self):
@@ -244,6 +243,10 @@ class ConstraintReport:
         if not self.eta_d_class:
             out.append("eta_class")
         return out
+
+    def __repr__(self):
+        failed = ", ".join(self.failed_relations()) or "none"
+        return f"<ConstraintReport failed: {failed}>"
 
 
 def _relation_one(zeta, eta, h1, h2, etabar):

@@ -12,7 +12,7 @@ function; there is no tolerance anywhere.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .brackets import poisson_bracket
 from .cochains import EVEN, ODD, d_ad, grading_parity, jacobiator, m0_form
@@ -47,24 +47,23 @@ class LCG:
         return seq[self.randint(0, len(seq) - 1)]
 
 
-@dataclass(frozen=True)
-class SampleSpec:
-    """Deterministic description of a sample batch.
+class SampleSpec(namedtuple(
+        "SampleSpec", "seed count max_x_degree gauss_weights parity terms",
+        defaults=(DEFAULT_SEED, 50, 2, (1, 2), "any", 1))):
+    """Deterministic description of a sample batch: an immutable value,
+    equal and hashed by its fields.  ``parity`` is "even", "odd" or "any".
 
     A spec that could draw no sample, or not the samples it names, is
     refused with ValueError: ``count`` and ``terms`` below 1, a negative
     ``max_x_degree``, no or a negative Gaussian weight, or a ``parity``
-    other than "even", "odd" and "any".
+    other than "even", "odd" and "any".  Every way of making a spec checks
+    this, ``_replace`` and ``_make`` included.
     """
 
-    seed: int = DEFAULT_SEED
-    count: int = 50
-    max_x_degree: int = 2
-    gauss_weights: tuple = (1, 2)
-    parity: str = "any"      # "even" | "odd" | "any"
-    terms: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("count", "terms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"SampleSpec.{name} must be at least 1, "
@@ -79,6 +78,12 @@ class SampleSpec:
         if self.parity not in ("even", "odd", "any"):
             raise ValueError(f"SampleSpec.parity must be 'even', 'odd' or "
                              f"'any', got {self.parity!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # the namedtuple's own _make (and so _replace) skips __new__
+        return cls(*iterable)
 
 
 def sample_superfunctions(spec, ctx):
@@ -119,22 +124,23 @@ def sample_superfunctions(spec, ctx):
 
 def sample_tuples(spec, ctx, size):
     """Consecutive samples grouped into tuples of the given size."""
-    wide = replace(spec, count=spec.count * size)
+    wide = spec._replace(count=spec.count * size)
     flat = sample_superfunctions(wide, ctx)
     return [tuple(flat[i * size + j] for j in range(size))
             for i in range(spec.count)]
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one exact check over a sample batch."""
 
-    check: str
-    context: dict
-    sample_count: int
-    failures: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-    elapsed: float = 0.0
+    def __init__(self, check, context, sample_count, failures=None,
+                 details=None, elapsed=0.0):
+        self.check = check
+        self.context = context
+        self.sample_count = sample_count
+        self.failures = [] if failures is None else failures
+        self.details = {} if details is None else details
+        self.elapsed = elapsed
 
     @property
     def passed(self):
@@ -155,6 +161,9 @@ class VerificationReport:
         state = "PASS" if self.passed else "FAIL"
         return (f"[{state}] {self.check}: {self.sample_count} samples, "
                 f"{len(self.failures)} failures")
+
+    def __repr__(self):
+        return f"<VerificationReport {self.summary()}>"
 
 
 def _context_dict(ctx):

@@ -2,12 +2,15 @@
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from superdeform import (ContextMismatchError, Scalar, SuperFunction,
                          SymplecticContext, antibracket, bidiff_power,
                          brackets, moyal_bracket, poisson_bracket, sf_mul)
+from superdeform.brackets import bidiff_term
+from superdeform.cochains import m1
 
 from conftest import naive_bidiff, random_superfunction, seeded
 
@@ -104,6 +107,36 @@ def test_bidiff_matches_naive_oracle(n_plus, lambdas, p_max, gauss_pool):
                                  gauss_pool=gauss_pool)
         for p in range(1, p_max + 1):
             assert bidiff_power(f, g, p) == naive_bidiff(f, g, p)
+
+
+@pytest.mark.parametrize("n_plus, lambdas, gauss_pool", [
+    (4, (1, -1), (0, HALF, 1)),
+    (0, (1, 1, -1), (0,)),
+    (2, (1,), (0, HALF, 2)),
+], ids=["lambda_mixed", "no_x_blocks", "one_x_block"])
+def test_m1_is_one_sixth_of_the_cubic_power(n_plus, lambdas, gauss_pool):
+    """m1 takes the kernel's t^3 coefficient with weight 1: P^3/3! in one
+    pass, with the coefficients P^3 * (1/6) has; ``bidiff_term`` is
+    weight * P^p/p! for any rational weight."""
+    ctx = SymplecticContext(n_plus, len(lambdas), lambdas, 1, 6)
+    rng = seeded(17)
+    for _ in range(6):
+        f = random_superfunction(rng, ctx, terms=2, theta=True,
+                                 gauss_pool=gauss_pool)
+        g = random_superfunction(rng, ctx, terms=2, theta=True,
+                                 gauss_pool=gauss_pool)
+        cubic = naive_bidiff(f, g, 3)
+        value = m1(f, g)
+        assert value == cubic * Fraction(1, 6)
+        # the same stored coefficients, of the same types
+        scaled = bidiff_power(f, g, 3) * Fraction(1, 6)
+        assert sorted(map(repr, value.coeffs.items())) == \
+            sorted(map(repr, scaled.coeffs.items()))
+        for p, weight in ((1, 1), (2, Fraction(-3, 4)), (3, 5)):
+            assert bidiff_term(f, g, p, weight) == \
+                naive_bidiff(f, g, p) * Fraction(weight, factorial(p))
+    with pytest.raises(ValueError, match="at least 1"):
+        bidiff_term(f, g, 0, 1)
 
 
 def test_bidiff_one_is_poisson(ctx42):

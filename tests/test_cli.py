@@ -520,6 +520,36 @@ def test_package_loads_cli_on_first_use():
     assert proc.stdout == "1\n"
 
 
+def test_import_loads_no_heavy_stdlib_module():
+    """``import superdeform`` stays cheap for short CLI processes: no
+    dataclasses (which brings inspect, ast, dis and tokenize), and neither
+    the CLI module nor the argparse and json it uses.  The check runs in a
+    fresh interpreter, as pytest itself loads inspect, and without site
+    (``-S``), so that nothing an installed .pth file imports can hide a
+    module the package loads."""
+    budget = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse",
+              "json", "superdeform.cli")
+    code = ("import sys, superdeform; "
+            f"print(' '.join(m for m in {budget!r} if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(superdeform.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
+def test_cli_refuses_a_sum_of_two_gradings(capsys):
+    """An odd plus an even form is a cochain of neither complex: a usage
+    error, not a FAIL verdict."""
+    assert run(["cocycle", "--form", "anti + m0", "--n", "2",
+                "--samples", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: anti has the odd grading, but m0 the even one\n"
+
+
 def test_layer_tracer_counts_the_cli_path():
     # the per-layer benchmark rebinds the parsers, builders and cli.run by
     # name; a renamed or captured function would drop out of its counts

@@ -44,6 +44,23 @@ def test_sum_cochain_arity_mismatch(ctx42):
         m0_form(ctx42) + jacobiator(m0_form(ctx42))
 
 
+def test_sum_of_two_gradings_is_refused(ctx22):
+    """A sum of an even and an odd form lies in neither complex, so it is
+    refused in either order, naming both gradings; a sum of one grading
+    keeps it."""
+    anti, m0, m23 = anti_form(ctx22), m0_form(ctx22), m23_form(ctx22)
+    with pytest.raises(ValueError,
+                       match="anti has the odd grading, but m0 the even one"):
+        anti + m0
+    with pytest.raises(ValueError,
+                       match="m0 has the even grading, but anti the odd one"):
+        m0 + anti
+    with pytest.raises(ValueError, match="but m23 the odd one"):
+        m0.scaled(2) + m23
+    assert (anti + m23).grading == ODD
+    assert (m0 + m3_form(ctx22)).grading == EVEN
+
+
 def test_arity_checked_on_evaluate(ctx42):
     f = SuperFunction.x(ctx42, 1)
     with pytest.raises(ArityError):

@@ -17,9 +17,10 @@ from superdeform import (LCG, SampleSpec, Scalar, SuperFunction,
 from superdeform import verify
 from superdeform.brackets import poisson_bracket
 from superdeform.cochains import EVEN, ODD, Cochain, anti_form, m0_form
-from superdeform.deformations import Deformation
+from superdeform.deformations import ConstraintReport, Deformation
 from superdeform.scalars import int_if_integral
-from superdeform.verify import LCG_INC, LCG_MASK, LCG_MULT
+from superdeform.verify import (DEFAULT_SEED, LCG_INC, LCG_MASK, LCG_MULT,
+                                VerificationReport)
 
 
 def test_lcg_constants_and_sequence():
@@ -308,3 +309,88 @@ def test_sample_spec_refuses_invalid_fields(fields, ctx22):
     # sample_tuples widens a spec through the same checks
     with pytest.raises(ValueError, match="count"):
         sample_tuples(SampleSpec(count=1), ctx22, 0)
+
+
+SPEC_FIELDS = ("seed", "count", "max_x_degree", "gauss_weights", "parity",
+               "terms")
+
+
+def test_sample_spec_is_an_immutable_value():
+    """Built from keywords or positions with the same defaults, equal and
+    hashed by value, printed with every field, and refusing assignment."""
+    default = SampleSpec()
+    assert tuple(getattr(default, name) for name in SPEC_FIELDS) == \
+        (DEFAULT_SEED, 50, 2, (1, 2), "any", 1)
+    assert SampleSpec(DEFAULT_SEED, 50, 2, (1, 2), "any", 1) == default
+    assert SampleSpec(5, 7, parity="odd") == \
+        SampleSpec(parity="odd", count=7, seed=5)
+    assert repr(default) == (
+        "SampleSpec(seed=20240801, count=50, max_x_degree=2, "
+        "gauss_weights=(1, 2), parity='any', terms=1)")
+    assert hash(SampleSpec(seed=3, terms=2)) == hash(SampleSpec(3, terms=2))
+    assert SampleSpec(seed=3) != SampleSpec(seed=4)
+    assert len({SampleSpec(seed=3), SampleSpec(3), SampleSpec(4)}) == 2
+    for name in SPEC_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(default, name, 1)
+    with pytest.raises(AttributeError):
+        default.extra = 1
+    with pytest.raises(TypeError):
+        SampleSpec(samples=3)
+    assert default == SampleSpec()
+
+
+@pytest.mark.parametrize("fields", [
+    {"count": 0}, {"terms": -1}, {"parity": "evn"}, {"gauss_weights": ()},
+    {"max_x_degree": -1}],
+    ids=["count_0", "terms_negative", "parity_typo", "no_weights",
+         "negative_x_degree"])
+def test_every_way_to_make_a_spec_validates(fields, ctx22):
+    """``_replace`` and ``_make`` build a spec without ``__new__`` in a
+    plain namedtuple; here they check like the constructor does."""
+    (name,) = fields
+    valid = SampleSpec(seed=2)
+    values = [fields.get(field, getattr(valid, field))
+              for field in SPEC_FIELDS]
+    for make in (lambda: SampleSpec(*values),
+                 lambda: SampleSpec._make(values),
+                 lambda: valid._replace(**fields)):
+        with pytest.raises(ValueError, match=name):
+            make()
+
+
+def test_sample_tuples_widens_the_spec_it_is_given(ctx22):
+    """The widened spec keeps every field but the count, and is checked:
+    a negative tuple size gives a negative count."""
+    spec = SampleSpec(seed=11, count=4, max_x_degree=1, gauss_weights=(2,),
+                      parity="odd", terms=2)
+    flat = sample_superfunctions(spec._replace(count=12), ctx22)
+    got = sample_tuples(spec, ctx22, 3)
+    assert [f for group in got for f in group] == flat
+    with pytest.raises(ValueError, match="count"):
+        sample_tuples(spec, ctx22, -1)
+
+
+def test_reports_and_deformations_get_fresh_containers(ctx22):
+    """Each record starts with its own empty failures, details and
+    params; a given container is kept, not copied."""
+    first = VerificationReport("a", {}, 0)
+    second = VerificationReport(check="b", context={}, sample_count=0)
+    first.failures.append((0, [], "x"))
+    first.details["k"] = 1
+    assert (second.failures, second.details, second.elapsed) == ([], {}, 0.0)
+    assert not first.passed and second.passed
+    assert repr(first) == "<VerificationReport [FAIL] a: 0 samples, 1 failures>"
+    failures = [(1, ["f"], "r")]
+    kept = VerificationReport("c", {}, 2, failures, elapsed=0.5)
+    assert kept.failures is failures and kept.elapsed == 0.5
+    one = Deformation("F", anti_form(ctx22))
+    two = Deformation("G", anti_form(ctx22))
+    one.params["c"] = 1
+    assert two.params == {}
+    params = {"c": 2}
+    assert Deformation("H", anti_form(ctx22), params).params is params
+    zero = SuperFunction.zero(ctx22)
+    assert repr(ConstraintReport({"i": zero}, False)) == \
+        "<ConstraintReport failed: eta_class>"
+    assert ConstraintReport({"i": zero}, True).passed
