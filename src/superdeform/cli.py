@@ -22,18 +22,21 @@ c1c(zeta, kappa, c), c3(zeta, c3), antieven(c), antiodd,
 general(zeta, eta, h1, h2)) and ``_T1`` (zero, bar(z0, scale),
 euler(scale)).  A cochain specification is a linear combination of forms
 with scalar (possibly theta) prefixes.
+
+The commands are eval, cochain, jacobi, cocycle, equiv and theorem.  The
+three brackets are forms, so ``cochain m0|anti|moyal(kappa) F G`` prints
+a bracket value; a form refuses its context or its parameters when it is
+built, whatever its arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from functools import lru_cache
 
-from .brackets import antibracket, moyal_bracket, poisson_bracket
 from .cochains import (anti_form, jzeta_form, m0_form, m1_form, m23_form,
                        m3_form, moyal_form, mu_form, mzeta_form)
 from .deformations import (build_C1, build_C1c, build_C3, build_anti_even,
@@ -326,7 +329,7 @@ _ZETA = ("zeta", "f", None)
 _FORMS = {"m0": (m0_form, ()), "anti": (anti_form, ()),
           "m1": (m1_form, ()), "m3": (m3_form, ()),
           "m23": (m23_form, ()), "mu": (mu_form, ()),
-          "moyal": (moyal_form, (("kappa", "s", None),)),
+          "moyal": (moyal_form, (("kappa", "s", 1),)),
           "mzeta": (mzeta_form, (_ZETA,)), "jzeta": (jzeta_form, (_ZETA,))}
 
 _DEFORMATIONS = {
@@ -404,16 +407,8 @@ def _build_context(args):
     return SymplecticContext(n_plus, n_minus, lambdas, args.k, args.hmax)
 
 
-def _default_seed():
-    env = os.environ.get("SUPERDEFORM_SEED")
-    return int(env) if env else DEFAULT_SEED
-
-
 def _sample_spec(args):
-    for flag, value in (("--samples", args.samples), ("--terms", args.terms)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     return SampleSpec(seed=seed, count=args.samples,
                       parity=args.parity, terms=args.terms)
 
@@ -480,17 +475,12 @@ def _run_theorem(args, ctx):
 
 
 def _value(args, ctx):
-    """The function that ``eval``, ``bracket`` or ``cochain`` writes."""
+    """The function that ``eval`` or ``cochain`` writes."""
     if args.command == "eval":
         return parse_expression(args.expr, ctx)
-    if args.command == "cochain":
-        form = parse_cochain(args.spec, ctx)
-        return form.evaluate(parse_expression(args.f, ctx),
-                             parse_expression(args.g, ctx))
-    f, g = parse_expression(args.f, ctx), parse_expression(args.g, ctx)
-    if args.type == "moyal":
-        return moyal_bracket(f, g, parse_scalar(args.kappa, ctx))
-    return (antibracket if args.type == "anti" else poisson_bracket)(f, g)
+    form = parse_cochain(args.spec, ctx)
+    return form.evaluate(parse_expression(args.f, ctx),
+                         parse_expression(args.g, ctx))
 
 
 _COMMON_OPTIONS = (
@@ -546,13 +536,6 @@ def make_parser():
 
     p = sub_add("eval", help="parse and canonicalize an expression")
     p.add_argument("expr")
-
-    p = sub_add("bracket", help="evaluate a bracket of two functions")
-    p.add_argument("--type", choices=["poisson", "anti", "moyal"],
-                   default="poisson")
-    p.add_argument("--kappa", default="1")
-    p.add_argument("f")
-    p.add_argument("g")
 
     p = sub_add("cochain", help="evaluate a 2-cochain specification")
     p.add_argument("spec")

@@ -120,13 +120,23 @@ def m0_form(ctx):
     return Cochain(ctx, 2, 0, poisson_bracket, EVEN, name="m0")
 
 
+def _require_square(ctx, name):
+    """Refuse a context with n_plus != n_minus, which has no antibracket."""
+    if ctx.n_plus != ctx.n_minus:
+        raise ValueError(f"{name} requires n_plus == n_minus")
+
+
 def anti_form(ctx):
+    _require_square(ctx, "anti")
     return Cochain(ctx, 2, 0, antibracket, ODD, name="anti")
 
 
 def moyal_form(ctx, kappa=1):
+    kappa = _own_scalar(ctx, kappa)
+    if not kappa.is_theta_free():
+        raise ValueError("kappa must be theta-free")
     return Cochain(ctx, 2, 0, lambda f, g: moyal_bracket(f, g, kappa),
-                    EVEN, name="moyal")
+                   EVEN, name="moyal")
 
 
 def m1(f, g):
@@ -194,8 +204,7 @@ def jzeta_form(ctx, zeta):
 
 def m23_form(ctx):
     """The odd antibracket cocycle built from 1 - N_xi."""
-    if ctx.n_plus != ctx.n_minus:
-        raise ValueError("this form requires n_plus == n_minus")
+    _require_square(ctx, "m23")
 
     def one_minus_nxi(f):
         return f - f.number_xi()

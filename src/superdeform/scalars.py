@@ -434,17 +434,19 @@ class Scalar(FlatSum):
         return result
 
     def __eq__(self, other):
-        if isinstance(other, Rational):
-            other = Scalar.rational(self.ctx, other)
-        elif not isinstance(other, Scalar):
-            return NotImplemented
+        if not isinstance(other, Scalar):
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
-        # a rational Scalar equals its value, so it hashes as that number
+        # a rational Scalar equals its value, so it hashes as that number;
+        # any other equals a RadicalNumber of its value, whatever its
+        # context, so the context stays out of the hash
         if self.coeffs.keys() <= {(0, 0, 0, 0, 1)}:
             return hash(self.coeffs.get((0, 0, 0, 0, 1), 0))
-        return hash((self.ctx, self.freeze()))
+        return hash(self.freeze())
 
     # -- rendering ---------------------------------------------------------
 
@@ -552,6 +554,8 @@ class RadicalNumber:
         return RadicalNumber._of(-self.scalar)
 
     def __eq__(self, other):
+        if isinstance(other, Scalar):
+            return NotImplemented
         return self.scalar == _lift(other)
 
     def __hash__(self):

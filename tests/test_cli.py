@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -187,7 +188,7 @@ def test_call_grammar_errors_exit_two(argv, message, capsys):
 # -- end-to-end command runs ------------------------------------------------
 
 def test_cli_bracket_prints_one(capsys):
-    assert run(["bracket", "--type", "poisson", "x1", "x2"]) == 0
+    assert run(["cochain", "m0", "x1", "x2"]) == 0
     assert capsys.readouterr().out.strip() == "1"
 
 
@@ -246,18 +247,11 @@ def test_cli_equiv_golden_and_failure(capsys):
     assert data["pass"] is False
 
 
-def test_cli_seed_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("SUPERDEFORM_SEED", "99")
-    code = run(["jacobi", "--deformation", "c3(zeta=hbar^2*x1)",
-                "--samples", "4"])
-    assert code == 0
-
-
 @pytest.mark.parametrize("argv, expect", [
     (["eval", "xi2*xi1"], "-1*xi1*xi2"),
-    (["bracket", "x1", "x2"], "1"),
     (["cochain", "m0", "x1", "x2"], "1"),
-], ids=["eval", "bracket", "cochain"])
+    (["cochain", "moyal", "x1", "x2"], "1"),
+], ids=["eval", "cochain", "cochain_moyal"])
 def test_cli_output_file_for_every_command(argv, expect, tmp_path, capsys):
     out = tmp_path / "value.txt"
     assert run([*argv, "--output", str(out)]) == 0
@@ -266,15 +260,14 @@ def test_cli_output_file_for_every_command(argv, expect, tmp_path, capsys):
 
 
 def test_cli_flags_before_or_after_subcommand(capsys):
-    assert run(["--n", "2", "bracket", "--type", "anti", "x1", "xi1"]) == 0
+    assert run(["--n", "2", "cochain", "anti", "x1", "xi1"]) == 0
     assert capsys.readouterr().out.strip() == "1"
-    assert run(["bracket", "--type", "anti", "--n", "2", "x1", "xi1"]) == 0
+    assert run(["cochain", "--n", "2", "anti", "x1", "xi1"]) == 0
     assert capsys.readouterr().out.strip() == "1"
 
 
 def test_cli_moyal_kappa(capsys):
-    assert run(["bracket", "--type", "moyal", "--kappa", "2",
-                "x1^3", "x2^3"]) == 0
+    assert run(["cochain", "moyal(2)", "x1^3", "x2^3"]) == 0
     text = capsys.readouterr().out.strip()
     assert "hbar^2" in text and "x1^2*x2^2" in text
 
@@ -328,9 +321,12 @@ def test_cli_rejects_counts_below_one(flags, capsys):
     ["--nplus", "x", "eval", "x1"],
     ["eval", "-x1/2"],
     ["eval", "sqrt(2305843009213693951)"],
+    ["cochain", "anti", "0", "x1", "--nplus", "4", "--nminus", "2"],
+    ["cochain", "moyal(th1)", "0", "x1"],
 ], ids=["output_dir_missing", "deep_nesting", "missing_option",
         "bad_int_option", "leading_minus_without_dashes",
-        "radicand_above_bound"])
+        "radicand_above_bound", "anti_form_at_unequal_dimensions",
+        "moyal_form_with_theta_kappa"])
 def test_cli_errors_exit_two_without_traceback(argv, tmp_path, capsys):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert run(argv) == 2
@@ -479,18 +475,30 @@ _EXPRESSIONS = st.one_of(
         max_leaves=6))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(_EXPRESSIONS, _EXPRESSIONS)
-def test_cli_grammar_fuzz(f, g):
-    # "--" hands an expression such as "-x1/2" to the grammar, not argparse
-    for argv in (["eval", "--", f],
-                 ["bracket", "--type", "moyal", "--", f, g]):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        assert err.getvalue().count("error:") <= 1
+def test_cli_grammar_fuzz():
+    codes = {"eval": [], "cochain": []}
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(_EXPRESSIONS, _EXPRESSIONS)
+    def fuzz(f, g):
+        # "--" hands an expression such as "-x1/2" to the grammar, not
+        # argparse
+        for argv in (["eval", "--", f], ["cochain", "--", "moyal", f, g]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            assert err.getvalue().count("error:") <= 1
+            codes[argv[0]].append(code)
+
+    fuzz()
+    # a command that refused every input would pass the checks above
+    # without running the grammar or the bracket once
+    for command, seen in codes.items():
+        assert seen.count(0) >= 10, (command, seen)
 
 
 def test_python_m_cli_prints_one_error_line():
@@ -575,6 +583,32 @@ def test_layer_tracer_counts_the_cli_path():
     assert calls["cli.parse"] >= 1 and calls["cochains.evaluate"] >= 1
 
 
+def _readme_cli_examples():
+    """The ``superdeform ...`` command lines of the README's CLI example
+    block, backslash continuations joined, as argument lists."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Command-line interface"):]
+    start = section.index("```sh\n") + len("```sh\n")
+    block = section[start:section.index("```", start)]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("superdeform ")]
+
+
+def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch, capsys):
+    """Every example command of the README runs and exits 0, so the docs
+    name no removed command or option."""
+    examples = _readme_cli_examples()
+    assert len(examples) >= 7
+    assert any(argv[0] == "cochain" for argv in examples)
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        assert run(argv) == 0, (argv, capsys.readouterr().err)
+        capsys.readouterr()
+
+
 def test_cli_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["jacobi", "--help"])
@@ -582,8 +616,7 @@ def test_cli_help_exits_zero(capsys):
     assert "--deformation" in capsys.readouterr().out
 
 
-def test_one_parser_per_process_keeps_no_state(tmp_path, monkeypatch,
-                                               capsys):
+def test_one_parser_per_process_keeps_no_state(tmp_path, capsys):
     """make_parser builds the parser once; a run leaves nothing in it for
     the next: not a parsed value, not --output, not --seed."""
     from superdeform.cli import make_parser
@@ -599,7 +632,6 @@ def test_one_parser_per_process_keeps_no_state(tmp_path, monkeypatch,
     assert capsys.readouterr().out == "x2\n"
     assert out.read_text() == "x1\n"
     # the first failure shows sampled functions, so it shows the seed
-    monkeypatch.delenv("SUPERDEFORM_SEED", raising=False)
     wrong = ["equiv", "--c1", "c3(zeta=hbar^2*x1*gauss(1) + hbar^2*gauss(1))",
              "--c2", "c3(zeta=hbar^2*x1*gauss(1))", "--order", "2",
              "--samples", "40", "--t1", "bar(gauss(1),1)"]

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from superdeform import (ArityError, ContextMismatchError, Scalar,
-                         SuperFunction, SymplecticContext, anti_form, d_ad,
-                         jacobiator, jzeta_form, m0_form, m1_form, m23_form,
-                         m3_form, moyal_form, mu_form, mzeta_form,
-                         poisson_bracket)
+                         ScalarContext, SuperFunction, SymplecticContext,
+                         anti_form, d_ad, jacobiator, jzeta_form, m0_form,
+                         m1_form, m23_form, m3_form, moyal_bracket,
+                         moyal_form, mu_form, mzeta_form, poisson_bracket)
 from superdeform.cochains import (EVEN, ODD, Cochain, _bar_pairing, m1,
                                   grading_parity)
 
@@ -196,6 +196,26 @@ def test_moyal_form_jacobiator(ctx42):
     rng = seeded(61)
     f, g, h = (rand_d(rng, ctx42) for _ in range(3))
     assert J.evaluate(f, g, h).is_zero()
+
+
+def test_forms_refuse_bad_parameters_when_built(ctx42):
+    """A form refuses its context or kappa before any argument is seen, so
+    that a zero argument, which is never passed to the kernel, cannot hide
+    the refusal."""
+    with pytest.raises(ValueError, match="anti requires n_plus == n_minus"):
+        anti_form(ctx42)
+    with pytest.raises(ValueError, match="m23 requires n_plus == n_minus"):
+        m23_form(ctx42)
+    theta = Scalar.theta(ctx42.scalar_ctx, 1)
+    with pytest.raises(ValueError, match="kappa must be theta-free"):
+        moyal_form(ctx42, theta)
+    with pytest.raises(ContextMismatchError):
+        moyal_form(ctx42, Scalar.one(ScalarContext(k=2)))
+    f = SuperFunction.term(ctx42, (3, 0, 0, 0))
+    g = SuperFunction.term(ctx42, (0, 3, 0, 0), 1, xi=(1,))
+    for kappa in (1, Fraction(1, 2), Scalar.hbar(ctx42.scalar_ctx, 2)):
+        assert moyal_form(ctx42, kappa).evaluate(f, g) == \
+            moyal_bracket(f, g, kappa)
 
 
 def test_grading_parity_helper(ctx42):
