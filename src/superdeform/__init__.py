@@ -14,8 +14,7 @@ from .brackets import antibracket, bidiff_power, moyal_bracket, poisson_bracket
 from .cochains import (Cochain, anti_form, d_ad, jacobiator, jzeta_form,
                        m0_form, m1_form, m23_form, m3_form, moyal_form,
                        mu_form, mzeta_form)
-from .deformations import (ConstraintReport, Deformation, build_C1,
-                           build_C1c, build_C3, build_anti_even,
+from .deformations import (build_C1, build_C1c, build_C3, build_anti_even,
                            build_anti_odd, build_general_odd,
                            check_constraints, check_equivalence, solve_eta,
                            t1_bar_multiplier, t1_euler)
@@ -42,8 +41,8 @@ def __getattr__(name):
 
 
 __all__ = [
-    "ArityError", "Cochain", "ConstraintReport", "ContextMismatchError",
-    "Deformation", "DeformationError", "LCG", "NotIntegrableError",
+    "ArityError", "Cochain", "ContextMismatchError", "DeformationError",
+    "LCG", "NotIntegrableError",
     "ParseError", "RadicalNumber", "SampleSpec", "Scalar", "ScalarContext",
     "SuperFunction", "SymplecticContext",
     "VerificationReport", "anti_form", "antibracket", "bidiff_power",

@@ -48,10 +48,11 @@ from functools import lru_cache
 from math import factorial
 from operator import add
 
+from .errors import DeformationError
 from .scalars import (Scalar, accumulate, int_if_integral, merge_odd_indices,
                       mul_into)
-from .superfunc import (SuperFunction, _grouped, _make, _own_scalar, bump,
-                        x_steps)
+from .superfunc import (SuperFunction, _grouped, _make, _own_scalar,
+                        _require_square, bump, x_steps)
 
 
 def poisson_bracket(f, g):
@@ -61,8 +62,7 @@ def poisson_bracket(f, g):
 
 def antibracket(f, g):
     """The odd bracket pairing x_i with xi_i; needs n_plus == n_minus."""
-    if f.ctx.n_plus != f.ctx.n_minus:
-        raise ValueError("antibracket requires n_plus == n_minus")
+    _require_square(f.ctx, "antibracket")
     return _first_order(f, g, 1, _anti_channels)
 
 
@@ -348,6 +348,14 @@ def bidiff_term(f, g, p, weight):
         f, g, ((p, Scalar.rational(f.ctx.scalar_ctx, weight)),), {})
 
 
+def _own_kappa(ctx, kappa):
+    """``kappa`` as a Scalar of ctx, refused when it carries a theta."""
+    kappa = _own_scalar(ctx, kappa)
+    if not kappa.is_theta_free():
+        raise DeformationError("kappa must be theta-free", relation="kappa")
+    return kappa
+
+
 def moyal_bracket(f, g, kappa=1):
     """Deformed bracket: sum over odd p of (h kappa)^(p-1)/p! times the p-th
     bidifferential power, truncated at the context order.
@@ -356,9 +364,7 @@ def moyal_bracket(f, g, kappa=1):
     reduces to the Poisson bracket.
     """
     f._check(g)
-    kappa = _own_scalar(f.ctx, kappa)
-    if not kappa.is_theta_free():
-        raise ValueError("kappa must be theta-free")
+    kappa = _own_kappa(f.ctx, kappa)
     if not (f.coeffs and g.coeffs):
         return SuperFunction.zero(f.ctx)
     if len(_TABLES) > _TABLE_BOUND:

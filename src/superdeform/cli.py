@@ -457,11 +457,8 @@ def _run_theorem(args, ctx):
     h1 = parse_scalar(args.h1, ctx)
     h2 = parse_scalar(args.h2, ctx)
     report = check_constraints(zeta, eta, h1, h2)
-    data = {"check": "theorem[multi]", "constraints": {
-        name: ("0" if r.is_zero() else r.render())
-        for name, r in report.residuals.items()},
-        "eta_d_class": report.eta_d_class,
-        "pass": report.passed}
+    data = {"check": "theorem[multi]", **report.details,
+            "pass": report.passed}
     if report.passed:
         jreport = check_jacobi(build_general_odd(zeta, eta, h1, h2), spec)
         data["jacobi"] = jreport.core_dict()
@@ -469,7 +466,8 @@ def _run_theorem(args, ctx):
         detail = (f"constraints hold, jacobi {jreport.sample_count} samples, "
                   f"{len(jreport.failures)} failures")
     else:
-        detail = "constraints fail: " + ", ".join(report.failed_relations())
+        detail = "constraints fail: " + ", ".join(
+            labels[0] for _index, labels, _text in report.failures)
     state = "PASS" if data["pass"] else "FAIL"
     return _emit(data, f"[{state}] theorem[multi]: {detail}", args)
 

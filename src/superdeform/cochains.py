@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from itertools import product
 
-from .brackets import antibracket, bidiff_term, moyal_bracket, poisson_bracket
+from .brackets import (_own_kappa, antibracket, bidiff_term, moyal_bracket,
+                       poisson_bracket)
 from .errors import ArityError
-from .superfunc import SuperFunction, _own_scalar, sf_mul
+from .superfunc import SuperFunction, _own_scalar, _require_square, sf_mul
 
 EVEN, ODD = "even", "odd"
 
@@ -44,7 +45,13 @@ class Cochain:
         self.fn = fn
         self.grading = grading
         self.name = name or type(self).__name__
+        self.params = {}
         self._cache = {}
+
+    @property
+    def flavor(self):
+        # perfbench/workloads.py reads a deformation's name as its flavor
+        return self.name
 
     def evaluate(self, *args):
         if len(args) != self.arity:
@@ -120,21 +127,13 @@ def m0_form(ctx):
     return Cochain(ctx, 2, 0, poisson_bracket, EVEN, name="m0")
 
 
-def _require_square(ctx, name):
-    """Refuse a context with n_plus != n_minus, which has no antibracket."""
-    if ctx.n_plus != ctx.n_minus:
-        raise ValueError(f"{name} requires n_plus == n_minus")
-
-
 def anti_form(ctx):
     _require_square(ctx, "anti")
     return Cochain(ctx, 2, 0, antibracket, ODD, name="anti")
 
 
 def moyal_form(ctx, kappa=1):
-    kappa = _own_scalar(ctx, kappa)
-    if not kappa.is_theta_free():
-        raise ValueError("kappa must be theta-free")
+    kappa = _own_kappa(ctx, kappa)
     return Cochain(ctx, 2, 0, lambda f, g: moyal_bracket(f, g, kappa),
                    EVEN, name="moyal")
 

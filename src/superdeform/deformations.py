@@ -4,16 +4,18 @@ theorem.
 
 Every builder enforces its membership preconditions (parameters vanishing in
 the classical limit, even power series in h, parity assignments) and raises
-DeformationError naming the violated clause.  The constructed object wraps
-an evaluable 2-cochain plus the parameter record.
+DeformationError naming the violated clause.  A deformation is its bracket:
+an arity-2 Cochain of total parity 0, named by its flavor (C1, C1c, C3,
+ANTI_EVEN, ANTI_ODD, GENERAL_ODD), whose ``grading`` says which parity its
+Jacobi identity uses and whose ``params`` hold the data it was built from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .brackets import antibracket, moyal_bracket, poisson_bracket
-from .cochains import (Cochain, EVEN, ODD, anti_form, jzeta_form, m0_form,
+from .brackets import _own_kappa, antibracket, moyal_bracket, poisson_bracket
+from .cochains import (Cochain, EVEN, anti_form, jzeta_form, m0_form,
                        m1, m1_form, m23_form, m3_form, mu_form, mzeta_form,
                        zeta_form_parity)
 from .errors import DeformationError, NotIntegrableError
@@ -25,29 +27,6 @@ C1, C1C, C3 = "C1", "C1c", "C3"
 ANTI_EVEN, ANTI_ODD, GENERAL_ODD = "ANTI_EVEN", "ANTI_ODD", "GENERAL_ODD"
 
 ETABAR_MAX_STEPS = 64  # solve_eta's bound on the etabar fixed-point steps
-
-
-class Deformation:
-    """A deformed bracket with its parameter record.
-
-    ``bracket`` is an arity-2 cochain of total parity 0; its ``ctx`` is the
-    deformation's context and its ``grading`` says which parity the Jacobi
-    identity of this bracket uses.  ``params`` holds the data it was built
-    from.
-    """
-
-    def __init__(self, flavor, bracket, params=None):
-        self.flavor = flavor
-        self.bracket = bracket
-        self.params = {} if params is None else params
-
-    def evaluate(self, f, g):
-        return self.bracket.evaluate(f, g)
-
-    __call__ = evaluate
-
-    def __repr__(self):
-        return f"<Deformation {self.flavor} at {self.bracket.ctx}>"
 
 
 # -- membership predicates --------------------------------------------------
@@ -98,11 +77,9 @@ def build_C1c(zeta, kappa=1, c=0):
 def _moyal_deformation(flavor, zeta, kappa, c):
     """The C1 bracket, with the term c*fbar*gbar unless ``c`` is None."""
     ctx = zeta.ctx
-    kappa = _own_scalar(ctx, kappa)
+    kappa = _own_kappa(ctx, kappa)
     _require_even_fn(zeta, "zeta")
     _require_parity(zeta, 0, "zeta")
-    if not kappa.is_theta_free():
-        raise DeformationError("kappa must be theta-free", relation="kappa")
     if not kappa.is_even_or_odd_series():
         raise DeformationError(
             "kappa must be an even or odd series in hbar so that "
@@ -132,7 +109,8 @@ def _moyal_deformation(flavor, zeta, kappa, c):
         return out
 
     form = Cochain(ctx, 2, 0, fn, EVEN, name=flavor)
-    return Deformation(flavor, form, params)
+    form.params = params
+    return form
 
 
 def build_C3(zeta, c3=0):
@@ -155,9 +133,8 @@ def build_C3(zeta, c3=0):
         form = form + mzeta_form(ctx, zeta)
     if not c3.is_zero():
         form = form + m3_form(ctx).scaled(c3)
-    form.name = "C3"
-    params = {"zeta": zeta, "c3": c3}
-    return Deformation(C3, form, params)
+    form.name, form.params = C3, {"zeta": zeta, "c3": c3}
+    return form
 
 
 # -- antibracket deformations ----------------------------------------------
@@ -175,16 +152,14 @@ def build_anti_even(ctx, c):
     lowest h-degree is at most h_max - deg(c); any later term lies above
     h_max and is zero.  At c = 0 the resolvent is zero and the bracket is
     the plain antibracket."""
-    if ctx.n_plus != ctx.n_minus:
-        raise DeformationError("the antibracket needs n_plus == n_minus",
-                               relation="context")
+    form = anti_form(ctx)
     c = _own_scalar(ctx, c)
     _require_param(c, "c")
     if not c.is_theta_free():
         raise DeformationError("c must be theta-free", relation="c")
+    form.name, form.params = ANTI_EVEN, {"c": c}
     if c.is_zero():
-        form = Cochain(ctx, 2, 0, antibracket, ODD, name="anti_even")
-        return Deformation(ANTI_EVEN, form, {"c": c})
+        return form
     half = c * Fraction(-1, 2)
     last = ctx.h_max - c.hbar_min_degree()
 
@@ -206,48 +181,23 @@ def build_anti_even(ctx, c):
             out = out + sf_mul(f.euler_E(), dg)
         return out
 
-    form = Cochain(ctx, 2, 0, fn, ODD, name="anti_even")
-    return Deformation(ANTI_EVEN, form, {"c": c})
+    form.fn = fn
+    return form
 
 
 def build_anti_odd(ctx):
     """[f,g]* = [f,g] + theta*m_{2|3}(f,g); exact since theta^2 = 0."""
-    if ctx.n_plus != ctx.n_minus:
-        raise DeformationError("the antibracket needs n_plus == n_minus",
-                               relation="context")
+    anti = anti_form(ctx)
     if ctx.scalar_ctx.k < 1:
         raise DeformationError("an odd parameter theta_1 is required (k >= 1)",
                                relation="context")
     theta = Scalar.theta(ctx.scalar_ctx, 1)
-    form = anti_form(ctx) + m23_form(ctx).scaled(theta)
-    form.name = "anti_odd"
-    return Deformation(ANTI_ODD, form)
+    form = anti + m23_form(ctx).scaled(theta)
+    form.name = ANTI_ODD
+    return form
 
 
 # -- the k-odd-parameter system --------------------------------------------
-
-class ConstraintReport:
-    """Residuals of the three relations plus the D-class requirement."""
-
-    def __init__(self, residuals, eta_d_class):
-        self.residuals = residuals
-        self.eta_d_class = eta_d_class
-
-    @property
-    def passed(self):
-        return not self.failed_relations()
-
-    def failed_relations(self):
-        out = [name for name, r in self.residuals.items()
-               if not r.is_zero()]
-        if not self.eta_d_class:
-            out.append("eta_class")
-        return out
-
-    def __repr__(self):
-        failed = ", ".join(self.failed_relations()) or "none"
-        return f"<ConstraintReport failed: {failed}>"
-
 
 def _relation_one(zeta, eta, h1, h2, etabar):
     """eta + theta h1 m1(zeta,zeta) + theta[2E - (2+n+-n-)]zeta
@@ -266,8 +216,10 @@ def _relation_one(zeta, eta, h1, h2, etabar):
 
 
 def check_constraints(zeta, eta, h1, h2):
-    """Evaluate the three relations of the final theorem and the D-class
-    requirement on eta; all residuals are returned, nothing is raised."""
+    """The three relations of the final theorem and the D-class
+    requirement on eta, as one check: a failure per nonzero relation
+    (labelled i, ii, iii) and one labelled eta_class for a non-D eta; each
+    relation rendered in ``details["constraints"]``.  Nothing is raised."""
     ctx = zeta.ctx
     sctx = ctx.scalar_ctx
     h1 = _own_scalar(ctx, h1)
@@ -286,7 +238,18 @@ def check_constraints(zeta, eta, h1, h2):
             ctx, theta * ((1 + ctx.n_plus - ctx.n_minus) * h2)
             - etabar * h2),
     }
-    return ConstraintReport(residuals, eta.is_d_class())
+    rendered = {name: r.render() for name, r in residuals.items()}
+    d_class = eta.is_d_class()
+
+    def rule():
+        for name, text in rendered.items():
+            if text != "0":
+                yield (name,), text
+        if not d_class:
+            yield ("eta_class",), (eta - eta.d_class_part()).render()
+
+    return _run("constraints", ctx, [()], rule,
+                {"constraints": rendered, "eta_d_class": d_class})
 
 
 def solve_eta(zeta, h1, h2):
@@ -297,8 +260,9 @@ def solve_eta(zeta, h1, h2):
 
     The unknown scalar etabar is resolved by iterating the bar of the
     right-hand side to its fixed point (finitely many steps: the update is
-    nilpotent in theta and raises the h-order).  Returns (eta, report)
-    where the report lists the non-D obstruction terms that h2 must cancel.
+    nilpotent in theta and raises the h-order).  Returns (eta, report),
+    the constraint report of eta with one more relation, ``obstruction``:
+    the non-D terms that h2 must cancel, a failure when nonzero.
     """
     ctx = zeta.ctx
     sctx = ctx.scalar_ctx
@@ -327,9 +291,11 @@ def solve_eta(zeta, h1, h2):
         raise DeformationError(
             f"bar obstruction while solving for eta: {exc}",
             relation="i") from exc
-    obstruction = eta - eta.d_class_part()
+    obstruction = (eta - eta.d_class_part()).render()
     report = check_constraints(zeta, eta, h1, h2)
-    report.residuals["obstruction"] = obstruction
+    report.details["constraints"]["obstruction"] = obstruction
+    if obstruction != "0":
+        report.failures.append((0, ["obstruction"], obstruction))
     return eta, report
 
 
@@ -342,7 +308,8 @@ def build_general_odd(zeta, eta, h1, h2):
     h2 = _own_scalar(ctx, h2)
     report = check_constraints(zeta, eta, h1, h2)
     if not report.passed:
-        failed = ", ".join(report.failed_relations())
+        failed = ", ".join(labels[0] for _index, labels, _text
+                           in report.failures)
         raise DeformationError(
             f"constraint system violated: {failed}", relation=failed)
     theta = Scalar.theta(sctx, 1)
@@ -354,9 +321,9 @@ def build_general_odd(zeta, eta, h1, h2):
             jzeta_form(ctx, zeta).scaled(th1)
     if not eta.is_zero():
         form = form + mu_form(ctx).times(eta)
-    form.name = "general_odd"
-    params = {"zeta": zeta, "eta": eta, "h1": h1, "h2": h2}
-    return Deformation(GENERAL_ODD, form, params)
+    form.name = GENERAL_ODD
+    form.params = {"zeta": zeta, "eta": eta, "h1": h1, "h2": h2}
+    return form
 
 
 # -- equivalence -----------------------------------------------------------
@@ -384,7 +351,7 @@ def check_equivalence(defo1, defo2, t1, samples, order=None):
     ``details["t1_active_pairs"]`` counts the pairs on which T1 changes f,
     g or C1(f,g); only those pairs can tell a wrong T1 from the right one.
     """
-    ctx = defo1.bracket.ctx
+    ctx = defo1.ctx
     hbar2 = Scalar.hbar(ctx.scalar_ctx) ** 2
     details = {"t1_active_pairs": 0}
 

@@ -14,7 +14,7 @@ class ArityError(ValueError):
 
 
 class DeformationError(ValueError):
-    """A deformation constructor precondition failed.
+    """A context or parameter precondition failed.
 
     ``relation`` names the violated clause so callers can report it.
     """

@@ -60,7 +60,7 @@ from fractions import Fraction
 from numbers import Rational
 from operator import add, lt
 
-from .errors import ContextMismatchError, NotIntegrableError
+from .errors import ContextMismatchError, DeformationError, NotIntegrableError
 from .scalars import (FlatSum, Scalar, ScalarContext, accumulate,
                       int_if_integral, merge_odd_indices, mul_into,
                       render_sum)
@@ -443,8 +443,7 @@ class SuperFunction(FlatSum):
     def delta_op(self):
         """Sum over i of d/dx_i d/dxi_i; needs n_plus == n_minus."""
         ctx = self.ctx
-        if ctx.n_plus != ctx.n_minus:
-            raise ValueError("delta operator requires n_plus == n_minus")
+        _require_square(ctx, "delta operator")
         out = {}
         for (xexp, c, xi), items in _grouped(self).items():
             # the left xi-derivative passes the theta part
@@ -504,6 +503,13 @@ def _own_scalar(ctx, value):
         raise ContextMismatchError(
             f"scalar context {value.ctx} is not {sctx}")
     return value
+
+
+def _require_square(ctx, name):
+    """Refuse a context with n_plus != n_minus, which has no antibracket."""
+    if ctx.n_plus != ctx.n_minus:
+        raise DeformationError(f"{name} requires n_plus == n_minus",
+                               relation="context")
 
 
 def _grouped(f):

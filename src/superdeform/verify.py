@@ -15,7 +15,7 @@ import time
 from collections import namedtuple
 
 from .brackets import poisson_bracket
-from .cochains import EVEN, ODD, d_ad, grading_parity, jacobiator, m0_form
+from .cochains import ODD, d_ad, grading_parity, jacobiator
 from .scalars import Scalar, accumulate
 from .superfunc import SuperFunction
 
@@ -200,11 +200,11 @@ def _vanishes(evaluate):
 # -- the named checks ------------------------------------------------------
 
 def check_jacobi(defo, spec):
-    """J(C,C) = 0 on sampled triples, with the residual split by
-    theta-grade so the J(C0,C0) and J(C0, theta C1) components are
-    reported separately."""
-    ctx = defo.bracket.ctx
-    J = jacobiator(defo.bracket)
+    """J(C,C) = 0 on sampled triples of the bracket C = ``defo``, with the
+    residual split by theta-grade so the J(C0,C0) and J(C0, theta C1)
+    components are reported separately."""
+    ctx = defo.ctx
+    J = jacobiator(defo)
     grade_fail = {}
 
     def rule(f, g, h):
@@ -216,9 +216,9 @@ def check_jacobi(defo, spec):
                 grade_fail[str(w)] = grade_fail.get(str(w), 0) + 1
         yield (), residual.render()
 
-    return _run(f"jacobi[{defo.flavor}]", ctx, sample_tuples(spec, ctx, 3),
+    return _run(f"jacobi[{defo.name}]", ctx, sample_tuples(spec, ctx, 3),
                 rule, {"theta_grade_failures": grade_fail,
-                       "flavor": defo.flavor})
+                       "flavor": defo.name})
 
 
 def check_cocycle(form, spec, bracket=None):
@@ -277,7 +277,7 @@ def check_grading(defo, spec):
     """The bracket adds parities: in the grading of the deformation,
     parity(C(f,g)) = parity(f) + parity(g) on homogeneous samples.  A
     nonzero value of mixed parity fails."""
-    ctx, grading = defo.bracket.ctx, defo.bracket.grading
+    ctx, grading = defo.ctx, defo.grading
 
     def rule(f, g):
         value = defo.evaluate(f, g)
@@ -288,7 +288,7 @@ def check_grading(defo, spec):
         if got != expect:
             yield (), f"eps {'mixed' if got is None else got} != {expect}"
 
-    return _run(f"grading[{defo.flavor}]", ctx, sample_tuples(spec, ctx, 2),
+    return _run(f"grading[{defo.name}]", ctx, sample_tuples(spec, ctx, 2),
                 rule)
 
 

@@ -323,10 +323,15 @@ def test_cli_rejects_counts_below_one(flags, capsys):
     ["eval", "sqrt(2305843009213693951)"],
     ["cochain", "anti", "0", "x1", "--nplus", "4", "--nminus", "2"],
     ["cochain", "moyal(th1)", "0", "x1"],
+    ["jacobi", "--deformation", "antieven(c=hbar^2)", "--nplus", "4",
+     "--nminus", "2"],
+    ["jacobi", "--deformation", "antiodd", "--nplus", "4", "--nminus", "2"],
+    ["cochain", "m23", "x1", "x2", "--nplus", "4", "--nminus", "2"],
 ], ids=["output_dir_missing", "deep_nesting", "missing_option",
         "bad_int_option", "leading_minus_without_dashes",
         "radicand_above_bound", "anti_form_at_unequal_dimensions",
-        "moyal_form_with_theta_kappa"])
+        "moyal_form_with_theta_kappa", "antieven_at_unequal_dimensions",
+        "antiodd_at_unequal_dimensions", "m23_form_at_unequal_dimensions"])
 def test_cli_errors_exit_two_without_traceback(argv, tmp_path, capsys):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert run(argv) == 2
@@ -387,6 +392,37 @@ def test_cli_equiv_output_is_pinned(t1, seed, samples, capsys):
     blob = f"{captured.out}\0{captured.err}\0{code}".encode()
     assert hashlib.sha256(blob).hexdigest() == \
         EQUIV_OUTPUT_SHA256[t1, seed, samples], captured.err
+
+
+# sha256 of stdout, stderr and exit code of whole theorem runs: the witness
+# at (4, 5), the perturbed witness at (4, 3), a constant eta (relation i and
+# the D class fail) and the (0, 1) case whose constraints hold but whose
+# Jacobi check fails
+_THEOREM = ["theorem", "--k", "2", "--zeta", "xi1", "--h1", "th2",
+            "--h2", "1"]
+THEOREM_OUTPUT_SHA256 = {
+    "witness": (
+        ["--nplus", "4", "--nminus", "5", "--samples", "3"],
+        "b21dfbea4b9242d89a9647a404781adfd8977046d5f0a02fc0df7a4b8d2554df"),
+    "perturbed": (
+        ["--nplus", "4", "--nminus", "3"],
+        "011cf571f323010b0728f37a40d7d7d051cc510256b60a7a0519f125ad30a07f"),
+    "eta_not_d_class": (
+        ["--nplus", "4", "--nminus", "5", "--eta", "1"],
+        "6e27a2b247fbecc4c54e6c93c74b5787145603f7ade3fa969c9846a61422e7c9"),
+    "jacobi_fails_at_0_1": (
+        ["--nplus", "0", "--nminus", "1"],
+        "f88d10f6735e7d31be2673fe4fddf17fc1eda39a8c80a4ea25a6e18f2658e0e7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(THEOREM_OUTPUT_SHA256))
+def test_cli_theorem_output_is_pinned(case, capsys):
+    flags, digest = THEOREM_OUTPUT_SHA256[case]
+    code = run(_THEOREM + flags)
+    captured = capsys.readouterr()
+    blob = f"{captured.out}\0{captured.err}\0{code}".encode()
+    assert hashlib.sha256(blob).hexdigest() == digest, captured.err
 
 
 def test_cli_theorem_report_keys_and_summary(capsys):
@@ -570,7 +606,14 @@ def test_layer_tracer_counts_the_cli_path():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = cli.run(['jacobi', '--deformation', 'antiodd()',\n"
             "                    '--n', '2', '--samples', '1'])\n"
-            "print(json.dumps({'code': code, 'calls': tracer.calls}))\n")
+            "jacobi = dict(tracer.calls)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    theorem = cli.run(['theorem', '--nplus', '4', '--nminus',\n"
+            "                       '5', '--k', '2', '--zeta', 'xi1',\n"
+            "                       '--h1', 'th2', '--h2', '1',\n"
+            "                       '--samples', '1'])\n"
+            "print(json.dumps({'code': code, 'calls': jacobi,\n"
+            "                  'theorem': theorem, 'after': tracer.calls}))\n")
     path = os.pathsep.join(os.path.join(root, d) for d in ("src", "perfbench"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path),
@@ -581,6 +624,13 @@ def test_layer_tracer_counts_the_cli_path():
     calls = data["calls"]
     assert calls["cli.run"] == 1 and calls["deformations.build"] == 1
     assert calls["cli.parse"] >= 1 and calls["cochains.evaluate"] >= 1
+    # the theorem command checks its constraints and then its Jacobi
+    # identity, both seen by the tracer
+    assert data["theorem"] == 0
+    after = data["after"]
+    assert after["cli.run"] == 2
+    assert after["deformations.check_constraints"] >= 1
+    assert after["verify.check"] == calls.get("verify.check", 0) + 1
 
 
 def _readme_cli_examples():

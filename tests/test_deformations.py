@@ -6,10 +6,11 @@ import pytest
 
 from superdeform import (ContextMismatchError, DeformationError, SampleSpec,
                          Scalar, ScalarContext, SuperFunction,
-                         SymplecticContext, antibracket, build_C1, build_C1c,
-                         build_C3, build_anti_even, build_anti_odd,
+                         SymplecticContext, anti_form, antibracket, build_C1,
+                         build_C1c, build_C3, build_anti_even, build_anti_odd,
                          build_general_odd, check_constraints,
-                         check_equivalence, jacobiator, poisson_bracket,
+                         check_equivalence, jacobiator, m23_form,
+                         moyal_bracket, moyal_form, poisson_bracket,
                          sample_tuples, sf_mul, solve_eta, t1_bar_multiplier,
                          t1_euler)
 from superdeform.cochains import ODD, Cochain
@@ -30,7 +31,6 @@ def rand_d(rng, ctx, terms=1):
 # -- C1 / C1c ---------------------------------------------------------------
 
 def test_c1_trivial_zeta_is_moyal(ctx42):
-    from superdeform import moyal_bracket
     d = build_C1(SuperFunction.zero(ctx42))
     rng = seeded(71)
     f, g = rand_d(rng, ctx42), rand_d(rng, ctx42)
@@ -52,7 +52,7 @@ def test_c1c_kappa_zero_closed_form(ctx42):
 
 def test_c1_jacobi(ctx42):
     zeta = SuperFunction.term(ctx42, (1, 0, 0, 0), scalar=h2(ctx42))
-    J = jacobiator(build_C1(zeta).bracket)
+    J = jacobiator(build_C1(zeta))
     rng = seeded(73)
     for _ in range(2):
         assert J.evaluate(rand_d(rng, ctx42), rand_d(rng, ctx42),
@@ -90,7 +90,7 @@ def test_c1_brackets_match_fresh_moyal(ctx42, flavor):
 
 def test_c1c_jacobi_at_4_5(ctx45):
     d = build_C1c(SuperFunction.zero(ctx45), 1, h2(ctx45))
-    J = jacobiator(d.bracket)
+    J = jacobiator(d)
     rng = seeded(75)
     for _ in range(2):
         assert J.evaluate(rand_d(rng, ctx45), rand_d(rng, ctx45),
@@ -138,7 +138,7 @@ def test_c1c_z_probe(ctx42):
 def test_c3_jacobi(ctx42):
     zeta = SuperFunction.term(ctx42, (1, 0, 0, 0), scalar=h2(ctx42))
     d = build_C3(zeta, h2(ctx42))
-    J = jacobiator(d.bracket)
+    J = jacobiator(d)
     rng = seeded(77)
     for _ in range(3):
         assert J.evaluate(rand_d(rng, ctx42), rand_d(rng, ctx42),
@@ -186,8 +186,8 @@ def test_anti_even_resolvent_inverts(ctx22):
 
 def test_anti_even_jacobi(ctx22):
     d = build_anti_even(ctx22, h2(ctx22))
-    assert d.bracket.grading == ODD
-    J = jacobiator(d.bracket)
+    assert d.grading == ODD
+    J = jacobiator(d)
     rng = seeded(81)
     for _ in range(5):
         args = [random_superfunction(rng, ctx22,
@@ -239,7 +239,7 @@ def test_anti_even_stops_at_the_truncation(n, h_max):
     triples = sample_tuples(spec, ctx, 3)[:3 if n == 2 else 1]
     for c in (hb ** 2, hb ** 2 + hb ** 4, hb ** 4 * Fraction(3, 2),
               Scalar.zero(ctx.scalar_ctx)):
-        bracket = build_anti_even(ctx, c).bracket
+        bracket = build_anti_even(ctx, c)
         oracle = _series_anti_even(ctx, c)
         for f, g in pairs:
             assert bracket.evaluate(f, g) == oracle.evaluate(f, g)
@@ -261,7 +261,7 @@ def test_anti_odd_examples(ctx22):
 
 
 def test_anti_odd_jacobi(ctx22):
-    bracket = build_anti_odd(ctx22).bracket
+    bracket = build_anti_odd(ctx22)
     assert bracket.grading == ODD
     J = jacobiator(bracket)
     rng = seeded(83)
@@ -292,13 +292,13 @@ def test_witness_constraints(ctx45):
     zeta, eta, h1, h2c = witness_data(ctx45)
     report = check_constraints(zeta, eta, h1, h2c)
     assert report.passed
-    assert report.failed_relations() == []
+    assert report.failures == []
 
 
 def test_witness_jacobi(ctx45):
     zeta, eta, h1, h2c = witness_data(ctx45)
     d = build_general_odd(zeta, eta, h1, h2c)
-    J = jacobiator(d.bracket)
+    J = jacobiator(d)
     rng = seeded(85)
     for _ in range(3):
         assert J.evaluate(rand_d(rng, ctx45), rand_d(rng, ctx45),
@@ -313,26 +313,26 @@ def test_perturbed_witness_residual():
                                SuperFunction.zero(ctx),
                                Scalar.theta(sctx, 2), Scalar.one(sctx))
     assert not report.passed
-    assert "i" in report.failed_relations()
+    assert "i" in [labels[0] for _index, labels, _text in report.failures]
     theta = Scalar.theta(sctx, 1)
     expect = SuperFunction.xi(ctx, 1).scale_left(theta * (-2))
-    assert report.residuals["i"] == expect
+    assert report.details["constraints"]["i"] == expect.render()
 
 
 def test_composite_bracket_names_and_parities(ctx42, ctx22, ctx45):
     """A sum's name joins its parts' and its parity is theirs when they
-    share one; the builders rename the sum, and the name reaches the
-    report core as jacobi[flavor]."""
+    share one; the builders rename the sum to their flavor, and the name
+    reaches the report core as jacobi[flavor]."""
     zeta = SuperFunction.x(ctx42, 1).scale_left(h2(ctx42))
     zero = SuperFunction.zero(ctx42)
     brackets = [(build_C3(zeta, h2(ctx42)), "C3", 0),
                 (build_C3(zero), "C3", 0),
-                (build_anti_odd(ctx22), "anti_odd", 0),
+                (build_anti_odd(ctx22), "ANTI_ODD", 0),
                 # theta m3 is odd at even n_minus
-                (build_general_odd(zero, zero, 0, 0), "general_odd", None),
-                (build_general_odd(*witness_data(ctx45)), "general_odd", 0)]
+                (build_general_odd(zero, zero, 0, 0), "GENERAL_ODD", None),
+                (build_general_odd(*witness_data(ctx45)), "GENERAL_ODD", 0)]
     for defo, name, parity in brackets:
-        assert (defo.bracket.name, defo.bracket.parity) == (name, parity)
+        assert (defo.name, defo.parity) == (name, parity)
 
 
 def test_build_rejects_violated_constraints():
@@ -348,7 +348,7 @@ def test_solve_eta_witness(ctx45):
     zeta, _eta, h1, h2c = witness_data(ctx45)
     eta, report = solve_eta(zeta, h1, h2c)
     assert eta.is_zero()
-    assert report.residuals["obstruction"].is_zero()
+    assert report.details["constraints"]["obstruction"] == "0"
     assert report.passed
 
 
@@ -358,7 +358,9 @@ def test_solve_eta_zeta_zero(ctx45):
                             Scalar.theta(ctx45.scalar_ctx, 2),
                             Scalar.one(ctx45.scalar_ctx))
     assert eta == SuperFunction.constant(ctx45, 1)
-    assert not report.residuals["obstruction"].is_zero()
+    assert report.details["constraints"]["obstruction"] == "1"
+    assert ["obstruction"] in [labels for _index, labels, _text
+                               in report.failures]
 
 
 def test_constraint_parity_checks(ctx45):
@@ -423,3 +425,47 @@ def test_t1_euler_family(ctx42):
     t1 = t1_euler(ctx42, 2)
     f = SuperFunction.x(ctx42, 1)
     assert t1.evaluate(f) == f  # E(x1) = x1/2, scaled by 2
+
+
+# -- one refusal per rule ---------------------------------------------------
+
+_CTX42 = SymplecticContext(4, 2, (1, 1), 1, 6)
+_X1 = SuperFunction.x(_CTX42, 1)
+_TH1 = Scalar.theta(_CTX42.scalar_ctx, 1)
+_ZERO = SuperFunction.zero(_CTX42)
+
+# (site, call, the subject the message names, relation); every site of a
+# rule raises one DeformationError, "<subject> requires n_plus == n_minus"
+# at n_plus != n_minus and "kappa must be theta-free" for a theta kappa
+_REFUSALS = [
+    ("antibracket", lambda: antibracket(_X1, _X1),
+     "antibracket requires n_plus == n_minus", "context"),
+    ("delta_op", lambda: _X1.delta_op(),
+     "delta operator requires n_plus == n_minus", "context"),
+    ("anti_form", lambda: anti_form(_CTX42),
+     "anti requires n_plus == n_minus", "context"),
+    ("m23_form", lambda: m23_form(_CTX42),
+     "m23 requires n_plus == n_minus", "context"),
+    ("build_anti_even", lambda: build_anti_even(_CTX42, h2(_CTX42)),
+     "anti requires n_plus == n_minus", "context"),
+    ("build_anti_odd", lambda: build_anti_odd(_CTX42),
+     "anti requires n_plus == n_minus", "context"),
+    ("moyal_bracket", lambda: moyal_bracket(_X1, _X1, _TH1),
+     "kappa must be theta-free", "kappa"),
+    ("moyal_form", lambda: moyal_form(_CTX42, _TH1),
+     "kappa must be theta-free", "kappa"),
+    ("build_C1", lambda: build_C1(_ZERO, _TH1),
+     "kappa must be theta-free", "kappa"),
+    ("build_C1c", lambda: build_C1c(_ZERO, _TH1),
+     "kappa must be theta-free", "kappa"),
+]
+
+
+@pytest.mark.parametrize("call, message, relation",
+                         [case[1:] for case in _REFUSALS],
+                         ids=[case[0] for case in _REFUSALS])
+def test_every_site_of_a_rule_refuses_alike(call, message, relation):
+    with pytest.raises(DeformationError) as err:
+        call()
+    assert str(err.value) == message
+    assert err.value.relation == relation

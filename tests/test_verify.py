@@ -17,7 +17,6 @@ from superdeform import (LCG, SampleSpec, Scalar, SuperFunction,
 from superdeform import verify
 from superdeform.brackets import poisson_bracket
 from superdeform.cochains import EVEN, ODD, Cochain, anti_form, m0_form
-from superdeform.deformations import ConstraintReport, Deformation
 from superdeform.scalars import int_if_integral
 from superdeform.verify import (DEFAULT_SEED, LCG_INC, LCG_MASK, LCG_MULT,
                                 VerificationReport)
@@ -73,11 +72,10 @@ def test_sample_tuples_grouping(ctx42):
 
 
 def test_report_core_is_reproducible(ctx42):
-    d0 = Deformation("m0", m0_form(ctx42))
+    d0 = m0_form(ctx42)
     spec = SampleSpec(seed=31, count=6)
     r1 = check_jacobi(d0, spec)
-    r2 = check_jacobi(Deformation("m0", m0_form(ctx42)),
-                      spec)
+    r2 = check_jacobi(m0_form(ctx42), spec)
     assert r1.core_dict() == r2.core_dict()
 
 
@@ -93,8 +91,7 @@ def test_report_context_records_lambdas():
 
 def test_check_jacobi_detects_failure(ctx42):
     # the supercommutative product is not a Lie bracket
-    broken = Deformation("mul",
-                         Cochain(ctx42, 2, 0, sf_mul, EVEN, name="mul"))
+    broken = Cochain(ctx42, 2, 0, sf_mul, EVEN, name="mul")
     report = check_jacobi(broken, SampleSpec(seed=77, count=6))
     assert not report.passed
     assert report.failures
@@ -132,7 +129,7 @@ def test_check_signs_needs_theta(ctx42):
 
 
 def test_check_grading(ctx42, ctx22):
-    d0 = Deformation("m0", m0_form(ctx42))
+    d0 = m0_form(ctx42)
     assert check_grading(d0, SampleSpec(seed=21, count=6)).passed
     assert check_grading(build_anti_odd(ctx22),
                          SampleSpec(seed=23, count=6)).passed
@@ -144,7 +141,7 @@ def test_check_bar_vanishing(ctx42, ctx22):
 
 
 def test_summary_line(ctx42):
-    d0 = Deformation("m0", m0_form(ctx42))
+    d0 = m0_form(ctx42)
     report = check_jacobi(d0, SampleSpec(seed=29, count=3))
     assert report.summary() == "[PASS] jacobi[m0]: 3 samples, 0 failures"
 
@@ -155,7 +152,7 @@ def _failing_checks(ctx, monkeypatch):
     xi1 = SuperFunction.xi(ctx, 1)
 
     def defo(name, fn):
-        return Deformation(name, Cochain(ctx, 2, 0, fn, EVEN, name))
+        return Cochain(ctx, 2, 0, fn, EVEN, name)
 
     def bar_of_products():
         # unlike a Poisson bracket, a product can have a nonzero bar
@@ -165,14 +162,15 @@ def _failing_checks(ctx, monkeypatch):
 
     theta = Scalar.theta(ctx.scalar_ctx, 1)
     h2 = Scalar.hbar(ctx.scalar_ctx) ** 2
+    theta_mul = m0_form(ctx) + mul.scaled(theta)
+    theta_mul.name = "m0+th*mul"
     z0 = SuperFunction.gauss(ctx, 1)
     zeta = SuperFunction.x(ctx, 1).scale_left(h2)
     return {
         "jacobi_mul": lambda: check_jacobi(
             defo("mul", sf_mul), SampleSpec(seed=77, count=6)),
         "jacobi_theta_mul": lambda: check_jacobi(
-            Deformation("m0+th*mul", m0_form(ctx) + mul.scaled(theta)),
-            SampleSpec(seed=78, count=6)),
+            theta_mul, SampleSpec(seed=78, count=6)),
         "cocycle_mul": lambda: check_cocycle(
             mul, SampleSpec(seed=13, count=4)),
         "d_squared_mul_bracket": lambda: check_d_squared(
@@ -372,8 +370,9 @@ def test_sample_tuples_widens_the_spec_it_is_given(ctx22):
 
 
 def test_reports_and_deformations_get_fresh_containers(ctx22):
-    """Each record starts with its own empty failures, details and
-    params; a given container is kept, not copied."""
+    """Each report starts with its own empty failures and details, and
+    each cochain with its own empty params; a given container is kept,
+    not copied."""
     first = VerificationReport("a", {}, 0)
     second = VerificationReport(check="b", context={}, sample_count=0)
     first.failures.append((0, [], "x"))
@@ -384,13 +383,6 @@ def test_reports_and_deformations_get_fresh_containers(ctx22):
     failures = [(1, ["f"], "r")]
     kept = VerificationReport("c", {}, 2, failures, elapsed=0.5)
     assert kept.failures is failures and kept.elapsed == 0.5
-    one = Deformation("F", anti_form(ctx22))
-    two = Deformation("G", anti_form(ctx22))
+    one, two = anti_form(ctx22), anti_form(ctx22)
     one.params["c"] = 1
-    assert two.params == {}
-    params = {"c": 2}
-    assert Deformation("H", anti_form(ctx22), params).params is params
-    zero = SuperFunction.zero(ctx22)
-    assert repr(ConstraintReport({"i": zero}, False)) == \
-        "<ConstraintReport failed: eta_class>"
-    assert ConstraintReport({"i": zero}, True).passed
+    assert two.params == {} and m0_form(ctx22).params == {}
