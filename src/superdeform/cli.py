@@ -39,7 +39,8 @@ from functools import lru_cache
 
 from .cochains import (anti_form, jzeta_form, m0_form, m1_form, m23_form,
                        m3_form, moyal_form, mu_form, mzeta_form)
-from .deformations import (build_C1, build_C1c, build_C3, build_anti_even,
+from .deformations import (_failed_relations, _general_odd_bracket,
+                           build_C1, build_C1c, build_C3, build_anti_even,
                            build_anti_odd, build_general_odd,
                            check_constraints, check_equivalence,
                            t1_bar_multiplier, t1_euler)
@@ -460,14 +461,13 @@ def _run_theorem(args, ctx):
     data = {"check": "theorem[multi]", **report.details,
             "pass": report.passed}
     if report.passed:
-        jreport = check_jacobi(build_general_odd(zeta, eta, h1, h2), spec)
+        jreport = check_jacobi(_general_odd_bracket(zeta, eta, h1, h2), spec)
         data["jacobi"] = jreport.core_dict()
         data["pass"] = jreport.passed
         detail = (f"constraints hold, jacobi {jreport.sample_count} samples, "
                   f"{len(jreport.failures)} failures")
     else:
-        detail = "constraints fail: " + ", ".join(
-            labels[0] for _index, labels, _text in report.failures)
+        detail = "constraints fail: " + _failed_relations(report)
     state = "PASS" if data["pass"] else "FAIL"
     return _emit(data, f"[{state}] theorem[multi]: {detail}", args)
 

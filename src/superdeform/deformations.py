@@ -18,15 +18,13 @@ from .brackets import _own_kappa, antibracket, moyal_bracket, poisson_bracket
 from .cochains import (Cochain, EVEN, anti_form, jzeta_form, m0_form,
                        m1, m1_form, m23_form, m3_form, mu_form, mzeta_form,
                        zeta_form_parity)
-from .errors import DeformationError, NotIntegrableError
+from .errors import DeformationError
 from .scalars import Scalar
 from .superfunc import SuperFunction, _own_scalar, sf_mul
 from .verify import _run
 
 C1, C1C, C3 = "C1", "C1c", "C3"
 ANTI_EVEN, ANTI_ODD, GENERAL_ODD = "ANTI_EVEN", "ANTI_ODD", "GENERAL_ODD"
-
-ETABAR_MAX_STEPS = 64  # solve_eta's bound on the etabar fixed-point steps
 
 
 # -- membership predicates --------------------------------------------------
@@ -258,39 +256,23 @@ def solve_eta(zeta, h1, h2):
         eta = -theta h1 m1(zeta,zeta) - theta[2E-(2+n+-n-)]zeta
               - etabar*zeta - {zeta,zeta} + h2
 
-    The unknown scalar etabar is resolved by iterating the bar of the
-    right-hand side to its fixed point (finitely many steps: the update is
-    nilpotent in theta and raises the h-order).  Returns (eta, report),
-    the constraint report of eta with one more relation, ``obstruction``:
-    the non-D terms that h2 must cancel, a failure when nonzero.
+    in closed form, with etabar = 0.  Three bar identities make the bar of
+    the right-hand side -etabar*zetabar: a bracket integrates to zero (so
+    m1(zeta,zeta) and {zeta,zeta} do), so does [2E-(2+n+-n-)]f for every
+    f, and the bar drops the constant h2.  So etabar = 0 solves the bar of
+    (i), and check_constraints, which recomputes etabar from the returned
+    eta, would show a failed identity as a nonzero relation (i).
+    Returns (eta, report), the constraint report of eta with one more
+    relation, ``obstruction``: the non-D terms that h2 must cancel, a
+    failure when nonzero.
     """
     ctx = zeta.ctx
-    sctx = ctx.scalar_ctx
     h1 = _own_scalar(ctx, h1)
     h2 = _own_scalar(ctx, h2)
     _require_parity(zeta, 1, "zeta")
     _require_parity(h1, 1, "h1")
     _require_parity(h2, 0, "h2")
-    zero = SuperFunction.zero(ctx)
-
-    def rhs(etabar):
-        return -_relation_one(zeta, zero, h1, h2, etabar)
-
-    try:
-        etabar = Scalar.zero(sctx)
-        for _ in range(ETABAR_MAX_STEPS):
-            new = rhs(etabar).integral_bar()
-            if new == etabar:
-                break
-            etabar = new
-        else:
-            raise DeformationError(
-                "etabar fixed point did not stabilize", relation="i")
-        eta = rhs(etabar)
-    except NotIntegrableError as exc:
-        raise DeformationError(
-            f"bar obstruction while solving for eta: {exc}",
-            relation="i") from exc
+    eta = -_relation_one(zeta, SuperFunction.zero(ctx), h1, h2, 0)
     obstruction = (eta - eta.d_class_part()).render()
     report = check_constraints(zeta, eta, h1, h2)
     report.details["constraints"]["obstruction"] = obstruction
@@ -299,20 +281,30 @@ def solve_eta(zeta, h1, h2):
     return eta, report
 
 
+def _failed_relations(report):
+    """The labels of a constraint report's failures, joined: "i, iii"."""
+    return ", ".join(labels[0] for _index, labels, _text in report.failures)
+
+
 def build_general_odd(zeta, eta, h1, h2):
     """C = m0 + theta h1 m1 + theta m3 + m_zeta + theta h1 j_zeta + eta*mu,
     valid whenever the constraint system is satisfied."""
     ctx = zeta.ctx
-    sctx = ctx.scalar_ctx
     h1 = _own_scalar(ctx, h1)
     h2 = _own_scalar(ctx, h2)
     report = check_constraints(zeta, eta, h1, h2)
     if not report.passed:
-        failed = ", ".join(labels[0] for _index, labels, _text
-                           in report.failures)
+        failed = _failed_relations(report)
         raise DeformationError(
             f"constraint system violated: {failed}", relation=failed)
-    theta = Scalar.theta(sctx, 1)
+    return _general_odd_bracket(zeta, eta, h1, h2)
+
+
+def _general_odd_bracket(zeta, eta, h1, h2):
+    """The bracket of build_general_odd, for data whose constraints were
+    checked already; h1 and h2 are the context's scalars."""
+    ctx = zeta.ctx
+    theta = Scalar.theta(ctx.scalar_ctx, 1)
     th1 = theta * h1
     form = m0_form(ctx) + m1_form(ctx).scaled(th1) + \
         m3_form(ctx).scaled(theta)

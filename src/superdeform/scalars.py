@@ -565,21 +565,3 @@ class RadicalNumber:
         return self.scalar.render()
 
     __repr__ = __str__
-
-
-def theta_divisibility(a, j):
-    """Witness z with a = th_j * z, when th_j * a == 0.
-
-    Returns None when the precondition fails (th_j * a != 0).  The witness is
-    the one with no th_j factor; signs follow from moving th_j to the front
-    of each sorted monomial.
-    """
-    theta = Scalar.theta(a.ctx, j)
-    if not (theta * a).is_zero():
-        return None
-    bit = 1 << (j - 1)
-    # th_j * a == 0 forces every monomial to contain th_j; it passes the
-    # generators below it
-    return Scalar._of(a.ctx, {
-        (m, mask ^ bit, p, s, r): -q if (mask & (bit - 1)).bit_count() & 1
-        else q for (m, mask, p, s, r), q in a.coeffs.items()})

@@ -13,6 +13,7 @@ from superdeform import (ContextMismatchError, DeformationError, SampleSpec,
                          moyal_bracket, moyal_form, poisson_bracket,
                          sample_tuples, sf_mul, solve_eta, t1_bar_multiplier,
                          t1_euler)
+from superdeform.cli import parse_expression
 from superdeform.cochains import ODD, Cochain
 
 from conftest import random_superfunction, seeded
@@ -361,6 +362,40 @@ def test_solve_eta_zeta_zero(ctx45):
     assert report.details["constraints"]["obstruction"] == "1"
     assert ["obstruction"] in [labels for _index, labels, _text
                                in report.failures]
+
+
+def test_solve_eta_with_nonzero_zetabar():
+    # zetabar = 2*pi: the etabar*zeta term of relation (i) is live, and
+    # the closed-form eta still satisfies the whole system
+    ctx = SymplecticContext(2, 3, (1, 1, 1), 2, 6)
+    sctx = ctx.scalar_ctx
+    zeta = parse_expression("gauss(1)*xi1*xi2*xi3 + x1*gauss(2)*xi2", ctx)
+    assert zeta.integral_bar() == Scalar.pi(sctx) * 2
+    eta, report = solve_eta(zeta, Scalar.theta(sctx, 2), 0)
+    assert eta.render() == (
+        "2*th1*gauss(1)*xi1*xi2*xi3 + th1*th2*gauss(2)"
+        " + -th1*x2^2*gauss(1)*xi1*xi2*xi3 + 4*th1*th2*x2^2*gauss(4)"
+        " + th1*x1*gauss(2)*xi2 + (2 + 8*th1*th2)*x1*gauss(3)*xi1*xi3"
+        " + -2*th1*x1*x2^2*gauss(2)*xi2"
+        " + -6*th1*th2*x1*x2^2*gauss(3)*xi1*xi3"
+        " + -th1*x1^2*gauss(1)*xi1*xi2*xi3"
+        " + (-1 - 12*th1*th2)*x1^2*gauss(4)"
+        " + 8*th1*th2*x1^2*x2^2*gauss(4) + -2*th1*x1^3*gauss(2)*xi2"
+        " + -6*th1*th2*x1^3*gauss(3)*xi1*xi3 + 8*th1*th2*x1^4*gauss(4)")
+    assert eta.is_d_class()
+    assert report.details["constraints"] == {
+        "i": "0", "ii": "0", "iii": "0", "obstruction": "0"}
+    assert report.passed
+
+
+def test_solve_eta_non_gaussian_zeta(ctx45):
+    # x1*xi1 leaves non-D terms in eta: a failing report, nothing raised
+    eta, report = solve_eta(parse_expression("x1*xi1", ctx45),
+                            Scalar.theta(ctx45.scalar_ctx, 2), 1)
+    assert not eta.is_d_class()
+    assert not report.passed
+    labels = [labels[0] for _index, labels, _text in report.failures]
+    assert "eta_class" in labels and "obstruction" in labels
 
 
 def test_constraint_parity_checks(ctx45):

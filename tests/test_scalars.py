@@ -16,8 +16,8 @@ from superdeform import (RadicalNumber, SampleSpec, Scalar, ScalarContext,
                          SuperFunction, SymplecticContext,
                          sample_superfunctions, sf_mul)
 from superdeform.scalars import (MAX_RADICAND, merge_odd_indices,
-                                 squarefree_decompose, theta_divisibility,
-                                 theta_mask, theta_sign)
+                                 squarefree_decompose, theta_mask,
+                                 theta_sign)
 
 from conftest import radical_float, scalar_float
 
@@ -277,15 +277,6 @@ def test_rational_value_errors():
         Scalar.hbar(ctx).rational_value()
     with pytest.raises(ValueError):
         Scalar.sqrt(ctx, 2).rational_value()
-
-
-def test_theta_divisibility_witness():
-    ctx = ScalarContext(k=2, h_max=6)
-    t1, t2 = Scalar.theta(ctx, 1), Scalar.theta(ctx, 2)
-    a = t1 * (Scalar.rational(ctx, 3) + t2)
-    z = theta_divisibility(a, 1)
-    assert z is not None and t1 * z == a
-    assert theta_divisibility(Scalar.one(ctx), 1) is None
 
 
 def test_render_basics():
