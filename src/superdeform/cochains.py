@@ -3,9 +3,9 @@
 A cochain knows its arity, its declared parity, and which grading its signs
 use ('even' for the Poisson bracket parity, 'odd' for the reversed parity of
 the antibracket).  It is its function ``fn`` on parity-homogeneous
-arguments; a sum ``a + b``, a scalar multiple ``form.scaled(s)`` (which is
-also how theta-prefixing is expressed) and a function multiple
-``form.times(eta)`` are cochains whose ``fn`` calls the parts' ``fn``.
+arguments; a sum ``a + b`` and a scalar multiple ``form.scaled(s)`` (which
+is also how theta-prefixing is expressed) are cochains whose ``fn`` calls
+the parts' ``fn``.
 The sign factors are only defined on parity-homogeneous arguments, so
 evaluation splits a mixed-parity argument (and only such an argument) into
 its homogeneous components and sums over their combinations.
@@ -26,13 +26,6 @@ EVEN, ODD = "even", "odd"
 def grading_parity(f, grading):
     """The parity of a homogeneous function in the chosen grading."""
     return f.eps() if grading == EVEN else f.epsilon()
-
-
-def _shift(parity, weight):
-    """The parity of a form times a factor of parity ``weight``, or None."""
-    if parity is None or weight is None:
-        return None
-    return (parity + weight) % 2
 
 
 class Cochain:
@@ -94,28 +87,12 @@ class Cochain:
     def scaled(self, scalar):
         """``scalar`` times this form, the scalar on the left."""
         scalar = _own_scalar(self.ctx, scalar)
-        fn = self.fn
-        return Cochain(self.ctx, self.arity,
-                       _shift(self.parity, scalar.parity()),
+        fn, weight = self.fn, scalar.parity()
+        parity = (None if None in (self.parity, weight)
+                  else (self.parity + weight) % 2)
+        return Cochain(self.ctx, self.arity, parity,
                        lambda *args: fn(*args).scale_left(scalar),
                        self.grading, name=f"scaled({self.name})")
-
-    def times(self, prefactor):
-        """A fixed function times this form, as eta(z) times mu."""
-        fn = self.fn
-
-        def times_fn(*args):
-            # the value must pass to the right of the prefactor; for the
-            # named forms it is a constant, so only scalars are supported
-            s = fn(*args).constant_scalar()
-            if s is None:
-                raise ValueError(
-                    "function-scaled cochain needs a scalar-valued form")
-            return prefactor.scale_right(s)
-
-        return Cochain(self.ctx, self.arity,
-                       _shift(self.parity, prefactor.eps()), times_fn,
-                       self.grading, name=f"({prefactor})*{self.name}")
 
     def __repr__(self):
         return f"<{self.name}: arity {self.arity}, parity {self.parity}>"
@@ -215,14 +192,15 @@ def m23_form(ctx):
     return Cochain(ctx, 2, 1, fn, ODD, name="m23")
 
 
-def mu_form(ctx):
-    def fn(f, g):
-        fbar = f.integral_bar()
-        gbar = g.integral_bar()
-        value = (fbar * gbar) * ((-1) ** f.eps())
-        return SuperFunction.constant(ctx, value)
+def mu(f, g):
+    """The scalar fbar gbar (-1)^eps(f), the value of mu_form."""
+    return (f.integral_bar() * g.integral_bar()) * ((-1) ** f.eps())
 
-    return Cochain(ctx, 2, 0, fn, EVEN, name="mu")
+
+def mu_form(ctx):
+    return Cochain(ctx, 2, 0,
+                   lambda f, g: SuperFunction.constant(ctx, mu(f, g)),
+                   EVEN, name="mu")
 
 
 # -- Jacobiator and the adjoint differential -------------------------------

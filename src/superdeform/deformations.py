@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from .brackets import _own_kappa, antibracket, moyal_bracket, poisson_bracket
 from .cochains import (Cochain, EVEN, anti_form, jzeta_form, m0_form,
-                       m1, m1_form, m23_form, m3_form, mu_form, mzeta_form,
-                       zeta_form_parity)
+                       m1, m1_form, m23_form, m3_form, mu, mzeta_form)
 from .errors import DeformationError
 from .scalars import Scalar
 from .superfunc import SuperFunction, _own_scalar, sf_mul
@@ -49,13 +48,16 @@ def _require_even_fn(zeta, name):
             f"{name} must lie in hbar^2 E[[hbar^2]]", relation=name)
 
 
-def _require_parity(value, parity, name):
+def _require_parity(value, parity, name, message=None):
+    """Refuse a nonzero value whose parity is not ``parity``; a value
+    with parts of both parities has none, so it is refused too."""
     if value.is_zero():
         return
     p = value.eps() if isinstance(value, SuperFunction) else value.parity()
-    if p is not None and p != parity:
+    if p != parity:
         word = "even" if parity == 0 else "odd"
-        raise DeformationError(f"{name} must be {word}", relation=name)
+        raise DeformationError(message or f"{name} must be {word}",
+                               relation=name)
 
 
 # -- Poisson-side deformations ---------------------------------------------
@@ -117,15 +119,13 @@ def build_C3(zeta, c3=0):
     c3 = _own_scalar(ctx, c3)
     _require_even_fn(zeta, "zeta")
     _require_param(c3, "c3")
-    if not zeta.is_zero() and zeta_form_parity(ctx, zeta) == 1:
-        raise DeformationError(
-            "zeta must make m_zeta even: eps(zeta) + n_minus must be even",
-            relation="zeta")
-    cp = c3.parity()
-    if not c3.is_zero() and cp is not None and (cp + ctx.n_minus) % 2 != 0:
-        raise DeformationError(
-            "c3 must make c3*m3 even: parity(c3) + n_minus must be even",
-            relation="c3")
+    # m_zeta and m3 have the parities eps(zeta) + n_minus and n_minus
+    _require_parity(zeta, ctx.n_minus % 2, "zeta",
+                    "zeta must make m_zeta even: eps(zeta) + n_minus must "
+                    "be even")
+    _require_parity(c3, ctx.n_minus % 2, "c3",
+                    "c3 must make c3*m3 even: parity(c3) + n_minus must be "
+                    "even")
     form = m0_form(ctx)
     if not zeta.is_zero():
         form = form + mzeta_form(ctx, zeta)
@@ -201,11 +201,8 @@ def _relation_one(zeta, eta, h1, h2, etabar):
     """eta + theta h1 m1(zeta,zeta) + theta[2E - (2+n+-n-)]zeta
     + etabar*zeta + {zeta,zeta} - h2."""
     ctx = zeta.ctx
-    sctx = ctx.scalar_ctx
-    theta = Scalar.theta(sctx, 1)
-    out = eta
-    m1zz = m1(zeta, zeta) if not zeta.is_zero() else SuperFunction.zero(ctx)
-    out = out + m1zz.scale_left(theta * h1)
+    theta = Scalar.theta(ctx.scalar_ctx, 1)
+    out = eta + m1(zeta, zeta).scale_left(theta * h1)
     euler = zeta.euler_E() * 2 - zeta * (2 + ctx.n_plus - ctx.n_minus)
     out = out + euler.scale_left(theta)
     out = out + zeta.scale_left(etabar)
@@ -213,20 +210,27 @@ def _relation_one(zeta, eta, h1, h2, etabar):
     return out - SuperFunction.constant(ctx, h2)
 
 
+def _theorem_scalars(zeta, h1, h2):
+    """h1 and h2 as the context's scalars, once zeta, h1 and h2 pass the
+    parity rules of the theorem: zeta and h1 odd, h2 even."""
+    ctx = zeta.ctx
+    h1, h2 = _own_scalar(ctx, h1), _own_scalar(ctx, h2)
+    _require_parity(zeta, 1, "zeta")
+    _require_parity(h1, 1, "h1")
+    _require_parity(h2, 0, "h2")
+    return h1, h2
+
+
 def check_constraints(zeta, eta, h1, h2):
     """The three relations of the final theorem and the D-class
     requirement on eta, as one check: a failure per nonzero relation
     (labelled i, ii, iii) and one labelled eta_class for a non-D eta; each
-    relation rendered in ``details["constraints"]``.  Nothing is raised."""
+    relation rendered in ``details["constraints"]``.  Only a refused
+    input raises; a failed relation does not."""
     ctx = zeta.ctx
-    sctx = ctx.scalar_ctx
-    h1 = _own_scalar(ctx, h1)
-    h2 = _own_scalar(ctx, h2)
-    _require_parity(zeta, 1, "zeta")
+    h1, h2 = _theorem_scalars(zeta, h1, h2)
     _require_parity(eta, 0, "eta")
-    _require_parity(h1, 1, "h1")
-    _require_parity(h2, 0, "h2")
-    theta = Scalar.theta(sctx, 1)
+    theta = Scalar.theta(ctx.scalar_ctx, 1)
     # the bar of the non-D part need not exist; it is flagged separately
     etabar = eta.d_class_part().integral_bar()
     residuals = {
@@ -261,24 +265,13 @@ def solve_eta(zeta, h1, h2):
     m1(zeta,zeta) and {zeta,zeta} do), so does [2E-(2+n+-n-)]f for every
     f, and the bar drops the constant h2.  So etabar = 0 solves the bar of
     (i), and check_constraints, which recomputes etabar from the returned
-    eta, would show a failed identity as a nonzero relation (i).
-    Returns (eta, report), the constraint report of eta with one more
-    relation, ``obstruction``: the non-D terms that h2 must cancel, a
-    failure when nonzero.
+    eta, would show a failed identity as a nonzero relation (i).  The
+    non-D terms that h2 must cancel are its eta_class failure.
+    Returns (eta, report), the constraint report of eta.
     """
-    ctx = zeta.ctx
-    h1 = _own_scalar(ctx, h1)
-    h2 = _own_scalar(ctx, h2)
-    _require_parity(zeta, 1, "zeta")
-    _require_parity(h1, 1, "h1")
-    _require_parity(h2, 0, "h2")
-    eta = -_relation_one(zeta, SuperFunction.zero(ctx), h1, h2, 0)
-    obstruction = (eta - eta.d_class_part()).render()
-    report = check_constraints(zeta, eta, h1, h2)
-    report.details["constraints"]["obstruction"] = obstruction
-    if obstruction != "0":
-        report.failures.append((0, ["obstruction"], obstruction))
-    return eta, report
+    h1, h2 = _theorem_scalars(zeta, h1, h2)
+    eta = -_relation_one(zeta, SuperFunction.zero(zeta.ctx), h1, h2, 0)
+    return eta, check_constraints(zeta, eta, h1, h2)
 
 
 def _failed_relations(report):
@@ -289,9 +282,6 @@ def _failed_relations(report):
 def build_general_odd(zeta, eta, h1, h2):
     """C = m0 + theta h1 m1 + theta m3 + m_zeta + theta h1 j_zeta + eta*mu,
     valid whenever the constraint system is satisfied."""
-    ctx = zeta.ctx
-    h1 = _own_scalar(ctx, h1)
-    h2 = _own_scalar(ctx, h2)
     report = check_constraints(zeta, eta, h1, h2)
     if not report.passed:
         failed = _failed_relations(report)
@@ -302,7 +292,7 @@ def build_general_odd(zeta, eta, h1, h2):
 
 def _general_odd_bracket(zeta, eta, h1, h2):
     """The bracket of build_general_odd, for data whose constraints were
-    checked already; h1 and h2 are the context's scalars."""
+    checked already."""
     ctx = zeta.ctx
     theta = Scalar.theta(ctx.scalar_ctx, 1)
     th1 = theta * h1
@@ -312,7 +302,10 @@ def _general_odd_bracket(zeta, eta, h1, h2):
         form = form + mzeta_form(ctx, zeta) + \
             jzeta_form(ctx, zeta).scaled(th1)
     if not eta.is_zero():
-        form = form + mu_form(ctx).times(eta)
+        # eta is even, and mu(f, g) a scalar that passes to its right
+        form = form + Cochain(ctx, 2, 0,
+                              lambda f, g: eta.scale_right(mu(f, g)),
+                              EVEN, name="eta*mu")
     form.name = GENERAL_ODD
     form.params = {"zeta": zeta, "eta": eta, "h1": h1, "h2": h2}
     return form

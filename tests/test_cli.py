@@ -341,6 +341,29 @@ def test_cli_errors_exit_two_without_traceback(argv, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+_MIXED_ZETA = "hbar^2*gauss(1) + hbar^2*gauss(1)*xi1"
+_WITNESS_AT_45 = ["theorem", "--nplus", "4", "--nminus", "5", "--k", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_WITNESS_AT_45 + ["--zeta", "xi1", "--h1", "th2 + 1", "--h2", "1"],
+     "h1 must be odd"),
+    (["jacobi", "--deformation", f"c3(zeta={_MIXED_ZETA})"],
+     "zeta must make m_zeta even: eps(zeta) + n_minus must be even"),
+    (["jacobi", "--deformation", f"c1(zeta={_MIXED_ZETA})"],
+     "zeta must be even"),
+    (_WITNESS_AT_45 + ["--zeta", "xi1 + gauss(1)", "--h1", "th2",
+                       "--h2", "1"], "zeta must be odd"),
+], ids=["theorem_h1", "c3_zeta", "c1_zeta", "theorem_zeta"])
+def test_cli_refuses_mixed_parity_parameters(argv, message, capsys):
+    """A value with parts of both parities breaks a parity rule as a value
+    of the wrong parity does."""
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 _EQUIV_WRONG_T1 = ["equiv",
                    "--c1", "c3(zeta=hbar^2*x1*gauss(1) + hbar^2*gauss(1))",
                    "--c2", "c3(zeta=hbar^2*x1*gauss(1))",

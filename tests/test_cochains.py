@@ -67,18 +67,6 @@ def test_arity_checked_on_evaluate(ctx42):
         m0_form(ctx42).evaluate(f)
 
 
-def test_function_scaled_cochain(ctx42):
-    eta = SuperFunction.x(ctx42, 1)
-    form = mu_form(ctx42).times(eta)
-    f = SuperFunction.term(ctx42, c=1, xi=(1, 2))
-    g = SuperFunction.term(ctx42, c=2, xi=(1, 2))
-    value = mu_form(ctx42).evaluate(f, g)
-    assert len(value.terms) == 1
-    scalar = next(iter(value.terms.values()))
-    # the mu value is a constant; the prefactor multiplies it from the left
-    assert form.evaluate(f, g) == eta.scale_right(scalar)
-
-
 def test_jacobiator_of_poisson_vanishes(ctx42):
     J = jacobiator(m0_form(ctx42))
     rng = seeded(43)

@@ -9,8 +9,9 @@ from superdeform import (ContextMismatchError, DeformationError, SampleSpec,
                          SymplecticContext, anti_form, antibracket, build_C1,
                          build_C1c, build_C3, build_anti_even, build_anti_odd,
                          build_general_odd, check_constraints,
-                         check_equivalence, jacobiator, m23_form,
-                         moyal_bracket, moyal_form, poisson_bracket,
+                         check_equivalence, jacobiator, jzeta_form, m0_form,
+                         m1_form, m23_form, m3_form, moyal_bracket,
+                         moyal_form, mzeta_form, poisson_bracket,
                          sample_tuples, sf_mul, solve_eta, t1_bar_multiplier,
                          t1_euler)
 from superdeform.cli import parse_expression
@@ -349,7 +350,7 @@ def test_solve_eta_witness(ctx45):
     zeta, _eta, h1, h2c = witness_data(ctx45)
     eta, report = solve_eta(zeta, h1, h2c)
     assert eta.is_zero()
-    assert report.details["constraints"]["obstruction"] == "0"
+    assert report.details["constraints"] == {"i": "0", "ii": "0", "iii": "0"}
     assert report.passed
 
 
@@ -359,19 +360,22 @@ def test_solve_eta_zeta_zero(ctx45):
                             Scalar.theta(ctx45.scalar_ctx, 2),
                             Scalar.one(ctx45.scalar_ctx))
     assert eta == SuperFunction.constant(ctx45, 1)
-    assert report.details["constraints"]["obstruction"] == "1"
-    assert ["obstruction"] in [labels for _index, labels, _text
-                               in report.failures]
+    assert (0, ["eta_class"], "1") in report.failures
+
+
+def zetabar_data():
+    """A (2, 3) zeta with zetabar = 2*pi, and the odd h1 = th2."""
+    ctx = SymplecticContext(2, 3, (1, 1, 1), 2, 6)
+    zeta = parse_expression("gauss(1)*xi1*xi2*xi3 + x1*gauss(2)*xi2", ctx)
+    return ctx, zeta, Scalar.theta(ctx.scalar_ctx, 2)
 
 
 def test_solve_eta_with_nonzero_zetabar():
     # zetabar = 2*pi: the etabar*zeta term of relation (i) is live, and
     # the closed-form eta still satisfies the whole system
-    ctx = SymplecticContext(2, 3, (1, 1, 1), 2, 6)
-    sctx = ctx.scalar_ctx
-    zeta = parse_expression("gauss(1)*xi1*xi2*xi3 + x1*gauss(2)*xi2", ctx)
-    assert zeta.integral_bar() == Scalar.pi(sctx) * 2
-    eta, report = solve_eta(zeta, Scalar.theta(sctx, 2), 0)
+    ctx, zeta, h1 = zetabar_data()
+    assert zeta.integral_bar() == Scalar.pi(ctx.scalar_ctx) * 2
+    eta, report = solve_eta(zeta, h1, 0)
     assert eta.render() == (
         "2*th1*gauss(1)*xi1*xi2*xi3 + th1*th2*gauss(2)"
         " + -th1*x2^2*gauss(1)*xi1*xi2*xi3 + 4*th1*th2*x2^2*gauss(4)"
@@ -383,9 +387,33 @@ def test_solve_eta_with_nonzero_zetabar():
         " + 8*th1*th2*x1^2*x2^2*gauss(4) + -2*th1*x1^3*gauss(2)*xi2"
         " + -6*th1*th2*x1^3*gauss(3)*xi1*xi3 + 8*th1*th2*x1^4*gauss(4)")
     assert eta.is_d_class()
-    assert report.details["constraints"] == {
-        "i": "0", "ii": "0", "iii": "0", "obstruction": "0"}
+    assert report.details["constraints"] == {"i": "0", "ii": "0", "iii": "0"}
     assert report.passed
+
+
+def test_eta_mu_term_of_the_general_bracket():
+    # with eta != 0 the bracket is the eta = 0 one, assembled here from
+    # the named forms, plus eta * fbar gbar (-1)^eps(f); th2 puts an odd
+    # scalar in a bar, and the last pair has a zero bar
+    ctx, zeta, h1 = zetabar_data()
+    eta, report = solve_eta(zeta, h1, 0)
+    assert report.passed and not eta.is_zero()
+    bracket = build_general_odd(zeta, eta, h1, 0)
+    theta = Scalar.theta(ctx.scalar_ctx, 1)
+    without_eta = (m0_form(ctx) + m1_form(ctx).scaled(theta * h1)
+                   + m3_form(ctx).scaled(theta) + mzeta_form(ctx, zeta)
+                   + jzeta_form(ctx, zeta).scaled(theta * h1))
+    top = ["gauss(1)*xi1*xi2*xi3", "th2*x1^2*gauss(2)*xi1*xi2*xi3",
+           "x2*gauss(1)*xi1"]
+    pairs = [(top[0], top[1]), (top[1], top[0]), (top[0], top[2])]
+    nonzero = 0
+    for f, g in pairs:
+        f, g = parse_expression(f, ctx), parse_expression(g, ctx)
+        bars = f.integral_bar() * g.integral_bar() * (-1) ** f.eps()
+        term = sf_mul(eta, SuperFunction.constant(ctx, bars))
+        assert bracket.evaluate(f, g) - without_eta.evaluate(f, g) == term
+        nonzero += not term.is_zero()
+    assert nonzero == 2
 
 
 def test_solve_eta_non_gaussian_zeta(ctx45):
@@ -394,8 +422,9 @@ def test_solve_eta_non_gaussian_zeta(ctx45):
                             Scalar.theta(ctx45.scalar_ctx, 2), 1)
     assert not eta.is_d_class()
     assert not report.passed
-    labels = [labels[0] for _index, labels, _text in report.failures]
-    assert "eta_class" in labels and "obstruction" in labels
+    # the non-D terms h2 must cancel are the eta_class failure
+    non_d = (eta - eta.d_class_part()).render()
+    assert (0, ["eta_class"], non_d) in report.failures
 
 
 def test_constraint_parity_checks(ctx45):
@@ -494,6 +523,42 @@ _REFUSALS = [
     ("build_C1c", lambda: build_C1c(_ZERO, _TH1),
      "kappa must be theta-free", "kappa"),
 ]
+
+# the parity rules refuse a value of the wrong parity and one with parts of
+# both parities alike: (site, call on the value, wrong value, mixed value,
+# message, relation)
+_XI1, _G1 = SuperFunction.xi(_CTX42, 1), SuperFunction.gauss(_CTX42, 1)
+_HB2 = h2(_CTX42)
+_MIXED, _MIXED_S = _XI1 + _G1, _TH1 + 1
+_C3_ZETA = "zeta must make m_zeta even: eps(zeta) + n_minus must be even"
+_C3_C3 = "c3 must make c3*m3 even: parity(c3) + n_minus must be even"
+_PARITY_SITES = [
+    ("check_constraints-zeta", lambda v: check_constraints(v, _ZERO, _TH1, 0),
+     _G1, _MIXED, "zeta must be odd", "zeta"),
+    ("check_constraints-eta", lambda v: check_constraints(_XI1, v, _TH1, 0),
+     _XI1, _MIXED, "eta must be even", "eta"),
+    ("check_constraints-h1", lambda v: check_constraints(_XI1, _ZERO, v, 0),
+     1, _MIXED_S, "h1 must be odd", "h1"),
+    ("check_constraints-h2",
+     lambda v: check_constraints(_XI1, _ZERO, _TH1, v),
+     _TH1, _MIXED_S, "h2 must be even", "h2"),
+    ("solve_eta-zeta", lambda v: solve_eta(v, _TH1, 0),
+     _G1, _MIXED, "zeta must be odd", "zeta"),
+    ("solve_eta-h1", lambda v: solve_eta(_XI1, v, 0),
+     1, _MIXED_S, "h1 must be odd", "h1"),
+    ("solve_eta-h2", lambda v: solve_eta(_XI1, _TH1, v),
+     _TH1, _MIXED_S, "h2 must be even", "h2"),
+    ("build_C1-zeta", lambda v: build_C1(v.scale_left(_HB2)),
+     _XI1, _MIXED, "zeta must be even", "zeta"),
+    ("build_C3-zeta", lambda v: build_C3(v.scale_left(_HB2)),
+     _XI1, _MIXED, _C3_ZETA, "zeta"),
+    ("build_C3-c3", lambda v: build_C3(_ZERO, v * _HB2),
+     _TH1, _MIXED_S, _C3_C3, "c3"),
+]
+_REFUSALS += [(f"{site}-{kind}", lambda call=call, v=v: call(v), message,
+               relation)
+              for site, call, wrong, mixed, message, relation in _PARITY_SITES
+              for kind, v in (("wrong", wrong), ("mixed", mixed))]
 
 
 @pytest.mark.parametrize("call, message, relation",
