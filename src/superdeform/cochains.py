@@ -54,14 +54,17 @@ class Cochain:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        if all(arg.eps() is not None for arg in args):
-            out = (SuperFunction.zero(self.ctx)
-                   if any(arg.is_zero() for arg in args)
-                   else self.fn(*args))
+        mixed = False
+        for arg in args:
+            if arg.is_zero():
+                out = SuperFunction.zero(self.ctx)
+                break
+            mixed = mixed or arg.eps() is None
         else:
+            # zero + x is x itself, so homogeneous arguments cost no copy
             out = SuperFunction.zero(self.ctx)
-            pieces = [arg.homogeneous_components() for arg in args]
-            for combo in product(*pieces):
+            for combo in (product(*(a.homogeneous_components() for a in args))
+                          if mixed else (args,)):
                 out = out + self.fn(*combo)
         if len(self._cache) > 4096:
             self._cache.clear()
@@ -154,11 +157,11 @@ def _bar_pairing(ctx, op, parity, name):
         gbar = g.integral_bar()
         out = SuperFunction.zero(f.ctx)
         if gbar:
-            out = op(f).scale_right(gbar) * ((-1) ** (n_minus * ef))
+            term = op(f).scale_right(gbar)
+            out = out - term if n_minus * ef & 1 else out + term
         if fbar:
             term = op(g).scale_right(fbar)
-            odd = (ef * eg + n_minus * eg) & 1
-            out = out + term if odd else out - term
+            out = out + term if (ef * eg + n_minus * eg) & 1 else out - term
         return out
 
     return Cochain(ctx, 2, parity, fn, EVEN, name=name)
@@ -182,19 +185,17 @@ def m23_form(ctx):
     """The odd antibracket cocycle built from 1 - N_xi."""
     _require_square(ctx, "m23")
 
-    def one_minus_nxi(f):
-        return f - f.number_xi()
-
     def fn(f, g):
-        sign = (-1) ** f.eps()
-        return sf_mul(one_minus_nxi(f), one_minus_nxi(g)) * sign
+        out = sf_mul(f.one_minus_number_xi(), g.one_minus_number_xi())
+        return -out if f.eps() else out
 
     return Cochain(ctx, 2, 1, fn, ODD, name="m23")
 
 
 def mu(f, g):
     """The scalar fbar gbar (-1)^eps(f), the value of mu_form."""
-    return (f.integral_bar() * g.integral_bar()) * ((-1) ** f.eps())
+    bars = f.integral_bar() * g.integral_bar()
+    return -bars if f.eps() else bars
 
 
 def mu_form(ctx):

@@ -60,6 +60,14 @@ def _require_parity(value, parity, name, message=None):
                                relation=name)
 
 
+def _theta1(ctx):
+    """The odd parameter theta_1, refused in a context without one."""
+    if ctx.scalar_ctx.k < 1:
+        raise DeformationError("an odd parameter theta_1 is required (k >= 1)",
+                               relation="context")
+    return Scalar.theta(ctx.scalar_ctx, 1)
+
+
 # -- Poisson-side deformations ---------------------------------------------
 
 def build_C1(zeta, kappa=1):
@@ -173,7 +181,8 @@ def build_anti_even(ctx, c):
         out = antibracket(f, g)
         df = resolvent(f.delta_op())
         if not df.is_zero():
-            out = out + sf_mul(df, g.euler_E()) * ((-1) ** f.eps())
+            term = sf_mul(df, g.euler_E())
+            out = out - term if f.eps() else out + term
         dg = resolvent(g.delta_op())
         if not dg.is_zero():
             out = out + sf_mul(f.euler_E(), dg)
@@ -186,11 +195,7 @@ def build_anti_even(ctx, c):
 def build_anti_odd(ctx):
     """[f,g]* = [f,g] + theta*m_{2|3}(f,g); exact since theta^2 = 0."""
     anti = anti_form(ctx)
-    if ctx.scalar_ctx.k < 1:
-        raise DeformationError("an odd parameter theta_1 is required (k >= 1)",
-                               relation="context")
-    theta = Scalar.theta(ctx.scalar_ctx, 1)
-    form = anti + m23_form(ctx).scaled(theta)
+    form = anti + m23_form(ctx).scaled(_theta1(ctx))
     form.name = ANTI_ODD
     return form
 
@@ -201,7 +206,7 @@ def _relation_one(zeta, eta, h1, h2, etabar):
     """eta + theta h1 m1(zeta,zeta) + theta[2E - (2+n+-n-)]zeta
     + etabar*zeta + {zeta,zeta} - h2."""
     ctx = zeta.ctx
-    theta = Scalar.theta(ctx.scalar_ctx, 1)
+    theta = _theta1(ctx)
     out = eta + m1(zeta, zeta).scale_left(theta * h1)
     euler = zeta.euler_E() * 2 - zeta * (2 + ctx.n_plus - ctx.n_minus)
     out = out + euler.scale_left(theta)
@@ -212,8 +217,10 @@ def _relation_one(zeta, eta, h1, h2, etabar):
 
 def _theorem_scalars(zeta, h1, h2):
     """h1 and h2 as the context's scalars, once zeta, h1 and h2 pass the
-    parity rules of the theorem: zeta and h1 odd, h2 even."""
+    parity rules of the theorem: zeta and h1 odd, h2 even (in a context
+    with theta_1, which is checked first)."""
     ctx = zeta.ctx
+    _theta1(ctx)
     h1, h2 = _own_scalar(ctx, h1), _own_scalar(ctx, h2)
     _require_parity(zeta, 1, "zeta")
     _require_parity(h1, 1, "h1")
@@ -230,7 +237,7 @@ def check_constraints(zeta, eta, h1, h2):
     ctx = zeta.ctx
     h1, h2 = _theorem_scalars(zeta, h1, h2)
     _require_parity(eta, 0, "eta")
-    theta = Scalar.theta(ctx.scalar_ctx, 1)
+    theta = _theta1(ctx)
     # the bar of the non-D part need not exist; it is flagged separately
     etabar = eta.d_class_part().integral_bar()
     residuals = {
@@ -294,7 +301,7 @@ def _general_odd_bracket(zeta, eta, h1, h2):
     """The bracket of build_general_odd, for data whose constraints were
     checked already."""
     ctx = zeta.ctx
-    theta = Scalar.theta(ctx.scalar_ctx, 1)
+    theta = _theta1(ctx)
     th1 = theta * h1
     form = m0_form(ctx) + m1_form(ctx).scaled(th1) + \
         m3_form(ctx).scaled(theta)

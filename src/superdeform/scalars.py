@@ -247,7 +247,17 @@ class FlatSum:
         return self._of(self.ctx, {k: -q for k, q in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + -other
+        # as __add__, with each coefficient of other negated as it is added
+        if other.__class__ is not self.__class__:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if other.ctx is not self.ctx:
+            self._check(other)
+        out = dict(self.coeffs)
+        for key, q in other.coeffs.items():
+            accumulate(out, key, -q)
+        return self._of(self.ctx, out)
 
     def __rsub__(self, other):
         return -self + other

@@ -26,10 +26,12 @@ d_a (x^e G) = e_a x^(e - 1_a) G - c x^(e + 1_a) G, with G = exp(-c|x|^2/2).
 Closed forms on a term s * x^e * G * xi^I, where putting xi_a back in front
 undoes the twist and the sign of its left derivative: N_z = sum_a z_a d^L_a
 gives (|e| + |I|) times the term minus c sum_a x_a^2 times it; N_xi gives
-|I| times it; E = 1 - N_z/2; Delta = sum_i d_{x_i} d^L_{xi_i} is the left
-xi_i-derivative, then d/dx_i.  For even e, the integral over the n = n_plus
-x-coordinates is prod_a (e_a - 1)!! c^(-|e|/2) (2 pi/c)^(n/2), a rational
-times pi^(n/2) as n is even.
+|I| times it; so E = 1 - N_z/2 and 1 - N_xi are one pass each, with the
+factors 1 - (|e| + |I|)/2 (and c/2 per x_a^2) and 1 - |I|.  Delta =
+sum_i d_{x_i} d^L_{xi_i} is the left xi_i-derivative, then d/dx_i.  For
+even e, the integral over the n = n_plus x-coordinates is
+prod_a (e_a - 1)!! c^(-|e|/2) (2 pi/c)^(n/2), a rational times pi^(n/2) as
+n is even; only top-xi terms add to the bar.
 
 Compactly supported functions are modeled by the terms with c > 0, smooth
 functions by arbitrary terms, and the centralizer of the compactly
@@ -393,6 +395,13 @@ class SuperFunction(FlatSum):
             pass
         ctx = self.ctx
         top = tuple(range(1, ctx.n_minus + 1))
+        # zero unless a term is top-xi or (n_plus > 0) not Gaussian
+        for key in self.coeffs:
+            if key[2] == top or ctx.n_plus and not key[1]:
+                break
+        else:
+            self._bar = Scalar._of(ctx.scalar_ctx, {})
+            return self._bar
         zero_x = (0,) * ctx.n_plus
         half = ctx.n_plus // 2
         total = {}
@@ -418,27 +427,34 @@ class SuperFunction(FlatSum):
 
     def number_z(self):
         """Sum over all variables of z_a times the left derivative."""
-        out = {}
-        for (xexp, c, xi), items in _grouped(self).items():
-            degree = sum(xexp) + len(xi)
-            term = (xexp, c, xi)
-            bumped = [(bump(xexp, a, 2), c, xi)
-                      for a in range(len(xexp) if c else 0)]
-            for k, q in items:
-                accumulate(out, term + k, q * degree)
-                for b in bumped:
-                    accumulate(out, b + k, -c * q)
-        return SuperFunction._of(self.ctx, out)
-
-    def number_xi(self):
-        """Sum over the xi_a of xi_a times the left derivative."""
-        return SuperFunction._of(self.ctx, {
-            key: int_if_integral(q * len(key[2]))
-            for key, q in self.coeffs.items() if key[2]})
+        return self._degree_op(0, 1)
 
     def euler_E(self):
         """1 - (1/2) z d/dz, the operator whose kernel is degree two."""
-        return self - self.number_z() * Fraction(1, 2)
+        return self._degree_op(1, Fraction(-1, 2))
+
+    def _degree_op(self, a, b):
+        """a + b N_z in one pass: a term s x^e G xi^I gets the factor
+        a + b (|e| + |I|), and each of its bumps x_i^2 the factor -b c."""
+        out = {}
+        for (xexp, c, xi), items in _grouped(self).items():
+            w = int_if_integral(a + b * (sum(xexp) + len(xi)))
+            u = int_if_integral(-b * c)
+            term = (xexp, c, xi)
+            bumped = [(bump(xexp, i, 2), c, xi)
+                      for i in range(len(xexp) if c else 0)]
+            for k, q in items:
+                accumulate(out, term + k, q * w)
+                for t in bumped:
+                    accumulate(out, t + k, q * u)
+        return SuperFunction._of(self.ctx, out)
+
+    def one_minus_number_xi(self):
+        """1 - N_xi, N_xi the sum over the xi_a of xi_a times the left
+        derivative: a term of xi-degree |I| gets the factor 1 - |I|."""
+        return SuperFunction._of(self.ctx, {
+            key: int_if_integral(q * (1 - len(key[2])))
+            for key, q in self.coeffs.items() if len(key[2]) != 1})
 
     def delta_op(self):
         """Sum over i of d/dx_i d/dxi_i; needs n_plus == n_minus."""
@@ -533,9 +549,14 @@ def _make(ctx, slots, den=1):
     coeffs = {}
     for term, slot in slots.items():
         for k, v in slot.items():
-            if v:
-                coeffs[term + k] = int_if_integral(
-                    v if den == 1 else Fraction(v, den))
+            if not v:
+                continue
+            if v.__class__ is int:
+                # a Fraction only when den does not divide v
+                q, r = divmod(v, den)
+                coeffs[term + k] = Fraction(v, den) if r else q
+            else:
+                coeffs[term + k] = int_if_integral(v / den)
     return SuperFunction._of(ctx, coeffs)
 
 

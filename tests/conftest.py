@@ -29,6 +29,13 @@ def ctx45():
     return SymplecticContext(4, 5, (1, 1, 1, 1, 1), 2, 6)
 
 
+def is_clean(flat):
+    """The clean-dict rule of a FlatSum: no zero value and an int for every
+    integral one."""
+    return all(q and (q.__class__ is int or q.denominator != 1)
+               for q in flat.coeffs.values())
+
+
 def radical_float(rad):
     """Independent numeric value of a RadicalNumber."""
     total = 0.0

@@ -364,6 +364,17 @@ def test_cli_refuses_mixed_parity_parameters(argv, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+def test_cli_theorem_refuses_a_context_without_theta1(capsys):
+    """--k 0 leaves no odd parameter for the theorem: the k >= 1 rule of
+    the odd-parameter brackets refuses it, not the theta constructor."""
+    assert run(["theorem", "--nplus", "4", "--nminus", "5", "--k", "0",
+                "--zeta", "xi1", "--h1", "0", "--h2", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: an odd parameter theta_1 is required (k >= 1)\n"
+
+
 _EQUIV_WRONG_T1 = ["equiv",
                    "--c1", "c3(zeta=hbar^2*x1*gauss(1) + hbar^2*gauss(1))",
                    "--c2", "c3(zeta=hbar^2*x1*gauss(1))",

@@ -560,6 +560,25 @@ _REFUSALS += [(f"{site}-{kind}", lambda call=call, v=v: call(v), message,
               for site, call, wrong, mixed, message, relation in _PARITY_SITES
               for kind, v in (("wrong", wrong), ("mixed", mixed))]
 
+# the k >= 1 rule: every site that needs theta_1 refuses a context without
+# it with the one message of build_anti_odd, before any parity rule
+_CTX_K0 = SymplecticContext(4, 5, (1,) * 5, 0, 6)
+_XI1_K0, _ZERO_K0 = SuperFunction.xi(_CTX_K0, 1), SuperFunction.zero(_CTX_K0)
+_THETA1 = "an odd parameter theta_1 is required (k >= 1)"
+_REFUSALS += [
+    ("build_anti_odd-k0",
+     lambda: build_anti_odd(SymplecticContext(2, 2, (1, 1), 0, 6)),
+     _THETA1, "context"),
+    ("check_constraints-k0",
+     lambda: check_constraints(_XI1_K0, _ZERO_K0, 0, 1), _THETA1, "context"),
+    ("check_constraints-k0-even-zeta",
+     lambda: check_constraints(_ZERO_K0 + 1, _ZERO_K0, 0, 1), _THETA1,
+     "context"),
+    ("solve_eta-k0", lambda: solve_eta(_XI1_K0, 0, 1), _THETA1, "context"),
+    ("build_general_odd-k0",
+     lambda: build_general_odd(_XI1_K0, _ZERO_K0, 0, 1), _THETA1, "context"),
+]
+
 
 @pytest.mark.parametrize("call, message, relation",
                          [case[1:] for case in _REFUSALS],

@@ -1,8 +1,8 @@
 """The first-order kernels against their compositional definitions.
 
-``poisson_bracket``, ``antibracket``, ``number_z``, ``number_xi``,
-``euler_E``, ``delta_op`` and ``integral_bar`` act term by term in closed
-form.  The oracles here build the same operators the long way, one
+``poisson_bracket``, ``antibracket``, ``number_z``, ``euler_E``,
+``one_minus_number_xi``, ``delta_op`` and ``integral_bar`` act term by term
+in closed form.  The oracles here build the same operators the long way, one
 intermediate SuperFunction at a time from per-variable derivatives and
 ``sf_mul`` (and the integral from products of one-dimensional
 ``gaussian_moment``s), over the contexts of the context matrix and a few
@@ -17,7 +17,7 @@ import pytest
 from superdeform import (Scalar, SuperFunction, SymplecticContext,
                          antibracket, poisson_bracket, sf_mul)
 
-from conftest import gaussian_moment, omega_channels, seeded
+from conftest import gaussian_moment, is_clean, omega_channels, seeded
 from test_context_matrix import (ANTI_MIXED, K0, K2, MIXED_5, NEGATIVE_3,
                                  NO_X)
 
@@ -127,13 +127,21 @@ def integral_oracle(f):
 
 @pytest.mark.parametrize("context", CONTEXTS, ids=_ids(CONTEXTS))
 def test_number_operators_match_oracles(context):
+    """N_z, and E and 1 - N_xi (each one pass) against 1 - N_z/2 and
+    1 - N_xi composed from derivatives, products and sums (no ``-``), on
+    coefficients with theta, hbar, sqrt(2), pi and Fractions."""
     ctx = SymplecticContext(*context)
+    sctx = ctx.scalar_ctx
+    radical = Scalar.sqrt(sctx, 2) + Scalar.pi(sctx) * Fraction(1, 3)
     rng = seeded(61)
     for _ in range(12):
-        f = sample(rng, ctx)
+        f = sample(rng, ctx) + sample(rng, ctx).scale_left(radical)
         assert f.number_z() == number_z_oracle(f)
-        assert f.number_xi() == number_xi_oracle(f)
-        assert f.euler_E() == f - number_z_oracle(f) * Fraction(1, 2)
+        for fast, composed in (
+                (f.euler_E(), f + number_z_oracle(f) * Fraction(-1, 2)),
+                (f.one_minus_number_xi(), f + number_xi_oracle(f) * -1)):
+            assert fast == composed
+            assert is_clean(fast)
 
 
 @pytest.mark.parametrize("context", CONTEXTS, ids=_ids(CONTEXTS))

@@ -12,14 +12,14 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superdeform import (RadicalNumber, SampleSpec, Scalar, ScalarContext,
-                         SuperFunction, SymplecticContext,
-                         sample_superfunctions, sf_mul)
+from superdeform import (ContextMismatchError, RadicalNumber, SampleSpec,
+                         Scalar, ScalarContext, SuperFunction,
+                         SymplecticContext, sample_superfunctions, sf_mul)
 from superdeform.scalars import (MAX_RADICAND, merge_odd_indices,
                                  squarefree_decompose, theta_mask,
                                  theta_sign)
 
-from conftest import radical_float, scalar_float
+from conftest import is_clean, radical_float, scalar_float
 
 
 def test_squarefree_decompose_small():
@@ -79,6 +79,30 @@ def test_radical_reflected_subtraction():
     assert 3 - RadicalNumber.sqrt_int(9) == 0
     assert Fraction(1, 2) - RadicalNumber.sqrt_int(2) == \
         RadicalNumber({(0, 0, 1): Fraction(1, 2), (0, 0, 2): -1})
+
+
+def test_subtraction_is_addition_of_the_negation():
+    """a - b, computed in one pass, equals a + (-b) for Scalars, ints,
+    Fractions and RadicalNumbers on either side, keeps the dict clean, and
+    refuses a Scalar of another context."""
+    sctx = ScalarContext(2, 4)
+    th1, th2 = Scalar.theta(sctx, 1), Scalar.theta(sctx, 2)
+    a = th1 * Fraction(3, 2) + Scalar.sqrt(sctx, 2) * Scalar.hbar(sctx) + 5
+    b = th1 * Fraction(3, 2) + Scalar.pi(sctx) * -1 + th2 + Fraction(1, 2)
+    zero = Scalar.zero(sctx)
+    for x in (a, b, zero):
+        for y in (a, b, zero, 3, 0, -7, Fraction(5, 3), Fraction(11, 2),
+                  RadicalNumber.sqrt_int(2, 3),
+                  RadicalNumber.pi_power(1, Fraction(1, 2)) + 5):
+            for diff, want in ((x - y, x + -y), (y - x, y + -x)):
+                assert diff == want and diff.ctx == sctx
+                assert is_clean(diff)
+    assert (a - a).is_zero() and (a - 5).coeffs == (a + -5).coeffs
+    r = RadicalNumber.sqrt_int(2, 3) + 1
+    assert 3 - r == 3 + -r == RadicalNumber({(0, 0, 1): 2, (0, 0, 2): -3})
+    assert isinstance(3 - r, RadicalNumber)
+    with pytest.raises(ContextMismatchError):
+        a - Scalar.one(ScalarContext(1, 4))
 
 
 def test_scalar_and_radical_mix_in_the_scalars_context():

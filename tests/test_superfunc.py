@@ -9,9 +9,10 @@ from superdeform import (ContextMismatchError, NotIntegrableError,
                          SampleSpec, Scalar, ScalarContext, SuperFunction,
                          SymplecticContext, moyal_bracket, poisson_bracket,
                          sample_superfunctions, sf_mul)
+from superdeform.superfunc import _make
 
-from conftest import (gaussian_moment, omega_channels, radical_float,
-                      random_superfunction, seeded)
+from conftest import (gaussian_moment, is_clean, omega_channels,
+                      radical_float, random_superfunction, seeded)
 
 
 def test_context_validation():
@@ -206,7 +207,7 @@ def test_euler_kernel_is_degree_two(ctx42):
 
 def test_number_operators(ctx42):
     f = SuperFunction.term(ctx42, (2, 1, 0, 0), Fraction(0), (1, 2))
-    assert f.number_xi() == f * 2
+    assert f.one_minus_number_xi() == f * -1
     assert f.number_z() == f * 5
 
 
@@ -352,3 +353,76 @@ def test_gaussian_weight_is_zero_without_x_variables():
     ctx22 = SymplecticContext(2, 2, (1, 1), 1, 6)
     assert SuperFunction.gauss(ctx22, 2) * SuperFunction.xi(ctx22, 1) != \
         SuperFunction.xi(ctx22, 1)
+
+
+def test_subtraction_is_addition_of_the_negation(ctx42, ctx22):
+    """f - g, computed in one pass, equals f + (-g) for functions, Scalars
+    and rationals on either side, and refuses another context."""
+    sctx = ctx42.scalar_ctx
+    th = Scalar.theta(sctx, 1)
+    shared = SuperFunction.term(ctx42, (1, 0, 0, 0), Fraction(1, 2), (1,),
+                                th * Fraction(3, 2))
+    f = shared + SuperFunction.constant(ctx42, 2) + \
+        SuperFunction.gauss(ctx42, 1)
+    g = shared + SuperFunction.xi(ctx42, 2).scale_left(Scalar.sqrt(sctx, 2))
+    zero = SuperFunction.zero(ctx42)
+    for x in (f, g, zero):
+        for y in (f, g, zero, 2, 0, Fraction(-1, 3),
+                  Scalar.sqrt(sctx, 2) + th, Scalar.pi(sctx) * -1):
+            assert x - y == x + -y
+            assert is_clean(x - y)
+            assert y - x == y + -x
+            assert is_clean(y - x)
+    assert (f - f).is_zero()
+    with pytest.raises(ContextMismatchError):
+        f - SuperFunction.gauss(ctx22, 1)
+    with pytest.raises(ContextMismatchError):
+        f - Scalar.one(ScalarContext(0, 6))
+
+
+def test_make_divides_each_slot_exactly(ctx42):
+    """_make divides int and Fraction slots by den exactly, with negative
+    and non-integral quotients, and stores an integral quotient as int."""
+    t1 = ((1, 0, 0, 0), 1, (1,))
+    t2 = ((0, 0, 0, 0), Fraction(1, 2), ())
+    k0, kh = (0, 0, 0, 0, 1), (2, 1, 0, 0, 2)
+    slots = {t1: {k0: 5040 * 3, kh: -5040 * 2 - 7, (1, 0, 0, 0, 1): 0},
+             t2: {k0: Fraction(-15, 2), kh: Fraction(5040 * 7, 2),
+                  (1, 0, 0, 0, 1): -5040}}
+    for den in (1, 7, 5040):
+        out = _make(ctx42, slots, den)
+        assert out.coeffs == {t + k: Fraction(v) / den
+                              for t, slot in slots.items()
+                              for k, v in slot.items() if v}
+        assert is_clean(out)
+    assert _make(ctx42, slots, 5040).coeffs[t1 + kh] == Fraction(-10087, 5040)
+    assert _make(ctx42, slots, 7).coeffs[t2 + kh] == 2520
+
+
+def test_zero_bar_scan_keeps_the_integral_rules(ctx42):
+    """A function without a top-xi term has bar 0 unless it has a term the
+    Gaussian class cannot integrate, which still raises; the pure constant
+    is still dropped, and at n_plus = 0 (where every weight is 0) the top
+    term still counts."""
+    sctx = ctx42.scalar_ctx
+    gauss_xi1 = SuperFunction.term(ctx42, (2, 0, 0, 0), 1, (1,))
+    for f in (SuperFunction.x(ctx42, 1) + gauss_xi1,
+              SuperFunction.xi(ctx42, 1) + gauss_xi1):
+        with pytest.raises(NotIntegrableError):
+            f.integral_bar()
+    const = SuperFunction.constant(ctx42, Scalar.theta(sctx, 1) + 3)
+    assert (const + gauss_xi1).integral_bar().is_zero()
+    assert const.integral_bar().is_zero()
+    top = SuperFunction.term(ctx42, (2, 0, 0, 0), 2, (1, 2), 3)
+    bar = top.integral_bar()
+    # the product of the one-dimensional moments
+    want = Scalar.one(sctx) * 3
+    for e in (2, 0, 0, 0):
+        want = want * gaussian_moment(e, 2)
+    assert bar == want and not bar.is_zero()
+    assert (const + top + gauss_xi1).integral_bar() == bar
+    ctx = SymplecticContext(0, 2, (1, -1), 1, 6)
+    xi12 = SuperFunction.term(ctx, xi=(1, 2), scalar=Fraction(3, 2))
+    rest = SuperFunction.xi(ctx, 1) + SuperFunction.constant(ctx, 5)
+    assert (xi12 + rest).integral_bar() == Fraction(3, 2)
+    assert rest.integral_bar().is_zero()
