@@ -50,10 +50,12 @@ class Cochain:
         if len(args) != self.arity:
             raise ArityError(
                 f"{self.name} expects {self.arity} arguments, got {len(args)}")
-        key = tuple(arg.freeze() for arg in args)
+        # keyed by identity: a function never changes once built, and the
+        # entry holds its arguments, so no id is reused while it is kept
+        key = tuple(map(id, args))
         hit = self._cache.get(key)
         if hit is not None:
-            return hit
+            return hit[1]
         mixed = False
         for arg in args:
             if arg.is_zero():
@@ -68,7 +70,7 @@ class Cochain:
                 out = out + self.fn(*combo)
         if len(self._cache) > 4096:
             self._cache.clear()
-        self._cache[key] = out
+        self._cache[key] = (args, out)
         return out
 
     __call__ = evaluate
@@ -240,7 +242,8 @@ def d_ad(m, bracket=None):
     Signs use the grading of ``m``, which must have a defined parity, and
     ``bracket`` defaults to the one of that grading: the Poisson bracket
     for 'even', the antibracket for 'odd'.  A bracket of the other grading
-    gives the differential of neither complex and raises ValueError.
+    gives the differential of neither complex and raises ValueError.  The
+    bracket used is ``params["bracket"]`` of the result.
     """
     if m.parity is None:
         raise ValueError(f"{m.name} has undefined parity")
@@ -277,4 +280,6 @@ def d_ad(m, bracket=None):
                 out = out - term if sign == 1 else out + term
         return out
 
-    return Cochain(ctx, p + 1, m_parity, fn, grading, name=f"d({m.name})")
+    d = Cochain(ctx, p + 1, m_parity, fn, grading, name=f"d({m.name})")
+    d.params["bracket"] = bracket
+    return d

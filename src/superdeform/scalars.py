@@ -177,12 +177,13 @@ class FlatSum:
     Fraction otherwise), and no h-exponent above ``ctx.h_max``.  Results
     are built on a clean dict by ``_of`` or a constructor and never changed
     in place: only those write ``coeffs``.  Code relies on that: a sum with
-    zero may be the other summand itself, and a SuperFunction keeps values
-    computed from its dict (its parity, bar integral and frozen key) for
-    good.  The one fact this class knows about a key is that its
-    h-exponent sits at index ``_HBAR``; a subclass turns an operand of
-    another type into its own by ``_lift``, or answers NotImplemented, so
-    that the operand's reflected method runs.
+    zero may be the other summand itself, a SuperFunction keeps values
+    computed from its dict (its parity and bar integral) for good, and a
+    cochain memo is keyed by its arguments' identity.  The one fact this
+    class knows about a key is that its h-exponent sits at index
+    ``_HBAR``; a subclass turns an operand of another type into its own by
+    ``_lift``, or answers NotImplemented, so that the operand's reflected
+    method runs.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -501,9 +502,10 @@ def _lift(x):
 
 def _on_scalars(op):
     """A binary method of RadicalNumber: ``op`` on the Scalars behind the
-    operands; a Scalar operand goes to its own reflected method."""
+    operands; any operand but a rational or a RadicalNumber goes to its own
+    reflected method."""
     def method(self, other):
-        if isinstance(other, Scalar):
+        if not isinstance(other, (Rational, RadicalNumber)):
             return NotImplemented
         return RadicalNumber._of(op(self.scalar, _lift(other)))
     return method

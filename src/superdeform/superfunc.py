@@ -52,8 +52,8 @@ layout; the bracket kernels read terms through ``_grouped`` and build
 results through ``_make``.
 
 A function never changes after it is built (the ``FlatSum`` rule), so it
-keeps its parity, its bar integral and its frozen key once asked for them:
-a check asks for each of them many times on the same arguments.
+keeps its parity and its bar integral once asked for them: a check asks
+for each of them many times on the same arguments.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ from numbers import Rational
 from operator import add, lt
 
 from .errors import ContextMismatchError, DeformationError, NotIntegrableError
-from .scalars import (FlatSum, Scalar, ScalarContext, accumulate,
-                      int_if_integral, merge_odd_indices, mul_into,
-                      render_sum)
+from .scalars import (FlatSum, RadicalNumber, Scalar, ScalarContext,
+                      accumulate, int_if_integral, merge_odd_indices,
+                      mul_into, render_sum)
 
 
 class SymplecticContext:
@@ -144,13 +144,12 @@ class SuperFunction(FlatSum):
     Scalar}, where a rational value stands for its Scalar, and refuses a
     term key that is not canonical; it sets the Gaussian weight to 0 when
     n_plus = 0 and sums the terms that then coincide.  ``terms`` is that
-    view, built on each access.  The slots ``_eps``, ``_bar`` and ``_key``
-    hold the values of ``eps``, ``integral_bar`` and ``freeze`` once
-    computed; a raised NotIntegrableError is not kept, so it is raised on
-    every call.
+    view, built on each access.  The slots ``_eps`` and ``_bar`` hold the
+    values of ``eps`` and ``integral_bar`` once computed; a raised
+    NotIntegrableError is not kept, so it is raised on every call.
     """
 
-    __slots__ = ("_eps", "_bar", "_key")
+    __slots__ = ("_eps", "_bar")
 
     _HBAR = 3
 
@@ -282,13 +281,6 @@ class SuperFunction(FlatSum):
         return hash((self.ctx, self.freeze())) if s is None else hash(s)
 
     # -- grading -----------------------------------------------------------
-
-    def freeze(self):
-        try:
-            return self._key
-        except AttributeError:
-            self._key = FlatSum.freeze(self)
-            return self._key
 
     def eps(self):
         """Total Grassmann parity (xi-degree + theta-weight), or None."""
@@ -510,10 +502,12 @@ def _parity(key):
 
 
 def _own_scalar(ctx, value):
-    """``value`` as a Scalar over ctx.scalar_ctx: a rational is converted,
-    a Scalar over another context refused."""
+    """``value`` as a Scalar over ctx.scalar_ctx: a rational or a
+    RadicalNumber is converted, a Scalar over another context refused."""
     sctx = ctx.scalar_ctx
     if not isinstance(value, Scalar):
+        if isinstance(value, RadicalNumber):
+            return Scalar.from_radical(sctx, value)
         return Scalar.rational(sctx, value)
     if value.ctx is not sctx and value.ctx != sctx:
         raise ContextMismatchError(

@@ -232,7 +232,9 @@ def check_cocycle(form, spec, bracket=None):
 def check_d_squared(form, spec, bracket=None):
     """d3_ad(d2_ad form) = 0 on sampled 4-tuples."""
     ctx = form.ctx
-    dd = d_ad(d_ad(form, bracket=bracket), bracket=bracket)
+    d = d_ad(form, bracket=bracket)
+    # one bracket object, so both differentials share its memo
+    dd = d_ad(d, bracket=d.params["bracket"])
     quads = sample_tuples(spec, ctx, 4)
     return _run(f"d_squared[{form.name}]", ctx, quads, _vanishes(dd.evaluate))
 
@@ -259,13 +261,16 @@ def check_signs(form, spec):
     M = form.evaluate
 
     def rule(f, g):
+        # the memo is keyed by identity: pass one object for equal values
+        fg = M(f, g)
+        tf, tg = f.scale_left(theta), g.scale_left(theta)
+        ft, gt = f.scale_right(theta), g.scale_right(theta)
+        ft = tf if ft == tf else ft
+        gt = tg if gt == tg else gt
         for name, residual in (
-                ("left", M(f.scale_left(theta), g)
-                 - M(f, g).scale_left(theta) * sign),
-                ("middle", M(f, g.scale_left(theta))
-                 - M(f.scale_right(theta), g) * mid_sign),
-                ("right", M(f, g.scale_right(theta))
-                 - M(f, g).scale_right(theta))):
+                ("left", M(tf, g) - fg.scale_left(theta) * sign),
+                ("middle", M(f, tg) - M(ft, g) * mid_sign),
+                ("right", M(f, gt) - fg.scale_right(theta))):
             if not residual.is_zero():
                 yield (name,), residual.render()
 

@@ -357,8 +357,9 @@ def test_evaluate_splits_only_a_mixed_argument(ctx42):
 
 
 def test_evaluate_stores_each_miss(ctx42):
-    """A miss adds one entry to ``_cache`` and a repeat finds it, which is
-    how per-layer tracing counts hits."""
+    """A miss adds one entry to ``_cache`` and a repeat on the same
+    argument objects finds it, which is how per-layer tracing counts
+    hits."""
     form = m0_form(ctx42)
     f, g = SuperFunction.x(ctx42, 1), SuperFunction.x(ctx42, 2)
     zero = SuperFunction.zero(ctx42)
@@ -368,3 +369,19 @@ def test_evaluate_stores_each_miss(ctx42):
         assert len(form._cache) == size + 1
         assert form.evaluate(*args) is value
         assert len(form._cache) == size + 1
+
+
+def test_memo_is_keyed_by_argument_identity(ctx42):
+    """Distinct but equal arguments give equal values, and an entry keeps
+    its arguments alive, so a function built after another is freed never
+    gets the freed one's value through a reused id."""
+    form = m0_form(ctx42)
+    g = SuperFunction.x(ctx42, 2) * SuperFunction.xi(ctx42, 1)
+    a = SuperFunction.x(ctx42, 1) + SuperFunction.xi(ctx42, 2)
+    b = SuperFunction.x(ctx42, 1) + SuperFunction.xi(ctx42, 2)
+    assert a is not b and form.evaluate(a, g) == form.evaluate(b, g)
+    for i in range(1, 50):
+        # freed before the next is built, so its memory is likely reused
+        f = SuperFunction.term(ctx42, xi=(1,), scalar=i)
+        assert form.evaluate(f, g) == poisson_bracket(f, g)
+        del f

@@ -1,14 +1,15 @@
 """Unit tests for Gaussian-weighted polynomial superfunctions."""
 
 from fractions import Fraction
+from operator import add, mul, sub
 
 import mpmath
 import pytest
 
 from superdeform import (ContextMismatchError, NotIntegrableError,
-                         SampleSpec, Scalar, ScalarContext, SuperFunction,
-                         SymplecticContext, moyal_bracket, poisson_bracket,
-                         sample_superfunctions, sf_mul)
+                         RadicalNumber, SampleSpec, Scalar, ScalarContext,
+                         SuperFunction, SymplecticContext, moyal_bracket,
+                         poisson_bracket, sample_superfunctions, sf_mul)
 from superdeform.superfunc import _make
 
 from conftest import (gaussian_moment, is_clean, omega_channels,
@@ -188,6 +189,18 @@ def test_scalar_on_the_left_of_a_function(ctx42):
         s + "x"
 
 
+def test_a_radical_number_meets_a_function(ctx42):
+    """On either side of +, - and *, a RadicalNumber acts as the Scalar of
+    its value."""
+    r, s = RadicalNumber.sqrt_int(2), Scalar.sqrt(ctx42.scalar_ctx, 2)
+    f = SuperFunction.x(ctx42, 1) + SuperFunction.xi(ctx42, 1)
+    for op in (add, sub, mul):
+        assert op(f, r) == op(f, s)
+        assert op(r, f) == op(s, f)
+    with pytest.raises(TypeError):
+        r + "x"
+
+
 def test_integral_bar_errors_and_centralizer(ctx42):
     poly = SuperFunction.x(ctx42, 1)
     with pytest.raises(NotIntegrableError):
@@ -255,7 +268,7 @@ def test_theta_grade_part(ctx42):
     assert f.theta_grade_part(1) == SuperFunction.x(ctx42, 2).scale_left(t)
 
 
-# -- the kept parity, bar and frozen key --------------------------------------
+# -- the kept parity and bar --------------------------------------------------
 
 def _fresh(f):
     """A new function on a copy of f's dict, with nothing kept yet."""
@@ -263,9 +276,9 @@ def _fresh(f):
 
 
 def test_kept_values_equal_fresh_ones(ctx42, ctx22):
-    """eps, integral_bar and freeze are computed once per function; asked
-    again, on samples, on bracket results and on the very object that a
-    sum with zero returns, they give what a new computation gives."""
+    """eps and integral_bar are computed once per function; asked again,
+    on samples, on bracket results and on the very object that a sum with
+    zero returns, they and freeze give what a new computation gives."""
     for ctx in (ctx42, ctx22):
         samples = sample_superfunctions(
             SampleSpec(seed=41, count=12, terms=2), ctx)
@@ -284,7 +297,6 @@ def test_kept_values_equal_fresh_ones(ctx42, ctx22):
                 assert f.integral_bar() == fresh.integral_bar()
                 assert hash(f) == hash(fresh)
             assert f.integral_bar() is f.integral_bar()
-            assert f.freeze() is f.freeze()
         # the zero function and a mixed-parity sum
         mixed = (samples[0] + SuperFunction.term(ctx, c=1, xi=(1,))
                  + SuperFunction.constant(ctx, 1))

@@ -122,6 +122,45 @@ def test_check_signs_all_builtins(ctx42, ctx22):
         assert check_signs(form, spec).passed
 
 
+# misses of the value-keyed memo that the identity-keyed one replaced, and
+# sha256 of the sorted-key JSON report core
+MEMO_MISS_BOUNDS = {
+    "signs_m3": (
+        69, "d0799ce15e70deed8fc0a05128fbb9176fbcf6ee8d1c74fe9436cfa702b910fb"),
+    "d_squared_m1": (
+        295, "268e76855e084941872d7f626a6547a803947a5a0bf95439e5da849ac1e1d41a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_MISS_BOUNDS))
+def test_checks_miss_the_memo_no_more_than_by_value(ctx42, monkeypatch,
+                                                    case):
+    """check_signs passes one object for equal values and check_d_squared
+    one bracket to both differentials, so a memo keyed by identity misses
+    no more often than one keyed by value did.  A miss is counted as the
+    tracer counts it: an evaluate call that changes ``len(_cache)``."""
+    misses = []
+    evaluate = Cochain.evaluate
+
+    def counting(self, *args):
+        size = len(self._cache)
+        out = evaluate(self, *args)
+        misses.append(len(self._cache) != size)
+        return out
+
+    monkeypatch.setattr(Cochain, "evaluate", counting)
+    report = {
+        "signs_m3": lambda: check_signs(m3_form(ctx42),
+                                        SampleSpec(seed=3, count=20)),
+        "d_squared_m1": lambda: check_d_squared(m1_form(ctx42),
+                                                SampleSpec(seed=3, count=3)),
+    }[case]()
+    bound, digest = MEMO_MISS_BOUNDS[case]
+    assert report.passed and 0 < sum(misses) <= bound
+    text = json.dumps(report.core_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_check_signs_needs_theta(ctx42):
     ctx = SymplecticContext(4, 2, (1, 1), 0, 6)
     with pytest.raises(ValueError):

@@ -9,8 +9,10 @@ change runs first on odd seeds and the parent first on even ones.  T and
 the end-to-end metrics (with their direction and bound) come from the
 parent's BENCHMARK.json.  The output file holds, per workload and metric,
 both sides' runs, medians and quartiles, the change's wins (ties count for
-neither), the failed-operation counts and the machine; it is rewritten
-after every pair, so an interrupted comparison keeps its finished pairs.
+neither), whether a claimed gain is met (``claim_met``) and whether the
+change stays within the bound (``within_bound``), the failed-operation
+counts and the machine; it is rewritten after every pair, so an
+interrupted comparison keeps its finished pairs.
 """
 
 import argparse
@@ -88,12 +90,16 @@ def _summary(metric, runs):
     wins = sum((b < a) if lower else (b > a)
                for a, b in zip(values["parent"], values["change"]))
     gain = (p - c) if lower else (c - p)
+    beyond_iqr = gain > out["parent"]["q3"] - out["parent"]["q1"]
     out.update(
         ratio=c / p if p else None,
         wins=f"{wins}/{len(runs)}",
-        # the rule for claiming a gain: 9 of 10 pairs won, and the medians
-        # apart by more than the parent's interquartile range
-        gain_beyond_parent_iqr=gain > out["parent"]["q3"] - out["parent"]["q1"],
+        gain_beyond_parent_iqr=beyond_iqr,
+        # the rule for claiming a gain: at least ten pairs, at least nine
+        # tenths of them won, and the medians apart by more than the
+        # parent's interquartile range
+        claim_met=len(runs) >= 10 and 10 * wins >= 9 * len(runs)
+        and beyond_iqr,
         within_bound=-gain <= metric["bound"] * abs(p))
     return out
 
