@@ -10,10 +10,15 @@ lambda_a on a xi channel of P.  In every channel of one bracket the theta
 part of g's scalar moves left past len(xi(f)) + b odd factors: b = 0 for
 P, whose xi channels take one xi from each side and twist g once more,
 and b = 1 for the antibracket, whose channels take one xi from one side.
-So a pair takes one product of its two scalars, ``mul_into`` with twist
-len(xi(f)) + b.  The kernels read a function's terms through
-``superfunc._grouped`` and build their result with ``superfunc._make``,
-so the key layout of ``coeffs`` stays inside superfunc and scalars.
+So each coefficient of a pair is written straight into the result's flat
+dict by one ``mul_into`` of the two scalars, under the prefix of its
+output term and with twist len(xi(f)) + b, as ``sf_mul`` does.  The
+x-pair channels of P are the m = 1 rows of the Moyal kernel's block
+tables (below), cached per block by ``_poisson_row``, so both kernels
+derive P's x part one way.  The kernels read a function's terms through
+``superfunc._grouped``; the Moyal kernel builds its result with
+``superfunc._make``, so the layout of the scalar part of a key stays
+inside superfunc and scalars.
 
 The Moyal kernel is block factored.  P is a sum of commuting channels, and
 each channel couples one block of variables: an x-pair (y1, y2) =
@@ -71,10 +76,12 @@ def antibracket(f, g):
 
 def _first_order(f, g, b, channels):
     """Sum over the term pairs of ``channels(ctx, f key, g key)``, {xi:
-    {xexp: coefficient}} with all but the theta sign, times the product of
-    the two scalars with g's theta part moved past len(xi(f)) + b."""
+    {xexp: coefficient}} with all but the theta sign: each coefficient
+    times the product of the two scalars, with g's theta part moved past
+    len(xi(f)) + b, goes straight into the result's flat dict."""
     f._check(g)
     ctx = f.ctx
+    h_max = ctx.h_max
     acc = {}
     gterms = list(_grouped(g).items())
     for fkey, fitems in _grouped(f).items():
@@ -82,17 +89,18 @@ def _first_order(f, g, b, channels):
         for gkey, gitems in gterms:
             polys = channels(ctx, fkey, gkey)
             if polys:
-                prod = mul_into({}, (), fitems, gitems, ctx.h_max, 1,
-                                twist).items()
                 c = int_if_integral(fkey[1] + gkey[1])
                 for xi, poly in polys.items():
-                    _collect(acc, c, xi, poly, prod)
-    return _make(ctx, acc)
+                    for xexp, v in poly.items():
+                        mul_into(acc, (xexp, c, xi), fitems, gitems, h_max,
+                                 v, twist)
+    return SuperFunction._of(ctx, acc)
 
 
 def _poisson_channels(ctx, fkey, gkey):
     """The odd channels as in the Moyal kernel at p = 1; the x-pair
-    channels d_{2m-1} (x) d_{2m} - d_{2m} (x) d_{2m-1} need S empty."""
+    channels d_{2m-1} (x) d_{2m} - d_{2m} (x) d_{2m-1} need S empty and
+    change only the exponents of their own block."""
     (fx, cf, xf), (gx, cg, xg) = fkey, gkey
     n, weight, xi = _odd_factor(ctx.lambdas, xf, xg)
     ex = tuple(map(add, fx, gx))
@@ -100,11 +108,9 @@ def _poisson_channels(ctx, fkey, gkey):
         return {xi: {ex: weight}} if n == 1 else None
     poly = {}
     for a in range(0, len(ex), 2):
-        for a1, a2, w in ((a, a + 1, weight), (a + 1, a, -weight)):
-            for s1, u in x_steps(fx[a1], cf):
-                for s2, v in x_steps(gx[a2], cg):
-                    accumulate(poly, bump(bump(ex, a1, s1), a2, s2),
-                               w * u * v)
+        head, tail = ex[:a], ex[a + 2:]
+        for e, w in _poisson_row(fx[a], fx[a + 1], gx[a], gx[a + 1], cf, cg):
+            poly[head + e + tail] = weight * w
     return {xi: poly} if poly else None
 
 
@@ -125,7 +131,7 @@ def _anti_channels(ctx, fkey, gkey):
     return out
 
 
-# entries of the cache of ``_anti_factor``
+# entries of the caches of ``_anti_factor`` and ``_poisson_row``
 _ANTI_BOUND = 4096
 
 
@@ -151,19 +157,6 @@ def _anti_factor(xf, xg):
     return tuple(g_side), tuple(f_side)
 
 
-def _collect(acc, c, xi, poly, coeffs):
-    """Add poly[xexp] times the scalar ``coeffs`` (items of a flat
-    ``Scalar.coeffs``) into the slot of term (xexp, c, xi); ``_make`` turns
-    the slots into a SuperFunction."""
-    for xexp, v in poly.items():
-        key = (xexp, c, xi)
-        slot = acc.get(key)
-        if slot is None:
-            slot = acc[key] = {}
-        for k, w in coeffs:
-            slot[k] = slot.get(k, 0) + w * v
-
-
 # -- block-factored kernel ---------------------------------------------------
 #
 # Polynomials are dicts from exponents to coefficients, with the Gaussian
@@ -172,7 +165,7 @@ def _collect(acc, c, xi, poly, coeffs):
 # and the x tables under (x exponents of f, x exponents of g, c_f, c_g).
 # None depends on kappa, the scalars, the lambdas or the context order, so
 # all Moyal brackets share ``_TABLES``, cleared before a bracket past
-# ``_TABLE_BOUND`` keys; ``bidiff_power`` keeps tables per call, as its
+# ``_TABLE_BOUND`` keys; ``bidiff_term`` keeps tables per call, as its
 # calls seldom meet a key twice.  A list is replaced, never extended.
 
 _TABLES = {}
@@ -235,6 +228,16 @@ def _block_table(tables, fb, gb, cf, cg, m_max):
     return table
 
 
+@lru_cache(maxsize=_ANTI_BOUND)
+def _poisson_row(f1, f2, g1, g2, cf, cg):
+    """The x-pair channel of P on one block, f_B = y1^f1 y2^f2
+    exp(-cf |y|^2/2) against g_B = y1^g1 y2^g2 exp(-cg |y|^2/2): the m = 1
+    row (d1 f_B)(d2 g_B) - (d2 f_B)(d1 g_B) of ``_block_table``, as a
+    tuple of ((e1, e2), coefficient)."""
+    row = _block_table({}, (f1, f2), (g1, g2), cf, cg, 1)[1]
+    return tuple((e, int_if_integral(w)) for e, w in row.items())
+
+
 def _x_tables(tables, fx, gx, cf, cg, q_max):
     """q! X[q] for q = 0..q_max (or more, when a longer list is stored),
     the t^q coefficient of the product over the x-pair blocks of
@@ -288,6 +291,19 @@ def _odd_factor(lambdas, xf, xg):
     for i in shared:
         weight *= lambdas[i - 1]
     return n, weight, tuple(sorted(rf + rg))
+
+
+def _collect(acc, c, xi, poly, coeffs):
+    """Add poly[xexp] times the scalar ``coeffs`` (items of a flat
+    ``Scalar.coeffs``) into the slot of term (xexp, c, xi); ``_make`` turns
+    the slots into a SuperFunction."""
+    for xexp, v in poly.items():
+        key = (xexp, c, xi)
+        slot = acc.get(key)
+        if slot is None:
+            slot = acc[key] = {}
+        for k, w in coeffs:
+            slot[k] = slot.get(k, 0) + w * v
 
 
 def _iterate_pairs(f, g, weights, tables):

@@ -48,8 +48,10 @@ operation works on rationals: products of coefficient lists go through
 ``scalars.mul_into``, and no per-term Scalar is built, not even to
 render.  ``terms`` is the view {term key: Scalar}, built on each access
 for readers of whole coefficients.  Only this module and scalars know the
-layout; the bracket kernels read terms through ``_grouped`` and build
-results through ``_make``.
+layout of the scalar part of a key; the bracket kernels read terms through
+``_grouped`` and, like ``sf_mul``, write products under a term key
+prefix with ``mul_into``, or, in the Moyal kernel, build results through
+``_make``.
 
 A function never changes after it is built (the ``FlatSum`` rule), so it
 keeps its parity and its bar integral once asked for them: a check asks
@@ -536,7 +538,7 @@ def _grouped(f):
     return groups
 
 
-def _make(ctx, slots, den=1):
+def _make(ctx, slots, den):
     """The SuperFunction of {(x_exponents, gauss_weight, xi_indices):
     {scalar key: coefficient}} over the common denominator ``den``, zero
     coefficients dropped."""

@@ -88,3 +88,32 @@ def test_within_bound(metric, change, within):
     out = benchpair._summary(metric, _runs(metric, [100] * 3, [change] * 3))
     assert out["within_bound"] is within
     assert out["bound"] == 0.2 and out["better"] == metric["better"]
+
+
+@pytest.mark.parametrize("changed", ["perfbench/run.py", "BENCHMARK.json"])
+def test_two_benchmarks_are_refused_before_any_run(tmp_path, monkeypatch,
+                                                   capsys, changed):
+    """Trees whose perfbench/ or BENCHMARK.json differ: exit 2 with one
+    ``error:`` line, no run started and no output written; the same files
+    in both trees pass the check (results/ and __pycache__/ aside)."""
+    trees = [tmp_path / side for side in benchpair.SIDES]
+    for tree in trees:
+        (tree / "perfbench" / "results").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text("print()\n")
+        (tree / "BENCHMARK.json").write_text('{"run_seconds": 1}\n')
+    (trees[0] / "perfbench" / "results" / "old.json").write_text("{}\n")
+    assert benchpair._benchmark_mismatch(*trees) is None
+    (trees[1] / changed).write_text("changed\n")
+
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(benchpair, "_run", no_run)
+    out = tmp_path / "out.json"
+    code = benchpair.main(["--parent", str(trees[0]), "--change",
+                           str(trees[1]), "--workloads", "antibracket",
+                           "--seeds", "1", "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and not out.exists()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert changed.split("/")[0] in err[0]

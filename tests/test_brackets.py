@@ -140,6 +140,10 @@ def test_m1_is_one_sixth_of_the_cubic_power(n_plus, lambdas, gauss_pool):
 
 
 def test_bidiff_one_is_poisson(ctx42):
+    """P^1 of the Moyal kernel equals the Poisson bracket.  Not an
+    independent check of the x-pair channels: both sides read them from
+    ``_block_table``; test_first_order.py compares the Poisson bracket
+    with its compositional definition."""
     rng = seeded(8)
     for _ in range(6):
         f = random_superfunction(rng, ctx42, terms=2)
@@ -534,4 +538,43 @@ def test_cached_anti_factor_equals_uncached():
                     assert (got or {}) == _series_anti_channels(fkey, gkey)
     assert brackets._anti_factor.cache_info().hits > 0
     assert brackets._anti_factor.cache_info().maxsize == \
+        brackets._ANTI_BOUND
+
+
+def _series_poisson_row(f1, f2, g1, g2, cf, cg):
+    """The x-pair channel of P on one block by derivative steps, as
+    ``_poisson_channels`` built it before the rows were cached; the oracle
+    of ``_poisson_row``."""
+    from superdeform.scalars import accumulate
+    from superdeform.superfunc import bump, x_steps
+    fx, gx = (f1, f2), (g1, g2)
+    ex = (f1 + g1, f2 + g2)
+    poly = {}
+    for a1, a2, w in ((0, 1, 1), (1, 0, -1)):
+        for s1, u in x_steps(fx[a1], cf):
+            for s2, v in x_steps(gx[a2], cg):
+                accumulate(poly, bump(bump(ex, a1, s1), a2, s2), w * u * v)
+    return poly
+
+
+def test_cached_poisson_row_equals_uncached():
+    """Every block with exponents 0..5 per slot and Gaussian weights in
+    {0, 1/2, 1, 2}: the cached row, a miss and then a hit, equals the
+    derivative steps and holds clean coefficients, with the cache as the
+    other tests left it and again after ``cache_clear``."""
+    weights = (0, Fraction(1, 2), 1, 2)
+    keys = [exps + cs for exps in itertools.product(range(6), repeat=4)
+            for cs in itertools.product(weights, repeat=2)]
+    expected = [_series_poisson_row(*key) for key in keys]
+    for _ in range(2):
+        for key, want in zip(keys, expected):
+            row = brackets._poisson_row(*key)
+            assert brackets._poisson_row(*key) is row
+            assert dict(row) == want and len(row) == len(want)
+            assert all(w and (w.__class__ is int or w.denominator != 1)
+                       for _e, w in row)
+        info = brackets._poisson_row.cache_info()
+        assert info.hits >= len(keys) and info.currsize == info.maxsize
+        brackets._poisson_row.cache_clear()
+    assert brackets._poisson_row.cache_info().maxsize == \
         brackets._ANTI_BOUND

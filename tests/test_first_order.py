@@ -27,6 +27,8 @@ CONTEXTS = [MIXED_5, NEGATIVE_3, NO_X, K0, K2, ANTI_MIXED,
             (2, 2, (-1, -1), 2, 6), (4, 4, (1, -1, 1, -1), 0, 6),
             (6, 1, (-1,), 0, 6)]
 SQUARE = [c for c in CONTEXTS if c[0] == c[1]]
+# metric signs -1, n_plus = 0, k = 2 and h_max != 6, and three x-pairs
+REACH = [MIXED_5, NEGATIVE_3, NO_X, K2, (6, 1, (-1,), 0, 6)]
 
 
 def _ids(contexts):
@@ -35,10 +37,11 @@ def _ids(contexts):
             for n_plus, n_minus, lambdas, k, h_max in contexts]
 
 
-def sample(rng, ctx, top=False):
-    """One to three terms with theta and hbar coefficients; ``top`` puts
-    most terms on the top xi monomial with even exponents and c > 0, where
-    the integral is nonzero."""
+def sample(rng, ctx, top=False, degree=2, weights=WEIGHTS):
+    """One to three terms with theta and hbar coefficients, x exponents up
+    to ``degree`` and Gaussian weights from ``weights``; ``top`` puts most
+    terms on the top xi monomial with even exponents and c > 0, where the
+    integral is nonzero."""
     sctx = ctx.scalar_ctx
     out = SuperFunction.zero(ctx)
     for _ in range(rng.randint(1, 3)):
@@ -46,8 +49,8 @@ def sample(rng, ctx, top=False):
             xexp = tuple(2 * rng.randint(0, 1) for _ in range(ctx.n_plus))
             c, xi = rng.choice(WEIGHTS[1:]), tuple(range(1, ctx.n_minus + 1))
         else:
-            xexp = tuple(rng.randint(0, 2) for _ in range(ctx.n_plus))
-            c = rng.choice(WEIGHTS[1:] if top else WEIGHTS)
+            xexp = tuple(rng.randint(0, degree) for _ in range(ctx.n_plus))
+            c = rng.choice(WEIGHTS[1:] if top else weights)
             xi = tuple(sorted(rng.sample(range(1, ctx.n_minus + 1),
                                          rng.randint(0, ctx.n_minus))))
         s = Scalar.rational(sctx, Fraction(rng.choice([-3, -1, 1, 2]),
@@ -153,6 +156,21 @@ def test_poisson_matches_channel_oracle(context):
         assert poisson_bracket(f, g) == poisson_oracle(f, g)
 
 
+@pytest.mark.parametrize("context", REACH, ids=_ids(REACH))
+def test_poisson_matches_channel_oracle_at_degree_four(context):
+    """x exponents up to 4, and f and g of one pair on different Gaussian
+    weights, so the cached block rows meet c_f != c_g."""
+    ctx = SymplecticContext(*context)
+    rng = seeded(65)
+    for _ in range(8):
+        cf, cg = rng.sample(WEIGHTS, 2)
+        f = sample(rng, ctx, degree=4, weights=(cf,))
+        g = sample(rng, ctx, degree=4, weights=(cg, cf))
+        got = poisson_bracket(f, g)
+        assert got == poisson_oracle(f, g)
+        assert is_clean(got)
+
+
 @pytest.mark.parametrize("context", SQUARE, ids=_ids(SQUARE))
 def test_antibracket_and_delta_match_oracles(context):
     ctx = SymplecticContext(*context)
@@ -170,3 +188,45 @@ def test_integral_bar_matches_moment_oracle(context):
     for _ in range(12):
         f = sample(rng, ctx, top=True)
         assert f.integral_bar() == integral_oracle(f)
+
+
+def test_first_order_results_are_clean():
+    """The first-order kernels write their results with no cleaning pass:
+    products of halves that come out integral are ints, sums that cancel
+    leave no entry, and hbar powers above h_max are dropped."""
+    ctx = SymplecticContext(2, 2, (1, -1), 1, 3)
+    sctx = ctx.scalar_ctx
+    half = Fraction(1, 2)
+    h, h2 = Scalar.hbar(sctx), Scalar.hbar(sctx, 2)
+    x1, x2 = SuperFunction.x(ctx, 1), SuperFunction.x(ctx, 2)
+    xi1, xi2 = SuperFunction.xi(ctx, 1), SuperFunction.xi(ctx, 2)
+    one = SuperFunction.constant(ctx, 1)
+    halves = SuperFunction.term(ctx, (2, 0), scalar=half)
+    halves_gauss = SuperFunction.term(ctx, (1, 1), half, (2,), half)
+    cases = [
+        (poisson_bracket, halves, x2 * 2, x1 * 2),
+        (antibracket, halves, xi1 * 2, x1 * 2),
+        (poisson_bracket, x1 * x2, x1 * x2, None),
+        (poisson_bracket, x1 + x1 * x2, x1 + x1 * x2, None),
+        (antibracket, x1 - x2, xi1 + xi2, None),
+        (poisson_bracket, x1.scale_left(h2), x2.scale_left(h2), None),
+        (poisson_bracket, x1.scale_left(h2) + x1, x2.scale_left(h2),
+         one.scale_left(h2)),
+        (antibracket, x1.scale_left(h2), xi1.scale_left(h2), None),
+        (antibracket, x1.scale_left(h2) + x1, xi1.scale_left(h2 + h),
+         one.scale_left(h2 * h + h2 + h)),
+    ]
+    for bracket, f, g, want in cases:
+        got = bracket(f, g)
+        if want is None:
+            assert got.coeffs == {}
+        else:
+            assert got == want
+            assert all(q.__class__ is int for q in got.coeffs.values())
+        assert all(key[3] <= ctx.h_max for key in got.coeffs)
+    for f, g in ((halves_gauss, x2 * 2 + xi2), (x2 * 2, halves_gauss),
+                 (halves_gauss, halves_gauss.scale_left(h2 + 4))):
+        for bracket, oracle in ((poisson_bracket, poisson_oracle),
+                                (antibracket, anti_oracle)):
+            got = bracket(f, g)
+            assert got == oracle(f, g) and is_clean(got)

@@ -12,7 +12,10 @@ both sides' runs, medians and quartiles, the change's wins (ties count for
 neither), whether a claimed gain is met (``claim_met``) and whether the
 change stays within the bound (``within_bound``), the failed-operation
 counts and the machine; it is rewritten after every pair, so an
-interrupted comparison keeps its finished pairs.
+interrupted comparison keeps its finished pairs.  When the two trees'
+perfbench/ or BENCHMARK.json differ, the sides would run two different
+benchmarks, so it prints one ``error:`` line and exits with code 2 before
+any run.
 """
 
 import argparse
@@ -52,6 +55,17 @@ def _digest(tree, sub):
             with open(path, "rb") as fh:
                 h.update(fh.read())
     return h.hexdigest()[:16]
+
+
+def _benchmark_mismatch(parent, change):
+    """What differs between the benchmarks of the two trees, or None."""
+    if _digest(parent, "perfbench") != _digest(change, "perfbench"):
+        return "perfbench/"
+    files = []
+    for tree in (parent, change):
+        with open(os.path.join(tree, "BENCHMARK.json"), "rb") as fh:
+            files.append(fh.read())
+    return "BENCHMARK.json" if files[0] != files[1] else None
 
 
 def _run(tree, workload, seed, seconds):
@@ -146,6 +160,11 @@ def main(argv=None):
     ap.add_argument("--out", required=True, help="the JSON file to write")
     args = ap.parse_args(argv)
 
+    differs = _benchmark_mismatch(args.parent, args.change)
+    if differs:
+        print(f"error: the two trees' {differs} differ, so they run "
+              f"different benchmarks", file=sys.stderr)
+        return 2
     with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
