@@ -99,8 +99,9 @@ def _first_order(f, g, b, channels):
 
 def _poisson_channels(ctx, fkey, gkey):
     """The odd channels as in the Moyal kernel at p = 1; the x-pair
-    channels d_{2m-1} (x) d_{2m} - d_{2m} (x) d_{2m-1} need S empty and
-    change only the exponents of their own block."""
+    channels d_{2m-1} (x) d_{2m} - d_{2m} (x) d_{2m-1} need S empty.  A
+    block's row moves both exponents of that block by one and no other,
+    so the keys of two blocks never meet."""
     (fx, cf, xf), (gx, cg, xg) = fkey, gkey
     n, weight, xi = _odd_factor(ctx.lambdas, xf, xg)
     ex = tuple(map(add, fx, gx))
