@@ -5,11 +5,12 @@ the symplectic bidifferential operator P.
 The first-order brackets share one kernel over the term pairs of f and g.
 Per pair, the channels give a rational map (x exponents, xi monomial) ->
 coefficient from the derivative rules of superfunc (right xi-derivatives
-on f, left ones on g), the inversions of merging the xi that remain, and
-lambda_a on a xi channel of P.  In every channel of one bracket the theta
-part of g's scalar moves left past len(xi(f)) + b odd factors: b = 0 for
-P, whose xi channels take one xi from each side and twist g once more,
-and b = 1 for the antibracket, whose channels take one xi from one side.
+on f, left ones on g), the sign of merging the xi that remain (that of
+``merge_odd_indices``), and lambda_a on a xi channel of P.  In every
+channel of one bracket the theta part of g's scalar moves left past
+len(xi(f)) + b odd factors: b = 0 for P, whose xi channels take one xi
+from each side and twist g once more, and b = 1 for the antibracket,
+whose channels take one xi from one side.
 So each coefficient of a pair is written straight into the result's flat
 dict by one ``mul_into`` of the two scalars, under the prefix of its
 output term and with twist len(xi(f)) + b, as ``sf_mul`` does.  The
@@ -132,11 +133,11 @@ def _anti_channels(ctx, fkey, gkey):
     return out
 
 
-# entries of the caches of ``_anti_factor`` and ``_poisson_row``
-_ANTI_BOUND = 4096
+# entries of each of the caches _anti_factor, _poisson_row and _odd_factor
+_CACHE_BOUND = 4096
 
 
-@lru_cache(maxsize=_ANTI_BOUND)
+@lru_cache(maxsize=_CACHE_BOUND)
 def _anti_factor(xf, xg):
     """The xi part of ``_anti_channels`` for xi monomials xf and xg, which
     no x exponent or weight changes: per side, the (x index, sign, merged
@@ -171,8 +172,7 @@ def _anti_factor(xf, xg):
 
 _TABLES = {}
 _TABLE_BOUND = 1024
-# entries of the caches of ``_odd_factor`` and ``_moyal_weights``
-_ODD_BOUND = 4096
+# entries of the cache of ``_moyal_weights``
 _WEIGHTS_BOUND = 64
 
 
@@ -229,7 +229,7 @@ def _block_table(tables, fb, gb, cf, cg, m_max):
     return table
 
 
-@lru_cache(maxsize=_ANTI_BOUND)
+@lru_cache(maxsize=_CACHE_BOUND)
 def _poisson_row(f1, f2, g1, g2, cf, cg):
     """The x-pair channel of P on one block, f_B = y1^f1 y2^f2
     exp(-cf |y|^2/2) against g_B = y1^g1 y2^g2 exp(-cg |y|^2/2): the m = 1
@@ -267,7 +267,7 @@ def _x_tables(tables, fx, gx, cf, cg, q_max):
     return xs
 
 
-@lru_cache(maxsize=_ODD_BOUND)
+@lru_cache(maxsize=_CACHE_BOUND)
 def _odd_factor(lambdas, xf, xg):
     """Sign, lambda weight and merged xi monomial of the odd channels.
 
@@ -275,9 +275,9 @@ def _odd_factor(lambdas, xf, xg):
     repeated xi.  They act once each, in increasing order, as right
     derivatives on f (sign (-1)^(len + pos + 1) at the current length and
     position) and left derivatives on g (sign (-1)^pos; passing g's theta
-    part is left to the caller).  Then the two remainders are merged.
-    The result depends on the metric signs ``lambdas`` and the two xi
-    monomials alone, so it is cached.
+    part is left to the caller).  Then ``merge_odd_indices`` merges the two
+    remainders.  The result depends on the metric signs ``lambdas`` and the
+    two xi monomials alone, so it is cached.
     """
     shared = set(xf) & set(xg)
     n = len(shared)
@@ -285,13 +285,12 @@ def _odd_factor(lambdas, xf, xg):
     odd = n * len(xf) + n + n * (n - 1) // 2
     odd += sum(pos for pos, i in enumerate(xf) if i in shared)
     odd += sum(pos for pos, i in enumerate(xg) if i in shared)
-    rf = [i for i in xf if i not in shared]
-    rg = [i for i in xg if i not in shared]
-    odd += sum(1 for i in rf for j in rg if i > j)
-    weight = -1 if odd & 1 else 1
+    sign, xi = merge_odd_indices(tuple(i for i in xf if i not in shared),
+                                 tuple(i for i in xg if i not in shared))
+    weight = -sign if odd & 1 else sign
     for i in shared:
         weight *= lambdas[i - 1]
-    return n, weight, tuple(sorted(rf + rg))
+    return n, weight, xi
 
 
 def _collect(acc, c, xi, poly, coeffs):

@@ -55,6 +55,12 @@ MAX_EXPONENT = 32
 # the largest term-count product |a| * |b| the grammar multiplies out
 MAX_PRODUCT_TERMS = 10_000
 
+# the atoms x<i>, xi<a> and th<j>: (noun, context bound, builder) per name
+_GENERATORS = {"x": ("variable", "n_plus", SuperFunction.x),
+               "xi": ("variable", "n_minus", SuperFunction.xi),
+               "th": ("parameter", "k", lambda ctx, j: SuperFunction.constant(
+                   ctx, Scalar.theta(ctx.scalar_ctx, j)))}
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^(),=]))")
 
 
@@ -182,26 +188,15 @@ class _Parser:
             return inner
         if kind != "name":
             raise ParseError("expected a value", pos)
-        m = re.fullmatch(r"x(\d+)", value)
+        m = re.fullmatch(r"(x|xi|th)(\d+)", value)
         if m:
-            i = int(m.group(1))
-            if not 1 <= i <= self.ctx.n_plus:
-                raise ParseError(f"unknown variable x{i} "
-                                 f"(n_plus={self.ctx.n_plus})", pos)
-            return SuperFunction.x(self.ctx, i)
-        m = re.fullmatch(r"xi(\d+)", value)
-        if m:
-            a = int(m.group(1))
-            if not 1 <= a <= self.ctx.n_minus:
-                raise ParseError(f"unknown variable xi{a} "
-                                 f"(n_minus={self.ctx.n_minus})", pos)
-            return SuperFunction.xi(self.ctx, a)
-        m = re.fullmatch(r"th(\d+)", value)
-        if m:
-            j = int(m.group(1))
-            if not 1 <= j <= sctx.k:
-                raise ParseError(f"unknown parameter th{j} (k={sctx.k})", pos)
-            return SuperFunction.constant(self.ctx, Scalar.theta(sctx, j))
+            name, i = m.group(1), int(m.group(2))
+            noun, bound, build = _GENERATORS[name]
+            top = getattr(self.ctx, bound)
+            if not 1 <= i <= top:
+                raise ParseError(f"unknown {noun} {name}{i} ({bound}={top})",
+                                 pos)
+            return build(self.ctx, i)
         if value == "hbar":
             return SuperFunction.constant(self.ctx, Scalar.hbar(sctx))
         if value == "pi":
@@ -439,10 +434,12 @@ def _run_equiv(args, ctx):
     report = check_equivalence(defo1, defo2, t1, pairs, order=args.order)
     active = report.details["t1_active_pairs"]
     if report.passed and not active:
-        # T1 changes nothing on these samples, so they cannot tell it apart
+        # T1 changes nothing here within --order, so no sample tells it apart
+        hint = ("draw more samples" if args.order is None or args.order > 1
+                else "T1 acts at hbar^2, so raise --order to 2 or more")
         raise ValueError(f"no sampled pair is T1-active (t1_active_pairs 0 "
                          f"of {len(pairs)}), so the pass would be vacuous; "
-                         f"draw more samples")
+                         f"{hint}")
     data = {"check": "equivalence", "pass": report.passed,
             "sample_count": report.sample_count, "t1_active_pairs": active}
     if report.failures:

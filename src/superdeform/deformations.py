@@ -341,14 +341,17 @@ def check_equivalence(defo1, defo2, t1, samples, order=None):
     at ``order`` when given, must vanish on every sample pair.
 
     ``details["t1_active_pairs"]`` counts the pairs on which T1 changes f,
-    g or C1(f,g); only those pairs can tell a wrong T1 from the right one.
+    g or C1(f,g) within ``order``; only those pairs can tell a wrong T1
+    from the right one.  (Each shift hbar^2 T1(u) is truncated at ``order``,
+    which leaves the residual as it is: no bracket lowers the h-degree.)
     """
     ctx = defo1.ctx
     hbar2 = Scalar.hbar(ctx.scalar_ctx) ** 2
     details = {"t1_active_pairs": 0}
 
     def shift(f):
-        return t1.evaluate(f).scale_left(hbar2)
+        out = t1.evaluate(f).scale_left(hbar2)
+        return out if order is None else out.truncate(order)
 
     def rule(f, g):
         c1 = defo1.evaluate(f, g)

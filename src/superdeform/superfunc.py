@@ -61,6 +61,7 @@ for each of them many times on the same arguments.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from numbers import Rational
 from operator import add, lt
 
@@ -116,14 +117,6 @@ class SymplecticContext:
         return (f"SymplecticContext(n_plus={self.n_plus}, "
                 f"n_minus={self.n_minus}, lambdas={self.lambdas}, "
                 f"k={self.k}, h_max={self.h_max})")
-
-
-def _double_factorial_odd(p):
-    """(2p - 1)!! with the empty product equal to 1."""
-    result = 1
-    for j in range(1, 2 * p, 2):
-        result *= j
-    return result
 
 
 def x_steps(e, c):
@@ -411,7 +404,7 @@ class SuperFunction(FlatSum):
             moment = Fraction(2) ** half / Fraction(c) ** (
                 sum(xexp) // 2 + half)
             for e in xexp:
-                moment *= _double_factorial_odd(e // 2)
+                moment *= prod(range(1, e, 2))  # (e - 1)!!
             for (m, t, p, sp, r), q in items:
                 accumulate(total, (m, t, p + half, sp, r), q * moment)
         self._bar = Scalar._of(ctx.scalar_ctx, total)

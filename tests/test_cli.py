@@ -400,6 +400,30 @@ def test_cli_equiv_reports_t1_active_pairs(capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("order, code", [("1", 2), ("0", 2), ("-1", 2),
+                                         ("2", 1)])
+def test_cli_equiv_counts_t1_active_pairs_within_order(order, code, capsys):
+    """T = id + hbar^2 T1 changes nothing below hbar^2, so below --order 2
+    no pair tells the wrong sign of T1 from the right one: a usage error
+    naming --order, not a pass; at --order 2 the same samples fail."""
+    argv = ["equiv", "--nplus", "4", "--nminus", "2", "--k", "1",
+            "--c1", "c3(zeta=hbar^2*x1*gauss(1) + hbar^2*gauss(1))",
+            "--c2", "c3(zeta=hbar^2*x1*gauss(1))",
+            "--t1", "bar(gauss(1),1)", "--samples", "40", "--order", order]
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no sampled pair is T1-active (t1_active_pairs 0 of 40), "
+            "so the pass would be vacuous; T1 acts at hbar^2, so raise "
+            "--order to 2 or more\n")
+    else:
+        assert json.loads(captured.out)["t1_active_pairs"] == 3
+        assert captured.err == \
+            "[FAIL] equivalence: 40 samples, 3 failures, t1_active_pairs 3\n"
+
+
 # sha256 of stdout, stderr and exit code of the golden equiv command, for
 # both signs of T1 and for the usage error of a sample with no active pair
 EQUIV_OUTPUT_SHA256 = {
