@@ -57,8 +57,8 @@ from operator import add
 from .errors import DeformationError
 from .scalars import (Scalar, accumulate, int_if_integral, merge_odd_indices,
                       mul_into)
-from .superfunc import (SuperFunction, _grouped, _make, _own_scalar,
-                        _require_square, bump, x_steps)
+from .superfunc import (_CACHE_BOUND, SuperFunction, _grouped, _make,
+                        _own_scalar, _require_square, bump, x_steps)
 
 
 def poisson_bracket(f, g):
@@ -131,10 +131,6 @@ def _anti_channels(ctx, fkey, gkey):
         for step, v in x_steps(gx[a], cg):
             accumulate(out.setdefault(xi, {}), bump(ex, a, step), w * v)
     return out
-
-
-# entries of each of the caches _anti_factor, _poisson_row and _odd_factor
-_CACHE_BOUND = 4096
 
 
 @lru_cache(maxsize=_CACHE_BOUND)

@@ -58,16 +58,18 @@ class Cochain:
             return hit[1]
         mixed = False
         for arg in args:
-            if arg.is_zero():
+            if not arg.coeffs:
                 out = SuperFunction.zero(self.ctx)
                 break
             mixed = mixed or arg.eps() is None
         else:
-            # zero + x is x itself, so homogeneous arguments cost no copy
-            out = SuperFunction.zero(self.ctx)
-            for combo in (product(*(a.homogeneous_components() for a in args))
-                          if mixed else (args,)):
-                out = out + self.fn(*combo)
+            if mixed:
+                out = SuperFunction.zero(self.ctx)
+                for combo in product(*(a.homogeneous_components()
+                                       for a in args)):
+                    out = out + self.fn(*combo)
+            else:
+                out = self.fn(*args)
         if len(self._cache) > 4096:
             self._cache.clear()
         self._cache[key] = (args, out)

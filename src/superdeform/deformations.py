@@ -324,9 +324,13 @@ def t1_bar_multiplier(z0, a=1):
     """The family T1: f -> a * z0 * fbar."""
     ctx = z0.ctx
     scaled = z0.scale_left(_own_scalar(ctx, a))
-    return Cochain(ctx, 1, z0.eps() or 0,
-                    lambda f: scaled.scale_right(f.integral_bar()),
-                    EVEN, name="T1_bar")
+
+    def fn(f):
+        bar = f.integral_bar()
+        return scaled.scale_right(bar) if bar.coeffs else \
+            SuperFunction.zero(ctx)
+
+    return Cochain(ctx, 1, z0.eps() or 0, fn, EVEN, name="T1_bar")
 
 
 def t1_euler(ctx, a=1):
@@ -350,7 +354,10 @@ def check_equivalence(defo1, defo2, t1, samples, order=None):
     details = {"t1_active_pairs": 0}
 
     def shift(f):
-        out = t1.evaluate(f).scale_left(hbar2)
+        out = t1.evaluate(f)
+        if not out.coeffs:
+            return out
+        out = out.scale_left(hbar2)
         return out if order is None else out.truncate(order)
 
     def rule(f, g):

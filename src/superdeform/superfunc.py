@@ -61,6 +61,7 @@ for each of them many times on the same arguments.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from numbers import Rational
 from operator import add, lt
@@ -283,7 +284,8 @@ class SuperFunction(FlatSum):
             return self._eps
         except AttributeError:
             pass
-        parities = {_parity(key) for key in self.coeffs}
+        parities = {(len(key[2]) + key[4].bit_count()) & 1
+                    for key in self.coeffs}  # _parity, inlined
         self._eps = (0 if not parities else
                      parities.pop() if len(parities) == 1 else None)
         return self._eps
@@ -401,10 +403,7 @@ class SuperFunction(FlatSum):
                     + self._render_term((xexp, c, xi), items))
             if xi != top or any(e % 2 for e in xexp):
                 continue
-            moment = Fraction(2) ** half / Fraction(c) ** (
-                sum(xexp) // 2 + half)
-            for e in xexp:
-                moment *= prod(range(1, e, 2))  # (e - 1)!!
+            moment = _moment(xexp, c, half)
             for (m, t, p, sp, r), q in items:
                 accumulate(total, (m, t, p + half, sp, r), q * moment)
         self._bar = Scalar._of(ctx.scalar_ctx, total)
@@ -494,6 +493,23 @@ _RATIONAL = (0, 0, 0, 0, 1)
 def _parity(key):
     """Total parity of a flat key: xi-degree plus theta-weight, mod 2."""
     return (len(key[2]) + key[4].bit_count()) & 1
+
+
+# entries of each of the caches _moment and, in brackets, _anti_factor,
+# _poisson_row and _odd_factor
+_CACHE_BOUND = 4096
+
+
+@lru_cache(maxsize=_CACHE_BOUND)
+def _moment(xexp, c, half):
+    """The Gaussian moment prod_a (e_a - 1)!! 2^half / c^(|e|/2 + half) of
+    even exponents ``xexp`` and weight c > 0, an int when integral; times
+    pi^half it is the integral of x^e exp(-c|x|^2/2) over the 2 * half
+    x-coordinates."""
+    moment = Fraction(2) ** half / Fraction(c) ** (sum(xexp) // 2 + half)
+    for e in xexp:
+        moment *= prod(range(1, e, 2))  # (e - 1)!!
+    return int_if_integral(moment)
 
 
 def _own_scalar(ctx, value):

@@ -29,7 +29,8 @@ DEFAULT_SEED = 20240801
 
 
 class LCG:
-    """The documented 64-bit linear congruential generator."""
+    """The documented 64-bit linear congruential generator;
+    ``sample_superfunctions`` draws its stream with the state in a local."""
 
     def __init__(self, seed):
         self.state = seed & LCG_MASK
@@ -101,23 +102,34 @@ def sample_superfunctions(spec, ctx):
     # with x variables every term has a Gaussian weight (class D)
     weights = tuple(spec.gauss_weights)
     weights = weights if ctx.n_plus else (0,) + weights
-    rng = LCG(spec.seed)
+    # the draws of LCG(spec.seed).randint and .choice, with the state in a
+    # local: each step is one LCG word, and a draw from a span of s values
+    # is (word >> 33) % s
+    state = spec.seed & LCG_MASK
+    n_plus, n_minus = ctx.n_plus, ctx.n_minus
+    x_span = spec.max_x_degree + 1
     out = []
     for _ in range(spec.count):
-        deg = rng.choice(degrees)
+        state = (LCG_MULT * state + LCG_INC) & LCG_MASK
+        deg = degrees[(state >> 33) % len(degrees)]
         # the sum of the drawn terms, merged as the sum of functions would
         terms = {}
         for _t in range(spec.terms):
-            xexp = tuple(rng.randint(0, spec.max_x_degree)
-                         for _ in range(ctx.n_plus))
-            c = rng.choice(weights)
+            xexp = []
+            for _a in range(n_plus):
+                state = (LCG_MULT * state + LCG_INC) & LCG_MASK
+                xexp.append((state >> 33) % x_span)
+            state = (LCG_MULT * state + LCG_INC) & LCG_MASK
+            c = weights[(state >> 33) % len(weights)]
             xi = []
             while len(xi) < deg:
-                a = rng.randint(1, ctx.n_minus)
+                state = (LCG_MULT * state + LCG_INC) & LCG_MASK
+                a = 1 + (state >> 33) % n_minus
                 if a not in xi:
                     xi.append(a)
-            accumulate(terms, (xexp, c, tuple(sorted(xi))),
-                       rng.choice(COEFF_POOL))
+            state = (LCG_MULT * state + LCG_INC) & LCG_MASK
+            accumulate(terms, (tuple(xexp), c, tuple(sorted(xi))),
+                       COEFF_POOL[(state >> 33) % len(COEFF_POOL)])
         out.append(SuperFunction(ctx, terms))
     return out
 

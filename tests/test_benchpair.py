@@ -76,6 +76,26 @@ def test_lower_is_better():
     assert out["wins"] == "0/10" and not out["claim_met"]
 
 
+def test_pair_ratios_are_information_only():
+    """Each pair's change/parent ratio, summarised apart from the medians:
+    here the medians fall by 10 % while the typical pair gains 10 %, and
+    the verdicts still follow the medians."""
+    parent, change = [100, 200, 300], [110, 180, 330]
+    out = benchpair._summary(RATE, _runs(RATE, parent, change))
+    assert out["pair_ratio"]["median"] == pytest.approx(1.1)
+    assert out["pair_ratio"]["q1"] == pytest.approx(1.0)
+    assert out["pair_ratio"]["q3"] == pytest.approx(1.1)
+    assert out["ratio"] == pytest.approx(0.9) and out["wins"] == "2/3"
+    # ten pairs each won by 1 %: the ratios agree, and the parent's spread
+    # still denies the claim
+    parent = [100 + 10 * i for i in range(10)]
+    out = benchpair._summary(RATE, _runs(RATE, parent,
+                                         [1.01 * v for v in parent]))
+    assert out["pair_ratio"]["q1"] == pytest.approx(1.01)
+    assert out["pair_ratio"]["q3"] == pytest.approx(1.01)
+    assert out["wins"] == "10/10" and not out["claim_met"]
+
+
 @pytest.mark.parametrize("metric, change, within", [
     (RATE, 81, True),    # 19 % fewer tuples per second
     (RATE, 79, False),   # 21 % fewer

@@ -385,3 +385,32 @@ def test_memo_is_keyed_by_argument_identity(ctx42):
         f = SuperFunction.term(ctx42, xi=(1,), scalar=i)
         assert form.evaluate(f, g) == poisson_bracket(f, g)
         del f
+
+
+def test_evaluate_returns_the_leaf_value_on_homogeneous_arguments(ctx42):
+    """Homogeneous arguments give the very object ``fn`` returned, a zero
+    argument gives zero without a call, and mixed-parity arguments call
+    ``fn`` once per combination of their components."""
+    seen = []
+    form = _recording_leaf(ctx42, seen)
+    values = []
+    leaf = form.fn
+    form.fn = lambda f, g: values.append(leaf(f, g)) or values[-1]
+    f = SuperFunction.x(ctx42, 1) * SuperFunction.xi(ctx42, 2)
+    g = SuperFunction.x(ctx42, 2) * SuperFunction.xi(ctx42, 1)
+    assert form.evaluate(f, g) is values[-1]
+    assert seen == [(f, g)]
+    zero = SuperFunction.zero(ctx42)
+    for args in ((zero, g), (f, zero)):
+        assert form.evaluate(*args).is_zero()
+    assert len(seen) == 1
+    t = Scalar.theta(ctx42.scalar_ctx, 1)
+    a = SuperFunction.x(ctx42, 1) + SuperFunction.xi(ctx42, 1)
+    b = SuperFunction.x(ctx42, 2).scale_left(t) + SuperFunction.x(ctx42, 3)
+    assert a.eps() is None and b.eps() is None
+    seen.clear()
+    value = form.evaluate(a, b)
+    assert len(seen) == 4
+    assert sorted((p.eps(), q.eps()) for p, q in seen) == \
+        [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert value == poisson_bracket(a, b)

@@ -485,6 +485,32 @@ def test_golden_sign_bar_multiplier(ctx42):
     assert report.details["t1_active_pairs"] == active
 
 
+def test_t1_bar_multiplier_skips_a_zero_bar(ctx42, monkeypatch):
+    """On a zero bar T1 is zero without scaling z0; on a nonzero one it is
+    a * z0 * fbar."""
+    calls = []
+    scale_right = SuperFunction.scale_right
+
+    def counted(self, scalar):
+        calls.append(scalar)
+        return scale_right(self, scalar)
+
+    monkeypatch.setattr(SuperFunction, "scale_right", counted)
+    th1 = Scalar.theta(ctx42.scalar_ctx, 1)
+    z0 = SuperFunction.gauss(ctx42, 1) * SuperFunction.xi(ctx42, 1)
+    t1 = t1_bar_multiplier(z0, th1)
+    flat = SuperFunction.term(ctx42, (2, 0, 0, 0), 1, (1,), 3)
+    assert flat.integral_bar().is_zero()
+    assert t1.evaluate(flat).is_zero() and calls == []
+    top = SuperFunction.term(ctx42, (2, 0, 2, 0), Fraction(1, 2), (1, 2), 3)
+    bar = top.integral_bar()
+    assert not bar.is_zero()
+    value = t1.evaluate(top)
+    assert len(calls) == 1
+    assert value == SuperFunction.constant(ctx42, th1) * z0 * \
+        SuperFunction.constant(ctx42, bar)
+
+
 def test_t1_euler_family(ctx42):
     t1 = t1_euler(ctx42, 2)
     f = SuperFunction.x(ctx42, 1)

@@ -1,5 +1,7 @@
 """Unit tests for Gaussian-weighted polynomial superfunctions."""
 
+import itertools
+import math
 from fractions import Fraction
 from operator import add, mul, sub
 
@@ -10,6 +12,7 @@ from superdeform import (ContextMismatchError, NotIntegrableError,
                          RadicalNumber, SampleSpec, Scalar, ScalarContext,
                          SuperFunction, SymplecticContext, moyal_bracket,
                          poisson_bracket, sample_superfunctions, sf_mul)
+from superdeform import superfunc
 from superdeform.superfunc import _make
 
 from conftest import (gaussian_moment, is_clean, omega_channels,
@@ -163,6 +166,35 @@ def test_gaussian_moment_closed_form():
                 [-mpmath.inf, mpmath.inf]))
             assert exact == pytest.approx(numeric)
     assert gaussian_moment(3, 1).is_zero()
+
+
+def _product_moment(xexp, c, half):
+    """prod_a (e_a - 1)!! c^(-e_a/2), times (2/c)^half: the Gaussian moment
+    over 2 half coordinates without its pi^half, one slot at a time."""
+    out = (Fraction(2) / c) ** half
+    for e in xexp:
+        out *= Fraction(math.prod(range(1, e, 2))) / Fraction(c) ** (e // 2)
+    return out
+
+
+def test_cached_moments_equal_the_product_formula():
+    """``_moment`` equals the uncached formula for even exponents 0-8 per
+    slot (each multiset, in increasing and decreasing order), int when
+    integral, hit on a repeat, and bounded."""
+    for half in (1, 2, 3):
+        for c in (Fraction(1, 2), 1, 2, 3):
+            for low in itertools.combinations_with_replacement(
+                    range(0, 9, 2), 2 * half):
+                for xexp in (low, low[::-1]):
+                    got = superfunc._moment(xexp, c, half)
+                    assert got == _product_moment(xexp, c, half)
+                    assert got.__class__ is int or got.denominator != 1
+    superfunc._moment.cache_clear()
+    superfunc._moment((2, 0, 4, 0), 2, 2)
+    superfunc._moment((2, 0, 4, 0), 2, 2)
+    info = superfunc._moment.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert info.maxsize == superfunc._CACHE_BOUND
 
 
 def test_integral_bar_top_component(ctx42):

@@ -329,6 +329,65 @@ def test_samples_equal_the_summed_terms(shape):
                     [list(f.coeffs.items()) for f in want]
 
 
+def _lcg_samples(spec, ctx):
+    """The sampler's loop drawing through ``LCG.randint`` and
+    ``LCG.choice`` only, as it was before the state moved into a local."""
+    max_xi = min(verify.MAX_XI_DEGREE, ctx.n_minus)
+    degrees = [d for d in range(max_xi + 1)
+               if spec.parity == "any" or d % 2 == (spec.parity == "odd")]
+    weights = tuple(spec.gauss_weights)
+    weights = weights if ctx.n_plus else (0,) + weights
+    rng = LCG(spec.seed)
+    out = []
+    for _ in range(spec.count):
+        deg = rng.choice(degrees)
+        terms = {}
+        for _t in range(spec.terms):
+            xexp = tuple(rng.randint(0, spec.max_x_degree)
+                         for _ in range(ctx.n_plus))
+            c = rng.choice(weights)
+            xi = []
+            while len(xi) < deg:
+                a = rng.randint(1, ctx.n_minus)
+                if a not in xi:
+                    xi.append(a)
+            key = (xexp, c, tuple(sorted(xi)))
+            q = terms.get(key, 0) + rng.choice(verify.COEFF_POOL)
+            if q:
+                terms[key] = q
+            else:
+                terms.pop(key, None)
+        out.append(SuperFunction(ctx, terms))
+    return out
+
+
+@pytest.mark.parametrize("shape", [
+    (4, 2, (1, 1), 1, 6), (0, 3, (1, 1, 1), 1, 6), (2, 2, (1, -1), 1, 6),
+    (4, 2, (1, 1), 0, 6), (2, 2, (1, 1), 2, 6), (2, 2, (1, 1), 1, 4),
+    (4, 5, (1, 1, 1, 1, 1), 2, 6)],
+    ids=["ctx42", "n_plus_0", "lambda_minus_1", "k0", "k2", "h_max_4",
+         "ctx45"])
+def test_sampler_draws_the_lcg_stream(shape):
+    """The sampler draws the documented LCG stream: bit for bit the lists
+    that ``LCG.randint`` and ``LCG.choice`` give, at n_plus = 0 (where
+    every weight merges to 0) and with a weight of 1/2 included."""
+    ctx = SymplecticContext(*shape)
+    for terms in (1, 2, 3):
+        for parity in ("even", "odd", "any"):
+            for degree in (0, 3):
+                for weights in ((1, 2), (Fraction(1, 2), 1, 3)):
+                    spec = SampleSpec(seed=1000 * terms + 10 * degree + 7,
+                                      count=12, terms=terms, parity=parity,
+                                      gauss_weights=weights,
+                                      max_x_degree=degree)
+                    got = sample_superfunctions(spec, ctx)
+                    want = _lcg_samples(spec, ctx)
+                    assert [f.freeze() for f in got] == \
+                        [f.freeze() for f in want]
+                    assert [list(f.coeffs) for f in got] == \
+                        [list(f.coeffs) for f in want]
+
+
 @pytest.mark.parametrize("fields", [
     {"count": 0}, {"count": -2}, {"terms": 0}, {"parity": "evn"},
     {"gauss_weights": ()}, {"gauss_weights": (1, -1)},

@@ -8,10 +8,11 @@ For each seed and workload it runs ``python3 perfbench/run.py --workload W
 change runs first on odd seeds and the parent first on even ones.  T and
 the end-to-end metrics (with their direction and bound) come from the
 parent's BENCHMARK.json.  The output file holds, per workload and metric,
-both sides' runs, medians and quartiles, the change's wins (ties count for
-neither), whether a claimed gain is met (``claim_met``) and whether the
-change stays within the bound (``within_bound``), the failed-operation
-counts and the machine; it is rewritten after every pair, so an
+both sides' runs, medians and quartiles, the median and quartiles of the
+per-pair change/parent ratios (``pair_ratio``, for information), the
+change's wins (ties count for neither), whether a claimed gain is met
+(``claim_met``) and whether the change stays within the bound
+(``within_bound``), the failed-operation counts and the machine; it is rewritten after every pair, so an
 interrupted comparison keeps its finished pairs.  When the two trees'
 perfbench/ or BENCHMARK.json differ, the sides would run two different
 benchmarks, so it prints one ``error:`` line and exits with code 2 before
@@ -100,6 +101,14 @@ def _summary(metric, runs):
         q1, q3 = _quartiles(values[side])
         out[side] = {"median": statistics.median(values[side]),
                      "q1": q1, "q3": q3, "runs": values[side]}
+    # information only: the median and quartiles of each pair's own
+    # change/parent ratio, which the spread between seeds' inputs moves
+    # less than the parent's quartiles (it sets no verdict)
+    ratios = [b / a for a, b in zip(values["parent"], values["change"]) if a]
+    if ratios:
+        q1, q3 = _quartiles(ratios)
+        out["pair_ratio"] = {"median": statistics.median(ratios),
+                             "q1": q1, "q3": q3}
     p, c = out["parent"]["median"], out["change"]["median"]
     wins = sum((b < a) if lower else (b > a)
                for a, b in zip(values["parent"], values["change"]))
