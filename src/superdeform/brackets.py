@@ -124,12 +124,10 @@ def _anti_channels(ctx, fkey, gkey):
         return None
     ex = tuple(map(add, fx, gx))
     out = {}
-    for a, w, xi in g_side:
-        for step, u in x_steps(fx[a], cf):
-            accumulate(out.setdefault(xi, {}), bump(ex, a, step), w * u)
-    for a, w, xi in f_side:
-        for step, v in x_steps(gx[a], cg):
-            accumulate(out.setdefault(xi, {}), bump(ex, a, step), w * v)
+    for side, e, c in ((g_side, fx, cf), (f_side, gx, cg)):
+        for a, w, xi in side:
+            for step, u in x_steps(e[a], c):
+                accumulate(out.setdefault(xi, {}), bump(ex, a, step), w * u)
     return out
 
 
@@ -168,8 +166,6 @@ def _anti_factor(xf, xg):
 
 _TABLES = {}
 _TABLE_BOUND = 1024
-# entries of the cache of ``_moyal_weights``
-_WEIGHTS_BOUND = 64
 
 
 def _derivs(tables, e, c, n):
@@ -384,7 +380,7 @@ def moyal_bracket(f, g, kappa=1):
     return _iterate_pairs(f, g, _moyal_weights(kappa), _TABLES)
 
 
-@lru_cache(maxsize=_WEIGHTS_BOUND)
+@lru_cache(maxsize=_CACHE_BOUND)
 def _moyal_weights(kappa):
     """The pairs (p, (h kappa)^(p-1)) for odd p, up to the first weight the
     truncation kills; kappa is a Scalar, so the key holds its context."""

@@ -45,7 +45,7 @@ from .deformations import (_failed_relations, _general_odd_bracket,
                            check_constraints, check_equivalence,
                            t1_bar_multiplier, t1_euler)
 from .errors import DeformationError, ParseError
-from .scalars import MAX_RADICAND, Scalar
+from .scalars import Scalar
 from .superfunc import SuperFunction, SymplecticContext, sf_mul
 from .verify import (DEFAULT_SEED, SampleSpec, check_cocycle, check_jacobi,
                      sample_tuples)
@@ -160,8 +160,7 @@ class _Parser:
             if exponent > MAX_EXPONENT:
                 raise ParseError(
                     f"exponent {exponent} is above {MAX_EXPONENT}", pos)
-            out = SuperFunction.constant(self.ctx,
-                                         Scalar.one(self.ctx.scalar_ctx))
+            out = SuperFunction.constant(self.ctx, 1)
             for _ in range(exponent):
                 out = self._product(out, value, pos)
             value = out
@@ -180,8 +179,7 @@ class _Parser:
         kind, value, pos = self.take()
         sctx = self.ctx.scalar_ctx
         if kind == "int":
-            return SuperFunction.constant(
-                self.ctx, Scalar.rational(sctx, value))
+            return SuperFunction.constant(self.ctx, value)
         if kind == "sym" and value == "(":
             inner = self.expr()
             self.expect_sym(")")
@@ -201,33 +199,21 @@ class _Parser:
             return SuperFunction.constant(self.ctx, Scalar.hbar(sctx))
         if value == "pi":
             return SuperFunction.constant(self.ctx, Scalar.pi(sctx))
-        if value == "sqrt":
+        if value in ("sqrt", "gauss"):
             self.expect_sym("(")
-            kind2, inner, pos2 = self.peek()
-            if kind2 == "name" and inner == "pi":
-                self.take()
-                self.expect_sym(")")
-                return SuperFunction.constant(self.ctx,
-                                              Scalar.sqrt_pi(sctx))
+            pos2 = self.peek()[2]
             arg = self.expr()
             self.expect_sym(")")
+            if value == "sqrt" and arg == Scalar.pi(sctx):
+                return SuperFunction.constant(self.ctx, Scalar.sqrt_pi(sctx))
             r = _rational(arg, pos2)
-            if r.denominator != 1 or r <= 0:
-                raise ParseError("sqrt takes a positive integer or pi", pos2)
-            if r > MAX_RADICAND:
-                raise ParseError(
-                    f"radicand {r} is above {MAX_RADICAND}", pos2)
-            return SuperFunction.constant(self.ctx,
-                                          Scalar.sqrt(sctx, int(r)))
-        if value == "gauss":
-            self.expect_sym("(")
-            kind2, _v, pos2 = self.peek()
-            arg = self.expr()
-            self.expect_sym(")")
-            c = _rational(arg, pos2)
-            if c < 0:
-                raise ParseError("gauss weight must be nonnegative", pos2)
-            return SuperFunction.gauss(self.ctx, c)
+            # the ring and the constructor own the rules on r
+            try:
+                if value == "gauss":
+                    return SuperFunction.gauss(self.ctx, r)
+                return SuperFunction.constant(self.ctx, Scalar.sqrt(sctx, r))
+            except ValueError as exc:
+                raise ParseError(str(exc), pos2)
         raise ParseError(f"unknown name {value!r}", pos)
 
 
@@ -404,8 +390,7 @@ def _build_context(args):
 
 
 def _sample_spec(args):
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    return SampleSpec(seed=seed, count=args.samples,
+    return SampleSpec(seed=args.seed, count=args.samples,
                       parity=args.parity, terms=args.terms)
 
 
@@ -488,7 +473,7 @@ _COMMON_OPTIONS = (
     (("--hmax",), dict(type=int, default=6, help="hbar truncation order")),
     (("--lambda",), dict(dest="lambdas", default="",
                          help="comma-separated +-1 metric entries for xi")),
-    (("--seed",), dict(type=int, default=None)),
+    (("--seed",), dict(type=int, default=DEFAULT_SEED)),
     (("--samples",), dict(type=int, default=25)),
     (("--parity",), dict(choices=["even", "odd", "any"], default="any")),
     (("--terms",), dict(type=int, default=1,

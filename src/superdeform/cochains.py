@@ -18,7 +18,8 @@ from itertools import product
 from .brackets import (_own_kappa, antibracket, bidiff_term, moyal_bracket,
                        poisson_bracket)
 from .errors import ArityError
-from .superfunc import SuperFunction, _own_scalar, _require_square, sf_mul
+from .superfunc import (_CACHE_BOUND, SuperFunction, _own_scalar,
+                        _require_square, sf_mul)
 
 EVEN, ODD = "even", "odd"
 
@@ -70,7 +71,7 @@ class Cochain:
                     out = out + self.fn(*combo)
             else:
                 out = self.fn(*args)
-        if len(self._cache) > 4096:
+        if len(self._cache) > _CACHE_BOUND:
             self._cache.clear()
         self._cache[key] = (args, out)
         return out

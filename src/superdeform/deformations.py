@@ -342,7 +342,8 @@ def t1_euler(ctx, a=1):
 
 def check_equivalence(defo1, defo2, t1, samples, order=None):
     """T = id + hbar^2 T1; the residual T C1(f,g) - C2(Tf,Tg), truncated
-    at ``order`` when given, must vanish on every sample pair.
+    at ``order`` (``h_max`` when None, where every value is truncated
+    already), must vanish on every sample pair.
 
     ``details["t1_active_pairs"]`` counts the pairs on which T1 changes f,
     g or C1(f,g) within ``order``; only those pairs can tell a wrong T1
@@ -350,24 +351,23 @@ def check_equivalence(defo1, defo2, t1, samples, order=None):
     which leaves the residual as it is: no bracket lowers the h-degree.)
     """
     ctx = defo1.ctx
-    hbar2 = Scalar.hbar(ctx.scalar_ctx) ** 2
+    if order is None:
+        order = ctx.h_max
+    hbar2 = Scalar.hbar(ctx.scalar_ctx, 2)
     details = {"t1_active_pairs": 0}
 
     def shift(f):
         out = t1.evaluate(f)
         if not out.coeffs:
             return out
-        out = out.scale_left(hbar2)
-        return out if order is None else out.truncate(order)
+        return out.scale_left(hbar2).truncate(order)
 
     def rule(f, g):
         c1 = defo1.evaluate(f, g)
         dc, df, dg = (shift(u) for u in (c1, f, g))
         details["t1_active_pairs"] += not (
             dc.is_zero() and df.is_zero() and dg.is_zero())
-        residual = c1 + dc - defo2.evaluate(f + df, g + dg)
-        if order is not None:
-            residual = residual.truncate(order)
+        residual = (c1 + dc - defo2.evaluate(f + df, g + dg)).truncate(order)
         if not residual.is_zero():
             yield (), residual.render()
 

@@ -42,11 +42,12 @@ from .errors import ContextMismatchError
 MAX_RADICAND = 10 ** 12  # largest integer the ring factors under a root
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 8.0 is not the int 8
 def squarefree_decompose(n):
     """Return (outer, core) with n = outer**2 * core and core square-free;
-    n above MAX_RADICAND is refused, as factoring is by trial division."""
-    if n <= 0:
+    n must be a positive int, and above MAX_RADICAND it is refused, as
+    factoring is by trial division."""
+    if n.__class__ is not int or n <= 0:
         raise ValueError("expected a positive integer under the root")
     if n > MAX_RADICAND:
         raise ValueError(f"radicand {n} is above {MAX_RADICAND}")
@@ -362,7 +363,7 @@ class Scalar(FlatSum):
 
     @classmethod
     def sqrt(cls, ctx, r):
-        outer, core = squarefree_decompose(int(r))
+        outer, core = squarefree_decompose(int_if_integral(Fraction(r)))
         return Scalar._of(ctx, {(0, 0, 0, 0, core): outer})
 
     @classmethod

@@ -51,7 +51,7 @@ for readers of whole coefficients.  Only this module and scalars know the
 layout of the scalar part of a key; the bracket kernels read terms through
 ``_grouped`` and, like ``sf_mul``, write products under a term key
 prefix with ``mul_into``, or, in the Moyal kernel, build results through
-``_make``.
+``_make``; the sampler writes its rational terms under ``_RATIONAL``.
 
 A function never changes after it is built (the ``FlatSum`` rule), so it
 keeps its parity and its bar integral once asked for them: a check asks
@@ -153,7 +153,8 @@ class SuperFunction(FlatSum):
         self.ctx = ctx
         self.coeffs = {}
         for (xexp, c, xi), s in (terms or {}).items():
-            if len(xexp) != ctx.n_plus or xexp and min(xexp) < 0:
+            if len(xexp) != ctx.n_plus or any(
+                    e.__class__ is not int or e < 0 for e in xexp):
                 raise ValueError("bad x-exponent vector")
             if c.__class__ is not int:
                 c = int_if_integral(Fraction(c))
@@ -163,7 +164,8 @@ class SuperFunction(FlatSum):
                 c = 0  # with no x variables exp(-c|x|^2/2) is 1
             # strictly increasing from at least 1 to at most n_minus
             if xi and not (1 <= xi[0] and xi[-1] <= ctx.n_minus
-                           and all(map(lt, xi, xi[1:]))):
+                           and all(map(lt, xi, xi[1:]))
+                           and all(a.__class__ is int for a in xi)):
                 raise ValueError("xi monomial must be sorted distinct indices")
             term = (xexp, c, xi)
             if s.__class__ is not int:
@@ -495,8 +497,8 @@ def _parity(key):
     return (len(key[2]) + key[4].bit_count()) & 1
 
 
-# entries of each of the caches _moment and, in brackets, _anti_factor,
-# _poisson_row and _odd_factor
+# entries of each cache and memo: _moment, in brackets _anti_factor,
+# _poisson_row, _odd_factor and _moyal_weights, and a Cochain's memo
 _CACHE_BOUND = 4096
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
+from fractions import Fraction
 
 from .brackets import poisson_bracket
 from .cochains import ODD, d_ad, grading_parity, jacobiator
-from .scalars import Scalar, accumulate
-from .superfunc import SuperFunction
+from .scalars import Scalar, accumulate, int_if_integral
+from .superfunc import _RATIONAL, SuperFunction
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -99,9 +100,10 @@ def sample_superfunctions(spec, ctx):
     # a sample has one xi-degree, odd exactly for an odd parity
     degrees = [d for d in range(max_xi + 1)
                if spec.parity == "any" or d % 2 == (spec.parity == "odd")]
-    # with x variables every term has a Gaussian weight (class D)
-    weights = tuple(spec.gauss_weights)
-    weights = weights if ctx.n_plus else (0,) + weights
+    # with x variables every term has a Gaussian weight (class D); without
+    # them every weight is 0, as the constructor stores it
+    weights = tuple(int_if_integral(Fraction(c)) for c in spec.gauss_weights)
+    weights = weights if ctx.n_plus else (0,) * (len(weights) + 1)
     # the draws of LCG(spec.seed).randint and .choice, with the state in a
     # local: each step is one LCG word, and a draw from a span of s values
     # is (word >> 33) % s
@@ -113,7 +115,7 @@ def sample_superfunctions(spec, ctx):
         state = (LCG_MULT * state + LCG_INC) & LCG_MASK
         deg = degrees[(state >> 33) % len(degrees)]
         # the sum of the drawn terms, merged as the sum of functions would
-        terms = {}
+        coeffs = {}
         for _t in range(spec.terms):
             xexp = []
             for _a in range(n_plus):
@@ -128,9 +130,9 @@ def sample_superfunctions(spec, ctx):
                 if a not in xi:
                     xi.append(a)
             state = (LCG_MULT * state + LCG_INC) & LCG_MASK
-            accumulate(terms, (tuple(xexp), c, tuple(sorted(xi))),
-                       COEFF_POOL[(state >> 33) % len(COEFF_POOL)])
-        out.append(SuperFunction(ctx, terms))
+            accumulate(coeffs, (tuple(xexp), c, tuple(sorted(xi)))
+                       + _RATIONAL, COEFF_POOL[(state >> 33) % len(COEFF_POOL)])
+        out.append(SuperFunction._of(ctx, coeffs))
     return out
 
 

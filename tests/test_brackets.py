@@ -607,7 +607,7 @@ def test_cached_moyal_weights_are_keyed_by_context():
             assert [p for p, _w in got] == list(range(1, h_max // 2 * 2 + 2,
                                                        2))
     assert brackets._moyal_weights.cache_info().maxsize == \
-        brackets._WEIGHTS_BOUND
+        brackets._CACHE_BOUND
 
 
 def test_moyal_of_zero_is_zero_after_the_checks(ctx42):

@@ -17,8 +17,9 @@ import superdeform
 from superdeform import (ParseError, Scalar, SuperFunction, SymplecticContext,
                          parse_cochain, parse_deformation, parse_expression,
                          parse_t1, sf_mul)
-from superdeform.cli import (MAX_EXPONENT, MAX_PRODUCT_TERMS, MAX_RADICAND,
-                             parse_scalar, run)
+from superdeform.cli import (MAX_EXPONENT, MAX_PRODUCT_TERMS, parse_scalar,
+                             run)
+from superdeform.scalars import MAX_RADICAND
 from superdeform.verify import DEFAULT_SEED
 
 from conftest import random_superfunction, seeded
@@ -72,6 +73,27 @@ def test_scalar_atoms(ctx):
         parse_scalar("x1", ctx)
     with pytest.raises(ParseError, match="scalar constant"):
         parse_expression("sqrt(x1)", ctx)
+
+
+def test_sqrt_and_gauss_defer_to_the_ring(ctx, capsys):
+    """sqrt of a value equal to pi is sqrt(pi); any other argument must be
+    rational, and Scalar.sqrt and SuperFunction.gauss own the rules on it,
+    refused at the argument's position."""
+    sctx = ctx.scalar_ctx
+    for text in ("sqrt(pi)", "sqrt((pi))", "sqrt(pi^1)", "sqrt(2*pi/2)"):
+        assert parse_scalar(text, ctx) == Scalar.sqrt_pi(sctx)
+    with pytest.raises(ParseError, match="a rational constant is required "
+                                         "here at position 5"):
+        parse_expression("sqrt(2*pi)", ctx)
+    for text, message in (
+            ("sqrt(9/2)", "expected a positive integer under the root"),
+            ("sqrt(0)", "expected a positive integer under the root"),
+            ("gauss(-1)", "Gaussian weight must be nonnegative")):
+        assert run(["eval", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: {message} at position {text.index('(') + 1}\n"
 
 
 def test_parse_error_metadata(ctx):
@@ -554,7 +576,8 @@ _GRAMMAR_TOKENS = ("0", "1", "2", "3", "12", "33", "99999999999",
                    "hbar", "pi", "sqrt", "gauss", "foo",
                    "+", "-", "*", "/", "^", "(", ")", ",", "=", " ", "@")
 _LEAVES = ("0", "3", "x1", "x2", "xi1", "xi2", "th1", "hbar", "pi",
-           "sqrt(pi)", "sqrt(2)", "gauss(1)", "gauss(1/2)", "gauss(0)")
+           "sqrt(pi)", "sqrt(2)", "gauss(1)", "gauss(1/2)", "gauss(0)",
+           "sqrt((pi))", "sqrt(9/2)", "sqrt(0)", "gauss(-1)", "gauss(x1)")
 # token soup, and well-formed expressions that reach the brackets
 _EXPRESSIONS = st.one_of(
     st.lists(st.sampled_from(_GRAMMAR_TOKENS), max_size=12).map("".join),
@@ -733,7 +756,8 @@ def test_one_parser_per_process_keeps_no_state(tmp_path, capsys):
         ["--seed", "5", "--output", "x", "--samples", "3", "eval", "1"])
     assert (first.seed, first.output, first.samples) == (5, "x", 3)
     again = make_parser().parse_args(["eval", "1"])
-    assert (again.seed, again.output, again.samples) == (None, "", 25)
+    assert (again.seed, again.output, again.samples) == \
+        (DEFAULT_SEED, "", 25)
     out = tmp_path / "value.txt"
     assert run(["eval", "x1", "--output", str(out)]) == 0
     assert run(["eval", "x2"]) == 0

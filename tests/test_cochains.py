@@ -9,6 +9,7 @@ from superdeform import (ArityError, ContextMismatchError, Scalar,
                          anti_form, d_ad, jacobiator, jzeta_form, m0_form,
                          m1_form, m23_form, m3_form, moyal_bracket,
                          moyal_form, mu_form, mzeta_form, poisson_bracket)
+from superdeform import cochains
 from superdeform.cochains import (EVEN, ODD, Cochain, _bar_pairing, m1,
                                   grading_parity)
 
@@ -369,6 +370,19 @@ def test_evaluate_stores_each_miss(ctx42):
         assert len(form._cache) == size + 1
         assert form.evaluate(*args) is value
         assert len(form._cache) == size + 1
+
+
+def test_memo_is_bounded_by_the_cache_bound(ctx42, monkeypatch):
+    """The memo is cleared once it holds more than ``_CACHE_BOUND``
+    entries, the bound of every cache of the engine."""
+    monkeypatch.setattr(cochains, "_CACHE_BOUND", 3)
+    form = m0_form(ctx42)
+    g = SuperFunction.x(ctx42, 2)
+    sizes = []
+    for i in range(12):
+        form.evaluate(SuperFunction.x(ctx42, 1) * i, g)
+        sizes.append(len(form._cache))
+    assert max(sizes) == 4 and sizes[:5] == [1, 2, 3, 4, 1]
 
 
 def test_memo_is_keyed_by_argument_identity(ctx42):

@@ -485,6 +485,25 @@ def test_golden_sign_bar_multiplier(ctx42):
     assert report.details["t1_active_pairs"] == active
 
 
+def test_equivalence_order_defaults_to_h_max(ctx42):
+    """order=None truncates at h_max, where every value is truncated
+    already: the same report, T1-active pairs included, as order=h_max."""
+    z0 = SuperFunction.gauss(ctx42, 1)
+    zeta = SuperFunction.term(ctx42, (1, 0, 0, 0), scalar=h2(ctx42))
+    dA = build_C3(zeta + z0.scale_left(h2(ctx42)), h2(ctx42))
+    dB = build_C3(zeta, h2(ctx42))
+    rng = seeded(89)
+    pairs = [(rand_top(rng, ctx42), rand_top(rng, ctx42))
+             for _ in range(4)]
+    for a in (-1, 1):
+        t1 = t1_bar_multiplier(z0, a)
+        default = check_equivalence(dA, dB, t1, pairs)
+        top = check_equivalence(dA, dB, t1, pairs, order=ctx42.h_max)
+        assert default.core_dict() == top.core_dict()
+        assert default.details["t1_active_pairs"] == \
+            top.details["t1_active_pairs"] > 0
+
+
 def test_t1_bar_multiplier_skips_a_zero_bar(ctx42, monkeypatch):
     """On a zero bar T1 is zero without scaling z0; on a nonzero one it is
     a * z0 * fbar."""

@@ -182,6 +182,17 @@ def test_radicand_bound_is_in_the_ring():
         assert time.perf_counter() - start < 1
     assert squarefree_decompose(MAX_RADICAND) == (10 ** 6, 1)
     assert Scalar.sqrt(ScalarContext(1, 6), MAX_RADICAND) == 10 ** 6
+    # the root of a value that is not an integer is refused, never truncated
+    sctx = ScalarContext(1, 6)
+    for build in (lambda: Scalar.sqrt(sctx, Fraction(9, 2)),
+                  lambda: Scalar.sqrt(sctx, 2.9),
+                  lambda: RadicalNumber.sqrt_int(Fraction(17, 2)),
+                  lambda: squarefree_decompose(Fraction(9, 2)),
+                  lambda: squarefree_decompose(8.0)):
+        with pytest.raises(ValueError, match="positive integer"):
+            build()
+    assert squarefree_decompose(8) == (2, 2)
+    assert Scalar.sqrt(sctx, Fraction(8)).coeffs == {(0, 0, 0, 0, 2): 2}
 
 
 def test_benchmark_hooks_into_the_ring():

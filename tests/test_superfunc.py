@@ -48,12 +48,15 @@ def test_constructor_checks_its_values():
 def test_constructor_checks_its_keys():
     """A term key is canonical: n_plus x-exponents, none negative; a
     nonnegative weight, an integral one kept as an int; xi indices sorted,
-    distinct and in 1..n_minus."""
+    distinct and in 1..n_minus.  Exponents and indices are ints: a float or
+    Fraction exponent would give float or Fraction powers of x."""
     ctx = SymplecticContext(2, 2, k=1)
     for key in (((3,), -1, (2, 1)), ((3,), 0, ()), ((1, 0, 0), 0, ()),
                 ((1, -1), 0, ()), ((0, 0), -1, ()),
                 ((0, 0), Fraction(-1, 2), ()), ((0, 0), 0, (2, 1)),
-                ((0, 0), 0, (1, 1)), ((0, 0), 0, (0,)), ((0, 0), 0, (3,))):
+                ((0, 0), 0, (1, 1)), ((0, 0), 0, (0,)), ((0, 0), 0, (3,)),
+                ((1.5, 0), 1, ()), ((Fraction(2), 0), 1, ()),
+                ((0, 0), 0, (1.0,))):
         with pytest.raises(ValueError):
             SuperFunction(ctx, {key: 1})
         with pytest.raises(ValueError):
