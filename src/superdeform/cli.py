@@ -55,11 +55,10 @@ MAX_EXPONENT = 32
 # the largest term-count product |a| * |b| the grammar multiplies out
 MAX_PRODUCT_TERMS = 10_000
 
-# the atoms x<i>, xi<a> and th<j>: (noun, context bound, builder) per name
-_GENERATORS = {"x": ("variable", "n_plus", SuperFunction.x),
-               "xi": ("variable", "n_minus", SuperFunction.xi),
-               "th": ("parameter", "k", lambda ctx, j: SuperFunction.constant(
-                   ctx, Scalar.theta(ctx.scalar_ctx, j)))}
+# the builders of the atoms x<i>, xi<a> and th<j>, which own their ranges
+_GENERATORS = {"x": SuperFunction.x, "xi": SuperFunction.xi,
+               "th": lambda ctx, j: SuperFunction.constant(
+                   ctx, Scalar.theta(ctx.scalar_ctx, j))}
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^(),=]))")
 
@@ -188,13 +187,10 @@ class _Parser:
             raise ParseError("expected a value", pos)
         m = re.fullmatch(r"(x|xi|th)(\d+)", value)
         if m:
-            name, i = m.group(1), int(m.group(2))
-            noun, bound, build = _GENERATORS[name]
-            top = getattr(self.ctx, bound)
-            if not 1 <= i <= top:
-                raise ParseError(f"unknown {noun} {name}{i} ({bound}={top})",
-                                 pos)
-            return build(self.ctx, i)
+            try:
+                return _GENERATORS[m.group(1)](self.ctx, int(m.group(2)))
+            except ValueError as exc:
+                raise ParseError(str(exc), pos)
         if value == "hbar":
             return SuperFunction.constant(self.ctx, Scalar.hbar(sctx))
         if value == "pi":

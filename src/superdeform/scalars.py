@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from numbers import Rational
+from numbers import Number, Rational
 from operator import add, mul, sub
 
 from .errors import ContextMismatchError
@@ -105,6 +105,16 @@ def theta_indices(mask):
 def int_if_integral(q):
     """q, as an int when it is an integral Fraction."""
     return q.numerator if q.__class__ is Fraction and q.denominator == 1 else q
+
+
+def exact(x):
+    """The ring rational of an outside number x: an int as it is, another
+    Rational reduced; ValueError for a float (even 2.0), str or Decimal."""
+    if x.__class__ is int:
+        return x
+    if isinstance(x, Rational):
+        return int_if_integral(Fraction(x))
+    raise ValueError(f"{x!r} is not an exact rational number")
 
 
 def accumulate(out, key, value):
@@ -279,8 +289,8 @@ class ScalarContext:
     __slots__ = ("k", "h_max")
 
     def __init__(self, k=0, h_max=6):
-        if k < 0 or h_max < 0:
-            raise ValueError("k and h_max must be nonnegative")
+        if type(k) is not int or type(h_max) is not int or min(k, h_max) < 0:
+            raise ValueError("k and h_max must be nonnegative ints")
         self.k = k
         self.h_max = h_max
 
@@ -298,27 +308,11 @@ class ScalarContext:
 class Scalar(FlatSum):
     """Element of the full coefficient ring over a ScalarContext.
 
-    ``coeffs`` is the flat dict of the module doc; the constructor takes
-    the nested form of ``terms``, with RadicalNumber or rational values,
-    and refuses a key that is not canonical.
+    ``coeffs`` is the flat dict of the module doc.  Scalars are built by
+    the class methods and the arithmetic, outside numbers by ``exact``.
     """
 
     __slots__ = ()
-
-    def __init__(self, ctx, terms=None):
-        self.ctx = ctx
-        self.coeffs = {}
-        for (m, alpha), rad in (terms or {}).items():
-            mask = theta_mask(alpha)
-            if theta_indices(mask) != tuple(alpha) or mask >> ctx.k:
-                raise ValueError(f"theta monomial {tuple(alpha)} is not "
-                                 f"increasing in 1..{ctx.k}")
-            _check_monomial(m=m)
-            if not isinstance(rad, RadicalNumber):
-                rad = RadicalNumber({(0, 0, 1): rad})
-            if m <= ctx.h_max:
-                self.coeffs.update(((m, mask) + key[2:], q)
-                                   for key, q in rad.scalar.coeffs.items())
 
     @property
     def terms(self):
@@ -337,7 +331,7 @@ class Scalar(FlatSum):
 
     @classmethod
     def rational(cls, ctx, q):
-        q = int_if_integral(Fraction(q))
+        q = exact(q)
         return Scalar._of(ctx, {(0, 0, 0, 0, 1): q} if q else {})
 
     @classmethod
@@ -351,19 +345,26 @@ class Scalar(FlatSum):
     @classmethod
     def hbar(cls, ctx, power=1, coeff=1):
         _check_monomial(m=power)
-        q = int_if_integral(Fraction(coeff))
+        q = exact(coeff)
         return Scalar._of(ctx, {(power, 0, 0, 0, 1): q}
                             if q and power <= ctx.h_max else {})
 
     @classmethod
-    def theta(cls, ctx, j):
-        if not 1 <= j <= ctx.k:
-            raise ValueError(f"theta index {j} outside 1..{ctx.k}")
-        return Scalar._of(ctx, {(0, 1 << (j - 1), 0, 0, 1): 1})
+    def theta(cls, ctx, *indices):
+        """th_{i1}*...*th_{iw}, the indices strictly increasing in 1..k."""
+        mask = 0
+        for j in indices:
+            if j.__class__ is not int or not 1 <= j <= ctx.k:
+                raise ValueError(f"unknown parameter th{j} (k={ctx.k})")
+            if mask >> (j - 1):
+                raise ValueError(f"theta indices {indices} not increasing")
+            mask |= 1 << (j - 1)
+        return Scalar._of(ctx, {(0, mask, 0, 0, 1): 1})
 
     @classmethod
     def sqrt(cls, ctx, r):
-        outer, core = squarefree_decompose(int_if_integral(Fraction(r)))
+        outer, core = squarefree_decompose(
+            exact(r) if isinstance(r, Rational) else r)
         return Scalar._of(ctx, {(0, 0, 0, 0, core): outer})
 
     @classmethod
@@ -378,10 +379,10 @@ class Scalar(FlatSum):
     # -- helpers -----------------------------------------------------------
 
     def _lift(self, value):
-        if isinstance(value, Rational):
-            return Scalar.rational(self.ctx, value)
         if isinstance(value, RadicalNumber):
             return Scalar.from_radical(self.ctx, value)
+        if isinstance(value, Number):
+            return Scalar.rational(self.ctx, value)  # refuses a float
         return NotImplemented
 
     def __bool__(self):
@@ -421,7 +422,7 @@ class Scalar(FlatSum):
                 if not isinstance(other, Rational):
                     other = self._lift(other)  # a RadicalNumber, if any
                     return other if other is NotImplemented else self * other
-                other = Fraction(other)
+                other = exact(other)
             return Scalar._of(self.ctx, {
                 k: int_if_integral(q * other)
                 for k, q in self.coeffs.items()} if other else {})
@@ -433,9 +434,8 @@ class Scalar(FlatSum):
     __rmul__ = __mul__
 
     def __truediv__(self, q):
-        q = Fraction(q.rational_value() if isinstance(q, Scalar) else q)
-        return Scalar._of(self.ctx, {
-            k: int_if_integral(v / q) for k, v in self.coeffs.items()})
+        q = q.rational_value() if isinstance(q, Scalar) else exact(q)
+        return self * Fraction(1, q)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -447,9 +447,9 @@ class Scalar(FlatSum):
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
+            if not isinstance(other, (Rational, RadicalNumber)):
+                return NotImplemented  # a float is unequal, not refused
             other = self._lift(other)
-            if other is NotImplemented:
-                return NotImplemented
         return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -524,7 +524,7 @@ class RadicalNumber:
         coeffs = {}
         for (p, s, r), q in (terms or {}).items():
             _check_monomial(p=p, s=s, r=r)
-            accumulate(coeffs, (0, 0, p, s, r), Fraction(q))
+            accumulate(coeffs, (0, 0, p, s, r), exact(q))
         self.scalar = Scalar._of(_RADICALS, coeffs)
 
     @classmethod

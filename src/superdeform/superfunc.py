@@ -68,7 +68,7 @@ from operator import add, lt
 
 from .errors import ContextMismatchError, DeformationError, NotIntegrableError
 from .scalars import (FlatSum, RadicalNumber, Scalar, ScalarContext,
-                      accumulate, int_if_integral, merge_odd_indices,
+                      accumulate, exact, int_if_integral, merge_odd_indices,
                       mul_into, render_sum)
 
 
@@ -78,14 +78,15 @@ class SymplecticContext:
     __slots__ = ("n_plus", "n_minus", "lambdas", "k", "h_max", "scalar_ctx")
 
     def __init__(self, n_plus, n_minus, lambdas=None, k=0, h_max=6):
-        if n_plus % 2 != 0 or n_plus < 0:
-            raise ValueError("n_plus must be even and nonnegative")
-        if n_minus < 0:
-            raise ValueError("n_minus must be nonnegative")
+        if type(n_plus) is not int or n_plus % 2 != 0 or n_plus < 0:
+            raise ValueError("n_plus must be an even nonnegative int")
+        if type(n_minus) is not int or n_minus < 0:
+            raise ValueError("n_minus must be a nonnegative int")
         if lambdas is None:
             lambdas = (1,) * n_minus
         lambdas = tuple(lambdas)
-        if len(lambdas) != n_minus or any(s not in (1, -1) for s in lambdas):
+        if len(lambdas) != n_minus or any(
+                type(s) is not int or s not in (1, -1) for s in lambdas):
             raise ValueError("lambdas must be a +-1 vector of length n_minus")
         self.n_plus = n_plus
         self.n_minus = n_minus
@@ -157,7 +158,7 @@ class SuperFunction(FlatSum):
                     e.__class__ is not int or e < 0 for e in xexp):
                 raise ValueError("bad x-exponent vector")
             if c.__class__ is not int:
-                c = int_if_integral(Fraction(c))
+                c = exact(c)
             if c < 0:
                 raise ValueError("Gaussian weight must be nonnegative")
             if not ctx.n_plus:
@@ -198,15 +199,15 @@ class SuperFunction(FlatSum):
 
     @classmethod
     def x(cls, ctx, i):
-        if not 1 <= i <= ctx.n_plus:
-            raise ValueError(f"x index {i} outside 1..{ctx.n_plus}")
+        if i.__class__ is not int or not 1 <= i <= ctx.n_plus:
+            raise ValueError(f"unknown variable x{i} (n_plus={ctx.n_plus})")
         xexp = tuple(1 if j == i - 1 else 0 for j in range(ctx.n_plus))
         return cls.term(ctx, xexp=xexp)
 
     @classmethod
     def xi(cls, ctx, a):
         if not 1 <= a <= ctx.n_minus:
-            raise ValueError(f"xi index {a} outside 1..{ctx.n_minus}")
+            raise ValueError(f"unknown variable xi{a} (n_minus={ctx.n_minus})")
         return cls.term(ctx, xi=(a,))
 
     @classmethod

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from fractions import Fraction
 
 from .brackets import poisson_bracket
 from .cochains import ODD, d_ad, grading_parity, jacobiator
-from .scalars import Scalar, accumulate, int_if_integral
+from .scalars import Scalar, accumulate, exact
 from .superfunc import _RATIONAL, SuperFunction
 
 LCG_MULT = 6364136223846793005
@@ -56,24 +55,29 @@ class SampleSpec(namedtuple(
     equal and hashed by its fields.  ``parity`` is "even", "odd" or "any".
 
     A spec that could draw no sample, or not the samples it names, is
-    refused with ValueError: ``count`` and ``terms`` below 1, a negative
-    ``max_x_degree``, no or a negative Gaussian weight, or a ``parity``
-    other than "even", "odd" and "any".  Every way of making a spec checks
-    this, ``_replace`` and ``_make`` included.
+    refused with ValueError: a non-int ``seed``, ``count``, ``terms`` or
+    ``max_x_degree``, ``count`` and ``terms`` below 1, a negative
+    ``max_x_degree``, no Gaussian weight or one negative or not ``exact``,
+    or a ``parity`` other than "even", "odd" and "any".  The sampler
+    writes keys with no constructor between, so this is its check, made
+    by every way of making a spec, ``_replace`` and ``_make`` included.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name in ("count", "terms"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"SampleSpec.{name} must be at least 1, "
-                                 f"got {getattr(self, name)}")
-        if self.max_x_degree < 0:
-            raise ValueError(f"SampleSpec.max_x_degree must be nonnegative, "
-                             f"got {self.max_x_degree}")
-        if not self.gauss_weights or min(self.gauss_weights) < 0:
+        for name, least in (("seed", None), ("count", 1), ("terms", 1),
+                            ("max_x_degree", 0)):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"SampleSpec.{name} must be an int, "
+                                 f"got {value!r}")
+            if least is not None and value < least:
+                raise ValueError(f"SampleSpec.{name} must be at least "
+                                 f"{least}, got {value}")
+        # a weight that is not exact is refused by the exact rule itself
+        if min(map(exact, self.gauss_weights), default=-1) < 0:
             raise ValueError(f"SampleSpec.gauss_weights must be nonnegative "
                              f"weights, at least one, got "
                              f"{self.gauss_weights!r}")
@@ -102,7 +106,7 @@ def sample_superfunctions(spec, ctx):
                if spec.parity == "any" or d % 2 == (spec.parity == "odd")]
     # with x variables every term has a Gaussian weight (class D); without
     # them every weight is 0, as the constructor stores it
-    weights = tuple(int_if_integral(Fraction(c)) for c in spec.gauss_weights)
+    weights = tuple(map(exact, spec.gauss_weights))
     weights = weights if ctx.n_plus else (0,) * (len(weights) + 1)
     # the draws of LCG(spec.seed).randint and .choice, with the state in a
     # local: each step is one LCG word, and a draw from a span of s values
@@ -138,6 +142,9 @@ def sample_superfunctions(spec, ctx):
 
 def sample_tuples(spec, ctx, size):
     """Consecutive samples grouped into tuples of the given size."""
+    if type(size) is not int or size < 1:
+        raise ValueError(f"sample_tuples size must be an int of at least 1, "
+                         f"got {size!r}")
     wide = spec._replace(count=spec.count * size)
     flat = sample_superfunctions(wide, ctx)
     return [tuple(flat[i * size + j] for j in range(size))

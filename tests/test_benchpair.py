@@ -137,3 +137,34 @@ def test_two_benchmarks_are_refused_before_any_run(tmp_path, monkeypatch,
     assert code == 2 and not out.exists()
     assert len(err) == 1 and err[0].startswith("error:")
     assert changed.split("/")[0] in err[0]
+
+
+@pytest.mark.parametrize("workloads, seeds, word", [
+    ("antibracket", "2410-2401", "seed"),
+    ("antibracket,even_moyl", "1", "even_moyl"),
+], ids=["no_seed", "unknown_workload"])
+def test_work_it_cannot_do_is_refused_before_any_run(tmp_path, monkeypatch,
+                                                     capsys, workloads,
+                                                     seeds, word):
+    """A seed list that names no seed, or a workload the parent's
+    BENCHMARK.json does not name: exit 2 with one ``error:`` line, no run
+    started and no output written."""
+    bench = '{"run_seconds": 1, "workloads": [{"name": "antibracket"}, ' \
+        '{"name": "even_moyal"}], "end_to_end": []}\n'
+    trees = [tmp_path / side for side in benchpair.SIDES]
+    for tree in trees:
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text("print()\n")
+        (tree / "BENCHMARK.json").write_text(bench)
+
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(benchpair, "_run", no_run)
+    out = tmp_path / "out.json"
+    code = benchpair.main(["--parent", str(trees[0]), "--change",
+                           str(trees[1]), "--workloads", workloads,
+                           "--seeds", seeds, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and not out.exists()
+    assert len(err) == 1 and err[0].startswith("error:") and word in err[0]

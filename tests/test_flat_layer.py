@@ -71,16 +71,24 @@ def rich_function(rng, ctx, top=False):
 
 # -- the per-term-Scalar oracles ---------------------------------------------
 
+def _from_view(ctx, view):
+    """The Scalar of a nested view {(m, alpha): RadicalNumber}, rebuilt by
+    products in which only the theta factor carries theta."""
+    return sum((Scalar.hbar(ctx, m) * Scalar.theta(ctx, *alpha) * rad
+                for (m, alpha), rad in view.items()), Scalar.zero(ctx))
+
+
 def theta_twist(s, q):
     """s with each term times (-1)^(q * theta-weight)."""
-    return Scalar(s.ctx, {(m, alpha): rad * (-1) ** (q * len(alpha))
-                          for (m, alpha), rad in s.terms.items()})
+    return _from_view(s.ctx, {(m, alpha): rad * (-1) ** (q * len(alpha))
+                              for (m, alpha), rad in s.terms.items()})
 
 
 def split_theta_parity(s):
     """(even part, odd part) of s by theta-weight."""
-    return tuple(Scalar(s.ctx, {(m, alpha): rad for (m, alpha), rad
-                                in s.terms.items() if len(alpha) % 2 == w})
+    return tuple(_from_view(s.ctx, {(m, alpha): rad for (m, alpha), rad
+                                    in s.terms.items()
+                                    if len(alpha) % 2 == w})
                  for w in (0, 1))
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from collections import defaultdict
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from superdeform import (ContextMismatchError, RadicalNumber, SampleSpec,
                          Scalar, ScalarContext, SuperFunction,
                          SymplecticContext, sample_superfunctions, sf_mul)
-from superdeform.scalars import (MAX_RADICAND, merge_odd_indices,
+from superdeform.scalars import (MAX_RADICAND, exact, merge_odd_indices,
                                  squarefree_decompose, theta_mask,
                                  theta_sign)
 
@@ -195,6 +196,62 @@ def test_radicand_bound_is_in_the_ring():
     assert Scalar.sqrt(sctx, Fraction(8)).coeffs == {(0, 0, 0, 0, 2): 2}
 
 
+def test_outside_numbers_enter_the_ring_by_one_exact_rule():
+    """``exact``: an int passes as it is, another Rational becomes an int
+    when integral; a float (even 2.0), a str or a Decimal is refused by
+    every way a number enters the ring, never taken at its binary value.
+    An operator meets a str with TypeError, as Python's do, and comparing
+    with a float stays False rather than raising."""
+    sctx = ScalarContext(1, 4)
+    one = Scalar.one(sctx)
+    assert exact(3) == 3 and exact(Fraction(1, 3)) == Fraction(1, 3)
+    assert type(exact(Fraction(4, 2))) is int and type(exact(True)) is int
+    assert Scalar.rational(sctx, Fraction(4, 2)).coeffs == {
+        (0, 0, 0, 0, 1): 2}
+    assert (one / Fraction(2, 3)).coeffs == {(0, 0, 0, 0, 1): Fraction(3, 2)}
+    for bad in (0.1, 2.0, "1/3", Decimal("0.5")):
+        for build in (lambda: exact(bad),
+                      lambda: Scalar.rational(sctx, bad),
+                      lambda: Scalar.hbar(sctx, 1, bad),
+                      lambda: one / bad,
+                      lambda: RadicalNumber({(0, 0, 1): bad})):
+            with pytest.raises(ValueError, match="exact"):
+                build()
+        for build in (lambda: one * bad, lambda: bad * one,
+                      lambda: one + bad, lambda: one - bad):
+            with pytest.raises(TypeError if isinstance(bad, str)
+                               else ValueError):
+                build()
+    assert not (Scalar.rational(sctx, Fraction(1, 2)) == 0.5)
+    # a radicand: a Rational by the exact rule, anything else refused
+    with pytest.raises(ValueError, match="positive integer"):
+        Scalar.sqrt(sctx, 2.0)
+    assert Scalar.sqrt(sctx, Fraction(8)) == Scalar.sqrt(sctx, 2) * 2
+
+
+def test_theta_builds_a_monomial_from_its_indices():
+    """``Scalar.theta(ctx, *indices)`` is th_{i1}*...*th_{iw} for strictly
+    increasing indices in 1..k, equal to the product of its generators;
+    there is no other constructor that takes theta monomials."""
+    ctx = ScalarContext(k=3, h_max=2)
+    assert Scalar.theta(ctx, 1, 3) == Scalar.theta(ctx, 1) * \
+        Scalar.theta(ctx, 3)
+    assert Scalar.theta(ctx) == Scalar.one(ctx)
+    for alpha in _theta_monomials(3):
+        product = Scalar.one(ctx)
+        for j in alpha:
+            product = product * Scalar.theta(ctx, j)
+        assert Scalar.theta(ctx, *alpha) == product
+        assert list(Scalar.theta(ctx, *alpha).terms) == [(0, alpha)]
+    for bad in ((0,), (4,), (-1,), (2, 1), (1, 1), (1, 3, 2), (1.0,)):
+        with pytest.raises(ValueError):
+            Scalar.theta(ctx, *bad)
+    with pytest.raises(ValueError, match=r"^unknown parameter th0 \(k=3\)$"):
+        Scalar.theta(ctx, 0)
+    with pytest.raises(TypeError):
+        Scalar(ctx, {(0, (1,)): 1})
+
+
 def test_benchmark_hooks_into_the_ring():
     """perfbench/layertrace.py wraps each operator pair below as one
     function, and perfbench/workloads.py reads rational_value() from the
@@ -351,10 +408,10 @@ def test_theta_products_match_inversion_count(k):
             sign, merged = _naive_theta_product(a, b)
             assert theta_sign(theta_mask(a), theta_mask(b)) == sign
             assert merge_odd_indices(a, b) == (sign, merged)
-            product = Scalar(ctx, {(0, a): 1}) * (
-                coeff * Scalar(ctx, {(0, b): 1}))
+            product = Scalar.theta(ctx, *a) * (
+                coeff * Scalar.theta(ctx, *b))
             expect = Scalar.zero(ctx) if not sign else \
-                coeff * Scalar(ctx, {(0, merged): sign})
+                coeff * Scalar.theta(ctx, *merged) * sign
             assert product == expect
 
 
@@ -369,7 +426,7 @@ def test_theta_words_in_any_order(k):
         for j in word:
             value = value * Scalar.theta(ctx, j)
         sign, merged = _naive_theta_product(word, ())
-        assert value == Scalar(ctx, {(0, merged): sign})
+        assert value == Scalar.theta(ctx, *merged) * sign
         assert value.render() == ("-" if sign < 0 else "") + \
             "*".join(f"th{j}" for j in merged)
 
@@ -394,7 +451,10 @@ def test_nested_view_round_trip():
     for _ in range(40):
         s = _random_scalar(rng, ctx)
         view = s.terms
-        assert Scalar(ctx, view) == s
+        # rebuilt by products: only the theta factor carries theta
+        assert sum((Scalar.hbar(ctx, m) * Scalar.theta(ctx, *alpha) * rad
+                    for (m, alpha), rad in view.items()),
+                   Scalar.zero(ctx)) == s
         assert all(isinstance(rad, RadicalNumber) for rad in view.values())
         assert all(alpha == tuple(sorted(alpha)) for _, alpha in view)
 
@@ -444,7 +504,7 @@ def test_theta_twist_is_weight_parity(k):
     ctx = fctx.scalar_ctx
     xis = [SuperFunction.xi(fctx, a) for a in (1, 2, 3)]
     for alpha in _theta_monomials(k):
-        mono = Scalar(ctx, {(1, alpha): Fraction(2, 3)})
+        mono = Scalar.hbar(ctx, 1, Fraction(2, 3)) * Scalar.theta(ctx, *alpha)
         sign = (-1) ** len(alpha)
         for q in (1, 2, 3):
             xi_q = xis[0]
@@ -473,7 +533,7 @@ def test_sf_mul_supercommutes_with_theta_coefficients():
             alpha = rng.choice(monomials)
             funcs.append(SuperFunction.term(
                 ctx, (rng.randint(0, 1), 0), rng.choice((0, 1)), xi,
-                Scalar(sctx, {(0, alpha): rng.choice((1, -2))})))
+                Scalar.theta(sctx, *alpha) * rng.choice((1, -2))))
         f, g = funcs
         sign = -1 if f.eps() * g.eps() else 1
         assert sf_mul(f, g) == sf_mul(g, f) * sign
@@ -499,8 +559,10 @@ def test_sqrt_pi_products_are_canonical():
 
 @pytest.mark.parametrize("alpha", [(2, 1), (1, 1), (3,), (0,)])
 def test_nested_constructor_rejects_malformed_theta(alpha):
+    """Scalar.theta refuses a theta monomial whose indices are not
+    strictly increasing in 1..k."""
     with pytest.raises(ValueError):
-        Scalar(ScalarContext(k=2, h_max=6), {(0, alpha): 1})
+        Scalar.theta(ScalarContext(k=2, h_max=6), *alpha)
 
 
 _CTX06 = ScalarContext(k=0, h_max=6)
@@ -514,11 +576,9 @@ _CTX06 = ScalarContext(k=0, h_max=6)
     lambda: RadicalNumber.pi_power(-2),
     lambda: Scalar.hbar(_CTX06, -1),
     lambda: Scalar.pi(_CTX06, -1),
-    lambda: Scalar(_CTX06, {(-1, ()): 1}),
-    lambda: Scalar(_CTX06, {(0, ()): RadicalNumber({(0, 0, 12): 1})}),
 ], ids=["sqrt_pi_exponent_2", "root_not_squarefree", "root_0",
         "negative_pi_power", "pi_power_negative", "hbar_negative",
-        "pi_negative", "nested_negative_hbar", "nested_root_not_squarefree"])
+        "pi_negative"])
 def test_constructors_reject_non_canonical_keys(build):
     with pytest.raises(ValueError):
         build()

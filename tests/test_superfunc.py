@@ -10,8 +10,9 @@ import pytest
 
 from superdeform import (ContextMismatchError, NotIntegrableError,
                          RadicalNumber, SampleSpec, Scalar, ScalarContext,
-                         SuperFunction, SymplecticContext, moyal_bracket,
-                         poisson_bracket, sample_superfunctions, sf_mul)
+                         SuperFunction, SymplecticContext, build_C1c,
+                         moyal_bracket, poisson_bracket,
+                         sample_superfunctions, sf_mul)
 from superdeform import superfunc
 from superdeform.superfunc import _make
 
@@ -26,6 +27,49 @@ def test_context_validation():
         SymplecticContext(4, 2, (1,))
     with pytest.raises(ValueError):
         SymplecticContext(4, 2, (1, 2))
+
+
+@pytest.mark.parametrize("args", [
+    (4.0, 2), (2, 1.0), (2, 1, None, 1.0), (2, 1, None, 1, 6.5),
+    (2, 1, (1.0,)), (2, 1, (-1.0,)), (Fraction(2), 1)],
+    ids=["n_plus", "n_minus", "k", "h_max", "lambda", "lambda_negative",
+         "fraction"])
+def test_contexts_refuse_non_int_sizes(args):
+    """Sizes and metric signs are ints: a float n_plus broke the first
+    SuperFunction.x, and a float k, h_max or metric sign was kept (a float
+    sign made moyal_bracket write float coefficients)."""
+    with pytest.raises(ValueError):
+        SymplecticContext(*args)
+    if len(args) > 3:
+        with pytest.raises(ValueError):
+            ScalarContext(*args[3:])
+
+
+def test_functions_refuse_inexact_numbers():
+    """Every way a number enters a function (a coefficient, a Gaussian
+    weight, a scalar factor, a summand, a bracket's kappa, a deformation's
+    c) refuses a float or a str with the ring's exact rule."""
+    ctx = SymplecticContext(2, 1, k=1)
+    f = SuperFunction.x(ctx, 1)
+    zeta = SuperFunction.zero(ctx)
+    for bad in (0.1, 0.0, "1/3"):
+        for build in (lambda: SuperFunction.gauss(ctx, bad),
+                      lambda: SuperFunction.constant(ctx, bad),
+                      lambda: SuperFunction(ctx, {((0, 0), bad, ()): 1}),
+                      lambda: SuperFunction(ctx, {((0, 0), 1, ()): bad}),
+                      lambda: f * bad, lambda: bad * f, lambda: f + bad,
+                      lambda: f - bad, lambda: f.scale_left(bad),
+                      lambda: f.scale_right(bad),
+                      lambda: moyal_bracket(f, f, bad),
+                      lambda: build_C1c(zeta, c=bad)):
+            with pytest.raises(ValueError, match="exact"):
+                build()
+    assert SuperFunction.gauss(ctx, Fraction(4, 2)) == \
+        SuperFunction.gauss(ctx, 2)
+    assert not (f == 0.5)
+    # a generator index is an int too: x(ctx, 1.5) was the constant 1
+    with pytest.raises(ValueError, match=r"unknown variable x1\.5"):
+        SuperFunction.x(ctx, 1.5)
 
 
 def test_constructor_checks_its_values():

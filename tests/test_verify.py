@@ -402,8 +402,9 @@ def test_sample_spec_refuses_invalid_fields(fields, ctx22):
         SampleSpec(**fields)
     with pytest.raises(ValueError, match=name):
         check_jacobi(build_anti_odd(ctx22), SampleSpec(**fields))
-    # sample_tuples widens a spec through the same checks
-    with pytest.raises(ValueError, match="count"):
+    # sample_tuples refuses a size that would widen the spec to nothing,
+    # naming its own argument
+    with pytest.raises(ValueError, match="size"):
         sample_tuples(SampleSpec(count=1), ctx22, 0)
 
 
@@ -455,16 +456,42 @@ def test_every_way_to_make_a_spec_validates(fields, ctx22):
             make()
 
 
+@pytest.mark.parametrize("fields", [
+    {"max_x_degree": 1.5}, {"count": 2.5}, {"terms": 1.5}, {"seed": 1.5},
+    {"count": True}, {"gauss_weights": (0.1,)}, {"gauss_weights": (1, "2")}],
+    ids=["max_x_degree", "count", "terms", "seed", "count_bool",
+         "float_weight", "str_weight"])
+def test_sample_spec_takes_ints_and_exact_weights(fields):
+    """The sampler writes flat keys with no constructor between, so the
+    spec is its check: the int fields are ints, the weights exact (a float
+    max_x_degree drew keys with exponents 0.5 and 1.5), by every way of
+    making a spec."""
+    with pytest.raises(ValueError):
+        SampleSpec(**fields)
+    with pytest.raises(ValueError):
+        SampleSpec()._replace(**fields)
+    with pytest.raises(ValueError):
+        SampleSpec._make({**SampleSpec()._asdict(), **fields}.values())
+    spec = SampleSpec(seed=3, count=3, gauss_weights=(Fraction(4, 2),))
+    assert spec.gauss_weights == (Fraction(4, 2),)
+    ctx = SymplecticContext(2, 1)
+    assert [f.freeze() for f in sample_superfunctions(spec, ctx)] == \
+        [f.freeze() for f in sample_superfunctions(
+            spec._replace(gauss_weights=(2,)), ctx)]
+
+
 def test_sample_tuples_widens_the_spec_it_is_given(ctx22):
-    """The widened spec keeps every field but the count, and is checked:
-    a negative tuple size gives a negative count."""
+    """The widened spec keeps every field but the count; a tuple size
+    below 1 or not an int is refused by a message that names ``size``, not
+    the count it would make."""
     spec = SampleSpec(seed=11, count=4, max_x_degree=1, gauss_weights=(2,),
                       parity="odd", terms=2)
     flat = sample_superfunctions(spec._replace(count=12), ctx22)
     got = sample_tuples(spec, ctx22, 3)
     assert [f for group in got for f in group] == flat
-    with pytest.raises(ValueError, match="count"):
-        sample_tuples(spec, ctx22, -1)
+    for size in (-1, -2, 0, 1.5, 2.0):
+        with pytest.raises(ValueError, match="size"):
+            sample_tuples(spec, ctx22, size)
 
 
 def test_reports_and_deformations_get_fresh_containers(ctx22):

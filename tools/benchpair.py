@@ -12,11 +12,13 @@ both sides' runs, medians and quartiles, the median and quartiles of the
 per-pair change/parent ratios (``pair_ratio``, for information), the
 change's wins (ties count for neither), whether a claimed gain is met
 (``claim_met``) and whether the change stays within the bound
-(``within_bound``), the failed-operation counts and the machine; it is rewritten after every pair, so an
-interrupted comparison keeps its finished pairs.  When the two trees'
-perfbench/ or BENCHMARK.json differ, the sides would run two different
-benchmarks, so it prints one ``error:`` line and exits with code 2 before
-any run.
+(``within_bound``), the failed-operation counts and the machine; it is
+rewritten after every pair, so an interrupted comparison keeps its
+finished pairs.  It prints one ``error:`` line and exits with code 2
+before any run when the two trees' perfbench/ or BENCHMARK.json differ
+(the sides would run two different benchmarks), when --seeds names no
+seed (as "2410-2401" does), or when a workload is not named in the
+parent's BENCHMARK.json.
 """
 
 import argparse
@@ -176,6 +178,15 @@ def main(argv=None):
         return 2
     with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
+    if not args.seeds:
+        print("error: --seeds names no seed", file=sys.stderr)
+        return 2
+    known = [w["name"] for w in bench["workloads"]]
+    for workload in args.workloads:
+        if workload not in known:
+            print(f"error: unknown workload {workload!r}; the parent's "
+                  f"BENCHMARK.json names {', '.join(known)}", file=sys.stderr)
+            return 2
     seconds = bench["run_seconds"]
     trees = dict(zip(SIDES, (args.parent, args.change)))
     pairs = {}
