@@ -6,6 +6,14 @@ the antibracket).  It is its function ``fn`` on parity-homogeneous
 arguments; a sum ``a + b`` and a scalar multiple ``form.scaled(s)`` (which
 is also how theta-prefixing is expressed) are cochains whose ``fn`` calls
 the parts' ``fn``.
+Every form is Lambda(theta)-linear: theta_1..theta_k pass through ``fn``
+with the sign of their grade, so each term of fn(f, g, ...) carries the
+theta-mask of the argument terms it was built from.  The kernels multiply
+argument coefficients only through ``scalars.mul_into`` and the bars, E,
+N_z, N_xi and Delta carry each scalar key through, so the built-in forms
+hold this by construction, and ``check_signs`` is its test.  It is what
+lets ``scaled(s)`` drop the argument terms that s annihilates before
+``fn`` runs.
 The sign factors are only defined on parity-homogeneous arguments, so
 evaluation splits a mixed-parity argument (and only such an argument) into
 its homogeneous components and sums over their combinations.
@@ -93,17 +101,44 @@ class Cochain:
                        name=f"{self.name}+{other.name}")
 
     def scaled(self, scalar):
-        """``scalar`` times this form, the scalar on the left."""
+        """``scalar`` times this form, the scalar on the left.
+
+        A term whose theta-mask meets every theta-monomial of ``scalar``
+        adds only terms that the scalar annihilates (the Lambda(theta)-
+        linearity of the module doc), so it is left out of each argument
+        before ``fn`` runs; a scalar with a theta-free monomial keeps every
+        term.  An argument outside Z keeps its terms too, so a form that
+        integrates it still raises NotIntegrableError.
+        """
         scalar = _own_scalar(self.ctx, scalar)
         fn, weight = self.fn, scalar.parity()
         parity = (None if None in (self.parity, weight)
                   else (self.parity + weight) % 2)
-        return Cochain(self.ctx, self.arity, parity,
-                       lambda *args: fn(*args).scale_left(scalar),
+        masks = {key[1] for key in scalar.coeffs}
+        if not masks or 0 in masks:
+            def scaled_fn(*args):
+                return fn(*args).scale_left(scalar)
+        else:
+            def scaled_fn(*args):
+                return fn(*[_surviving(a, masks) for a in args]
+                          ).scale_left(scalar)
+        return Cochain(self.ctx, self.arity, parity, scaled_fn,
                        self.grading, name=f"scaled({self.name})")
 
     def __repr__(self):
         return f"<{self.name}: arity {self.arity}, parity {self.parity}>"
+
+
+def _surviving(f, masks):
+    """f without its terms whose theta-mask meets every mask of ``masks``;
+    f itself when it has none, or when it is outside Z (its bar refuses a
+    term)."""
+    dead = {t for t in {key[4] for key in f.coeffs}
+            if all(t & u for u in masks)}
+    if not dead or not f.is_z_class():
+        return f
+    return f._of(f.ctx, {key: q for key, q in f.coeffs.items()
+                         if key[4] not in dead})
 
 
 # -- named forms -----------------------------------------------------------

@@ -153,11 +153,14 @@ def build_anti_even(ctx, c):
     sum_j c (-c N_z/2)^j u, which is finite after the h-truncation since c
     is of order hbar^2.
 
-    The series stops at the truncation: N_z keeps the h-degree and each
-    step multiplies by c, so a term t has a successor only while its
-    lowest h-degree is at most h_max - deg(c); any later term lies above
-    h_max and is zero.  At c = 0 the resolvent is zero and the bracket is
-    the plain antibracket."""
+    Each operand is truncated to the h-order its later product can keep
+    before Delta, N_z and E run, since none of them lowers the h-degree:
+    the resolvent's input and each series step at h_max - deg(c), as each
+    is then multiplied by c, and E_z of the other argument at h_max minus
+    the lowest h-degree of the resolvent value it multiplies.  So the
+    series stops at the truncation: a step whose truncation is zero has
+    no successor.  At c = 0 the resolvent is zero and the bracket is the
+    plain antibracket."""
     form = anti_form(ctx)
     c = _own_scalar(ctx, c)
     _require_param(c, "c")
@@ -170,22 +173,26 @@ def build_anti_even(ctx, c):
     last = ctx.h_max - c.hbar_min_degree()
 
     def resolvent(u):
-        # c/(1 + c N_z/2) applied to u, as a geometric series in c
-        total = term = u.scale_left(c)
-        while not term.is_zero() and term.hbar_min_degree() <= last:
+        # c/(1 + c N_z/2) applied to Delta u, as a geometric series in c
+        total = term = u.truncate(last).delta_op().scale_left(c)
+        while not (term := term.truncate(last)).is_zero():
             term = term.number_z().scale_left(half)
             total = total + term
         return total
 
+    def euler(u, partner):
+        # E_z u, kept only up to the order its product with partner keeps
+        return u.truncate(ctx.h_max - partner.hbar_min_degree()).euler_E()
+
     def fn(f, g):
         out = antibracket(f, g)
-        df = resolvent(f.delta_op())
+        df = resolvent(f)
         if not df.is_zero():
-            term = sf_mul(df, g.euler_E())
+            term = sf_mul(df, euler(g, df))
             out = out - term if f.eps() else out + term
-        dg = resolvent(g.delta_op())
+        dg = resolvent(g)
         if not dg.is_zero():
-            out = out + sf_mul(f.euler_E(), dg)
+            out = out + sf_mul(euler(f, dg), dg)
         return out
 
     form.fn = fn

@@ -284,15 +284,17 @@ class FlatSum:
 
 
 class ScalarContext:
-    """Parameters of the coefficient ring: k theta generators, truncation."""
+    """Parameters of the coefficient ring: k theta generators, truncation;
+    ``zero`` is the one zero Scalar that ``integral_bar`` returns over it."""
 
-    __slots__ = ("k", "h_max")
+    __slots__ = ("k", "h_max", "zero")
 
     def __init__(self, k=0, h_max=6):
         if type(k) is not int or type(h_max) is not int or min(k, h_max) < 0:
             raise ValueError("k and h_max must be nonnegative ints")
         self.k = k
         self.h_max = h_max
+        self.zero = Scalar._of(self, {})
 
     def __eq__(self, other):
         return (isinstance(other, ScalarContext)
@@ -503,10 +505,13 @@ def _lift(x):
 
 def _on_scalars(op):
     """A binary method of RadicalNumber: ``op`` on the Scalars behind the
-    operands; any operand but a rational or a RadicalNumber goes to its own
-    reflected method."""
+    operands; another number (a float) meets the exact rule's refusal, and
+    any other operand but a RadicalNumber goes to its own reflected
+    method."""
     def method(self, other):
         if not isinstance(other, (Rational, RadicalNumber)):
+            if isinstance(other, Number):
+                exact(other)  # raises ValueError
             return NotImplemented
         return RadicalNumber._of(op(self.scalar, _lift(other)))
     return method

@@ -379,20 +379,23 @@ class SuperFunction(FlatSum):
 
         The pure constant term is dropped (the natural extension to the
         centralizer); any other term the Gaussian class cannot integrate
-        raises NotIntegrableError.
+        raises NotIntegrableError.  A zero bar is ``ctx.scalar_ctx.zero``,
+        and with no term of xi-degree n_minus and none outside the Gaussian
+        class it is known before any term is integrated.
         """
         try:
             return self._bar
         except AttributeError:
             pass
         ctx = self.ctx
-        top = tuple(range(1, ctx.n_minus + 1))
-        # zero unless a term is top-xi or (n_plus > 0) not Gaussian
+        n_minus = ctx.n_minus
+        # zero unless a term is top-xi (its xi-degree is n_minus) or
+        # (n_plus > 0) not Gaussian
         for key in self.coeffs:
-            if key[2] == top or ctx.n_plus and not key[1]:
+            if len(key[2]) == n_minus or ctx.n_plus and not key[1]:
                 break
         else:
-            self._bar = Scalar._of(ctx.scalar_ctx, {})
+            self._bar = ctx.scalar_ctx.zero
             return self._bar
         zero_x = (0,) * ctx.n_plus
         half = ctx.n_plus // 2
@@ -404,12 +407,13 @@ class SuperFunction(FlatSum):
                 raise NotIntegrableError(
                     "term without Gaussian suppression is not integrable: "
                     + self._render_term((xexp, c, xi), items))
-            if xi != top or any(e % 2 for e in xexp):
+            if len(xi) != n_minus or any(e % 2 for e in xexp):
                 continue
             moment = _moment(xexp, c, half)
             for (m, t, p, sp, r), q in items:
                 accumulate(total, (m, t, p + half, sp, r), q * moment)
-        self._bar = Scalar._of(ctx.scalar_ctx, total)
+        self._bar = (Scalar._of(ctx.scalar_ctx, total) if total
+                     else ctx.scalar_ctx.zero)
         return self._bar
 
     # -- first-order operators (closed forms of the module doc) -----------

@@ -76,10 +76,13 @@ class SampleSpec(namedtuple(
             if least is not None and value < least:
                 raise ValueError(f"SampleSpec.{name} must be at least "
                                  f"{least}, got {value}")
-        # a weight that is not exact is refused by the exact rule itself
-        if min(map(exact, self.gauss_weights), default=-1) < 0:
+        try:
+            least = min(map(exact, self.gauss_weights), default=-1)
+        except (TypeError, ValueError):
+            least = -1  # not a sequence, or a weight that is not exact
+        if least < 0:
             raise ValueError(f"SampleSpec.gauss_weights must be nonnegative "
-                             f"weights, at least one, got "
+                             f"exact weights, at least one, got "
                              f"{self.gauss_weights!r}")
         if self.parity not in ("even", "odd", "any"):
             raise ValueError(f"SampleSpec.parity must be 'even', 'odd' or "

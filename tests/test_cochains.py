@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from superdeform import (ArityError, ContextMismatchError, Scalar,
-                         ScalarContext, SuperFunction, SymplecticContext,
+from superdeform import (ArityError, ContextMismatchError, NotIntegrableError,
+                         SampleSpec, Scalar, ScalarContext, SuperFunction,
+                         SymplecticContext,
                          anti_form, d_ad, jacobiator, jzeta_form, m0_form,
                          m1_form, m23_form, m3_form, moyal_bracket,
-                         moyal_form, mu_form, mzeta_form, poisson_bracket)
+                         moyal_form, mu_form, mzeta_form, poisson_bracket,
+                         sample_superfunctions)
 from superdeform import cochains
-from superdeform.cochains import (EVEN, ODD, Cochain, _bar_pairing, m1,
-                                  grading_parity)
+from superdeform.cochains import (EVEN, ODD, Cochain, _bar_pairing,
+                                  _surviving, m1, grading_parity, mu)
 
 from conftest import random_superfunction, seeded
 
@@ -428,3 +430,140 @@ def test_evaluate_returns_the_leaf_value_on_homogeneous_arguments(ctx42):
     assert sorted((p.eps(), q.eps()) for p, q in seen) == \
         [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert value == poisson_bracket(a, b)
+
+
+# -- scaled forms skip the argument terms their scalar annihilates ---------
+
+def _named_forms(ctx):
+    """Every named form a bracket scales, with the eta*mu part built as
+    the general odd bracket builds it; zeta and eta carry theta."""
+    sctx = ctx.scalar_ctx
+    theta = Scalar.theta(sctx, 1)
+    zeta = SuperFunction.xi(ctx, 1) + SuperFunction.term(
+        ctx, (1, 1), 0, (), theta)
+    eta = SuperFunction.term(ctx, (0, 2), 1, (), 2) + SuperFunction.term(
+        ctx, (1, 0), 2, (1,), theta)
+    return [m0_form(ctx), anti_form(ctx), m1_form(ctx), m3_form(ctx),
+            mzeta_form(ctx, zeta), jzeta_form(ctx, zeta), m23_form(ctx),
+            Cochain(ctx, 2, 0, lambda f, g: eta.scale_right(mu(f, g)),
+                    EVEN, name="eta*mu")]
+
+
+def _theta_carrying_arguments(ctx, seed):
+    """Samples with theta-free, theta_j- and theta_1 theta_k-parts, some on
+    the bar slice (top-xi, Gaussian), and one with only theta terms."""
+    sctx = ctx.scalar_ctx
+    k = sctx.k
+    th = [Scalar.theta(sctx, j) for j in range(1, k + 1)]
+    top = (SuperFunction.term(ctx, (2, 0), 1, (1, 2), 3)
+           + SuperFunction.term(ctx, (0, 0), 2, (1, 2), -1))
+    base = sample_superfunctions(
+        SampleSpec(seed=seed, count=4, max_x_degree=1, terms=2), ctx)
+    out = []
+    for i, f in enumerate(base):
+        g = base[i - 1]
+        out.append(f + g.scale_left(th[i % k]) + top.scale_left(th[-1])
+                   + f.scale_left(th[0] * th[-1]))
+    out.append(top + base[0].scale_left(th[0]))
+    out.append(top.scale_left(th[-1]) + base[1].scale_left(th[0]))
+    return out
+
+
+def _scalars_to_scale_by(sctx):
+    """One theta-mask, several, and a theta-free monomial beside one."""
+    th = [Scalar.theta(sctx, j) for j in range(1, sctx.k + 1)]
+    hb = Scalar.hbar(sctx, 2)
+    scalars = [th[0], th[-1] * hb * 3, th[0] + hb, th[-1] * 2 + 1]
+    if sctx.k >= 2:
+        scalars += [th[0] * th[1], th[0] + th[1] * hb]
+    if sctx.k >= 3:
+        scalars += [th[0] * th[1] + th[2] * 3, th[0] * th[2] + th[1] * th[2]]
+    return scalars
+
+
+@pytest.mark.parametrize("k, lambdas, h_max", [(1, (1, -1), 6),
+                                                (2, (-1, 1), 5),
+                                                (3, (-1, -1), 6)])
+def test_scaled_forms_equal_the_unfiltered_product(k, lambdas, h_max):
+    """form.scaled(s) on arguments whose terms s annihilates in part or
+    whole equals the unscaled form's value times s on the left: dropping
+    those terms first changes no value of any named form."""
+    ctx = SymplecticContext(2, 2, lambdas, k, h_max)
+    args = _theta_carrying_arguments(ctx, 40 + k)
+    dropped = nonzero = 0
+    for s in _scalars_to_scale_by(ctx.scalar_ctx):
+        masks = {key[1] for key in s.coeffs}
+        for f in args:
+            for part in f.homogeneous_components():
+                dropped += _surviving(part, masks) is not part
+        for form in _named_forms(ctx):
+            scaled = form.scaled(s)
+            for f in args:
+                for g in args[::2]:
+                    expected = form.evaluate(f, g).scale_left(s)
+                    assert scaled.evaluate(f, g) == expected, \
+                        (form.name, s.render())
+                    nonzero += not expected.is_zero()
+    assert dropped and nonzero
+
+
+def test_a_theta_free_monomial_keeps_every_term(ctx22):
+    """Only a scalar whose every monomial carries theta drops terms; the
+    argument itself is passed on when nothing is dropped."""
+    sctx = ctx22.scalar_ctx
+    theta = Scalar.theta(sctx, 1)
+    f = SuperFunction.term(ctx22, (1, 0), 1, (1,), theta)
+    g = SuperFunction.term(ctx22, (0, 1), 2, (2,))
+    seen = []
+    form = Cochain(ctx22, 2, 0,
+                   lambda a, b: seen.append((a, b)) or poisson_bracket(a, b),
+                   EVEN, name="recording")
+    form.scaled(theta + 1).evaluate(f, g)
+    form.scaled(theta).evaluate(g, g)
+    assert seen[0][0] is f and seen[1] == (g, g) and seen[1][0] is g
+    form.scaled(theta).evaluate(f, g)
+    assert seen[2][0].is_zero() and seen[2][1] is g
+
+
+def _contexts_apart():
+    """Two contexts that differ in h_max only, so every kernel reaches
+    its context check."""
+    return (SymplecticContext(2, 2, (1, -1), 1, 6),
+            SymplecticContext(2, 2, (1, -1), 1, 5))
+
+
+def test_scaled_forms_check_contexts_before_dropping_terms():
+    """An argument whose every term theta annihilates still meets the
+    context check: mixed contexts raise as they do unscaled."""
+    ctx, other = _contexts_apart()
+    theta = Scalar.theta(ctx.scalar_ctx, 1)
+    top = SuperFunction.term(ctx, (0, 0), 1, (1, 2), 1)
+    f = (top + SuperFunction.term(ctx, (1, 0), 2, (1,))).scale_left(theta)
+    g = SuperFunction.term(other, (0, 0), 1, (1, 2), 1)
+    for form in _named_forms(ctx):
+        for args in ((f, g), (g, f)):
+            with pytest.raises(ContextMismatchError):
+                form.evaluate(*args)
+            with pytest.raises(ContextMismatchError):
+                form.scaled(theta).evaluate(*args)
+
+
+def test_scaled_bar_forms_refuse_a_term_theta_annihilates():
+    """A term outside the Gaussian class makes m3, m_zeta, j_zeta and
+    mu refuse their argument, with the same message, even when the scalar
+    would annihilate it."""
+    ctx = _contexts_apart()[0]
+    theta = Scalar.theta(ctx.scalar_ctx, 1)
+    f = (SuperFunction.term(ctx, (1, 0), 0, (1,))
+         + SuperFunction.term(ctx, (0, 0), 1, (2,))).scale_left(theta)
+    g = SuperFunction.term(ctx, (0, 0), 1, (1, 2), 1)
+    forms = [form for form in _named_forms(ctx)
+             if form.name in ("m3", "mzeta", "jzeta", "eta*mu")]
+    assert len(forms) == 4
+    for form in forms:
+        for args in ((f, g), (g, f)):
+            with pytest.raises(NotIntegrableError) as unscaled:
+                form.evaluate(*args)
+            with pytest.raises(NotIntegrableError) as scaled:
+                form.scaled(theta).evaluate(*args)
+            assert str(scaled.value) == str(unscaled.value)

@@ -252,6 +252,63 @@ def test_anti_even_stops_at_the_truncation(n, h_max):
             assert J.evaluate(*args) == J_oracle.evaluate(*args)
 
 
+def _untruncated_anti_even(ctx, c):
+    """The deformed antibracket with no operand truncated: the resolvent
+    runs on all of Delta f, and E_z on all of the other argument, so the
+    products alone drop what lies above h_max."""
+    half = c * Fraction(-1, 2)
+    last = ctx.h_max - c.hbar_min_degree()
+
+    def resolvent(u):
+        total = term = u.scale_left(c)
+        while not term.is_zero() and term.hbar_min_degree() <= last:
+            term = term.number_z().scale_left(half)
+            total = total + term
+        return total
+
+    def fn(f, g):
+        out = antibracket(f, g)
+        df = resolvent(f.delta_op())
+        if not df.is_zero():
+            term = sf_mul(df, g.euler_E())
+            out = out - term if f.eps() else out + term
+        dg = resolvent(g.delta_op())
+        if not dg.is_zero():
+            out = out + sf_mul(f.euler_E(), dg)
+        return out
+
+    return Cochain(ctx, 2, 0, fn, ODD, name="anti_even_untruncated")
+
+
+@pytest.mark.parametrize("h_max", [4, 5, 6])
+def test_anti_even_truncates_its_operands_exactly(h_max):
+    """Truncating Delta's input, each series step and E_z's argument to
+    the h-order their products keep changes no value: arguments with
+    terms at every h-degree up to h_max give the untruncated bracket's
+    values, for c = hbar^2 and c = hbar^2 + 3 hbar^4."""
+    ctx = SymplecticContext(2, 2, (1, -1), 1, h_max)
+    sctx = ctx.scalar_ctx
+    samples = sample_tuples(SampleSpec(seed=131 + h_max, count=3, terms=2),
+                            ctx, 3)
+    args = []
+    for f, g, u in samples:
+        args.append(f + g.scale_left(Scalar.hbar(sctx, 2))
+                    + u.scale_left(Scalar.hbar(sctx, h_max - 1, 3)))
+        args.append(g.scale_left(Scalar.hbar(sctx, 3))
+                    + u.scale_left(Scalar.hbar(sctx, h_max)))
+    nonzero = 0
+    for c in (Scalar.hbar(sctx, 2), Scalar.hbar(sctx, 2)
+              + Scalar.hbar(sctx, 4, 3)):
+        bracket = build_anti_even(ctx, c)
+        oracle = _untruncated_anti_even(ctx, c)
+        for f in args:
+            for g in args:
+                expected = oracle.evaluate(f, g)
+                assert bracket.evaluate(f, g) == expected
+                nonzero += not (expected - antibracket(f, g)).is_zero()
+    assert nonzero
+
+
 def test_anti_odd_examples(ctx22):
     d = build_anti_odd(ctx22)
     one = SuperFunction.constant(ctx22, 1)
@@ -305,6 +362,38 @@ def test_witness_jacobi(ctx45):
     for _ in range(3):
         assert J.evaluate(rand_d(rng, ctx45), rand_d(rng, ctx45),
                           rand_d(rng, ctx45)).is_zero()
+
+
+def _witness_jacobiator(n_plus, n_minus):
+    """The Jacobiator of the witness bracket, zeta = xi1, h1 = th2,
+    h2 = 1 and k = 2, with eta from solve_eta (ROADMAP item 13)."""
+    ctx = SymplecticContext(n_plus, n_minus, None, 2, 6)
+    zeta = SuperFunction.xi(ctx, 1)
+    h1 = Scalar.theta(ctx.scalar_ctx, 2)
+    eta, report = solve_eta(zeta, h1, 1)
+    assert report.passed and eta.is_zero()
+    return ctx, jacobiator(build_general_odd(zeta, eta, h1, 1))
+
+
+def test_witness_jacobiator_on_xi1_pinned():
+    """Pinned value, not a claim of correctness: the witness fails Jacobi
+    on exact triples (ROADMAP item 13), here J(xi1, xi1, xi1) = 6 th1 at
+    (0, 1)."""
+    ctx, J = _witness_jacobiator(0, 1)
+    xi1 = SuperFunction.xi(ctx, 1)
+    assert J.evaluate(xi1, xi1, xi1).render() == "6*th1"
+
+
+@pytest.mark.parametrize("n_plus, n_minus, value", [
+    (4, 5, "2*pi^4*th1*gauss(1)"), (2, 3, "2*pi^2*th1*gauss(1)")])
+def test_witness_jacobiator_on_the_bar_slice_pinned(n_plus, n_minus, value):
+    """Pinned values, not a claim of correctness: J(F, F, gauss(1) xi1)
+    with F = gauss(2) xi1...xi_{n_minus} is the nonzero grade-1 cross term
+    of m_zeta and theta m3 that ROADMAP item 13 locates."""
+    ctx, J = _witness_jacobiator(n_plus, n_minus)
+    F = SuperFunction.term(ctx, None, 2, tuple(range(1, n_minus + 1)))
+    h = SuperFunction.term(ctx, None, 1, (1,))
+    assert J.evaluate(F, F, h).render() == value
 
 
 def test_perturbed_witness_residual():

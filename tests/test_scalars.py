@@ -229,6 +229,23 @@ def test_outside_numbers_enter_the_ring_by_one_exact_rule():
     assert Scalar.sqrt(sctx, Fraction(8)) == Scalar.sqrt(sctx, 2) * 2
 
 
+def test_radical_numbers_meet_inexact_numbers_with_the_exact_rule():
+    """A RadicalNumber operator refuses a float or a Decimal with the
+    exact rule's ValueError, in either order, as Scalar's operators do; a
+    str still gets TypeError, and a rational still works."""
+    root2 = RadicalNumber.sqrt_int(2)
+    for bad in (0.5, 2.0, Decimal("0.5")):
+        for build in (lambda: root2 * bad, lambda: bad * root2,
+                      lambda: root2 + bad, lambda: bad + root2,
+                      lambda: root2 - bad, lambda: bad - root2):
+            with pytest.raises(ValueError, match="exact"):
+                build()
+    with pytest.raises(TypeError):
+        root2 * "2"
+    assert root2 * Fraction(1, 2) - Fraction(1, 2) * root2 == 0
+    assert (1 - root2) + root2 == 1
+
+
 def test_theta_builds_a_monomial_from_its_indices():
     """``Scalar.theta(ctx, *indices)`` is th_{i1}*...*th_{iw} for strictly
     increasing indices in 1..k, equal to the product of its generators;

@@ -517,3 +517,28 @@ def test_zero_bar_scan_keeps_the_integral_rules(ctx42):
     rest = SuperFunction.xi(ctx, 1) + SuperFunction.constant(ctx, 5)
     assert (xi12 + rest).integral_bar() == Fraction(3, 2)
     assert rest.integral_bar().is_zero()
+
+
+def test_a_zero_bar_is_one_shared_zero_scalar(ctx42):
+    """A function with no term of xi-degree n_minus and none outside the
+    Gaussian class has the one zero Scalar of its scalar context as bar,
+    whatever its xi-degrees; a non-Gaussian term still raises."""
+    sctx = ctx42.scalar_ctx
+    theta = Scalar.theta(sctx, 1)
+    zero_bars = [SuperFunction.term(ctx42, (2, 0, 0, 0), 1, (1,)),
+                 SuperFunction.term(ctx42, (0, 1, 0, 0), 2, (), theta),
+                 SuperFunction.constant(ctx42, 3),
+                 SuperFunction.zero(ctx42)]
+    for f in zero_bars:
+        assert f.integral_bar() is sctx.zero
+    assert sctx.zero.is_zero() and sctx.zero.ctx is sctx
+    # an equal context built apart has its own zero
+    other = SymplecticContext(4, 2, (1, 1), 1, 6)
+    assert other == ctx42
+    apart = SuperFunction.term(other, (2, 0, 0, 0), 1, (1,))
+    assert apart.integral_bar() is other.scalar_ctx.zero
+    assert other.scalar_ctx.zero is not sctx.zero
+    with pytest.raises(NotIntegrableError):
+        (zero_bars[0] + SuperFunction.x(ctx42, 1)).integral_bar()
+    top = SuperFunction.term(ctx42, (0, 0, 0, 0), 1, (1, 2))
+    assert not top.integral_bar().is_zero()

@@ -480,6 +480,18 @@ def test_sample_spec_takes_ints_and_exact_weights(fields):
             spec._replace(gauss_weights=(2,)), ctx)]
 
 
+@pytest.mark.parametrize("weights", [5, None, (0.1,), (1, 2.0)],
+                         ids=["int", "none", "float", "float_beside_int"])
+def test_sample_spec_names_the_field_of_a_bad_weight(weights):
+    """A weight list that is not a sequence of exact numbers is refused
+    with a ValueError naming SampleSpec.gauss_weights, never a bare
+    TypeError."""
+    with pytest.raises(ValueError, match=r"SampleSpec\.gauss_weights"):
+        SampleSpec(gauss_weights=weights)
+    with pytest.raises(ValueError, match=r"SampleSpec\.gauss_weights"):
+        SampleSpec()._replace(gauss_weights=weights)
+
+
 def test_sample_tuples_widens_the_spec_it_is_given(ctx22):
     """The widened spec keeps every field but the count; a tuple size
     below 1 or not an int is refused by a message that names ``size``, not
