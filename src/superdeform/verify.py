@@ -57,10 +57,12 @@ class SampleSpec(namedtuple(
     A spec that could draw no sample, or not the samples it names, is
     refused with ValueError: a non-int ``seed``, ``count``, ``terms`` or
     ``max_x_degree``, ``count`` and ``terms`` below 1, a negative
-    ``max_x_degree``, no Gaussian weight or one negative or not ``exact``,
-    or a ``parity`` other than "even", "odd" and "any".  The sampler
-    writes keys with no constructor between, so this is its check, made
-    by every way of making a spec, ``_replace`` and ``_make`` included.
+    ``max_x_degree``, weights that are not a sequence, no Gaussian weight
+    or one negative or not ``exact`` (each named as the field
+    ``SampleSpec.gauss_weights``), or a ``parity`` other than "even", "odd"
+    and "any".  The sampler writes keys with no constructor between, so
+    this is its check, made by every way of making a spec, ``_replace``
+    and ``_make`` included.
     """
 
     __slots__ = ()
@@ -77,10 +79,10 @@ class SampleSpec(namedtuple(
                 raise ValueError(f"SampleSpec.{name} must be at least "
                                  f"{least}, got {value}")
         try:
-            least = min(map(exact, self.gauss_weights), default=-1)
+            lowest = min(map(exact, self.gauss_weights), default=-1)
         except (TypeError, ValueError):
-            least = -1  # not a sequence, or a weight that is not exact
-        if least < 0:
+            lowest = -1  # not a sequence, or a weight that is not exact
+        if lowest < 0:
             raise ValueError(f"SampleSpec.gauss_weights must be nonnegative "
                              f"exact weights, at least one, got "
                              f"{self.gauss_weights!r}")
