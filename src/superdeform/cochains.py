@@ -107,21 +107,19 @@ class Cochain:
         adds only terms that the scalar annihilates (the Lambda(theta)-
         linearity of the module doc), so it is left out of each argument
         before ``fn`` runs; a scalar with a theta-free monomial keeps every
-        term.  An argument outside Z keeps its terms too, so a form that
-        integrates it still raises NotIntegrableError.
+        term, and a zero scalar none.  An argument outside Z keeps its
+        terms too, so a form that integrates it still raises
+        NotIntegrableError.
         """
         scalar = _own_scalar(self.ctx, scalar)
         fn, weight = self.fn, scalar.parity()
         parity = (None if None in (self.parity, weight)
                   else (self.parity + weight) % 2)
         masks = {key[1] for key in scalar.coeffs}
-        if not masks or 0 in masks:
-            def scaled_fn(*args):
-                return fn(*args).scale_left(scalar)
-        else:
-            def scaled_fn(*args):
-                return fn(*[_surviving(a, masks) for a in args]
-                          ).scale_left(scalar)
+
+        def scaled_fn(*args):
+            return fn(*[_surviving(a, masks) for a in args]
+                      ).scale_left(scalar)
         return Cochain(self.ctx, self.arity, parity, scaled_fn,
                        self.grading, name=f"scaled({self.name})")
 

@@ -284,17 +284,15 @@ class FlatSum:
 
 
 class ScalarContext:
-    """Parameters of the coefficient ring: k theta generators, truncation;
-    ``zero`` is the one zero Scalar that ``integral_bar`` returns over it."""
+    """Parameters of the coefficient ring: k theta generators, truncation."""
 
-    __slots__ = ("k", "h_max", "zero")
+    __slots__ = ("k", "h_max")
 
     def __init__(self, k=0, h_max=6):
         if type(k) is not int or type(h_max) is not int or min(k, h_max) < 0:
             raise ValueError("k and h_max must be nonnegative ints")
         self.k = k
         self.h_max = h_max
-        self.zero = Scalar._of(self, {})
 
     def __eq__(self, other):
         return (isinstance(other, ScalarContext)

@@ -379,9 +379,9 @@ class SuperFunction(FlatSum):
 
         The pure constant term is dropped (the natural extension to the
         centralizer); any other term the Gaussian class cannot integrate
-        raises NotIntegrableError.  A zero bar is ``ctx.scalar_ctx.zero``,
-        and with no term of xi-degree n_minus and none outside the Gaussian
-        class it is known before any term is integrated.
+        raises NotIntegrableError.  With no term of xi-degree n_minus and
+        none outside the Gaussian class the bar is zero before any term is
+        integrated.
         """
         try:
             return self._bar
@@ -395,7 +395,7 @@ class SuperFunction(FlatSum):
             if len(key[2]) == n_minus or ctx.n_plus and not key[1]:
                 break
         else:
-            self._bar = ctx.scalar_ctx.zero
+            self._bar = Scalar._of(ctx.scalar_ctx, {})
             return self._bar
         zero_x = (0,) * ctx.n_plus
         half = ctx.n_plus // 2
@@ -412,8 +412,7 @@ class SuperFunction(FlatSum):
             moment = _moment(xexp, c, half)
             for (m, t, p, sp, r), q in items:
                 accumulate(total, (m, t, p + half, sp, r), q * moment)
-        self._bar = (Scalar._of(ctx.scalar_ctx, total) if total
-                     else ctx.scalar_ctx.zero)
+        self._bar = Scalar._of(ctx.scalar_ctx, total)
         return self._bar
 
     # -- first-order operators (closed forms of the module doc) -----------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
+from collections.abc import Sequence
 
 from .brackets import poisson_bracket
 from .cochains import ODD, d_ad, grading_parity, jacobiator
@@ -78,10 +79,15 @@ class SampleSpec(namedtuple(
             if least is not None and value < least:
                 raise ValueError(f"SampleSpec.{name} must be at least "
                                  f"{least}, got {value}")
+        weights = self.gauss_weights
         try:
-            lowest = min(map(exact, self.gauss_weights), default=-1)
-        except (TypeError, ValueError):
-            lowest = -1  # not a sequence, or a weight that is not exact
+            # a set or an iterator is refused: the sampler reads the
+            # weights again, in order
+            lowest = (min(map(exact, weights), default=-1)
+                      if isinstance(weights, Sequence)
+                      and not isinstance(weights, str) else -1)
+        except ValueError:
+            lowest = -1  # a weight that is not exact
         if lowest < 0:
             raise ValueError(f"SampleSpec.gauss_weights must be nonnegative "
                              f"exact weights, at least one, got "

@@ -480,8 +480,10 @@ def test_sample_spec_takes_ints_and_exact_weights(fields):
             spec._replace(gauss_weights=(2,)), ctx)]
 
 
-@pytest.mark.parametrize("weights", [5, None, (0.1,), (1, 2.0)],
-                         ids=["int", "none", "float", "float_beside_int"])
+@pytest.mark.parametrize("weights", [5, None, (0.1,), (1, 2.0), "1",
+                                     {1}, iter([1])],
+                         ids=["int", "none", "float", "float_beside_int",
+                              "str", "set", "iterator"])
 def test_sample_spec_names_the_field_of_a_bad_weight(weights):
     """A weight list that is not a sequence of exact numbers is refused
     with a ValueError naming SampleSpec.gauss_weights, never a bare
