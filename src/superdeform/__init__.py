@@ -22,10 +22,10 @@ from .errors import (ArityError, ContextMismatchError, DeformationError,
                      NotIntegrableError, ParseError)
 from .scalars import RadicalNumber, Scalar, ScalarContext
 from .superfunc import SuperFunction, SymplecticContext, sf_mul
-from .verify import (LCG, SampleSpec, VerificationReport,
-                     check_bar_vanishing, check_cocycle, check_d_squared,
-                     check_grading, check_jacobi, check_signs,
-                     sample_superfunctions, sample_tuples)
+from .verify import (SampleSpec, VerificationReport, check_bar_vanishing,
+                     check_cocycle, check_d_squared, check_grading,
+                     check_jacobi, check_signs, sample_superfunctions,
+                     sample_tuples)
 
 __version__ = "0.1.0"
 
@@ -42,9 +42,8 @@ def __getattr__(name):
 
 __all__ = [
     "ArityError", "Cochain", "ContextMismatchError", "DeformationError",
-    "LCG", "NotIntegrableError",
-    "ParseError", "RadicalNumber", "SampleSpec", "Scalar", "ScalarContext",
-    "SuperFunction", "SymplecticContext",
+    "NotIntegrableError", "ParseError", "RadicalNumber", "SampleSpec",
+    "Scalar", "ScalarContext", "SuperFunction", "SymplecticContext",
     "VerificationReport", "anti_form", "antibracket", "bidiff_power",
     "build_C1", "build_C1c", "build_C3", "build_anti_even",
     "build_anti_odd", "build_general_odd", "check_bar_vanishing",

@@ -4,13 +4,13 @@ the symplectic bidifferential operator P.
 
 The first-order brackets share one kernel over the term pairs of f and g.
 Per pair, the channels give a rational map (x exponents, xi monomial) ->
-coefficient from the derivative rules of superfunc (right xi-derivatives
-on f, left ones on g), the sign of merging the xi that remain (that of
-``merge_odd_indices``), and lambda_a on a xi channel of P.  In every
-channel of one bracket the theta part of g's scalar moves left past
-len(xi(f)) + b odd factors: b = 0 for P, whose xi channels take one xi
-from each side and twist g once more, and b = 1 for the antibracket,
-whose channels take one xi from one side.
+coefficient.  Its xi signs are those of ``superfunc.xi_deriv`` (from the
+right on f, from the left on g) and of ``merge_odd_indices`` on the xi
+that remain, so all come from that one crossing rule; lambda_a weights a
+xi channel of P.  In every channel of one bracket the theta part of g's
+scalar moves left past len(xi(f)) + b odd factors: b = 0 for P, whose xi
+channels take one xi from each side and twist g once more, and b = 1 for
+the antibracket, whose channels take one xi from one side.
 So each coefficient of a pair is written straight into the result's flat
 dict by one ``mul_into`` of the two scalars, under the prefix of its
 output term and with twist len(xi(f)) + b, as ``sf_mul`` does.  The
@@ -37,15 +37,15 @@ signs aside):
   left on both and the product vanishes.  So the odd channels give the one
   term t^|S| times the product of lambda_a over S = xi(f) & xi(g).
 
-The signs follow the first-order rules above with b = 0, taking S in
-increasing order at the current length and position of each xi_a.  The
-odd channels of P itself are this factor at p = 1.  For integral
-Gaussian weights the tables hold integers: they are scaled by m! and blocks
-combine with binomials.  One bracket call works over one common
-denominator den = q_max!, the largest q! any of its seed pairs can need: a
-pair's table q! X[q] is scaled by the integer weight * den/q!, and each
-output coefficient is divided by den once.  So Fractions enter only where
-the inputs hold them (a weight 1/2, a rational kappa or coefficient).
+The signs follow the first-order rules above with b = 0, ``xi_deriv``
+taking the xi_a of S in increasing order.  The odd channels of P itself
+are this factor at p = 1.  For integral Gaussian weights the tables hold
+integers: they are scaled by m! and blocks combine with binomials.  One
+bracket call works over one common denominator den = q_max!, the largest
+q! any of its seed pairs can need: a pair's table q! X[q] is scaled by the
+integer weight * den/q!, and each output coefficient is divided by den
+once.  So Fractions enter only where the inputs hold them (a weight 1/2, a
+rational kappa or coefficient).
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ from .errors import DeformationError
 from .scalars import (Scalar, accumulate, int_if_integral, merge_odd_indices,
                       mul_into)
 from .superfunc import (_CACHE_BOUND, SuperFunction, _grouped, _make,
-                        _own_scalar, _require_square, bump, x_steps)
+                        _own_scalar, _require_square, bump, x_steps,
+                        xi_deriv)
 
 
 def poisson_bracket(f, g):
@@ -136,20 +137,22 @@ def _anti_factor(xf, xg):
     """The xi part of ``_anti_channels`` for xi monomials xf and xg, which
     no x exponent or weight changes: per side, the (x index, sign, merged
     xi) of each channel i whose xi_i survives the merge.  The g side takes
-    d_{xi_i} from the left of g and d_{x_i} of f; the f side takes d_{xi_i}
-    from the right of f, with the minus of the second sum, and d_{x_i} of
-    g."""
+    ``xi_deriv`` of g by xi_i from the left and d_{x_i} of f; the f side
+    takes ``xi_deriv`` of f by xi_i from the right, with the minus of the
+    second sum, and d_{x_i} of g.  Each sign is the derivative's times that
+    of ``merge_odd_indices`` on f's and g's remaining xi."""
     g_side = []
-    for pos, gen in enumerate(xg):
-        sign, xi = merge_odd_indices(xf, xg[:pos] + xg[pos + 1:])
+    for gen in xg:
+        d, rest = xi_deriv(xg, gen, False)
+        sign, xi = merge_odd_indices(xf, rest)
         if sign:
-            g_side.append((gen - 1, -sign if pos & 1 else sign, xi))
+            g_side.append((gen - 1, d * sign, xi))
     f_side = []
-    for pos, gen in enumerate(xf):
-        sign, xi = merge_odd_indices(xf[:pos] + xf[pos + 1:], xg)
-        if sign:  # -(-1)^(len - pos - 1) sign
-            f_side.append((gen - 1, -sign if (len(xf) - pos) & 1 else sign,
-                           xi))
+    for gen in xf:
+        d, rest = xi_deriv(xf, gen, True)
+        sign, xi = merge_odd_indices(rest, xg)
+        if sign:
+            f_side.append((gen - 1, -d * sign, xi))
     return tuple(g_side), tuple(f_side)
 
 
@@ -264,25 +267,21 @@ def _odd_factor(lambdas, xf, xg):
     """Sign, lambda weight and merged xi monomial of the odd channels.
 
     Only the channels of S = xi(f) & xi(g) survive: any other leaves a
-    repeated xi.  They act once each, in increasing order, as right
-    derivatives on f (sign (-1)^(len + pos + 1) at the current length and
-    position) and left derivatives on g (sign (-1)^pos; passing g's theta
-    part is left to the caller).  Then ``merge_odd_indices`` merges the two
-    remainders.  The result depends on the metric signs ``lambdas`` and the
-    two xi monomials alone, so it is cached.
+    repeated xi.  They act once each, in increasing order, as ``xi_deriv``
+    from the right on f and from the left on g (passing g's theta part is
+    left to the caller), each with its lambda_a.  Then
+    ``merge_odd_indices`` merges the two remainders.  The result depends on
+    the metric signs ``lambdas`` and the two xi monomials alone, so it is
+    cached.
     """
-    shared = set(xf) & set(xg)
-    n = len(shared)
-    # the k-th derivative (from 0) meets length len - k and position pos - k
-    odd = n * len(xf) + n + n * (n - 1) // 2
-    odd += sum(pos for pos, i in enumerate(xf) if i in shared)
-    odd += sum(pos for pos, i in enumerate(xg) if i in shared)
-    sign, xi = merge_odd_indices(tuple(i for i in xf if i not in shared),
-                                 tuple(i for i in xg if i not in shared))
-    weight = -sign if odd & 1 else sign
+    shared = [i for i in xf if i in xg]
+    weight = 1
     for i in shared:
-        weight *= lambdas[i - 1]
-    return n, weight, xi
+        d, xf = xi_deriv(xf, i, True)
+        e, xg = xi_deriv(xg, i, False)
+        weight *= d * e * lambdas[i - 1]
+    sign, xi = merge_odd_indices(xf, xg)
+    return len(shared), weight * sign, xi
 
 
 def _collect(acc, c, xi, poly, coeffs):

@@ -25,7 +25,7 @@ from itertools import product
 
 from .brackets import (_own_kappa, antibracket, bidiff_term, moyal_bracket,
                        poisson_bracket)
-from .errors import ArityError
+from .errors import ArityError, ContextMismatchError
 from .superfunc import (_CACHE_BOUND, SuperFunction, _own_scalar,
                         _require_square, sf_mul)
 
@@ -65,20 +65,24 @@ class Cochain:
         hit = self._cache.get(key)
         if hit is not None:
             return hit[1]
-        mixed = False
+        ctx = self.ctx
+        zero = mixed = False
         for arg in args:
-            if not arg.coeffs:
-                out = SuperFunction.zero(self.ctx)
-                break
+            # before the zero return, so a zero argument is checked too
+            if arg.ctx is not ctx and arg.ctx != ctx:
+                raise ContextMismatchError(
+                    f"{self.name} is over {ctx}, an argument over {arg.ctx}")
+            zero = zero or not arg.coeffs
             mixed = mixed or arg.eps() is None
+        if zero:
+            out = SuperFunction.zero(ctx)
+        elif mixed:
+            out = SuperFunction.zero(ctx)
+            for combo in product(*(a.homogeneous_components()
+                                   for a in args)):
+                out = out + self.fn(*combo)
         else:
-            if mixed:
-                out = SuperFunction.zero(self.ctx)
-                for combo in product(*(a.homogeneous_components()
-                                       for a in args)):
-                    out = out + self.fn(*combo)
-            else:
-                out = self.fn(*args)
+            out = self.fn(*args)
         if len(self._cache) > _CACHE_BOUND:
             self._cache.clear()
         self._cache[key] = (args, out)
@@ -231,7 +235,9 @@ def m23_form(ctx):
 
 
 def mu(f, g):
-    """The scalar fbar gbar (-1)^eps(f), the value of mu_form."""
+    """The scalar fbar gbar (-1)^eps(f), the value of mu_form; f and g
+    must share one context, as in ``_bar_pairing``."""
+    f._check(g)
     bars = f.integral_bar() * g.integral_bar()
     return -bars if f.eps() else bars
 

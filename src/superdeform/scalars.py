@@ -41,8 +41,13 @@ from .errors import ContextMismatchError
 
 MAX_RADICAND = 10 ** 12  # largest integer the ring factors under a root
 
+# entries of each cache and memo: squarefree_decompose and
+# merge_odd_indices here, _moment in superfunc, in brackets _anti_factor,
+# _poisson_row, _odd_factor and _moyal_weights, and a Cochain's memo
+_CACHE_BOUND = 4096
 
-@lru_cache(maxsize=None, typed=True)  # typed: 8.0 is not the int 8
+
+@lru_cache(maxsize=_CACHE_BOUND, typed=True)  # typed: 8.0 is not the int 8
 def squarefree_decompose(n):
     """Return (outer, core) with n = outer**2 * core and core square-free;
     n must be a positive int, and above MAX_RADICAND it is refused, as
@@ -66,7 +71,6 @@ def squarefree_decompose(n):
     return outer, core
 
 
-@lru_cache(maxsize=None)
 def theta_sign(a, b):
     """Sign of th^a * th^b = sign * th^(a | b) for theta bitmasks a and b:
     0 when they share a generator, else -1 to the number of crossings (a
@@ -81,7 +85,7 @@ def theta_sign(a, b):
     return -1 if crossings & 1 else 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_BOUND)
 def merge_odd_indices(a, b):
     """Merge two sorted tuples of distinct generator indices.
 

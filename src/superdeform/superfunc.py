@@ -12,13 +12,11 @@ Koszul signs for moving odd objects past each other are applied explicitly
 by every operation.
 
 The derivative d_a by an odd variable xi_a acts on a term s * x^e * xi^I
-(xi_a at 0-based position pos of the len factors of I) by deleting xi_a,
-with the sign of moving xi_a next to the operator:
-
-* from the left, past the theta part of s and the pos factors before it:
-  the theta twist of s by one, times (-1)^pos;
-* from the right, past the len - pos - 1 factors after it:
-  (-1)^(len - pos - 1), independent of theta.
+by deleting xi_a: ``xi_deriv`` gives the rest of I and the sign that
+``merge_odd_indices`` gives xi_a * rest (from the left) or rest * xi_a
+(from the right), which is the one xi sign rule of the package.  From the
+left, xi_a also passes the theta part of s: the theta twist of s by one,
+applied by the caller.
 
 On x-variables both derivatives are the ordinary one:
 d_a (x^e G) = e_a x^(e - 1_a) G - c x^(e + 1_a) G, with G = exp(-c|x|^2/2).
@@ -67,9 +65,9 @@ from numbers import Rational
 from operator import add, lt
 
 from .errors import ContextMismatchError, DeformationError, NotIntegrableError
-from .scalars import (FlatSum, RadicalNumber, Scalar, ScalarContext,
-                      accumulate, exact, int_if_integral, merge_odd_indices,
-                      mul_into, render_sum)
+from .scalars import (_CACHE_BOUND, FlatSum, RadicalNumber, Scalar,
+                      ScalarContext, accumulate, exact, int_if_integral,
+                      merge_odd_indices, mul_into, render_sum)
 
 
 class SymplecticContext:
@@ -126,6 +124,16 @@ def x_steps(e, c):
     if e:
         return ((-1, e), (1, -c)) if c else ((-1, e),)
     return ((1, -c),) if c else ()
+
+
+def xi_deriv(xi, gen, right):
+    """d/dxi_gen of the xi monomial ``xi``, which holds gen, from the right
+    or the left: (sign, rest), rest being xi without xi_gen and sign that of
+    rest * xi_gen = sign * xi or xi_gen * rest = sign * xi, which the
+    derivative undoes; theta is left to the caller."""
+    rest = tuple(a for a in xi if a != gen)
+    pair = (rest, (gen,)) if right else ((gen,), rest)
+    return merge_odd_indices(*pair)[0], rest
 
 
 def bump(xexp, a, step):
@@ -362,14 +370,13 @@ class SuperFunction(FlatSum):
         for (xexp, c, xi), items in _grouped(self).items():
             if gen not in xi:
                 continue
-            pos = xi.index(gen)
-            flips = len(xi) - pos - 1 if right else pos
+            sign, rest = xi_deriv(xi, gen, right)
             # distinct xi monomials stay distinct without xi_gen
-            term = (xexp, c, xi[:pos] + xi[pos + 1:])
+            term = (xexp, c, rest)
             for k, q in items:
                 # from the left, xi_gen also passes the theta part
-                odd = flips if right else flips + k[1].bit_count()
-                out[term + k] = -q if odd & 1 else q
+                flip = not right and k[1].bit_count() & 1
+                out[term + k] = -sign * q if flip else sign * q
         return SuperFunction._of(ctx, out)
 
     # -- integration -------------------------------------------------------
@@ -457,11 +464,11 @@ class SuperFunction(FlatSum):
             # the left xi-derivative passes the theta part
             twisted = [(k, -q if k[1].bit_count() & 1 else q)
                        for k, q in items]
-            for pos, gen in enumerate(xi):
-                rest = xi[:pos] + xi[pos + 1:]
+            for gen in xi:
+                sign, rest = xi_deriv(xi, gen, False)
                 for step, u in x_steps(xexp[gen - 1], c):
                     term = (bump(xexp, gen - 1, step), c, rest)
-                    w = -u if pos & 1 else u
+                    w = sign * u
                     for k, q in twisted:
                         accumulate(out, term + k, q * w)
         return SuperFunction._of(ctx, out)
@@ -499,11 +506,6 @@ _RATIONAL = (0, 0, 0, 0, 1)
 def _parity(key):
     """Total parity of a flat key: xi-degree plus theta-weight, mod 2."""
     return (len(key[2]) + key[4].bit_count()) & 1
-
-
-# entries of each cache and memo: _moment, in brackets _anti_factor,
-# _poisson_row, _odd_factor and _moyal_weights, and a Cochain's memo
-_CACHE_BOUND = 4096
 
 
 @lru_cache(maxsize=_CACHE_BOUND)

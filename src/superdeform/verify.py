@@ -29,26 +29,6 @@ COEFF_POOL = (-3, -2, -1, 1, 2, 3)
 DEFAULT_SEED = 20240801
 
 
-class LCG:
-    """The documented 64-bit linear congruential generator;
-    ``sample_superfunctions`` draws its stream with the state in a local."""
-
-    def __init__(self, seed):
-        self.state = seed & LCG_MASK
-
-    def next_word(self):
-        self.state = (LCG_MULT * self.state + LCG_INC) & LCG_MASK
-        return self.state
-
-    def randint(self, lo, hi):
-        """Uniform-ish integer in [lo, hi] (top bits of the next word)."""
-        span = hi - lo + 1
-        return lo + (self.next_word() >> 33) % span
-
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
-
-
 class SampleSpec(namedtuple(
         "SampleSpec", "seed count max_x_degree gauss_weights parity terms",
         defaults=(DEFAULT_SEED, 50, 2, (1, 2), "any", 1))):
@@ -119,9 +99,9 @@ def sample_superfunctions(spec, ctx):
     # them every weight is 0, as the constructor stores it
     weights = tuple(map(exact, spec.gauss_weights))
     weights = weights if ctx.n_plus else (0,) * (len(weights) + 1)
-    # the draws of LCG(spec.seed).randint and .choice, with the state in a
-    # local: each step is one LCG word, and a draw from a span of s values
-    # is (word >> 33) % s
+    # the generator of the module doc, with the state in a local: each
+    # step is one word, and a draw from a span of s values is
+    # (word >> 33) % s
     state = spec.seed & LCG_MASK
     n_plus, n_minus = ctx.n_plus, ctx.n_minus
     x_span = spec.max_x_degree + 1

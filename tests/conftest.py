@@ -10,6 +10,7 @@ import pytest
 from superdeform import (NotIntegrableError, RadicalNumber, Scalar,
                          SuperFunction, SymplecticContext, sf_mul)
 from superdeform.scalars import squarefree_decompose
+from superdeform.verify import LCG_INC, LCG_MASK, LCG_MULT
 
 
 @pytest.fixture
@@ -27,6 +28,27 @@ def ctx22():
 @pytest.fixture
 def ctx45():
     return SymplecticContext(4, 5, (1, 1, 1, 1, 1), 2, 6)
+
+
+class LCG:
+    """The documented 64-bit linear congruential generator of
+    ``superdeform.verify``, one method per draw; the oracle of the stream
+    that ``sample_superfunctions`` draws with its state in a local."""
+
+    def __init__(self, seed):
+        self.state = seed & LCG_MASK
+
+    def next_word(self):
+        self.state = (LCG_MULT * self.state + LCG_INC) & LCG_MASK
+        return self.state
+
+    def randint(self, lo, hi):
+        """Uniform-ish integer in [lo, hi] (top bits of the next word)."""
+        span = hi - lo + 1
+        return lo + (self.next_word() >> 33) % span
+
+    def choice(self, seq):
+        return seq[self.randint(0, len(seq) - 1)]
 
 
 def is_clean(flat):

@@ -7,7 +7,7 @@ run with `pytest -s tests/test_acceptance.py` to see them.
 
 from fractions import Fraction
 
-from superdeform import (LCG, SampleSpec, Scalar, SuperFunction,
+from superdeform import (SampleSpec, Scalar, SuperFunction,
                          SymplecticContext, anti_form, antibracket, build_C1,
                          build_C1c,
                          build_C3, build_anti_even, build_anti_odd,
@@ -18,6 +18,8 @@ from superdeform import (LCG, SampleSpec, Scalar, SuperFunction,
                          m3_form, moyal_bracket, moyal_form, mu_form,
                          mzeta_form, poisson_bracket, sample_superfunctions,
                          sample_tuples, t1_bar_multiplier)
+
+from conftest import LCG
 
 
 CTX42 = SymplecticContext(4, 2, (1, 1), 1, 6)

@@ -11,6 +11,7 @@ from superdeform import (ContextMismatchError, Scalar, SuperFunction,
                          brackets, moyal_bracket, poisson_bracket, sf_mul)
 from superdeform.brackets import bidiff_term
 from superdeform.cochains import m1
+from superdeform.superfunc import xi_deriv
 
 from conftest import naive_bidiff, random_superfunction, seeded
 
@@ -557,6 +558,37 @@ def test_jordan_wigner_operators_anticommute():
             for a in reversed(xi):
                 vec = _jw(a, True, vec)
             assert vec == {_mask(xi): 1}
+
+
+def test_xi_deriv_matches_the_jordan_wigner_oracle():
+    """``xi_deriv`` on every xi monomial holding xi_a at n_minus <= 4: the
+    annihilation operator of mode a from the left, ``_jw_right`` from the
+    right."""
+    for n in range(5):
+        for xi in _subsets(n):
+            vec = {_mask(xi): 1}
+            for a in xi:
+                assert xi_deriv(xi, a, False) == \
+                    _jw_monomial(_jw(a, False, vec))
+                assert xi_deriv(xi, a, True) == \
+                    _jw_monomial(_jw_right(a, vec))
+
+
+def test_xi_derivatives_of_functions_match_the_jordan_wigner_oracle():
+    """``left_deriv`` and ``right_deriv`` by every xi_a of every theta-free
+    xi monomial at (0, n_minus), n_minus <= 4, held or not, equal the
+    oracle's derivative of that monomial."""
+    for n in range(5):
+        ctx = SymplecticContext(0, n, (1, -1, 1, -1)[:n], 1)
+        for xi in _subsets(n):
+            f = SuperFunction.term(ctx, xi=xi, scalar=3)
+            vec = {_mask(xi): 3}
+            for a in range(1, n + 1):
+                for got, want in ((f.left_deriv(a - 1), _jw(a, False, vec)),
+                                  (f.right_deriv(a - 1), _jw_right(a, vec))):
+                    c, rest = _jw_monomial(want)
+                    assert got == (SuperFunction.term(ctx, xi=rest, scalar=c)
+                                   if c else SuperFunction.zero(ctx))
 
 
 def test_xi_signs_match_the_jordan_wigner_oracle():

@@ -339,6 +339,51 @@ def test_evaluate_with_a_zero_argument_calls_no_leaf(ctx42):
     assert seen == []
 
 
+def _metrics_apart():
+    """Two (2, 2) contexts that differ in one metric sign only, so their
+    scalar contexts are equal."""
+    return SymplecticContext(2, 2, (1, 1)), SymplecticContext(2, 2, (1, -1))
+
+
+def test_evaluate_checks_the_context_of_a_zero_argument():
+    """A zero argument over another context is refused, in either
+    position, as a nonzero one is, before the zero shortcut; a zero over
+    the form's own context still gives zero."""
+    ctx, other = _metrics_apart()
+    f = SuperFunction.x(ctx, 1) + SuperFunction.xi(ctx, 2)
+    alien = SuperFunction.zero(other)
+    for form in (m0_form(ctx), anti_form(ctx), m3_form(ctx)):
+        for args in ((alien, f), (f, alien), (alien, alien),
+                     (SuperFunction.zero(ctx), alien),
+                     (SuperFunction.x(other, 1), SuperFunction.x(other, 2))):
+            with pytest.raises(ContextMismatchError):
+                form.evaluate(*args)
+        assert form.evaluate(SuperFunction.zero(ctx), f).is_zero()
+        assert form.evaluate(f, SuperFunction.zero(ctx)).is_zero()
+
+
+def test_mu_refuses_arguments_over_two_contexts():
+    """mu, mu_form and the eta*mu part of the general odd bracket refuse
+    two top-xi Gaussians whose contexts differ in a metric sign only,
+    whose bar product alone would be 4*pi^2."""
+    ctx, other = _metrics_apart()
+    f = SuperFunction.term(ctx, (0, 0), 1, (1, 2))
+    g = SuperFunction.term(other, (0, 0), 1, (1, 2))
+    assert str(mu(f, f)) == "4*pi^2"
+    eta = SuperFunction.gauss(ctx, 1)
+    eta_mu = Cochain(ctx, 2, 0, lambda f, g: eta.scale_right(mu(f, g)),
+                     EVEN, name="eta*mu")
+    for args in ((f, g), (g, f)):
+        with pytest.raises(ContextMismatchError):
+            mu(*args)
+        for form in (mu_form(ctx), eta_mu):
+            # fn alone, past the context check of evaluate, and evaluate
+            with pytest.raises(ContextMismatchError):
+                form.fn(*args)
+            with pytest.raises(ContextMismatchError):
+                form.evaluate(*args)
+
+
 def test_evaluate_splits_only_a_mixed_argument(ctx42):
     """A homogeneous pair reaches the leaf as it is; a mixed-parity
     argument is split, and the leaf sees only homogeneous pieces."""

@@ -40,6 +40,29 @@ def test_squarefree_decompose_property(n):
         assert core % (d * d) != 0
 
 
+def test_ring_caches_are_bounded():
+    """squarefree_decompose (one entry per radicand parsed) and
+    merge_odd_indices (4^n_minus xi pairs) keep at most the one cache bound,
+    which superfunc and brackets read from here, and filled past it both
+    still give their values; theta_sign keeps no cache."""
+    from superdeform import brackets, scalars, superfunc
+    bound = scalars._CACHE_BOUND
+    assert superfunc._CACHE_BOUND == brackets._CACHE_BOUND == bound
+    assert not hasattr(theta_sign, "cache_info")
+    for fn, keys in ((squarefree_decompose,
+                      [(n,) for n in range(1, bound + 50)]),
+                     (merge_odd_indices,
+                      [((a,), (b,)) for a in range(1, 70)
+                       for b in range(1, 70)])):
+        fn.cache_clear()
+        for key in keys:
+            fn(*key)
+        info = fn.cache_info()
+        assert info.maxsize == bound and info.currsize == bound
+    assert merge_odd_indices((2,), (1,)) == (-1, (1, 2))
+    assert squarefree_decompose(360) == (6, 10)
+
+
 def test_radical_products_reduce():
     a = RadicalNumber.sqrt_int(2)
     b = RadicalNumber.sqrt_int(8)

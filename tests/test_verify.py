@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from superdeform import (LCG, SampleSpec, Scalar, SuperFunction,
+from superdeform import (SampleSpec, Scalar, SuperFunction,
                          SymplecticContext,
                          build_C3, build_anti_odd, check_bar_vanishing,
                          check_cocycle, check_d_squared, check_equivalence,
@@ -20,6 +20,8 @@ from superdeform.cochains import EVEN, ODD, Cochain, anti_form, m0_form
 from superdeform.scalars import int_if_integral
 from superdeform.verify import (DEFAULT_SEED, LCG_INC, LCG_MASK, LCG_MULT,
                                 VerificationReport)
+
+from conftest import LCG
 
 
 def test_lcg_constants_and_sequence():
