@@ -72,8 +72,10 @@ class Cochain:
             if arg.ctx is not ctx and arg.ctx != ctx:
                 raise ContextMismatchError(
                     f"{self.name} is over {ctx}, an argument over {arg.ctx}")
-            zero = zero or not arg.coeffs
-            mixed = mixed or arg.eps() is None
+            if not arg.coeffs:
+                zero = True
+            elif arg.eps() is None:
+                mixed = True
         if zero:
             out = SuperFunction.zero(ctx)
         elif mixed:

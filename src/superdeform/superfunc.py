@@ -127,10 +127,11 @@ def x_steps(e, c):
 
 
 def xi_deriv(xi, gen, right):
-    """d/dxi_gen of the xi monomial ``xi``, which holds gen, from the right
-    or the left: (sign, rest), rest being xi without xi_gen and sign that of
-    rest * xi_gen = sign * xi or xi_gen * rest = sign * xi, which the
-    derivative undoes; theta is left to the caller."""
+    """d/dxi_gen of the xi monomial ``xi``, which holds gen, as (sign,
+    rest): rest is xi without xi_gen, and sign the one ``merge_odd_indices``
+    gives xi_gen * rest = sign * xi (from the left) or rest * xi_gen =
+    sign * xi (from the right), so the derivative is sign * rest.  Passing
+    a theta part is left to the caller."""
     rest = tuple(a for a in xi if a != gen)
     pair = (rest, (gen,)) if right else ((gen,), rest)
     return merge_odd_indices(*pair)[0], rest
