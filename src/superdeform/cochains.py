@@ -3,17 +3,17 @@
 A cochain knows its arity, its declared parity, and which grading its signs
 use ('even' for the Poisson bracket parity, 'odd' for the reversed parity of
 the antibracket).  It is its function ``fn`` on parity-homogeneous
-arguments; a sum ``a + b`` and a scalar multiple ``form.scaled(s)`` (which
-is also how theta-prefixing is expressed) are cochains whose ``fn`` calls
-the parts' ``fn``.
+arguments; a sum ``a + b`` of two forms over one context and a scalar
+multiple ``form.scaled(s)`` (which is also how theta-prefixing is
+expressed) are cochains whose ``fn`` calls the parts' ``fn``.
 Every form is Lambda(theta)-linear: theta_1..theta_k pass through ``fn``
 with the sign of their grade, so each term of fn(f, g, ...) carries the
-theta-mask of the argument terms it was built from.  The kernels multiply
-argument coefficients only through ``scalars.mul_into`` and the bars, E,
-N_z, N_xi and Delta carry each scalar key through, so the built-in forms
-hold this by construction, and ``check_signs`` is its test.  It is what
-lets ``scaled(s)`` drop the argument terms that s annihilates before
-``fn`` runs.
+theta-mask of the argument terms it was built from.  The kernels,
+derivatives, bars and Delta multiply coefficients only through
+``scalars.mul_into``, and E, N_z and N_xi carry each scalar key through,
+so the built-in forms hold this by construction, and ``check_signs`` is
+its test.  It lets ``scaled(s)`` drop the argument terms that s
+annihilates (``superfunc._surviving``) before ``fn`` runs.
 The sign factors are only defined on parity-homogeneous arguments, so
 evaluation splits a mixed-parity argument (and only such an argument) into
 its homogeneous components and sums over their combinations.
@@ -27,7 +27,7 @@ from .brackets import (_own_kappa, antibracket, bidiff_term, moyal_bracket,
                        poisson_bracket)
 from .errors import ArityError, ContextMismatchError
 from .superfunc import (_CACHE_BOUND, SuperFunction, _own_scalar,
-                        _require_square, sf_mul)
+                        _require_square, _surviving, sf_mul)
 
 EVEN, ODD = "even", "odd"
 
@@ -100,6 +100,9 @@ class Cochain:
         if other.grading != self.grading:
             raise ValueError(f"{self.name} has the {self.grading} grading, "
                              f"but {other.name} the {other.grading} one")
+        if other.ctx != self.ctx:
+            raise ContextMismatchError(
+                f"contexts differ: {self.ctx} vs {other.ctx}")
         a, b = self.fn, other.fn
         parity = self.parity if self.parity == other.parity else None
         return Cochain(self.ctx, self.arity, parity,
@@ -121,28 +124,15 @@ class Cochain:
         fn, weight = self.fn, scalar.parity()
         parity = (None if None in (self.parity, weight)
                   else (self.parity + weight) % 2)
-        masks = {key[1] for key in scalar.coeffs}
 
         def scaled_fn(*args):
-            return fn(*[_surviving(a, masks) for a in args]
+            return fn(*[_surviving(a, scalar) for a in args]
                       ).scale_left(scalar)
         return Cochain(self.ctx, self.arity, parity, scaled_fn,
                        self.grading, name=f"scaled({self.name})")
 
     def __repr__(self):
         return f"<{self.name}: arity {self.arity}, parity {self.parity}>"
-
-
-def _surviving(f, masks):
-    """f without its terms whose theta-mask meets every mask of ``masks``;
-    f itself when it has none, or when it is outside Z (its bar refuses a
-    term)."""
-    dead = {t for t in {key[4] for key in f.coeffs}
-            if all(t & u for u in masks)}
-    if not dead or not f.is_z_class():
-        return f
-    return f._of(f.ctx, {key: q for key, q in f.coeffs.items()
-                         if key[4] not in dead})
 
 
 # -- named forms -----------------------------------------------------------

@@ -5,9 +5,10 @@ theorem.
 Every builder enforces its membership preconditions (parameters vanishing in
 the classical limit, even power series in h, parity assignments) and raises
 DeformationError naming the violated clause.  A deformation is its bracket:
-an arity-2 Cochain of total parity 0, named by its flavor (C1, C1c, C3,
-ANTI_EVEN, ANTI_ODD, GENERAL_ODD), whose ``grading`` says which parity its
-Jacobi identity uses and whose ``params`` hold the data it was built from.
+an arity-2 Cochain named by its flavor (C1, C1c, C3, ANTI_EVEN, ANTI_ODD,
+GENERAL_ODD), whose ``grading`` says which parity its Jacobi identity uses
+and whose ``params`` hold the data it was built from; its parity is its
+parts' when they share one, else None (GENERAL_ODD at even n_minus).
 """
 
 from __future__ import annotations

@@ -142,7 +142,9 @@ def mul_into(out, prefix, a_items, b_items, h_max, factor=1, twist=0):
     s, r) and return ``out``; a and b are the items of two flat coefficient
     dicts.  The theta part of b first moves left past ``twist`` odd
     factors, so with odd ``twist`` each term of odd theta-weight in b
-    changes sign.  Terms above ``h_max`` are dropped."""
+    changes sign: the one theta twist, which the products, xi-derivatives,
+    Delta and bar of superfunc and the bracket kernels all take.  Terms
+    above ``h_max`` are dropped."""
     twist &= 1
     for (m1, t1, p1, s1, r1), q1 in a_items:
         if factor != 1:

@@ -15,8 +15,9 @@ The derivative d_a by an odd variable xi_a acts on a term s * x^e * xi^I
 by deleting xi_a: ``xi_deriv`` gives the rest of I and the sign that
 ``merge_odd_indices`` gives xi_a * rest (from the left) or rest * xi_a
 (from the right), which is the one xi sign rule of the package.  From the
-left, xi_a also passes the theta part of s: the theta twist of s by one,
-applied by the caller.
+left, xi_a also passes the theta part of s: the derivative writes the
+sign times s through ``scalars.mul_into`` with a twist of one, so that
+sign comes from the one theta rule of every product.
 
 On x-variables both derivatives are the ordinary one:
 d_a (x^e G) = e_a x^(e - 1_a) G - c x^(e + 1_a) G, with G = exp(-c|x|^2/2).
@@ -130,8 +131,8 @@ def xi_deriv(xi, gen, right):
     """d/dxi_gen of the xi monomial ``xi``, which holds gen, as (sign,
     rest): rest is xi without xi_gen, and sign the one ``merge_odd_indices``
     gives xi_gen * rest = sign * xi (from the left) or rest * xi_gen =
-    sign * xi (from the right), so the derivative is sign * rest.  Passing
-    a theta part is left to the caller."""
+    sign * xi (from the right), so the derivative is sign * rest.  The
+    sign a theta part picks up is the caller's ``mul_into`` twist."""
     rest = tuple(a for a in xi if a != gen)
     pair = (rest, (gen,)) if right else ((gen,), rest)
     return merge_odd_indices(*pair)[0], rest
@@ -369,15 +370,11 @@ class SuperFunction(FlatSum):
             return SuperFunction._of(ctx, out)
         gen = a - ctx.n_plus + 1
         for (xexp, c, xi), items in _grouped(self).items():
-            if gen not in xi:
-                continue
-            sign, rest = xi_deriv(xi, gen, right)
-            # distinct xi monomials stay distinct without xi_gen
-            term = (xexp, c, rest)
-            for k, q in items:
+            if gen in xi:
+                sign, rest = xi_deriv(xi, gen, right)
                 # from the left, xi_gen also passes the theta part
-                flip = not right and k[1].bit_count() & 1
-                out[term + k] = -sign * q if flip else sign * q
+                mul_into(out, (xexp, c, rest), ((_RATIONAL, sign),), items,
+                         ctx.h_max, 1, not right)
         return SuperFunction._of(ctx, out)
 
     # -- integration -------------------------------------------------------
@@ -417,9 +414,9 @@ class SuperFunction(FlatSum):
                     + self._render_term((xexp, c, xi), items))
             if len(xi) != n_minus or any(e % 2 for e in xexp):
                 continue
-            moment = _moment(xexp, c, half)
-            for (m, t, p, sp, r), q in items:
-                accumulate(total, (m, t, p + half, sp, r), q * moment)
+            # the scalar moment * pi^half, from the left
+            weight = ((0, 0, half, 0, 1), _moment(xexp, c, half))
+            mul_into(total, (), (weight,), items, ctx.h_max)
         self._bar = Scalar._of(ctx.scalar_ctx, total)
         return self._bar
 
@@ -462,16 +459,12 @@ class SuperFunction(FlatSum):
         _require_square(ctx, "delta operator")
         out = {}
         for (xexp, c, xi), items in _grouped(self).items():
-            # the left xi-derivative passes the theta part
-            twisted = [(k, -q if k[1].bit_count() & 1 else q)
-                       for k, q in items]
             for gen in xi:
                 sign, rest = xi_deriv(xi, gen, False)
                 for step, u in x_steps(xexp[gen - 1], c):
-                    term = (bump(xexp, gen - 1, step), c, rest)
-                    w = sign * u
-                    for k, q in twisted:
-                        accumulate(out, term + k, q * w)
+                    # the left xi-derivative passes the theta part
+                    mul_into(out, (bump(xexp, gen - 1, step), c, rest),
+                             ((_RATIONAL, sign * u),), items, ctx.h_max, 1, 1)
         return SuperFunction._of(ctx, out)
 
     # -- rendering ---------------------------------------------------------
@@ -533,6 +526,19 @@ def _own_scalar(ctx, value):
         raise ContextMismatchError(
             f"scalar context {value.ctx} is not {sctx}")
     return value
+
+
+def _surviving(f, scalar):
+    """f without the terms ``scalar`` annihilates from the left, those whose
+    theta-mask meets every theta-monomial of scalar; f itself when it has
+    none, or when it is outside Z (its bar refuses a term)."""
+    masks = {key[1] for key in scalar.coeffs}
+    dead = {t for t in {key[4] for key in f.coeffs}
+            if all(t & u for u in masks)}
+    if not dead or not f.is_z_class():
+        return f
+    return f._of(f.ctx, {key: q for key, q in f.coeffs.items()
+                         if key[4] not in dead})
 
 
 def _require_square(ctx, name):

@@ -482,10 +482,17 @@ def test_cached_odd_factor_equals_uncached():
 # annihilation operator of mode a, and the right derivative on a monomial
 # xi^I is (-1)^(|I| - 1) times the left one.  A vector is a dict from
 # bitmasks to coefficients.  Nothing here shares code with theta_sign.
+#
+# With k odd parameters, theta_j is mode j and xi_a mode k + a: theta
+# stands left of xi in every term, so theta^alpha xi^I |0> = |alpha + I>,
+# and the derivatives by xi_a, now passing the theta modes below, stay the
+# annihilation operator of mode k + a and ``_jw_right``, whose sign counts
+# every occupied mode.
 
 
-def _mask(xi):
-    return sum(1 << (a - 1) for a in xi)
+def _mask(xi, k=0):
+    """The state of xi^I, its modes past k theta modes."""
+    return sum(1 << (k + a - 1) for a in xi)
 
 
 def _modes(state):
@@ -539,6 +546,36 @@ def _jw_monomial(vec):
         return 0, None
     ((state, c),) = vec.items()
     return c, _modes(state)
+
+
+def _theta_xi_monomials(ctx, xexp=None):
+    """(3 theta^alpha x^xexp xi^I, its state) for every theta^alpha xi^I
+    over ctx, x^xexp being 1 by default."""
+    k, sctx = ctx.k, ctx.scalar_ctx
+    for state in range(1 << (k + ctx.n_minus)):
+        alpha = _modes(state & ((1 << k) - 1))
+        xi = tuple(a - k for a in _modes(state >> k << k))
+        yield (SuperFunction.term(ctx, xexp, xi=xi,
+                                  scalar=Scalar.theta(sctx, *alpha) * 3),
+               {state: 3})
+
+
+def _jw_state_vector(f):
+    """{(x exponents, state): coefficient} of f, whose terms must be
+    rational theta^alpha x^e xi^I monomials without a Gaussian."""
+    k = f.ctx.k
+    out = {}
+    for (xexp, c, xi, m, mask, p, s, r), q in f.coeffs.items():
+        assert (c, m, p, s, r) == (0, 0, 0, 0, 1)
+        out[xexp, mask | _mask(xi, k)] = q
+    return out
+
+
+def _theta_contexts():
+    """(0, n_minus) with k >= 1 and n_minus + k <= 6, odd n_minus and both
+    metric signs included."""
+    return [SymplecticContext(0, n, tuple((-1) ** a for a in range(n)), k)
+            for n in range(6) for k in range(1, 7 - n)]
 
 
 def test_jordan_wigner_operators_anticommute():
@@ -623,6 +660,54 @@ def test_xi_signs_match_the_jordan_wigner_oracle():
                 assert brackets._anti_factor(xf, xg) == (
                     tuple(t for t in g_side if t[1]),
                     tuple((a, -c, xi) for a, c, xi in f_side if c))
+
+
+def test_theta_xi_derivatives_match_the_jordan_wigner_oracle():
+    """``left_deriv`` and ``right_deriv`` by every xi_a of every
+    theta^alpha xi^I at k >= 1 and n_minus + k <= 6: the annihilation
+    operator of mode k + a, and ``_jw_right``, on the theta and xi modes
+    together.  From the left xi_a passes the theta part, from the right
+    it does not."""
+    for ctx in _theta_contexts():
+        k = ctx.k
+        for f, vec in _theta_xi_monomials(ctx):
+            for a in range(1, ctx.n_minus + 1):
+                for got, want in ((f.left_deriv(a - 1),
+                                   _jw(k + a, False, vec)),
+                                  (f.right_deriv(a - 1),
+                                   _jw_right(k + a, vec))):
+                    assert _jw_state_vector(got) == \
+                        {((), state): c for state, c in want.items()}
+
+
+def test_theta_xi_products_match_the_jordan_wigner_oracle():
+    """``sf_mul`` of every pair of theta^alpha xi^I monomials at k >= 1 and
+    n_minus + k <= 6: the product of their creation operators, so each
+    theta part of the right factor passes the xi part of the left one."""
+    for ctx in _theta_contexts():
+        monomials = list(_theta_xi_monomials(ctx))
+        for f, fvec in monomials:
+            for g, gvec in monomials:
+                want = _jw_product(fvec, gvec)
+                assert _jw_state_vector(sf_mul(f, g)) == \
+                    {((), state): c for state, c in want.items()}
+
+
+def test_theta_xi_part_of_delta_matches_the_jordan_wigner_oracle():
+    """``delta_op`` at (n, n), n in {2, 4} and n + k <= 6, on
+    x_1...x_n theta^alpha xi^I: the sum over i of x without x_i times the
+    annihilation operator of mode k + i, the left xi_i-derivative."""
+    for n in (2, 4):
+        ones = (1,) * n
+        for k in range(1, 7 - n):
+            ctx = SymplecticContext(n, n, (1, -1, -1, 1)[:n], k)
+            for f, vec in _theta_xi_monomials(ctx, ones):
+                want = {}
+                for i in range(1, n + 1):
+                    xexp = ones[:i - 1] + (0,) + ones[i:]
+                    for state, c in _jw(k + i, False, vec).items():
+                        want[xexp, state] = c
+                assert _jw_state_vector(f.delta_op()) == want
 
 
 def test_cached_moyal_weights_are_keyed_by_context():

@@ -13,7 +13,8 @@ from superdeform import (ArityError, ContextMismatchError, NotIntegrableError,
                          sample_superfunctions)
 from superdeform import cochains
 from superdeform.cochains import (EVEN, ODD, Cochain, _bar_pairing,
-                                  _surviving, m1, grading_parity, mu)
+                                  m1, grading_parity, mu)
+from superdeform.superfunc import _surviving
 
 from conftest import random_superfunction, seeded
 
@@ -62,6 +63,24 @@ def test_sum_of_two_gradings_is_refused(ctx22):
         m0.scaled(2) + m23
     assert (anti + m23).grading == ODD
     assert (m0 + m3_form(ctx22)).grading == EVEN
+
+
+def test_sum_over_two_contexts_is_refused():
+    """A sum of forms over two contexts is refused when it is built, in
+    either order, naming both contexts: its m3 part would sign with the
+    other context's n_minus.  Equal contexts that are distinct objects
+    still sum, to the value of the sum over one context."""
+    a, b = SymplecticContext(0, 1), SymplecticContext(0, 2)
+    for left, right in ((m0_form(a), m3_form(b)), (m3_form(b), m0_form(a))):
+        with pytest.raises(ContextMismatchError) as err:
+            left + right
+        assert repr(a) in str(err.value) and repr(b) in str(err.value)
+    xi1 = SuperFunction.xi(a, 1)
+    one = SuperFunction.constant(a, 1)
+    for twin in (a, SymplecticContext(0, 1)):
+        summed = m0_form(a) + m3_form(twin)
+        assert summed.ctx is a
+        assert summed.evaluate(xi1, xi1) == one - xi1
 
 
 def test_arity_checked_on_evaluate(ctx42):
@@ -537,10 +556,9 @@ def test_scaled_forms_equal_the_unfiltered_product(k, lambdas, h_max):
     args = _theta_carrying_arguments(ctx, 40 + k)
     dropped = nonzero = 0
     for s in _scalars_to_scale_by(ctx.scalar_ctx):
-        masks = {key[1] for key in s.coeffs}
         for f in args:
             for part in f.homogeneous_components():
-                dropped += _surviving(part, masks) is not part
+                dropped += _surviving(part, s) is not part
         for form in _named_forms(ctx):
             scaled = form.scaled(s)
             for f in args:
