@@ -30,7 +30,9 @@ factors 1 - (|e| + |I|)/2 (and c/2 per x_a^2) and 1 - |I|.  Delta =
 sum_i d_{x_i} d^L_{xi_i} is the left xi_i-derivative, then d/dx_i.  For
 even e, the integral over the n = n_plus x-coordinates is
 prod_a (e_a - 1)!! c^(-|e|/2) (2 pi/c)^(n/2), a rational times pi^(n/2) as
-n is even; only top-xi terms add to the bar.
+n is even; only top-xi terms add to the bar, whose xi part is the left
+Berezin integral d^L_{xi_m}...d^L_{xi_1} (m = n_minus, d_{xi_1} first), of
+parity m: s * xi_1...xi_m goes to s, its odd theta part times (-1)^m.
 
 Compactly supported functions are modeled by the terms with c > 0, smooth
 functions by arbitrary terms, and the centralizer of the compactly
@@ -380,43 +382,34 @@ class SuperFunction(FlatSum):
     # -- integration -------------------------------------------------------
 
     def integral_bar(self):
-        """Exact integral over x and xi (top xi-monomial normalization).
-
-        The pure constant term is dropped (the natural extension to the
-        centralizer); any other term the Gaussian class cannot integrate
-        raises NotIntegrableError.  With no term of xi-degree n_minus and
-        none outside the Gaussian class the bar is zero before any term is
-        integrated.
-        """
+        """Exact integral over x and xi, in one pass over the terms: the pure
+        constant is dropped at n_plus > 0 (the natural extension to the
+        centralizer), any other term outside the Gaussian class raises
+        NotIntegrableError, and a top-xi term with even x-exponents adds its
+        moment times pi^(n_plus/2), its theta part moved left past n_minus
+        odd factors (the left Berezin integral of the module doc)."""
         try:
             return self._bar
         except AttributeError:
             pass
         ctx = self.ctx
         n_minus = ctx.n_minus
-        # zero unless a term is top-xi (its xi-degree is n_minus) or
-        # (n_plus > 0) not Gaussian
-        for key in self.coeffs:
-            if len(key[2]) == n_minus or ctx.n_plus and not key[1]:
-                break
-        else:
-            self._bar = Scalar._of(ctx.scalar_ctx, {})
-            return self._bar
-        zero_x = (0,) * ctx.n_plus
         half = ctx.n_plus // 2
         total = {}
-        for (xexp, c, xi), items in _grouped(self).items():
-            if ctx.n_plus > 0 and c == 0:
-                if xexp == zero_x and xi == ():
-                    continue
-                raise NotIntegrableError(
-                    "term without Gaussian suppression is not integrable: "
-                    + self._render_term((xexp, c, xi), items))
-            if len(xi) != n_minus or any(e % 2 for e in xexp):
+        for key, q in self.coeffs.items():
+            xexp, c, xi = term = key[:3]
+            if ctx.n_plus and not c:
+                if xi or any(xexp):
+                    raise NotIntegrableError(
+                        "term without Gaussian suppression is not integrable"
+                        ": " + self._render_term(term, _grouped(self)[term]))
                 continue
-            # the scalar moment * pi^half, from the left
+            if len(xi) != n_minus or any(e & 1 for e in xexp):
+                continue
+            # the scalar moment * pi^half, from the left, past n_minus xi's
             weight = ((0, 0, half, 0, 1), _moment(xexp, c, half))
-            mul_into(total, (), (weight,), items, ctx.h_max)
+            mul_into(total, (), (weight,), ((key[3:], q),), ctx.h_max, 1,
+                     n_minus)
         self._bar = Scalar._of(ctx.scalar_ctx, total)
         return self._bar
 

@@ -229,8 +229,9 @@ def test_criterion_7_equivalence_golden():
 
 
 def test_criterion_8_infrastructure():
-    """d o d = 0, the three odd-parameter sign rules, bar-vanishing on
-    D-class brackets, and bit-reproducible sampling."""
+    """d o d = 0, the three odd-parameter sign rules (the bar-built forms at
+    an even and an odd n_minus), bar-vanishing on D-class brackets, and
+    bit-reproducible sampling."""
     ok = True
     ok &= check_d_squared(m1_form(CTX42),
                           SampleSpec(seed=8001, count=2)).passed
@@ -243,6 +244,14 @@ def test_criterion_8_infrastructure():
         ok &= check_signs(form, spec).passed
     for form in (anti_form(CTX22), m23_form(CTX22)):
         ok &= check_signs(form, spec).passed
+    # odd n_minus, where the bar moves theta past an odd xi monomial (j_zeta
+    # at zeta = xi1 is left out: m1(xi1, .) is zero)
+    ctx21 = SymplecticContext(2, 1, (1,), 1, 6)
+    x1g = SuperFunction.term(ctx21, (1, 0), 1)
+    for form in (m3_form(ctx21), mu_form(ctx21),
+                 mzeta_form(ctx21, SuperFunction.xi(ctx21, 1)),
+                 mzeta_form(ctx21, x1g), jzeta_form(ctx21, x1g)):
+        ok &= check_signs(form, SampleSpec(seed=8008, count=40)).passed
     ok &= check_bar_vanishing(SampleSpec(seed=8004, count=10), CTX42).passed
     ok &= check_bar_vanishing(SampleSpec(seed=8005, count=10), CTX22).passed
     rerun = SampleSpec(seed=8006, count=12)

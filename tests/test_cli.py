@@ -476,8 +476,8 @@ def test_cli_equiv_output_is_pinned(t1, seed, samples, capsys):
 
 # sha256 of stdout, stderr and exit code of whole theorem runs: the witness
 # at (4, 5), the perturbed witness at (4, 3), a constant eta (relation i and
-# the D class fail) and the (0, 1) case whose constraints hold but whose
-# Jacobi check fails
+# the D class fail) and the (0, 1) case, whose constraints and Jacobi check
+# hold
 _THEOREM = ["theorem", "--k", "2", "--zeta", "xi1", "--h1", "th2",
             "--h2", "1"]
 THEOREM_OUTPUT_SHA256 = {
@@ -490,9 +490,9 @@ THEOREM_OUTPUT_SHA256 = {
     "eta_not_d_class": (
         ["--nplus", "4", "--nminus", "5", "--eta", "1"],
         "6e27a2b247fbecc4c54e6c93c74b5787145603f7ade3fa969c9846a61422e7c9"),
-    "jacobi_fails_at_0_1": (
+    "jacobi_passes_at_0_1": (
         ["--nplus", "0", "--nminus", "1"],
-        "f88d10f6735e7d31be2673fe4fddf17fc1eda39a8c80a4ea25a6e18f2658e0e7"),
+        "d6f99cd15616f27edc0708b1e0af1103e58fc051ddb0f15493ca7ddd26b713c9"),
 }
 
 

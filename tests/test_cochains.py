@@ -7,10 +7,10 @@ import pytest
 from superdeform import (ArityError, ContextMismatchError, NotIntegrableError,
                          SampleSpec, Scalar, ScalarContext, SuperFunction,
                          SymplecticContext,
-                         anti_form, d_ad, jacobiator, jzeta_form, m0_form,
-                         m1_form, m23_form, m3_form, moyal_bracket,
-                         moyal_form, mu_form, mzeta_form, poisson_bracket,
-                         sample_superfunctions)
+                         anti_form, check_signs, d_ad, jacobiator,
+                         jzeta_form, m0_form, m1_form, m23_form, m3_form,
+                         moyal_bracket, moyal_form, mu_form, mzeta_form,
+                         poisson_bracket, sample_superfunctions)
 from superdeform import cochains
 from superdeform.cochains import (EVEN, ODD, Cochain, _bar_pairing,
                                   m1, grading_parity, mu)
@@ -630,3 +630,20 @@ def test_scaled_bar_forms_refuse_a_term_theta_annihilates():
             with pytest.raises(NotIntegrableError) as scaled:
                 form.scaled(theta).evaluate(*args)
             assert str(scaled.value) == str(unscaled.value)
+
+
+def test_mu_antisymmetry_and_sign_residuals_pinned():
+    """Pinned, not claimed (ROADMAP item 17): at even n_minus mu is not
+    graded antisymmetric.  With F = gauss(1) xi1 xi2 and G = gauss(2) xi1
+    xi2, both even, mu(F, G) + mu(G, F) = 4 pi^2 at (2, 2); and mu's
+    (-1)^{eps(f)} breaks the left sign rule at (4, 2), which five samples
+    of criterion 8 do not reach."""
+    ctx = SymplecticContext(2, 2, (1, 1), 1, 6)
+    F = SuperFunction.term(ctx, None, 1, (1, 2))
+    G = SuperFunction.term(ctx, None, 2, (1, 2))
+    assert (mu(F, G) + mu(G, F)).render() == "4*pi^2"
+    report = check_signs(mu_form(SymplecticContext(4, 2, (1, 1), 1, 6)),
+                         SampleSpec(seed=8003, count=200))
+    assert len(report.failures) == 2
+    _index, labels, residual = report.failures[0]
+    assert (labels[0], residual) == ("left", "-96*pi^4*th1")

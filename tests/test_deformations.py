@@ -1,5 +1,6 @@
 """Unit tests for the deformation builders, constraints, and equivalence."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -376,24 +377,49 @@ def _witness_jacobiator(n_plus, n_minus):
 
 
 def test_witness_jacobiator_on_xi1_pinned():
-    """Pinned value, not a claim of correctness: the witness fails Jacobi
-    on exact triples (ROADMAP item 13), here J(xi1, xi1, xi1) = 6 th1 at
-    (0, 1)."""
+    """J(xi1, xi1, xi1) = 0 at (0, 1).  It read 6 th1 while the bar gave
+    theta no Berezin sign at odd n_minus (ROADMAP item 13)."""
     ctx, J = _witness_jacobiator(0, 1)
     xi1 = SuperFunction.xi(ctx, 1)
-    assert J.evaluate(xi1, xi1, xi1).render() == "6*th1"
+    assert J.evaluate(xi1, xi1, xi1).is_zero()
+
+
+@pytest.mark.parametrize("n_plus, n_minus", [(4, 5), (2, 3), (6, 7)])
+def test_witness_jacobiator_on_the_bar_slice_pinned(n_plus, n_minus):
+    """The witness Jacobiator is zero on all 27 ordered triples of
+    gauss(1) xi^top, gauss(2) xi^top and gauss(1) xi1.  20 of them held the
+    grade-1 cross term of m_zeta and theta m3 that ROADMAP item 13 located,
+    e.g. J(F, F, gauss(1) xi1) = 2 pi^(n_plus/2) th1 gauss(1) with
+    F = gauss(2) xi^top, while the bar gave theta no Berezin sign."""
+    ctx, J = _witness_jacobiator(n_plus, n_minus)
+    top = tuple(range(1, n_minus + 1))
+    probes = [SuperFunction.term(ctx, None, 1, top),
+              SuperFunction.term(ctx, None, 2, top),
+              SuperFunction.term(ctx, None, 1, (1,))]
+    for triple in itertools.product(probes, repeat=3):
+        assert J.evaluate(*triple).is_zero()
 
 
 @pytest.mark.parametrize("n_plus, n_minus, value", [
-    (4, 5, "2*pi^4*th1*gauss(1)"), (2, 3, "2*pi^2*th1*gauss(1)")])
-def test_witness_jacobiator_on_the_bar_slice_pinned(n_plus, n_minus, value):
-    """Pinned values, not a claim of correctness: J(F, F, gauss(1) xi1)
-    with F = gauss(2) xi1...xi_{n_minus} is the nonzero grade-1 cross term
-    of m_zeta and theta m3 that ROADMAP item 13 locates."""
-    ctx, J = _witness_jacobiator(n_plus, n_minus)
-    F = SuperFunction.term(ctx, None, 2, tuple(range(1, n_minus + 1)))
-    h = SuperFunction.term(ctx, None, 1, (1,))
-    assert J.evaluate(F, F, h).render() == value
+    (2, 2, "4*pi^2*hbar^2"), (4, 2, "8*pi^4*hbar^2"),
+    (2, 1, "-4*pi^2*hbar^2*th1")])
+def test_c1c_antisymmetry_residual_pinned(n_plus, n_minus, value):
+    """Pinned, not claimed (ROADMAP item 17): C1c with zeta = 0 and
+    c = hbar^2 is not graded antisymmetric.  With F = gauss(1) xi^top and
+    G = gauss(2) xi^top, the residual C(a, b) + (-1)^{eps_a eps_b} C(b, a)
+    of a = F (even n_minus) or a = th1 F (odd n_minus) and b = G is the
+    c fbar gbar term: symmetric on even arguments, and without mu's
+    (-1)^{eps(f)} at odd n_minus."""
+    ctx = SymplecticContext(n_plus, n_minus, None, 1, 6)
+    sctx = ctx.scalar_ctx
+    C = build_C1c(SuperFunction.zero(ctx), 1, Scalar.hbar(sctx) ** 2)
+    top = tuple(range(1, n_minus + 1))
+    a = SuperFunction.term(ctx, None, 1, top)
+    if n_minus % 2:
+        a = a.scale_left(Scalar.theta(sctx, 1))
+    b = SuperFunction.term(ctx, None, 2, top)
+    sign = (-1) ** (a.eps() * b.eps())
+    assert (C.evaluate(a, b) + C.evaluate(b, a) * sign).render() == value
 
 
 def test_perturbed_witness_residual():

@@ -186,7 +186,9 @@ def integral_bar_oracle(f):
         moment = Fraction(2) ** half / Fraction(c) ** (sum(xexp) // 2 + half)
         for e in xexp:
             moment *= math.prod(range(e - 1, 0, -2))
-        total = total + s * Scalar.pi(sctx, half) * moment
+        # the left Berezin integral moves theta left past n_minus xi's
+        total = total + theta_twist(s, ctx.n_minus) * Scalar.pi(sctx, half) \
+            * moment
     return total
 
 

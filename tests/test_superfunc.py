@@ -255,6 +255,41 @@ def test_integral_bar_top_component(ctx42):
     assert low.integral_bar().is_zero()
 
 
+def test_bar_is_the_left_berezin_integral():
+    """On every theta^alpha x^e G xi_1...xi_m (k <= 3, m = n_minus <= 4,
+    n_plus in {0, 2}, even e, weights 1 and 2), the bar is the x-moment of
+    d^L_{xi_m} ... d^L_{xi_1} of the function, d_{xi_1} first: a map of
+    parity m, so at odd m an odd theta part changes sign.  The Jordan-Wigner
+    tests of test_brackets certify left_deriv, and the quadrature test
+    certifies gaussian_moment."""
+    flipped = 0
+    for n_plus, n_minus, k in itertools.product((0, 2), range(5),
+                                                range(1, 4)):
+        ctx = SymplecticContext(n_plus, n_minus,
+                                tuple((-1) ** a for a in range(n_minus)), k)
+        sctx = ctx.scalar_ctx
+        top = tuple(range(1, n_minus + 1))
+        shapes = ([((2, 0), 1), ((0, 0), 2), ((0, 2), 1), ((2, 2), 2)]
+                  if n_plus else [((), 0)])
+        for size in range(k + 1):
+            for alpha in itertools.combinations(range(1, k + 1), size):
+                s = Scalar.theta(sctx, *alpha) * 3
+                for xexp, c in shapes:
+                    f = SuperFunction.term(ctx, xexp, c, top, s)
+                    g = f
+                    for a in range(n_minus):
+                        g = g.left_deriv(n_plus + a)
+                    [(term, value)] = g.terms.items()
+                    assert term == (xexp, c, ())
+                    want = value
+                    for e in xexp:
+                        want = want * gaussian_moment(e, c)
+                    assert f.integral_bar() == want
+                    flipped += value != s
+    # the odd theta parts at n_minus in {1, 3}: 7 per n_minus and shape
+    assert flipped == 2 * 7 + 2 * 7 * 4
+
+
 def test_scalar_on_the_left_of_a_function(ctx42):
     # Scalar defers to the SuperFunction's reflected methods; theta-odd s
     # and xi-odd f anticommute, so the side of the product matters

@@ -11,9 +11,10 @@ from superdeform import (SampleSpec, Scalar, SuperFunction,
                          SymplecticContext,
                          build_C3, build_anti_odd, check_bar_vanishing,
                          check_cocycle, check_d_squared, check_equivalence,
-                         check_grading, check_jacobi, check_signs, m1_form,
-                         m23_form, m3_form, sample_superfunctions,
-                         sample_tuples, sf_mul, t1_bar_multiplier)
+                         check_grading, check_jacobi, check_signs, jzeta_form,
+                         m1_form, m23_form, m3_form, mu_form, mzeta_form,
+                         sample_superfunctions, sample_tuples, sf_mul,
+                         t1_bar_multiplier)
 from superdeform import verify
 from superdeform.brackets import poisson_bracket
 from superdeform.cochains import EVEN, ODD, Cochain, anti_form, m0_form
@@ -122,6 +123,28 @@ def test_check_signs_all_builtins(ctx42, ctx22):
         assert check_signs(form, spec).passed
     for form in (anti_form(ctx22), m23_form(ctx22)):
         assert check_signs(form, spec).passed
+
+
+@pytest.mark.parametrize("n_plus", [0, 2, 4])
+def test_check_signs_bar_forms_at_odd_n_minus(n_plus):
+    """m3, mu and m_zeta with zeta = xi1, and (for n_plus > 0) m_zeta and
+    j_zeta with zeta = x1 gauss(1), keep the three sign rules at
+    n_minus = 1 (j_zeta at xi1 is left out: m1(xi1, .) is zero).  They
+    failed while the bar gave theta no Berezin sign.  Enough samples reach
+    the bar slice that m3 and mu are nonzero on some of them."""
+    ctx = SymplecticContext(n_plus, 1, (1,), 1, 6)
+    spec = SampleSpec(seed=11, count=60)
+    forms = [m3_form(ctx), mu_form(ctx),
+             mzeta_form(ctx, SuperFunction.xi(ctx, 1))]
+    if n_plus:
+        x1g = SuperFunction.term(ctx, (1,) + (0,) * (n_plus - 1), 1)
+        forms += [mzeta_form(ctx, x1g), jzeta_form(ctx, x1g)]
+    for form in forms:
+        report = check_signs(form, spec)
+        assert report.passed, (form.name, report.failures[:1])
+    pairs = sample_tuples(spec, ctx, 2)
+    for form in forms[:2]:
+        assert any(not form.evaluate(f, g).is_zero() for f, g in pairs)
 
 
 # misses of the value-keyed memo that the identity-keyed one replaced, and
