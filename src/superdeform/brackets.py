@@ -14,9 +14,11 @@ the antibracket, whose channels take one xi from one side.
 So each coefficient of a pair is written straight into the result's flat
 dict by one ``mul_into`` of the two scalars, under the prefix of its
 output term and with twist len(xi(f)) + b, as ``sf_mul`` does.  The
-x-pair channels of P are the m = 1 rows of the Moyal kernel's block
-tables (below), cached per block by ``_poisson_row``, so both kernels
-derive P's x part one way.  The kernels read a function's terms through
+x-pair channels of P are formed per block by ``_poisson_row`` straight
+from ``x_steps`` and cached.  The Moyal kernel's block tables (below) are
+built from the same steps, so both kernels derive P's x part from the one
+x rule, and a row equals the m = 1 row of its block table, the tests'
+oracle for it.  The kernels read a function's terms through
 ``superfunc._grouped``; the Moyal kernel builds its result with
 ``superfunc._make``, so the layout of the scalar part of a key stays
 inside superfunc and scalars.
@@ -229,9 +231,17 @@ def _poisson_row(f1, f2, g1, g2, cf, cg):
     """The x-pair channel of P on one block, f_B = y1^f1 y2^f2
     exp(-cf |y|^2/2) against g_B = y1^g1 y2^g2 exp(-cg |y|^2/2): the m = 1
     row (d1 f_B)(d2 g_B) - (d2 f_B)(d1 g_B) of ``_block_table``, as a
-    tuple of ((e1, e2), coefficient)."""
-    row = _block_table({}, (f1, f2), (g1, g2), cf, cg, 1)[1]
-    return tuple((e, int_if_integral(w)) for e, w in row.items())
+    tuple of ((e1, e2), coefficient).  It is formed here from the
+    ``x_steps`` of the four exponents, with the row's terms in the order
+    of the table's; the tests take the table as its oracle."""
+    row = {}
+    for w, y1, y2 in ((-1, x_steps(g1, cg), x_steps(f2, cf)),
+                      (1, x_steps(f1, cf), x_steps(g2, cg))):
+        for s1, u in y1:
+            for s2, v in y2:
+                e = (f1 + g1 + s1, f2 + g2 + s2)
+                row[e] = row.get(e, 0) + w * u * v
+    return tuple((e, int_if_integral(w)) for e, w in row.items() if w)
 
 
 def _x_tables(tables, fx, gx, cf, cg, q_max):
@@ -284,59 +294,62 @@ def _odd_factor(lambdas, xf, xg):
     return len(shared), weight * sign, xi
 
 
-def _collect(acc, c, xi, poly, coeffs):
-    """Add poly[xexp] times the scalar ``coeffs`` (items of a flat
-    ``Scalar.coeffs``) into the slot of term (xexp, c, xi); ``_make`` turns
-    the slots into a SuperFunction."""
-    for xexp, v in poly.items():
-        key = (xexp, c, xi)
-        slot = acc.get(key)
-        if slot is None:
-            slot = acc[key] = {}
-        for k, w in coeffs:
-            slot[k] = slot.get(k, 0) + w * v
-
-
 def _iterate_pairs(f, g, weights, tables):
     """Sum over the seed term pairs of sum_p w_p times the t^p coefficient
     of the factored exponential series; ``weights`` holds the pairs
     (p, w_p) in increasing p.
 
-    A seed pair takes each power p whose weight's h-degree fits within
-    h_max - (its minimal h-degree); den = (max p)! is a common denominator
-    of all the 1/q! of the call.  Per pair and power, one ``mul_into``
-    forms weight * scalar product * den/q!; ``_collect`` adds it into the
-    slots of the output terms, and ``_make`` divides by den once at the
-    end.  ``tables`` holds the derivative, block and x tables (see above).
+    A seed pair with n shared xi takes each power p >= max(n, 1) whose
+    weight's h-degree fits in room = h_max - (the pair's minimal
+    h-degree); den = (max p)! is a common denominator of all the 1/q! of
+    the call.  The kept powers depend on (n, room) alone, so each call
+    plans them once per (n, room) as (q = p - n, w_p, den/q!).  Per pair
+    and power, one ``mul_into`` forms weight * scalar product * den/q!,
+    which is added into the slots of the output terms; ``_make`` divides
+    by den once at the end.  ``tables`` holds the derivative, block and x
+    tables (see above).
     """
     ctx = f.ctx
     h_max = ctx.h_max
     den = factorial(weights[-1][0])
     powers = [(p, w.coeffs.items(), w.hbar_min_degree())
               for p, w in weights]
+    plans = {}
     acc = {}
-    gterms = [(key, items, min(k[0] for k, _ in items))
+    # scalar keys are unique within a term and lead with the h-degree
+    gterms = [(key, items, min(items)[0][0])
               for key, items in _grouped(g).items()]
     for (fx, cf, xf), fitems in _grouped(f).items():
-        f_min = min(k[0] for k, _ in fitems)
+        f_min = min(fitems)[0][0]
         for (gx, cg, xg), gitems, g_min in gterms:
             room = h_max - f_min - g_min
             n, weight, xi = _odd_factor(ctx.lambdas, xf, xg)
-            kept = [(p, w) for p, w, degree in powers
+            plan = plans.get((n, room))
+            if plan is None:
+                plan = plans[n, room] = [
+                    (p - n, w, den // factorial(p - n))
+                    for p, w, degree in powers
                     if p >= max(n, 1) and degree <= room]
-            if not kept:
+            if not plan:
                 continue
             # the theta part of g's scalar moves left past f's xi monomial
             prod = mul_into({}, (), fitems, gitems, h_max, 1,
                             len(xf)).items()
-            xs = _x_tables(tables, fx, gx, cf, cg, kept[-1][0] - n)
+            xs = _x_tables(tables, fx, gx, cf, cg, plan[-1][0])
             c = int_if_integral(cf + cg)
-            for p, w in kept:
-                q = p - n
-                if xs[q]:
-                    scale = weight * (den // factorial(q))
-                    _collect(acc, c, xi, xs[q],
-                             mul_into({}, (), w, prod, h_max, scale).items())
+            for q, w, scale in plan:
+                poly = xs[q]
+                if not poly:
+                    continue
+                coeffs = mul_into({}, (), w, prod, h_max,
+                                  weight * scale).items()
+                for xexp, v in poly.items():
+                    key = (xexp, c, xi)
+                    slot = acc.get(key)
+                    if slot is None:
+                        slot = acc[key] = {}
+                    for k, u in coeffs:
+                        slot[k] = slot.get(k, 0) + u * v
     return _make(ctx, acc, den)
 
 
@@ -347,10 +360,12 @@ def bidiff_power(f, g, p):
 
 def bidiff_term(f, g, p, weight):
     """``weight`` times P^p/p!, the t^p coefficient of exp(tP) applied to
-    (f, g); ``weight`` is a rational number."""
+    (f, g); ``weight`` is a rational number, and zero gives zero."""
     if p < 1:
         raise ValueError("the bidifferential power must be at least 1")
     f._check(g)
+    if not weight:
+        return SuperFunction.zero(f.ctx)
     return _iterate_pairs(
         f, g, ((p, Scalar.rational(f.ctx.scalar_ctx, weight)),), {})
 

@@ -141,9 +141,9 @@ def test_m1_is_one_sixth_of_the_cubic_power(n_plus, lambdas, gauss_pool):
 
 
 def test_bidiff_one_is_poisson(ctx42):
-    """P^1 of the Moyal kernel equals the Poisson bracket.  Not an
-    independent check of the x-pair channels: both sides read them from
-    ``_block_table``; test_first_order.py compares the Poisson bracket
+    """P^1 of the Moyal kernel equals the Poisson bracket.  The Moyal side
+    reads the x-pair channels from ``_block_table``, the Poisson side from
+    ``_poisson_row``; test_first_order.py compares the Poisson bracket
     with its compositional definition."""
     rng = seeded(8)
     for _ in range(6):
@@ -224,6 +224,64 @@ def test_moyal_kappa_scaling():
         f = random_superfunction(rng, ctx, gauss_pool=pool, theta=theta)
         g = random_superfunction(rng, ctx, gauss_pool=pool, theta=theta)
         assert moyal_bracket(f, g, kappa) == _series_oracle(f, g, kappa)
+
+
+def _mixed_degree_pair(ctx):
+    """f and g with terms at hbar^4, hbar^2 and hbar^0, the highest first,
+    and xi monomials that share no generator or one, so that the term
+    pairs of one call differ both in the number n of shared xi and in the
+    room h_max - (their minimal h-degree)."""
+    sctx = ctx.scalar_ctx
+    th = Scalar.theta(sctx, 1)
+
+    def side(specs):
+        out = SuperFunction.zero(ctx)
+        for xexp, c, xi, power, coeff, theta in specs:
+            s = Scalar.hbar(sctx, power, coeff)
+            out = out + SuperFunction.term(ctx, xexp, c, xi,
+                                           s * th if theta else s)
+        return out
+    f = side([((2, 1), 0, (1,), 4, 3, False),
+              ((1, 1), 1, (2,), 2, -2, True),
+              ((0, 2), 0, (1,), 0, 1, False)])
+    g = side([((1, 0), 0, (1,), 4, 5, True),
+              ((1, 2), 0, (), 0, -1, False),
+              ((2, 0), 0, (2,), 2, 2, False)])
+    return f, g
+
+
+@pytest.mark.parametrize("h_max", [4, 5, 6])
+def test_moyal_plans_powers_per_shared_xi_and_room(h_max):
+    """The kept powers of a term pair depend on n and on the room alone:
+    the kernel equals the series oracle on pairs that differ in both,
+    for each kappa, and ``bidiff_term`` equals the naive power."""
+    ctx = SymplecticContext(2, 2, (1, -1), 1, h_max)
+    sctx = ctx.scalar_ctx
+    f, g = _mixed_degree_pair(ctx)
+    for kappa in (1, Scalar.hbar(sctx), HALF):
+        assert moyal_bracket(f, g, kappa) == _series_oracle(f, g, kappa)
+    for p in (1, 2, 3):
+        naive = naive_bidiff(f, g, p)
+        for weight in (1, HALF):
+            assert bidiff_term(f, g, p, weight) == \
+                naive * Fraction(weight, factorial(p))
+
+
+def test_bidiff_term_of_weight_zero_is_zero():
+    """A zero weight gives zero after the context and power checks."""
+    ctx = SymplecticContext(2, 0, (), 0, 4)
+    rng = seeded(19)
+    f = random_superfunction(rng, ctx, terms=2)
+    g = random_superfunction(rng, ctx, terms=2)
+    for p in (1, 2, 3):
+        for weight in (0, Fraction(0)):
+            assert bidiff_term(f, g, p, weight).is_zero()
+    with pytest.raises(ValueError, match="at least 1"):
+        bidiff_term(f, g, 0, 1)
+    with pytest.raises(ValueError, match="at least 1"):
+        bidiff_term(f, g, 0, 0)
+    with pytest.raises(ContextMismatchError):
+        bidiff_term(f, SuperFunction.zero(SymplecticContext(2, 2)), 1, 0)
 
 
 def test_moyal_rejects_theta_kappa(ctx42):
@@ -798,17 +856,21 @@ def _series_poisson_row(f1, f2, g1, g2, cf, cg):
 def test_cached_poisson_row_equals_uncached():
     """Every block with exponents 0..5 per slot and Gaussian weights in
     {0, 1/2, 1, 2}: the cached row, a miss and then a hit, equals the
-    derivative steps and holds clean coefficients, with the cache as the
+    derivative steps and the m = 1 row of the Moyal block table, which it
+    is not built from, and holds clean coefficients, with the cache as the
     other tests left it and again after ``cache_clear``."""
     weights = (0, Fraction(1, 2), 1, 2)
     keys = [exps + cs for exps in itertools.product(range(6), repeat=4)
             for cs in itertools.product(weights, repeat=2)]
     expected = [_series_poisson_row(*key) for key in keys]
+    tables = [brackets._block_table({}, key[:2], key[2:4], *key[4:], 1)[1]
+              for key in keys]
     for _ in range(2):
-        for key, want in zip(keys, expected):
+        for key, want, table in zip(keys, expected, tables):
             row = brackets._poisson_row(*key)
             assert brackets._poisson_row(*key) is row
             assert dict(row) == want and len(row) == len(want)
+            assert dict(row) == table and len(row) == len(table)
             assert all(w and (w.__class__ is int or w.denominator != 1)
                        for _e, w in row)
         info = brackets._poisson_row.cache_info()
