@@ -176,11 +176,10 @@ _TABLE_BOUND = 1024
 def _derivs(tables, e, c, n):
     """The derivatives 0..n of u^e exp(-c u^2/2), as polynomials in u."""
     table = tables.get((e, c)) or [{e: 1}]
-    cq = c.numerator if c.denominator == 1 else c  # integral weights as int
     while len(table) <= n:
         out = {}
         for k, q in table[-1].items():
-            for step, u in x_steps(k, cq):
+            for step, u in x_steps(k, c):
                 out[k + step] = out.get(k + step, 0) + u * q
         table = table + [{k: q for k, q in out.items() if q}]
     tables[e, c] = table
@@ -297,7 +296,7 @@ def _odd_factor(lambdas, xf, xg):
 def _iterate_pairs(f, g, weights, tables):
     """Sum over the seed term pairs of sum_p w_p times the t^p coefficient
     of the factored exponential series; ``weights`` holds the pairs
-    (p, w_p) in increasing p.
+    (p, w_p) in increasing p, and no pair keeps a power of zero weight.
 
     A seed pair with n shared xi takes each power p >= max(n, 1) whose
     weight's h-degree fits in room = h_max - (the pair's minimal
@@ -313,7 +312,7 @@ def _iterate_pairs(f, g, weights, tables):
     h_max = ctx.h_max
     den = factorial(weights[-1][0])
     powers = [(p, w.coeffs.items(), w.hbar_min_degree())
-              for p, w in weights]
+              for p, w in weights if w]
     plans = {}
     acc = {}
     # scalar keys are unique within a term and lead with the h-degree
@@ -360,12 +359,10 @@ def bidiff_power(f, g, p):
 
 def bidiff_term(f, g, p, weight):
     """``weight`` times P^p/p!, the t^p coefficient of exp(tP) applied to
-    (f, g); ``weight`` is a rational number, and zero gives zero."""
+    (f, g); ``weight`` is exact: 0 gives zero, and 0.0 raises ValueError."""
     if p < 1:
         raise ValueError("the bidifferential power must be at least 1")
     f._check(g)
-    if not weight:
-        return SuperFunction.zero(f.ctx)
     return _iterate_pairs(
         f, g, ((p, Scalar.rational(f.ctx.scalar_ctx, weight)),), {})
 
@@ -382,13 +379,11 @@ def moyal_bracket(f, g, kappa=1):
     """Deformed bracket: sum over odd p of (h kappa)^(p-1)/p! times the p-th
     bidifferential power, truncated at the context order.
 
-    kappa must be a theta-free series; at truncation order 0 the bracket
-    reduces to the Poisson bracket.
+    kappa must be a theta-free series, checked with the contexts even for
+    a zero operand; at truncation order 0 the bracket reduces to Poisson.
     """
     f._check(g)
     kappa = _own_kappa(f.ctx, kappa)
-    if not (f.coeffs and g.coeffs):
-        return SuperFunction.zero(f.ctx)
     if len(_TABLES) > _TABLE_BOUND:
         _TABLES.clear()
     return _iterate_pairs(f, g, _moyal_weights(kappa), _TABLES)

@@ -68,7 +68,7 @@ def _tokenize(text):
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
@@ -89,7 +89,6 @@ class _Parser:
     """Recursive-descent parser producing SuperFunctions over a context."""
 
     def __init__(self, text, ctx):
-        self.text = text
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.i = 0
@@ -376,12 +375,11 @@ def parse_t1(text, ctx):
 
 def _build_context(args):
     n_plus, n_minus = args.nplus, args.nminus
-    if getattr(args, "n", None) is not None:
+    if args.n is not None:
         n_plus = n_minus = args.n
+    lambdas = None
     if args.lambdas:
         lambdas = tuple(int(v) for v in args.lambdas.split(","))
-    else:
-        lambdas = tuple([1] * n_minus)
     return SymplecticContext(n_plus, n_minus, lambdas, args.k, args.hmax)
 
 

@@ -78,13 +78,14 @@ def build_C1(zeta, kappa=1):
 
 
 def build_C1c(zeta, kappa=1, c=0):
-    """C1 plus the term c*fbar*gbar; the combination M(zeta,zeta) + c must
-    land in Z."""
+    """C1 plus the term c*fbar*gbar; M(zeta,zeta) + c lies in Z, as zeta is
+    even and so M(zeta,zeta) = 0 by graded antisymmetry."""
     return _moyal_deformation(C1C, zeta, kappa, c)
 
 
 def _moyal_deformation(flavor, zeta, kappa, c):
-    """The C1 bracket, with the term c*fbar*gbar unless ``c`` is None."""
+    """The C1 bracket, plus c*fbar*gbar unless ``c`` is None; no bracket is
+    computed at build time."""
     ctx = zeta.ctx
     kappa = _own_kappa(ctx, kappa)
     _require_even_fn(zeta, "zeta")
@@ -97,11 +98,7 @@ def _moyal_deformation(flavor, zeta, kappa, c):
     if c is not None:
         c = _own_scalar(ctx, c)
         _require_param(c, "c")
-        probe = moyal_bracket(zeta, zeta, kappa) + c
-        if not probe.is_z_class():
-            raise DeformationError(
-                "M(zeta, zeta) + c must lie in Z (Gaussian class plus "
-                "constants)", relation="c")
+        # no Z check: zeta is even, so M(zeta, zeta) = 0 and the sum is c
         params["c"] = c
 
     trivial = zeta.is_zero() and c is None

@@ -98,7 +98,7 @@ def sample_superfunctions(spec, ctx):
     # with x variables every term has a Gaussian weight (class D); without
     # them every weight is 0, as the constructor stores it
     weights = tuple(map(exact, spec.gauss_weights))
-    weights = weights if ctx.n_plus else (0,) * (len(weights) + 1)
+    weights = weights if ctx.n_plus else (0,)
     # the generator of the module doc, with the state in a local: each
     # step is one word, and a draw from a span of s values is
     # (word >> 33) % s

@@ -1,6 +1,7 @@
 """Unit tests for the Poisson superbracket, antibracket, and Moyal bracket."""
 
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -268,7 +269,8 @@ def test_moyal_plans_powers_per_shared_xi_and_room(h_max):
 
 
 def test_bidiff_term_of_weight_zero_is_zero():
-    """A zero weight gives zero after the context and power checks."""
+    """A zero weight gives zero after the context and power checks; an
+    inexact zero is refused by the exact rule, as 0.5 is."""
     ctx = SymplecticContext(2, 0, (), 0, 4)
     rng = seeded(19)
     f = random_superfunction(rng, ctx, terms=2)
@@ -276,6 +278,9 @@ def test_bidiff_term_of_weight_zero_is_zero():
     for p in (1, 2, 3):
         for weight in (0, Fraction(0)):
             assert bidiff_term(f, g, p, weight).is_zero()
+        for weight in (0.0, Decimal(0), 0.5):
+            with pytest.raises(ValueError, match="exact"):
+                bidiff_term(f, g, p, weight)
     with pytest.raises(ValueError, match="at least 1"):
         bidiff_term(f, g, 0, 1)
     with pytest.raises(ValueError, match="at least 1"):

@@ -197,8 +197,9 @@ _JACOBI = ["jacobi", "--samples", "1", "--deformation"]
     (_JACOBI + ["c3(c3=hbar^2, hbar^2*x1)"], "a positional argument follows"),
     (["equiv", "--c1", "c3", "--c2", "c3", "--t1", "bar"],
      "bar needs the argument 'z0'"),
+    (["eval", "x1^x2"], "exponent must be an integer at position 3"),
 ], ids=["repeated", "repeated_by_position", "unknown", "too_many",
-        "positional_after_keyword", "missing"])
+        "positional_after_keyword", "missing", "non_integer_exponent"])
 def test_call_grammar_errors_exit_two(argv, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -286,6 +287,20 @@ def test_cli_flags_before_or_after_subcommand(capsys):
     assert capsys.readouterr().out.strip() == "1"
     assert run(["cochain", "--n", "2", "anti", "x1", "xi1"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+def test_cli_lambda_sets_the_metric_signs(capsys):
+    """--lambda reaches the context and its report; a vector that is not
+    +-1 is refused by the context's own rule."""
+    argv = ["jacobi", "--deformation", "c1", "--samples", "2", "--lambda"]
+    assert run(argv + ["1,-1"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["context"]["lambdas"] == [1, -1] and data["pass"] is True
+    assert run(argv + ["1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: lambdas must be a +-1 vector of length n_minus\n"
 
 
 def test_cli_moyal_kappa(capsys):
@@ -376,7 +391,9 @@ _WITNESS_AT_45 = ["theorem", "--nplus", "4", "--nminus", "5", "--k", "2"]
      "zeta must be even"),
     (_WITNESS_AT_45 + ["--zeta", "xi1 + gauss(1)", "--h1", "th2",
                        "--h2", "1"], "zeta must be odd"),
-], ids=["theorem_h1", "c3_zeta", "c1_zeta", "theorem_zeta"])
+    (["cocycle", "--form", "m0 + th1*m0"],
+     "m0+scaled(m0) has undefined parity"),
+], ids=["theorem_h1", "c3_zeta", "c1_zeta", "theorem_zeta", "cocycle_form"])
 def test_cli_refuses_mixed_parity_parameters(argv, message, capsys):
     """A value with parts of both parities breaks a parity rule as a value
     of the wrong parity does."""

@@ -89,6 +89,13 @@ def test_arity_checked_on_evaluate(ctx42):
         m0_form(ctx42).evaluate(f)
 
 
+def test_jacobiator_takes_2_cochains(ctx42):
+    one = Cochain(ctx42, 1, 0, lambda f: f, EVEN, name="id")
+    for args in ((one,), (m0_form(ctx42), one)):
+        with pytest.raises(ArityError, match="2-cochains"):
+            jacobiator(*args)
+
+
 def test_jacobiator_of_poisson_vanishes(ctx42):
     J = jacobiator(m0_form(ctx42))
     rng = seeded(43)

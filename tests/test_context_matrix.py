@@ -5,13 +5,16 @@ pins the same checks at mixed and negative metric signs, other truncation
 orders, n_plus = 0, and k = 0 and 2, each on a few seeded samples.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from superdeform import (SampleSpec, Scalar, SuperFunction,
                          SymplecticContext, build_anti_even, build_anti_odd,
                          build_C1, build_C3, check_cocycle, check_jacobi,
-                         check_signs, m0_form, m3_form, mu_form,
-                         poisson_bracket, sf_mul)
+                         check_signs, m0_form, m3_form, moyal_bracket,
+                         mu_form, poisson_bracket, sample_superfunctions,
+                         sf_mul)
 
 # (n_plus, n_minus, lambdas, k, h_max)
 MIXED_5 = (4, 2, (1, -1), 1, 5)
@@ -159,3 +162,46 @@ def test_combinators_match_hand_sums(context):
     pairing = _hand(mu_form(ctx).fn, f, g)
     assert not pairing.is_zero()
     assert mu_form(ctx).evaluate(f, g) == pairing
+
+
+# -- M(zeta, zeta) = 0 for even zeta, which makes C1c's Z condition hold ----
+
+SELF_BRACKET_CONTEXTS = [(4, 2, (1, -1), 1, 4), (4, 2, (1, -1), 2, 5),
+                         (2, 2, (-1, -1), 2, 6), (2, 1, (-1,), 1, 6),
+                         (0, 2, (1, -1), 2, 6), (0, 3, (1, -1, 1), 1, 4)]
+
+
+def _even_functions(ctx):
+    """Even sums of two-term samples: an even sample plus theta_1 times an
+    odd one and, at k = 2, theta_1 theta_2 times an even one."""
+    sctx = ctx.scalar_ctx
+    spec = SampleSpec(seed=13, count=4, max_x_degree=2, terms=2,
+                      gauss_weights=(1, 2, Fraction(1, 2)))
+    even = sample_superfunctions(spec._replace(parity="even"), ctx)
+    odd = sample_superfunctions(spec._replace(parity="odd"), ctx)
+    out = []
+    for e, o in zip(even, odd):
+        zeta = e + o.scale_left(Scalar.theta(sctx, 1))
+        if sctx.k == 2:
+            zeta = zeta + e.scale_left(Scalar.theta(sctx, 1, 2))
+        assert zeta.eps() == 0
+        out += [e, zeta]
+    return out
+
+
+@pytest.mark.parametrize("context", SELF_BRACKET_CONTEXTS,
+                         ids=[_context_id(c) for c in SELF_BRACKET_CONTEXTS])
+def test_moyal_self_bracket_of_an_even_function_vanishes(context):
+    """Graded antisymmetry gives M(zeta, zeta) = -M(zeta, zeta) for even
+    zeta, so build_C1c needs no bracket to know that M(zeta, zeta) + c is
+    the constant c; theta-carrying zeta, a negative lambda, n_plus = 0 and
+    each kappa included.  The brackets of distinct pairs are not all zero,
+    so the functions reach the kernel's channels."""
+    ctx = SymplecticContext(*context)
+    sctx = ctx.scalar_ctx
+    functions = _even_functions(ctx)
+    for zeta in functions:
+        for kappa in (1, Scalar.hbar(sctx), Fraction(1, 2)):
+            assert moyal_bracket(zeta, zeta, kappa).is_zero()
+    assert any(not moyal_bracket(f, g).is_zero()
+               for f, g in zip(functions, functions[1:]))

@@ -714,6 +714,8 @@ _PARITY_SITES = [
      _XI1, _MIXED, _C3_ZETA, "zeta"),
     ("build_C3-c3", lambda v: build_C3(_ZERO, v * _HB2),
      _TH1, _MIXED_S, _C3_C3, "c3"),
+    ("build_C1c-zeta", lambda v: build_C1c(v.scale_left(_HB2)),
+     _XI1, _MIXED, "zeta must be even", "zeta"),
 ]
 _REFUSALS += [(f"{site}-{kind}", lambda call=call, v=v: call(v), message,
                relation)
@@ -737,6 +739,23 @@ _REFUSALS += [
     ("solve_eta-k0", lambda: solve_eta(_XI1_K0, 0, 1), _THETA1, "context"),
     ("build_general_odd-k0",
      lambda: build_general_odd(_XI1_K0, _ZERO_K0, 0, 1), _THETA1, "context"),
+]
+
+# C1c's order rules on zeta and c (with its kappa and parity rules above,
+# every refusal it makes without a Z check), and ANTI_EVEN's theta-free c
+_CTX22_K2 = SymplecticContext(2, 2, (1, 1), 2, 6)
+_REFUSALS += [
+    ("build_C1c-zeta-order", lambda: build_C1c(_G1),
+     "zeta must lie in hbar^2 E[[hbar^2]]", "zeta"),
+    ("build_C1c-c-odd-series",
+     lambda: build_C1c(_ZERO, 1, Scalar.hbar(_CTX42.scalar_ctx)),
+     "c must be an even power series in hbar", "c"),
+    ("build_C1c-c-classical", lambda: build_C1c(_ZERO, 1, 1),
+     "c must lie in hbar^2 K[[hbar^2]] modulo theta terms", "c"),
+    ("build_anti_even-theta-c",
+     lambda: build_anti_even(_CTX22_K2,
+                             Scalar.theta(_CTX22_K2.scalar_ctx, 1, 2)),
+     "c must be theta-free", "c"),
 ]
 
 

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from superdeform import (ContextMismatchError, RadicalNumber, SampleSpec,
                          Scalar, ScalarContext, SuperFunction,
-                         SymplecticContext, sample_superfunctions, sf_mul)
+                         SymplecticContext, bidiff_power, moyal_bracket,
+                         poisson_bracket, sample_superfunctions, sf_mul)
 from superdeform.scalars import (MAX_RADICAND, exact, merge_odd_indices,
                                  squarefree_decompose, theta_mask,
                                  theta_sign)
@@ -357,6 +358,14 @@ def test_hbar_truncation():
     assert (h ** 3).truncate(2).is_zero()
 
 
+def test_scalar_powers_are_nonnegative_integers():
+    h = Scalar.hbar(ScalarContext(k=0, h_max=4))
+    assert h ** 0 == 1
+    for n in (-1, 1.0):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            h ** n
+
+
 def test_parity_and_split():
     ctx = ScalarContext(k=2, h_max=6)
     s = Scalar.one(ctx) + Scalar.theta(ctx, 1) * Scalar.theta(ctx, 2)
@@ -525,6 +534,12 @@ def test_integral_gaussian_weights_are_int():
     for f in sample_superfunctions(SampleSpec(seed=3, count=5,
                                               gauss_weights=(1, 2)), sctx):
         assert all(type(c) is int for _, c, _ in f.terms)
+    # the kernels, whose tables take the weights of their keys as they are
+    x1, x2 = SuperFunction.x(sctx, 1), SuperFunction.x(sctx, 2)
+    f, h = sf_mul(x1, g), sf_mul(x2, g)
+    for value in (moyal_bracket(f, h), poisson_bracket(f, h),
+                  bidiff_power(f, h, 2)):
+        assert value and {type(key[1]) for key in value.coeffs} == {int}
 
 
 def test_render_orders_theta_by_index_tuple():

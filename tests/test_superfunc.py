@@ -161,6 +161,15 @@ def test_gaussian_chain_rule(ctx42):
     assert df == expect
 
 
+def test_derivative_index_is_in_range(ctx42):
+    f = SuperFunction.x(ctx42, 1)
+    for a in (ctx42.n_z, -1):
+        for deriv in (f.left_deriv, f.right_deriv):
+            with pytest.raises(ValueError,
+                               match=rf"index {a} outside 0\.\.5$"):
+                deriv(a)
+
+
 def test_left_derivative_is_odd(ctx42):
     # d/dxi1 (xi1 xi2) = xi2; d/dxi2 (xi1 xi2) = -xi1
     f = SuperFunction.term(ctx42, xi=(1, 2))

@@ -192,6 +192,15 @@ def test_check_signs_needs_theta(ctx42):
         check_signs(m0_form(ctx), SampleSpec(seed=1, count=1))
 
 
+def test_check_signs_needs_a_parity(ctx42):
+    """A sum of an even and an odd form has no parity to take signs from."""
+    m0 = m0_form(ctx42)
+    form = m0 + m0.scaled(Scalar.theta(ctx42.scalar_ctx, 1))
+    with pytest.raises(ValueError) as err:
+        check_signs(form, SampleSpec(seed=1, count=1))
+    assert str(err.value) == "m0+scaled(m0) has no defined parity"
+
+
 def test_check_grading(ctx42, ctx22):
     d0 = m0_form(ctx42)
     assert check_grading(d0, SampleSpec(seed=21, count=6)).passed
