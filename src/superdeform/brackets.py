@@ -19,9 +19,9 @@ from ``x_steps`` and cached.  The Moyal kernel's block tables (below) are
 built from the same steps, so both kernels derive P's x part from the one
 x rule, and a row equals the m = 1 row of its block table, the tests'
 oracle for it.  The kernels read a function's terms through
-``superfunc._grouped``; the Moyal kernel builds its result with
-``superfunc._make``, so the layout of the scalar part of a key stays
-inside superfunc and scalars.
+``superfunc._grouped`` and the Moyal kernel builds its result with
+``superfunc._make``; of the scalar part of a key they know only that it
+leads with the h-degree, which ``_iterate_pairs`` reads as min(items)[0][0].
 
 The Moyal kernel is block factored.  P is a sum of commuting channels, and
 each channel couples one block of variables: an x-pair (y1, y2) =

@@ -5,7 +5,9 @@ use ('even' for the Poisson bracket parity, 'odd' for the reversed parity of
 the antibracket).  It is its function ``fn`` on parity-homogeneous
 arguments; a sum ``a + b`` of two forms over one context and a scalar
 multiple ``form.scaled(s)`` (which is also how theta-prefixing is
-expressed) are cochains whose ``fn`` calls the parts' ``fn``.
+expressed) are cochains whose ``fn`` calls the parts' ``fn``.  A form is
+built in one call and never changed, as its identity-keyed memo assumes;
+it refuses operands over another context by ``scalars.check_context``.
 Every form is Lambda(theta)-linear: theta_1..theta_k pass through ``fn``
 with the sign of their grade, so each term of fn(f, g, ...) carries the
 theta-mask of the argument terms it was built from.  The kernels,
@@ -25,11 +27,20 @@ from itertools import product
 
 from .brackets import (_own_kappa, antibracket, bidiff_term, moyal_bracket,
                        poisson_bracket)
-from .errors import ArityError, ContextMismatchError
+from .errors import ArityError, DeformationError
+from .scalars import Scalar, check_context
 from .superfunc import (_CACHE_BOUND, SuperFunction, _own_scalar,
                         _require_square, _surviving, sf_mul)
 
 EVEN, ODD = "even", "odd"
+
+
+def _theta1(ctx):
+    """The odd parameter theta_1, refused in a context without one."""
+    if ctx.k < 1:
+        raise DeformationError("an odd parameter theta_1 is required (k >= 1)",
+                               relation="context")
+    return Scalar.theta(ctx.scalar_ctx, 1)
 
 
 def grading_parity(f, grading):
@@ -40,14 +51,15 @@ def grading_parity(f, grading):
 class Cochain:
     """A graded p-linear skew form, ``fn`` on homogeneous arguments."""
 
-    def __init__(self, ctx, arity, parity, fn, grading=EVEN, name=None):
+    def __init__(self, ctx, arity, parity, fn, grading=EVEN, name=None,
+                 params=None):
         self.ctx = ctx
         self.arity = arity
         self.parity = parity
         self.fn = fn
         self.grading = grading
         self.name = name or type(self).__name__
-        self.params = {}
+        self.params = {} if params is None else params
         self._cache = {}
 
     @property
@@ -69,9 +81,8 @@ class Cochain:
         zero = mixed = False
         for arg in args:
             # before the zero return, so a zero argument is checked too
-            if arg.ctx is not ctx and arg.ctx != ctx:
-                raise ContextMismatchError(
-                    f"{self.name} is over {ctx}, an argument over {arg.ctx}")
+            if arg.ctx is not ctx:
+                check_context(ctx, arg.ctx)
             if not arg.coeffs:
                 zero = True
             elif arg.eps() is None:
@@ -100,9 +111,7 @@ class Cochain:
         if other.grading != self.grading:
             raise ValueError(f"{self.name} has the {self.grading} grading, "
                              f"but {other.name} the {other.grading} one")
-        if other.ctx != self.ctx:
-            raise ContextMismatchError(
-                f"contexts differ: {self.ctx} vs {other.ctx}")
+        check_context(self.ctx, other.ctx)
         a, b = self.fn, other.fn
         parity = self.parity if self.parity == other.parity else None
         return Cochain(self.ctx, self.arity, parity,
@@ -314,6 +323,5 @@ def d_ad(m, bracket=None):
                 out = out - term if sign == 1 else out + term
         return out
 
-    d = Cochain(ctx, p + 1, m_parity, fn, grading, name=f"d({m.name})")
-    d.params["bracket"] = bracket
-    return d
+    return Cochain(ctx, p + 1, m_parity, fn, grading, name=f"d({m.name})",
+                   params={"bracket": bracket})

@@ -9,6 +9,7 @@ an arity-2 Cochain named by its flavor (C1, C1c, C3, ANTI_EVEN, ANTI_ODD,
 GENERAL_ODD), whose ``grading`` says which parity its Jacobi identity uses
 and whose ``params`` hold the data it was built from; its parity is its
 parts' when they share one, else None (GENERAL_ODD at even n_minus).
+Each is built in one Cochain call, around the ``fn`` of a sum of forms.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .brackets import _own_kappa, antibracket, moyal_bracket, poisson_bracket
-from .cochains import (Cochain, EVEN, anti_form, jzeta_form, m0_form,
-                       m1, m1_form, m23_form, m3_form, mu, mzeta_form)
+from .cochains import (EVEN, ODD, Cochain, _theta1, anti_form, jzeta_form,
+                       m0_form, m1, m1_form, m23_form, m3_form, mu,
+                       mzeta_form)
 from .errors import DeformationError
 from .scalars import Scalar
-from .superfunc import SuperFunction, _own_scalar, sf_mul
+from .superfunc import SuperFunction, _own_scalar, _require_square, sf_mul
 from .verify import _run
 
 C1, C1C, C3 = "C1", "C1c", "C3"
@@ -59,14 +61,6 @@ def _require_parity(value, parity, name, message=None):
         word = "even" if parity == 0 else "odd"
         raise DeformationError(message or f"{name} must be {word}",
                                relation=name)
-
-
-def _theta1(ctx):
-    """The odd parameter theta_1, refused in a context without one."""
-    if ctx.scalar_ctx.k < 1:
-        raise DeformationError("an odd parameter theta_1 is required (k >= 1)",
-                               relation="context")
-    return Scalar.theta(ctx.scalar_ctx, 1)
 
 
 # -- Poisson-side deformations ---------------------------------------------
@@ -114,9 +108,7 @@ def _moyal_deformation(flavor, zeta, kappa, c):
             out = out + SuperFunction.constant(ctx, c * (fbar * gbar))
         return out
 
-    form = Cochain(ctx, 2, 0, fn, EVEN, name=flavor)
-    form.params = params
-    return form
+    return Cochain(ctx, 2, 0, fn, EVEN, name=flavor, params=params)
 
 
 def build_C3(zeta, c3=0):
@@ -137,8 +129,8 @@ def build_C3(zeta, c3=0):
         form = form + mzeta_form(ctx, zeta)
     if not c3.is_zero():
         form = form + m3_form(ctx).scaled(c3)
-    form.name, form.params = C3, {"zeta": zeta, "c3": c3}
-    return form
+    return Cochain(ctx, 2, form.parity, form.fn, EVEN, name=C3,
+                   params={"zeta": zeta, "c3": c3})
 
 
 # -- antibracket deformations ----------------------------------------------
@@ -159,14 +151,14 @@ def build_anti_even(ctx, c):
     series stops at the truncation: a step whose truncation is zero has
     no successor.  At c = 0 the resolvent is zero and the bracket is the
     plain antibracket."""
-    form = anti_form(ctx)
+    _require_square(ctx, "anti")
     c = _own_scalar(ctx, c)
     _require_param(c, "c")
     if not c.is_theta_free():
         raise DeformationError("c must be theta-free", relation="c")
-    form.name, form.params = ANTI_EVEN, {"c": c}
     if c.is_zero():
-        return form
+        return Cochain(ctx, 2, 0, antibracket, ODD, name=ANTI_EVEN,
+                       params={"c": c})
     half = c * Fraction(-1, 2)
     last = ctx.h_max - c.hbar_min_degree()
 
@@ -193,16 +185,13 @@ def build_anti_even(ctx, c):
             out = out + sf_mul(euler(f, dg), dg)
         return out
 
-    form.fn = fn
-    return form
+    return Cochain(ctx, 2, 0, fn, ODD, name=ANTI_EVEN, params={"c": c})
 
 
 def build_anti_odd(ctx):
     """[f,g]* = [f,g] + theta*m_{2|3}(f,g); exact since theta^2 = 0."""
-    anti = anti_form(ctx)
-    form = anti + m23_form(ctx).scaled(_theta1(ctx))
-    form.name = ANTI_ODD
-    return form
+    form = anti_form(ctx) + m23_form(ctx).scaled(_theta1(ctx))
+    return Cochain(ctx, 2, form.parity, form.fn, ODD, name=ANTI_ODD)
 
 
 # -- the k-odd-parameter system --------------------------------------------
@@ -318,9 +307,8 @@ def _general_odd_bracket(zeta, eta, h1, h2):
         form = form + Cochain(ctx, 2, 0,
                               lambda f, g: eta.scale_right(mu(f, g)),
                               EVEN, name="eta*mu")
-    form.name = GENERAL_ODD
-    form.params = {"zeta": zeta, "eta": eta, "h1": h1, "h2": h2}
-    return form
+    return Cochain(ctx, 2, form.parity, form.fn, EVEN, name=GENERAL_ODD,
+                   params={"zeta": zeta, "eta": eta, "h1": h1, "h2": h2})
 
 
 # -- equivalence -----------------------------------------------------------

@@ -30,6 +30,7 @@ RadicalNumber}, built on each access.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -186,6 +187,12 @@ def _check_monomial(m=0, p=0, s=0, r=1):
                          f"a canonical monomial")
 
 
+def check_context(a, b):
+    """The one context rule: refuse contexts a and b unless they are equal."""
+    if a != b:
+        raise ContextMismatchError(f"contexts differ: {a} vs {b}")
+
+
 class FlatSum:
     """A finite sum of monomials with rational coefficients over a context
     ``ctx``, kept in one flat dict ``coeffs`` {monomial key: coefficient}.
@@ -216,9 +223,8 @@ class FlatSum:
         return obj
 
     def _check(self, other):
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ContextMismatchError(
-                f"contexts differ: {self.ctx} vs {other.ctx}")
+        if self.ctx is not other.ctx:
+            check_context(self.ctx, other.ctx)
 
     def _where(self, keep):
         """The terms whose key satisfies ``keep``."""
@@ -249,7 +255,7 @@ class FlatSum:
             if other is NotImplemented:
                 return NotImplemented
         if other.ctx is not self.ctx:
-            self._check(other)
+            check_context(self.ctx, other.ctx)
         if not other.coeffs:
             return self
         if not self.coeffs:
@@ -271,7 +277,7 @@ class FlatSum:
             if other is NotImplemented:
                 return NotImplemented
         if other.ctx is not self.ctx:
-            self._check(other)
+            check_context(self.ctx, other.ctx)
         out = dict(self.coeffs)
         for key, q in other.coeffs.items():
             accumulate(out, key, -q)
@@ -289,26 +295,19 @@ class FlatSum:
     __repr__ = __str__
 
 
-class ScalarContext:
-    """Parameters of the coefficient ring: k theta generators, truncation."""
+class ScalarContext(namedtuple("ScalarContext", "k h_max")):
+    """Parameters of the coefficient ring: k theta generators, truncation;
+    a value that ``_make``, and so ``_replace``, checks as ``__new__`` does."""
 
-    __slots__ = ("k", "h_max")
+    __slots__ = ()
 
-    def __init__(self, k=0, h_max=6):
+    def __new__(cls, k=0, h_max=6):
         if type(k) is not int or type(h_max) is not int or min(k, h_max) < 0:
             raise ValueError("k and h_max must be nonnegative ints")
-        self.k = k
-        self.h_max = h_max
+        return super().__new__(cls, k, h_max)
 
-    def __eq__(self, other):
-        return (isinstance(other, ScalarContext)
-                and self.k == other.k and self.h_max == other.h_max)
-
-    def __hash__(self):
-        return hash((self.k, self.h_max))
-
-    def __repr__(self):
-        return f"ScalarContext(k={self.k}, h_max={self.h_max})"
+    # the namedtuple's own _make (and so _replace) skips __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class Scalar(FlatSum):

@@ -49,10 +49,15 @@ operation works on rationals: products of coefficient lists go through
 ``scalars.mul_into``, and no per-term Scalar is built, not even to
 render.  ``terms`` is the view {term key: Scalar}, built on each access
 for readers of whole coefficients.  Only this module and scalars know the
-layout of the scalar part of a key; the bracket kernels read terms through
-``_grouped`` and, like ``sf_mul``, write products under a term key
-prefix with ``mul_into``, or, in the Moyal kernel, build results through
-``_make``; the sampler writes its rational terms under ``_RATIONAL``.
+layout of the scalar part of a key (the Moyal kernel reads that it leads
+with the h-degree); the bracket kernels read terms through ``_grouped``
+and, like ``sf_mul``, write products under a term key prefix with
+``mul_into``, or, in the Moyal kernel, build results through ``_make``;
+the sampler writes its rational terms under ``_RATIONAL``.
+
+A SymplecticContext is a namedtuple value, as a ScalarContext is, with
+its ScalarContext as ``scalar_ctx``; ``scalars.check_context`` refuses
+operands over two contexts.
 
 A function never changes after it is built (the ``FlatSum`` rule), so it
 keeps its parity and its bar integral once asked for them: a check asks
@@ -61,40 +66,40 @@ for each of them many times on the same arguments.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from numbers import Rational
 from operator import add, lt
 
-from .errors import ContextMismatchError, DeformationError, NotIntegrableError
+from .errors import DeformationError, NotIntegrableError
 from .scalars import (_CACHE_BOUND, FlatSum, RadicalNumber, Scalar,
-                      ScalarContext, accumulate, exact, int_if_integral,
-                      merge_odd_indices, mul_into, render_sum)
+                      ScalarContext, accumulate, check_context, exact,
+                      int_if_integral, merge_odd_indices, mul_into,
+                      render_sum)
 
 
-class SymplecticContext:
-    """Fixed data of the algebra: dimensions, metric signs, truncation."""
+class SymplecticContext(namedtuple("SymplecticContext",
+                                   "n_plus n_minus lambdas k h_max")):
+    """Fixed data of the algebra: dimensions, metric signs, truncation; a
+    value checked as ScalarContext is, whose ``__new__`` keeps the
+    ScalarContext of k and h_max once, as ``scalar_ctx`` in its __dict__."""
 
-    __slots__ = ("n_plus", "n_minus", "lambdas", "k", "h_max", "scalar_ctx")
-
-    def __init__(self, n_plus, n_minus, lambdas=None, k=0, h_max=6):
+    def __new__(cls, n_plus, n_minus, lambdas=None, k=0, h_max=6):
         if type(n_plus) is not int or n_plus % 2 != 0 or n_plus < 0:
             raise ValueError("n_plus must be an even nonnegative int")
         if type(n_minus) is not int or n_minus < 0:
             raise ValueError("n_minus must be a nonnegative int")
-        if lambdas is None:
-            lambdas = (1,) * n_minus
-        lambdas = tuple(lambdas)
+        lambdas = (1,) * n_minus if lambdas is None else tuple(lambdas)
         if len(lambdas) != n_minus or any(
                 type(s) is not int or s not in (1, -1) for s in lambdas):
             raise ValueError("lambdas must be a +-1 vector of length n_minus")
-        self.n_plus = n_plus
-        self.n_minus = n_minus
-        self.lambdas = lambdas
-        self.k = k
-        self.h_max = h_max
-        self.scalar_ctx = ScalarContext(k=k, h_max=h_max)
+        self = super().__new__(cls, n_plus, n_minus, lambdas, k, h_max)
+        self.scalar_ctx = ScalarContext(k, h_max)
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def n_z(self):
@@ -103,23 +108,6 @@ class SymplecticContext:
     def eps_var(self, a):
         """Grassmann parity of the collective variable z_a (0-based)."""
         return 0 if a < self.n_plus else 1
-
-    def __eq__(self, other):
-        return (isinstance(other, SymplecticContext)
-                and self.n_plus == other.n_plus
-                and self.n_minus == other.n_minus
-                and self.lambdas == other.lambdas
-                and self.k == other.k
-                and self.h_max == other.h_max)
-
-    def __hash__(self):
-        return hash((self.n_plus, self.n_minus, self.lambdas,
-                     self.k, self.h_max))
-
-    def __repr__(self):
-        return (f"SymplecticContext(n_plus={self.n_plus}, "
-                f"n_minus={self.n_minus}, lambdas={self.lambdas}, "
-                f"k={self.k}, h_max={self.h_max})")
 
 
 def x_steps(e, c):
@@ -515,9 +503,8 @@ def _own_scalar(ctx, value):
         if isinstance(value, RadicalNumber):
             return Scalar.from_radical(sctx, value)
         return Scalar.rational(sctx, value)
-    if value.ctx is not sctx and value.ctx != sctx:
-        raise ContextMismatchError(
-            f"scalar context {value.ctx} is not {sctx}")
+    if value.ctx is not sctx:
+        check_context(sctx, value.ctx)
     return value
 
 

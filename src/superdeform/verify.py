@@ -16,8 +16,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .brackets import poisson_bracket
-from .cochains import ODD, d_ad, grading_parity, jacobiator
-from .scalars import Scalar, accumulate, exact
+from .cochains import ODD, _theta1, d_ad, grading_parity, jacobiator
+from .scalars import accumulate, exact
 from .superfunc import _RATIONAL, SuperFunction
 
 LCG_MULT = 6364136223846793005
@@ -77,10 +77,8 @@ class SampleSpec(namedtuple(
                              f"'any', got {self.parity!r}")
         return self
 
-    @classmethod
-    def _make(cls, iterable):
-        # the namedtuple's own _make (and so _replace) skips __new__
-        return cls(*iterable)
+    # the namedtuple's own _make (and so _replace) skips __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def sample_superfunctions(spec, ctx):
@@ -178,12 +176,6 @@ class VerificationReport:
         return f"<VerificationReport {self.summary()}>"
 
 
-def _context_dict(ctx):
-    return {"n_plus": ctx.n_plus, "n_minus": ctx.n_minus,
-            "lambdas": list(ctx.lambdas), "k": ctx.scalar_ctx.k,
-            "h_max": ctx.h_max}
-
-
 def _run(check, ctx, pieces, rule, details=None):
     """Apply ``rule`` to every sample tuple and report the failures.
     ``rule(*args)`` yields one (labels, text) pair per rule the sample
@@ -195,9 +187,9 @@ def _run(check, ctx, pieces, rule, details=None):
         for labels, text in rule(*args):
             failures.append((index, [*labels, *(a.render() for a in args)],
                              text))
-    return VerificationReport(check, _context_dict(ctx), len(pieces),
-                              failures, details or {},
-                              time.monotonic() - t0)
+    context = {**ctx._asdict(), "lambdas": list(ctx.lambdas)}
+    return VerificationReport(check, context, len(pieces), failures,
+                              details or {}, time.monotonic() - t0)
 
 
 def _vanishes(evaluate):
@@ -263,11 +255,9 @@ def check_signs(form, spec):
     the reversed-parity theory the parity shift contributes one extra sign.
     """
     ctx = form.ctx
-    if ctx.scalar_ctx.k < 1:
-        raise ValueError("sign rules need an odd parameter (k >= 1)")
+    theta = _theta1(ctx)
     if form.parity is None:
-        raise ValueError(f"{form.name} has no defined parity")
-    theta = Scalar.theta(ctx.scalar_ctx, 1)
+        raise ValueError(f"{form.name} has undefined parity")
     sign = (-1) ** form.parity
     mid_sign = -1 if form.grading == ODD else 1
     M = form.evaluate

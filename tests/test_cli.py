@@ -1,5 +1,6 @@
 """Tests for the expression grammar, spec parsers, and the CLI front end."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -9,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,6 +339,27 @@ def test_every_exported_name_resolves():
     exec("from superdeform import *", namespace)
     for name in superdeform.__all__:
         assert namespace[name] is getattr(superdeform, name)
+
+
+def test_every_import_is_used():
+    """Every name a module of the package imports is used in that module,
+    and every name the package's ``__init__`` imports from its modules is
+    in ``__all__``, so a deletion leaves no import behind."""
+    for path in sorted(Path(superdeform.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            exported = path.name == "__init__.py" and getattr(
+                node, "level", 0)
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                assert name in (superdeform.__all__ if exported else used), (
+                    f"{path.name} imports {name} and "
+                    f"{'does not export' if exported else 'does not use'} it")
 
 
 @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-3"],

@@ -83,6 +83,26 @@ def test_sum_over_two_contexts_is_refused():
         assert summed.evaluate(xi1, xi1) == one - xi1
 
 
+_A, _B = SymplecticContext(2, 1), SymplecticContext(2, 1, (-1,))
+_SA, _SB = _A.scalar_ctx, ScalarContext(1, 6)
+
+
+@pytest.mark.parametrize("call, a, b", [
+    (lambda: Scalar.one(_SA) + Scalar.one(_SB), _SA, _SB),
+    (lambda: m0_form(_A).evaluate(SuperFunction.x(_B, 1),
+                                  SuperFunction.x(_B, 2)), _A, _B),
+    (lambda: m0_form(_A) + m0_form(_B), _A, _B),
+    (lambda: SuperFunction.x(_A, 1).scale_left(Scalar.one(_SB)), _SA, _SB),
+], ids=["scalar_sum", "evaluate", "cochain_sum", "scale_left"])
+def test_every_context_site_refuses_alike(call, a, b):
+    """Each site that meets operands over two contexts refuses them by the
+    one rule, ``scalars.check_context``, in its words: "contexts differ:"
+    and both contexts."""
+    with pytest.raises(ContextMismatchError) as err:
+        call()
+    assert str(err.value) == f"contexts differ: {a!r} vs {b!r}"
+
+
 def test_arity_checked_on_evaluate(ctx42):
     f = SuperFunction.x(ctx42, 1)
     with pytest.raises(ArityError):

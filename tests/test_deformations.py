@@ -10,11 +10,11 @@ from superdeform import (ContextMismatchError, DeformationError, SampleSpec,
                          SymplecticContext, anti_form, antibracket, build_C1,
                          build_C1c, build_C3, build_anti_even, build_anti_odd,
                          build_general_odd, check_constraints,
-                         check_equivalence, jacobiator, jzeta_form, m0_form,
-                         m1_form, m23_form, m3_form, moyal_bracket,
-                         moyal_form, mzeta_form, poisson_bracket,
-                         sample_tuples, sf_mul, solve_eta, t1_bar_multiplier,
-                         t1_euler)
+                         check_equivalence, check_signs, jacobiator,
+                         jzeta_form, m0_form, m1_form, m23_form, m3_form,
+                         moyal_bracket, moyal_form, mzeta_form,
+                         poisson_bracket, sample_tuples, sf_mul, solve_eta,
+                         t1_bar_multiplier, t1_euler)
 from superdeform.cli import parse_expression
 from superdeform.cochains import ODD, Cochain
 
@@ -739,6 +739,9 @@ _REFUSALS += [
     ("solve_eta-k0", lambda: solve_eta(_XI1_K0, 0, 1), _THETA1, "context"),
     ("build_general_odd-k0",
      lambda: build_general_odd(_XI1_K0, _ZERO_K0, 0, 1), _THETA1, "context"),
+    ("check_signs-k0",
+     lambda: check_signs(m0_form(_CTX_K0), SampleSpec(seed=1, count=1)),
+     _THETA1, "context"),
 ]
 
 # C1c's order rules on zeta and c (with its kappa and parity rules above,

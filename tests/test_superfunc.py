@@ -45,6 +45,45 @@ def test_contexts_refuse_non_int_sizes(args):
             ScalarContext(*args[3:])
 
 
+def test_contexts_are_values():
+    """Both context types are tuples of their fields: the repr names each
+    field, and the hash is the hash of the plain field tuple."""
+    ctx = SymplecticContext(4, 2, (1, -1), 1, 6)
+    sctx = ScalarContext(2, 5)
+    assert repr(ctx) == ("SymplecticContext(n_plus=4, n_minus=2, "
+                         "lambdas=(1, -1), k=1, h_max=6)")
+    assert repr(sctx) == "ScalarContext(k=2, h_max=5)"
+    assert tuple(ctx) == (4, 2, (1, -1), 1, 6) and tuple(sctx) == (2, 5)
+    assert hash(ctx) == hash((4, 2, (1, -1), 1, 6))
+    assert hash(sctx) == hash((2, 5))
+    assert ctx.scalar_ctx == ScalarContext(1, 6)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda ctx: ctx._replace(n_plus=3),
+     "n_plus must be an even nonnegative int"),
+    (lambda ctx: ctx._replace(lambdas=(1, 2)),
+     "lambdas must be a +-1 vector of length n_minus"),
+    (lambda ctx: ctx._replace(k=-1), "k and h_max must be nonnegative ints"),
+    (lambda ctx: SymplecticContext._make((4, 2, (1,), 1, 6)),
+     "lambdas must be a +-1 vector of length n_minus"),
+    (lambda ctx: ctx.scalar_ctx._replace(h_max=6.0),
+     "k and h_max must be nonnegative ints"),
+    (lambda ctx: ScalarContext._make((-1, 6)),
+     "k and h_max must be nonnegative ints"),
+], ids=["n_plus", "lambdas", "k", "make", "scalar_h_max", "scalar_make"])
+def test_replace_refuses_what_the_constructor_refuses(make, message):
+    """``_replace`` and ``_make`` build a context through its constructor,
+    so they refuse what it refuses, in its words, and a replaced k or
+    h_max reaches ``scalar_ctx``."""
+    ctx = SymplecticContext(4, 2, (1, -1), 1, 6)
+    with pytest.raises(ValueError) as err:
+        make(ctx)
+    assert str(err.value) == message
+    assert ctx._replace(k=2).scalar_ctx == ScalarContext(2, 6)
+    assert ctx._replace(lambdas=[1, 1]).lambdas == (1, 1)
+
+
 def test_functions_refuse_inexact_numbers():
     """Every way a number enters a function (a coefficient, a Gaussian
     weight, a scalar factor, a summand, a bracket's kappa, a deformation's

@@ -11,10 +11,10 @@ from superdeform import (SampleSpec, Scalar, SuperFunction,
                          SymplecticContext,
                          build_C3, build_anti_odd, check_bar_vanishing,
                          check_cocycle, check_d_squared, check_equivalence,
-                         check_grading, check_jacobi, check_signs, jzeta_form,
-                         m1_form, m23_form, m3_form, mu_form, mzeta_form,
-                         sample_superfunctions, sample_tuples, sf_mul,
-                         t1_bar_multiplier)
+                         check_grading, check_jacobi, check_signs, d_ad,
+                         jzeta_form, m1_form, m23_form, m3_form, mu_form,
+                         mzeta_form, sample_superfunctions, sample_tuples,
+                         sf_mul, t1_bar_multiplier)
 from superdeform import verify
 from superdeform.brackets import poisson_bracket
 from superdeform.cochains import EVEN, ODD, Cochain, anti_form, m0_form
@@ -193,12 +193,16 @@ def test_check_signs_needs_theta(ctx42):
 
 
 def test_check_signs_needs_a_parity(ctx42):
-    """A sum of an even and an odd form has no parity to take signs from."""
+    """A sum of an even and an odd form has no parity to take signs from;
+    it is refused in the words of ``d_ad``, which needs a parity too."""
     m0 = m0_form(ctx42)
     form = m0 + m0.scaled(Scalar.theta(ctx42.scalar_ctx, 1))
     with pytest.raises(ValueError) as err:
         check_signs(form, SampleSpec(seed=1, count=1))
-    assert str(err.value) == "m0+scaled(m0) has no defined parity"
+    assert str(err.value) == "m0+scaled(m0) has undefined parity"
+    with pytest.raises(ValueError) as err_d:
+        d_ad(form)
+    assert str(err_d.value) == str(err.value)
 
 
 def test_check_grading(ctx42, ctx22):
