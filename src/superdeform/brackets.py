@@ -50,8 +50,6 @@ once.  So Fractions enter only where the inputs hold them (a weight 1/2, a
 rational kappa or coefficient).
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import factorial
 from operator import add

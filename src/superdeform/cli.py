@@ -29,8 +29,6 @@ a bracket value; a form refuses its context or its parameters when it is
 built, whatever its arguments.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import re

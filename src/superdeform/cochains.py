@@ -21,8 +21,6 @@ evaluation splits a mixed-parity argument (and only such an argument) into
 its homogeneous components and sums over their combinations.
 """
 
-from __future__ import annotations
-
 from itertools import product
 
 from .brackets import (_own_kappa, antibracket, bidiff_term, moyal_bracket,

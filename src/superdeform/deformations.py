@@ -12,8 +12,6 @@ parts' when they share one, else None (GENERAL_ODD at even n_minus).
 Each is built in one Cochain call, around the ``fn`` of a sum of forms.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .brackets import _own_kappa, antibracket, moyal_bracket, poisson_bracket

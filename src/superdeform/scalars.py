@@ -28,8 +28,6 @@ it.  ``Scalar.terms`` is the nested view {(m, theta index tuple):
 RadicalNumber}, built on each access.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache

@@ -64,8 +64,6 @@ keeps its parity and its bar integral once asked for them: a check asks
 for each of them many times on the same arguments.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache

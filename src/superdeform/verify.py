@@ -9,8 +9,6 @@ and implementation.  All checks compare residuals against the exact zero
 function; there is no tolerance anywhere.
 """
 
-from __future__ import annotations
-
 import time
 from collections import namedtuple
 from collections.abc import Sequence
