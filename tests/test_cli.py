@@ -350,8 +350,7 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
-            if (not isinstance(node, (ast.Import, ast.ImportFrom))
-                    or getattr(node, "module", None) == "__future__"):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             exported = path.name == "__init__.py" and getattr(
                 node, "level", 0)

@@ -47,7 +47,8 @@ def test_contexts_refuse_non_int_sizes(args):
 
 def test_contexts_are_values():
     """Both context types are tuples of their fields: the repr names each
-    field, and the hash is the hash of the plain field tuple."""
+    field, the hash is the hash of the plain field tuple, and a replaced k
+    or h_max reaches ``scalar_ctx``."""
     ctx = SymplecticContext(4, 2, (1, -1), 1, 6)
     sctx = ScalarContext(2, 5)
     assert repr(ctx) == ("SymplecticContext(n_plus=4, n_minus=2, "
@@ -57,6 +58,8 @@ def test_contexts_are_values():
     assert hash(ctx) == hash((4, 2, (1, -1), 1, 6))
     assert hash(sctx) == hash((2, 5))
     assert ctx.scalar_ctx == ScalarContext(1, 6)
+    assert ctx._replace(k=2).scalar_ctx == ScalarContext(2, 6)
+    assert ctx._replace(lambdas=[1, 1]).lambdas == (1, 1)
 
 
 @pytest.mark.parametrize("make, message", [
@@ -74,14 +77,10 @@ def test_contexts_are_values():
 ], ids=["n_plus", "lambdas", "k", "make", "scalar_h_max", "scalar_make"])
 def test_replace_refuses_what_the_constructor_refuses(make, message):
     """``_replace`` and ``_make`` build a context through its constructor,
-    so they refuse what it refuses, in its words, and a replaced k or
-    h_max reaches ``scalar_ctx``."""
-    ctx = SymplecticContext(4, 2, (1, -1), 1, 6)
+    so they refuse what it refuses, in its words."""
     with pytest.raises(ValueError) as err:
-        make(ctx)
+        make(SymplecticContext(4, 2, (1, -1), 1, 6))
     assert str(err.value) == message
-    assert ctx._replace(k=2).scalar_ctx == ScalarContext(2, 6)
-    assert ctx._replace(lambdas=[1, 1]).lambdas == (1, 1)
 
 
 def test_functions_refuse_inexact_numbers():
