@@ -40,9 +40,9 @@ from .errors import ContextMismatchError
 
 MAX_RADICAND = 10 ** 12  # largest integer the ring factors under a root
 
-# entries of each cache and memo: squarefree_decompose and
-# merge_odd_indices here, _moment in superfunc, in brackets _anti_factor,
-# _poisson_row, _odd_factor and _moyal_weights, and a Cochain's memo
+# entries of each cache: squarefree_decompose and merge_odd_indices here,
+# _moment in superfunc, and in brackets _anti_factor, _poisson_row,
+# _odd_factor and _moyal_weights
 _CACHE_BOUND = 4096
 
 
@@ -198,14 +198,14 @@ class FlatSum:
     The dict is clean: no zero value, an int for an integral value (a
     Fraction otherwise), and no h-exponent above ``ctx.h_max``.  Results
     are built on a clean dict by ``_of`` or a constructor and never changed
-    in place: only those write ``coeffs``.  Code relies on that: a sum with
-    zero may be the other summand itself, a SuperFunction keeps values
-    computed from its dict (its parity and bar integral) for good, and a
-    cochain memo is keyed by its arguments' identity.  The one fact this
-    class knows about a key is that its h-exponent sits at index
-    ``_HBAR``; a subclass turns an operand of another type into its own by
-    ``_lift``, or answers NotImplemented, so that the operand's reflected
-    method runs.
+    in place: only those write ``coeffs``.  Code relies on that: a sum
+    with zero may be the other summand itself, a difference with a zero
+    subtrahend the minuend itself, and a SuperFunction keeps values
+    computed from its dict (its parity and bar integral) for good.  The
+    one fact this class knows about a key is that its h-exponent sits at
+    index ``_HBAR``; a subclass turns an operand of another type into its
+    own by ``_lift``, or answers NotImplemented, so that the operand's
+    reflected method runs.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -276,6 +276,8 @@ class FlatSum:
                 return NotImplemented
         if other.ctx is not self.ctx:
             check_context(self.ctx, other.ctx)
+        if not other.coeffs:
+            return self
         out = dict(self.coeffs)
         for key, q in other.coeffs.items():
             accumulate(out, key, -q)

@@ -235,7 +235,6 @@ def check_d_squared(form, spec, bracket=None):
     """d3_ad(d2_ad form) = 0 on sampled 4-tuples."""
     ctx = form.ctx
     d = d_ad(form, bracket=bracket)
-    # one bracket object, so both differentials share its memo
     dd = d_ad(d, bracket=d.params["bracket"])
     quads = sample_tuples(spec, ctx, 4)
     return _run(f"d_squared[{form.name}]", ctx, quads, _vanishes(dd.evaluate))
@@ -261,16 +260,17 @@ def check_signs(form, spec):
     M = form.evaluate
 
     def rule(f, g):
-        # the memo is keyed by identity: pass one object for equal values
         fg = M(f, g)
         tf, tg = f.scale_left(theta), g.scale_left(theta)
         ft, gt = f.scale_right(theta), g.scale_right(theta)
-        ft = tf if ft == tf else ft
-        gt = tg if gt == tg else gt
+        tf_g, f_tg = M(tf, g), M(f, tg)
+        # an argument equal to one already evaluated reuses its value
+        ft_g = tf_g if ft == tf else M(ft, g)
+        f_gt = f_tg if gt == tg else M(f, gt)
         for name, residual in (
-                ("left", M(tf, g) - fg.scale_left(theta) * sign),
-                ("middle", M(f, tg) - M(ft, g) * mid_sign),
-                ("right", M(f, gt) - fg.scale_right(theta))):
+                ("left", tf_g - fg.scale_left(theta) * sign),
+                ("middle", f_tg - ft_g * mid_sign),
+                ("right", f_gt - fg.scale_right(theta))):
             if not residual.is_zero():
                 yield (name,), residual.render()
 

@@ -1,5 +1,7 @@
 """Unit tests for the cochain calculus: forms, Jacobiator, differential."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,6 @@ from superdeform import (ArityError, ContextMismatchError, NotIntegrableError,
                          jzeta_form, m0_form, m1_form, m23_form, m3_form,
                          moyal_bracket, moyal_form, mu_form, mzeta_form,
                          poisson_bracket, sample_superfunctions)
-from superdeform import cochains
 from superdeform.cochains import (EVEN, ODD, Cochain, _bar_pairing,
                                   m1, grading_parity, mu)
 from superdeform.superfunc import _surviving
@@ -450,38 +451,10 @@ def test_evaluate_splits_only_a_mixed_argument(ctx42):
     assert sorted(f.eps() for f, _ in seen) == [0, 1]
 
 
-def test_evaluate_stores_each_miss(ctx42):
-    """A miss adds one entry to ``_cache`` and a repeat on the same
-    argument objects finds it, which is how per-layer tracing counts
-    hits."""
-    form = m0_form(ctx42)
-    f, g = SuperFunction.x(ctx42, 1), SuperFunction.x(ctx42, 2)
-    zero = SuperFunction.zero(ctx42)
-    for args in ((f, g), (f + SuperFunction.xi(ctx42, 1), g), (zero, g)):
-        size = len(form._cache)
-        value = form.evaluate(*args)
-        assert len(form._cache) == size + 1
-        assert form.evaluate(*args) is value
-        assert len(form._cache) == size + 1
-
-
-def test_memo_is_bounded_by_the_cache_bound(ctx42, monkeypatch):
-    """The memo is cleared once it holds more than ``_CACHE_BOUND``
-    entries, the bound of every cache of the engine."""
-    monkeypatch.setattr(cochains, "_CACHE_BOUND", 3)
-    form = m0_form(ctx42)
-    g = SuperFunction.x(ctx42, 2)
-    sizes = []
-    for i in range(12):
-        form.evaluate(SuperFunction.x(ctx42, 1) * i, g)
-        sizes.append(len(form._cache))
-    assert max(sizes) == 4 and sizes[:5] == [1, 2, 3, 4, 1]
-
-
-def test_memo_is_keyed_by_argument_identity(ctx42):
-    """Distinct but equal arguments give equal values, and an entry keeps
-    its arguments alive, so a function built after another is freed never
-    gets the freed one's value through a reused id."""
+def test_evaluate_depends_on_argument_values_alone(ctx42):
+    """Distinct but equal arguments give equal values, and a function built
+    after another is freed never gets the freed one's value through a
+    reused id."""
     form = m0_form(ctx42)
     g = SuperFunction.x(ctx42, 2) * SuperFunction.xi(ctx42, 1)
     a = SuperFunction.x(ctx42, 1) + SuperFunction.xi(ctx42, 2)
@@ -492,6 +465,28 @@ def test_memo_is_keyed_by_argument_identity(ctx42):
         f = SuperFunction.term(ctx42, xi=(1,), scalar=i)
         assert form.evaluate(f, g) == poisson_bracket(f, g)
         del f
+
+
+def test_evaluate_keeps_neither_arguments_nor_value(ctx42):
+    """Once the caller drops a fresh argument pair and the value, all three
+    are freed, while the form lives on."""
+
+    class Weak(SuperFunction):
+        """A SuperFunction that takes weak references (no __slots__)."""
+
+    def weak(f):
+        return Weak._of(ctx42, f.coeffs)
+
+    form = Cochain(ctx42, 2, 0, lambda f, g: weak(poisson_bracket(f, g)),
+                   EVEN, name="weak")
+    f = weak(SuperFunction.x(ctx42, 1) * SuperFunction.xi(ctx42, 1))
+    g = weak(SuperFunction.x(ctx42, 2))
+    value = form.evaluate(f, g)
+    assert not value.is_zero()
+    refs = [weakref.ref(obj) for obj in (f, g, value)]
+    del f, g, value
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
 
 
 def test_evaluate_returns_the_leaf_value_on_homogeneous_arguments(ctx42):

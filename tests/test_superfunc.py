@@ -553,6 +553,22 @@ def test_subtraction_is_addition_of_the_negation(ctx42, ctx22):
         f - Scalar.one(ScalarContext(0, 6))
 
 
+def test_a_zero_subtrahend_gives_the_minuend_itself(ctx42, ctx22):
+    """f - 0 is f itself, as f + 0 is, for functions and Scalars; 0 - f
+    is -f; a zero over another context is still refused."""
+    sctx = ctx42.scalar_ctx
+    cases = (
+        (SuperFunction.x(ctx42, 1) + SuperFunction.xi(ctx42, 2),
+         SuperFunction.zero(ctx42), SuperFunction.zero(ctx22)),
+        (Scalar.sqrt(sctx, 2) + Scalar.theta(sctx, 1), Scalar.zero(sctx),
+         Scalar.zero(ScalarContext(0, 6))))
+    for f, zero, foreign in cases:
+        assert f - zero is f and f + zero is f and f - 0 is f
+        assert zero - f == -f
+        with pytest.raises(ContextMismatchError):
+            f - foreign
+
+
 def test_make_divides_each_slot_exactly(ctx42):
     """_make divides int and Fraction slots by den exactly, with negative
     and non-integral quotients, and stores an integral quotient as int."""
