@@ -2,26 +2,28 @@
 Moyal-type superbracket given by the odd part of the exponential series of
 the symplectic bidifferential operator P.
 
-The first-order brackets share one kernel over the term pairs of f and g.
-Per pair, the channels give a rational map (x exponents, xi monomial) ->
-coefficient.  Its xi signs are those of ``superfunc.xi_deriv`` (from the
-right on f, from the left on g) and of ``merge_odd_indices`` on the xi
-that remain, so all come from that one crossing rule; lambda_a weights a
-xi channel of P.  In every channel of one bracket the theta part of g's
-scalar moves left past len(xi(f)) + b odd factors: b = 0 for P, whose xi
-channels take one xi from each side and twist g once more, and b = 1 for
-the antibracket, whose channels take one xi from one side.
-So each coefficient of a pair is written straight into the result's flat
-dict by one ``mul_into`` of the two scalars, under the prefix of its
-output term and with twist len(xi(f)) + b, as ``sf_mul`` does.  The
-x-pair channels of P are formed per block by ``_poisson_row`` straight
-from ``x_steps`` and cached.  The Moyal kernel's block tables (below) are
-built from the same steps, so both kernels derive P's x part from the one
-x rule, and a row equals the m = 1 row of its block table, the tests'
-oracle for it.  The kernels read a function's terms through
-``superfunc._grouped`` and the Moyal kernel builds its result with
+The first-order brackets are two loops over the term pairs of f and g.  A
+pair's channels give output terms (x exponents, xi monomial) with rational
+coefficients.  Their xi signs are those of ``superfunc.xi_deriv`` (from the
+right on f, from the left on g) and of ``merge_odd_indices`` on the xi that
+remain, read from the cached ``_odd_factor`` or ``_anti_factor``; lambda_a
+weights a xi channel of P.  In every channel of one bracket the theta part
+of g's scalar moves left past len(xi(f)) + b odd factors: b = 0 for P,
+whose xi channels take one xi from each side and twist g once more, and b =
+1 for the antibracket, whose channels take one xi from one side.  So a pair
+forms the product of its two scalars once, by one ``mul_into`` with twist
+len(xi(f)) + b, and each output term adds its coefficient times that
+product straight into the result's flat dict, under the prefix of the term;
+no per-pair map of channels is built.  The x part comes from ``x_steps``:
+the antibracket steps one exponent per channel, and the x-pair channels of
+P are formed per block by ``_poisson_row`` and cached.  The Moyal kernel's
+block tables (below) are built from the same steps, so both kernels derive
+P's x part from the one x rule, and a row equals the m = 1 row of its block
+table, the tests' oracle for it.  The kernels read a function's terms
+through ``superfunc._grouped`` and the Moyal kernel builds its result with
 ``superfunc._make``; of the scalar part of a key they know only that it
-leads with the h-degree, which ``_iterate_pairs`` reads as min(items)[0][0].
+leads with the h-degree, which ``_iterate_pairs`` reads as
+min(items)[0][0].
 
 The Moyal kernel is block factored.  P is a sum of commuting channels, and
 each channel couples one block of variables: an x-pair (y1, y2) =
@@ -63,78 +65,65 @@ from .superfunc import (_CACHE_BOUND, SuperFunction, _grouped, _make,
 
 
 def poisson_bracket(f, g):
-    """Sum over the metric channels of (f <-d_a) omega^{ab} (d_b g)."""
-    return _first_order(f, g, 0, _poisson_channels)
-
-
-def antibracket(f, g):
-    """The odd bracket pairing x_i with xi_i; needs n_plus == n_minus."""
-    _require_square(f.ctx, "antibracket")
-    return _first_order(f, g, 1, _anti_channels)
-
-
-# -- first-order kernel ------------------------------------------------------
-
-
-def _first_order(f, g, b, channels):
-    """Sum over the term pairs of ``channels(ctx, f key, g key)``, {xi:
-    {xexp: coefficient}} with all but the theta sign: each coefficient
-    times the product of the two scalars, with g's theta part moved past
-    len(xi(f)) + b, goes straight into the result's flat dict."""
+    """Sum over the metric channels of (f <-d_a) omega^{ab} (d_b g): the odd
+    channels as in the Moyal kernel at p = 1, and where S is empty the
+    x-pair channels d_{2m-1} (x) d_{2m} - d_{2m} (x) d_{2m-1}.  A block's
+    row moves both exponents of that block by one and no other, so the
+    keys of two blocks never meet."""
     f._check(g)
     ctx = f.ctx
-    h_max = ctx.h_max
     acc = {}
     gterms = list(_grouped(g).items())
-    for fkey, fitems in _grouped(f).items():
-        twist = len(fkey[2]) + b
-        for gkey, gitems in gterms:
-            polys = channels(ctx, fkey, gkey)
-            if polys:
-                c = int_if_integral(fkey[1] + gkey[1])
-                for xi, poly in polys.items():
-                    for xexp, v in poly.items():
-                        mul_into(acc, (xexp, c, xi), fitems, gitems, h_max,
-                                 v, twist)
+    for (fx, cf, xf), fitems in _grouped(f).items():
+        for (gx, cg, xg), gitems in gterms:
+            n, weight, xi = _odd_factor(ctx.lambdas, xf, xg)
+            if n > 1:
+                continue
+            ex = tuple(map(add, fx, gx))
+            c = int_if_integral(cf + cg)
+            outs = [((ex, c, xi), weight)] if n else [
+                ((ex[:a] + e + ex[a + 2:], c, xi), weight * w)
+                for a in range(0, len(ex), 2)
+                for e, w in _poisson_row(fx[a], fx[a + 1], gx[a], gx[a + 1],
+                                         cf, cg)]
+            if outs:
+                prod = mul_into({}, (), fitems, gitems, ctx.h_max, 1,
+                                len(xf)).items()
+                for key, v in outs:
+                    for k, u in prod:
+                        accumulate(acc, key + k, v * u)
     return SuperFunction._of(ctx, acc)
 
 
-def _poisson_channels(ctx, fkey, gkey):
-    """The odd channels as in the Moyal kernel at p = 1; the x-pair
-    channels d_{2m-1} (x) d_{2m} - d_{2m} (x) d_{2m-1} need S empty.  A
-    block's row moves both exponents of that block by one and no other,
-    so the keys of two blocks never meet."""
-    (fx, cf, xf), (gx, cg, xg) = fkey, gkey
-    n, weight, xi = _odd_factor(ctx.lambdas, xf, xg)
-    ex = tuple(map(add, fx, gx))
-    if n:
-        return {xi: {ex: weight}} if n == 1 else None
-    poly = {}
-    for a in range(0, len(ex), 2):
-        head, tail = ex[:a], ex[a + 2:]
-        for e, w in _poisson_row(fx[a], fx[a + 1], gx[a], gx[a + 1], cf, cg):
-            poly[head + e + tail] = weight * w
-    return {xi: poly} if poly else None
-
-
-def _anti_channels(ctx, fkey, gkey):
-    """(f <-d_{x_i})(d_{xi_i} g) - (f <-d_{xi_i})(d_{x_i} g) over i."""
-    (fx, cf, xf), (gx, cg, xg) = fkey, gkey
-    g_side, f_side = _anti_factor(xf, xg)
-    if not (g_side or f_side):
-        return None
-    ex = tuple(map(add, fx, gx))
-    out = {}
-    for side, e, c in ((g_side, fx, cf), (f_side, gx, cg)):
-        for a, w, xi in side:
-            for step, u in x_steps(e[a], c):
-                accumulate(out.setdefault(xi, {}), bump(ex, a, step), w * u)
-    return out
+def antibracket(f, g):
+    """(f <-d_{x_i})(d_{xi_i} g) - (f <-d_{xi_i})(d_{x_i} g) over i, the odd
+    bracket pairing x_i with xi_i; needs n_plus == n_minus."""
+    _require_square(f.ctx, "antibracket")
+    f._check(g)
+    h_max = f.ctx.h_max
+    acc = {}
+    gterms = list(_grouped(g).items())
+    for (fx, cf, xf), fitems in _grouped(f).items():
+        for (gx, cg, xg), gitems in gterms:
+            g_side, f_side = _anti_factor(xf, xg)
+            if not (g_side or f_side):
+                continue
+            prod = mul_into({}, (), fitems, gitems, h_max, 1,
+                            len(xf) + 1).items()
+            ex = tuple(map(add, fx, gx))
+            c = int_if_integral(cf + cg)
+            for side, e, ce in ((g_side, fx, cf), (f_side, gx, cg)):
+                for a, w, xi in side:
+                    for step, u in x_steps(e[a], ce):
+                        key = (bump(ex, a, step), c, xi)
+                        for k, v in prod:
+                            accumulate(acc, key + k, w * u * v)
+    return SuperFunction._of(f.ctx, acc)
 
 
 @lru_cache(maxsize=_CACHE_BOUND)
 def _anti_factor(xf, xg):
-    """The xi part of ``_anti_channels`` for xi monomials xf and xg, which
+    """The xi part of ``antibracket`` for xi monomials xf and xg, which
     no x exponent or weight changes: per side, the (x index, sign, merged
     xi) of each channel i whose xi_i survives the merge.  The g side takes
     ``xi_deriv`` of g by xi_i from the left and d_{x_i} of f; the f side

@@ -802,8 +802,10 @@ def test_moyal_of_zero_is_zero_after_the_checks(ctx42):
 
 
 def _series_anti_channels(fkey, gkey):
-    """The antibracket channels of a term pair with the xi merges done per
-    pair, as before they were cached; the oracle of ``_anti_channels``."""
+    """The antibracket channels of a term pair, {xi: {x exponents:
+    coefficient}}, with the xi merges done per pair and the scalars left
+    out; the oracle of ``_anti_factor`` and of the x steps of
+    ``antibracket``."""
     from superdeform.scalars import accumulate, merge_odd_indices
     from superdeform.superfunc import bump, x_steps
     (fx, cf, xf), (gx, cg, xg) = fkey, gkey
@@ -824,28 +826,80 @@ def _series_anti_channels(fkey, gkey):
 
 def test_cached_anti_factor_equals_uncached():
     """Every pair of xi monomials at n_minus <= 4: the cached channel
-    lists equal fresh ones, and the channels built from them equal the
-    per-pair merges, on x parts with and without a Gaussian weight."""
+    lists equal fresh ones.  At n_plus = n_minus in {0, 2, 4}, on x parts
+    with and without a Gaussian weight, ``antibracket`` of each one-term
+    pair equals the per-pair merges times the twisted scalar product: g's
+    scalar 3 - 5 theta_1 moves past len(xf) + 1 odd factors, so its theta
+    part changes sign when xf is even."""
     brackets._anti_factor.cache_clear()
     uncached = brackets._anti_factor.__wrapped__
     for n in range(5):
-        fx, gx = (0, 1, 2, 1)[:n], (1, 0, 0, 3)[:n]
         for xf in _subsets(n):
             for xg in _subsets(n):
                 assert brackets._anti_factor(xf, xg) == uncached(xf, xg)
+    for n in (0, 2, 4):
+        ctx = SymplecticContext(n, n, (1,) * n, 1, 6)
+        sctx = ctx.scalar_ctx
+        theta = Scalar.theta(sctx, 1)
+        fs = Scalar.rational(sctx, 2) + theta * Scalar.hbar(sctx)
+        gs = Scalar.rational(sctx, 3) + theta * -5
+        flipped = Scalar.rational(sctx, 3) + theta * 5
+        fx, gx = (0, 1, 2, 1)[:n], (1, 0, 0, 3)[:n]
+        for xf in _subsets(n):
+            twisted = gs if len(xf) & 1 else flipped
+            for xg in _subsets(n):
                 for cf, cg in ((0, 0), (1, 2), (Fraction(1, 2), 0)):
-                    fkey, gkey = (fx, cf, xf), (gx, cg, xg)
-                    got = brackets._anti_channels(None, fkey, gkey)
-                    assert (got or {}) == _series_anti_channels(fkey, gkey)
+                    f = SuperFunction.term(ctx, fx, cf, xf, fs)
+                    g = SuperFunction.term(ctx, gx, cg, xg, gs)
+                    want = SuperFunction.zero(ctx)
+                    for xi, poly in _series_anti_channels(
+                            (fx, cf, xf), (gx, cg, xg)).items():
+                        for xexp, w in poly.items():
+                            want = want + SuperFunction.term(
+                                ctx, xexp, cf + cg, xi, fs * twisted * w)
+                    assert antibracket(f, g) == want
     assert brackets._anti_factor.cache_info().hits > 0
     assert brackets._anti_factor.cache_info().maxsize == \
         brackets._CACHE_BOUND
 
 
+def test_first_order_brackets_form_one_product_per_term_pair(monkeypatch):
+    """Each first-order bracket forms the scalar product of a term pair at
+    most once, however many output terms the pair feeds: the calls of
+    ``mul_into`` are counted, not timed.  On these inputs the pairs feed
+    more output terms than there are pairs, so one product per output term
+    would break the bound."""
+    from superdeform.superfunc import _grouped
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mul_into(*args)
+
+    mul_into = brackets.mul_into
+    monkeypatch.setattr(brackets, "mul_into", counted)
+    rng = seeded(41)
+    for bracket, ctx in ((poisson_bracket, SymplecticContext(4, 2, (1, -1),
+                                                            1, 6)),
+                         (antibracket, SymplecticContext(2, 2, (1, 1), 1, 6))):
+        pairs = outputs = 0
+        for _ in range(6):
+            f, g = (random_superfunction(rng, ctx, max_x_degree=3, terms=2,
+                                         gauss_pool=(1, 2), theta=True)
+                    for _ in range(2))
+            calls.clear()
+            got = bracket(f, g)
+            n_pairs = len(_grouped(f)) * len(_grouped(g))
+            assert len(calls) <= n_pairs
+            pairs += n_pairs
+            outputs += len(_grouped(got))
+        assert outputs > pairs
+
+
 def _series_poisson_row(f1, f2, g1, g2, cf, cg):
     """The x-pair channel of P on one block by derivative steps, as
-    ``_poisson_channels`` built it before the rows were cached; the oracle
-    of ``_poisson_row``."""
+    the Poisson bracket built it before the rows were cached; the oracle of
+    ``_poisson_row``."""
     from superdeform.scalars import accumulate
     from superdeform.superfunc import bump, x_steps
     fx, gx = (f1, f2), (g1, g2)

@@ -29,6 +29,9 @@ CONTEXTS = [MIXED_5, NEGATIVE_3, NO_X, K0, K2, ANTI_MIXED,
 SQUARE = [c for c in CONTEXTS if c[0] == c[1]]
 # metric signs -1, n_plus = 0, k = 2 and h_max != 6, and three x-pairs
 REACH = [MIXED_5, NEGATIVE_3, NO_X, K2, (6, 1, (-1,), 0, 6)]
+# square contexts with a metric sign -1, k in {0, 2} and h_max 4
+BV = [(2, 2, (1, -1), 0, 4), (2, 2, (-1, 1), 2, 4),
+      (4, 4, (1, -1, 1, 1), 2, 4), (4, 4, (-1, 1, -1, 1), 0, 4)]
 
 
 def _ids(contexts):
@@ -111,6 +114,13 @@ def anti_oracle(f, g):
     return out
 
 
+def homogeneous(f, parity):
+    """The terms of f of Grassmann parity ``parity`` (xi-degree plus
+    theta-weight)."""
+    return f._where(lambda key: (len(key[2]) + key[4].bit_count()) % 2
+                    == parity)
+
+
 def integral_oracle(f):
     """Per term, the product of one-dimensional Gaussian moments."""
     ctx = f.ctx
@@ -179,6 +189,58 @@ def test_antibracket_and_delta_match_oracles(context):
         f, g = sample(rng, ctx), sample(rng, ctx)
         assert antibracket(f, g) == anti_oracle(f, g)
         assert f.delta_op() == delta_oracle(f)
+
+
+@pytest.mark.parametrize("context", BV, ids=_ids(BV))
+def test_antibracket_is_the_bv_bracket_of_delta(context):
+    """(-1)^{eps_f} (f, g) = Delta(fg) - (Delta f) g - (-1)^{eps_f} f (Delta g)
+    and Delta^2 = 0 on homogeneous pairs with theta and hbar coefficients.
+    The right side uses ``delta_op`` and ``sf_mul`` alone, so it defines
+    the antibracket without the code of ``brackets``."""
+    ctx = SymplecticContext(*context)
+    rng = seeded(66)
+    nonzero = 0
+    for _ in range(16):
+        ef, eg = rng.randint(0, 1), rng.randint(0, 1)
+        f = homogeneous(sample(rng, ctx) + sample(rng, ctx), ef)
+        g = homogeneous(sample(rng, ctx) + sample(rng, ctx), eg)
+        sign = (-1) ** ef
+        fg = sf_mul(f, g)
+        bv = fg.delta_op() - sf_mul(f.delta_op(), g) - \
+            sf_mul(f, g.delta_op()) * sign
+        assert antibracket(f, g) * sign == bv
+        nonzero += not bv.is_zero()
+        for h in (f, g, fg):
+            assert h.delta_op().delta_op().is_zero()
+    assert nonzero >= 8
+
+
+@pytest.mark.parametrize("context", CONTEXTS, ids=_ids(CONTEXTS))
+def test_first_order_kernels_carry_radicals_and_pi(context):
+    """Both brackets against their oracles on coefficients with sqrt(2),
+    sqrt(3), sqrt(pi) and pi, several monomials to a term: the pair
+    products meet sqrt(2) sqrt(3) = sqrt(6) (the two-root branch of
+    ``mul_into``), sqrt(pi) sqrt(pi) = pi and pi^2, and the one scalar
+    product of a term pair has many items."""
+    ctx = SymplecticContext(*context)
+    sctx = ctx.scalar_ctx
+    pi, root_pi = Scalar.pi(sctx), Scalar.sqrt_pi(sctx)
+    left = Scalar.sqrt(sctx, 2) + root_pi + pi * Fraction(1, 3)
+    right = Scalar.sqrt(sctx, 3) * 2 + root_pi - pi
+    rng = seeded(67)
+    brackets = [(poisson_bracket, poisson_oracle)]
+    if ctx.n_plus == ctx.n_minus:
+        brackets.append((antibracket, anti_oracle))
+    reached = set()
+    for _ in range(8):
+        f = sample(rng, ctx).scale_left(left) + sample(rng, ctx)
+        g = sample(rng, ctx).scale_left(right)
+        for bracket, oracle in brackets:
+            got = bracket(f, g)
+            assert got == oracle(f, g) and is_clean(got)
+            # (p, r) of each monomial: pi^p, sqrt(r)
+            reached |= {(key[5], key[7]) for key in got.coeffs}
+    assert (0, 6) in reached and (2, 1) in reached
 
 
 @pytest.mark.parametrize("context", CONTEXTS, ids=_ids(CONTEXTS))
