@@ -9,21 +9,21 @@ right on f, from the left on g) and of ``merge_odd_indices`` on the xi that
 remain, read from the cached ``_odd_factor`` or ``_anti_factor``; lambda_a
 weights a xi channel of P.  In every channel of one bracket the theta part
 of g's scalar moves left past len(xi(f)) + b odd factors: b = 0 for P,
-whose xi channels take one xi from each side and twist g once more, and b =
-1 for the antibracket, whose channels take one xi from one side.  So a pair
-forms the product of its two scalars once, by one ``mul_into`` with twist
-len(xi(f)) + b, and each output term adds its coefficient times that
-product straight into the result's flat dict, under the prefix of the term;
-no per-pair map of channels is built.  The x part comes from ``x_steps``:
-the antibracket steps one exponent per channel, and the x-pair channels of
-P are formed per block by ``_poisson_row`` and cached.  The Moyal kernel's
-block tables (below) are built from the same steps, so both kernels derive
-P's x part from the one x rule, and a row equals the m = 1 row of its block
-table, the tests' oracle for it.  The kernels read a function's terms
-through ``superfunc._grouped`` and the Moyal kernel builds its result with
-``superfunc._make``; of the scalar part of a key they know only that it
-leads with the h-degree, which ``_iterate_pairs`` reads as
-min(items)[0][0].
+whose xi channels take one xi from each side and twist g once more, and
+b = 1 for the antibracket, whose channels take one xi from one side.
+So a pair forms the product of its two scalars once, by one ``mul_into``
+with twist len(xi(f)) + b, and each output term adds its coefficient times
+that product straight into the result's flat dict, under the prefix of the
+term; no per-pair map of channels is built.  The x steps come from
+``x_steps``: the antibracket takes them per channel, and the x-pair
+channels of P are formed per block by ``_poisson_row`` and cached.  The
+Moyal kernel's block tables (below) are built from the same steps, so
+both kernels derive P's x part from the one x rule, and a row equals the
+m = 1 row of its block table, the tests' oracle for it.  The kernels read
+a function's terms through ``superfunc._grouped`` and the Moyal kernel
+builds its result with ``superfunc._make``; of the scalar part of a key
+they know only that it leads with the h-degree, which ``_iterate_pairs``
+reads as min(items)[0][0].
 
 The Moyal kernel is block factored.  P is a sum of commuting channels, and
 each channel couples one block of variables: an x-pair (y1, y2) =

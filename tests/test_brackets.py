@@ -871,12 +871,12 @@ def test_first_order_brackets_form_one_product_per_term_pair(monkeypatch):
     would break the bound."""
     from superdeform.superfunc import _grouped
     calls = []
+    real = brackets.mul_into
 
     def counted(*args):
         calls.append(args)
-        return mul_into(*args)
+        return real(*args)
 
-    mul_into = brackets.mul_into
     monkeypatch.setattr(brackets, "mul_into", counted)
     rng = seeded(41)
     for bracket, ctx in ((poisson_bracket, SymplecticContext(4, 2, (1, -1),

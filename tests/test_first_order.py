@@ -228,14 +228,14 @@ def test_first_order_kernels_carry_radicals_and_pi(context):
     left = Scalar.sqrt(sctx, 2) + root_pi + pi * Fraction(1, 3)
     right = Scalar.sqrt(sctx, 3) * 2 + root_pi - pi
     rng = seeded(67)
-    brackets = [(poisson_bracket, poisson_oracle)]
+    kernels = [(poisson_bracket, poisson_oracle)]
     if ctx.n_plus == ctx.n_minus:
-        brackets.append((antibracket, anti_oracle))
+        kernels.append((antibracket, anti_oracle))
     reached = set()
     for _ in range(8):
         f = sample(rng, ctx).scale_left(left) + sample(rng, ctx)
         g = sample(rng, ctx).scale_left(right)
-        for bracket, oracle in brackets:
+        for bracket, oracle in kernels:
             got = bracket(f, g)
             assert got == oracle(f, g) and is_clean(got)
             # (p, r) of each monomial: pi^p, sqrt(r)
