@@ -14,7 +14,9 @@ b = 1 for the antibracket, whose channels take one xi from one side.
 So a pair forms the product of its two scalars once, by one ``mul_into``
 with twist len(xi(f)) + b, and each output term adds its coefficient times
 that product straight into the result's flat dict, under the prefix of the
-term; no per-pair map of channels is built.  The x steps come from
+term; no per-pair map of channels is built.  The adds are plain sums that
+pop a sum once it cancels, and ``_settled`` stores each integral Fraction
+as an int at the end, so the result is clean.  The x steps come from
 ``x_steps``: the antibracket takes them per channel, and the x-pair
 channels of P are formed per block by ``_poisson_row`` and cached.  The
 Moyal kernel's block tables (below) are built from the same steps, so
@@ -52,16 +54,15 @@ once.  So Fractions enter only where the inputs hold them (a weight 1/2, a
 rational kappa or coefficient).
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import add
 
 from .errors import DeformationError
-from .scalars import (Scalar, accumulate, int_if_integral, merge_odd_indices,
-                      mul_into)
+from .scalars import Scalar, int_if_integral, merge_odd_indices, mul_into
 from .superfunc import (_CACHE_BOUND, SuperFunction, _grouped, _make,
-                        _own_scalar, _require_square, bump, x_steps,
-                        xi_deriv)
+                        _own_scalar, _require_square, x_steps, xi_deriv)
 
 
 def poisson_bracket(f, g):
@@ -91,8 +92,11 @@ def poisson_bracket(f, g):
                                 len(xf)).items()
                 for key, v in outs:
                     for k, u in prod:
-                        accumulate(acc, key + k, v * u)
-    return SuperFunction._of(ctx, acc)
+                        k = key + k
+                        q = acc.pop(k, 0) + v * u
+                        if q:
+                            acc[k] = q
+    return _settled(ctx, acc)
 
 
 def antibracket(f, g):
@@ -110,15 +114,29 @@ def antibracket(f, g):
                 continue
             prod = mul_into({}, (), fitems, gitems, h_max, 1,
                             len(xf) + 1).items()
-            ex = tuple(map(add, fx, gx))
+            ex = list(map(add, fx, gx))  # stepped in place for each key
             c = int_if_integral(cf + cg)
             for side, e, ce in ((g_side, fx, cf), (f_side, gx, cg)):
                 for a, w, xi in side:
                     for step, u in x_steps(e[a], ce):
-                        key = (bump(ex, a, step), c, xi)
+                        ex[a] += step
+                        key = (tuple(ex), c, xi)
+                        ex[a] -= step
                         for k, v in prod:
-                            accumulate(acc, key + k, w * u * v)
-    return SuperFunction._of(f.ctx, acc)
+                            k = key + k
+                            q = acc.pop(k, 0) + w * u * v
+                            if q:
+                                acc[k] = q
+    return _settled(f.ctx, acc)
+
+
+def _settled(ctx, acc):
+    """The SuperFunction of ``acc``, a flat dict of nonzero sums, once each
+    integral Fraction in it is stored as an int."""
+    for k, q in acc.items():
+        if q.__class__ is Fraction and q.denominator == 1:
+            acc[k] = q.numerator
+    return SuperFunction._of(ctx, acc)
 
 
 @lru_cache(maxsize=_CACHE_BOUND)

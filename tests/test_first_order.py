@@ -253,9 +253,9 @@ def test_integral_bar_matches_moment_oracle(context):
 
 
 def test_first_order_results_are_clean():
-    """The first-order kernels write their results with no cleaning pass:
-    products of halves that come out integral are ints, sums that cancel
-    leave no entry, and hbar powers above h_max are dropped."""
+    """The first-order kernels' results are clean: products of halves that
+    come out integral are ints, sums that cancel leave no entry, and hbar
+    powers above h_max are dropped."""
     ctx = SymplecticContext(2, 2, (1, -1), 1, 3)
     sctx = ctx.scalar_ctx
     half = Fraction(1, 2)
