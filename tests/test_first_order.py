@@ -254,8 +254,9 @@ def test_integral_bar_matches_moment_oracle(context):
 
 def test_first_order_results_are_clean():
     """The first-order kernels' results are clean: products of halves that
-    come out integral are ints, sums that cancel leave no entry, and hbar
-    powers above h_max are dropped."""
+    come out integral are ints (also where the half is a Gaussian weight's
+    x step and the 2 a coefficient), sums that cancel leave no entry, and
+    hbar powers above h_max are dropped."""
     ctx = SymplecticContext(2, 2, (1, -1), 1, 3)
     sctx = ctx.scalar_ctx
     half = Fraction(1, 2)
@@ -265,9 +266,13 @@ def test_first_order_results_are_clean():
     one = SuperFunction.constant(ctx, 1)
     halves = SuperFunction.term(ctx, (2, 0), scalar=half)
     halves_gauss = SuperFunction.term(ctx, (1, 1), half, (2,), half)
+    two_gauss = SuperFunction.term(ctx, (0, 0), half, (), 2)
+    minus_x1_gauss = SuperFunction.term(ctx, (1, 0), half, (), -1)
     cases = [
         (poisson_bracket, halves, x2 * 2, x1 * 2),
         (antibracket, halves, xi1 * 2, x1 * 2),
+        (poisson_bracket, two_gauss, x2, minus_x1_gauss),
+        (antibracket, two_gauss, xi1, minus_x1_gauss),
         (poisson_bracket, x1 * x2, x1 * x2, None),
         (poisson_bracket, x1 + x1 * x2, x1 + x1 * x2, None),
         (antibracket, x1 - x2, xi1 + xi2, None),
