@@ -12,7 +12,7 @@ from superdeform import (ContextMismatchError, Scalar, SuperFunction,
                          brackets, moyal_bracket, poisson_bracket, sf_mul)
 from superdeform.brackets import bidiff_term
 from superdeform.cochains import m1
-from superdeform.superfunc import xi_deriv
+from superdeform.superfunc import _grouped, xi_deriv
 
 from conftest import naive_bidiff, random_superfunction, seeded
 
@@ -869,7 +869,6 @@ def test_first_order_brackets_form_one_product_per_term_pair(monkeypatch):
     ``mul_into`` are counted, not timed.  On these inputs the pairs feed
     more output terms than there are pairs, so one product per output term
     would break the bound."""
-    from superdeform.superfunc import _grouped
     calls = []
     real = brackets.mul_into
 
