@@ -3,29 +3,28 @@ Moyal-type superbracket given by the odd part of the exponential series of
 the symplectic bidifferential operator P.
 
 The first-order brackets are two loops over the term pairs of f and g.  A
-pair's channels give output terms (x exponents, xi monomial) with rational
-coefficients.  Their xi signs are those of ``superfunc.xi_deriv`` (from the
-right on f, from the left on g) and of ``merge_odd_indices`` on the xi that
-remain, read from the cached ``_odd_factor`` or ``_anti_factor``; lambda_a
-weights a xi channel of P.  In every channel of one bracket the theta part
-of g's scalar moves left past len(xi(f)) + b odd factors: b = 0 for P,
-whose xi channels take one xi from each side and twist g once more, and
-b = 1 for the antibracket, whose channels take one xi from one side.
-So a pair forms the product of its two scalars once, by one ``mul_into``
-with twist len(xi(f)) + b, and each output term adds its coefficient times
-that product straight into the result's flat dict, under the prefix of the
-term; no per-pair map of channels is built.  The adds are plain sums that
-pop a sum once it cancels, and ``_settled`` stores each integral Fraction
-as an int at the end, so the result is clean.  The x steps come from
-``x_steps``: the antibracket takes them per channel, and the x-pair
-channels of P are formed per block by ``_poisson_row`` and cached.  The
-Moyal kernel's block tables (below) are built from the same steps, so
-both kernels derive P's x part from the one x rule, and a row equals the
-m = 1 row of its block table, the tests' oracle for it.  The kernels read
-a function's terms through ``superfunc._grouped`` and the Moyal kernel
-builds its result with ``superfunc._make``; of the scalar part of a key
-they know only that it leads with the h-degree, which ``_iterate_pairs``
-reads as min(items)[0][0].
+pair's channels give output terms (packed x exponents, xi mask; see
+superfunc) with rational coefficients.  Their xi signs are those of
+``superfunc.xi_deriv`` (from the right on f, from the left on g) and of
+``theta_sign`` on the xi that remain, read from the cached ``_odd_factor`` or
+``_anti_factor``; lambda_a weights a xi channel of P.  In every channel of
+one bracket the theta part of g's scalar moves left past len(xi(f)) + b odd
+factors: b = 0 for P, whose xi channels take one xi from each side and twist
+g once more, and b = 1 for the antibracket, whose channels take one xi from
+one side.  So a pair forms the product of its two scalars once, by one
+``mul_into`` with twist len(xi(f)) + b, and each output term adds its
+coefficient times that product straight into the result's flat dict, under
+the prefix of the term; no per-pair map of channels is built.  The adds are
+plain sums that pop a sum once it cancels, and ``_settled`` stores each
+integral Fraction as an int at the end, so the result is clean.  The x steps
+come from ``x_steps``: the antibracket takes them per channel, and the x-pair
+channels of P are formed per block by ``_poisson_row`` and cached.  The Moyal
+kernel's block tables (below) are built from the same steps, so both kernels
+derive P's x part from the one x rule, and a row equals the m = 1 row of its
+block table, the tests' oracle for it.  The kernels read a function's terms
+through ``superfunc._grouped`` and the Moyal kernel builds its result with
+``superfunc._make``; of the scalar part of a key they know only that it leads
+with the h-degree, which ``_iterate_pairs`` reads as min(items)[0][0].
 
 The Moyal kernel is block factored.  P is a sum of commuting channels, and
 each channel couples one block of variables: an x-pair (y1, y2) =
@@ -57,12 +56,13 @@ rational kappa or coefficient).
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from operator import add
 
 from .errors import DeformationError
-from .scalars import Scalar, int_if_integral, merge_odd_indices, mul_into
-from .superfunc import (_CACHE_BOUND, SuperFunction, _grouped, _make,
-                        _own_scalar, _require_square, x_steps, xi_deriv)
+from .scalars import (Scalar, int_if_integral, mul_into, theta_indices,
+                      theta_sign)
+from .superfunc import (_CACHE_BOUND, OVER_CAP, X_BITS, SuperFunction,
+                        _grouped, _make, _own_scalar, _require_square, pack_x,
+                        unpack_x, x_field, x_steps, xi_deriv)
 
 
 def poisson_bracket(f, g):
@@ -80,16 +80,19 @@ def poisson_bracket(f, g):
             n, weight, xi = _odd_factor(ctx.lambdas, xf, xg)
             if n > 1:
                 continue
-            ex = tuple(map(add, fx, gx))
+            ex = fx + gx
+            if ex & ctx.x_guard:
+                raise ValueError(OVER_CAP)
             c = int_if_integral(cf + cg)
             outs = [((ex, c, xi), weight)] if n else [
-                ((ex[:a] + e + ex[a + 2:], c, xi), weight * w)
-                for a in range(0, len(ex), 2)
-                for e, w in _poisson_row(fx[a], fx[a + 1], gx[a], gx[a + 1],
+                # the row's block in place of the block of ex
+                ((ex & ~(_BLOCK << b) | e << b, c, xi), weight * w)
+                for b in range(0, X_BITS * ctx.n_plus, 2 * X_BITS)
+                for e, w in _poisson_row(fx >> b & _BLOCK, gx >> b & _BLOCK,
                                          cf, cg)]
             if outs:
                 prod = mul_into({}, (), fitems, gitems, ctx.h_max, 1,
-                                len(xf)).items()
+                                xf.bit_count()).items()
                 for key, v in outs:
                     for k, u in prod:
                         k = key + k
@@ -104,7 +107,7 @@ def antibracket(f, g):
     bracket pairing x_i with xi_i; needs n_plus == n_minus."""
     _require_square(f.ctx, "antibracket")
     f._check(g)
-    h_max = f.ctx.h_max
+    h_max, guard = f.ctx.h_max, f.ctx.x_guard
     acc = {}
     gterms = list(_grouped(g).items())
     for (fx, cf, xf), fitems in _grouped(f).items():
@@ -113,15 +116,16 @@ def antibracket(f, g):
             if not (g_side or f_side):
                 continue
             prod = mul_into({}, (), fitems, gitems, h_max, 1,
-                            len(xf) + 1).items()
-            ex = list(map(add, fx, gx))  # stepped in place for each key
+                            xf.bit_count() + 1).items()
+            ex = fx + gx  # each stepped key meets the guard
             c = int_if_integral(cf + cg)
             for side, e, ce in ((g_side, fx, cf), (f_side, gx, cg)):
                 for a, w, xi in side:
-                    for step, u in x_steps(e[a], ce):
-                        ex[a] += step
-                        key = (tuple(ex), c, xi)
-                        ex[a] -= step
+                    for step, u in x_steps(x_field(e, a), ce):
+                        x = ex + (step << X_BITS * a)
+                        if x & guard:
+                            raise ValueError(OVER_CAP)
+                        key = (x, c, xi)
                         for k, v in prod:
                             k = key + k
                             q = acc.pop(k, 0) + w * u * v
@@ -141,41 +145,44 @@ def _settled(ctx, acc):
 
 @lru_cache(maxsize=_CACHE_BOUND)
 def _anti_factor(xf, xg):
-    """The xi part of ``antibracket`` for xi monomials xf and xg, which
-    no x exponent or weight changes: per side, the (x index, sign, merged
-    xi) of each channel i whose xi_i survives the merge.  The g side takes
-    ``xi_deriv`` of g by xi_i from the left and d_{x_i} of f; the f side
-    takes ``xi_deriv`` of f by xi_i from the right, with the minus of the
-    second sum, and d_{x_i} of g.  Each sign is the derivative's times that
-    of ``merge_odd_indices`` on f's and g's remaining xi."""
+    """The xi part of ``antibracket`` for xi masks xf and xg, which no x
+    exponent or weight changes: per side, the (x index, sign, merged xi
+    mask) of each channel i whose xi_i survives the merge.  The g side
+    takes ``xi_deriv`` of g by xi_i from the left and d_{x_i} of f; the f
+    side takes ``xi_deriv`` of f by xi_i from the right, with the minus of
+    the second sum, and d_{x_i} of g.  Each sign is the derivative's times
+    that of ``theta_sign`` on f's and g's remaining xi."""
     g_side = []
-    for gen in xg:
+    for gen in theta_indices(xg):
         d, rest = xi_deriv(xg, gen, False)
-        sign, xi = merge_odd_indices(xf, rest)
+        sign = theta_sign(xf, rest)
         if sign:
-            g_side.append((gen - 1, d * sign, xi))
+            g_side.append((gen - 1, d * sign, xf | rest))
     f_side = []
-    for gen in xf:
+    for gen in theta_indices(xf):
         d, rest = xi_deriv(xf, gen, True)
-        sign, xi = merge_odd_indices(rest, xg)
+        sign = theta_sign(rest, xg)
         if sign:
-            f_side.append((gen - 1, -d * sign, xi))
+            f_side.append((gen - 1, -d * sign, rest | xg))
     return tuple(g_side), tuple(f_side)
 
 
 # -- block-factored kernel ---------------------------------------------------
 #
-# Polynomials are dicts from exponents to coefficients, with the Gaussian
-# factor left implicit.  ``tables`` holds the one-variable derivative
-# tables under (e, c), the block tables under (a1, a2, b1, b2, c_f, c_g)
-# and the x tables under (x exponents of f, x exponents of g, c_f, c_g).
-# None depends on kappa, the scalars, the lambdas or the context order, so
-# all Moyal brackets share ``_TABLES``, cleared before a bracket past
-# ``_TABLE_BOUND`` keys; ``bidiff_term`` keeps tables per call, as its
-# calls seldom meet a key twice.  A list is replaced, never extended.
+# Polynomials are dicts from exponents to coefficients, the Gaussian factor
+# left implicit; exponents are packed on a block (the two fields ``_BLOCK``
+# masks) and on x, where blocks combine by shift and add.  ``tables`` keys
+# derivative tables by (e, c), block tables by (f's block, g's block, c_f,
+# c_g) and x tables by (n_plus, x of f, x of g, c_f, c_g), as packed 0 is
+# the zero vector at every n_plus.  None depends on kappa, the scalars, the
+# lambdas or the context order, so all Moyal brackets share ``_TABLES``,
+# cleared before a bracket past ``_TABLE_BOUND`` keys; ``bidiff_term`` keeps
+# tables per call, as its calls seldom meet a key twice.  A list is
+# replaced, never extended.
 
 _TABLES = {}
 _TABLE_BOUND = 1024
+_BLOCK = (1 << 2 * X_BITS) - 1
 
 
 def _derivs(tables, e, c, n):
@@ -205,13 +212,13 @@ def _block_table(tables, fb, gb, cf, cg, m_max):
 
         T[m] = sum_{i+j=m} (-1)^j/(i! j!) (d1^i d2^j f_B)(d2^i d1^j g_B),
 
-    with f_B = y1^a1 y2^a2 exp(-c_f |y|^2/2) and g_B likewise."""
-    key = fb + gb + (cf, cg)
+    with f_B = y1^a1 y2^a2 exp(-c_f |y|^2/2) packed in fb, g_B likewise."""
+    key = (fb, gb, cf, cg)
     table = tables.get(key) or []
     if len(table) > m_max:
         return table
-    f1, f2 = (_derivs(tables, e, cf, m_max) for e in fb)
-    g1, g2 = (_derivs(tables, e, cg, m_max) for e in gb)
+    f1, f2 = (_derivs(tables, e, cf, m_max) for e in unpack_x(fb, 2))
+    g1, g2 = (_derivs(tables, e, cg, m_max) for e in unpack_x(gb, 2))
     while len(table) <= m_max:
         m = len(table)
         out = {}
@@ -225,19 +232,20 @@ def _block_table(tables, fb, gb, cf, cg, m_max):
             for e1, a in u.items():
                 for e2, b in v.items():
                     out[e1, e2] = out.get((e1, e2), 0) + w * a * b
-        table = table + [{k: q for k, q in out.items() if q}]
+        table = table + [{pack_x(k): q for k, q in out.items() if q}]
     tables[key] = table
     return table
 
 
 @lru_cache(maxsize=_CACHE_BOUND)
-def _poisson_row(f1, f2, g1, g2, cf, cg):
+def _poisson_row(fb, gb, cf, cg):
     """The x-pair channel of P on one block, f_B = y1^f1 y2^f2
-    exp(-cf |y|^2/2) against g_B = y1^g1 y2^g2 exp(-cg |y|^2/2): the m = 1
-    row (d1 f_B)(d2 g_B) - (d2 f_B)(d1 g_B) of ``_block_table``, as a
-    tuple of ((e1, e2), coefficient).  It is formed here from the
-    ``x_steps`` of the four exponents, with the row's terms in the order
-    of the table's; the tests take the table as its oracle."""
+    exp(-cf |y|^2/2), (f1, f2) packed in fb, against g_B likewise: the
+    m = 1 row (d1 f_B)(d2 g_B) - (d2 f_B)(d1 g_B) of ``_block_table``, a
+    tuple of (packed exponents, coefficient) formed from the ``x_steps``
+    of the four exponents, in the order of the table's; the tests take the
+    table as its oracle."""
+    (f1, f2), (g1, g2) = unpack_x(fb, 2), unpack_x(gb, 2)
     row = {}
     for w, y1, y2 in ((-1, x_steps(g1, cg), x_steps(f2, cf)),
                       (1, x_steps(f1, cf), x_steps(g2, cg))):
@@ -245,21 +253,22 @@ def _poisson_row(f1, f2, g1, g2, cf, cg):
             for s2, v in y2:
                 e = (f1 + g1 + s1, f2 + g2 + s2)
                 row[e] = row.get(e, 0) + w * u * v
-    return tuple((e, int_if_integral(w)) for e, w in row.items() if w)
+    return tuple((pack_x(e), int_if_integral(w)) for e, w in row.items() if w)
 
 
-def _x_tables(tables, fx, gx, cf, cg, q_max):
+def _x_tables(tables, n, fx, gx, cf, cg, q_max):
     """q! X[q] for q = 0..q_max (or more, when a longer list is stored),
-    the t^q coefficient of the product over the x-pair blocks of
+    the t^q coefficient of the product over the n / 2 x-pair blocks of
     sum_m t^m T_B[m]; block tables combine with binomials because they are
     scaled by m!."""
-    key = (fx, gx, cf, cg)
+    key = (n, fx, gx, cf, cg)
     xs = tables.get(key)
     if xs is not None and len(xs) > q_max:
         return xs
-    xs = [{(): 1}] + [{}] * q_max
-    for b in range(0, len(fx), 2):
-        table = _block_table(tables, fx[b:b + 2], gx[b:b + 2], cf, cg, q_max)
+    xs = [{0: 1}] + [{}] * q_max
+    for shift in range(0, X_BITS * n, 2 * X_BITS):
+        table = _block_table(tables, fx >> shift & _BLOCK,
+                             gx >> shift & _BLOCK, cf, cg, q_max)
         new = []
         for q in range(q_max + 1):
             out = {}
@@ -267,8 +276,8 @@ def _x_tables(tables, fx, gx, cf, cg, q_max):
             for r in range(q + 1):
                 for k1, a in xs[q - r].items():
                     for k2, c in table[r].items():
-                        xexp = k1 + k2
-                        out[xexp] = out.get(xexp, 0) + binom * a * c
+                        x = k1 + (k2 << shift)
+                        out[x] = out.get(x, 0) + binom * a * c
                 binom = binom * (q - r) // (r + 1)
             new.append({k: v for k, v in out.items() if v})
         xs = new
@@ -278,24 +287,23 @@ def _x_tables(tables, fx, gx, cf, cg, q_max):
 
 @lru_cache(maxsize=_CACHE_BOUND)
 def _odd_factor(lambdas, xf, xg):
-    """Sign, lambda weight and merged xi monomial of the odd channels.
+    """Sign, lambda weight and merged xi mask of the odd channels.
 
     Only the channels of S = xi(f) & xi(g) survive: any other leaves a
     repeated xi.  They act once each, in increasing order, as ``xi_deriv``
     from the right on f and from the left on g (passing g's theta part is
-    left to the caller), each with its lambda_a.  Then
-    ``merge_odd_indices`` merges the two remainders.  The result depends on
-    the metric signs ``lambdas`` and the two xi monomials alone, so it is
-    cached.
+    left to the caller), each with its lambda_a.  Then the two remainders,
+    which share no xi, merge with the sign of ``theta_sign``.  The result
+    depends on the metric signs ``lambdas`` and the two xi masks alone, so
+    it is cached.
     """
-    shared = [i for i in xf if i in xg]
+    shared = theta_indices(xf & xg)
     weight = 1
     for i in shared:
         d, xf = xi_deriv(xf, i, True)
         e, xg = xi_deriv(xg, i, False)
         weight *= d * e * lambdas[i - 1]
-    sign, xi = merge_odd_indices(xf, xg)
-    return len(shared), weight * sign, xi
+    return len(shared), weight * theta_sign(xf, xg), xf | xg
 
 
 def _iterate_pairs(f, g, weights, tables):
@@ -338,8 +346,8 @@ def _iterate_pairs(f, g, weights, tables):
                 continue
             # the theta part of g's scalar moves left past f's xi monomial
             prod = mul_into({}, (), fitems, gitems, h_max, 1,
-                            len(xf)).items()
-            xs = _x_tables(tables, fx, gx, cf, cg, plan[-1][0])
+                            xf.bit_count()).items()
+            xs = _x_tables(tables, ctx.n_plus, fx, gx, cf, cg, plan[-1][0])
             c = int_if_integral(cf + cg)
             for q, w, scale in plan:
                 poly = xs[q]
@@ -347,8 +355,8 @@ def _iterate_pairs(f, g, weights, tables):
                     continue
                 coeffs = mul_into({}, (), w, prod, h_max,
                                   weight * scale).items()
-                for xexp, v in poly.items():
-                    key = (xexp, c, xi)
+                for x, v in poly.items():
+                    key = (x, c, xi)
                     slot = acc.get(key)
                     if slot is None:
                         slot = acc[key] = {}

@@ -40,9 +40,8 @@ from .errors import ContextMismatchError
 
 MAX_RADICAND = 10 ** 12  # largest integer the ring factors under a root
 
-# entries of each cache: squarefree_decompose and merge_odd_indices here,
-# _moment in superfunc, and in brackets _anti_factor, _poisson_row,
-# _odd_factor and _moyal_weights
+# entries of each cache: squarefree_decompose here, _moment in superfunc, and
+# in brackets _anti_factor, _poisson_row, _odd_factor and _moyal_weights
 _CACHE_BOUND = 4096
 
 
@@ -71,9 +70,9 @@ def squarefree_decompose(n):
 
 
 def theta_sign(a, b):
-    """Sign of th^a * th^b = sign * th^(a | b) for theta bitmasks a and b:
-    0 when they share a generator, else -1 to the number of crossings (a
-    generator of a above one of b)."""
+    """Sign of th^a * th^b = sign * th^(a | b) for theta (or xi) bitmasks a
+    and b, the one Koszul sign rule: 0 when they share a generator, else -1
+    to the number of crossings (a generator of a above one of b)."""
     if a & b:
         return 0
     crossings = 0
@@ -84,24 +83,13 @@ def theta_sign(a, b):
     return -1 if crossings & 1 else 1
 
 
-@lru_cache(maxsize=_CACHE_BOUND)
-def merge_odd_indices(a, b):
-    """Merge two sorted tuples of distinct generator indices.
-
-    Returns (sign, merged) with the Koszul sign of sorting the concatenation,
-    or (0, None) when an index repeats (the square of a generator is 0).
-    """
-    sign = theta_sign(theta_mask(a), theta_mask(b))
-    return (sign, tuple(sorted(a + b))) if sign else (0, None)
-
-
 def theta_mask(alpha):
-    """Bitmask of a tuple of theta indices."""
+    """Bitmask of a tuple of theta (or xi) indices."""
     return sum(1 << (j - 1) for j in alpha)
 
 
 def theta_indices(mask):
-    """Sorted tuple of the theta indices in a bitmask."""
+    """Sorted tuple of the theta (or xi) indices in a bitmask."""
     return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
 
 

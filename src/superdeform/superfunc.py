@@ -13,9 +13,9 @@ by every operation.
 
 The derivative d_a by an odd variable xi_a acts on a term s * x^e * xi^I
 by deleting xi_a: ``xi_deriv`` gives the rest of I and the sign that
-``merge_odd_indices`` gives xi_a * rest (from the left) or rest * xi_a
-(from the right), which is the one xi sign rule of the package.  From the
-left, xi_a also passes the theta part of s: the derivative writes the
+``scalars.theta_sign``, the one Koszul sign rule for xi and theta alike,
+gives xi_a * rest (from the left) or rest * xi_a (from the right).  From
+the left, xi_a also passes the theta part of s: the derivative writes the
 sign times s through ``scalars.mul_into`` with a twist of one, so that
 sign comes from the one theta rule of every product.
 
@@ -40,24 +40,30 @@ supported class consists of the constants.
 
 A SuperFunction keeps its terms in one flat dict, ``coeffs``, keyed
 
-    (x_exponents, gauss_weight, xi_indices, m, theta_mask, p, s, r):
+    (x, gauss_weight, xi_mask, m, theta_mask, p, s, r):
 
 the term key followed by the key of ``Scalar.coeffs``, kept clean as
 ``scalars.FlatSum`` states, which also holds the sums, negation and h
-filters.  So an entry is one rational times a monomial, and every
-operation works on rationals: products of coefficient lists go through
-``scalars.mul_into``, and no per-term Scalar is built, not even to
-render.  ``terms`` is the view {term key: Scalar}, built on each access
-for readers of whole coefficients.  Only this module and scalars know the
-layout of the scalar part of a key (the Moyal kernel reads that it leads
-with the h-degree); the bracket kernels read terms through ``_grouped``
-and, like ``sf_mul``, write products under a term key prefix with
-``mul_into``, or, in the Moyal kernel, build results through ``_make``;
+filters.  ``xi_mask`` has bit a - 1 for xi_a, as theta masks do; the int
+``x`` holds the exponent of x_a in field a - 1, X_BITS wide, whose top bit
+is a guard: with exponents at most X_CAP (16383), a product or a step (of at
+most +2) is an int add that carries into no other field, and a test of
+``ctx.x_guard`` refuses an exponent formed past the cap with ValueError.
+This module owns the format (``pack_x``, ``unpack_x``, ``x_field``); the
+constructor, ``terms`` and ``render`` speak tuples.  So an entry is one
+rational times a monomial, and every operation works on rationals: products
+of coefficient lists go through ``scalars.mul_into``, and no per-term Scalar
+is built, not even to render.  ``terms`` is the view {term key: Scalar},
+built on each access for readers of whole coefficients.  Only this module and
+scalars know the layout of the scalar part of a key (the Moyal kernel reads
+that it leads with the h-degree); the bracket kernels read terms through
+``_grouped`` and, like ``sf_mul``, write products under a term key prefix
+with ``mul_into``, or, in the Moyal kernel, build results through ``_make``;
 the sampler writes its rational terms under ``_RATIONAL``.
 
-A SymplecticContext is a namedtuple value, as a ScalarContext is, with
-its ScalarContext as ``scalar_ctx``; ``scalars.check_context`` refuses
-operands over two contexts.
+A SymplecticContext is a namedtuple value, as a ScalarContext is, with its
+ScalarContext as ``scalar_ctx`` and its x fields' guard bits as ``x_guard``;
+``scalars.check_context`` refuses operands over two contexts.
 
 A function never changes after it is built (the ``FlatSum`` rule), so it
 keeps its parity and its bar integral once asked for them: a check asks
@@ -69,20 +75,45 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from numbers import Rational
-from operator import add, lt
+from operator import lt
 
 from .errors import DeformationError, NotIntegrableError
 from .scalars import (_CACHE_BOUND, FlatSum, RadicalNumber, Scalar,
                       ScalarContext, accumulate, check_context, exact,
-                      int_if_integral, merge_odd_indices, mul_into,
-                      render_sum)
+                      int_if_integral, mul_into, render_sum, theta_indices,
+                      theta_mask, theta_sign)
+
+X_BITS = 15  # the packed x exponents of the module doc
+X_CAP = (1 << X_BITS - 1) - 1
+_X_FIELD = (1 << X_BITS) - 1
+OVER_CAP = f"an x exponent is above the cap {X_CAP}"
+
+
+def pack_x(exps):
+    """The packed x of the exponent tuple ``exps``, each at most X_CAP."""
+    x = 0
+    for e in reversed(exps):
+        if e > X_CAP:
+            raise ValueError(OVER_CAP)
+        x = x << X_BITS | e
+    return x
+
+
+def unpack_x(x, n):
+    """The tuple of the n exponents packed in x."""
+    return tuple([x >> X_BITS * a & _X_FIELD for a in range(n)])
+
+
+def x_field(x, a):
+    """The exponent of x_(a+1) in the packed x."""
+    return x >> X_BITS * a & _X_FIELD
 
 
 class SymplecticContext(namedtuple("SymplecticContext",
                                    "n_plus n_minus lambdas k h_max")):
     """Fixed data of the algebra: dimensions, metric signs, truncation; a
     value checked as ScalarContext is, whose ``__new__`` keeps the
-    ScalarContext of k and h_max once, as ``scalar_ctx`` in its __dict__."""
+    ScalarContext of k and h_max, and ``x_guard``, once in its __dict__."""
 
     def __new__(cls, n_plus, n_minus, lambdas=None, k=0, h_max=6):
         if type(n_plus) is not int or n_plus % 2 != 0 or n_plus < 0:
@@ -95,6 +126,7 @@ class SymplecticContext(namedtuple("SymplecticContext",
             raise ValueError("lambdas must be a +-1 vector of length n_minus")
         self = super().__new__(cls, n_plus, n_minus, lambdas, k, h_max)
         self.scalar_ctx = ScalarContext(k, h_max)
+        self.x_guard = ((1 << X_BITS * n_plus) - 1) // _X_FIELD << X_BITS - 1
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -110,25 +142,22 @@ class SymplecticContext(namedtuple("SymplecticContext",
 
 def x_steps(e, c):
     """d/du of u^e exp(-c u^2/2): e at step -1, -c at +1, zeros left out."""
-    if e:
-        return ((-1, e), (1, -c)) if c else ((-1, e),)
-    return ((1, -c),) if c else ()
+    if not c:
+        return ((-1, e),) if e else ()
+    if e >= X_CAP:
+        raise ValueError(OVER_CAP)
+    return ((-1, e), (1, -c)) if e else ((1, -c),)
 
 
 def xi_deriv(xi, gen, right):
-    """d/dxi_gen of the xi monomial ``xi``, which holds gen, as (sign,
-    rest): rest is xi without xi_gen, and sign the one ``merge_odd_indices``
-    gives xi_gen * rest = sign * xi (from the left) or rest * xi_gen =
-    sign * xi (from the right), so the derivative is sign * rest.  The
-    sign a theta part picks up is the caller's ``mul_into`` twist."""
-    rest = tuple(a for a in xi if a != gen)
-    pair = (rest, (gen,)) if right else ((gen,), rest)
-    return merge_odd_indices(*pair)[0], rest
-
-
-def bump(xexp, a, step):
-    """The exponent vector xexp with entry a moved by step."""
-    return xexp[:a] + (xexp[a] + step,) + xexp[a + 1:]
+    """d/dxi_gen of the xi mask ``xi``, which holds gen, as (sign, rest):
+    rest is xi without xi_gen, and sign the one ``theta_sign`` gives
+    xi_gen * rest = sign * xi (from the left) or rest * xi_gen = sign * xi
+    (from the right), so the derivative is sign * rest.  The sign a theta
+    part picks up is the caller's ``mul_into`` twist."""
+    bit = 1 << gen - 1
+    rest = xi ^ bit
+    return (theta_sign(rest, bit) if right else theta_sign(bit, rest)), rest
 
 
 class SuperFunction(FlatSum):
@@ -137,7 +166,8 @@ class SuperFunction(FlatSum):
     ``coeffs`` is the flat dict of the module doc.  The constructor takes
     the form of ``terms``, {(x_exponents, gauss_weight, xi_indices):
     Scalar}, where a rational value stands for its Scalar, and refuses a
-    term key that is not canonical; it sets the Gaussian weight to 0 when
+    term key that is not canonical or has an exponent past X_CAP; it sets
+    the Gaussian weight to 0 when
     n_plus = 0 and sums the terms that then coincide.  ``terms`` is that
     view, built on each access.  The slots ``_eps`` and ``_bar`` hold the
     values of ``eps`` and ``integral_bar`` once computed; a raised
@@ -166,7 +196,7 @@ class SuperFunction(FlatSum):
                            and all(map(lt, xi, xi[1:]))
                            and all(a.__class__ is int for a in xi)):
                 raise ValueError("xi monomial must be sorted distinct indices")
-            term = (xexp, c, xi)
+            term = (pack_x(xexp), c, theta_mask(xi))
             if s.__class__ is not int:
                 for k, q in _own_scalar(ctx, s).coeffs.items():
                     accumulate(self.coeffs, term + k, q)
@@ -176,9 +206,10 @@ class SuperFunction(FlatSum):
     @property
     def terms(self):
         """The view {(x_exponents, gauss_weight, xi_indices): Scalar}."""
-        sctx = self.ctx.scalar_ctx
-        return {term: Scalar._of(sctx, dict(items))
-                for term, items in _grouped(self).items()}
+        ctx = self.ctx
+        return {(unpack_x(x, ctx.n_plus), c, theta_indices(xi)):
+                Scalar._of(ctx.scalar_ctx, dict(items))
+                for (x, c, xi), items in _grouped(self).items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -226,8 +257,7 @@ class SuperFunction(FlatSum):
 
     def constant_scalar(self):
         """The Scalar s when the function is the constant s, else None."""
-        const = ((0,) * self.ctx.n_plus, 0, ())
-        if any(key[:3] != const for key in self.coeffs):
+        if any(key[:3] != (0, 0, 0) for key in self.coeffs):
             return None
         return Scalar._of(self.ctx.scalar_ctx,
                           {key[3:]: q for key, q in self.coeffs.items()})
@@ -260,7 +290,8 @@ class SuperFunction(FlatSum):
         items = _own_scalar(self.ctx, scalar).coeffs.items()
         out = {}
         for term, own in _grouped(self).items():
-            mul_into(out, term, own, items, self.ctx.h_max, 1, len(term[2]))
+            mul_into(out, term, own, items, self.ctx.h_max, 1,
+                     term[2].bit_count())
         return SuperFunction._of(self.ctx, out)
 
     def __eq__(self, other):
@@ -285,7 +316,7 @@ class SuperFunction(FlatSum):
             return self._eps
         except AttributeError:
             pass
-        parities = {(len(key[2]) + key[4].bit_count()) & 1
+        parities = {(key[2].bit_count() + key[4].bit_count()) & 1
                     for key in self.coeffs}  # _parity, inlined
         self._eps = (0 if not parities else
                      parities.pop() if len(parities) == 1 else None)
@@ -317,10 +348,9 @@ class SuperFunction(FlatSum):
 
     def is_z_class(self):
         """True when the function is Gaussian-class plus a constant."""
-        zero_x = (0,) * self.ctx.n_plus
         if self.ctx.n_plus == 0:
             return True
-        return all(key[1] > 0 or (key[0] == zero_x and key[2] == ())
+        return all(key[1] > 0 or not (key[0] or key[2])
                    for key in self.coeffs)
 
     def d_class_part(self):
@@ -350,18 +380,18 @@ class SuperFunction(FlatSum):
             raise ValueError(f"variable index {a} outside 0..{ctx.n_z - 1}")
         out = {}
         if a < ctx.n_plus:
-            for (xexp, c, xi), items in _grouped(self).items():
-                for step, u in x_steps(xexp[a], c):
-                    term = (bump(xexp, a, step), c, xi)
+            for (x, c, xi), items in _grouped(self).items():
+                for step, u in x_steps(x_field(x, a), c):
+                    term = (x + (step << X_BITS * a), c, xi)
                     for k, q in items:
                         accumulate(out, term + k, q * u)
             return SuperFunction._of(ctx, out)
         gen = a - ctx.n_plus + 1
-        for (xexp, c, xi), items in _grouped(self).items():
-            if gen in xi:
+        for (x, c, xi), items in _grouped(self).items():
+            if xi >> gen - 1 & 1:
                 sign, rest = xi_deriv(xi, gen, right)
                 # from the left, xi_gen also passes the theta part
-                mul_into(out, (xexp, c, rest), ((_RATIONAL, sign),), items,
+                mul_into(out, (x, c, rest), ((_RATIONAL, sign),), items,
                          ctx.h_max, 1, not right)
         return SuperFunction._of(ctx, out)
 
@@ -383,17 +413,18 @@ class SuperFunction(FlatSum):
         half = ctx.n_plus // 2
         total = {}
         for key, q in self.coeffs.items():
-            xexp, c, xi = term = key[:3]
+            x, c, xi = term = key[:3]
             if ctx.n_plus and not c:
-                if xi or any(xexp):
+                if xi or x:
                     raise NotIntegrableError(
                         "term without Gaussian suppression is not integrable"
-                        ": " + self._render_term(term, _grouped(self)[term]))
+                        ": " + self._where(lambda k: k[:3] == term).render())
                 continue
-            if len(xi) != n_minus or any(e & 1 for e in xexp):
-                continue
+            if xi.bit_count() != n_minus or x & ctx.x_guard >> X_BITS - 1:
+                continue  # not top-xi, or an odd exponent (a field's low bit)
             # the scalar moment * pi^half, from the left, past n_minus xi's
-            weight = ((0, 0, half, 0, 1), _moment(xexp, c, half))
+            weight = ((0, 0, half, 0, 1),
+                      _moment(unpack_x(x, 2 * half), c, half))
             mul_into(total, (), (weight,), ((key[3:], q),), ctx.h_max, 1,
                      n_minus)
         self._bar = Scalar._of(ctx.scalar_ctx, total)
@@ -412,13 +443,16 @@ class SuperFunction(FlatSum):
     def _degree_op(self, a, b):
         """a + b N_z in one pass: a term s x^e G xi^I gets the factor
         a + b (|e| + |I|), and each of its bumps x_i^2 the factor -b c."""
+        n, guard = self.ctx.n_plus, self.ctx.x_guard
         out = {}
-        for (xexp, c, xi), items in _grouped(self).items():
-            w = int_if_integral(a + b * (sum(xexp) + len(xi)))
+        for term, items in _grouped(self).items():
+            x, c, xi = term
+            w = int_if_integral(a + b * (sum(unpack_x(x, n)) + xi.bit_count()))
             u = int_if_integral(-b * c)
-            term = (xexp, c, xi)
-            bumped = [(bump(xexp, i, 2), c, xi)
-                      for i in range(len(xexp) if c else 0)]
+            bumped = [(x + (2 << X_BITS * i), c, xi)
+                      for i in range(n if c else 0)]
+            if c and x + (guard >> X_BITS - 2) & guard:  # x_i^2 past the cap
+                raise ValueError(OVER_CAP)
             for k, q in items:
                 accumulate(out, term + k, q * w)
                 for t in bumped:
@@ -429,20 +463,20 @@ class SuperFunction(FlatSum):
         """1 - N_xi, N_xi the sum over the xi_a of xi_a times the left
         derivative: a term of xi-degree |I| gets the factor 1 - |I|."""
         return SuperFunction._of(self.ctx, {
-            key: int_if_integral(q * (1 - len(key[2])))
-            for key, q in self.coeffs.items() if len(key[2]) != 1})
+            key: int_if_integral(q * (1 - key[2].bit_count()))
+            for key, q in self.coeffs.items() if key[2].bit_count() != 1})
 
     def delta_op(self):
         """Sum over i of d/dx_i d/dxi_i; needs n_plus == n_minus."""
         ctx = self.ctx
         _require_square(ctx, "delta operator")
         out = {}
-        for (xexp, c, xi), items in _grouped(self).items():
-            for gen in xi:
+        for (x, c, xi), items in _grouped(self).items():
+            for gen in theta_indices(xi):
                 sign, rest = xi_deriv(xi, gen, False)
-                for step, u in x_steps(xexp[gen - 1], c):
+                for step, u in x_steps(x_field(x, gen - 1), c):
                     # the left xi-derivative passes the theta part
-                    mul_into(out, (bump(xexp, gen - 1, step), c, rest),
+                    mul_into(out, (x + (step << X_BITS * (gen - 1)), c, rest),
                              ((_RATIONAL, sign * u),), items, ctx.h_max, 1, 1)
         return SuperFunction._of(ctx, out)
 
@@ -467,9 +501,9 @@ class SuperFunction(FlatSum):
         return "*".join(factors)
 
     def render(self):
-        groups = _grouped(self)
-        return " + ".join(self._render_term(k, groups[k])
-                          for k in sorted(groups)) or "0"
+        terms = self.terms  # sorted by its tuple keys
+        return " + ".join(self._render_term(k, terms[k].coeffs.items())
+                          for k in sorted(terms)) or "0"
 
 
 # the Scalar key of a rational, after the term key of a flat key
@@ -478,7 +512,7 @@ _RATIONAL = (0, 0, 0, 0, 1)
 
 def _parity(key):
     """Total parity of a flat key: xi-degree plus theta-weight, mod 2."""
-    return (len(key[2]) + key[4].bit_count()) & 1
+    return (key[2].bit_count() + key[4].bit_count()) & 1
 
 
 @lru_cache(maxsize=_CACHE_BOUND)
@@ -527,8 +561,8 @@ def _require_square(ctx, name):
 
 
 def _grouped(f):
-    """The terms of f as {(x_exponents, gauss_weight, xi_indices): [(scalar
-    key, coefficient), ...]}, in the order of ``f.coeffs``."""
+    """The terms of f as {(x, gauss_weight, xi_mask): [(scalar key,
+    coefficient), ...]}, in the order of ``f.coeffs``."""
     groups = {}
     for key, q in f.coeffs.items():
         term = key[:3]
@@ -541,9 +575,9 @@ def _grouped(f):
 
 
 def _make(ctx, slots, den):
-    """The SuperFunction of {(x_exponents, gauss_weight, xi_indices):
-    {scalar key: coefficient}} over the common denominator ``den``, zero
-    coefficients dropped."""
+    """The SuperFunction of {(x, gauss_weight, xi_mask): {scalar key:
+    coefficient}} over the common denominator ``den``, zero coefficients
+    dropped."""
     coeffs = {}
     for term, slot in slots.items():
         for k, v in slot.items():
@@ -561,15 +595,16 @@ def _make(ctx, slots, den):
 def sf_mul(f, g):
     """Supercommutative product with all Koszul signs."""
     f._check(g)
-    h_max = f.ctx.h_max
+    h_max, guard = f.ctx.h_max, f.ctx.x_guard
     out = {}
     gterms = list(_grouped(g).items())
-    for (xe1, c1, xi1), items1 in _grouped(f).items():
-        for (xe2, c2, xi2), items2 in gterms:
-            sign, xi = merge_odd_indices(xi1, xi2)
+    for (x1, c1, xi1), items1 in _grouped(f).items():
+        for (x2, c2, xi2), items2 in gterms:
+            sign = theta_sign(xi1, xi2) if xi1 and xi2 else 1
             if sign:
+                if x1 + x2 & guard:
+                    raise ValueError(OVER_CAP)
                 # the theta part of g's scalar moves left past xi1
-                mul_into(out, (tuple(map(add, xe1, xe2)),
-                               int_if_integral(c1 + c2), xi),
-                         items1, items2, h_max, sign, len(xi1))
+                mul_into(out, (x1 + x2, int_if_integral(c1 + c2), xi1 | xi2),
+                         items1, items2, h_max, sign, xi1.bit_count())
     return SuperFunction._of(f.ctx, out)

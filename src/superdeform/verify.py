@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from .brackets import poisson_bracket
 from .cochains import ODD, _theta1, d_ad, grading_parity, jacobiator
 from .scalars import accumulate, exact
-from .superfunc import _RATIONAL, SuperFunction
+from .superfunc import _RATIONAL, X_CAP, SuperFunction, pack_x
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -33,15 +33,15 @@ class SampleSpec(namedtuple(
     """Deterministic description of a sample batch: an immutable value,
     equal and hashed by its fields.  ``parity`` is "even", "odd" or "any".
 
-    A spec that could draw no sample, or not the samples it names, is
-    refused with ValueError: a non-int ``seed``, ``count``, ``terms`` or
+    A spec that could draw no sample, or not the samples it names, is refused
+    with ValueError: a non-int ``seed``, ``count``, ``terms`` or
     ``max_x_degree``, ``count`` and ``terms`` below 1, a negative
-    ``max_x_degree``, weights that are not a sequence, no Gaussian weight
-    or one negative or not ``exact`` (each named as the field
-    ``SampleSpec.gauss_weights``), or a ``parity`` other than "even", "odd"
-    and "any".  The sampler writes keys with no constructor between, so
-    this is its check, made by every way of making a spec, ``_replace``
-    and ``_make`` included.
+    ``max_x_degree`` or one above ``superfunc.X_CAP``, weights that are not
+    a sequence, no Gaussian weight or one negative or not ``exact`` (each
+    named as the field ``SampleSpec.gauss_weights``), or a ``parity`` other
+    than "even", "odd" and "any".  The sampler writes keys with no
+    constructor between, so this is its check, made by every way of making
+    a spec, ``_replace`` and ``_make`` included.
     """
 
     __slots__ = ()
@@ -57,6 +57,9 @@ class SampleSpec(namedtuple(
             if least is not None and value < least:
                 raise ValueError(f"SampleSpec.{name} must be at least "
                                  f"{least}, got {value}")
+        if self.max_x_degree > X_CAP:
+            raise ValueError(f"SampleSpec.max_x_degree must be at most "
+                             f"{X_CAP}, got {self.max_x_degree}")
         weights = self.gauss_weights
         try:
             # a set or an iterator is refused: the sampler reads the
@@ -114,15 +117,13 @@ def sample_superfunctions(spec, ctx):
                 xexp.append((state >> 33) % x_span)
             state = (LCG_MULT * state + LCG_INC) & LCG_MASK
             c = weights[(state >> 33) % len(weights)]
-            xi = []
-            while len(xi) < deg:
+            xi = 0  # the mask of deg distinct xi indices
+            while xi.bit_count() < deg:
                 state = (LCG_MULT * state + LCG_INC) & LCG_MASK
-                a = 1 + (state >> 33) % n_minus
-                if a not in xi:
-                    xi.append(a)
+                xi |= 1 << (state >> 33) % n_minus
             state = (LCG_MULT * state + LCG_INC) & LCG_MASK
-            accumulate(coeffs, (tuple(xexp), c, tuple(sorted(xi)))
-                       + _RATIONAL, COEFF_POOL[(state >> 33) % len(COEFF_POOL)])
+            accumulate(coeffs, (pack_x(xexp), c, xi) + _RATIONAL,
+                       COEFF_POOL[(state >> 33) % len(COEFF_POOL)])
         out.append(SuperFunction._of(ctx, coeffs))
     return out
 

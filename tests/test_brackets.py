@@ -12,7 +12,8 @@ from superdeform import (ContextMismatchError, Scalar, SuperFunction,
                          brackets, moyal_bracket, poisson_bracket, sf_mul)
 from superdeform.brackets import bidiff_term
 from superdeform.cochains import m1
-from superdeform.superfunc import _grouped, xi_deriv
+from superdeform.scalars import theta_sign
+from superdeform.superfunc import _grouped, pack_x, unpack_x, xi_deriv
 
 from conftest import naive_bidiff, random_superfunction, seeded
 
@@ -399,9 +400,29 @@ def test_stored_tables_are_never_extended_in_place():
     assert {key: len(table) for key, table in held.items()} == lengths
     longer = [key for key, n in _store_lengths().items()
               if key in held and n > lengths[key]]
-    # derivative, block and x tables all grew
-    assert {len(key) for key in longer} == {2, 4, 6}
+    # derivative (e, c), block (fb, gb, cf, cg) and x tables (n_plus, fx,
+    # gx, cf, cg) all grew
+    assert {len(key) for key in longer} == {2, 4, 5}
     assert all(brackets._TABLES[key] is not held[key] for key in longer)
+
+
+def test_x_tables_are_keyed_by_n_plus():
+    """Packed x exponents 0 are the zero vector at every n_plus, so the
+    shared x tables hold n_plus in their key.  Moyal brackets of Gaussians
+    with x exponent 0 alternate over one store between (2, 0), one x-pair
+    block, and (4, 2), two blocks, where the shared xi_1 lets the
+    x part's P^2 term through; each equals the series oracle."""
+    small = SymplecticContext(2, 0, (), 0, 2)
+    large = SymplecticContext(4, 2, (1, -1), 0, 2)
+    pairs = [(SuperFunction.gauss(small, 1), SuperFunction.gauss(small, 2)),
+             (SuperFunction.term(large, c=1, xi=(1,), scalar=3),
+              SuperFunction.term(large, c=2, xi=(1,)))]
+    brackets._TABLES.clear()
+    for f, g in pairs + pairs[::-1] + pairs:
+        value = moyal_bracket(f, g)
+        assert value == _series_oracle(f, g)
+        assert not value.is_zero() or f.ctx is small
+    assert {key[0] for key in brackets._TABLES if len(key) == 5} == {2, 4}
 
 
 def test_table_store_is_cleared_past_its_bound(monkeypatch):
@@ -522,15 +543,15 @@ def _subsets(n):
 
 
 def test_cached_odd_factor_equals_uncached():
-    """Every pair of xi monomials at n_minus <= 4, under two metrics that
-    differ on the shared indices: a cache key without the lambdas would
-    hand the first metric's factor to the second."""
+    """Every pair of xi monomials at n_minus <= 4, as masks, under two
+    metrics that differ on the shared indices: a cache key without the
+    lambdas would hand the first metric's factor to the second."""
     brackets._odd_factor.cache_clear()
     uncached = brackets._odd_factor.__wrapped__
     for n in range(5):
         for lambdas in ((1, -1, 1, -1)[:n], (-1,) * n):
-            for xf in _subsets(n):
-                for xg in _subsets(n):
+            for xf in map(_mask, _subsets(n)):
+                for xg in map(_mask, _subsets(n)):
                     assert brackets._odd_factor(lambdas, xf, xg) == \
                         uncached(lambdas, xf, xg)
     assert brackets._odd_factor.cache_info().maxsize == brackets._CACHE_BOUND
@@ -624,13 +645,15 @@ def _theta_xi_monomials(ctx, xexp=None):
 
 
 def _jw_state_vector(f):
-    """{(x exponents, state): coefficient} of f, whose terms must be
-    rational theta^alpha x^e xi^I monomials without a Gaussian."""
+    """{(x exponents, state): coefficient} of f, read from its ``terms``
+    view, whose terms must be rational theta^alpha x^e xi^I monomials
+    without a Gaussian."""
     k = f.ctx.k
     out = {}
-    for (xexp, c, xi, m, mask, p, s, r), q in f.coeffs.items():
-        assert (c, m, p, s, r) == (0, 0, 0, 0, 1)
-        out[xexp, mask | _mask(xi, k)] = q
+    for (xexp, c, xi), scalar in f.terms.items():
+        for (m, mask, p, s, r), q in scalar.coeffs.items():
+            assert (c, m, p, s, r) == (0, 0, 0, 0, 1)
+            out[xexp, mask | _mask(xi, k)] = q
     return out
 
 
@@ -661,17 +684,17 @@ def test_jordan_wigner_operators_anticommute():
 
 
 def test_xi_deriv_matches_the_jordan_wigner_oracle():
-    """``xi_deriv`` on every xi monomial holding xi_a at n_minus <= 4: the
+    """``xi_deriv`` on every xi mask holding xi_a at n_minus <= 4: the
     annihilation operator of mode a from the left, ``_jw_right`` from the
-    right."""
+    right, each as (coefficient, state)."""
     for n in range(5):
         for xi in _subsets(n):
             vec = {_mask(xi): 1}
             for a in xi:
-                assert xi_deriv(xi, a, False) == \
-                    _jw_monomial(_jw(a, False, vec))
-                assert xi_deriv(xi, a, True) == \
-                    _jw_monomial(_jw_right(a, vec))
+                for right, want in ((False, _jw(a, False, vec)),
+                                    (True, _jw_right(a, vec))):
+                    ((state, c),) = want.items()
+                    assert xi_deriv(_mask(xi), a, right) == (c, state)
 
 
 def test_xi_derivatives_of_functions_match_the_jordan_wigner_oracle():
@@ -692,19 +715,21 @@ def test_xi_derivatives_of_functions_match_the_jordan_wigner_oracle():
 
 
 def test_xi_signs_match_the_jordan_wigner_oracle():
-    """On every pair of xi monomials at n_minus <= 4: the merge of
-    ``merge_odd_indices``; ``_odd_factor`` under every metric, as right
-    d_a on f and left d_a on g over S = xi(f) & xi(g) in increasing order,
-    times the product of lambda_a over S, then the product of the two
-    remainders; and the channel lists of ``_anti_factor``."""
-    from superdeform.scalars import merge_odd_indices
+    """On every pair of xi monomials at n_minus <= 4, each as its mask: the
+    product sign of ``theta_sign`` and the union of the masks;
+    ``_odd_factor`` under every metric, as right d_a on f and left d_a on
+    g over S = xi(f) & xi(g) in increasing order, times the product of
+    lambda_a over S, then the product of the two remainders; and the
+    channel lists of ``_anti_factor``."""
     for n in range(5):
         for xf in _subsets(n):
             f = {_mask(xf): 1}
             for xg in _subsets(n):
                 g = {_mask(xg): 1}
-                assert merge_odd_indices(xf, xg) == \
-                    _jw_monomial(_jw_product(f, g))
+                product = _jw_product(f, g)
+                assert theta_sign(_mask(xf), _mask(xg)) == \
+                    product.get(_mask(xf) | _mask(xg), 0)
+                assert set(product) <= {_mask(xf) | _mask(xg)}
                 shared = sorted(set(xf) & set(xg))
                 rf, rg = f, g
                 for a in shared:
@@ -714,15 +739,16 @@ def test_xi_signs_match_the_jordan_wigner_oracle():
                     weight = c
                     for a in shared:
                         weight *= lambdas[a - 1]
-                    assert brackets._odd_factor(lambdas, xf, xg) == \
-                        (len(shared), weight, xi)
+                    assert brackets._odd_factor(
+                        lambdas, _mask(xf), _mask(xg)) == \
+                        (len(shared), weight, _mask(xi))
                 g_side = [(a - 1, *_jw_monomial(
                     _jw_product(f, _jw(a, False, g)))) for a in xg]
                 f_side = [(a - 1, *_jw_monomial(
                     _jw_product(_jw_right(a, f), g))) for a in xf]
-                assert brackets._anti_factor(xf, xg) == (
-                    tuple(t for t in g_side if t[1]),
-                    tuple((a, -c, xi) for a, c, xi in f_side if c))
+                assert brackets._anti_factor(_mask(xf), _mask(xg)) == (
+                    tuple((a, c, _mask(xi)) for a, c, xi in g_side if c),
+                    tuple((a, -c, _mask(xi)) for a, c, xi in f_side if c))
 
 
 def test_theta_xi_derivatives_match_the_jordan_wigner_oracle():
@@ -805,28 +831,43 @@ def _series_anti_channels(fkey, gkey):
     """The antibracket channels of a term pair, {xi: {x exponents:
     coefficient}}, with the xi merges done per pair and the scalars left
     out; the oracle of ``_anti_factor`` and of the x steps of
-    ``antibracket``."""
-    from superdeform.scalars import accumulate, merge_odd_indices
-    from superdeform.superfunc import bump, x_steps
+    ``antibracket``.  Keys are tuples, and the merges count inversions."""
+    from superdeform.scalars import accumulate
+    from superdeform.superfunc import x_steps
     (fx, cf, xf), (gx, cg, xg) = fkey, gkey
     ex = tuple(a + b for a, b in zip(fx, gx))
     out = {}
     for pos, gen in enumerate(xg):
-        sign, xi = merge_odd_indices(xf, xg[:pos] + xg[pos + 1:])
+        sign, xi = _naive_merge(xf, xg[:pos] + xg[pos + 1:])
         w = -sign if pos & 1 else sign
         for step, u in x_steps(fx[gen - 1], cf) if sign else ():
-            accumulate(out.setdefault(xi, {}), bump(ex, gen - 1, step), w * u)
+            accumulate(out.setdefault(xi, {}), _bumped(ex, gen - 1, step),
+                       w * u)
     for pos, gen in enumerate(xf):
-        sign, xi = merge_odd_indices(xf[:pos] + xf[pos + 1:], xg)
+        sign, xi = _naive_merge(xf[:pos] + xf[pos + 1:], xg)
         w = sign if (len(xf) - pos) & 1 else -sign
         for step, v in x_steps(gx[gen - 1], cg) if sign else ():
-            accumulate(out.setdefault(xi, {}), bump(ex, gen - 1, step), -w * v)
+            accumulate(out.setdefault(xi, {}), _bumped(ex, gen - 1, step),
+                       -w * v)
     return out
 
 
+def _naive_merge(a, b):
+    """The Koszul sign and the sorted merge of two increasing index
+    tuples, from the count of inversions; (0, None) when one repeats."""
+    if set(a) & set(b):
+        return 0, None
+    return (-1) ** sum(i > j for i in a for j in b), tuple(sorted(a + b))
+
+
+def _bumped(xexp, a, step):
+    """The exponent tuple xexp with entry a moved by step."""
+    return xexp[:a] + (xexp[a] + step,) + xexp[a + 1:]
+
+
 def test_cached_anti_factor_equals_uncached():
-    """Every pair of xi monomials at n_minus <= 4: the cached channel
-    lists equal fresh ones.  At n_plus = n_minus in {0, 2, 4}, on x parts
+    """Every pair of xi masks at n_minus <= 4: the cached channel lists
+    equal fresh ones.  At n_plus = n_minus in {0, 2, 4}, on x parts
     with and without a Gaussian weight, ``antibracket`` of each one-term
     pair equals the per-pair merges times the twisted scalar product: g's
     scalar 3 - 5 theta_1 moves past len(xf) + 1 odd factors, so its theta
@@ -834,8 +875,8 @@ def test_cached_anti_factor_equals_uncached():
     brackets._anti_factor.cache_clear()
     uncached = brackets._anti_factor.__wrapped__
     for n in range(5):
-        for xf in _subsets(n):
-            for xg in _subsets(n):
+        for xf in map(_mask, _subsets(n)):
+            for xg in map(_mask, _subsets(n)):
                 assert brackets._anti_factor(xf, xg) == uncached(xf, xg)
     for n in (0, 2, 4):
         ctx = SymplecticContext(n, n, (1,) * n, 1, 6)
@@ -898,16 +939,17 @@ def test_first_order_brackets_form_one_product_per_term_pair(monkeypatch):
 def _series_poisson_row(f1, f2, g1, g2, cf, cg):
     """The x-pair channel of P on one block by derivative steps, as
     the Poisson bracket built it before the rows were cached; the oracle of
-    ``_poisson_row``."""
+    ``_poisson_row``, keyed by exponent tuples."""
     from superdeform.scalars import accumulate
-    from superdeform.superfunc import bump, x_steps
+    from superdeform.superfunc import x_steps
     fx, gx = (f1, f2), (g1, g2)
     ex = (f1 + g1, f2 + g2)
     poly = {}
     for a1, a2, w in ((0, 1, 1), (1, 0, -1)):
         for s1, u in x_steps(fx[a1], cf):
             for s2, v in x_steps(gx[a2], cg):
-                accumulate(poly, bump(bump(ex, a1, s1), a2, s2), w * u * v)
+                accumulate(poly, _bumped(_bumped(ex, a1, s1), a2, s2),
+                           w * u * v)
     return poly
 
 
@@ -916,18 +958,21 @@ def test_cached_poisson_row_equals_uncached():
     {0, 1/2, 1, 2}: the cached row, a miss and then a hit, equals the
     derivative steps and the m = 1 row of the Moyal block table, which it
     is not built from, and holds clean coefficients, with the cache as the
-    other tests left it and again after ``cache_clear``."""
+    other tests left it and again after ``cache_clear``.  Row and table
+    are keyed by packed blocks, unpacked here to meet the tuple oracle."""
     weights = (0, Fraction(1, 2), 1, 2)
-    keys = [exps + cs for exps in itertools.product(range(6), repeat=4)
+    keys = [(pack_x(exps[:2]), pack_x(exps[2:])) + cs
+            for exps in itertools.product(range(6), repeat=4)
             for cs in itertools.product(weights, repeat=2)]
-    expected = [_series_poisson_row(*key) for key in keys]
-    tables = [brackets._block_table({}, key[:2], key[2:4], *key[4:], 1)[1]
-              for key in keys]
+    expected = [_series_poisson_row(*unpack_x(fb, 2), *unpack_x(gb, 2), *cs)
+                for fb, gb, *cs in keys]
+    tables = [brackets._block_table({}, *key, 1)[1] for key in keys]
     for _ in range(2):
         for key, want, table in zip(keys, expected, tables):
             row = brackets._poisson_row(*key)
             assert brackets._poisson_row(*key) is row
-            assert dict(row) == want and len(row) == len(want)
+            assert {unpack_x(e, 2): w for e, w in row} == want
+            assert len(row) == len(want)
             assert dict(row) == table and len(row) == len(table)
             assert all(w and (w.__class__ is int or w.denominator != 1)
                        for _e, w in row)

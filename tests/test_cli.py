@@ -22,6 +22,7 @@ from superdeform import (ParseError, Scalar, SuperFunction, SymplecticContext,
 from superdeform.cli import (MAX_EXPONENT, MAX_PRODUCT_TERMS, parse_scalar,
                              run)
 from superdeform.scalars import MAX_RADICAND
+from superdeform.superfunc import X_CAP
 from superdeform.verify import DEFAULT_SEED
 
 from conftest import random_superfunction, seeded
@@ -811,3 +812,14 @@ def test_one_parser_per_process_keeps_no_state(tmp_path, capsys):
         assert run(wrong + seed) == 1
         reports.append(capsys.readouterr().out)
     assert reports[1] == reports[2] != reports[0]
+
+
+def test_cli_refuses_an_x_exponent_past_the_cap(capsys):
+    """((x1^32)^32)^32 is x1^32768, past the packed exponent cap: one
+    ``error:`` line naming the cap, exit 2 and no traceback."""
+    assert run(["eval", "((x1^32)^32)^32"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: an x exponent is above the cap {X_CAP}\n"
+    assert run(["eval", "(x1^32)^32"]) == 0
+    assert capsys.readouterr().out.strip() == "x1^1024"

@@ -116,9 +116,14 @@ def anti_oracle(f, g):
 
 def homogeneous(f, parity):
     """The terms of f of Grassmann parity ``parity`` (xi-degree plus
-    theta-weight)."""
-    return f._where(lambda key: (len(key[2]) + key[4].bit_count()) % 2
-                    == parity)
+    theta-weight), read from the ``terms`` view."""
+    out = {}
+    for (xexp, c, xi), s in f.terms.items():
+        part = s._where(lambda key: (len(xi) + key[1].bit_count()) % 2
+                        == parity)
+        if part:
+            out[xexp, c, xi] = part
+    return SuperFunction(f.ctx, out)
 
 
 def integral_oracle(f):

@@ -17,9 +17,8 @@ from superdeform import (ContextMismatchError, RadicalNumber, SampleSpec,
                          Scalar, ScalarContext, SuperFunction,
                          SymplecticContext, bidiff_power, moyal_bracket,
                          poisson_bracket, sample_superfunctions, sf_mul)
-from superdeform.scalars import (MAX_RADICAND, exact, merge_odd_indices,
-                                 squarefree_decompose, theta_mask,
-                                 theta_sign)
+from superdeform.scalars import (MAX_RADICAND, exact, squarefree_decompose,
+                                 theta_mask, theta_sign)
 
 from conftest import is_clean, radical_float, scalar_float
 
@@ -42,25 +41,21 @@ def test_squarefree_decompose_property(n):
 
 
 def test_ring_caches_are_bounded():
-    """squarefree_decompose (one entry per radicand parsed) and
-    merge_odd_indices (4^n_minus xi pairs) keep at most the one cache bound,
-    which superfunc and brackets read from here, and filled past it both
-    still give their values; theta_sign keeps no cache."""
+    """squarefree_decompose (one entry per radicand parsed) keeps at most
+    the one cache bound, which superfunc and brackets read from here, and
+    filled past it still gives its values; theta_sign, the one odd sign
+    rule, keeps no cache, and no xi merge cache is left beside it."""
     from superdeform import brackets, scalars, superfunc
     bound = scalars._CACHE_BOUND
     assert superfunc._CACHE_BOUND == brackets._CACHE_BOUND == bound
     assert not hasattr(theta_sign, "cache_info")
-    for fn, keys in ((squarefree_decompose,
-                      [(n,) for n in range(1, bound + 50)]),
-                     (merge_odd_indices,
-                      [((a,), (b,)) for a in range(1, 70)
-                       for b in range(1, 70)])):
-        fn.cache_clear()
-        for key in keys:
-            fn(*key)
-        info = fn.cache_info()
-        assert info.maxsize == bound and info.currsize == bound
-    assert merge_odd_indices((2,), (1,)) == (-1, (1, 2))
+    assert not hasattr(scalars, "merge_odd_indices")
+    squarefree_decompose.cache_clear()
+    for n in range(1, bound + 50):
+        squarefree_decompose(n)
+    info = squarefree_decompose.cache_info()
+    assert info.maxsize == bound and info.currsize == bound
+    assert theta_sign(0b10, 0b01) == -1
     assert squarefree_decompose(360) == (6, 10)
 
 
@@ -336,10 +331,15 @@ def test_benchmark_reads_flat_functions(monkeypatch):
 
 
 def test_merge_odd_indices_signs():
-    assert merge_odd_indices((1,), (2,)) == (1, (1, 2))
-    assert merge_odd_indices((2,), (1,)) == (-1, (1, 2))
-    assert merge_odd_indices((1,), (1,)) == (0, None)
-    assert merge_odd_indices((2, 3), (1,)) == (1, (1, 2, 3))
+    """Two odd monomials, xi or theta, as index tuples converted to
+    bitmasks here: ``theta_sign`` gives the Koszul sign of their product,
+    and the merged monomial is the union of the masks."""
+    for a, b, sign in (((1,), (2,), 1), ((2,), (1,), -1), ((1,), (1,), 0),
+                       ((2, 3), (1,), 1), ((1, 3), (2,), -1)):
+        assert theta_sign(theta_mask(a), theta_mask(b)) == sign
+        if sign:
+            assert theta_mask(a) | theta_mask(b) == theta_mask(
+                tuple(sorted(a + b)))
 
 
 def test_theta_square_is_zero():
@@ -456,7 +456,6 @@ def test_theta_products_match_inversion_count(k):
         for b in _theta_monomials(k):
             sign, merged = _naive_theta_product(a, b)
             assert theta_sign(theta_mask(a), theta_mask(b)) == sign
-            assert merge_odd_indices(a, b) == (sign, merged)
             product = Scalar.theta(ctx, *a) * (
                 coeff * Scalar.theta(ctx, *b))
             expect = Scalar.zero(ctx) if not sign else \

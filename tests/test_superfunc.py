@@ -10,8 +10,8 @@ import pytest
 
 from superdeform import (ContextMismatchError, NotIntegrableError,
                          RadicalNumber, SampleSpec, Scalar, ScalarContext,
-                         SuperFunction, SymplecticContext, build_C1c,
-                         moyal_bracket, poisson_bracket,
+                         SuperFunction, SymplecticContext, antibracket,
+                         build_C1c, moyal_bracket, poisson_bracket,
                          sample_superfunctions, sf_mul)
 from superdeform import superfunc
 from superdeform.superfunc import _make
@@ -634,3 +634,97 @@ def test_a_zero_bar_is_read_from_the_xi_degree(ctx42):
         (zero_bars[0] + SuperFunction.x(ctx42, 1)).integral_bar()
     top = SuperFunction.term(ctx42, (0, 0, 0, 0), 1, (1, 2))
     assert not top.integral_bar().is_zero()
+
+
+# -- the packed x exponents: the cap and the public tuple forms -------------
+
+def _innermost(excinfo):
+    """The name of the function an exception was raised in."""
+    return excinfo.traceback[-1].name
+
+
+def test_every_site_that_forms_an_x_exponent_refuses_one_past_the_cap():
+    """An x exponent past ``X_CAP`` is refused with a ValueError that names
+    the cap by the site that forms it: the constructor's packing, a
+    product's sum, an x step (a derivative, Delta, E's x_a^2 bump), the
+    first-order kernels' sum of both exponents and the antibracket's step
+    of it, a Poisson block row and a Moyal block exponent before it is
+    packed; and the sampler's spec refuses a degree past the cap."""
+    cap = superfunc.X_CAP
+    ctx = SymplecticContext(2, 2, (1, -1), 1, 6)
+
+    def term(e1, e2=0, c=0, xi=()):
+        return SuperFunction.term(ctx, (e1, e2), c, xi, 3)
+
+    half = term(cap // 2 + 1, c=1)
+    cases = [
+        (lambda: term(cap + 1), "pack_x"),
+        (lambda: SuperFunction(ctx, {((0, cap + 1), 0, ()): 1}), "pack_x"),
+        (lambda: sf_mul(half, half), "sf_mul"),
+        (lambda: term(0, cap, 1).left_deriv(1), "x_steps"),
+        (lambda: term(cap, 0, 1).right_deriv(0), "x_steps"),
+        (lambda: term(cap, 0, 1, (1,)).delta_op(), "x_steps"),
+        (lambda: term(0, cap - 1, 1).euler_E(), "_degree_op"),
+        (lambda: antibracket(half, term(cap // 2 + 1, xi=(2,))),
+         "antibracket"),
+        (lambda: antibracket(term(cap - 1, c=1), term(1, xi=(1,))),
+         "antibracket"),
+        (lambda: poisson_bracket(half, half), "poisson_bracket"),
+        (lambda: poisson_bracket(term(cap - 1, c=1), term(1, 1)), "pack_x"),
+        (lambda: moyal_bracket(half, half), "pack_x"),
+    ]
+    for build, site in cases:
+        with pytest.raises(ValueError, match=f"above the cap {cap}") as info:
+            build()
+        assert _innermost(info) == site
+    with pytest.raises(ValueError, match=f"at most {cap}, got"):
+        SampleSpec(max_x_degree=cap + 1)
+    assert SampleSpec(max_x_degree=cap).max_x_degree == cap
+
+
+def test_an_x_exponent_at_the_cap_renders():
+    """Exponents at ``X_CAP`` are stored, multiplied into, stepped down and
+    rendered; the steps that would pass the cap are the refused ones."""
+    cap = superfunc.X_CAP
+    ctx = SymplecticContext(4, 1, (1,), 0, 6)
+    top = SuperFunction.term(ctx, (cap, 0, 0, cap), 0, (1,), 2)
+    assert top.render() == f"2*x1^{cap}*x4^{cap}*xi1"
+    assert list(top.terms) == [((cap, 0, 0, cap), 0, (1,))]
+    low = SuperFunction.term(ctx, (cap - 7, 0, 0, 0))
+    assert sf_mul(low, SuperFunction.term(ctx, (7, 0, 0, 0))).render() == \
+        f"x1^{cap}"
+    assert top.left_deriv(0).render() == \
+        f"{2 * cap}*x1^{cap - 1}*x4^{cap}*xi1"
+
+
+def test_terms_view_keys_are_exponent_and_index_tuples():
+    """``terms`` keys are (x exponent tuple, Gaussian weight, xi index
+    tuple), whatever the packed layout of ``coeffs``, and rebuild the
+    function through the constructor."""
+    ctx = SymplecticContext(4, 3, (1, -1, 1), 1, 6)
+    rng = seeded(91)
+    for _ in range(10):
+        f = random_superfunction(rng, ctx, max_x_degree=3, terms=3,
+                                 xi_degree=rng.randint(0, 3), theta=True)
+        for xexp, c, xi in f.terms:
+            assert type(xexp) is tuple and len(xexp) == 4
+            assert all(type(e) is int and e >= 0 for e in xexp)
+            assert type(xi) is tuple and list(xi) == sorted(set(xi))
+            assert all(type(a) is int and 1 <= a <= 3 for a in xi)
+        assert SuperFunction(ctx, f.terms) == f
+    key = ((2, 0, 1, 3), Fraction(1, 2), (1, 3))
+    assert list(SuperFunction(ctx, {key: 5}).terms) == [key]
+
+
+def test_render_orders_terms_by_their_tuples():
+    """``render`` sorts terms by (x exponent tuple, Gaussian weight, xi
+    index tuple), on a function whose packed keys sort otherwise: packed
+    x puts x4 highest, so x1^2 x3^2 would come first, and the xi mask of
+    xi1 xi2 sorts after that of xi2."""
+    ctx = SymplecticContext(4, 2, (1, 1), 0, 6)
+    x1, x2, x3, x4 = (SuperFunction.x(ctx, i) for i in range(1, 5))
+    xi1, xi2 = SuperFunction.xi(ctx, 1), SuperFunction.xi(ctx, 2)
+    f = (x1 * x2 * x3 * x4 + x1 * x1 * x4 * x4 + x1 * x1 * x3 * x3
+         + xi2 + xi1 * xi2 + xi1)
+    assert f.render() == ("xi1 + xi1*xi2 + xi2 + x1*x2*x3*x4 + x1^2*x4^2 "
+                          "+ x1^2*x3^2")
