@@ -150,5 +150,14 @@ def naive_bidiff(f, g, p):
     return out
 
 
+def naive_merge(a, b):
+    """The Koszul sign and the sorted merge of two increasing tuples of odd
+    generator indices, from the count of inversions; (0, None) when an
+    index repeats.  The oracle of ``theta_sign`` and the mask union."""
+    if set(a) & set(b):
+        return 0, None
+    return (-1) ** sum(i > j for i in a for j in b), tuple(sorted(a + b))
+
+
 def seeded(seed):
     return random.Random(seed)

@@ -15,7 +15,8 @@ from superdeform.cochains import m1
 from superdeform.scalars import theta_sign
 from superdeform.superfunc import _grouped, pack_x, unpack_x, xi_deriv
 
-from conftest import naive_bidiff, random_superfunction, seeded
+from conftest import (naive_bidiff, naive_merge, random_superfunction,
+                      seeded)
 
 
 def test_canonical_pairs(ctx42):
@@ -838,26 +839,18 @@ def _series_anti_channels(fkey, gkey):
     ex = tuple(a + b for a, b in zip(fx, gx))
     out = {}
     for pos, gen in enumerate(xg):
-        sign, xi = _naive_merge(xf, xg[:pos] + xg[pos + 1:])
+        sign, xi = naive_merge(xf, xg[:pos] + xg[pos + 1:])
         w = -sign if pos & 1 else sign
         for step, u in x_steps(fx[gen - 1], cf) if sign else ():
             accumulate(out.setdefault(xi, {}), _bumped(ex, gen - 1, step),
                        w * u)
     for pos, gen in enumerate(xf):
-        sign, xi = _naive_merge(xf[:pos] + xf[pos + 1:], xg)
+        sign, xi = naive_merge(xf[:pos] + xf[pos + 1:], xg)
         w = sign if (len(xf) - pos) & 1 else -sign
         for step, v in x_steps(gx[gen - 1], cg) if sign else ():
             accumulate(out.setdefault(xi, {}), _bumped(ex, gen - 1, step),
                        -w * v)
     return out
-
-
-def _naive_merge(a, b):
-    """The Koszul sign and the sorted merge of two increasing index
-    tuples, from the count of inversions; (0, None) when one repeats."""
-    if set(a) & set(b):
-        return 0, None
-    return (-1) ** sum(i > j for i in a for j in b), tuple(sorted(a + b))
 
 
 def _bumped(xexp, a, step):

@@ -18,7 +18,7 @@ import pytest
 from superdeform import (ContextMismatchError, NotIntegrableError, Scalar,
                          SuperFunction, SymplecticContext, sf_mul)
 
-from conftest import seeded
+from conftest import naive_merge, seeded
 
 WEIGHTS = (0, Fraction(1, 2), 1, 2)
 # (n_plus, n_minus, lambdas, k, h_max)
@@ -108,20 +108,11 @@ def _x_steps(e, c):
     return [(step, q) for step, q in ((-1, e), (1, -c)) if q]
 
 
-def _merge(a, b):
-    """The Koszul sign and the sorted merge of two increasing xi index
-    tuples, from the count of inversions; (0, None) when an index
-    repeats."""
-    if set(a) & set(b):
-        return 0, None
-    return (-1) ** sum(i > j for i in a for j in b), tuple(sorted(a + b))
-
-
 def sf_mul_oracle(f, g):
     pieces = []
     for (xe1, c1, xi1), s1 in f.terms.items():
         for (xe2, c2, xi2), s2 in g.terms.items():
-            sign, xi = _merge(xi1, xi2)
+            sign, xi = naive_merge(xi1, xi2)
             if sign:
                 key = (tuple(a + b for a, b in zip(xe1, xe2)), c1 + c2, xi)
                 pieces.append((key, s1 * theta_twist(s2, len(xi1)) * sign))
