@@ -14,15 +14,16 @@ g once more, and b = 1 for the antibracket, whose channels take one xi from
 one side.  So a pair forms the product of its two scalars once, by one
 ``mul_into`` with twist len(xi(f)) + b, and each output term adds its
 coefficient times that product straight into the result's flat dict, under
-the prefix of the term; no per-pair map of channels is built.  The adds are
-plain sums that pop a sum once it cancels, and ``_settled`` stores each
-integral Fraction as an int at the end, so the result is clean.  The x steps
-come from ``x_steps``: the antibracket takes them per channel, and the x-pair
-channels of P are formed per block by ``_poisson_row`` and cached.  The Moyal
-kernel's block tables (below) are built from the same steps, so both kernels
-derive P's x part from the one x rule, and a row equals the m = 1 row of its
-block table, the tests' oracle for it.  The kernels read a function's terms
-through ``superfunc._grouped`` and the Moyal kernel builds its result with
+the prefix of the term.  The adds are plain sums that pop a sum once it
+cancels, and ``_settled`` stores each integral Fraction as an int at the
+end, so the result is clean.  A summed x exponent that could pass X_CAP
+meets the context's guard.  The x steps come from ``x_steps``: the
+antibracket takes them per channel, and the x-pair channels of P are formed
+per block by ``_poisson_row`` and cached.  The Moyal kernel's block tables
+(below) are built from the same steps, so both kernels derive P's x part
+from the one x rule, and a row equals the m = 1 row of its block table, the
+tests' oracle for it.  The kernels read a function's terms through
+``superfunc._grouped`` and the Moyal kernel builds its result with
 ``superfunc._make``; of the scalar part of a key they know only that it leads
 with the h-degree, which ``_iterate_pairs`` reads as min(items)[0][0].
 

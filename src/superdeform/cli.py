@@ -84,7 +84,13 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Recursive-descent parser producing SuperFunctions over a context."""
+    """Recursive-descent parser producing SuperFunctions over a context.
+
+    It holds no value rule of its own: ``x<i>``, ``xi<a>`` and ``th<j>`` go
+    to their builders, ``sqrt`` and ``gauss`` to ``Scalar.sqrt`` and
+    ``SuperFunction.gauss``, and a builder's ValueError becomes a
+    ParseError at the atom or argument.
+    """
 
     def __init__(self, text, ctx):
         self.ctx = ctx
@@ -149,7 +155,7 @@ class _Parser:
     def power(self):
         value = self.atom()
         while self.at_sym("^"):
-            _op = self.take()
+            self.take()
             kind, exponent, pos = self.take()
             if kind != "int":
                 raise ParseError("exponent must be an integer", pos)
@@ -377,7 +383,11 @@ def _build_context(args):
         n_plus = n_minus = args.n
     lambdas = None
     if args.lambdas:
-        lambdas = tuple(int(v) for v in args.lambdas.split(","))
+        try:
+            lambdas = tuple(int(v) for v in args.lambdas.split(","))
+        except ValueError:
+            raise ValueError(f"--lambda takes comma-separated ints, got "
+                             f"{args.lambdas!r}") from None
     return SymplecticContext(n_plus, n_minus, lambdas, args.k, args.hmax)
 
 

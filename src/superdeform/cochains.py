@@ -18,7 +18,9 @@ its test.  It lets ``scaled(s)`` drop the argument terms that s
 annihilates (``superfunc._surviving``) before ``fn`` runs.
 The sign factors are only defined on parity-homogeneous arguments, so
 evaluation splits a mixed-parity argument (and only such an argument) into
-its homogeneous components and sums over their combinations.
+its homogeneous components and sums over their combinations.  A sign +-1
+is applied by choosing ``+`` or ``-``, or by a negation, never by a
+product.
 """
 
 from itertools import product
@@ -68,6 +70,11 @@ class Cochain:
         return self.name
 
     def evaluate(self, *args):
+        """``fn`` on the arguments, after every argument's context is
+        checked against the form's: a zero argument gives zero with no call,
+        homogeneous arguments the very object ``fn`` returns, and a
+        mixed-parity argument one call per combination of components.
+        Nothing is kept between calls."""
         if len(args) != self.arity:
             raise ArityError(
                 f"{self.name} expects {self.arity} arguments, got {len(args)}")
@@ -95,6 +102,10 @@ class Cochain:
     # -- combinators -------------------------------------------------------
 
     def __add__(self, other):
+        """The form a + b of two forms of one arity, grading and context,
+        with their parity when they share one, else none; two arities raise
+        ArityError, two gradings ValueError naming both, and two contexts
+        ContextMismatchError."""
         if other.arity != self.arity:
             raise ArityError("summands must share one arity")
         if other.grading != self.grading:
@@ -214,7 +225,8 @@ def jzeta_form(ctx, zeta):
 
 
 def m23_form(ctx):
-    """The odd antibracket cocycle built from 1 - N_xi."""
+    """The odd antibracket cocycle built from 1 - N_xi:
+    (-1)^eps(f) ((1 - N_xi) f) ((1 - N_xi) g)."""
     _require_square(ctx, "m23")
 
     def fn(f, g):

@@ -222,10 +222,11 @@ def _theorem_scalars(zeta, h1, h2):
 
 def check_constraints(zeta, eta, h1, h2):
     """The three relations of the final theorem and the D-class
-    requirement on eta, as one check: a failure per nonzero relation
-    (labelled i, ii, iii) and one labelled eta_class for a non-D eta; each
-    relation rendered in ``details["constraints"]``.  Only a refused
-    input raises; a failed relation does not."""
+    requirement on an even eta, as one check: a VerificationReport named
+    constraints with a failure per nonzero relation (labelled i, ii, iii)
+    and one labelled eta_class for a non-D eta; ``details`` holds each
+    relation rendered (``constraints``) and ``eta_d_class``.  Only a
+    refused input raises; a failed relation does not."""
     ctx = zeta.ctx
     h1, h2 = _theorem_scalars(zeta, h1, h2)
     _require_parity(eta, 0, "eta")
@@ -280,7 +281,8 @@ def _failed_relations(report):
 
 def build_general_odd(zeta, eta, h1, h2):
     """C = m0 + theta h1 m1 + theta m3 + m_zeta + theta h1 j_zeta + eta*mu,
-    valid whenever the constraint system is satisfied."""
+    valid whenever the constraint system is satisfied; otherwise
+    DeformationError names the violated relations."""
     report = check_constraints(zeta, eta, h1, h2)
     if not report.passed:
         failed = _failed_relations(report)
@@ -291,7 +293,7 @@ def build_general_odd(zeta, eta, h1, h2):
 
 def _general_odd_bracket(zeta, eta, h1, h2):
     """The bracket of build_general_odd, for data whose constraints were
-    checked already."""
+    checked already, as the theorem command checks them once."""
     ctx = zeta.ctx
     theta = _theta1(ctx)
     th1 = theta * h1

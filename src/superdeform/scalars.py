@@ -26,6 +26,11 @@ superfunc).  A RadicalNumber, an element of Q[sqrt(r), pi, sqrt(pi)], is a
 typed view of one theta-free, h-free Scalar and hands every operation to
 it.  ``Scalar.terms`` is the nested view {(m, theta index tuple):
 RadicalNumber}, built on each access.
+
+An outside number enters the ring by one rule, ``exact``: the constructors,
+``/`` and the operators of Scalar and RadicalNumber, on either side, all
+refuse a float or a Decimal with ValueError, while comparing with one gives
+False.
 """
 
 from collections import namedtuple
@@ -39,6 +44,9 @@ from .errors import ContextMismatchError
 
 
 MAX_RADICAND = 10 ** 12  # largest integer the ring factors under a root
+
+# the key (m, theta_mask, p, s, r) of a rational: no h, theta, pi or root
+_RATIONAL = (0, 0, 0, 0, 1)
 
 # entries of each cache: squarefree_decompose here, _moment in superfunc, and
 # in brackets _anti_factor, _poisson_row, _odd_factor and _moyal_weights
@@ -174,7 +182,9 @@ def _check_monomial(m=0, p=0, s=0, r=1):
 
 
 def check_context(a, b):
-    """The one context rule: refuse contexts a and b unless they are equal."""
+    """The one context rule: refuse contexts a and b unless they are equal.
+    Every site that meets operands over two contexts refuses them here,
+    naming both; a hot path tests ``is`` before it calls this."""
     if a != b:
         raise ContextMismatchError(f"contexts differ: {a} vs {b}")
 
@@ -302,7 +312,9 @@ class Scalar(FlatSum):
     """Element of the full coefficient ring over a ScalarContext.
 
     ``coeffs`` is the flat dict of the module doc.  Scalars are built by
-    the class methods and the arithmetic, outside numbers by ``exact``.
+    the class methods and the arithmetic, outside numbers by ``exact``; a
+    monomial with a coefficient is a product, such as
+    ``Scalar.hbar(ctx, m, q) * Scalar.theta(ctx, *alpha) * rad``.
     """
 
     __slots__ = ()
@@ -325,7 +337,7 @@ class Scalar(FlatSum):
     @classmethod
     def rational(cls, ctx, q):
         q = exact(q)
-        return Scalar._of(ctx, {(0, 0, 0, 0, 1): q} if q else {})
+        return Scalar._of(ctx, {_RATIONAL: q} if q else {})
 
     @classmethod
     def one(cls, ctx):
@@ -356,6 +368,8 @@ class Scalar(FlatSum):
 
     @classmethod
     def sqrt(cls, ctx, r):
+        """sqrt(r) for a positive integer r up to MAX_RADICAND; a Rational r
+        that is not an integer is refused, not truncated."""
         outer, core = squarefree_decompose(
             exact(r) if isinstance(r, Rational) else r)
         return Scalar._of(ctx, {(0, 0, 0, 0, core): outer})
@@ -388,9 +402,9 @@ class Scalar(FlatSum):
         return self._where(lambda key: not key[1])
 
     def rational_value(self):
-        if any(key != (0, 0, 0, 0, 1) for key in self.coeffs):
+        if any(key != _RATIONAL for key in self.coeffs):
             raise ValueError(f"{self} is not rational")
-        return Fraction(self.coeffs.get((0, 0, 0, 0, 1), 0))
+        return Fraction(self.coeffs.get(_RATIONAL, 0))
 
     def parity(self):
         """Theta-weight mod 2 if homogeneous, else None."""
@@ -449,8 +463,8 @@ class Scalar(FlatSum):
         # a rational Scalar equals its value, so it hashes as that number;
         # any other equals a RadicalNumber of its value, whatever its
         # context, so the context stays out of the hash
-        if self.coeffs.keys() <= {(0, 0, 0, 0, 1)}:
-            return hash(self.coeffs.get((0, 0, 0, 0, 1), 0))
+        if self.coeffs.keys() <= {_RATIONAL}:
+            return hash(self.coeffs.get(_RATIONAL, 0))
         return hash(self.freeze())
 
     # -- rendering ---------------------------------------------------------
@@ -512,7 +526,9 @@ class RadicalNumber:
     """Element of Q[sqrt(r), pi, sqrt(pi)]: a view of one Scalar over
     ``_RADICALS``, which does the arithmetic.  ``terms`` maps (pi_power,
     sqrt_pi_exponent in {0,1}, square-free root) to a rational coefficient;
-    the key (0, 0, 1) is the rational part."""
+    the key (0, 0, 1) is the rational part.  In ``+``, ``-``, ``*`` or
+    ``==`` with a Scalar, on either side, it is taken into the Scalar's
+    context."""
 
     __slots__ = ("scalar",)
 

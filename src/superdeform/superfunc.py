@@ -59,7 +59,7 @@ scalars know the layout of the scalar part of a key (the Moyal kernel reads
 that it leads with the h-degree); the bracket kernels read terms through
 ``_grouped`` and, like ``sf_mul``, write products under a term key prefix
 with ``mul_into``, or, in the Moyal kernel, build results through ``_make``;
-the sampler writes its rational terms under ``_RATIONAL``.
+the sampler writes its rational terms under ``scalars._RATIONAL``.
 
 A SymplecticContext is a namedtuple value, as a ScalarContext is, with its
 ScalarContext as ``scalar_ctx`` and its x fields' guard bits as ``x_guard``;
@@ -78,8 +78,8 @@ from numbers import Rational
 from operator import lt
 
 from .errors import DeformationError, NotIntegrableError
-from .scalars import (_CACHE_BOUND, FlatSum, RadicalNumber, Scalar,
-                      ScalarContext, accumulate, check_context, exact,
+from .scalars import (_CACHE_BOUND, _RATIONAL, FlatSum, RadicalNumber,
+                      Scalar, ScalarContext, accumulate, check_context, exact,
                       int_if_integral, mul_into, render_sum, theta_indices,
                       theta_mask, theta_sign)
 
@@ -165,13 +165,15 @@ class SuperFunction(FlatSum):
 
     ``coeffs`` is the flat dict of the module doc.  The constructor takes
     the form of ``terms``, {(x_exponents, gauss_weight, xi_indices):
-    Scalar}, where a rational value stands for its Scalar, and refuses a
-    term key that is not canonical or has an exponent past X_CAP; it sets
-    the Gaussian weight to 0 when
-    n_plus = 0 and sums the terms that then coincide.  ``terms`` is that
-    view, built on each access.  The slots ``_eps`` and ``_bar`` hold the
-    values of ``eps`` and ``integral_bar`` once computed; a raised
-    NotIntegrableError is not kept, so it is raised on every call.
+    Scalar}, where a rational value stands for its Scalar (an int is
+    stored without building one), and refuses a term key that is not
+    canonical or has an exponent past X_CAP; it sets the Gaussian weight to
+    0 when n_plus = 0 and sums the terms that then coincide.  Gaussian
+    weights, values and scalar operands enter by ``scalars.exact``, so a
+    float is refused.  ``terms`` is that view, built on each access.  The
+    slots ``_eps`` and ``_bar`` hold the values of ``eps`` and
+    ``integral_bar`` once computed; a raised NotIntegrableError is not
+    kept, so it is raised on every call.
     """
 
     __slots__ = ("_eps", "_bar")
@@ -228,6 +230,7 @@ class SuperFunction(FlatSum):
 
     @classmethod
     def x(cls, ctx, i):
+        """x_i, refused unless i is in 1..n_plus."""
         if i.__class__ is not int or not 1 <= i <= ctx.n_plus:
             raise ValueError(f"unknown variable x{i} (n_plus={ctx.n_plus})")
         xexp = tuple(1 if j == i - 1 else 0 for j in range(ctx.n_plus))
@@ -235,6 +238,7 @@ class SuperFunction(FlatSum):
 
     @classmethod
     def xi(cls, ctx, a):
+        """xi_a, refused unless a is in 1..n_minus."""
         if not 1 <= a <= ctx.n_minus:
             raise ValueError(f"unknown variable xi{a} (n_minus={ctx.n_minus})")
         return cls.term(ctx, xi=(a,))
@@ -401,9 +405,10 @@ class SuperFunction(FlatSum):
         """Exact integral over x and xi, in one pass over the terms: the pure
         constant is dropped at n_plus > 0 (the natural extension to the
         centralizer), any other term outside the Gaussian class raises
-        NotIntegrableError, and a top-xi term with even x-exponents adds its
-        moment times pi^(n_plus/2), its theta part moved left past n_minus
-        odd factors (the left Berezin integral of the module doc)."""
+        NotIntegrableError naming that term, and a top-xi term with even
+        x-exponents adds its moment times pi^(n_plus/2), its theta part
+        moved left past n_minus odd factors (the left Berezin integral of the
+        module doc)."""
         try:
             return self._bar
         except AttributeError:
@@ -501,13 +506,12 @@ class SuperFunction(FlatSum):
         return "*".join(factors)
 
     def render(self):
-        terms = self.terms  # sorted by its tuple keys
-        return " + ".join(self._render_term(k, terms[k].coeffs.items())
-                          for k in sorted(terms)) or "0"
-
-
-# the Scalar key of a rational, after the term key of a flat key
-_RATIONAL = (0, 0, 0, 0, 1)
+        n = self.ctx.n_plus
+        # terms in the order of their tuples (x exponents, weight, xi indices)
+        terms = sorted(((unpack_x(x, n), c, theta_indices(xi)), items)
+                       for (x, c, xi), items in _grouped(self).items())
+        return " + ".join(self._render_term(key, items)
+                          for key, items in terms) or "0"
 
 
 def _parity(key):
@@ -554,7 +558,9 @@ def _surviving(f, scalar):
 
 
 def _require_square(ctx, name):
-    """Refuse a context with n_plus != n_minus, which has no antibracket."""
+    """Refuse a context with n_plus != n_minus, which has no antibracket:
+    the one refusal of that rule, for ``antibracket``, ``delta_op``, the
+    forms anti and m23 and the antibracket deformations."""
     if ctx.n_plus != ctx.n_minus:
         raise DeformationError(f"{name} requires n_plus == n_minus",
                                relation="context")
@@ -593,7 +599,8 @@ def _make(ctx, slots, den):
 
 
 def sf_mul(f, g):
-    """Supercommutative product with all Koszul signs."""
+    """Supercommutative product with all Koszul signs: xi masks merge by
+    union, with the sign of ``theta_sign``."""
     f._check(g)
     h_max, guard = f.ctx.h_max, f.ctx.x_guard
     out = {}

@@ -15,8 +15,8 @@ from collections.abc import Sequence
 
 from .brackets import poisson_bracket
 from .cochains import ODD, _theta1, d_ad, grading_parity, jacobiator
-from .scalars import accumulate, exact
-from .superfunc import _RATIONAL, X_CAP, SuperFunction, pack_x
+from .scalars import _RATIONAL, accumulate, exact
+from .superfunc import X_CAP, SuperFunction, pack_x
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -129,7 +129,8 @@ def sample_superfunctions(spec, ctx):
 
 
 def sample_tuples(spec, ctx, size):
-    """Consecutive samples grouped into tuples of the given size."""
+    """Consecutive samples grouped into tuples of the given size, an int
+    of at least 1; the widened spec is checked as any spec is."""
     if type(size) is not int or size < 1:
         raise ValueError(f"sample_tuples size must be an int of at least 1, "
                          f"got {size!r}")

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -304,6 +305,17 @@ def test_cli_lambda_sets_the_metric_signs(capsys):
     assert captured.out == ""
     assert captured.err == \
         "error: lambdas must be a +-1 vector of length n_minus\n"
+
+
+@pytest.mark.parametrize("text", ["1,x", "1,", "x"])
+def test_cli_lambda_that_is_not_ints_names_the_flag(text, capsys):
+    """A --lambda entry that is not an int is one error line naming the
+    flag and the text given, with exit 2."""
+    assert run(["eval", "x1", "--lambda", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: --lambda takes comma-separated ints, got {text!r}\n"
 
 
 def test_cli_moyal_kappa(capsys):
@@ -778,6 +790,27 @@ def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch, capsys):
     for argv in examples:
         assert run(argv) == 0, (argv, capsys.readouterr().err)
         capsys.readouterr()
+
+
+def test_readme_package_layout_is_one_short_row_per_module():
+    """The README's *Package layout* table has exactly one row per module
+    file of the package but ``__init__``, and each row, the module's name
+    included, is at most 60 words: the contracts live in the docstrings
+    and the tests, and the table only maps them."""
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## Package layout\n"):]
+    section = section[:section.index("\n## ")]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    rows = lines[2:]  # after the header and its rule
+    names = [re.match(r"\| `superdeform\.(\w+)` +\|", row) for row in rows]
+    assert None not in names, rows
+    modules = {path.stem for path in
+               Path(superdeform.__file__).parent.glob("*.py")} - {"__init__"}
+    assert sorted(m.group(1) for m in names) == sorted(modules)
+    for row in rows:
+        words = len(row.replace("|", " ").split())
+        assert words <= 60, (words, row[:60])
 
 
 def test_cli_help_exits_zero(capsys):

@@ -728,3 +728,27 @@ def test_render_orders_terms_by_their_tuples():
          + xi2 + xi1 * xi2 + xi1)
     assert f.render() == ("xi1 + xi1*xi2 + xi2 + x1*x2*x3*x4 + x1^2*x4^2 "
                           "+ x1^2*x3^2")
+
+
+def test_render_reads_no_terms_view(monkeypatch):
+    """``render`` and ``str`` read the flat keys: they give the pinned text
+    of a function with theta, hbar and sqrt(2) coefficients while both
+    ``terms`` views raise."""
+    ctx = SymplecticContext(2, 2, (1, 1), 2, 6)
+    sctx = ctx.scalar_ctx
+    x1, x2 = SuperFunction.x(ctx, 1), SuperFunction.x(ctx, 2)
+    xi1, xi2 = SuperFunction.xi(ctx, 1), SuperFunction.xi(ctx, 2)
+    th1, th2 = Scalar.theta(sctx, 1), Scalar.theta(sctx, 2)
+    hbar, root2 = Scalar.hbar(sctx), Scalar.sqrt(sctx, 2)
+    f = ((x1 * x2 * SuperFunction.gauss(ctx, 1)).scale_left(
+            th1 * root2 - hbar * hbar)
+         + (xi1 * xi2).scale_left(th1 * th2) + xi2.scale_left(hbar * 3)
+         + SuperFunction.constant(ctx, root2) - x1 * x1)
+
+    def refused(self):
+        raise AssertionError("render read a terms view")
+    monkeypatch.setattr(SuperFunction, "terms", property(refused))
+    monkeypatch.setattr(Scalar, "terms", property(refused))
+    text = ("sqrt(2) + th1*th2*xi1*xi2 + 3*hbar*xi2 "
+            "+ (sqrt(2)*th1 - hbar^2)*x1*x2*gauss(1) + -1*x1^2")
+    assert f.render() == text and str(f) == text
