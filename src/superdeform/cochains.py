@@ -133,9 +133,10 @@ class Cochain:
         fn, weight = self.fn, scalar.parity()
         parity = (None if None in (self.parity, weight)
                   else (self.parity + weight) % 2)
+        masks = {key[1] for key in scalar.coeffs}
 
         def scaled_fn(*args):
-            return fn(*[_surviving(a, scalar) for a in args]
+            return fn(*[_surviving(a, masks) for a in args]
                       ).scale_left(scalar)
         return Cochain(self.ctx, self.arity, parity, scaled_fn,
                        self.grading, name=f"scaled({self.name})")

@@ -59,7 +59,8 @@ scalars know the layout of the scalar part of a key (the Moyal kernel reads
 that it leads with the h-degree); the bracket kernels read terms through
 ``_grouped`` and, like ``sf_mul``, write products under a term key prefix
 with ``mul_into``, or, in the Moyal kernel, build results through ``_make``;
-the sampler writes its rational terms under ``scalars._RATIONAL``.
+the sampler writes its rational terms under ``scalars._RATIONAL`` and
+the parity it drew into ``_eps``.
 
 A SymplecticContext is a namedtuple value, as a ScalarContext is, with its
 ScalarContext as ``scalar_ctx`` and its x fields' guard bits as ``x_guard``;
@@ -86,6 +87,9 @@ from .scalars import (_CACHE_BOUND, _RATIONAL, FlatSum, RadicalNumber,
 X_BITS = 15  # the packed x exponents of the module doc
 X_CAP = (1 << X_BITS - 1) - 1
 _X_FIELD = (1 << X_BITS) - 1
+# the value of SuperFunction._eps before eps() has run: not a parity (None
+# is one, of a mixed function), and equal to itself after a copy
+_NO_EPS = -1
 OVER_CAP = f"an x exponent is above the cap {X_CAP}"
 
 
@@ -171,9 +175,10 @@ class SuperFunction(FlatSum):
     0 when n_plus = 0 and sums the terms that then coincide.  Gaussian
     weights, values and scalar operands enter by ``scalars.exact``, so a
     float is refused.  ``terms`` is that view, built on each access.  The
-    slots ``_eps`` and ``_bar`` hold the values of ``eps`` and
-    ``integral_bar`` once computed; a raised NotIntegrableError is not
-    kept, so it is raised on every call.
+    slots ``_eps`` and ``_bar`` are set when the function is made, by the
+    constructor or ``_of``, to the unset values ``_NO_EPS`` and None, and
+    filled with the values of ``eps`` and ``integral_bar`` on first use; a
+    raised NotIntegrableError is not kept, so it is raised on every call.
     """
 
     __slots__ = ("_eps", "_bar")
@@ -183,6 +188,8 @@ class SuperFunction(FlatSum):
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
         self.coeffs = {}
+        self._eps = _NO_EPS
+        self._bar = None
         for (xexp, c, xi), s in (terms or {}).items():
             if len(xexp) != ctx.n_plus or any(
                     e.__class__ is not int or e < 0 for e in xexp):
@@ -204,6 +211,17 @@ class SuperFunction(FlatSum):
                     accumulate(self.coeffs, term + k, q)
             else:
                 accumulate(self.coeffs, term + _RATIONAL, s)
+
+    @classmethod
+    def _of(cls, ctx, coeffs):
+        """The function on ``coeffs``, a dict that is already clean, with
+        its parity and bar not yet computed."""
+        obj = cls.__new__(cls)
+        obj.ctx = ctx
+        obj.coeffs = coeffs
+        obj._eps = _NO_EPS
+        obj._bar = None
+        return obj
 
     @property
     def terms(self):
@@ -316,10 +334,9 @@ class SuperFunction(FlatSum):
 
     def eps(self):
         """Total Grassmann parity (xi-degree + theta-weight), or None."""
-        try:
-            return self._eps
-        except AttributeError:
-            pass
+        e = self._eps
+        if e != _NO_EPS:
+            return e
         parities = {(key[2].bit_count() + key[4].bit_count()) & 1
                     for key in self.coeffs}  # _parity, inlined
         self._eps = (0 if not parities else
@@ -409,29 +426,30 @@ class SuperFunction(FlatSum):
         x-exponents adds its moment times pi^(n_plus/2), its theta part
         moved left past n_minus odd factors (the left Berezin integral of the
         module doc)."""
-        try:
-            return self._bar
-        except AttributeError:
-            pass
+        bar = self._bar
+        if bar is not None:
+            return bar
         ctx = self.ctx
-        n_minus = ctx.n_minus
-        half = ctx.n_plus // 2
+        n_plus, n_minus, h_max = ctx.n_plus, ctx.n_minus, ctx.h_max
+        half = n_plus // 2
+        odd = ctx.x_guard >> X_BITS - 1  # the low bit of every x field
         total = {}
         for key, q in self.coeffs.items():
-            x, c, xi = term = key[:3]
-            if ctx.n_plus and not c:
-                if xi or x:
+            x = key[0]
+            c = key[1]
+            if n_plus and not c:
+                if x or key[2]:
+                    term = key[:3]
                     raise NotIntegrableError(
                         "term without Gaussian suppression is not integrable"
                         ": " + self._where(lambda k: k[:3] == term).render())
                 continue
-            if xi.bit_count() != n_minus or x & ctx.x_guard >> X_BITS - 1:
-                continue  # not top-xi, or an odd exponent (a field's low bit)
+            if key[2].bit_count() != n_minus or x & odd:
+                continue  # not top-xi, or an odd exponent
             # the scalar moment * pi^half, from the left, past n_minus xi's
             weight = ((0, 0, half, 0, 1),
-                      _moment(unpack_x(x, 2 * half), c, half))
-            mul_into(total, (), (weight,), ((key[3:], q),), ctx.h_max, 1,
-                     n_minus)
+                      _moment(unpack_x(x, n_plus), c, half))
+            mul_into(total, (), (weight,), ((key[3:], q),), h_max, 1, n_minus)
         self._bar = Scalar._of(ctx.scalar_ctx, total)
         return self._bar
 
@@ -491,7 +509,7 @@ class SuperFunction(FlatSum):
         xexp, c, xi = key
         factors = []
         text = render_sum(items)
-        if text != "1" or (all(e == 0 for e in xexp) and c == 0 and not xi):
+        if text != "1" or not (any(xexp) or c or xi):
             if " " in text:
                 text = f"({text})"
             factors.append(text)
@@ -544,13 +562,13 @@ def _own_scalar(ctx, value):
     return value
 
 
-def _surviving(f, scalar):
-    """f without the terms ``scalar`` annihilates from the left, those whose
-    theta-mask meets every theta-monomial of scalar; f itself when it has
-    none, or when it is outside Z (its bar refuses a term)."""
-    masks = {key[1] for key in scalar.coeffs}
+def _surviving(f, masks):
+    """f without the terms that a scalar of the theta-masks ``masks``
+    annihilates from the left, those whose theta-mask meets every one of
+    them; f itself when it has none, or when it is outside Z (its bar
+    refuses a term)."""
     dead = {t for t in {key[4] for key in f.coeffs}
-            if all(t & u for u in masks)}
+            if all(map(t.__and__, masks))}
     if not dead or not f.is_z_class():
         return f
     return f._of(f.ctx, {key: q for key, q in f.coeffs.items()

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from .brackets import poisson_bracket
 from .cochains import ODD, _theta1, d_ad, grading_parity, jacobiator
 from .scalars import _RATIONAL, accumulate, exact
-from .superfunc import X_CAP, SuperFunction, pack_x
+from .superfunc import X_BITS, X_CAP, SuperFunction
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -86,7 +86,10 @@ def sample_superfunctions(spec, ctx):
     """The deterministic sample list for (spec, ctx).
 
     Each sample is parity-homogeneous whenever a parity filter is set (and
-    in fact always, since every sample uses a single xi-degree).
+    in fact always, since every sample uses a single xi-degree), and it
+    carries that parity from the draw: its xi-degree mod 2, or 0 for a
+    sample whose terms cancel.  Each term's packed x is drawn field by
+    field, each exponent shifted into its ``X_BITS``-wide field.
     """
     max_xi = min(MAX_XI_DEGREE, ctx.n_minus)
     if spec.parity == "odd" and max_xi < 1:
@@ -101,30 +104,38 @@ def sample_superfunctions(spec, ctx):
     # the generator of the module doc, with the state in a local: each
     # step is one word, and a draw from a span of s values is
     # (word >> 33) % s
-    state = spec.seed & LCG_MASK
-    n_plus, n_minus = ctx.n_plus, ctx.n_minus
-    x_span = spec.max_x_degree + 1
+    mult, inc, mask = LCG_MULT, LCG_INC, LCG_MASK
+    pool = COEFF_POOL
+    n_degrees, n_weights, n_pool = len(degrees), len(weights), len(pool)
+    state = spec.seed & mask
+    n_minus = ctx.n_minus
+    shifts = range(0, X_BITS * ctx.n_plus, X_BITS)
+    x_span = spec.max_x_degree + 1  # a draw is at most X_CAP (SampleSpec)
+    terms = range(spec.terms)
     out = []
     for _ in range(spec.count):
-        state = (LCG_MULT * state + LCG_INC) & LCG_MASK
-        deg = degrees[(state >> 33) % len(degrees)]
+        state = (mult * state + inc) & mask
+        deg = degrees[(state >> 33) % n_degrees]
         # the sum of the drawn terms, merged as the sum of functions would
         coeffs = {}
-        for _t in range(spec.terms):
-            xexp = []
-            for _a in range(n_plus):
-                state = (LCG_MULT * state + LCG_INC) & LCG_MASK
-                xexp.append((state >> 33) % x_span)
-            state = (LCG_MULT * state + LCG_INC) & LCG_MASK
-            c = weights[(state >> 33) % len(weights)]
+        for _t in terms:
+            x = 0
+            for shift in shifts:
+                state = (mult * state + inc) & mask
+                x |= (state >> 33) % x_span << shift
+            state = (mult * state + inc) & mask
+            c = weights[(state >> 33) % n_weights]
             xi = 0  # the mask of deg distinct xi indices
             while xi.bit_count() < deg:
-                state = (LCG_MULT * state + LCG_INC) & LCG_MASK
+                state = (mult * state + inc) & mask
                 xi |= 1 << (state >> 33) % n_minus
-            state = (LCG_MULT * state + LCG_INC) & LCG_MASK
-            accumulate(coeffs, (pack_x(xexp), c, xi) + _RATIONAL,
-                       COEFF_POOL[(state >> 33) % len(COEFF_POOL)])
-        out.append(SuperFunction._of(ctx, coeffs))
+            state = (mult * state + inc) & mask
+            accumulate(coeffs, (x, c, xi) + _RATIONAL,
+                       pool[(state >> 33) % n_pool])
+        f = SuperFunction._of(ctx, coeffs)
+        # one xi-degree and rational coefficients: the parity of eps()
+        f._eps = deg & 1 if coeffs else 0
+        out.append(f)
     return out
 
 

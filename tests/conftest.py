@@ -1,8 +1,12 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import contextlib
 import itertools
 import math
+import os
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -161,3 +165,36 @@ def naive_merge(a, b):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+@contextlib.contextmanager
+def raised_exceptions():
+    """Count the exceptions raised inside superdeform frames while the block
+    runs, under ``sys.settrace``: a Counter {(type name, "module.py:line"):
+    count} of each exception once, at the line of the frame it is first
+    seen in.  A GeneratorExit that closes an abandoned generator counts
+    too.  Line events are switched off, so a traced frame reports only its
+    exceptions."""
+    counts = Counter()
+    seen = {}  # id -> each exception counted, kept so that no id is reused
+
+    def local(frame, event, arg):
+        if event == "exception" and id(arg[1]) not in seen:
+            seen[id(arg[1])] = arg[1]
+            where = (f"{os.path.basename(frame.f_code.co_filename)}:"
+                     f"{frame.f_lineno}")
+            counts[arg[0].__name__, where] += 1
+        return local
+
+    def call(frame, event, arg):
+        if not frame.f_globals.get("__name__", "").startswith("superdeform"):
+            return None
+        frame.f_trace_lines = False
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(call)
+    try:
+        yield counts
+    finally:
+        sys.settrace(old)

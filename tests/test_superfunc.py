@@ -1,7 +1,9 @@
 """Unit tests for Gaussian-weighted polynomial superfunctions."""
 
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 from operator import add, mul, sub
 
@@ -450,6 +452,11 @@ def test_kept_values_equal_fresh_ones(ctx42, ctx22):
                                                        samples[4:8])]
         values += [f + SuperFunction.zero(ctx) for f in samples[:3]]
         assert all(a is b for a, b in zip(values[-3:], samples))
+        # and functions the constructor builds from terms
+        values += [SuperFunction(ctx, f.terms) for f in values[:6]]
+        values += [SuperFunction.term(ctx, c=1, xi=(1, 2), scalar=3),
+                   SuperFunction.constant(ctx, 2),
+                   SuperFunction.term(ctx, c=2, xi=(2,))]
         for f in values:
             fresh = _fresh(f)
             for _ in range(2):
@@ -461,9 +468,31 @@ def test_kept_values_equal_fresh_ones(ctx42, ctx22):
         # the zero function and a mixed-parity sum
         mixed = (samples[0] + SuperFunction.term(ctx, c=1, xi=(1,))
                  + SuperFunction.constant(ctx, 1))
-        for f in (SuperFunction.zero(ctx), mixed):
+        for f in (SuperFunction.zero(ctx), mixed, SuperFunction(ctx, {}),
+                  SuperFunction(ctx, mixed.terms)):
             assert f.eps() == _fresh(f).eps() and f.eps() == f.eps()
             assert f.integral_bar() == _fresh(f).integral_bar()
+
+
+def test_a_kept_mixed_parity_survives_copies(ctx22):
+    """A mixed function's parity None is kept as a value, not taken for
+    one not yet computed: asked again, and on a deep copy or a pickled
+    copy made before or after it was computed, it is still None, and the
+    copies give the same bar."""
+    mixed = SuperFunction.gauss(ctx22, 1) + SuperFunction.term(
+        ctx22, c=1, xi=(1, 2), scalar=2) + SuperFunction.term(
+        ctx22, c=2, xi=(1,))
+    # copies made before anything is computed, and after
+    twins = [copy.deepcopy(mixed), pickle.loads(pickle.dumps(mixed))]
+    bar = mixed.integral_bar()
+    assert [mixed.eps() for _ in range(3)] == [None] * 3
+    twins += [copy.deepcopy(mixed), pickle.loads(pickle.dumps(mixed))]
+    for twin in twins:
+        assert twin is not mixed and twin == mixed
+        assert twin.eps() is None and twin.eps() is None
+        assert twin.integral_bar() == bar
+        assert twin.homogeneous_components() == \
+            mixed.homogeneous_components()
 
 
 def test_not_integrable_raises_on_every_call(ctx42):

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from superdeform import (SampleSpec, Scalar, SuperFunction,
-                         SymplecticContext,
+from superdeform import (NotIntegrableError, SampleSpec, Scalar,
+                         SuperFunction, SymplecticContext,
                          build_C3, build_anti_odd, check_bar_vanishing,
                          check_cocycle, check_d_squared, check_equivalence,
                          check_grading, check_jacobi, check_signs, d_ad,
@@ -22,7 +22,7 @@ from superdeform.scalars import int_if_integral
 from superdeform.verify import (DEFAULT_SEED, LCG_INC, LCG_MASK, LCG_MULT,
                                 VerificationReport)
 
-from conftest import LCG
+from conftest import LCG, raised_exceptions
 
 
 def test_lcg_constants_and_sequence():
@@ -422,6 +422,27 @@ def test_sampler_draws_the_lcg_stream(shape):
                         [list(f.coeffs) for f in want]
 
 
+@pytest.mark.parametrize("shape, count", [
+    ((0, 2, (1, -1), 1, 6), 3000), ((4, 2, (1, 1), 1, 6), 200),
+    ((2, 2, (1, -1), 1, 6), 200), ((4, 5, (1, 1, 1, 1, 1), 2, 6), 200)],
+    ids=["n_plus_0", "ctx42", "lambda_minus_1", "ctx45"])
+def test_samples_carry_the_parity_of_their_terms(shape, count):
+    """The parity a sample keeps from its draw is the one ``eps`` computes
+    from its terms, a sample whose terms cancel (0) included."""
+    ctx = SymplecticContext(*shape)
+    for terms in (1, 2, 3):
+        for parity in ("even", "odd", "any"):
+            spec = SampleSpec(seed=1, count=count, terms=terms,
+                              parity=parity)
+            samples = sample_superfunctions(spec, ctx)
+            for f in samples:
+                fresh = SuperFunction._of(ctx, dict(f.coeffs))
+                assert f._eps == fresh.eps(), (terms, parity, f.render())
+            if ctx.n_plus == 0 and (terms, parity) == (2, "any"):
+                # without x variables two terms often cancel
+                assert sum(f.is_zero() for f in samples) == 408
+
+
 @pytest.mark.parametrize("fields", [
     {"count": 0}, {"count": -2}, {"terms": 0}, {"parity": "evn"},
     {"gauss_weights": ()}, {"gauss_weights": (1, -1)},
@@ -559,3 +580,38 @@ def test_reports_and_deformations_get_fresh_containers(ctx22):
     one, two = anti_form(ctx22), anti_form(ctx22)
     one.params["c"] = 1
     assert two.params == {} and m0_form(ctx22).params == {}
+
+
+def test_raised_exceptions_counts_each_raise_once(ctx42):
+    """The helper sees an exception raised in a superdeform frame, once
+    however many frames it leaves, and only while its block runs."""
+    poly = SuperFunction.x(ctx42, 1)
+    with raised_exceptions() as counts:
+        for _ in range(2):
+            with pytest.raises(NotIntegrableError):
+                poly.integral_bar()
+        # raised in SuperFunction.xi, it leaves z_var too
+        with pytest.raises(ValueError):
+            SuperFunction.z_var(ctx42, 7)
+    assert sorted((name, n) for (name, _), n in counts.items()) == [
+        ("NotIntegrableError", 2), ("ValueError", 1)]
+    with pytest.raises(NotIntegrableError):
+        poly.integral_bar()
+    assert sum(counts.values()) == 3
+
+
+def test_checks_raise_no_exception(ctx42, ctx22):
+    """No control flow by exception on the check path: eps and integral_bar
+    on new functions, a cocycle check of m3 and a Jacobi check of the odd
+    antibracket deformation raise nothing inside superdeform, not even a
+    GeneratorExit of a generator that ``all`` or ``any`` abandons."""
+    spec = SampleSpec(seed=3, count=2, terms=2)
+    fresh = [SuperFunction._of(f.ctx, dict(f.coeffs)) for ctx in (ctx42, ctx22)
+             for f in sample_superfunctions(spec, ctx)]
+    with raised_exceptions() as counts:
+        for f in fresh + [SuperFunction.gauss(ctx42, 1)]:
+            f.eps()
+            f.integral_bar()
+        assert check_cocycle(m3_form(ctx42), spec).passed
+        assert check_jacobi(build_anti_odd(ctx22), spec).passed
+    assert not counts, dict(counts)
