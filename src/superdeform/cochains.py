@@ -287,8 +287,7 @@ def d_ad(m, bracket=None):
     Signs use the grading of ``m``, which must have a defined parity, and
     ``bracket`` defaults to the one of that grading: the Poisson bracket
     for 'even', the antibracket for 'odd'.  A bracket of the other grading
-    gives the differential of neither complex and raises ValueError.  The
-    bracket used is ``params["bracket"]`` of the result.
+    gives the differential of neither complex and raises ValueError.
     """
     if m.parity is None:
         raise ValueError(f"{m.name} has undefined parity")
@@ -325,5 +324,4 @@ def d_ad(m, bracket=None):
                 out = out - term if sign == 1 else out + term
         return out
 
-    return Cochain(ctx, p + 1, m_parity, fn, grading, name=f"d({m.name})",
-                   params={"bracket": bracket})
+    return Cochain(ctx, p + 1, m_parity, fn, grading, name=f"d({m.name})")

@@ -27,6 +27,11 @@ typed view of one theta-free, h-free Scalar and hands every operation to
 it.  ``Scalar.terms`` is the nested view {(m, theta index tuple):
 RadicalNumber}, built on each access.
 
+Two rules of the whole package live here: ``check_context`` refuses
+operands over two contexts (ContextMismatchError), and ``check_index`` an
+index of a generator or variable that is not an int in its range
+(ValueError).
+
 An outside number enters the ring by one rule, ``exact``: the constructors,
 ``/`` and the operators of Scalar and RadicalNumber, on either side, all
 refuse a float or a Decimal with ValueError, while comparing with one gives
@@ -187,6 +192,14 @@ def check_context(a, b):
     naming both; a hot path tests ``is`` before it calls this."""
     if a != b:
         raise ContextMismatchError(f"contexts differ: {a} vs {b}")
+
+
+def check_index(i, lo, hi, message):
+    """The one index rule: refuse i with ValueError(message) unless it is an
+    int (not a bool) in lo..hi.  Every generator (th<j>, x<i>, xi<a>) and
+    every derivative's variable is checked here, each in its own words."""
+    if i.__class__ is not int or not lo <= i <= hi:
+        raise ValueError(message)
 
 
 class FlatSum:
@@ -359,8 +372,7 @@ class Scalar(FlatSum):
         """th_{i1}*...*th_{iw}, the indices strictly increasing in 1..k."""
         mask = 0
         for j in indices:
-            if j.__class__ is not int or not 1 <= j <= ctx.k:
-                raise ValueError(f"unknown parameter th{j} (k={ctx.k})")
+            check_index(j, 1, ctx.k, f"unknown parameter th{j} (k={ctx.k})")
             if mask >> (j - 1):
                 raise ValueError(f"theta indices {indices} not increasing")
             mask |= 1 << (j - 1)

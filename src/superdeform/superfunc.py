@@ -80,9 +80,9 @@ from operator import lt
 
 from .errors import DeformationError, NotIntegrableError
 from .scalars import (_CACHE_BOUND, _RATIONAL, FlatSum, RadicalNumber,
-                      Scalar, ScalarContext, accumulate, check_context, exact,
-                      int_if_integral, mul_into, render_sum, theta_indices,
-                      theta_mask, theta_sign)
+                      Scalar, ScalarContext, accumulate, check_context,
+                      check_index, exact, int_if_integral, mul_into,
+                      render_sum, theta_indices, theta_mask, theta_sign)
 
 X_BITS = 15  # the packed x exponents of the module doc
 X_CAP = (1 << X_BITS - 1) - 1
@@ -138,10 +138,6 @@ class SymplecticContext(namedtuple("SymplecticContext",
     @property
     def n_z(self):
         return self.n_plus + self.n_minus
-
-    def eps_var(self, a):
-        """Grassmann parity of the collective variable z_a (0-based)."""
-        return 0 if a < self.n_plus else 1
 
 
 def x_steps(e, c):
@@ -200,10 +196,10 @@ class SuperFunction(FlatSum):
                 raise ValueError("Gaussian weight must be nonnegative")
             if not ctx.n_plus:
                 c = 0  # with no x variables exp(-c|x|^2/2) is 1
-            # strictly increasing from at least 1 to at most n_minus
-            if xi and not (1 <= xi[0] and xi[-1] <= ctx.n_minus
-                           and all(map(lt, xi, xi[1:]))
-                           and all(a.__class__ is int for a in xi)):
+            # ints, strictly increasing from at least 1 to at most n_minus
+            if xi and not (all(a.__class__ is int for a in xi)
+                           and 1 <= xi[0] and xi[-1] <= ctx.n_minus
+                           and all(map(lt, xi, xi[1:]))):
                 raise ValueError("xi monomial must be sorted distinct indices")
             term = (pack_x(xexp), c, theta_mask(xi))
             if s.__class__ is not int:
@@ -249,28 +245,21 @@ class SuperFunction(FlatSum):
     @classmethod
     def x(cls, ctx, i):
         """x_i, refused unless i is in 1..n_plus."""
-        if i.__class__ is not int or not 1 <= i <= ctx.n_plus:
-            raise ValueError(f"unknown variable x{i} (n_plus={ctx.n_plus})")
+        check_index(i, 1, ctx.n_plus,
+                    f"unknown variable x{i} (n_plus={ctx.n_plus})")
         xexp = tuple(1 if j == i - 1 else 0 for j in range(ctx.n_plus))
         return cls.term(ctx, xexp=xexp)
 
     @classmethod
     def xi(cls, ctx, a):
         """xi_a, refused unless a is in 1..n_minus."""
-        if not 1 <= a <= ctx.n_minus:
-            raise ValueError(f"unknown variable xi{a} (n_minus={ctx.n_minus})")
+        check_index(a, 1, ctx.n_minus,
+                    f"unknown variable xi{a} (n_minus={ctx.n_minus})")
         return cls.term(ctx, xi=(a,))
 
     @classmethod
     def gauss(cls, ctx, c):
         return cls.term(ctx, c=c)
-
-    @classmethod
-    def z_var(cls, ctx, a):
-        """Collective variable z_a, 0-based over x then xi."""
-        if a < ctx.n_plus:
-            return cls.x(ctx, a + 1)
-        return cls.xi(ctx, a - ctx.n_plus + 1)
 
     # -- basics ------------------------------------------------------------
 
@@ -397,8 +386,8 @@ class SuperFunction(FlatSum):
     def _deriv(self, a, right):
         """Derivative by z_a from one side; signs as in the module doc."""
         ctx = self.ctx
-        if not 0 <= a < ctx.n_z:
-            raise ValueError(f"variable index {a} outside 0..{ctx.n_z - 1}")
+        check_index(a, 0, ctx.n_z - 1,
+                    f"variable index {a} outside 0..{ctx.n_z - 1}")
         out = {}
         if a < ctx.n_plus:
             for (x, c, xi), items in _grouped(self).items():

@@ -7,9 +7,10 @@ from math import factorial
 
 import pytest
 
-from superdeform import (ContextMismatchError, Scalar, SuperFunction,
-                         SymplecticContext, antibracket, bidiff_power,
-                         brackets, moyal_bracket, poisson_bracket, sf_mul)
+from superdeform import (ContextMismatchError, SampleSpec, Scalar,
+                         SuperFunction, SymplecticContext, antibracket,
+                         bidiff_power, brackets, moyal_bracket,
+                         poisson_bracket, sample_tuples, sf_mul)
 from superdeform.brackets import bidiff_term
 from superdeform.cochains import m1
 from superdeform.scalars import theta_sign
@@ -826,6 +827,80 @@ def test_moyal_of_zero_is_zero_after_the_checks(ctx42):
         moyal_bracket(zero, f, Scalar.theta(ctx42.scalar_ctx, 1))
     with pytest.raises(ContextMismatchError):
         moyal_bracket(zero, SuperFunction.zero(SymplecticContext(2, 2)))
+
+
+# -- the Moyal star product ---------------------------------------------------
+
+def star(f, g, kappa=1):
+    """f * g = sum_p (h kappa)^p P^p/p! to the truncation order: ``sf_mul``
+    at p = 0 and ``bidiff_term`` above it, a definition that shares no
+    weight with ``moyal_bracket``."""
+    sctx = f.ctx.scalar_ctx
+    hk = Scalar.hbar(sctx) * kappa
+    out, weight = sf_mul(f, g), Scalar.one(sctx)
+    for p in range(1, f.ctx.h_max + 1):
+        weight = weight * hk
+        if weight.is_zero():
+            break
+        out = out + bidiff_term(f, g, p, 1).scale_left(weight)
+    return out
+
+
+@pytest.mark.parametrize("ctx", [
+    SymplecticContext(2, 0, (), 0, 6),
+    SymplecticContext(0, 3, (1, -1, 1), 1, 6),
+    SymplecticContext(2, 2, (1, -1), 1, 6),
+    SymplecticContext(4, 1, (1,), 1, 4)],
+    ids=["2_0-h6", "0_3+-+-h6", "2_2+--h6", "4_1+-h4"])
+def test_star_commutator_is_the_moyal_bracket(ctx):
+    """f*g - (-1)^(eps_f eps_g) g*f = 2 h kappa M(f, g): the odd powers of
+    the star product are the Moyal bracket, at kappa = 1, 1/2 and h (with
+    the h^2 weight of M set to 1/5 instead of 1/6, 24 of the 32 pairs of
+    the four contexts fail at kappa = 1)."""
+    sctx = ctx.scalar_ctx
+    pairs = sample_tuples(SampleSpec(seed=5, count=8, max_x_degree=2), ctx, 2)
+    active = 0
+    for kappa in (1, Fraction(1, 2), Scalar.hbar(sctx)):
+        two_hk = Scalar.hbar(sctx, 1, 2) * kappa
+        for f, g in pairs:
+            bracket = moyal_bracket(f, g, kappa)
+            sign = (-1) ** (f.eps() * g.eps())
+            assert star(f, g, kappa) - star(g, f, kappa) * sign == \
+                bracket.scale_left(two_hk)
+            active += not bracket.is_zero()
+    assert active
+
+
+@pytest.mark.parametrize("n_plus", [2, 4])
+@pytest.mark.parametrize("a, b", [(1, 2), (1, 1), (HALF, 3)],
+                         ids=["1-2", "1-1", "half-3"])
+def test_star_of_gaussians_has_its_closed_form(n_plus, a, b):
+    """G_a * G_b = (1 - h^2 ab)^(-n/2) exp(-(a + b)(1/(1 - h^2 ab) - 1)
+    |x|^2/2) G_(a+b), with G_c = exp(-c|x|^2/2): the star product checked
+    against a closed form that takes no derivative, its h-series expanded by
+    sympy in u = |x|^2 (with 1 + h^2 ab instead, all six cases differ)."""
+    sp = pytest.importorskip("sympy")
+    ctx = SymplecticContext(n_plus, 0, (), 0, 6)
+    sctx = ctx.scalar_ctx
+    h, u = sp.symbols("h u")
+    sa, sb = _rational(sp, a), _rational(sp, b)
+    d = 1 - h ** 2 * sa * sb
+    closed = d ** sp.Rational(-n_plus, 2) * sp.exp(-(sa + sb) * (1 / d - 1)
+                                                 * u / 2)
+    series = sp.Poly(sp.series(closed, h, 0, ctx.h_max + 1).removeO(), h, u)
+    usq = SuperFunction.zero(ctx)
+    for i in range(1, n_plus + 1):
+        usq = usq + sf_mul(SuperFunction.x(ctx, i), SuperFunction.x(ctx, i))
+    expect = SuperFunction.zero(ctx)
+    for (m, k), q in series.terms():
+        term = SuperFunction.gauss(ctx, a + b)
+        for _ in range(k):
+            term = sf_mul(term, usq)
+        weight = Scalar.hbar(sctx, m, Fraction(int(q.p), int(q.q)))
+        expect = expect + term.scale_left(weight)
+    got = star(SuperFunction.gauss(ctx, a), SuperFunction.gauss(ctx, b))
+    assert got == expect
+    assert got != SuperFunction.gauss(ctx, a + b)
 
 
 def _series_anti_channels(fkey, gkey):

@@ -224,6 +224,13 @@ def test_cli_eval_and_parse_error(capsys):
     assert capsys.readouterr().out.strip() == "-1*xi1*xi2"
     assert run(["eval", "xi9"]) == 2
     assert "unknown variable" in capsys.readouterr().err
+    # a generator past the context is its builder's ValueError, in its words
+    for text, message in (("xi7", "unknown variable xi7 (n_minus=2)"),
+                          ("x0", "unknown variable x0 (n_plus=4)"),
+                          ("th2", "unknown parameter th2 (k=1)")):
+        assert run(["eval", text]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {message} at position 0\n"
 
 
 def test_cli_jacobi_antiodd(capsys):

@@ -72,18 +72,24 @@ def sample(rng, ctx, top=False, degree=2, weights=WEIGHTS):
 # -- the compositional definitions ------------------------------------------
 
 
+def z_vars(ctx):
+    """The collective variables z_0..z_(n_z - 1): x_1..x_n, then xi_1..."""
+    return ([SuperFunction.x(ctx, i) for i in range(1, ctx.n_plus + 1)]
+            + [SuperFunction.xi(ctx, a) for a in range(1, ctx.n_minus + 1)])
+
+
 def number_z_oracle(f):
     """Sum over all variables of z_a times the left derivative."""
     out = SuperFunction.zero(f.ctx)
-    for a in range(f.ctx.n_z):
-        out = out + sf_mul(SuperFunction.z_var(f.ctx, a), f.left_deriv(a))
+    for a, z in enumerate(z_vars(f.ctx)):
+        out = out + sf_mul(z, f.left_deriv(a))
     return out
 
 
 def number_xi_oracle(f):
-    out = SuperFunction.zero(f.ctx)
+    out, zs = SuperFunction.zero(f.ctx), z_vars(f.ctx)
     for a in range(f.ctx.n_plus, f.ctx.n_z):
-        out = out + sf_mul(SuperFunction.z_var(f.ctx, a), f.left_deriv(a))
+        out = out + sf_mul(zs[a], f.left_deriv(a))
     return out
 
 

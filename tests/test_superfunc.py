@@ -140,7 +140,8 @@ def test_constructor_checks_its_keys():
                 ((0, 0), Fraction(-1, 2), ()), ((0, 0), 0, (2, 1)),
                 ((0, 0), 0, (1, 1)), ((0, 0), 0, (0,)), ((0, 0), 0, (3,)),
                 ((1.5, 0), 1, ()), ((Fraction(2), 0), 1, ()),
-                ((0, 0), 0, (1.0,))):
+                ((0, 0), 0, (1.0,)), ((0, 0), 0, ("1",)),
+                ((0, 0), 0, (1, "2")), ((0, 0), 0, (True,))):
         with pytest.raises(ValueError):
             SuperFunction(ctx, {key: 1})
         with pytest.raises(ValueError):
@@ -201,13 +202,32 @@ def test_gaussian_chain_rule(ctx42):
     assert df == expect
 
 
-def test_derivative_index_is_in_range(ctx42):
-    f = SuperFunction.x(ctx42, 1)
-    for a in (ctx42.n_z, -1):
-        for deriv in (f.left_deriv, f.right_deriv):
-            with pytest.raises(ValueError,
-                               match=rf"index {a} outside 0\.\.5$"):
-                deriv(a)
+# each site of scalars.check_index at ctx42 (n_plus=4, n_minus=2, k=1): its
+# call, its range and its message for the index i
+INDEX_SITES = {
+    "theta": (lambda ctx, i: Scalar.theta(ctx.scalar_ctx, i), 1, 1,
+              "unknown parameter th{} (k=1)"),
+    "x": (SuperFunction.x, 1, 4, "unknown variable x{} (n_plus=4)"),
+    "xi": (SuperFunction.xi, 1, 2, "unknown variable xi{} (n_minus=2)"),
+    "left_deriv": (lambda ctx, a: SuperFunction.x(ctx, 1).left_deriv(a),
+                   0, 5, "variable index {} outside 0..5"),
+    "right_deriv": (lambda ctx, a: SuperFunction.x(ctx, 1).right_deriv(a),
+                    0, 5, "variable index {} outside 0..5"),
+}
+
+
+@pytest.mark.parametrize("site", list(INDEX_SITES))
+def test_every_index_goes_through_one_rule(ctx42, site):
+    """A generator or derivative index is an int in the site's range: one
+    below or above it, a str, a float or a bool is refused with ValueError
+    in the site's own words."""
+    build, lo, hi, message = INDEX_SITES[site]
+    for i in (lo - 1, hi + 1, "1", 1.0, True):
+        with pytest.raises(ValueError) as info:
+            build(ctx42, i)
+        assert str(info.value) == message.format(i)
+    for i in (lo, hi):
+        build(ctx42, i)
 
 
 def test_left_derivative_is_odd(ctx42):
@@ -234,7 +254,7 @@ def test_right_vs_left_derivative_sign(ctx42):
         for a in range(6):
             expect = SuperFunction.zero(ctx42)
             for part in f.homogeneous_components():
-                sign = (-1) ** (ctx42.eps_var(a) * (part.eps() + 1))
+                sign = (-1) ** ((a >= ctx42.n_plus) * (part.eps() + 1))
                 expect = expect + part.left_deriv(a) * sign
             assert f.right_deriv(a) == expect
 
@@ -245,7 +265,7 @@ def test_derivative_leibniz(ctx42):
         f = random_superfunction(rng, ctx42, xi_degree=rng.randint(0, 2))
         g = random_superfunction(rng, ctx42, xi_degree=rng.randint(0, 2))
         for a in range(6):
-            sign = (-1) ** (ctx42.eps_var(a) * f.eps())
+            sign = (-1) ** ((a >= ctx42.n_plus) * f.eps())
             lhs = sf_mul(f, g).left_deriv(a)
             rhs = sf_mul(f.left_deriv(a), g) + \
                 sf_mul(f, g.left_deriv(a)) * sign

@@ -590,9 +590,9 @@ def test_raised_exceptions_counts_each_raise_once(ctx42):
         for _ in range(2):
             with pytest.raises(NotIntegrableError):
                 poly.integral_bar()
-        # raised in SuperFunction.xi, it leaves z_var too
+        # raised in scalars.check_index, it leaves SuperFunction.xi too
         with pytest.raises(ValueError):
-            SuperFunction.z_var(ctx42, 7)
+            SuperFunction.xi(ctx42, 7)
     assert sorted((name, n) for (name, _), n in counts.items()) == [
         ("NotIntegrableError", 2), ("ValueError", 1)]
     with pytest.raises(NotIntegrableError):
