@@ -20,7 +20,7 @@ from .deformations import (build_C1, build_C1c, build_C3, build_anti_even,
                            t1_bar_multiplier, t1_euler)
 from .errors import (ArityError, ContextMismatchError, DeformationError,
                      NotIntegrableError, ParseError)
-from .scalars import RadicalNumber, Scalar, ScalarContext
+from .scalars import Scalar, ScalarContext
 from .superfunc import SuperFunction, SymplecticContext, sf_mul
 from .verify import (SampleSpec, VerificationReport, check_bar_vanishing,
                      check_cocycle, check_d_squared, check_grading,
@@ -42,8 +42,8 @@ def __getattr__(name):
 
 __all__ = [
     "ArityError", "Cochain", "ContextMismatchError", "DeformationError",
-    "NotIntegrableError", "ParseError", "RadicalNumber", "SampleSpec",
-    "Scalar", "ScalarContext", "SuperFunction", "SymplecticContext",
+    "NotIntegrableError", "ParseError", "SampleSpec", "Scalar",
+    "ScalarContext", "SuperFunction", "SymplecticContext",
     "VerificationReport", "anti_form", "antibracket", "bidiff_power",
     "build_C1", "build_C1c", "build_C3", "build_anti_even",
     "build_anti_odd", "build_general_odd", "check_bar_vanishing",

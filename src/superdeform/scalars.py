@@ -19,13 +19,12 @@ Scalar and SuperFunction are both flat sums, a clean dict from monomial
 key to rational, never changed once built; ``FlatSum`` states the
 clean-dict rules once and holds everything the two do alike on that dict
 (sums, negation, the h filters, ``freeze``).  This module and superfunc
-are the only ones that know the key layout.  Scalar holds the one
-implementation of the product; ``mul_into`` also multiplies the
-coefficients of superfunction terms, whose keys end in a Scalar key (see
-superfunc).  A RadicalNumber, an element of Q[sqrt(r), pi, sqrt(pi)], is a
-typed view of one theta-free, h-free Scalar and hands every operation to
-it.  ``Scalar.terms`` is the nested view {(m, theta index tuple):
-RadicalNumber}, built on each access.
+are the only ones that know the key layout.  Scalar is the one
+coefficient type and holds the one implementation of the product;
+``mul_into`` also multiplies the coefficients of superfunction terms, whose
+keys end in a Scalar key (see superfunc).  ``Scalar.terms`` is the nested
+view {(m, theta index tuple): the theta-free, h-free Scalar of that
+coefficient, over the same context}, built on each access.
 
 Two rules of the whole package live here: ``check_context`` refuses
 operands over two contexts (ContextMismatchError), and ``check_index`` an
@@ -33,9 +32,8 @@ index of a generator or variable that is not an int in its range
 (ValueError).
 
 An outside number enters the ring by one rule, ``exact``: the constructors,
-``/`` and the operators of Scalar and RadicalNumber, on either side, all
-refuse a float or a Decimal with ValueError, while comparing with one gives
-False.
+``/`` and the operators of Scalar, on either side, all refuse a float or
+a Decimal with ValueError, while comparing with one gives False.
 """
 
 from collections import namedtuple
@@ -43,7 +41,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from numbers import Number, Rational
-from operator import add, mul, sub
 
 from .errors import ContextMismatchError
 
@@ -176,14 +173,11 @@ def mul_into(out, prefix, a_items, b_items, h_max, factor=1, twist=0):
     return out
 
 
-def _check_monomial(m=0, p=0, s=0, r=1):
-    """Raise ValueError unless h^m * pi^p * sqrt(pi)^s * sqrt(r) is a
-    canonical key: ints m, p >= 0, s in {0, 1}, r square-free in
-    1..MAX_RADICAND."""
-    if (any(type(v) is not int for v in (m, p, s, r)) or min(m, p, r - 1) < 0
-            or s not in (0, 1) or squarefree_decompose(r)[0] != 1):
-        raise ValueError(f"hbar^{m}*pi^{p}*sqrt(pi)^{s}*sqrt({r}) is not "
-                         f"a canonical monomial")
+def _check_monomial(m=0, p=0):
+    """Raise ValueError unless h^m * pi^p is a canonical key: ints m, p >=
+    0."""
+    if type(m) is not int or type(p) is not int or min(m, p) < 0:
+        raise ValueError(f"hbar^{m}*pi^{p} is not a canonical monomial")
 
 
 def check_context(a, b):
@@ -334,11 +328,12 @@ class Scalar(FlatSum):
 
     @property
     def terms(self):
-        """The nested view {(h_exponent, theta index tuple): RadicalNumber}."""
+        """The nested view {(h_exponent, theta index tuple): theta-free,
+        h-free Scalar over this context}."""
         nested = {}
         for (m, mask, p, s, r), q in self.coeffs.items():
             nested.setdefault((m, theta_indices(mask)), {})[0, 0, p, s, r] = q
-        return {key: RadicalNumber._of(Scalar._of(_RADICALS, flat))
+        return {key: Scalar._of(self.ctx, flat)
                 for key, flat in nested.items()}
 
     # -- constructors ------------------------------------------------------
@@ -357,10 +352,6 @@ class Scalar(FlatSum):
         return cls.rational(ctx, 1)
 
     @classmethod
-    def from_radical(cls, ctx, rad):
-        return Scalar._of(ctx, rad.scalar.coeffs)
-
-    @classmethod
     def hbar(cls, ctx, power=1, coeff=1):
         _check_monomial(m=power)
         q = exact(coeff)
@@ -372,7 +363,8 @@ class Scalar(FlatSum):
         """th_{i1}*...*th_{iw}, the indices strictly increasing in 1..k."""
         mask = 0
         for j in indices:
-            check_index(j, 1, ctx.k, f"unknown parameter th{j} (k={ctx.k})")
+            check_index(j, 1, ctx.k,
+                        f"unknown parameter th{j!r} (k={ctx.k})")
             if mask >> (j - 1):
                 raise ValueError(f"theta indices {indices} not increasing")
             mask |= 1 << (j - 1)
@@ -398,8 +390,6 @@ class Scalar(FlatSum):
     # -- helpers -----------------------------------------------------------
 
     def _lift(self, value):
-        if isinstance(value, RadicalNumber):
-            return Scalar.from_radical(self.ctx, value)
         if isinstance(value, Number):
             return Scalar.rational(self.ctx, value)  # refuses a float
         return NotImplemented
@@ -439,8 +429,8 @@ class Scalar(FlatSum):
         if not isinstance(other, Scalar):
             if other.__class__ is not int:
                 if not isinstance(other, Rational):
-                    other = self._lift(other)  # a RadicalNumber, if any
-                    return other if other is NotImplemented else self * other
+                    # refuses a float; anything else runs its reflected method
+                    return self._lift(other)
                 other = exact(other)
             return Scalar._of(self.ctx, {
                 k: int_if_integral(q * other)
@@ -466,15 +456,13 @@ class Scalar(FlatSum):
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
-            if not isinstance(other, (Rational, RadicalNumber)):
+            if not isinstance(other, Rational):
                 return NotImplemented  # a float is unequal, not refused
             other = self._lift(other)
         return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
-        # a rational Scalar equals its value, so it hashes as that number;
-        # any other equals a RadicalNumber of its value, whatever its
-        # context, so the context stays out of the hash
+        # a rational Scalar equals its value, so it hashes as that number
         if self.coeffs.keys() <= {_RATIONAL}:
             return hash(self.coeffs.get(_RATIONAL, 0))
         return hash(self.freeze())
@@ -512,93 +500,10 @@ def render_sum(items):
     return ("-" if text[1:2] == "-" else "") + text[3:] or "0"
 
 
-_RADICALS = ScalarContext(k=0, h_max=0)
-
-
-def _lift(x):
-    """The Scalar behind a RadicalNumber; any other value as it is."""
-    return x.scalar if isinstance(x, RadicalNumber) else x
-
-
-def _on_scalars(op):
-    """A binary method of RadicalNumber: ``op`` on the Scalars behind the
-    operands; another number (a float) meets the exact rule's refusal, and
-    any other operand but a RadicalNumber goes to its own reflected
-    method."""
-    def method(self, other):
-        if not isinstance(other, (Rational, RadicalNumber)):
-            if isinstance(other, Number):
-                exact(other)  # raises ValueError
-            return NotImplemented
-        return RadicalNumber._of(op(self.scalar, _lift(other)))
-    return method
-
-
+# A stub kept only because perfbench/layertrace.py wraps
+# RadicalNumber.__mul__/__rmul__ by name; nothing builds one.
 class RadicalNumber:
-    """Element of Q[sqrt(r), pi, sqrt(pi)]: a view of one Scalar over
-    ``_RADICALS``, which does the arithmetic.  ``terms`` maps (pi_power,
-    sqrt_pi_exponent in {0,1}, square-free root) to a rational coefficient;
-    the key (0, 0, 1) is the rational part.  In ``+``, ``-``, ``*`` or
-    ``==`` with a Scalar, on either side, it is taken into the Scalar's
-    context."""
+    def __mul__(self, other):
+        return NotImplemented
 
-    __slots__ = ("scalar",)
-
-    def __init__(self, terms=None):
-        coeffs = {}
-        for (p, s, r), q in (terms or {}).items():
-            _check_monomial(p=p, s=s, r=r)
-            accumulate(coeffs, (0, 0, p, s, r), exact(q))
-        self.scalar = Scalar._of(_RADICALS, coeffs)
-
-    @classmethod
-    def _of(cls, scalar):
-        obj = cls.__new__(cls)
-        obj.scalar = scalar
-        return obj
-
-    @classmethod
-    def sqrt_int(cls, r, coeff=1):
-        return cls._of(Scalar.sqrt(_RADICALS, r) * coeff)
-
-    @classmethod
-    def sqrt_pi(cls, coeff=1):
-        return cls._of(Scalar.sqrt_pi(_RADICALS) * coeff)
-
-    @classmethod
-    def pi_power(cls, p, coeff=1):
-        return cls._of(Scalar.pi(_RADICALS, p) * coeff)
-
-    @property
-    def terms(self):
-        return {key[2:]: q for key, q in self.scalar.coeffs.items()}
-
-    def is_zero(self):
-        return self.scalar.is_zero()
-
-    def __bool__(self):
-        return bool(self.scalar)
-
-    def rational_value(self):
-        return self.scalar.rational_value()
-
-    __add__ = __radd__ = _on_scalars(add)
-    __sub__ = _on_scalars(sub)
-    __rsub__ = _on_scalars(lambda a, b: b - a)
-    __mul__ = __rmul__ = _on_scalars(mul)
-
-    def __neg__(self):
-        return RadicalNumber._of(-self.scalar)
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return NotImplemented
-        return self.scalar == _lift(other)
-
-    def __hash__(self):
-        return hash(self.scalar)
-
-    def __str__(self):
-        return self.scalar.render()
-
-    __repr__ = __str__
+    __rmul__ = __mul__

@@ -79,10 +79,10 @@ from numbers import Rational
 from operator import lt
 
 from .errors import DeformationError, NotIntegrableError
-from .scalars import (_CACHE_BOUND, _RATIONAL, FlatSum, RadicalNumber,
-                      Scalar, ScalarContext, accumulate, check_context,
-                      check_index, exact, int_if_integral, mul_into,
-                      render_sum, theta_indices, theta_mask, theta_sign)
+from .scalars import (_CACHE_BOUND, _RATIONAL, FlatSum, Scalar, ScalarContext,
+                      accumulate, check_context, check_index, exact,
+                      int_if_integral, mul_into, render_sum, theta_indices,
+                      theta_mask, theta_sign)
 
 X_BITS = 15  # the packed x exponents of the module doc
 X_CAP = (1 << X_BITS - 1) - 1
@@ -246,7 +246,7 @@ class SuperFunction(FlatSum):
     def x(cls, ctx, i):
         """x_i, refused unless i is in 1..n_plus."""
         check_index(i, 1, ctx.n_plus,
-                    f"unknown variable x{i} (n_plus={ctx.n_plus})")
+                    f"unknown variable x{i!r} (n_plus={ctx.n_plus})")
         xexp = tuple(1 if j == i - 1 else 0 for j in range(ctx.n_plus))
         return cls.term(ctx, xexp=xexp)
 
@@ -254,7 +254,7 @@ class SuperFunction(FlatSum):
     def xi(cls, ctx, a):
         """xi_a, refused unless a is in 1..n_minus."""
         check_index(a, 1, ctx.n_minus,
-                    f"unknown variable xi{a} (n_minus={ctx.n_minus})")
+                    f"unknown variable xi{a!r} (n_minus={ctx.n_minus})")
         return cls.term(ctx, xi=(a,))
 
     @classmethod
@@ -387,7 +387,7 @@ class SuperFunction(FlatSum):
         """Derivative by z_a from one side; signs as in the module doc."""
         ctx = self.ctx
         check_index(a, 0, ctx.n_z - 1,
-                    f"variable index {a} outside 0..{ctx.n_z - 1}")
+                    f"variable index {a!r} outside 0..{ctx.n_z - 1}")
         out = {}
         if a < ctx.n_plus:
             for (x, c, xi), items in _grouped(self).items():
@@ -539,12 +539,10 @@ def _moment(xexp, c, half):
 
 
 def _own_scalar(ctx, value):
-    """``value`` as a Scalar over ctx.scalar_ctx: a rational or a
-    RadicalNumber is converted, a Scalar over another context refused."""
+    """``value`` as a Scalar over ctx.scalar_ctx: a rational is converted,
+    a Scalar over another context refused."""
     sctx = ctx.scalar_ctx
     if not isinstance(value, Scalar):
-        if isinstance(value, RadicalNumber):
-            return Scalar.from_radical(sctx, value)
         return Scalar.rational(sctx, value)
     if value.ctx is not sctx:
         check_context(sctx, value.ctx)

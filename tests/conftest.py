@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from superdeform import (NotIntegrableError, RadicalNumber, Scalar,
-                         SuperFunction, SymplecticContext, sf_mul)
+from superdeform import (NotIntegrableError, Scalar, SuperFunction,
+                         SymplecticContext, sf_mul)
 from superdeform.scalars import squarefree_decompose
 from superdeform.verify import LCG_INC, LCG_MASK, LCG_MULT
 
@@ -63,9 +63,11 @@ def is_clean(flat):
 
 
 def radical_float(rad):
-    """Independent numeric value of a RadicalNumber."""
+    """Independent numeric value of a theta-free, h-free Scalar, an element
+    of Q[sqrt(r), pi, sqrt(pi)]."""
     total = 0.0
-    for (p, s, r), coeff in rad.terms.items():
+    for (m, mask, p, s, r), coeff in rad.coeffs.items():
+        assert m == mask == 0
         total += float(coeff) * math.pi ** (p + 0.5 * s) * math.sqrt(r)
     return total
 
@@ -77,13 +79,14 @@ def scalar_float(scalar, hbar=0.1):
                for (m, _), rad in scalar.terms.items())
 
 
-def gaussian_moment(e, c):
-    """Exact value of the one-dimensional moment integral x^e exp(-c x^2 / 2).
+def gaussian_moment(e, c, sctx):
+    """Exact value of the one-dimensional moment integral x^e exp(-c x^2 / 2),
+    a Scalar over ``sctx``.
 
     Odd e gives 0; even e = 2p gives (2p-1)!! c^{-p} sqrt(2 pi / c).
     """
     if e % 2:
-        return RadicalNumber()
+        return Scalar.zero(sctx)
     p = e // 2
     c = Fraction(c)
     if c <= 0:
@@ -91,7 +94,8 @@ def gaussian_moment(e, c):
     rational = Fraction(math.prod(range(1, 2 * p, 2))) / c ** p
     # sqrt(2/c) = sqrt(2 * num * den) / num for c = num/den
     outer, core = squarefree_decompose(2 * c.numerator * c.denominator)
-    return RadicalNumber({(0, 1, core): rational * outer / c.numerator})
+    return (Scalar.sqrt(sctx, core) * Scalar.sqrt_pi(sctx)
+            * (rational * outer / c.numerator))
 
 
 def random_superfunction(rng, ctx, max_x_degree=2, xi_degree=None,

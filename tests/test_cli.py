@@ -233,6 +233,18 @@ def test_cli_eval_and_parse_error(capsys):
             f"error: {message} at position 0\n"
 
 
+def test_cli_refuses_an_expression_nested_too_deeply(capsys):
+    """A RecursionError of the parser is a usage error (exit 2, one line);
+    moderate nesting still parses.  Where between the two the refusal
+    starts depends on the caller's stack depth, so no edge is pinned."""
+    assert run(["eval", "(" * 1000 + "x1" + ")" * 1000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expression nested too deeply\n"
+    assert run(["eval", "(" * 50 + "x1" + ")" * 50]) == 0
+    assert capsys.readouterr().out == "x1\n"
+
+
 def test_cli_jacobi_antiodd(capsys):
     code = run(["jacobi", "--deformation", "antiodd()", "--n", "2",
                 "--samples", "10", "--seed", "7"])
@@ -825,6 +837,15 @@ def test_cli_help_exits_zero(capsys):
         run(["jacobi", "--help"])
     assert exc.value.code == 0
     assert "--deformation" in capsys.readouterr().out
+
+
+def test_main_exits_with_the_code_of_run(monkeypatch, capsys):
+    from superdeform.cli import main
+    monkeypatch.setattr(sys, "argv", ["superdeform", "eval", "xi2*xi1"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "-1*xi1*xi2\n"
 
 
 def test_one_parser_per_process_keeps_no_state(tmp_path, capsys):

@@ -32,6 +32,7 @@ def test_leaf_metadata(ctx42):
     assert m3_form(ctx42).parity == ctx42.n_minus % 2
     assert m1_form(ctx42).arity == 2
     assert mu_form(ctx42).parity == 0
+    assert repr(m0_form(ctx42)) == "<m0: arity 2, parity 0>"
 
 
 def test_scaled_cochain_parity(ctx42):

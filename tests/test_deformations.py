@@ -436,6 +436,24 @@ def test_perturbed_witness_residual():
     assert report.details["constraints"]["i"] == expect.render()
 
 
+def test_relation_one_carries_etabar_times_zeta(ctx22):
+    """With zeta = xi1 and the even eta = gauss(1) xi1 xi2 at (2, 2), k = 1
+    and h1 = h2 = 0, etabar = 2 pi, and relation (i) is, by hand,
+    eta + theta [2E - 2] xi1 + etabar xi1 + {xi1, xi1}
+    = 1 + (2 pi - th1) xi1 + gauss(1) xi1 xi2: the one tier-1 case with a
+    nonzero etabar * zeta term, whose sign it pins."""
+    sctx = ctx22.scalar_ctx
+    xi1 = SuperFunction.xi(ctx22, 1)
+    eta = sf_mul(SuperFunction.gauss(ctx22, 1),
+                 sf_mul(xi1, SuperFunction.xi(ctx22, 2)))
+    assert eta.integral_bar() == Scalar.pi(sctx) * 2
+    report = check_constraints(xi1, eta, 0, 0)
+    hand = (SuperFunction.constant(ctx22, 1) + eta + xi1.scale_left(
+        Scalar.pi(sctx) * 2 - Scalar.theta(sctx, 1)))
+    assert report.details["constraints"]["i"] == hand.render() == \
+        "1 + (2*pi - th1)*xi1 + gauss(1)*xi1*xi2"
+
+
 def test_composite_bracket_names_and_parities(ctx42, ctx22, ctx45):
     """A sum's name joins its parts' and its parity is theirs when they
     share one; the builders rename the sum to their flavor, and the name

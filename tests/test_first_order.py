@@ -141,7 +141,7 @@ def integral_oracle(f):
         if xi == top:
             moment = Scalar.one(ctx.scalar_ctx)
             for e in xexp:
-                moment = moment * gaussian_moment(e, c)
+                moment = moment * gaussian_moment(e, c, ctx.scalar_ctx)
             total = total + s * moment
     return total
 

@@ -71,8 +71,8 @@ def rich_function(rng, ctx, top=False):
 # -- the per-term-Scalar oracles ---------------------------------------------
 
 def _from_view(ctx, view):
-    """The Scalar of a nested view {(m, alpha): RadicalNumber}, rebuilt by
-    products in which only the theta factor carries theta."""
+    """The Scalar of a nested view {(m, alpha): theta-free, h-free Scalar},
+    rebuilt by products in which only the theta factor carries theta."""
     return sum((Scalar.hbar(ctx, m) * Scalar.theta(ctx, *alpha) * rad
                 for (m, alpha), rad in view.items()), Scalar.zero(ctx))
 
