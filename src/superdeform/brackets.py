@@ -48,10 +48,11 @@ taking the xi_a of S in increasing order.  The odd channels of P itself
 are this factor at p = 1.  For integral Gaussian weights the tables hold
 integers: they are scaled by m! and blocks combine with binomials.  One
 bracket call works over one common denominator den = q_max!, the largest
-q! any of its seed pairs can need: a pair's table q! X[q] is scaled by the
-integer weight * den/q!, and each output coefficient is divided by den
-once.  So Fractions enter only where the inputs hold them (a weight 1/2, a
-rational kappa or coefficient).
+q! any of its seed pairs can need.  A pair and power p form one product
+f * (w_p * g) scaled by the integer weight * den/q!, and add each of its
+coefficients times q! X[q] into the slot of its scalar key; each output
+coefficient is divided by den once.  So Fractions enter only where the
+inputs hold them (a weight 1/2, a rational kappa or coefficient).
 """
 
 from fractions import Fraction
@@ -59,8 +60,8 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import DeformationError
-from .scalars import (Scalar, int_if_integral, mul_into, theta_indices,
-                      theta_sign)
+from .scalars import (_RATIONAL, Scalar, exact, int_if_integral, mul_into,
+                      theta_indices, theta_sign)
 from .superfunc import (_CACHE_BOUND, OVER_CAP, X_BITS, SuperFunction,
                         _grouped, _make, _own_scalar, _require_square, pack_x,
                         unpack_x, x_field, x_steps, xi_deriv)
@@ -307,62 +308,67 @@ def _odd_factor(lambdas, xf, xg):
     return len(shared), weight * theta_sign(xf, xg), xf | xg
 
 
-def _iterate_pairs(f, g, weights, tables):
+def _iterate_pairs(f, g, powers, tables):
     """Sum over the seed term pairs of sum_p w_p times the t^p coefficient
-    of the factored exponential series; ``weights`` holds the pairs
-    (p, w_p) in increasing p, and no pair keeps a power of zero weight.
+    of the factored exponential series; ``powers`` holds the triples (p,
+    items of w_p, lowest h-degree of w_p) in increasing p, each w_p a
+    nonzero theta-free Scalar.
 
     A seed pair with n shared xi takes each power p >= max(n, 1) whose
     weight's h-degree fits in room = h_max - (the pair's minimal
     h-degree); den = (max p)! is a common denominator of all the 1/q! of
     the call.  The kept powers depend on (n, room) alone, so each call
-    plans them once per (n, room) as (q = p - n, w_p, den/q!).  Per pair
-    and power, one ``mul_into`` forms weight * scalar product * den/q!,
-    which is added into the slots of the output terms; ``_make`` divides
-    by den once at the end.  ``tables`` holds the derivative, block and x
-    tables (see above).
+    plans them once per (n, room) as (index of p, q = p - n, den/q!).
+    Each g term keeps w_p * g, formed when a pair first needs p: w_p
+    meets no theta sign, and truncation commutes as h-degrees only add.
+    Per pair and power, one ``mul_into`` forms weight * den/q! * f * (w_p
+    * g), and each scalar key adds its coefficient times X[q] into its slot
+    (gauss_weight, xi_mask) + scalar key: {packed x: coefficient};
+    ``_make`` divides by den once.  ``tables`` holds the derivative, block
+    and x tables (see above).
     """
     ctx = f.ctx
     h_max = ctx.h_max
-    den = factorial(weights[-1][0])
-    powers = [(p, w.coeffs.items(), w.hbar_min_degree())
-              for p, w in weights if w]
+    den = factorial(powers[-1][0]) if powers else 1
     plans = {}
     acc = {}
     # scalar keys are unique within a term and lead with the h-degree
-    gterms = [(key, items, min(items)[0][0])
+    gterms = [(key, items, min(items)[0][0], [None] * len(powers))
               for key, items in _grouped(g).items()]
     for (fx, cf, xf), fitems in _grouped(f).items():
         f_min = min(fitems)[0][0]
-        for (gx, cg, xg), gitems, g_min in gterms:
+        twist = xf.bit_count()
+        for (gx, cg, xg), gitems, g_min, weighted in gterms:
             room = h_max - f_min - g_min
             n, weight, xi = _odd_factor(ctx.lambdas, xf, xg)
             plan = plans.get((n, room))
             if plan is None:
                 plan = plans[n, room] = [
-                    (p - n, w, den // factorial(p - n))
-                    for p, w, degree in powers
+                    (i, p - n, den // factorial(p - n))
+                    for i, (p, _w, degree) in enumerate(powers)
                     if p >= max(n, 1) and degree <= room]
             if not plan:
                 continue
-            # the theta part of g's scalar moves left past f's xi monomial
-            prod = mul_into({}, (), fitems, gitems, h_max, 1,
-                            xf.bit_count()).items()
-            xs = _x_tables(tables, ctx.n_plus, fx, gx, cf, cg, plan[-1][0])
-            c = int_if_integral(cf + cg)
-            for q, w, scale in plan:
+            xs = _x_tables(tables, ctx.n_plus, fx, gx, cf, cg, plan[-1][1])
+            head = (int_if_integral(cf + cg), xi)
+            for i, q, scale in plan:
                 poly = xs[q]
                 if not poly:
                     continue
-                coeffs = mul_into({}, (), w, prod, h_max,
-                                  weight * scale).items()
-                for x, v in poly.items():
-                    key = (x, c, xi)
+                wg = weighted[i]
+                if wg is None:
+                    wg = weighted[i] = mul_into({}, (), powers[i][1], gitems,
+                                                h_max).items()
+                # the theta part of g's scalar moves left past f's xi monomial
+                for k, u in mul_into({}, (), fitems, wg, h_max, weight * scale,
+                                     twist).items():
+                    key = head + k
                     slot = acc.get(key)
                     if slot is None:
-                        slot = acc[key] = {}
-                    for k, u in coeffs:
-                        slot[k] = slot.get(k, 0) + u * v
+                        acc[key] = {x: u * v for x, v in poly.items()}
+                    else:
+                        for x, v in poly.items():
+                            slot[x] = slot.get(x, 0) + u * v
     return _make(ctx, acc, den)
 
 
@@ -377,8 +383,9 @@ def bidiff_term(f, g, p, weight):
     if p < 1:
         raise ValueError("the bidifferential power must be at least 1")
     f._check(g)
+    weight = exact(weight)
     return _iterate_pairs(
-        f, g, ((p, Scalar.rational(f.ctx.scalar_ctx, weight)),), {})
+        f, g, ((p, ((_RATIONAL, weight),), 0),) if weight else (), {})
 
 
 def _own_kappa(ctx, kappa):
@@ -400,17 +407,19 @@ def moyal_bracket(f, g, kappa=1):
     kappa = _own_kappa(f.ctx, kappa)
     if len(_TABLES) > _TABLE_BOUND:
         _TABLES.clear()
-    return _iterate_pairs(f, g, _moyal_weights(kappa), _TABLES)
+    return _iterate_pairs(f, g, _moyal_weights(f.ctx.scalar_ctx, kappa),
+                          _TABLES)
 
 
 @lru_cache(maxsize=_CACHE_BOUND)
-def _moyal_weights(kappa):
-    """The pairs (p, (h kappa)^(p-1)) for odd p, up to the first weight the
-    truncation kills; kappa is a Scalar, so the key holds its context."""
-    hk = Scalar.hbar(kappa.ctx) * kappa
+def _moyal_weights(sctx, kappa):
+    """The triples (p, items of w_p, lowest h-degree of w_p), w_p = (h
+    kappa)^(p-1), for odd p up to the first weight the truncation kills;
+    the key names sctx, as a rational kappa equals it over every context."""
+    hk = Scalar.hbar(sctx) * kappa
     hk2 = hk * hk
-    weights, w, p = [], Scalar.one(kappa.ctx), 1
+    powers, w, p = [], Scalar.one(sctx), 1
     while not w.is_zero():
-        weights.append((p, w))
+        powers.append((p, tuple(w.coeffs.items()), w.hbar_min_degree()))
         w, p = w * hk2, p + 2
-    return tuple(weights)
+    return tuple(powers)

@@ -459,7 +459,9 @@ class Scalar(FlatSum):
             if not isinstance(other, Rational):
                 return NotImplemented  # a float is unequal, not refused
             other = self._lift(other)
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        # a rational compares by value across contexts, the rest within one
+        return self.coeffs == other.coeffs and (
+            self.ctx == other.ctx or self.coeffs.keys() <= {_RATIONAL})
 
     def __hash__(self):
         # a rational Scalar equals its value, so it hashes as that number

@@ -586,20 +586,20 @@ def _grouped(f):
 
 
 def _make(ctx, slots, den):
-    """The SuperFunction of {(x, gauss_weight, xi_mask): {scalar key:
-    coefficient}} over the common denominator ``den``, zero coefficients
+    """The SuperFunction of {(gauss_weight, xi_mask) + scalar key: {packed
+    x: coefficient}} over the common denominator ``den``, zero coefficients
     dropped."""
     coeffs = {}
-    for term, slot in slots.items():
-        for k, v in slot.items():
+    for head, slot in slots.items():
+        for x, v in slot.items():
             if not v:
                 continue
             if v.__class__ is int:
                 # a Fraction only when den does not divide v
                 q, r = divmod(v, den)
-                coeffs[term + k] = Fraction(v, den) if r else q
+                coeffs[(x,) + head] = Fraction(v, den) if r else q
             else:
-                coeffs[term + k] = int_if_integral(v / den)
+                coeffs[(x,) + head] = int_if_integral(v / den)
     return SuperFunction._of(ctx, coeffs)
 
 

@@ -122,13 +122,25 @@ def test_rational_scalars_hash_as_their_value():
     assert hash(Scalar.sqrt(ctx, 9)) == hash(3)
     assert len({Scalar.sqrt(ctx, 9), 3}) == 1
     assert hash(Scalar.sqrt(ctx, 2)) == hash(Scalar.sqrt(ctx, 8) / 2)
-    # Scalars over two contexts are unequal, as the Moyal weight cache keys
-    # on that
+    # a rational Scalar equals its value over any context; any other Scalar
+    # needs equal contexts
     other = ScalarContext(2, 6)
-    for build in (lambda c: Scalar.sqrt(c, 2), lambda c: Scalar.rational(c, 3),
+    s, t = Scalar.rational(ctx, 3), Scalar.rational(other, 3)
+    assert s == t and t == s
+    for build in (lambda c: Scalar.sqrt(c, 2),
                   lambda c: Scalar.sqrt_pi(c) * Fraction(1, 2) - Scalar.pi(c)):
         s, t = build(ctx), build(other)
         assert s != t and t != s
+
+
+def test_rational_scalar_equality_is_transitive_across_contexts():
+    """a == 3 == b for the rational 3 over two contexts, so a == b, and a
+    set of the three has one member whichever is inserted first."""
+    a = Scalar.rational(ScalarContext(0, 6), 3)
+    b = Scalar.rational(ScalarContext(2, 6), 3)
+    assert a == 3 == b and a == b and b == a
+    assert len({a, 3, b}) == len({3, a, b}) == len({b, a, 3}) == 1
+    assert Scalar.rational(ScalarContext(0, 6), 2) != b
 
 
 _SCALAR3 = Scalar.rational(ScalarContext(0, 6), 3)

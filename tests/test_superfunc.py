@@ -15,7 +15,7 @@ from superdeform import (ContextMismatchError, NotIntegrableError,
                          moyal_bracket, poisson_bracket,
                          sample_superfunctions, sf_mul)
 from superdeform import superfunc
-from superdeform.superfunc import _make
+from superdeform.superfunc import _make, pack_x
 
 from conftest import (gaussian_moment, is_clean, omega_channels,
                       radical_float, random_superfunction, seeded)
@@ -608,20 +608,23 @@ def test_a_zero_subtrahend_gives_the_minuend_itself(ctx42, ctx22):
 def test_make_divides_each_slot_exactly(ctx42):
     """_make divides int and Fraction slots by den exactly, with negative
     and non-integral quotients, and stores an integral quotient as int."""
-    t1 = ((1, 0, 0, 0), 1, (1,))
-    t2 = ((0, 0, 0, 0), Fraction(1, 2), ())
+    x1, x0 = pack_x((1, 0, 0, 0)), 0
+    h1, h2 = (1, 1), (Fraction(1, 2), 0)
     k0, kh = (0, 0, 0, 0, 1), (2, 1, 0, 0, 2)
-    slots = {t1: {k0: 5040 * 3, kh: -5040 * 2 - 7, (1, 0, 0, 0, 1): 0},
-             t2: {k0: Fraction(-15, 2), kh: Fraction(5040 * 7, 2),
-                  (1, 0, 0, 0, 1): -5040}}
+    slots = {h1 + k0: {x1: 5040 * 3}, h1 + kh: {x1: -5040 * 2 - 7},
+             h1 + (1, 0, 0, 0, 1): {x1: 0},
+             h2 + k0: {x0: Fraction(-15, 2)},
+             h2 + kh: {x0: Fraction(5040 * 7, 2)},
+             h2 + (1, 0, 0, 0, 1): {x0: -5040}}
     for den in (1, 7, 5040):
         out = _make(ctx42, slots, den)
-        assert out.coeffs == {t + k: Fraction(v) / den
-                              for t, slot in slots.items()
-                              for k, v in slot.items() if v}
+        assert out.coeffs == {(x,) + head: Fraction(v) / den
+                              for head, slot in slots.items()
+                              for x, v in slot.items() if v}
         assert is_clean(out)
-    assert _make(ctx42, slots, 5040).coeffs[t1 + kh] == Fraction(-10087, 5040)
-    assert _make(ctx42, slots, 7).coeffs[t2 + kh] == 2520
+    assert _make(ctx42, slots, 5040).coeffs[(x1,) + h1 + kh] == \
+        Fraction(-10087, 5040)
+    assert _make(ctx42, slots, 7).coeffs[(x0,) + h2 + kh] == 2520
 
 
 def test_zero_bar_scan_keeps_the_integral_rules(ctx42):
