@@ -18,14 +18,12 @@ the prefix of the term.  The adds are plain sums that pop a sum once it
 cancels, and ``_settled`` stores each integral Fraction as an int at the
 end, so the result is clean.  A summed x exponent that could pass X_CAP
 meets the context's guard.  The x steps come from ``x_steps``: the
-antibracket takes them per channel, and the x-pair channels of P are formed
-per block by ``_poisson_row`` and cached.  The Moyal kernel's block tables
-(below) are built from the same steps, so both kernels derive P's x part
-from the one x rule, and a row equals the m = 1 row of its block table, the
-tests' oracle for it.  The kernels read a function's terms through
-``superfunc._grouped`` and the Moyal kernel builds its result with
-``superfunc._make``; of the scalar part of a key they know only that it leads
-with the h-degree, which ``_iterate_pairs`` reads as min(items)[0][0].
+antibracket takes them per channel, and the x-pair channels of P are the
+m = 1 rows of the Moyal kernel's cached block rows (below), so both kernels
+derive P's x part from the one x rule, once.  The kernels read a function's
+terms through ``superfunc._grouped`` and the Moyal kernel builds its result
+with ``superfunc._make``; of the scalar part of a key they know only that it
+leads with the h-degree, which ``_iterate_pairs`` reads as min(items)[0][0].
 
 The Moyal kernel is block factored.  P is a sum of commuting channels, and
 each channel couples one block of variables: an x-pair (y1, y2) =
@@ -36,7 +34,7 @@ coefficient of a product of one series per block (the scalars and all
 signs aside):
 
 * an x-pair block gives sum_m t^m T[m], with T[m] = sum_{i+j=m} (-1)^j/(i! j!)
-  (d1^i d2^j f_B)(d2^i d1^j g_B), built from one-variable derivative tables
+  (d1^i d2^j f_B)(d2^i d1^j g_B), built from one-variable derivative rows
   of u^a exp(-c u^2/2);
 * an xi channel acts at most once (its square is zero) and only where xi_a
   stands on both sides: otherwise the derivative kills a side, or xi_a is
@@ -45,7 +43,7 @@ signs aside):
 
 The signs follow the first-order rules above with b = 0, ``xi_deriv``
 taking the xi_a of S in increasing order.  The odd channels of P itself
-are this factor at p = 1.  For integral Gaussian weights the tables hold
+are this factor at p = 1.  For integral Gaussian weights the rows hold
 integers: they are scaled by m! and blocks combine with binomials.  One
 bracket call works over one common denominator den = q_max!, the largest
 q! any of its seed pairs can need.  A pair and power p form one product
@@ -90,8 +88,8 @@ def poisson_bracket(f, g):
                 # the row's block in place of the block of ex
                 ((ex & ~(_BLOCK << b) | e << b, c, xi), weight * w)
                 for b in range(0, X_BITS * ctx.n_plus, 2 * X_BITS)
-                for e, w in _poisson_row(fx >> b & _BLOCK, gx >> b & _BLOCK,
-                                         cf, cg)]
+                for e, w in _block_row(fx >> b & _BLOCK, gx >> b & _BLOCK,
+                                       cf, cg, 1).items()]
             if outs:
                 prod = mul_into({}, (), fitems, gitems, ctx.h_max, 1,
                                 xf.bit_count()).items()
@@ -173,31 +171,26 @@ def _anti_factor(xf, xg):
 #
 # Polynomials are dicts from exponents to coefficients, the Gaussian factor
 # left implicit; exponents are packed on a block (the two fields ``_BLOCK``
-# masks) and on x, where blocks combine by shift and add.  ``tables`` keys
-# derivative tables by (e, c), block tables by (f's block, g's block, c_f,
-# c_g) and x tables by (n_plus, x of f, x of g, c_f, c_g), as packed 0 is
-# the zero vector at every n_plus.  None depends on kappa, the scalars, the
-# lambdas or the context order, so all Moyal brackets share ``_TABLES``,
-# cleared before a bracket past ``_TABLE_BOUND`` keys; ``bidiff_term`` keeps
-# tables per call, as its calls seldom meet a key twice.  A list is
-# replaced, never extended.
+# masks) and on x, where blocks combine by shift and add.  Each row below is
+# cached by its arguments and never changed: derivative rows by (e, c, i),
+# block rows by (f's block, g's block, c_f, c_g, m) and x rows by (n_plus, x
+# of f, x of g, c_f, c_g, q), as packed 0 is the zero vector at every
+# n_plus.  None depends on kappa, the scalars, the lambdas or the context
+# order, so every bracket of the module shares them.
 
-_TABLES = {}
-_TABLE_BOUND = 1024
 _BLOCK = (1 << 2 * X_BITS) - 1
 
 
-def _derivs(tables, e, c, n):
-    """The derivatives 0..n of u^e exp(-c u^2/2), as polynomials in u."""
-    table = tables.get((e, c)) or [{e: 1}]
-    while len(table) <= n:
-        out = {}
-        for k, q in table[-1].items():
-            for step, u in x_steps(k, c):
-                out[k + step] = out.get(k + step, 0) + u * q
-        table = table + [{k: q for k, q in out.items() if q}]
-    tables[e, c] = table
-    return table
+@lru_cache(maxsize=_CACHE_BOUND)
+def _deriv(e, c, i):
+    """Derivative i of u^e exp(-c u^2/2), a polynomial in u."""
+    if not i:
+        return {e: 1}
+    out = {}
+    for k, q in _deriv(e, c, i - 1).items():
+        for step, u in x_steps(k, c):
+            out[k + step] = out.get(k + step, 0) + u * q
+    return {k: q for k, q in out.items() if q}
 
 
 def _mul1(u, v):
@@ -209,82 +202,51 @@ def _mul1(u, v):
     return out
 
 
-def _block_table(tables, fb, gb, cf, cg, m_max):
-    """m! T[m] for m = 0..m_max on one x-pair block (variables y1, y2):
+@lru_cache(maxsize=_CACHE_BOUND)
+def _block_row(fb, gb, cf, cg, m):
+    """m! T[m] on one x-pair block (variables y1, y2), clean:
 
         T[m] = sum_{i+j=m} (-1)^j/(i! j!) (d1^i d2^j f_B)(d2^i d1^j g_B),
 
-    with f_B = y1^a1 y2^a2 exp(-c_f |y|^2/2) packed in fb, g_B likewise."""
-    key = (fb, gb, cf, cg)
-    table = tables.get(key) or []
-    if len(table) > m_max:
-        return table
-    f1, f2 = (_derivs(tables, e, cf, m_max) for e in unpack_x(fb, 2))
-    g1, g2 = (_derivs(tables, e, cg, m_max) for e in unpack_x(gb, 2))
-    while len(table) <= m_max:
-        m = len(table)
-        out = {}
-        binom = 1
-        for i in range(m + 1):
-            j = m - i
-            w = -binom if j & 1 else binom
-            binom = binom * j // (i + 1)
-            u = _mul1(f1[i], g1[j])
-            v = _mul1(f2[j], g2[i])
-            for e1, a in u.items():
-                for e2, b in v.items():
-                    out[e1, e2] = out.get((e1, e2), 0) + w * a * b
-        table = table + [{pack_x(k): q for k, q in out.items() if q}]
-    tables[key] = table
-    return table
+    with f_B = y1^a1 y2^a2 exp(-c_f |y|^2/2) packed in fb, g_B likewise.
+    At m = 1 it is the x-pair channel of P, (d1 f_B)(d2 g_B) - (d2
+    f_B)(d1 g_B)."""
+    (f1, f2), (g1, g2) = unpack_x(fb, 2), unpack_x(gb, 2)
+    out = {}
+    binom = 1
+    for i in range(m + 1):
+        j = m - i
+        w = -binom if j & 1 else binom
+        binom = binom * j // (i + 1)
+        u = _mul1(_deriv(f1, cf, i), _deriv(g1, cg, j))
+        v = _mul1(_deriv(f2, cf, j), _deriv(g2, cg, i))
+        for e1, a in u.items():
+            for e2, b in v.items():
+                out[e1, e2] = out.get((e1, e2), 0) + w * a * b
+    return {pack_x(k): int_if_integral(q) for k, q in out.items() if q}
 
 
 @lru_cache(maxsize=_CACHE_BOUND)
-def _poisson_row(fb, gb, cf, cg):
-    """The x-pair channel of P on one block, f_B = y1^f1 y2^f2
-    exp(-cf |y|^2/2), (f1, f2) packed in fb, against g_B likewise: the
-    m = 1 row (d1 f_B)(d2 g_B) - (d2 f_B)(d1 g_B) of ``_block_table``, a
-    tuple of (packed exponents, coefficient) formed from the ``x_steps``
-    of the four exponents, in the order of the table's; the tests take the
-    table as its oracle."""
-    (f1, f2), (g1, g2) = unpack_x(fb, 2), unpack_x(gb, 2)
-    row = {}
-    for w, y1, y2 in ((-1, x_steps(g1, cg), x_steps(f2, cf)),
-                      (1, x_steps(f1, cf), x_steps(g2, cg))):
-        for s1, u in y1:
-            for s2, v in y2:
-                e = (f1 + g1 + s1, f2 + g2 + s2)
-                row[e] = row.get(e, 0) + w * u * v
-    return tuple((pack_x(e), int_if_integral(w)) for e, w in row.items() if w)
-
-
-def _x_tables(tables, n, fx, gx, cf, cg, q_max):
-    """q! X[q] for q = 0..q_max (or more, when a longer list is stored),
-    the t^q coefficient of the product over the n / 2 x-pair blocks of
-    sum_m t^m T_B[m]; block tables combine with binomials because they are
-    scaled by m!."""
-    key = (n, fx, gx, cf, cg)
-    xs = tables.get(key)
-    if xs is not None and len(xs) > q_max:
-        return xs
-    xs = [{0: 1}] + [{}] * q_max
-    for shift in range(0, X_BITS * n, 2 * X_BITS):
-        table = _block_table(tables, fx >> shift & _BLOCK,
-                             gx >> shift & _BLOCK, cf, cg, q_max)
-        new = []
-        for q in range(q_max + 1):
-            out = {}
-            binom = 1
-            for r in range(q + 1):
-                for k1, a in xs[q - r].items():
-                    for k2, c in table[r].items():
-                        x = k1 + (k2 << shift)
-                        out[x] = out.get(x, 0) + binom * a * c
-                binom = binom * (q - r) // (r + 1)
-            new.append({k: v for k, v in out.items() if v})
-        xs = new
-    tables[key] = xs
-    return xs
+def _x_row(n, fx, gx, cf, cg, q):
+    """q! X[q], the t^q coefficient of the product over the n / 2 x-pair
+    blocks of sum_m t^m T_B[m]: the top block's rows times the rows of the
+    blocks below it, combined with binomials because all are scaled by m!."""
+    if not n:
+        return {} if q else {0: 1}
+    shift = X_BITS * (n - 2)
+    low = (1 << shift) - 1
+    fb, gb = fx >> shift, gx >> shift
+    out = {}
+    binom = 1
+    for r in range(q + 1):
+        # each row is formed, used or not, so its exponents meet the x cap
+        row = _block_row(fb, gb, cf, cg, r).items()
+        for k1, a in _x_row(n - 2, fx & low, gx & low, cf, cg, q - r).items():
+            for k2, c in row:
+                x = k1 + (k2 << shift)
+                out[x] = out.get(x, 0) + binom * a * c
+        binom = binom * (q - r) // (r + 1)
+    return {k: v for k, v in out.items() if v}
 
 
 @lru_cache(maxsize=_CACHE_BOUND)
@@ -308,7 +270,7 @@ def _odd_factor(lambdas, xf, xg):
     return len(shared), weight * theta_sign(xf, xg), xf | xg
 
 
-def _iterate_pairs(f, g, powers, tables):
+def _iterate_pairs(f, g, powers):
     """Sum over the seed term pairs of sum_p w_p times the t^p coefficient
     of the factored exponential series; ``powers`` holds the triples (p,
     items of w_p, lowest h-degree of w_p) in increasing p, each w_p a
@@ -324,11 +286,10 @@ def _iterate_pairs(f, g, powers, tables):
     Per pair and power, one ``mul_into`` forms weight * den/q! * f * (w_p
     * g), and each scalar key adds its coefficient times X[q] into its slot
     (gauss_weight, xi_mask) + scalar key: {packed x: coefficient};
-    ``_make`` divides by den once.  ``tables`` holds the derivative, block
-    and x tables (see above).
+    ``_make`` divides by den once.  X[q] is the cached ``_x_row``.
     """
     ctx = f.ctx
-    h_max = ctx.h_max
+    h_max, n_plus = ctx.h_max, ctx.n_plus
     den = factorial(powers[-1][0]) if powers else 1
     plans = {}
     acc = {}
@@ -349,10 +310,9 @@ def _iterate_pairs(f, g, powers, tables):
                     if p >= max(n, 1) and degree <= room]
             if not plan:
                 continue
-            xs = _x_tables(tables, ctx.n_plus, fx, gx, cf, cg, plan[-1][1])
             head = (int_if_integral(cf + cg), xi)
             for i, q, scale in plan:
-                poly = xs[q]
+                poly = _x_row(n_plus, fx, gx, cf, cg, q)
                 if not poly:
                     continue
                 wg = weighted[i]
@@ -373,19 +333,28 @@ def _iterate_pairs(f, g, powers, tables):
 
 
 def bidiff_power(f, g, p):
-    """The p-th power of the symplectic bidifferential applied to (f, g)."""
-    return bidiff_term(f, g, p, factorial(p))
+    """The p-th power of the symplectic bidifferential applied to (f, g).
+    It stays public API beside ``bidiff_term``, which it calls with weight
+    p!, as the exported name of P^p."""
+    return bidiff_term(f, g, p, factorial(_power(p)))
 
 
 def bidiff_term(f, g, p, weight):
     """``weight`` times P^p/p!, the t^p coefficient of exp(tP) applied to
     (f, g); ``weight`` is exact: 0 gives zero, and 0.0 raises ValueError."""
-    if p < 1:
-        raise ValueError("the bidifferential power must be at least 1")
+    _power(p)
     f._check(g)
     weight = exact(weight)
     return _iterate_pairs(
-        f, g, ((p, ((_RATIONAL, weight),), 0),) if weight else (), {})
+        f, g, ((p, ((_RATIONAL, weight),), 0),) if weight else ())
+
+
+def _power(p):
+    """p, refused with ValueError unless it is an int (not a bool) >= 1."""
+    if p.__class__ is not int or p < 1:
+        raise ValueError(
+            f"the bidifferential power must be an int at least 1, got {p!r}")
+    return p
 
 
 def _own_kappa(ctx, kappa):
@@ -405,10 +374,7 @@ def moyal_bracket(f, g, kappa=1):
     """
     f._check(g)
     kappa = _own_kappa(f.ctx, kappa)
-    if len(_TABLES) > _TABLE_BOUND:
-        _TABLES.clear()
-    return _iterate_pairs(f, g, _moyal_weights(f.ctx.scalar_ctx, kappa),
-                          _TABLES)
+    return _iterate_pairs(f, g, _moyal_weights(f.ctx.scalar_ctx, kappa))
 
 
 @lru_cache(maxsize=_CACHE_BOUND)

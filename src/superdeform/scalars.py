@@ -51,7 +51,8 @@ MAX_RADICAND = 10 ** 12  # largest integer the ring factors under a root
 _RATIONAL = (0, 0, 0, 0, 1)
 
 # entries of each cache: squarefree_decompose here, _moment in superfunc, and
-# in brackets _anti_factor, _poisson_row, _odd_factor and _moyal_weights
+# in brackets _anti_factor, the Moyal rows _deriv, _block_row and _x_row,
+# _odd_factor and _moyal_weights; a test holds every lru_cache to it
 _CACHE_BOUND = 4096
 
 

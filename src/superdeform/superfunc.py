@@ -306,11 +306,11 @@ class SuperFunction(FlatSum):
         return SuperFunction._of(self.ctx, out)
 
     def __eq__(self, other):
-        if isinstance(other, Scalar) and other.ctx != self.ctx.scalar_ctx:
-            return False
         if isinstance(other, (Rational, Scalar)):
-            other = SuperFunction.constant(self.ctx, other)
-        elif not isinstance(other, SuperFunction):
+            # a constant compares as its Scalar, by the Scalar rule
+            s = self.constant_scalar()
+            return s is not None and s == other
+        if not isinstance(other, SuperFunction):
             return NotImplemented
         return self.ctx == other.ctx and self.coeffs == other.coeffs
 

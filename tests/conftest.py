@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from superdeform import (NotIntegrableError, Scalar, SuperFunction,
-                         SymplecticContext, sf_mul)
+                         SymplecticContext, brackets, sf_mul)
 from superdeform.scalars import squarefree_decompose
 from superdeform.verify import LCG_INC, LCG_MASK, LCG_MULT
 
@@ -156,6 +156,17 @@ def naive_bidiff(f, g, p):
         if alive:
             out = out + sf_mul(F, G) * weight
     return out
+
+
+# the row caches of the Moyal kernel, which the Poisson bracket shares
+KERNEL_ROWS = (brackets._deriv, brackets._block_row, brackets._x_row)
+
+
+def clear_kernel_caches():
+    """Empty the Moyal kernel's row caches, so that the next bracket builds
+    every row afresh."""
+    for cached in KERNEL_ROWS:
+        cached.cache_clear()
 
 
 def naive_merge(a, b):

@@ -16,8 +16,8 @@ from superdeform.cochains import m1
 from superdeform.scalars import theta_sign
 from superdeform.superfunc import _grouped, pack_x, unpack_x, xi_deriv
 
-from conftest import (naive_bidiff, naive_merge, random_superfunction,
-                      seeded)
+from conftest import (KERNEL_ROWS, clear_kernel_caches, naive_bidiff,
+                      naive_merge, random_superfunction, seeded)
 
 
 def test_canonical_pairs(ctx42):
@@ -145,10 +145,11 @@ def test_m1_is_one_sixth_of_the_cubic_power(n_plus, lambdas, gauss_pool):
 
 
 def test_bidiff_one_is_poisson(ctx42):
-    """P^1 of the Moyal kernel equals the Poisson bracket.  The Moyal side
-    reads the x-pair channels from ``_block_table``, the Poisson side from
-    ``_poisson_row``; test_first_order.py compares the Poisson bracket
-    with its compositional definition."""
+    """P^1 of the Moyal kernel equals the Poisson bracket.  Both read the
+    x-pair channels from the m = 1 ``_block_row``, whose oracle is
+    ``_series_poisson_row``, and each has its own odd channels and sums;
+    test_first_order.py compares the Poisson bracket with its
+    compositional definition."""
     rng = seeded(8)
     for _ in range(6):
         f = random_superfunction(rng, ctx42, terms=2)
@@ -292,6 +293,23 @@ def test_bidiff_term_of_weight_zero_is_zero():
         bidiff_term(f, SuperFunction.zero(SymplecticContext(2, 2)), 1, 0)
 
 
+@pytest.mark.parametrize("p", [2.0, "3", True, Fraction(2), 0, -1],
+                         ids=["float", "str", "bool", "fraction", "zero",
+                              "negative"])
+def test_bidiff_power_must_be_an_int_at_least_one(p):
+    # a power that is not an int, True included, is refused as one below 1
+    # is, by bidiff_power and bidiff_term alike, before any other check
+    ctx = SymplecticContext(2, 0, (), 0, 4)
+    f = SuperFunction.x(ctx, 1)
+    other = SuperFunction.x(SymplecticContext(2, 2), 1)
+    for call in (lambda: bidiff_power(f, f, p),
+                 lambda: bidiff_term(f, f, p, 1),
+                 lambda: bidiff_term(f, other, p, 1)):
+        with pytest.raises(ValueError, match="an int at least 1") as info:
+            call()
+        assert repr(p) in str(info.value)
+
+
 def test_moyal_rejects_theta_kappa(ctx42):
     x1 = SuperFunction.x(ctx42, 1)
     with pytest.raises(ValueError):
@@ -309,7 +327,7 @@ def test_moyal_graded_antisymmetry(ctx42):
         assert moyal_bracket(f, g) == -moyal_bracket(g, f) * sign
 
 
-# -- tables shared across calls ---------------------------------------------
+# -- rows shared across calls -----------------------------------------------
 
 
 def _reweighted(f, c):
@@ -320,8 +338,8 @@ def _reweighted(f, c):
     return out
 
 
-def _store_lengths():
-    return {key: len(table) for key, table in brackets._TABLES.items()}
+def _misses():
+    return [cached.cache_info().misses for cached in KERNEL_ROWS]
 
 
 @pytest.mark.parametrize("n_plus, lambdas", [
@@ -330,17 +348,16 @@ def _store_lengths():
     (4, (1, -1)),
 ], ids=["no_x_blocks", "one_x_block", "two_x_blocks"])
 def test_shared_memo_matches_fresh(n_plus, lambdas):
-    # brackets' one table store serves Moyal brackets of the same exponents
-    # at several pairs of Gaussian weights (a key that dropped c_f or c_g
-    # would mix them up) in two contexts: the given metric at h_max 6 and
-    # every lambda = -1 at h_max 4, each call with its own kappa.  Each
-    # pair is first bracketed with an hbar^4 factor, which keeps fewer
-    # powers and so builds short tables, then without it, which needs
-    # longer ones, then with it again, which must hit the longer tables and
-    # keep them.  Every value must equal the one computed on a cleared
-    # store and, where the series is short enough for it, the naive series
-    # oracle; bidiff_power works on tables of its own and leaves the store
-    # as it is.
+    # the kernel's row caches serve Moyal brackets and bidiff_term alike,
+    # of the same exponents at several pairs of Gaussian weights (a key
+    # that dropped c_f or c_g would mix them up), in two contexts: the
+    # given metric at h_max 6 and every lambda = -1 at h_max 4, each Moyal
+    # call with its own kappa.  Each pair is first bracketed with an
+    # hbar^4 factor, which keeps fewer powers and so reads rows of low q
+    # only, then without it, which needs higher ones, then with it again;
+    # bidiff_term follows at p = 2 and 3 with a weight.  Every value must
+    # equal the one computed on cleared caches and, where the series is
+    # short enough for it, the naive oracle.
     contexts = [SymplecticContext(n_plus, len(lambdas), lambdas, 1, 6),
                 SymplecticContext(n_plus, len(lambdas), (-1,) * len(lambdas),
                                   1, 4)]
@@ -361,92 +378,110 @@ def test_shared_memo_matches_fresh(n_plus, lambdas):
             f, g = _reweighted(f0, cf), _reweighted(g0, cg)
             # the naive oracle of the full series is slow: it checks the
             # hbar^4 calls and, at h_max 4, the first long one
-            calls += [((f.scale_left(heavy), g, next(kappas)), True),
-                      ((f, g, next(kappas)), ctx.h_max < 6 and cf == cg),
-                      ((f.scale_left(heavy), g, next(kappas)), True)]
+            calls += [
+                (moyal_bracket, (f.scale_left(heavy), g, next(kappas)), True),
+                (moyal_bracket, (f, g, next(kappas)),
+                 ctx.h_max < 6 and cf == cg),
+                (moyal_bracket, (f.scale_left(heavy), g, next(kappas)), True),
+                (bidiff_term, (f, g, 2, Fraction(-3, 4)), cf == cg),
+                (bidiff_term, (f, g, 3, 5), False)]
         per_context.append(calls)
-    # interleave the two contexts, so that each reads the other's tables
+    # interleave the two contexts, so that each reads the other's rows
     # (each call of a pair with another kappa)
     calls = [call for pair in zip(*per_context) for call in pair]
-    brackets._TABLES.clear()
-    values = []
-    grew = False
-    for args, _ in calls:
-        before = _store_lengths()
-        values.append(moyal_bracket(*args))
-        after = _store_lengths()
-        assert all(after[key] >= n for key, n in before.items())
-        grew |= any(after[key] > n for key, n in before.items())
-    assert grew
-    for (args, oracle), value in zip(calls, values):
-        brackets._TABLES.clear()
-        assert moyal_bracket(*args) == value
-        if oracle:
+    clear_kernel_caches()
+    values = [fn(*args) for fn, args, _ in calls]
+    used = KERNEL_ROWS if n_plus else KERNEL_ROWS[2:]
+    assert all(cached.cache_info().hits for cached in used)
+    for (fn, args, oracle), value in zip(calls, values):
+        clear_kernel_caches()
+        assert fn(*args) == value
+        if not oracle:
+            continue
+        if fn is moyal_bracket:
             assert value == _series_oracle(*args)
-    brackets._TABLES.clear()
-    bidiff_power(*calls[1][0][:2], 3)
-    assert not brackets._TABLES
+        else:
+            f, g, p, weight = args
+            assert value == naive_bidiff(f, g, p) * (weight / factorial(p))
 
 
 def test_stored_tables_are_never_extended_in_place():
-    # a caller that holds a table keeps its length when a longer one is
-    # stored under the same key: the store replaces, it never appends
+    # a cached row is built once and never changed: a longer bracket of
+    # the same pair builds the rows of higher order beside the short
+    # bracket's, and reads those as they were, the same objects
     ctx = SymplecticContext(2, 1, (1,), 1, 6)
     f = SuperFunction.term(ctx, (2, 1), 1, (1,), 3)
     g = SuperFunction.term(ctx, (1, 2), 2, (1,), -2)
-    brackets._TABLES.clear()
+    ((fx, cf, _),), ((gx, cg, _),) = _grouped(f), _grouped(g)
+    clear_kernel_caches()
+    # room 2 keeps p = 1 and 3, so q = 0 and 2 with the shared xi_1
     moyal_bracket(f.scale_left(Scalar.hbar(ctx.scalar_ctx, 4)), g)
-    held = dict(brackets._TABLES)
-    lengths = _store_lengths()
+
+    def low_rows():
+        return ([brackets._x_row(2, fx, gx, cf, cg, q) for q in range(3)]
+                + [brackets._block_row(fx, gx, cf, cg, m) for m in range(3)]
+                + [brackets._deriv(e, c, i) for e, c in ((2, cf), (1, cf),
+                                                          (1, cg), (2, cg))
+                   for i in range(3)])
+
+    rows = low_rows()
+    held = [dict(row) for row in rows]
+    before = _misses()
     moyal_bracket(f, g)
-    assert {key: len(table) for key, table in held.items()} == lengths
-    longer = [key for key, n in _store_lengths().items()
-              if key in held and n > lengths[key]]
-    # derivative (e, c), block (fb, gb, cf, cg) and x tables (n_plus, fx,
-    # gx, cf, cg) all grew
-    assert {len(key) for key in longer} == {2, 4, 5}
-    assert all(brackets._TABLES[key] is not held[key] for key in longer)
+    # the derivative, block and x rows of higher order are new
+    assert all(now > then for now, then in zip(_misses(), before))
+    assert brackets._x_row(2, fx, gx, cf, cg, 6)
+    assert all(new is row for new, row in zip(low_rows(), rows))
+    assert [dict(row) for row in rows] == held
 
 
 def test_x_tables_are_keyed_by_n_plus():
     """Packed x exponents 0 are the zero vector at every n_plus, so the
-    shared x tables hold n_plus in their key.  Moyal brackets of Gaussians
-    with x exponent 0 alternate over one store between (2, 0), one x-pair
-    block, and (4, 2), two blocks, where the shared xi_1 lets the
-    x part's P^2 term through; each equals the series oracle."""
+    cached x rows hold n_plus in their key.  Moyal brackets of Gaussians
+    with x exponent 0 alternate between (2, 0), one x-pair block, and
+    (4, 2), two blocks, where the shared xi_1 lets the x part's P^2 term
+    through; each equals the series oracle, and after the first round
+    every row is read from the cache."""
     small = SymplecticContext(2, 0, (), 0, 2)
     large = SymplecticContext(4, 2, (1, -1), 0, 2)
     pairs = [(SuperFunction.gauss(small, 1), SuperFunction.gauss(small, 2)),
              (SuperFunction.term(large, c=1, xi=(1,), scalar=3),
               SuperFunction.term(large, c=2, xi=(1,)))]
-    brackets._TABLES.clear()
-    for f, g in pairs + pairs[::-1] + pairs:
-        value = moyal_bracket(f, g)
-        assert value == _series_oracle(f, g)
-        assert not value.is_zero() or f.ctx is small
-    assert {key[0] for key in brackets._TABLES if len(key) == 5} == {2, 4}
+    clear_kernel_caches()
+    for rounds in (pairs, pairs[::-1] + pairs):
+        for f, g in rounds:
+            value = moyal_bracket(f, g)
+            assert value == _series_oracle(f, g)
+            assert not value.is_zero() or f.ctx is small
+        if rounds is pairs:
+            built = _misses()
+    assert _misses() == built
+    assert brackets._x_row(2, 0, 0, 1, 2, 2) != \
+        brackets._x_row(4, 0, 0, 1, 2, 2)
 
 
-def test_table_store_is_cleared_past_its_bound(monkeypatch):
-    monkeypatch.setattr(brackets, "_TABLE_BOUND", 3)
+def test_row_caches_evict_past_their_bound():
+    # each row cache holds at most _CACHE_BOUND rows; rows no bracket reads
+    # push a bracket's rows out, and the bracket then builds them afresh,
+    # to the same value
     ctx = SymplecticContext(2, 1, (1,), 1, 6)
     f = SuperFunction.term(ctx, (2, 1), 1, (1,), 3)
     g = SuperFunction.term(ctx, (1, 2), 2, (1,), -2)
     h = SuperFunction.term(ctx, (0, 1), HALF, (), 5)
-
-    def keys_of(*args):
-        brackets._TABLES.clear()
-        value = moyal_bracket(*args)
-        return value, set(brackets._TABLES)
-
-    first, first_keys = keys_of(f, g)
-    second, second_keys = keys_of(g, h)
-    assert len(first_keys) > 3 and first_keys - second_keys
-    brackets._TABLES.clear()
+    clear_kernel_caches()
+    first, second = moyal_bracket(f, g), moyal_bracket(g, h)
+    bound = brackets._CACHE_BOUND
+    for e in range(bound):
+        brackets._deriv(e, 3, 0)
+        brackets._block_row(e, e, 3, 3, 0)
+        brackets._x_row(2, e, e, 3, 3, 0)
+    for cached in KERNEL_ROWS:
+        info = cached.cache_info()
+        assert info.maxsize == bound and info.currsize == bound
+    before = _misses()
     assert moyal_bracket(f, g) == first
-    # past the bound, the store is cleared before the next bracket
     assert moyal_bracket(g, h) == second
-    assert set(brackets._TABLES) == second_keys
+    assert all(now > then for now, then in zip(_misses(), before))
 
 
 # -- an independent sympy expansion of the even sector ----------------------
@@ -1028,9 +1063,9 @@ def test_first_order_brackets_form_one_product_per_term_pair(monkeypatch):
 
 
 def _series_poisson_row(f1, f2, g1, g2, cf, cg):
-    """The x-pair channel of P on one block by derivative steps, as
-    the Poisson bracket built it before the rows were cached; the oracle of
-    ``_poisson_row``, keyed by exponent tuples."""
+    """The x-pair channel of P on one block, (d1 f_B)(d2 g_B) - (d2
+    f_B)(d1 g_B), straight from the derivative steps; the oracle of the
+    m = 1 ``_block_row``, keyed by exponent tuples."""
     from superdeform.scalars import accumulate
     from superdeform.superfunc import x_steps
     fx, gx = (f1, f2), (g1, g2)
@@ -1044,31 +1079,26 @@ def _series_poisson_row(f1, f2, g1, g2, cf, cg):
     return poly
 
 
-def test_cached_poisson_row_equals_uncached():
+def test_poisson_block_rows_equal_the_series():
     """Every block with exponents 0..5 per slot and Gaussian weights in
-    {0, 1/2, 1, 2}: the cached row, a miss and then a hit, equals the
-    derivative steps and the m = 1 row of the Moyal block table, which it
-    is not built from, and holds clean coefficients, with the cache as the
-    other tests left it and again after ``cache_clear``.  Row and table
-    are keyed by packed blocks, unpacked here to meet the tuple oracle."""
+    {0, 1/2, 1, 2}: the cached m = 1 block row that ``poisson_bracket``
+    reads, a miss and then a hit, equals the derivative steps and holds
+    clean coefficients, with the caches as the other tests left them and
+    again after clearing.  The row is keyed by packed blocks, unpacked
+    here to meet the tuple oracle."""
     weights = (0, Fraction(1, 2), 1, 2)
     keys = [(pack_x(exps[:2]), pack_x(exps[2:])) + cs
             for exps in itertools.product(range(6), repeat=4)
             for cs in itertools.product(weights, repeat=2)]
     expected = [_series_poisson_row(*unpack_x(fb, 2), *unpack_x(gb, 2), *cs)
                 for fb, gb, *cs in keys]
-    tables = [brackets._block_table({}, *key, 1)[1] for key in keys]
     for _ in range(2):
-        for key, want, table in zip(keys, expected, tables):
-            row = brackets._poisson_row(*key)
-            assert brackets._poisson_row(*key) is row
-            assert {unpack_x(e, 2): w for e, w in row} == want
-            assert len(row) == len(want)
-            assert dict(row) == table and len(row) == len(table)
+        for key, want in zip(keys, expected):
+            row = brackets._block_row(*key, 1)
+            assert brackets._block_row(*key, 1) is row
+            assert {unpack_x(e, 2): w for e, w in row.items()} == want
             assert all(w and (w.__class__ is int or w.denominator != 1)
-                       for _e, w in row)
-        info = brackets._poisson_row.cache_info()
+                       for w in row.values())
+        info = brackets._block_row.cache_info()
         assert info.hits >= len(keys) and info.currsize == info.maxsize
-        brackets._poisson_row.cache_clear()
-    assert brackets._poisson_row.cache_info().maxsize == \
-        brackets._CACHE_BOUND
+        clear_kernel_caches()

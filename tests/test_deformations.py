@@ -18,7 +18,7 @@ from superdeform import (ContextMismatchError, DeformationError, SampleSpec,
 from superdeform.cli import parse_expression
 from superdeform.cochains import ODD, Cochain
 
-from conftest import random_superfunction, seeded
+from conftest import clear_kernel_caches, random_superfunction, seeded
 
 
 def h2(ctx):
@@ -65,10 +65,10 @@ def test_c1_jacobi(ctx42):
 @pytest.mark.parametrize("flavor", ["C1", "C1c"])
 def test_c1_brackets_match_fresh_moyal(ctx42, flavor):
     # the brackets of a C1/C1c deformation (the C1c probe M(zeta, zeta)
-    # included) draw on the Moyal kernel's process-wide table store; each
+    # included) draw on the Moyal kernel's process-wide row caches; each
     # value must still equal a fresh Moyal bracket of the bar-extended
-    # arguments, computed on a cleared store
-    from superdeform import brackets, moyal_bracket
+    # arguments, computed on cleared caches
+    from superdeform import moyal_bracket
     c = h2(ctx42)
     zeta = SuperFunction.term(ctx42, (1, 1, 0, 0), 1, scalar=c) + \
         SuperFunction.term(ctx42, (0, 0, 2, 0), 2, scalar=c * 3)
@@ -82,7 +82,7 @@ def test_c1_brackets_match_fresh_moyal(ctx42, flavor):
         gb = g.integral_bar()
         barred += not (fb.is_zero() and gb.is_zero())
         got = d.evaluate(f, g)
-        brackets._TABLES.clear()
+        clear_kernel_caches()
         expect = moyal_bracket(f + zeta.scale_right(fb),
                                g + zeta.scale_right(gb), kappa)
         if flavor == "C1c":

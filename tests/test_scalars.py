@@ -61,6 +61,42 @@ def test_ring_caches_are_bounded():
     assert squarefree_decompose(360) == (6, 10)
 
 
+def test_every_lru_cache_keeps_the_one_bound():
+    """Every lru_cache in superdeform's modules, on a module function or a
+    class's method, keeps at most the one cache bound, so no memo grows
+    without bound; cli.make_parser (maxsize 1, the one parser) is the one
+    exception.  Each module's source names as many caches as the scan
+    finds in it, so a cache made by a call rather than a decorator, or an
+    unbounded ``functools.cache``, cannot hide from it."""
+    import importlib
+    import inspect
+    import pkgutil
+    import re
+    from superdeform import scalars
+    found = {}
+    for info in pkgutil.iter_modules(superdeform.__path__):
+        module = importlib.import_module(f"superdeform.{info.name}")
+        owners = [module] + [value for value in vars(module).values()
+                             if inspect.isclass(value)
+                             and value.__module__ == module.__name__]
+        count = 0
+        for owner in owners:
+            for value in vars(owner).values():
+                value = getattr(value, "__func__", value)
+                if hasattr(value, "cache_parameters") and \
+                        value.__module__ == module.__name__:
+                    found[f"{info.name}.{value.__qualname__}"] = \
+                        value.cache_parameters()["maxsize"]
+                    count += 1
+        source = inspect.getsource(module)
+        assert len(re.findall(r"\b(?:lru_)?cache\(|@(?:functools\.)?cache$",
+                              source, re.M)) == count, info.name
+    assert found.pop("cli.make_parser") == 1
+    assert {"brackets._deriv", "brackets._block_row", "brackets._x_row",
+            "scalars.squarefree_decompose"} <= found.keys()
+    assert set(found.values()) == {scalars._CACHE_BOUND}
+
+
 def test_radical_products_reduce():
     """The gcd rule of square-free roots, sqrt(2) sqrt(8) = 4, and the
     carry of sqrt(pi) sqrt(pi) into pi."""
@@ -480,7 +516,7 @@ def test_integral_gaussian_weights_are_int():
     for f in sample_superfunctions(SampleSpec(seed=3, count=5,
                                               gauss_weights=(1, 2)), sctx):
         assert all(type(c) is int for _, c, _ in f.terms)
-    # the kernels, whose tables take the weights of their keys as they are
+    # the kernels, whose rows take the weights of their keys as they are
     x1, x2 = SuperFunction.x(sctx, 1), SuperFunction.x(sctx, 2)
     f, h = sf_mul(x1, g), sf_mul(x2, g)
     for value in (moyal_bracket(f, h), poisson_bracket(f, h),

@@ -161,6 +161,24 @@ def test_constant_functions_hash_as_their_scalar():
     assert hash(SuperFunction.zero(ctx)) == hash(0)
 
 
+def test_constant_equality_is_transitive_across_contexts():
+    """f == 3 == b for the constant 3 and the rational 3 over another
+    scalar context, so f == b both ways, and a set of the three has one
+    member whichever is inserted first; a constant still differs from a
+    Scalar over another context that is not rational."""
+    ctx = SymplecticContext(2, 2, (1, 1), 0, 6)
+    f = SuperFunction.constant(ctx, 3)
+    b = Scalar.rational(ScalarContext(2, 6), 3)
+    assert b.ctx != ctx.scalar_ctx
+    assert f == 3 == b and f == b and b == f
+    assert len({f, 3, b}) == len({3, f, b}) == len({b, f, 3}) == 1
+    assert f != Scalar.rational(ScalarContext(2, 6), 2)
+    root = SuperFunction.constant(ctx, Scalar.sqrt(ctx.scalar_ctx, 2))
+    assert root != Scalar.sqrt(ScalarContext(2, 6), 2)
+    assert root == Scalar.sqrt(ctx.scalar_ctx, 2)
+    assert SuperFunction.x(ctx, 1) != b and b != SuperFunction.x(ctx, 1)
+
+
 def test_omega_channels_canonical(ctx42):
     assert omega_channels(ctx42) == [
         (0, 1, 1), (1, 0, -1), (2, 3, 1), (3, 2, -1), (4, 4, 1), (5, 5, 1)]
