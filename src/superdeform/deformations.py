@@ -10,17 +10,26 @@ GENERAL_ODD), whose ``grading`` says which parity its Jacobi identity uses
 and whose ``params`` hold the data it was built from; its parity is its
 parts' when they share one, else None (GENERAL_ODD at even n_minus).
 Each is built in one Cochain call, around the ``fn`` of a sum of forms.
+
+ANTI_EVEN works on int numerators over one common denominator, as the
+Moyal kernel does: each argument and c are scaled by the lcm of their
+coefficients' denominators, the resolvent series, 2E and the products run
+on the scaled values, and each output coefficient is divided once, by the
+rule of ``superfunc._divided``.  Fractions enter only there and where a
+Gaussian weight is not an int (the factors -c of Delta and N_z and c of
+2E).
 """
 
-from fractions import Fraction
+from math import lcm
 
 from .brackets import _own_kappa, antibracket, moyal_bracket, poisson_bracket
 from .cochains import (EVEN, ODD, Cochain, _theta1, anti_form, jzeta_form,
                        m0_form, m1, m1_form, m23_form, m3_form, mu,
                        mzeta_form)
 from .errors import DeformationError
-from .scalars import Scalar
-from .superfunc import SuperFunction, _own_scalar, _require_square, sf_mul
+from .scalars import Scalar, accumulate
+from .superfunc import (SuperFunction, _divided, _own_scalar, _require_square,
+                        sf_mul)
 from .verify import _run
 
 C1, C1C, C3 = "C1", "C1c", "C3"
@@ -148,7 +157,21 @@ def build_anti_even(ctx, c):
     the lowest h-degree of the resolvent value it multiplies.  So the
     series stops at the truncation: a step whose truncation is zero has
     no successor.  At c = 0 the resolvent is zero and the bracket is the
-    plain antibracket."""
+    plain antibracket.
+
+    The arithmetic is on ints (module doc).  With F = d_f f, G = d_g g and
+    c' = d_c c, each scaled by the lcm of its denominators, the series
+    steps are T_0 = c' Delta F and T_(j+1) = -c' N_z T_j, so the resolvent
+    of f is R_f / (d_f d_c b^(n_f - 1)) for b = 2 d_c and its n_f steps,
+    with R_f = sum_j b^(n_f - 1 - j) T_j; and 2E = 2 - N_z has int
+    factors at integral Gaussian weights.  So with n_f = 0 when R_f is
+    zero, likewise n_g, and n the larger of the two, the bracket is
+
+        (b^n [F,G] +- b^(n - n_f) R_f 2E(G) + b^(n - n_g) 2E(F) R_g)
+            / (d_f d_g b^n),
+
+    summed as ints and divided once per coefficient.  Positive scalings
+    change no support, so every truncation above is where it was."""
     _require_square(ctx, "anti")
     c = _own_scalar(ctx, c)
     _require_param(c, "c")
@@ -157,33 +180,65 @@ def build_anti_even(ctx, c):
     if c.is_zero():
         return Cochain(ctx, 2, 0, antibracket, ODD, name=ANTI_EVEN,
                        params={"c": c})
-    half = c * Fraction(-1, 2)
+    scaled_c, d_c = _over_ints(c)
+    step = -scaled_c
+    base = 2 * d_c  # b of the docstring
     last = ctx.h_max - c.hbar_min_degree()
 
     def resolvent(u):
-        # c/(1 + c N_z/2) applied to Delta u, as a geometric series in c
-        total = term = u.truncate(last).delta_op().scale_left(c)
-        while not (term := term.truncate(last)).is_zero():
-            term = term.number_z().scale_left(half)
-            total = total + term
-        return total
+        # (R_u, n_u) of the docstring for the scaled argument u
+        steps = [u.truncate(last).delta_op().scale_left(scaled_c)]
+        while not (term := steps[-1].truncate(last)).is_zero():
+            steps.append(term.number_z().scale_left(step))
+        n = len(steps)
+        total = SuperFunction._of(ctx, _weighted(
+            (term, base ** (n - 1 - j)) for j, term in enumerate(steps)))
+        return total, 0 if total.is_zero() else n
 
-    def euler(u, partner):
-        # E_z u, kept only up to the order its product with partner keeps
-        return u.truncate(ctx.h_max - partner.hbar_min_degree()).euler_E()
+    def euler2(u, partner):
+        # 2 E_z u, kept only up to the order its product with partner keeps
+        u = u.truncate(ctx.h_max - partner.hbar_min_degree())
+        return u._degree_op(2, -1)
 
     def fn(f, g):
-        out = antibracket(f, g)
-        df = resolvent(f)
-        if not df.is_zero():
-            term = sf_mul(df, euler(g, df))
-            out = out - term if f.eps() else out + term
-        dg = resolvent(g)
-        if not dg.is_zero():
-            out = out + sf_mul(euler(f, dg), dg)
-        return out
+        F, d_f = _over_ints(f)
+        G, d_g = _over_ints(g)
+        df, n_f = resolvent(F)
+        dg, n_g = resolvent(G)
+        n = max(n_f, n_g)
+        parts = [(antibracket(F, G), base ** n)]
+        if n_f:
+            w = base ** (n - n_f)
+            parts.append((sf_mul(df, euler2(G, df)), -w if f.eps() else w))
+        if n_g:
+            parts.append((sf_mul(euler2(F, dg), dg), base ** (n - n_g)))
+        return SuperFunction._of(ctx, _divided(_weighted(parts),
+                                               d_f * d_g * base ** n))
 
     return Cochain(ctx, 2, 0, fn, ODD, name=ANTI_EVEN, params={"c": c})
+
+
+def _over_ints(s):
+    """(d s, d) for d the lcm of the denominators of the coefficients of s,
+    a Scalar or SuperFunction, so that d s has int coefficients; (s, 1)
+    when they are ints already."""
+    dens = {q.denominator for q in s.coeffs.values() if q.__class__ is not int}
+    if not dens:
+        return s, 1
+    d = lcm(*dens)
+    return s._of(s.ctx, {
+        key: q * d if q.__class__ is int else
+        q.numerator * (d // q.denominator) for key, q in s.coeffs.items()}), d
+
+
+def _weighted(parts):
+    """sum_i w_i f_i over the pairs (f_i, w_i) of functions and nonzero
+    ints, as a clean dict."""
+    out = {}
+    for f, w in parts:
+        for key, q in f.coeffs.items():
+            accumulate(out, key, q * w)
+    return out
 
 
 def build_anti_odd(ctx):

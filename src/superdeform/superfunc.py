@@ -60,7 +60,8 @@ that it leads with the h-degree); the bracket kernels read terms through
 ``_grouped`` and, like ``sf_mul``, write products under a term key prefix
 with ``mul_into``, or, in the Moyal kernel, build results through ``_make``;
 the sampler writes its rational terms under ``scalars._RATIONAL`` and
-the parity it drew into ``_eps``.
+the parity it drew into ``_eps``.  A sum kept over a common denominator, by
+``_make`` or by ANTI_EVEN, is divided by the one rule of ``_divided``.
 
 A SymplecticContext is a namedtuple value, as a ScalarContext is, with its
 ScalarContext as ``scalar_ctx`` and its x fields' guard bits as ``x_guard``;
@@ -585,22 +586,26 @@ def _grouped(f):
     return groups
 
 
+def _divided(coeffs, den):
+    """``coeffs``, a dict of nonzero sums over the common denominator
+    ``den``, with each value divided by den in place: an int when it is
+    integral, a Fraction only when den does not divide an int value."""
+    for key, v in coeffs.items():
+        if v.__class__ is int:
+            q, r = divmod(v, den)
+            coeffs[key] = Fraction(v, den) if r else q
+        else:
+            coeffs[key] = int_if_integral(v / den)
+    return coeffs
+
+
 def _make(ctx, slots, den):
     """The SuperFunction of {(gauss_weight, xi_mask) + scalar key: {packed
     x: coefficient}} over the common denominator ``den``, zero coefficients
     dropped."""
-    coeffs = {}
-    for head, slot in slots.items():
-        for x, v in slot.items():
-            if not v:
-                continue
-            if v.__class__ is int:
-                # a Fraction only when den does not divide v
-                q, r = divmod(v, den)
-                coeffs[(x,) + head] = Fraction(v, den) if r else q
-            else:
-                coeffs[(x,) + head] = int_if_integral(v / den)
-    return SuperFunction._of(ctx, coeffs)
+    return SuperFunction._of(ctx, _divided(
+        {(x,) + head: v for head, slot in slots.items()
+         for x, v in slot.items() if v}, den))
 
 
 def sf_mul(f, g):

@@ -2,7 +2,8 @@
 
 Every other Jacobi test runs at h_max = 6 with lambda = +1.  This matrix
 pins the same checks at mixed and negative metric signs, other truncation
-orders, n_plus = 0, and k = 0 and 2, each on a few seeded samples.
+orders, n_plus = 0, k = 0 and 2, and the antibracket deformations at (2, 2)
+and (4, 4), each on a few seeded samples.
 """
 
 from fractions import Fraction
@@ -21,6 +22,7 @@ MIXED_5 = (4, 2, (1, -1), 1, 5)
 MIXED_6 = (4, 2, (1, -1), 1, 6)
 NEGATIVE_3 = (4, 2, (-1, -1), 1, 3)
 ANTI_MIXED = (2, 2, (1, -1), 1, 6)
+ANTI_44 = (4, 4, (1, -1, 1, -1), 1, 4)
 NO_X = (0, 2, (1, -1), 1, 6)
 K0 = (4, 2, (1, -1), 0, 6)
 K2 = (4, 2, (1, -1), 2, 6)
@@ -68,6 +70,7 @@ CASES = [(check, context)
          for context in (MIXED_5, MIXED_6, NEGATIVE_3)
          for check in (c1_jacobi, c3_jacobi, m3_cocycle, m0_signs)] + [
     (antiodd_jacobi, ANTI_MIXED), (antieven_jacobi, ANTI_MIXED),
+    (antiodd_jacobi, ANTI_44), (antieven_jacobi, ANTI_44),
     (c1_jacobi, NO_X), (c1_jacobi, K0), (c1_jacobi, K2), (m0_signs, K2)]
 
 
