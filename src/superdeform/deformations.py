@@ -181,7 +181,7 @@ def build_anti_even(ctx, c):
         return Cochain(ctx, 2, 0, antibracket, ODD, name=ANTI_EVEN,
                        params={"c": c})
     scaled_c, d_c = _over_ints(c)
-    step = -scaled_c
+    minus_c = -scaled_c
     base = 2 * d_c  # b of the docstring
     last = ctx.h_max - c.hbar_min_degree()
 
@@ -189,10 +189,10 @@ def build_anti_even(ctx, c):
         # (R_u, n_u) of the docstring for the scaled argument u
         steps = [u.truncate(last).delta_op().scale_left(scaled_c)]
         while not (term := steps[-1].truncate(last)).is_zero():
-            steps.append(term.number_z().scale_left(step))
+            steps.append(term.number_z().scale_left(minus_c))
         n = len(steps)
         total = SuperFunction._of(ctx, _weighted(
-            (term, base ** (n - 1 - j)) for j, term in enumerate(steps)))
+            (t, base ** (n - 1 - j)) for j, t in enumerate(steps)))
         return total, 0 if total.is_zero() else n
 
     def euler2(u, partner):

@@ -588,8 +588,8 @@ def _grouped(f):
 
 def _divided(coeffs, den):
     """``coeffs``, a dict of nonzero sums over the common denominator
-    ``den``, with each value divided by den in place: an int when it is
-    integral, a Fraction only when den does not divide an int value."""
+    ``den``, with each value divided by den in place: an int when the
+    quotient is integral, else a Fraction."""
     for key, v in coeffs.items():
         if v.__class__ is int:
             q, r = divmod(v, den)
